@@ -250,6 +250,9 @@ class CartanDatum:
                 queue.append((self.reflect_form(k, form), self.reflect_coweight(k, cow)))
         self.root_list: Tuple[AWeightForm, ...] = tuple(sorted(seen, key=lambda f: f.coords))
         self.coroot_of_root: Dict[AWeightForm, Coweight] = {f: seen[f] for f in self.root_list}
+        self.root_of_coroot: Dict[Coweight, AWeightForm] = {c: f for f, c in seen.items()}
+        # filled on demand by stab_general.wall_adjacent_chambers
+        self.wall_chambers: Dict[Tuple[AWeightForm, int], list] = {}
         assert len(self.root_list) == _ROOT_COUNT[type_letter](rank)
         for f in self.root_list:
             assert -f in self.coroot_of_root
@@ -376,6 +379,7 @@ class Chamber:
         self.datum = datum
         self.witness = witness
         self.sign_vector = tuple(signs)
+        self._positive = {f: s > 0 for f, s in zip(datum.root_list, signs)}
 
     @classmethod
     def dominant(cls, datum: CartanDatum) -> "Chamber":
@@ -389,7 +393,8 @@ class Chamber:
         return Chamber(self.datum, -self.witness)
 
     def is_positive(self, f: AWeightForm) -> bool:
-        return pairing(self.witness, f) > 0
+        side = self._positive.get(f)  # known for every root
+        return pairing(self.witness, f) > 0 if side is None else side
 
     def __eq__(self, other):
         return (

@@ -12,7 +12,6 @@ matrices, so the two routes can be compared entry by entry.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -21,13 +20,14 @@ from .slices import (
     FixedPoint,
     SliceSpec,
     enumerate_fixed_points,
-    euler_class_a,
-    split_attract_repel,
-    tangent_weights,
+    localization_denominator,
+    point_index,
+    repelling_euler,
+    tangent_euler,
 )
 from .stab_a1 import normalize_polarization, stab_matrix
-from .stab_general import sigma_sign, stab_mod_h2
-from .symalg import NonDivisible, Polynomial, RationalFunction, _canonical_linear, exact_div
+from .stab_general import sigma_sign
+from .symalg import NonDivisible, Polynomial, RationalFunction, exact_div
 
 
 class NonPolynomialEntry(RuntimeError):
@@ -271,7 +271,7 @@ def omega_root(
     points = enumerate_fixed_points(spec)
     nv = spec.cartan.rank + 1
     rows = _zero_rows(nv, len(points))
-    index = {p: m for m, p in enumerate(points)}
+    index = point_index(spec)
     half_len = Fraction(spec.cartan.inner(coroot, coroot), 2)
     for pi, p in enumerate(points):
         if pairing(p.delta[i - 1], root) != 1 or pairing(p.delta[j - 1], root) != -1:
@@ -295,7 +295,7 @@ def omega_operators(
     points = enumerate_fixed_points(spec)
     nv = spec.cartan.rank + 1
     rows = _zero_rows(nv, len(points))
-    index = {p: m for m, p in enumerate(points)}
+    index = point_index(spec)
     half = Fraction(1, 2)
     for pi, p in enumerate(points):
         val = spec.cartan.inner(p.delta[i - 1], p.delta[j - 1])
@@ -309,21 +309,9 @@ def omega_operators(
     return OperatorMatrix(spec, ch, points, rows)
 
 
-_PAIR_CACHE: Dict[tuple, list] = {}
-
-
-def _signs_key(points: Sequence[FixedPoint], polarization_signs) -> tuple:
-    signs = normalize_polarization(points, polarization_signs)
-    return tuple(signs[p] for p in points)
-
-
 def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
     """All lowering moves: tuples (p, q, i, j, root, coroot, sigma) with slots 1-based."""
     points = enumerate_fixed_points(spec)
-    key = (spec, ch, _signs_key(points, polarization_signs))
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
     table = []
     roots = [(f, spec.cartan.coroot_of_root[f]) for f in spec.cartan.positive_roots(ch)]
     for p in points:
@@ -337,17 +325,16 @@ def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
                     q = _moved_point(p, i, j, coroot)
                     sign = sigma_sign(spec, p, q, root, ch, polarization_signs, samples=1)
                     table.append((p, q, i, j, root, coroot, sign))
-    _PAIR_CACHE[key] = table
     return table
 
 
-def _mult_l(spec: SliceSpec, k: int, ch: Chamber, polarization_signs=None) -> OperatorMatrix:
+def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorMatrix:
     """Matrix of multiplication by c_1(L_k): sum of the slot operators up to k
     minus h times the chamber operators across the cut at k."""
     points = enumerate_fixed_points(spec)
     nv = spec.cartan.rank + 1
     rows = _zero_rows(nv, len(points))
-    index = {p: m for m, p in enumerate(points)}
+    index = point_index(spec)
     for pi, p in enumerate(points):
         a_part = spec.cartan.sharp(spec.cartan.zero_coweight())
         h_coeff = Fraction(0)
@@ -359,7 +346,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, polarization_signs=None) -> Op
             for j in range(k + 1, spec.length + 1):
                 h_coeff -= Fraction(spec.cartan.inner(p.delta[i - 1], p.delta[j - 1]), 2)
         rows[pi][pi] = EquivariantLinearForm(a_part, h_coeff).to_polynomial()
-    for p, q, i, j, root, coroot, sign in _pair_table(spec, ch, polarization_signs):
+    for p, q, i, j, root, coroot, sign in pair_table:
         if not i <= k < j:
             continue
         half_len = Fraction(spec.cartan.inner(coroot, coroot), 2)
@@ -377,12 +364,11 @@ def mult_matrix(
 ) -> OperatorMatrix:
     """Matrix of multiplication by c_1 of the bundle in the stable basis for ch."""
     kind, idx = parse_bundle(spec, bundle)
+    table = _pair_table(spec, ch, polarization_signs)
     if kind == "L":
-        mat = _mult_l(spec, idx, ch, polarization_signs)
+        mat = _mult_l(spec, idx, ch, table)
     else:
-        mat = _mult_l(spec, idx, ch, polarization_signs) - _mult_l(
-            spec, idx - 1, ch, polarization_signs
-        )
+        mat = _mult_l(spec, idx, ch, table) - _mult_l(spec, idx - 1, ch, table)
         mat.label = f"E{idx}"
         mat.chamber = ch
     mat.validate()
@@ -409,22 +395,9 @@ def localization_pair(spec: SliceSpec, v1, v2) -> RationalFunction:
     for x in points:
         if x not in a or x not in b:
             continue
-        factors = []
-        for (root, n), mult in tangent_weights(spec, x).items():
-            factors.extend([Polynomial.linear_form(root.coords, n)] * mult)
-        total = total + RationalFunction(a[x] * b[x], factors)
+        e = tangent_euler(spec, x)
+        total = total + RationalFunction(a[x] * b[x] * (1 / e.scalar), e.factors.elements())
     return total
-
-
-def _euler_factor_counter(spec: SliceSpec, x: FixedPoint) -> Tuple[Counter, Fraction]:
-    """Canonical linear factors of e_T(T_x) with the extracted scalar."""
-    counts: Counter = Counter()
-    scalar = Fraction(1)
-    for (root, n), mult in tangent_weights(spec, x).items():
-        canon, s = _canonical_linear(Polynomial.linear_form(root.coords, n))
-        counts[canon] += mult
-        scalar *= Fraction(s) ** mult
-    return counts, scalar
 
 
 def mult_matrix_via_localization(
@@ -445,40 +418,27 @@ def mult_matrix_via_localization(
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
     nv = spec.cartan.rank + 1
+    lcm_poly, cofactor = localization_denominator(spec)
+    weight = {
+        x: bundle_weight(spec, x, (kind, idx)).to_polynomial() * cofactor[x] for x in points
+    }
 
-    lcm_counts: Counter = Counter()
-    per_point = {}
-    for x in points:
-        counts, scalar = _euler_factor_counter(spec, x)
-        per_point[x] = (counts, scalar)
-        for f, c in counts.items():
-            lcm_counts[f] = max(lcm_counts[f], c)
-    lcm_poly = Polynomial.one(nv)
-    for f, c in lcm_counts.items():
-        for _ in range(c):
-            lcm_poly = lcm_poly * f
-    cofactor = {}
-    for x in points:
-        counts, scalar = per_point[x]
-        cof = Polynomial.constant(nv, Fraction(1) / scalar)
-        for f, c in lcm_counts.items():
-            for _ in range(c - counts[f]):
-                cof = cof * f
-        cofactor[x] = cof
-
-    weight_poly = {x: bundle_weight(spec, x, (kind, idx)).to_polynomial() for x in points}
+    # the coefficient of Stab_-[q] sums over the points x where both
+    # restrictions are stored; the bundle weight and the cofactor ride on Stab_-
+    plus_rows = plus.stored_rows()
+    minus_rows = {
+        q: {x: val * weight[x] for x, val in row.items()}
+        for q, row in minus.stored_rows().items()
+    }
     rows = _zero_rows(nv, len(points))
     for pi, p in enumerate(points):
         for qi, q in enumerate(points):
             total = Polynomial.zero(nv)
-            for x in points:
-                up = plus.entry(p, x)
-                if up.is_zero():
-                    continue
-                down = minus.entry(q, x)
-                if down.is_zero():
-                    continue
-                total = total + down * weight_poly[x] * up * cofactor[x]
+            weighted = minus_rows[q]
+            for x, up in plus_rows[p].items():
+                down = weighted.get(x)
+                if down is not None:
+                    total = total + down * up
             if total.is_zero():
                 continue
             try:
@@ -499,6 +459,7 @@ def mult_matrix_via_localization(
 def reconstruct_coefficient(
     spec: SliceSpec,
     ch: Chamber,
+    entries: Mapping[Tuple[FixedPoint, FixedPoint], Polynomial],
     p: FixedPoint,
     q: FixedPoint,
     bundle: BundleTag,
@@ -506,21 +467,19 @@ def reconstruct_coefficient(
 ) -> Fraction:
     """Off-diagonal multiplication coefficient recovered from restriction data.
 
+    entries are the restrictions stab_mod_h2(spec, ch, polarization_signs).
     Divides the h-linear restriction of the stable class of p at q, scaled by
     the difference of the bundle weights at q and p, by the polarization at q;
     exactness of the division pins the coefficient of h in the matrix entry.
     """
-    entries = stab_mod_h2(spec, ch, polarization_signs)
     entry = entries.get((p, q))
     if entry is None or entry.is_zero():
         return Fraction(0)
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    nv = spec.cartan.rank + 1
     diff = bundle_weight(spec, q, bundle).a_part - bundle_weight(spec, p, bundle).a_part
     diff_poly = Polynomial.linear_form(diff.coords, 0)
-    _, repel = split_attract_repel(tangent_weights(spec, q), ch)
-    eps_q = Polynomial.constant(nv, Fraction(signs[q])) * euler_class_a(repel)
+    eps_q = signs[q] * repelling_euler(spec, q, ch, False).polynomial()
     quotient = exact_div(entry.div_h() * diff_poly, eps_q)
     if quotient.total_degree() > 0:
         raise AssertionError("reconstructed coefficient is not a constant")

@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum, Chamber, Coweight
 from .chern import (
@@ -30,7 +30,6 @@ from .chern import (
     reconstruct_coefficient,
 )
 from .slices import (
-    FixedPoint,
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
@@ -142,7 +141,10 @@ class JobSpec:
         elif self.chamber == "antidominant":
             ch = Chamber.antidominant(datum)
         else:
-            coords = [Fraction(tok) for tok in self.chamber.split(",")]
+            try:
+                coords = [Fraction(tok) for tok in self.chamber.split(",")]
+            except ZeroDivisionError:
+                raise ValueError(f"chamber {self.chamber!r} has a zero denominator") from None
             ch = Chamber(datum, Coweight(coords))
         if self.polarization == "repelling":
             signs: Optional[List[int]] = None
@@ -190,15 +192,6 @@ def cache_store(key: str, payload: dict) -> None:
 # -- document assembly ----------------------------------------------------------
 
 
-def _weight_rows(spec: SliceSpec, p: FixedPoint) -> list:
-    rows = [
-        {"root": list(root.coords), "n": n, "mult": m}
-        for (root, n), m in tangent_weights(spec, p).items()
-    ]
-    rows.sort(key=lambda r: (r["root"], r["n"]))
-    return rows
-
-
 def _cmd_fixed_points(spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
     return {
@@ -213,7 +206,8 @@ def _cmd_tangent(spec: SliceSpec, ch: Chamber, signs) -> dict:
     return {
         "command": "tangent",
         "points": [
-            {"delta": p.to_json(), "label": p.label(), "weights": _weight_rows(spec, p)}
+            {"delta": p.to_json(), "label": p.label(),
+             "weights": tangent_weights(spec, p).to_json()}
             for p in points
         ],
     }
@@ -221,7 +215,6 @@ def _cmd_tangent(spec: SliceSpec, ch: Chamber, signs) -> dict:
 
 def _cmd_stab_exact(spec: SliceSpec, ch: Chamber, signs) -> dict:
     matrix = stab_matrix(spec, ch, signs)
-    matrix.validate()
     payload = matrix.to_json()
     payload["command"] = "stab-exact"
     payload["labels"] = [p.label() for p in matrix.points]
@@ -248,9 +241,10 @@ def _cmd_mult(spec: SliceSpec, ch: Chamber, signs, bundle: str) -> dict:
 
 
 def _check_recursion(spec, ch, signs) -> dict:
+    # stab_matrix validates what it builds
     try:
-        stab_matrix(spec, ch, signs).validate()
-        stab_matrix(spec, -ch, signs).validate()
+        stab_matrix(spec, ch, signs)
+        stab_matrix(spec, -ch, signs)
     except (PathInconsistency, InvariantViolation, ExactDivisionFailure) as exc:
         return {"name": "recursion", "ok": False, "detail": str(exc)}
     return {"name": "recursion", "ok": True}
@@ -270,11 +264,9 @@ def _check_oracle(spec, ch, signs) -> dict:
     """Cross-module consistency of the mod-h^2 data with the operator matrices."""
     failures: List[dict] = []
     points = enumerate_fixed_points(spec)
-    if spec.cartan.rank == 1:
-        general = stab_mod_h2(spec, ch, signs)
-        closed = stab_offdiag_mod_h2(spec, ch, signs)
-        if general != closed:
-            failures.append({"check": "rank-one closed form"})
+    entries = stab_mod_h2(spec, ch, signs)
+    if spec.cartan.rank == 1 and entries != stab_offdiag_mod_h2(spec, ch, signs):
+        failures.append({"check": "rank-one closed form"})
     for k in range(spec.length + 1):
         matrix = mult_matrix(spec, ("L", k), ch, signs)
         for p in points:
@@ -286,7 +278,7 @@ def _check_oracle(spec, ch, signs) -> dict:
                 if p == q:
                     continue
                 entry = matrix.entry(q, p)
-                coeff = reconstruct_coefficient(spec, ch, p, q, ("L", k), signs)
+                coeff = reconstruct_coefficient(spec, ch, entries, p, q, ("L", k), signs)
                 rebuilt = Polynomial.linear_form([0] * spec.cartan.rank, coeff)
                 if rebuilt != entry:
                     failures.append(
@@ -519,10 +511,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     job = job_from_args(args)
+    if job.out and not os.path.isdir(os.path.dirname(os.path.abspath(job.out))):
+        sys.stderr.write(f"error: no directory to hold --out {job.out}\n")
+        return 2
     code, document = run(job)
     if code in (0, 3) and job.out:
-        with open(job.out, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        try:
+            with open(job.out, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write --out {job.out}: {exc.strerror}\n")
+            return 2
     elif code == 2:
         sys.stderr.write(document)
     else:

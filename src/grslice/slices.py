@@ -13,11 +13,12 @@ aligned with the ambient slice.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
-from .symalg import Polynomial
+from .symalg import Polynomial, _canonical_linear
 
 
 class NonMinusculeUnsupported(ValueError):
@@ -29,9 +30,15 @@ class InvalidSlice(ValueError):
 
 
 class SliceSpec:
-    """Resolved slice data: cartan datum, minuscule lambda indices, target mu."""
+    """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
-    __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_suffix_sums")
+    Data derived from the slice (fixed points, their index, tangent weights
+    and Euler classes) is filled in lazily by the functions of this module
+    and lives exactly as long as the spec.
+    """
+
+    __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_suffix_sums",
+                 "_points", "_index", "_tangents", "_euler")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -73,6 +80,12 @@ class SliceSpec:
         self._suffix_sums = tuple(reversed(sums))
         if mu not in self._suffix_sums[0]:
             raise InvalidSlice("no fixed point: mu is not a weight of the lambda sequence")
+        self._points = None
+        self._index = None
+        self._tangents = {}
+        # Euler classes keyed by (point, chamber, keep_h); chamber None
+        # stands for the whole tangent space, a chamber for its repelling half
+        self._euler = {}
 
     def _slot_coweight(self, slot0: int) -> Coweight:
         idx = self.lambda_seq[slot0]
@@ -110,8 +123,6 @@ def _solve_coroot_coordinates(cartan: CartanDatum, cw: Coweight):
     """Coordinates of cw in the simple-coroot basis, or None if non-integral."""
     n = cartan.rank
     # Gaussian solve A c = cw over Fraction (columns of A are the coroots)
-    from fractions import Fraction
-
     aug = [[Fraction(cartan.cartan_matrix[i][j]) for j in range(n)] + [Fraction(cw.coords[i])]
            for i in range(n)]
     for col in range(n):
@@ -202,6 +213,19 @@ def validate_point(spec: SliceSpec, p: FixedPoint) -> None:
 
 def enumerate_fixed_points(spec: SliceSpec) -> List[FixedPoint]:
     """All increment sequences, in lexicographic order of coordinate vectors."""
+    if spec._points is None:
+        spec._points = _enumerate(spec)
+    return list(spec._points)
+
+
+def point_index(spec: SliceSpec) -> Dict[FixedPoint, int]:
+    """Position of each fixed point in enumerate_fixed_points; do not mutate."""
+    if spec._index is None:
+        spec._index = {p: i for i, p in enumerate(enumerate_fixed_points(spec))}
+    return spec._index
+
+
+def _enumerate(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
     result: List[FixedPoint] = []
     prefix: List[Coweight] = []
 
@@ -218,7 +242,7 @@ def enumerate_fixed_points(spec: SliceSpec) -> List[FixedPoint]:
 
     descend(0, spec.cartan.zero_coweight())
     result.sort()
-    return result
+    return tuple(result)
 
 
 def dominant_representative(cartan: CartanDatum, c: Coweight) -> Coweight:
@@ -306,8 +330,11 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> WeightMultiset:
     For each root beta and each segment of the height path h_i = <sigma_i,
     beta>, a level c = n + 1/2 strictly between the segment endpoints counts
     toward beta + n*h iff the segment moves toward the origin half-space:
-    c > 0 with h decreasing, or c < 0 with h increasing.
+    c > 0 with h decreasing, or c < 0 with h increasing.  Computed once per
+    spec and point; callers share the result and must not mutate it.
     """
+    if p in spec._tangents:
+        return spec._tangents[p]
     sigma = p.sigma()
     entries: Dict[Tuple[AWeightForm, int], int] = {}
     for root in spec.cartan.root_list:
@@ -324,23 +351,82 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> WeightMultiset:
                 if c2 > 0 and decreasing or c2 < 0 and not decreasing:
                     key = (root, n)
                     entries[key] = entries.get(key, 0) + 1
-    return WeightMultiset(spec.cartan.rank, entries)
+    ws = spec._tangents[p] = WeightMultiset(spec.cartan.rank, entries)
+    return ws
+
+
+class EulerClass(NamedTuple):
+    """A product of linear forms: a scalar times a multiset of canonical forms."""
+
+    nvars: int
+    factors: Counter
+    scalar: Fraction
+
+    def polynomial(self) -> Polynomial:
+        out = Polynomial.constant(self.nvars, self.scalar)
+        for f, k in self.factors.items():
+            out = out * f**k
+        return out
+
+
+def euler_factors(ws: WeightMultiset, keep_h: bool) -> EulerClass:
+    """Euler class of ws: the forms root + n*h, or only their A-parts
+    (h set to 0) when keep_h is false, split into canonical factors."""
+    factors: Counter = Counter()
+    scalar = Fraction(1)
+    canonical = {}  # distinct weights often share an A-part
+    for (root, n), m in ws.entries.items():
+        form = (root, n if keep_h else 0)
+        if form not in canonical:
+            canonical[form] = _canonical_linear(Polynomial.linear_form(root.coords, form[1]))
+        canon, s = canonical[form]
+        factors[canon] += m
+        scalar *= s**m
+    return EulerClass(ws.rank + 1, factors, scalar)
 
 
 def euler_class(ws: WeightMultiset) -> Polynomial:
     """Product over the multiset of the linear forms root + n*h."""
-    out = Polynomial.one(ws.rank + 1)
-    for (root, n), m in ws.items():
-        out = out * Polynomial.linear_form(root.coords, n) ** m
-    return out
+    return euler_factors(ws, True).polynomial()
 
 
 def euler_class_a(ws: WeightMultiset) -> Polynomial:
     """Product of the A-parts only (h set to 0)."""
-    out = Polynomial.one(ws.rank + 1)
-    for (root, n), m in ws.items():
-        out = out * Polynomial.linear_form(root.coords, 0) ** m
-    return out
+    return euler_factors(ws, False).polynomial()
+
+
+def tangent_euler(spec: SliceSpec, p: FixedPoint) -> EulerClass:
+    """e_T of the whole tangent space at p."""
+    key = (p, None, True)
+    if key not in spec._euler:
+        spec._euler[key] = euler_factors(tangent_weights(spec, p), True)
+    return spec._euler[key]
+
+
+def repelling_euler(spec: SliceSpec, p: FixedPoint, ch: Chamber, keep_h: bool) -> EulerClass:
+    """e_T of the ch-repelling half of the tangent space at p, or its
+    e_A (h set to 0) when keep_h is false."""
+    key = (p, ch, keep_h)
+    if key not in spec._euler:
+        _, repel = split_attract_repel(tangent_weights(spec, p), ch)
+        spec._euler[key] = euler_factors(repel, keep_h)
+    return spec._euler[key]
+
+
+def localization_denominator(spec: SliceSpec) -> Tuple[Polynomial, Dict[FixedPoint, Polynomial]]:
+    """The LCM of the tangent Euler classes over the fixed points, and the
+    cofactor of each point: sum_x f(x) / e_T(T_x) equals
+    (sum_x f(x) * cofactor[x]) / lcm for every f."""
+    nv = spec.cartan.rank + 1
+    euler = {x: tangent_euler(spec, x) for x in enumerate_fixed_points(spec)}
+    lcm: Counter = Counter()
+    for e in euler.values():
+        lcm |= e.factors
+    cofactor = {
+        x: EulerClass(nv, lcm - e.factors, 1 / e.scalar).polynomial()
+        for x, e in euler.items()
+    }
+    return EulerClass(nv, lcm, Fraction(1)).polynomial(), cofactor
 
 
 def split_attract_repel(ws: WeightMultiset, ch: Chamber) -> Tuple[WeightMultiset, WeightMultiset]:

@@ -10,7 +10,6 @@ the opposite chamber provides an independent verification of the result.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
@@ -20,18 +19,11 @@ from .slices import (
     SliceSpec,
     dimension,
     enumerate_fixed_points,
-    euler_class,
-    euler_class_a,
-    split_attract_repel,
-    tangent_weights,
+    localization_denominator,
+    repelling_euler,
+    tangent_weights,  # noqa: F401  callers import it from this module too
 )
-from .symalg import (
-    NonDivisible,
-    Polynomial,
-    RationalFunction,
-    _canonical_linear,
-    exact_div,
-)
+from .symalg import NonDivisible, Polynomial, RationalFunction, exact_div
 
 
 class NotA1(ValueError):
@@ -157,12 +149,6 @@ def _recursion_step_pair(row, i, partner, heights):
     return out
 
 
-def _repelling_data(spec, p, ch) -> Tuple[Polynomial, Polynomial]:
-    """(e_T, e_A) of the chamber-repelling tangent half at p."""
-    _, repel = split_attract_repel(tangent_weights(spec, p), ch)
-    return euler_class(repel), euler_class_a(repel)
-
-
 def _scalar_axis_power(poly: Polynomial) -> Tuple[Fraction, int]:
     """Write a one-term polynomial as c * a^m."""
     ((exp, coeff),) = poly.terms.items()
@@ -223,7 +209,7 @@ class RestrictionMatrix:
         """Triangularity, Euler diagonals, h-divisibility, degree bounds."""
         half_dim = dimension(self.spec) // 2
         for p in self.points:
-            e_t, _ = _repelling_data(self.spec, p, self.chamber)
+            e_t = repelling_euler(self.spec, p, self.chamber, True).polynomial()
             if self.entry(p, p) != self.polarization_signs[p] * e_t:
                 raise InvariantViolation(
                     f"diagonal at {p.label()} is not the repelling Euler class"
@@ -289,11 +275,12 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     moves = [(i, _partners(points, i, j)) for i, j in _move_pairs(spec)]
 
     p0 = minimal_point(spec, ch)
-    e_t0, e_a0 = _repelling_data(spec, p0, ch)
-    c0, m0 = _scalar_axis_power(e_a0)
+    # e_A at p0 is the scalar times a power of the canonical factor a
+    e_t0, e_a0 = repelling_euler(spec, p0, ch, True), repelling_euler(spec, p0, ch, False)
     zero = RationalFunction.from_polynomial(Polynomial.zero(_NVARS))
     base = {q: zero for q in points}
-    base[p0] = RationalFunction(e_t0 * (Fraction(1) / c0), (_A,) * m0)
+    base[p0] = RationalFunction(e_t0.polynomial() * (1 / e_a0.scalar),
+                                (_A,) * e_a0.factors[_A])
     reduced = {p0: base}
 
     for p in sorted((q for q in points if q != p0),
@@ -320,8 +307,7 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     entries: Dict[Tuple[FixedPoint, FixedPoint], Polynomial] = {}
     epsilons: Dict[FixedPoint, Polynomial] = {}
     for p in points:
-        _, e_a = _repelling_data(spec, p, ch)
-        epsilons[p] = signs[p] * e_a
+        epsilons[p] = signs[p] * repelling_euler(spec, p, ch, False).polynomial()
         for q in points:
             val = reduced[p][q]
             if val.is_zero():
@@ -356,7 +342,7 @@ def stab_offdiag_mod_h2(
         heights = [pairing(d, alpha) for d in p.delta]
         if 1 not in heights or -1 not in heights:
             continue
-        _, e_a = _repelling_data(spec, p, ch)
+        e_a = repelling_euler(spec, p, ch, False).polynomial()
         entry = exact_div(signs[p] * e_a * _H, alpha_poly)
         for i, hi in enumerate(heights):
             if hi != 1:
@@ -444,30 +430,7 @@ def verify_duality(spec: SliceSpec, ch: Chamber,
     plus = stab_matrix(spec, ch, polarization_signs)
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
-
-    factor_counts: Dict[FixedPoint, Counter] = {}
-    scalars: Dict[FixedPoint, Fraction] = {}
-    for x in points:
-        counts: Counter = Counter()
-        scalar = Fraction(1)
-        for (root, n), mult in tangent_weights(spec, x).items():
-            canon, s = _canonical_linear(Polynomial.linear_form(root.coords, n))
-            counts[canon] += mult
-            scalar *= s**mult
-        factor_counts[x] = counts
-        scalars[x] = scalar
-    lcm: Counter = Counter()
-    for counts in factor_counts.values():
-        lcm |= counts
-    lcm_poly = Polynomial.one(_NVARS)
-    for f, k in lcm.items():
-        lcm_poly = lcm_poly * f**k
-    cofactor = {}
-    for x in points:
-        poly = Polynomial.constant(_NVARS, Fraction(1) / scalars[x])
-        for f, k in (lcm - factor_counts[x]).items():
-            poly = poly * f**k
-        cofactor[x] = poly
+    lcm_poly, cofactor = localization_denominator(spec)
 
     # the pairing of Stab_-[q] with Stab_+[p] sums over the points x where
     # both restrictions are stored (nonzero); the cofactor rides on Stab_-

@@ -18,17 +18,17 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from .slices import (
+    EulerClass,
     FixedPoint,
     SliceSpec,
     enumerate_fixed_points,
-    euler_class_a,
     flip_sign,
+    point_index,
+    repelling_euler,
     same_wall_component,
-    split_attract_repel,
-    tangent_weights,
 )
 from .stab_a1 import ExactDivisionFailure, normalize_polarization
-from .symalg import NonDivisible, Polynomial, RationalFunction
+from .symalg import NonDivisible, Polynomial, RationalFunction, _factor_key
 
 
 class AdjacencyWitness(NamedTuple):
@@ -38,16 +38,6 @@ class AdjacencyWitness(NamedTuple):
     j: int
     alpha: Coweight
     alpha_form: AWeightForm
-
-
-_ROOT_OF_COROOT: Dict[CartanDatum, Dict[Coweight, AWeightForm]] = {}
-_WALL_CACHE: Dict[Tuple[CartanDatum, AWeightForm, int], List[Chamber]] = {}
-
-
-def _root_of_coroot(cartan: CartanDatum) -> Dict[Coweight, AWeightForm]:
-    if cartan not in _ROOT_OF_COROOT:
-        _ROOT_OF_COROOT[cartan] = {c: r for r, c in cartan.coroot_of_root.items()}
-    return _ROOT_OF_COROOT[cartan]
 
 
 def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
@@ -73,7 +63,7 @@ def find_adjacency(
     alpha = p.delta[i] - q.delta[i]
     if q.delta[j] - p.delta[j] != alpha:
         return None
-    root = _root_of_coroot(spec.cartan).get(alpha)
+    root = spec.cartan.root_of_coroot.get(alpha)
     if root is None or not ch.is_positive(root):
         return None
     return AdjacencyWitness(i + 1, j + 1, alpha, root)
@@ -90,8 +80,8 @@ def wall_adjacent_chambers(
     enough to preserve all other signs.
     """
     root = _canonical_root(cartan, root)
-    key = (cartan, root, count)
-    if key not in _WALL_CACHE:
+    key = (root, count)
+    if key not in cartan.wall_chambers:
         rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root.coords}")
         coroot = cartan.coroot_of_root[root]
         others = [f for f in cartan.root_list if f != root and f != -root]
@@ -111,38 +101,32 @@ def wall_adjacent_chambers(
                 t = Fraction(1)
             out.append(Chamber(cartan, w + coroot * t))
             out.append(Chamber(cartan, w - coroot * t))
-        _WALL_CACHE[key] = out
-    return _WALL_CACHE[key]
-
-
-def _repelling_form_factors(spec, x, ch) -> List[Polynomial]:
-    _, repel = split_attract_repel(tangent_weights(spec, x), ch)
-    out: List[Polynomial] = []
-    for (root, n), m in repel.items():
-        out.extend([Polynomial.linear_form(root.coords, 0)] * m)
-    return out
+        cartan.wall_chambers[key] = out
+    return cartan.wall_chambers[key]
 
 
 def omega_ratio(
     spec: SliceSpec, p: FixedPoint, q: FixedPoint, root: AWeightForm
 ) -> RationalFunction:
     """e_A of the repelling half at q over the one at p, for a chamber
-    adjacent to the wall of the root; the two wall sides must agree."""
+    adjacent to the wall of the root; the two wall sides must agree.
+
+    Both Euler classes are multisets of canonical factors, so the ratio is
+    their multiset difference, already in lowest terms.
+    """
     canon = _canonical_root(spec.cartan, root)
     if same_wall_component(spec, p, q) != canon:
         raise ValueError("p and q do not share a wall component for this root")
-    nv = spec.cartan.rank + 1
     results = []
     for ch in wall_adjacent_chambers(spec.cartan, canon, 1):
-        num = Polynomial.one(nv)
-        for f in _repelling_form_factors(spec, q, ch):
-            num = num * f
-        results.append(
-            RationalFunction(num, _repelling_form_factors(spec, p, ch))
-        )
+        e_q, e_p = repelling_euler(spec, q, ch, False), repelling_euler(spec, p, ch, False)
+        results.append((e_q.factors - e_p.factors, e_p.factors - e_q.factors,
+                        e_q.scalar / e_p.scalar))
     if results[0] != results[1]:
         raise AssertionError("the two wall sides disagree on the omega ratio")
-    return results[0]
+    up, down, scalar = results[0]
+    num = EulerClass(spec.cartan.rank + 1, up, scalar).polynomial()
+    return RationalFunction._trusted(num, tuple(sorted(down.elements(), key=_factor_key)))
 
 
 def sigma_sign(
@@ -185,10 +169,7 @@ def stab_mod_h2(
     signs = normalize_polarization(points, polarization_signs)
     nv = spec.cartan.rank + 1
     h = Polynomial.gen(nv, nv - 1)
-    eps_default = {}
-    for x in points:
-        _, repel = split_attract_repel(tangent_weights(spec, x), ch)
-        eps_default[x] = euler_class_a(repel)
+    eps_default = {x: repelling_euler(spec, x, ch, False).polynomial() for x in points}
     out: Dict[Tuple[FixedPoint, FixedPoint], Polynomial] = {}
     for p in points:
         for q in points:
@@ -215,8 +196,7 @@ def stab_mod_h2(
 
 def mod_h2_json(spec: SliceSpec, ch: Chamber, entries) -> dict:
     """Sparse triplet serialization sorted by (p, q) enumeration indices."""
-    points = enumerate_fixed_points(spec)
-    index = {x: i for i, x in enumerate(points)}
+    index = point_index(spec)
     rows = []
     for p, q in sorted(entries, key=lambda pq: (index[pq[0]], index[pq[1]])):
         witness = find_adjacency(spec, p, q, ch)

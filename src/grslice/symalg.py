@@ -23,7 +23,15 @@ MINUS_INFINITY = float("-inf")
 
 
 class NonDivisible(ArithmeticError):
-    """exact_div was asked for a quotient that does not exist."""
+    """exact_div was asked for a quotient that does not exist.
+
+    Raised as NonDivisible(template, *operands); the message is formatted
+    only when it is shown, since most failed divisions are caught silently.
+    """
+
+    def __str__(self):
+        template, *operands = self.args
+        return template.format(*operands)
 
 
 def _norm_scalar(x):
@@ -214,7 +222,7 @@ class Polynomial:
     def div_h(self) -> "Polynomial":
         """Exact division by the variable h."""
         if any(e[-1] == 0 for e in self.terms):
-            raise NonDivisible(f"{self} is not divisible by h")
+            raise NonDivisible("{} is not divisible by h", self)
         return Polynomial(
             self.nvars, {e[:-1] + (e[-1] - 1,): c for e, c in self.terms.items()}
         )
@@ -312,18 +320,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def deg_a(p: Polynomial):
-    return p.deg_a()
-
-
-def truncate_mod_h2(p: Polynomial) -> Polynomial:
-    return p.truncate_mod_h2()
-
-
-def evaluate(p: Polynomial, point: Sequence):
-    return p.evaluate(point)
-
-
 def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     """Quotient s with s*q = p exactly; NonDivisible when none exists."""
     if q.is_zero():
@@ -340,7 +336,7 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         r_exp = max(remainder)
         exp = tuple(map(sub, r_exp, q_exp))
         if any(e < 0 for e in exp):
-            raise NonDivisible(f"({p}) is not divisible by ({q})")
+            raise NonDivisible("({}) is not divisible by ({})", p, q)
         coeff = Fraction(remainder[r_exp], q_coeff)
         if coeff.denominator == 1:
             coeff = coeff.numerator
@@ -406,7 +402,12 @@ def _cancel(num: Polynomial, den: Iterable[Polynomial]):
             num = exact_div(num, f)
         except NonDivisible:
             remaining.append(f)
-    return num, tuple(sorted(remaining, key=lambda p: sorted(p.terms.items())))
+    return num, tuple(sorted(remaining, key=_factor_key))
+
+
+def _factor_key(f: Polynomial):
+    """The order in which a rational function keeps its denominator factors."""
+    return sorted(f.terms.items())
 
 
 class RationalFunction:

@@ -22,7 +22,7 @@ from grslice.chern import (
 )
 from grslice.slices import FixedPoint, SliceSpec, enumerate_fixed_points
 from grslice.stab_a1 import NotA1, stab_matrix
-from grslice.stab_general import find_adjacency
+from grslice.stab_general import find_adjacency, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
 
 A1 = CartanDatum("A", 1)
@@ -395,6 +395,7 @@ def test_reconstruction_matches_matrix_entries():
     ]
     for spec, ch in cases:
         points = enumerate_fixed_points(spec)
+        entries = stab_mod_h2(spec, ch)
         for bundle in [f"L{k}" for k in range(spec.length + 1)]:
             mat = mult_matrix(spec, bundle, ch)
             for p in points:
@@ -402,7 +403,7 @@ def test_reconstruction_matches_matrix_entries():
                     if p == q:
                         continue
                     expected = mat.entry(q, p)
-                    coeff = reconstruct_coefficient(spec, ch, p, q, bundle)
+                    coeff = reconstruct_coefficient(spec, ch, entries, p, q, bundle)
                     if expected.is_zero():
                         assert coeff == 0
                     else:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -106,6 +107,20 @@ def test_bundle_out_of_range_exits_two(capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_chamber_with_zero_denominator_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["fixed-points"] + BASE_A1 + ["--chamber", "1/0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_in_missing_directory_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "doc.json"
+    code, out, err = run_cli(capsys, ["fixed-points"] + BASE_A1 + ["--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 # -- output contracts ----------------------------------------------------------------
 
 
@@ -182,6 +197,38 @@ def test_rational_chamber_and_sign_list(capsys):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert json.loads(out)["entries"]
+
+
+def _module_containers():
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("grslice"):
+            continue
+        for attr, value in vars(module).items():
+            if isinstance(value, (dict, list, set)):
+                sizes[(name, attr)] = len(value)
+    return sizes
+
+
+def test_jobs_leave_no_state_in_module_globals(capsys):
+    jobs = [
+        ["mult", "--type", "A", "--rank", "1", "--lambda", "1,1,1", "--mu", "1",
+         "--bundle", "E2", "--chamber", "-3"],
+        ["verify", "duality", "--type", "A", "--rank", "1", "--lambda", "1,1,1,1",
+         "--mu", "2", "--polarization=-1,+1,-1,+1"],
+        ["stab-mod-h2", "--type", "B", "--rank", "2", "--lambda", "2,2", "--mu", "1,0",
+         "--chamber", "3,-1"],
+        ["verify", "wallcross", "--type", "C", "--rank", "2", "--lambda", "1,1",
+         "--mu", "0,1"],
+        ["verify", "oracle", "--type", "A", "--rank", "2", "--lambda", "1,2",
+         "--mu", "0,0", "--chamber", "2,-1"],
+        ["tangent", "--type", "D", "--rank", "4", "--lambda", "1,1", "--mu", "0,1,0,0"],
+    ]
+    before = _module_containers()
+    for argv in jobs:
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, (argv, err)
+    assert _module_containers() == before
 
 
 def test_job_spec_cache_key_ignores_presentation():

@@ -8,10 +8,7 @@ from grslice.symalg import (
     NonDivisible,
     Polynomial,
     RationalFunction,
-    deg_a,
-    evaluate,
     exact_div,
-    truncate_mod_h2,
 )
 
 # two variables: a1 and h
@@ -21,11 +18,11 @@ ONE = Polynomial.one(2)
 
 
 def test_deg_a():
-    assert deg_a(A**2 * H**3) == 2
-    assert deg_a(H) == 0
+    assert (A**2 * H**3).deg_a() == 2
+    assert H.deg_a() == 0
     p = Polynomial.gen(3, 0) * Polynomial.gen(3, 1) + Polynomial.gen(3, 2) * Polynomial.gen(3, 0)
-    assert deg_a(p) == 2  # a1*a2 + h*a1
-    assert deg_a(Polynomial.zero(2)) == MINUS_INFINITY
+    assert p.deg_a() == 2  # a1*a2 + h*a1
+    assert Polynomial.zero(2).deg_a() == MINUS_INFINITY
     assert MINUS_INFINITY < -(10**9)
 
 
@@ -41,15 +38,15 @@ def test_exact_div():
 
 
 def test_truncate_mod_h2():
-    assert truncate_mod_h2(A + H + H**2) == A + H
-    assert truncate_mod_h2(H**2) == Polynomial.zero(2)
-    assert truncate_mod_h2((A + H) * (A + H)) == A**2 + 2 * A * H
+    assert (A + H + H**2).truncate_mod_h2() == A + H
+    assert (H**2).truncate_mod_h2() == Polynomial.zero(2)
+    assert ((A + H) * (A + H)).truncate_mod_h2() == A**2 + 2 * A * H
 
 
 def test_evaluate():
-    assert evaluate(A + H, (2, 3)) == 5
-    assert evaluate(Polynomial.zero(2), (11, -4)) == 0
-    assert evaluate(A * H, (Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 6)
+    assert (A + H).evaluate((2, 3)) == 5
+    assert Polynomial.zero(2).evaluate((11, -4)) == 0
+    assert (A * H).evaluate((Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 6)
 
 
 def test_div_h_and_drop_h():
