@@ -2,8 +2,9 @@
 
 Parses a slice description from flags, dispatches to the library, and emits
 the result as JSON or a plain table.  Computed documents are cached on disk
-under a content hash of the canonical job description, so repeated queries
-for expensive restriction matrices are free.
+under a content hash of the canonical job description and the document
+format, as the exact text ``--format json`` prints, so a repeated query is a
+file read.
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, non-minuscule
 weights, rank restrictions), 3 when a verification suite or an internal
@@ -13,6 +14,7 @@ consistency check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -52,6 +54,9 @@ from .stab_general import mod_h2_json, stab_mod_h2, wall_adjacent_chambers
 from .symalg import Polynomial
 
 CACHE_ENV = "GRSLICE_CACHE_DIR"
+# Part of every cache key: raise it whenever any document's bytes change, so
+# that entries written by an older version are recomputed, never served.
+CACHE_FORMAT = 2
 VERIFY_CHECKS = ("recursion", "duality", "oracle", "wallcross")
 
 _VALIDATION_ERRORS = (
@@ -130,7 +135,8 @@ class JobSpec:
         }
 
     def cache_key(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps([CACHE_FORMAT, self.canonical()], sort_keys=True,
+                          separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def build(self) -> Tuple[SliceSpec, Chamber, Optional[List[int]]]:
@@ -164,23 +170,31 @@ def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "grslice")
 
 
-def cache_fetch(key: str) -> Optional[dict]:
+def cache_fetch(key: str) -> Optional[str]:
+    """The stored document, or None when the entry is missing or damaged.
+
+    An entry is the sha256 hex digest of the document, a newline, then the
+    document; a truncated or altered entry fails the digest check.
+    """
     path = os.path.join(cache_dir(), key + ".json")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            digest, _, body = fh.read().partition(b"\n")
+        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+            return None
+        return body.decode("utf-8")
     except (OSError, ValueError):
         return None
 
 
-def cache_store(key: str, payload: dict) -> None:
+def cache_store(key: str, document: str) -> None:
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
-    data = json.dumps(payload, sort_keys=True)
+    body = document.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body)
         os.replace(tmp, os.path.join(directory, key + ".json"))
     except OSError:
         try:
@@ -356,10 +370,6 @@ def _poly_str(obj: dict, rank: int) -> str:
     return str(Polynomial.from_json(obj, rank + 1))
 
 
-def _weight_str(root: Sequence[int], n: int) -> str:
-    return str(Polynomial.linear_form(list(root), n))
-
-
 def _table(rows: List[Sequence[str]], header: Sequence[str]) -> str:
     out = [" | ".join(header)]
     out.extend(" | ".join(str(c) for c in row) for row in rows)
@@ -372,10 +382,16 @@ def render_table(payload: dict, rank: int) -> str:
         rows = [(i, pt["label"]) for i, pt in enumerate(payload["points"])]
         return _table(rows, ("index", "label"))
     if command == "tangent":
+        # A slice has few distinct weights, each repeated at many points.
+        weights = {}
         rows = []
         for pt in payload["points"]:
             for w in pt["weights"]:
-                rows.append((pt["label"], _weight_str(w["root"], w["n"]), w["mult"]))
+                key = (tuple(w["root"]), w["n"])
+                text = weights.get(key)
+                if text is None:
+                    text = weights[key] = str(Polynomial.linear_form(w["root"], w["n"]))
+                rows.append((pt["label"], text, w["mult"]))
         return _table(rows, ("point", "weight", "mult"))
     if command == "stab-exact":
         labels = payload["labels"]
@@ -410,9 +426,10 @@ def render_table(payload: dict, rank: int) -> str:
     raise ValueError(f"no table renderer for {command!r}")
 
 
-def render(job: JobSpec, payload: dict) -> str:
+def render(job: JobSpec, document: str, payload: Optional[dict]) -> str:
+    """The JSON document itself, or the table of its parsed `payload`."""
     if job.fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return document
     return render_table(payload, job.rank)
 
 
@@ -481,33 +498,37 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def run(job: JobSpec) -> Tuple[int, str]:
-    """Execute one job; returns (exit code, rendered document)."""
-    try:
-        spec, ch, signs = job.build()
-        if job.command == "mult":
-            parse_bundle(spec, job.bundle)
-    except _VALIDATION_ERRORS as exc:
-        return 2, f"error: {exc}\n"
+    """Execute one job; returns (exit code, rendered document).
+
+    A stored key implies that the job passed validation when it was stored,
+    so a hit neither validates nor builds the slice.
+    """
     key = job.cache_key()
-    payload = cache_fetch(key)
-    if payload is None:
+    payload = None
+    document = cache_fetch(key)
+    if document is None:
         try:
-            payload = compute_payload(job, spec, ch, signs)
+            payload = compute_payload(job, *job.build())
         except _VALIDATION_ERRORS as exc:
             return 2, f"error: {exc}\n"
         except _INTERNAL_ERRORS as exc:
             return 3, f"verification failure: {exc}\n"
-        cache_store(key, payload)
-    code = 0
-    if job.command == "verify" and not payload["ok"]:
-        code = 3
-    return code, render(job, payload)
+        document = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        cache_store(key, document)
+    elif job.fmt == "table" or job.command == "verify":
+        payload = json.loads(document)
+    code = 3 if job.command == "verify" and not payload["ok"] else 0
+    return code, render(job, document, payload)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     job = job_from_args(args)

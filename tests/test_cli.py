@@ -1,8 +1,13 @@
+import hashlib
+import inspect
 import json
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from grslice import cli, slices
+from grslice.cartan import CartanDatum
 from grslice.cli import CACHE_ENV, JobSpec, build_parser, cache_fetch, cache_store, main
 from grslice.symalg import Polynomial
 
@@ -142,10 +147,123 @@ def test_cache_hit_matches_recompute(capsys, tmp_path, monkeypatch):
 
 
 def test_cache_store_and_fetch_roundtrip():
-    payload = {"command": "fixed-points", "count": 1, "points": []}
-    cache_store("deadbeef", payload)
-    assert cache_fetch("deadbeef") == payload
+    document = json.dumps({"command": "fixed-points", "count": 1, "points": []},
+                          sort_keys=True, indent=2) + "\n"
+    cache_store("deadbeef", document)
+    assert cache_fetch("deadbeef") == document
     assert cache_fetch("0" * 8) is None
+
+
+def _only_entry(tmp_path):
+    [entry] = (tmp_path / "cache").glob("*.json")
+    return entry
+
+
+# An entry is a 64-digit sha256 line, then the document.
+def _truncate(raw: bytes) -> bytes:
+    return raw[: 65 + (len(raw) - 65) // 2]
+
+
+def _flip_last_digit(raw: bytes) -> bytes:
+    # Still valid JSON, with one number changed: only the digest can tell.
+    i = max(raw.rfind(bytes([d])) for d in b"0123456789")
+    return raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
+
+
+def _compact_format(raw: bytes) -> bytes:
+    # The entry as the previous cache format wrote it: bare compact JSON.
+    return json.dumps(json.loads(raw[65:]), sort_keys=True).encode("utf-8")
+
+
+@pytest.mark.parametrize("damage", [_truncate, _flip_last_digit, _compact_format])
+def test_damaged_entry_is_recomputed_and_rewritten(capsys, tmp_path, damage):
+    argv = ["tangent"] + BASE_FL3
+    _, fresh, _ = run_cli(capsys, argv)
+    entry = _only_entry(tmp_path)
+    stored = entry.read_bytes()
+    entry.write_bytes(damage(stored))
+    assert cache_fetch(entry.stem) is None
+    code, served, err = run_cli(capsys, argv)
+    assert (code, served, err) == (0, fresh, "")
+    assert entry.read_bytes() == stored
+    assert cache_fetch(entry.stem) == fresh
+
+
+def test_cache_key_covers_the_document_format():
+    job = JobSpec(command="fixed-points", letter="A", rank=1, lambda_seq=(1, 1), mu=(0,))
+    # The previous format's key: a hash of the canonical fields alone.
+    bare = json.dumps(job.canonical(), sort_keys=True, separators=(",", ":"))
+    assert job.cache_key() != hashlib.sha256(bare.encode("utf-8")).hexdigest()
+
+
+HIT_PATH_JOBS = [
+    ["fixed-points"] + BASE_FL3,
+    ["tangent"] + BASE_FL3,
+    ["stab-exact", "--type", "A", "--rank", "1", "--lambda", "1,1,1", "--mu", "1"],
+    ["stab-mod-h2"] + BASE_FL3,
+    ["mult"] + BASE_FL3 + ["--bundle", "E1"],
+    ["verify", "all"] + BASE_A1,
+]
+
+
+def _forbid_slice_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit did slice work")
+
+    monkeypatch.setattr(JobSpec, "build", refuse)
+    monkeypatch.setattr(slices.SliceSpec, "__init__", refuse)
+    for name, fn in vars(slices).copy().items():
+        if inspect.isfunction(fn) and fn.__module__ == slices.__name__:
+            for module in list(sys.modules.values()):
+                if module is not None and module.__name__.startswith("grslice") \
+                        and vars(module).get(name) is fn:
+                    monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("argv", HIT_PATH_JOBS, ids=lambda argv: argv[0])
+def test_hit_does_no_slice_work_and_matches_the_miss(capsys, tmp_path, monkeypatch, argv):
+    table = argv + ["--format", "table"]
+    json_miss = run_cli(capsys, argv)
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache-table"))
+    table_miss = run_cli(capsys, table)
+    assert json_miss[0] == table_miss[0] == 0
+    _forbid_slice_work(monkeypatch)
+    for cache in ("cache", "cache-table"):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / cache))
+        assert run_cli(capsys, argv) == json_miss
+        assert run_cli(capsys, table) == table_miss
+
+
+def test_stored_failed_verify_exits_three_on_a_hit(capsys, tmp_path):
+    argv = ["verify", "all"] + BASE_A1
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    failed = json.loads(out)
+    failed["ok"] = False
+    failed["checks"][0]["ok"] = False
+    document = json.dumps(failed, sort_keys=True, indent=2) + "\n"
+    cache_store(_only_entry(tmp_path).stem, document)
+    assert run_cli(capsys, argv) == (3, document, "")
+    code, table, _ = run_cli(capsys, argv + ["--format", "table"])
+    assert code == 3 and "recursion | FAIL" in table
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        run_cli(capsys, ["fixed-points"] + BASE_A1)
+        run_cli(capsys, ["tangent"] + BASE_A1 + ["--format", "table"])
+        run_cli(capsys, ["verify", "nonsense"] + BASE_A1)
+        assert len(calls) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_table_and_json_mult_agree(capsys):
@@ -245,3 +363,70 @@ def test_parser_rejects_unknown_verify_choice():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["verify", "nonsense"] + BASE_A1)
+
+
+# -- fuzzing the command line ---------------------------------------------------------
+
+GARBLED = st.sampled_from(["", "x", "1,,2", "1/0", "+", "-", "nan", "1e9", " 1", "0x1"])
+# Every type of rank at most 3 with a minuscule coweight, and G2, which has none.
+FUZZ_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G", 2)]
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv over a small slice, with at most one flag value garbled.
+
+    The slice has rank at most 3 and a lambda of at most four weights (two at
+    rank 3, where longer verify jobs take minutes).  Its mu is the sum of one
+    Weyl-orbit element per weight, so that ungarbled jobs mostly succeed.
+    """
+    letter, rank = draw(st.sampled_from(FUZZ_TYPES))
+    datum = CartanDatum(letter, rank)
+    length = draw(st.integers(1, 4 if rank < 3 else 2))
+    indices = sorted(datum.minuscule_indices) or [1]
+    lambda_seq = draw(st.lists(st.sampled_from(indices), min_size=length, max_size=length))
+    mu = datum.zero_coweight()
+    for i in lambda_seq:
+        mu = mu + draw(st.sampled_from(sorted(datum.weyl_orbit(datum.fundamental_coweight(i)))))
+    chamber = draw(st.one_of(
+        st.sampled_from(["dominant", "antidominant"]),
+        st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(_csv)))
+    polarization = draw(st.one_of(
+        st.just("repelling"),
+        st.lists(st.sampled_from(["+1", "-1"]), min_size=1, max_size=6).map(_csv)))
+    command = draw(st.sampled_from(
+        ["fixed-points", "tangent", "stab-exact", "stab-mod-h2", "mult", "verify", "dual"]))
+    flags = {
+        "--type": letter,
+        "--rank": str(rank),
+        "--lambda": _csv(lambda_seq),
+        "--mu": _csv(mu.coords),
+        "--chamber": chamber,
+        "--polarization": polarization,
+        "--format": draw(st.sampled_from(["json", "table"])),
+    }
+    if command == "mult":
+        flags["--bundle"] = draw(st.sampled_from(["L0", "L1", "L4", "E1", "E3", "F1"]))
+    garbled = draw(st.sampled_from([None, None, None] + sorted(flags)))
+    if garbled is not None:
+        flags[garbled] = draw(GARBLED)
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(cli.VERIFY_CHECKS + ("all", "none"))))
+    # "--mu=-1,1", since argparse reads a separate "-1,1" as an option.
+    return argv + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+# The autouse cache directory is shared by all examples, which only adds hits.
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_argv())
+def test_cli_exits_cleanly_and_replays_from_cache(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert run_cli(capsys, argv)[:2] == (code, out)
