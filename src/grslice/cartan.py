@@ -24,7 +24,9 @@ from typing import Dict, Iterable, Tuple
 
 def _norm_scalar(x):
     # ints stay ints, integral Fractions collapse; floats are banned to keep
-    # every computation exact.
+    # every computation exact.  Plain ints, most coordinates, return at once.
+    if type(x) is int:
+        return x
     if isinstance(x, float):
         raise TypeError(f"exact arithmetic only, got float {x!r}")
     f = Fraction(x)

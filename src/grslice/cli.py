@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Parses a slice description from flags, dispatches to the library, and emits
-the result as JSON or a plain table.  Computed documents are cached on disk
-under a content hash of the canonical job description and the document
-format, as the exact text ``--format json`` prints, so a repeated query is a
-file read.
+the result as JSON or a plain table.  The text each output format prints is
+cached on disk with its exit code, under a content hash of the canonical job
+description and the cache format, so a repeated query is a file read.
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, non-minuscule
 weights, rank restrictions), 3 when a verification suite or an internal
@@ -18,9 +17,11 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum, Chamber, Coweight
@@ -56,7 +57,7 @@ from .symalg import Polynomial
 CACHE_ENV = "GRSLICE_CACHE_DIR"
 # Part of every cache key: raise it whenever any document's bytes change, so
 # that entries written by an older version are recomputed, never served.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 VERIFY_CHECKS = ("recursion", "duality", "oracle", "wallcross")
 
 _VALIDATION_ERRORS = (
@@ -170,31 +171,34 @@ def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "grslice")
 
 
-def cache_fetch(key: str) -> Optional[str]:
-    """The stored document, or None when the entry is missing or damaged.
+def cache_fetch(key: str) -> Optional[Tuple[int, str]]:
+    """The stored exit code and text, or None when the entry is missing or damaged.
 
-    An entry is the sha256 hex digest of the document, a newline, then the
-    document; a truncated or altered entry fails the digest check.
+    An entry is the sha256 hex digest of the rest of the entry, a space, the
+    exit code, a newline, then the text; a truncated or altered entry fails
+    the digest check.
     """
     path = os.path.join(cache_dir(), key + ".json")
     try:
         with open(path, "rb") as fh:
-            digest, _, body = fh.read().partition(b"\n")
-        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+            digest, _, rest = fh.read().partition(b" ")
+        if hashlib.sha256(rest).hexdigest().encode("ascii") != digest:
             return None
-        return body.decode("utf-8")
+        code, _, text = rest.partition(b"\n")
+        return int(code), text.decode("utf-8")
     except (OSError, ValueError):
         return None
 
 
-def cache_store(key: str, document: str) -> None:
+def cache_store(key: str, code: int, text: str) -> None:
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
-    body = document.encode("utf-8")
+    rest = b"%d\n" % code + text.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body)
+            fh.write(hashlib.sha256(rest).hexdigest().encode("ascii") + b" ")
+            fh.write(rest)
         os.replace(tmp, os.path.join(directory, key + ".json"))
     except OSError:
         try:
@@ -426,11 +430,51 @@ def render_table(payload: dict, rank: int) -> str:
     raise ValueError(f"no table renderer for {command!r}")
 
 
-def render(job: JobSpec, document: str, payload: Optional[dict]) -> str:
-    """The JSON document itself, or the table of its parsed `payload`."""
-    if job.fmt == "json":
-        return document
-    return render_table(payload, job.rank)
+def _encode(value, indent: str) -> str:
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return repr(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        for k in value:
+            if type(k) is not str:
+                raise TypeError(f"cannot encode a {type(k).__name__} key")
+        inner = indent + "  "
+        items = [_encode_str(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"cannot encode a {kind.__name__}")
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, for documents only.
+
+    Documents hold str, int, bool, None, lists and dicts with str keys; any
+    other value raises TypeError.  Each container joins the encodings of its
+    own items, so no list of every piece of the document is ever held.
+    """
+    return _encode(value, "\n")
+
+
+def render(payload: dict, fmt: str, rank: int) -> str:
+    """The text that ``--format fmt`` prints for the document `payload`."""
+    if fmt == "json":
+        return encode_json(payload) + "\n"
+    return render_table(payload, rank)
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -440,8 +484,26 @@ def _int_list(text: str) -> List[int]:
     return [int(tok) for tok in text.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads "--mu -2,0" as it reads "--mu=-2,0",
+    and reports bad input in one line.
+
+    argparse takes an argument that starts with "-" for an option unless it
+    is a plain negative number.  No grslice option starts with "-<digit>" or
+    "-.<digit>", so this parser, and the subcommand parsers it makes, take
+    every such argument for a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grslice",
         description="Exact fixed-point, restriction, and multiplication data "
         "for resolved affine Grassmannian slices.",
@@ -498,27 +560,34 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def run(job: JobSpec) -> Tuple[int, str]:
-    """Execute one job; returns (exit code, rendered document).
+    """Execute one job; returns (exit code, printed text).
 
-    A stored key implies that the job passed validation when it was stored,
-    so a hit neither validates nor builds the slice.
+    Each output format's text is its own cache entry, stored with the exit
+    code, so a hit in either format is a file read.  A stored key implies
+    that the job passed validation when it was stored, so a hit neither
+    validates nor builds the slice.  A table miss renders the stored JSON
+    document when there is one, and otherwise stores both formats.
     """
     key = job.cache_key()
-    payload = None
-    document = cache_fetch(key)
-    if document is None:
+    entry = cache_fetch(f"{key}-{job.fmt}")
+    if entry is not None:
+        return entry
+    stored = cache_fetch(f"{key}-json") if job.fmt == "table" else None
+    if stored is not None:
+        code, payload = stored[0], json.loads(stored[1])
+    else:
         try:
             payload = compute_payload(job, *job.build())
         except _VALIDATION_ERRORS as exc:
             return 2, f"error: {exc}\n"
         except _INTERNAL_ERRORS as exc:
             return 3, f"verification failure: {exc}\n"
-        document = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        cache_store(key, document)
-    elif job.fmt == "table" or job.command == "verify":
-        payload = json.loads(document)
-    code = 3 if job.command == "verify" and not payload["ok"] else 0
-    return code, render(job, document, payload)
+        code = 3 if job.command == "verify" and not payload["ok"] else 0
+        if job.fmt == "table":
+            cache_store(f"{key}-json", code, render(payload, "json", job.rank))
+    text = render(payload, job.fmt, job.rank)
+    cache_store(f"{key}-{job.fmt}", code, text)
+    return code, text
 
 
 @functools.cache

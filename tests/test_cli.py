@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -149,8 +150,10 @@ def test_cache_hit_matches_recompute(capsys, tmp_path, monkeypatch):
 def test_cache_store_and_fetch_roundtrip():
     document = json.dumps({"command": "fixed-points", "count": 1, "points": []},
                           sort_keys=True, indent=2) + "\n"
-    cache_store("deadbeef", document)
-    assert cache_fetch("deadbeef") == document
+    cache_store("deadbeef", 0, document)
+    cache_store("deadbeef-table", 3, "check | status\n")
+    assert cache_fetch("deadbeef") == (0, document)
+    assert cache_fetch("deadbeef-table") == (3, "check | status\n")
     assert cache_fetch("0" * 8) is None
 
 
@@ -159,9 +162,14 @@ def _only_entry(tmp_path):
     return entry
 
 
-# An entry is a 64-digit sha256 line, then the document.
+# An entry is one header line (a sha256 digest and the exit code), then the text.
+def _text_start(raw: bytes) -> int:
+    return raw.index(b"\n") + 1
+
+
 def _truncate(raw: bytes) -> bytes:
-    return raw[: 65 + (len(raw) - 65) // 2]
+    start = _text_start(raw)
+    return raw[: start + (len(raw) - start) // 2]
 
 
 def _flip_last_digit(raw: bytes) -> bytes:
@@ -171,11 +179,25 @@ def _flip_last_digit(raw: bytes) -> bytes:
 
 
 def _compact_format(raw: bytes) -> bytes:
-    # The entry as the previous cache format wrote it: bare compact JSON.
-    return json.dumps(json.loads(raw[65:]), sort_keys=True).encode("utf-8")
+    # The entry as the first cache format wrote it: bare compact JSON.
+    return json.dumps(json.loads(raw[_text_start(raw):]), sort_keys=True).encode("utf-8")
 
 
-@pytest.mark.parametrize("damage", [_truncate, _flip_last_digit, _compact_format])
+def _digest_line_only(raw: bytes) -> bytes:
+    # The entry as the second cache format wrote it: the text's digest line, the text.
+    text = raw[_text_start(raw):]
+    return hashlib.sha256(text).hexdigest().encode("ascii") + b"\n" + text
+
+
+def _other_exit_code(raw: bytes) -> bytes:
+    # The stored exit code 0 turned into 3, with the digest left as it was.
+    digest, _, rest = raw.partition(b" ")
+    assert rest.startswith(b"0\n")
+    return digest + b" 3" + rest[1:]
+
+
+@pytest.mark.parametrize("damage", [_truncate, _flip_last_digit, _compact_format,
+                                    _digest_line_only, _other_exit_code])
 def test_damaged_entry_is_recomputed_and_rewritten(capsys, tmp_path, damage):
     argv = ["tangent"] + BASE_FL3
     _, fresh, _ = run_cli(capsys, argv)
@@ -186,7 +208,7 @@ def test_damaged_entry_is_recomputed_and_rewritten(capsys, tmp_path, damage):
     code, served, err = run_cli(capsys, argv)
     assert (code, served, err) == (0, fresh, "")
     assert entry.read_bytes() == stored
-    assert cache_fetch(entry.stem) == fresh
+    assert cache_fetch(entry.stem) == (0, fresh)
 
 
 def test_cache_key_covers_the_document_format():
@@ -206,18 +228,19 @@ HIT_PATH_JOBS = [
 ]
 
 
-def _forbid_slice_work(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a cache hit did slice work")
+def _refuse(*args, **kwargs):
+    raise AssertionError("a cache hit did work it should have read")
 
-    monkeypatch.setattr(JobSpec, "build", refuse)
-    monkeypatch.setattr(slices.SliceSpec, "__init__", refuse)
+
+def _forbid_slice_work(monkeypatch):
+    monkeypatch.setattr(JobSpec, "build", _refuse)
+    monkeypatch.setattr(slices.SliceSpec, "__init__", _refuse)
     for name, fn in vars(slices).copy().items():
         if inspect.isfunction(fn) and fn.__module__ == slices.__name__:
             for module in list(sys.modules.values()):
                 if module is not None and module.__name__.startswith("grslice") \
                         and vars(module).get(name) is fn:
-                    monkeypatch.setattr(module, name, refuse)
+                    monkeypatch.setattr(module, name, _refuse)
 
 
 @pytest.mark.parametrize("argv", HIT_PATH_JOBS, ids=lambda argv: argv[0])
@@ -232,6 +255,14 @@ def test_hit_does_no_slice_work_and_matches_the_miss(capsys, tmp_path, monkeypat
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / cache))
         assert run_cli(capsys, argv) == json_miss
         assert run_cli(capsys, table) == table_miss
+    # Every format now has its own entry, so a repeat neither parses nor renders.
+    monkeypatch.setattr(json, "loads", _refuse)
+    monkeypatch.setattr(cli, "render_table", _refuse)
+    monkeypatch.setattr(cli, "compute_payload", _refuse)
+    for cache in ("cache", "cache-table"):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / cache))
+        assert run_cli(capsys, table) == table_miss
+        assert run_cli(capsys, argv) == json_miss
 
 
 def test_stored_failed_verify_exits_three_on_a_hit(capsys, tmp_path):
@@ -242,10 +273,11 @@ def test_stored_failed_verify_exits_three_on_a_hit(capsys, tmp_path):
     failed["ok"] = False
     failed["checks"][0]["ok"] = False
     document = json.dumps(failed, sort_keys=True, indent=2) + "\n"
-    cache_store(_only_entry(tmp_path).stem, document)
+    cache_store(_only_entry(tmp_path).stem, 3, document)
     assert run_cli(capsys, argv) == (3, document, "")
     code, table, _ = run_cli(capsys, argv + ["--format", "table"])
     assert code == 3 and "recursion | FAIL" in table
+    assert run_cli(capsys, argv + ["--format", "table"]) == (3, table, "")
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
@@ -359,10 +391,56 @@ def test_job_spec_cache_key_ignores_presentation():
     assert a.cache_key() != c.cache_key()
 
 
+NEGATIVE_LIST_FLAGS = [
+    (["fixed-points", "--type", "A", "--rank", "2", "--lambda", "1,1,1"], "--mu", "-1,2"),
+    (["stab-mod-h2"] + BASE_FL3, "--chamber", "-1,2"),
+    (["stab-exact"] + BASE_A1, "--polarization", "-1,+1"),
+]
+
+
+@pytest.mark.parametrize("base, flag, value", NEGATIVE_LIST_FLAGS,
+                         ids=[flag for _, flag, _ in NEGATIVE_LIST_FLAGS])
+def test_separate_negative_list_value_parses_like_an_equals_sign(capsys, base, flag, value):
+    separate = base + [flag, value]
+    joined = base + [f"{flag}={value}"]
+    assert cli._parser().parse_args(separate) == cli._parser().parse_args(joined)
+    code, out, err = run_cli(capsys, separate)
+    assert (code, err) == (0, "") and out
+    assert run_cli(capsys, joined) == (0, out, "")
+    code, out, err = run_cli(capsys, base + [flag, value + ",x"])
+    assert code == 2 and out == ""
+    assert "error: " in err and err.count("\n") == 1
+
+
 def test_parser_rejects_unknown_verify_choice():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["verify", "nonsense"] + BASE_A1)
+
+
+# -- the JSON encoder ------------------------------------------------------------------
+
+JSON_TEXT = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.integers(-2 ** 200, 2 ** 200), JSON_TEXT)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=40,
+)
+
+
+@given(JSON_TREES)
+def test_encode_json_matches_json_dumps(tree):
+    assert cli.encode_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [0, {"k": 2.0}], {1: "a"}, {"a": {2: None}},
+                                   (1, 2), Fraction(1, 2), {"a": object()}])
+def test_encode_json_rejects_what_documents_never_hold(value):
+    with pytest.raises(TypeError):
+        cli.encode_json(value)
 
 
 # -- fuzzing the command line ---------------------------------------------------------
@@ -377,8 +455,11 @@ def _csv(values) -> str:
 
 
 @st.composite
-def cli_argv(draw):
-    """An argv over a small slice, with at most one flag value garbled.
+def cli_argvs(draw):
+    """Two argvs of one job over a small slice, in the drawn output format and
+    in the other, with at most one flag value garbled.  Each flag is passed as
+    "--flag value" or as "--flag=value".  The third item tells whether both
+    argvs name a valid format.
 
     The slice has rank at most 3 and a lambda of at most four weights (two at
     rank 3, where longer verify jobs take minutes).  Its mu is the sum of one
@@ -414,19 +495,36 @@ def cli_argv(draw):
     garbled = draw(st.sampled_from([None, None, None] + sorted(flags)))
     if garbled is not None:
         flags[garbled] = draw(GARBLED)
-    argv = [command]
+    head = [command]
     if command == "verify":
-        argv.append(draw(st.sampled_from(cli.VERIFY_CHECKS + ("all", "none"))))
-    # "--mu=-1,1", since argparse reads a separate "-1,1" as an option.
-    return argv + [f"{flag}={value}" for flag, value in flags.items()]
+        head.append(draw(st.sampled_from(cli.VERIFY_CHECKS + ("all", "none"))))
+    separate = {flag: draw(st.booleans()) for flag in flags}
+
+    def argv(flags):
+        words = list(head)
+        for flag, value in flags.items():
+            words += [flag, value] if separate[flag] else [f"{flag}={value}"]
+        return words
+
+    other = "table" if flags["--format"] == "json" else "json"
+    return argv(flags), argv(dict(flags, **{"--format": other})), garbled != "--format"
 
 
 # The autouse cache directory is shared by all examples, which only adds hits.
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cli_argv())
-def test_cli_exits_cleanly_and_replays_from_cache(capsys, argv):
-    code, out, err = run_cli(capsys, argv)
-    assert code in (0, 2, 3), (argv, err)
-    assert "Traceback" not in err
-    assert run_cli(capsys, argv)[:2] == (code, out)
+@given(cli_argvs())
+def test_cli_exits_cleanly_and_replays_from_cache(capsys, argvs):
+    *argvs, formats_valid = argvs
+    firsts = []
+    for argv in argvs:
+        code, out, err = run_cli(capsys, argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith(("error: ", "grslice")) and err.count("\n") == 1, err
+        firsts.append((code, out))
+    if formats_valid:
+        assert firsts[0][0] == firsts[1][0], argvs
+    for argv, first in zip(argvs, firsts):
+        assert run_cli(capsys, argv)[:2] == first, argv
