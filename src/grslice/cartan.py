@@ -19,18 +19,9 @@ A[i][j] = <alpha_j, alphacheck_i>.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-
-def _norm_scalar(x):
-    # ints stay ints, integral Fractions collapse; floats are banned to keep
-    # every computation exact.  Plain ints, most coordinates, return at once.
-    if type(x) is int:
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"exact arithmetic only, got float {x!r}")
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+from .symalg import _norm_scalar
 
 
 class _Vector:
@@ -233,9 +224,10 @@ class CartanDatum:
                 assert self.symmetrizers[i] * a[i][j] == self.symmetrizers[j] * a[j][i]
 
         # gram matrix of the invariant form: inner(c, c') = c^T (D A^-1) c'
-        ainv = _invert_rational(a)
+        self._inverse = _invert_rational(a)
         self._gram = tuple(
-            tuple(self.symmetrizers[i] * ainv[i][j] for j in range(n)) for i in range(n)
+            tuple(self.symmetrizers[i] * self._inverse[i][j] for j in range(n))
+            for i in range(n)
         )
 
         # roots and their coroots via simultaneous reflection closure
@@ -282,6 +274,13 @@ class CartanDatum:
 
     def zero_coweight(self) -> Coweight:
         return Coweight([0] * self.rank)
+
+    def coroot_coordinates(self, c: Coweight) -> Optional[List[int]]:
+        """Coordinates of c in the simple-coroot basis, or None if not integral."""
+        coeffs = [sum(x * y for x, y in zip(row, c.coords)) for row in self._inverse]
+        if any(x.denominator != 1 for x in coeffs):
+            return None
+        return [int(x) for x in coeffs]
 
     # -- pairings and the invariant form ---------------------------------
 

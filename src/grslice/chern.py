@@ -115,7 +115,9 @@ class OperatorMatrix:
     """Matrix of an operator in the stable basis.
 
     Column p lists the coefficients over rows q: the operator sends the basis
-    element at p to sum_q entries[q][p] times the basis element at q.
+    element at p to sum_q entries[q][p] times the basis element at q.  The
+    basis is the spec's fixed points in enumerate_fixed_points order, as every
+    constructor passes it, so a point's index is its point_index.
     """
 
     __slots__ = ("spec", "chamber", "basis", "entries", "label")
@@ -135,7 +137,7 @@ class OperatorMatrix:
         self.label = label
 
     def index(self, p: FixedPoint) -> int:
-        return self.basis.index(p)
+        return point_index(self.spec)[p]
 
     def entry(self, q: FixedPoint, p: FixedPoint) -> Polynomial:
         return self.entries[self.index(q)][self.index(p)]

@@ -61,10 +61,8 @@ class SliceSpec:
 
         # mu <= lambda: lambda - mu must be a nonnegative integer combination
         # of simple coroots, i.e. A^-1 (lambda - mu) has nonnegative integer
-        # entries.  Solved by pairing against fundamental weight forms of the
-        # dual basis: c = A^-1 diff where diff is in the omega-basis.
-        diff = self.lambda_total() - mu
-        coeffs = _solve_coroot_coordinates(cartan, diff)
+        # entries (lambda - mu is in the omega-basis)
+        coeffs = cartan.coroot_coordinates(self.lambda_total() - mu)
         if coeffs is None or any(c < 0 for c in coeffs):
             raise InvalidSlice("mu is not below lambda in the coroot order")
 
@@ -117,29 +115,6 @@ class SliceSpec:
             f"SliceSpec({self.cartan.type_letter}{self.cartan.rank}, "
             f"lambda={list(self.lambda_seq)}, mu={list(self.mu.coords)})"
         )
-
-
-def _solve_coroot_coordinates(cartan: CartanDatum, cw: Coweight):
-    """Coordinates of cw in the simple-coroot basis, or None if non-integral."""
-    n = cartan.rank
-    # Gaussian solve A c = cw over Fraction (columns of A are the coroots)
-    aug = [[Fraction(cartan.cartan_matrix[i][j]) for j in range(n)] + [Fraction(cw.coords[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    coeffs = [row[n] for row in aug]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return [int(c) for c in coeffs]
 
 
 class FixedPoint:

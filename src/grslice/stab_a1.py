@@ -1,8 +1,10 @@
 """Exact stable-envelope restriction matrices for rank-1 slices.
 
-Entries Stab[p]|_q are built by a raising recursion on reduced rows (entry
-divided by the polarization), starting from the chamber-minimal fixed point;
-the recursion coefficients are linear forms a + n*h read off the sigma path.
+Entries Stab[p]|_q are built by a raising recursion on the polynomial
+restrictions themselves, starting from the chamber-minimal fixed point: the
+recursion coefficients are linear forms a + n*h read off the sigma path, each
+step divides exactly by one such form, and the polarizations of the two rows
+differ by a sign, since every repelling half has dim/2 weights +-a + n*h.
 Diagonals always come from tangent Euler classes, every row reachable along
 two transposition paths is cross-checked, and the localization pairing with
 the opposite chamber provides an independent verification of the result.
@@ -23,7 +25,7 @@ from .slices import (
     repelling_euler,
     tangent_weights,  # noqa: F401  callers import it from this module too
 )
-from .symalg import NonDivisible, Polynomial, RationalFunction, exact_div
+from .symalg import NonDivisible, Polynomial, exact_div
 
 
 class NotA1(ValueError):
@@ -35,7 +37,7 @@ class PathInconsistency(RuntimeError):
 
 
 class ExactDivisionFailure(RuntimeError):
-    """A reduced entry failed to clear its denominator; implementation bug."""
+    """A recursion step did not divide exactly; implementation bug."""
 
 
 class InvariantViolation(RuntimeError):
@@ -116,36 +118,39 @@ def _partners(points, i: int, j: int) -> Dict[FixedPoint, FixedPoint]:
         raise ValueError(f"transposition ({i},{j}) leaves the fixed locus") from None
 
 
-def recursion_step(
-    row: Mapping[FixedPoint, RationalFunction], i: int
-) -> Dict[FixedPoint, RationalFunction]:
-    """Reduced row of p -> reduced row of r_i(p), swapping increments i, i+1.
+def _raise_row(p, row, ratio, i, partner, heights):
+    """Nonzero restrictions of Stab[p] from those of Stab[prev] (row).
 
-    The relation is involutive, so one formula serves both raising and
-    lowering; the caller must have r_i(p) != p.
+    p = r_i(prev) != prev, partner maps every point to its swap of slots i
+    and j > i (slots strictly between them are frozen, so the swap is an
+    adjacent transposition of the nonfrozen subword), heights maps every
+    point to _heights(point) and ratio = eps_p / eps_prev = +-1.  With
+    s, s' the heights of q at i-1 and i,
+
+        Stab[p]|_q = ratio * ((s - s') h Stab[prev]|_q
+                              + (a + s' h) Stab[prev]|_{r q}) / (a + s h)
+
+    where r q != q, and ratio * Stab[prev]|_q where r q = q; so only the
+    points of row and their partners can have nonzero restrictions.
     """
-    return _recursion_step_pair(
-        row, i, _partners(row, i, i + 1), {q: _heights(q) for q in row}
-    )
-
-
-def _recursion_step_pair(row, i, partner, heights):
-    # partner maps every point of the row to its swap of slots i and j > i;
-    # slots strictly between them must be frozen, so that the swap is an
-    # adjacent transposition of the nonfrozen subword; heights maps every
-    # point of the row to _heights(point)
-    out: Dict[FixedPoint, RationalFunction] = {}
-    inverses: Dict[int, RationalFunction] = {}
-    for q, val in row.items():
+    out: Dict[FixedPoint, Polynomial] = {}
+    for q in dict.fromkeys(x for y in row for x in (y, partner[y])):
         rq = partner[q]
         if rq == q:
-            out[q] = val
-            continue
-        s_prev, s_cur = heights[q][i - 1], heights[q][i]
-        if s_prev not in inverses:
-            inverses[s_prev] = RationalFunction.reciprocal(_NVARS, [_A + s_prev * _H])
-        d_i = s_cur - s_prev
-        out[q] = ((-d_i) * _H * val + (_A + s_cur * _H) * row[rq]) * inverses[s_prev]
+            val = row[q]
+        else:
+            s_prev, s_cur = heights[q][i - 1], heights[q][i]
+            num = (_A + s_cur * _H) * row[rq] if rq in row else _ZERO
+            if q in row:
+                num = num + (s_prev - s_cur) * _H * row[q]
+            try:
+                val = exact_div(num, _A + s_prev * _H)
+            except NonDivisible as exc:
+                raise ExactDivisionFailure(
+                    f"entry ({p.label()}, {q.label()}) is not polynomial"
+                ) from exc
+        if not val.is_zero():
+            out[q] = ratio * val
     return out
 
 
@@ -274,14 +279,11 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     heights = {p: _heights(p) for p in points}
     moves = [(i, _partners(points, i, j)) for i, j in _move_pairs(spec)]
 
+    epsilons = {
+        p: signs[p] * repelling_euler(spec, p, ch, False).polynomial() for p in points
+    }
     p0 = minimal_point(spec, ch)
-    # e_A at p0 is the scalar times a power of the canonical factor a
-    e_t0, e_a0 = repelling_euler(spec, p0, ch, True), repelling_euler(spec, p0, ch, False)
-    zero = RationalFunction.from_polynomial(Polynomial.zero(_NVARS))
-    base = {q: zero for q in points}
-    base[p0] = RationalFunction(e_t0.polynomial() * (1 / e_a0.scalar),
-                                (_A,) * e_a0.factors[_A])
-    reduced = {p0: base}
+    rows = {p0: {p0: signs[p0] * repelling_euler(spec, p0, ch, True).polynomial()}}
 
     for p in sorted((q for q in points if q != p0),
                     key=lambda q: (stats[q], q.key())):
@@ -289,35 +291,18 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
         for i, partner in moves:
             prev = partner[p]
             if prev != p and stats[prev] < stats[p]:
-                candidates.append(
-                    _recursion_step_pair(reduced[prev], i, partner, heights)
-                )
+                ratio = _epsilon_ratio(epsilons[p], epsilons[prev])
+                candidates.append(_raise_row(p, rows[prev], ratio, i, partner, heights))
         if not candidates:
             raise PathInconsistency(
                 f"{p.label()} is unreachable by raising transpositions"
             )
         first = candidates[0]
-        for other in candidates[1:]:
-            if any(first[q] != other[q] for q in points):
-                raise PathInconsistency(
-                    f"transposition paths to {p.label()} disagree"
-                )
-        reduced[p] = first
+        if any(other != first for other in candidates[1:]):
+            raise PathInconsistency(f"transposition paths to {p.label()} disagree")
+        rows[p] = first
 
-    entries: Dict[Tuple[FixedPoint, FixedPoint], Polynomial] = {}
-    epsilons: Dict[FixedPoint, Polynomial] = {}
-    for p in points:
-        epsilons[p] = signs[p] * repelling_euler(spec, p, ch, False).polynomial()
-        for q in points:
-            val = reduced[p][q]
-            if val.is_zero():
-                continue
-            try:
-                entries[(p, q)] = (val * epsilons[p]).to_polynomial()
-            except NonDivisible as exc:
-                raise ExactDivisionFailure(
-                    f"entry ({p.label()}, {q.label()}) is not polynomial"
-                ) from exc
+    entries = {(p, q): val for p, row in rows.items() for q, val in row.items()}
     matrix = RestrictionMatrix(spec, ch, signs, points, entries, epsilons)
     matrix.validate()
     return matrix

@@ -5,8 +5,8 @@ basis) plus a final variable h (the deformation class).  Exponent vectors
 therefore have length r+1 with the h-degree in the last slot.
 
 Rational functions keep their denominators as multisets of *linear forms*
-(every denominator produced by localization or the restriction recursion is
-a product of forms c_1 a_1 + .. + c_r a_r + c h), with cancellation attempted
+(every denominator produced by localization or an omega ratio is a product
+of forms c_1 a_1 + .. + c_r a_r + c h), with cancellation attempted
 factor by factor; equality is decided by cross-multiplication, so partial
 cancellation is harmless.
 """
@@ -35,6 +35,10 @@ class NonDivisible(ArithmeticError):
 
 
 def _norm_scalar(x):
+    # ints stay ints, integral Fractions collapse; floats are banned to keep
+    # every computation exact.  Plain ints, most scalars, return at once.
+    if type(x) is int:
+        return x
     if isinstance(x, float):
         raise TypeError(f"exact arithmetic only, got float {x!r}")
     f = Fraction(x)
@@ -351,20 +355,6 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(p.nvars, quotient_terms)
 
 
-def _linear_divides(f: Polynomial, p: Polynomial) -> bool:
-    """Exact test whether the two-variable linear form f = c_a a + c_h h divides p.
-
-    f divides p exactly when it divides every homogeneous component of p,
-    and a binary form is divisible by f exactly when it vanishes at the
-    point (c_h, -c_a), where f does.
-    """
-    x, y = f.terms.get((0, 1), 0), -f.terms.get((1, 0), 0)
-    by_degree: Dict[int, object] = {}
-    for (i, j), c in p.terms.items():
-        by_degree[i + j] = by_degree.get(i + j, 0) + c * x**i * y**j
-    return not any(by_degree.values())
-
-
 def _canonical_linear(f: Polynomial):
     """Scale a linear form to coprime integer coefficients, lex-leading one positive.
 
@@ -388,16 +378,11 @@ def _cancel(num: Polynomial, den: Iterable[Polynomial]):
     Each factor is divided out when it divides the numerator left by the
     factors before it; a factor that does not divide it then divides none
     of its later quotients either, so no kept factor divides the result.
-    In two variables _linear_divides decides divisibility before any
-    division is tried; otherwise a failed exact_div does.
     """
     if num.is_zero():
         return num, ()
     remaining = []
     for f in den:
-        if num.nvars == 2 and not _linear_divides(f, num):
-            remaining.append(f)
-            continue
         try:
             num = exact_div(num, f)
         except NonDivisible:

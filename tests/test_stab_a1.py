@@ -12,13 +12,13 @@ from grslice.slices import (
     tangent_weights,
 )
 from grslice import stab_a1
+from grslice.cli import CACHE_ENV, main
 from grslice.stab_a1 import (
     ExactDivisionFailure,
     NotA1,
     PathInconsistency,
     RestrictionMatrix,
     minimal_point,
-    recursion_step,
     stab_matrix,
     stab_offdiag_mod_h2,
     theta_action,
@@ -96,15 +96,6 @@ def test_weight_stat_step_is_one():
 
 
 # -- recursion ---------------------------------------------------------------
-
-
-def test_recursion_step_tstar_p1():
-    zero = RationalFunction.from_polynomial(Polynomial.zero(2))
-    one = RationalFunction.from_polynomial(Polynomial.one(2))
-    row = {P1: one, P2: zero}
-    out = recursion_step(row, 1)
-    assert out[P1] == RationalFunction(H, [A])
-    assert out[P2] == RationalFunction(A + H, [A])
 
 
 def test_stab_matrix_tstar_p1_golden():
@@ -186,6 +177,72 @@ def test_zero_slot_matrix_matches_compressed():
     for (p, q), val in m.entries.items():
         assert val == compressed.entry(squeeze(p), squeeze(q))
     assert verify_duality(frozen, CH_PLUS)["ok"]
+
+
+def test_recursion_builds_no_rational_function(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("RationalFunction built")
+
+    monkeypatch.setattr(RationalFunction, "__init__", refuse)
+    monkeypatch.setattr(RationalFunction, "_trusted", refuse)
+    # verify_duality builds the stab_matrix of both chambers
+    for spec in grid_specs(6):
+        for ch in (CH_PLUS, CH_MINUS):
+            assert verify_duality(spec, ch)["ok"]
+
+
+L4 = a1_spec(4, 0)
+# reached from (w,-w,-w,w) by move 3 and from (-w,w,w,-w) by move 1
+TWO_PATHS = point(1, -1, 1, -1)
+
+
+def _non_dividing_step(monkeypatch):
+    # h^3 added to one side of a moving pair is not divisible by a + s*h
+    original = stab_a1._raise_row
+
+    def step(p, row, ratio, i, partner, heights):
+        if p == TWO_PATHS:
+            q = next(q for q in row if partner[q] != q)
+            row = {**row, q: row[q] + H ** 3}
+        return original(p, row, ratio, i, partner, heights)
+
+    monkeypatch.setattr(stab_a1, "_raise_row", step)
+
+
+def _disagreeing_step(monkeypatch):
+    # doubling keeps every entry polynomial, so only the path check sees it
+    original = stab_a1._raise_row
+
+    def step(p, row, ratio, i, partner, heights):
+        out = original(p, row, ratio, i, partner, heights)
+        if p == TWO_PATHS and i == 1:
+            out = {q: 2 * val for q, val in out.items()}
+        return out
+
+    monkeypatch.setattr(stab_a1, "_raise_row", step)
+
+
+def test_step_that_does_not_divide_raises(monkeypatch):
+    _non_dividing_step(monkeypatch)
+    with pytest.raises(ExactDivisionFailure, match=r"entry \(\(w,-w,w,-w\), .* is not polynomial"):
+        stab_matrix(L4, CH_PLUS)
+
+
+def test_disagreeing_paths_raise(monkeypatch):
+    _disagreeing_step(monkeypatch)
+    with pytest.raises(PathInconsistency, match=r"transposition paths to \(w,-w,w,-w\) disagree"):
+        stab_matrix(L4, CH_PLUS)
+
+
+@pytest.mark.parametrize("tamper", [_non_dividing_step, _disagreeing_step])
+def test_recursion_failure_exits_three_with_one_line(capsys, tmp_path, monkeypatch, tamper):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    tamper(monkeypatch)
+    code = main(["stab-exact", "--type", "A", "--rank", "1", "--lambda", "1,1,1,1",
+                 "--mu", "0", "--chamber", "dominant"])
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    assert out.startswith("verification failure: ") and out.count("\n") == 1
 
 
 # -- mod h^2 closed form -----------------------------------------------------
