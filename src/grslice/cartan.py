@@ -74,7 +74,7 @@ class _Vector:
         return self.coords < other.coords
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coords)

@@ -19,6 +19,7 @@ from .cartan import AWeightForm, Chamber, Coweight, pairing
 from .slices import (
     FixedPoint,
     SliceSpec,
+    _steps,
     enumerate_fixed_points,
     localization_denominator,
     point_index,
@@ -314,18 +315,22 @@ def omega_operators(
 def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
     """All lowering moves: tuples (p, q, i, j, root, coroot, sigma) with slots 1-based."""
     points = enumerate_fixed_points(spec)
+    signs = normalize_polarization(points, polarization_signs)
+    cartan = spec.cartan
+    roots = [(col, f, cartan.coroot_of_root[f])
+             for col, f in enumerate(cartan.root_list) if ch.is_positive(f)]
     table = []
-    roots = [(f, spec.cartan.coroot_of_root[f]) for f in spec.cartan.positive_roots(ch)]
     for p in points:
-        for root, coroot in roots:
-            ups = [m + 1 for m in range(spec.length) if pairing(p.delta[m], root) == 1]
-            downs = [m + 1 for m in range(spec.length) if pairing(p.delta[m], root) == -1]
+        steps = _steps(spec, p)
+        for col, root, coroot in roots:
+            ups = [m + 1 for m, row in enumerate(steps) if row[col] == 1]
+            downs = [m + 1 for m, row in enumerate(steps) if row[col] == -1]
             for i in ups:
                 for j in downs:
                     if i >= j:
                         continue
                     q = _moved_point(p, i, j, coroot)
-                    sign = sigma_sign(spec, p, q, root, ch, polarization_signs, samples=1)
+                    sign = sigma_sign(spec, p, q, root, ch, signs, samples=1)
                     table.append((p, q, i, j, root, coroot, sign))
     return table
 
@@ -375,6 +380,17 @@ def mult_matrix(
         mat.chamber = ch
     mat.validate()
     return mat
+
+
+def line_bundle_matrices(
+    spec: SliceSpec, ch: Chamber, polarization_signs=None
+) -> List[OperatorMatrix]:
+    """The matrices of c_1(L_0), ..., c_1(L_l), built on one table of lowering moves."""
+    table = _pair_table(spec, ch, polarization_signs)
+    matrices = [_mult_l(spec, k, ch, table) for k in range(spec.length + 1)]
+    for mat in matrices:
+        mat.validate()
+    return matrices
 
 
 def _as_vector(
@@ -477,7 +493,9 @@ def reconstruct_coefficient(
     entry = entries.get((p, q))
     if entry is None or entry.is_zero():
         return Fraction(0)
-    points = enumerate_fixed_points(spec)
+    # a mapping is read at q alone, so a check that resolved the signs once
+    # does not resolve them again per pair
+    points = (q,) if isinstance(polarization_signs, Mapping) else enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
     diff = bundle_weight(spec, q, bundle).a_part - bundle_weight(spec, p, bundle).a_part
     diff_poly = Polynomial.linear_form(diff.coords, 0)

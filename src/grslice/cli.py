@@ -28,6 +28,7 @@ from .cartan import CartanDatum, Chamber, Coweight
 from .chern import (
     NonPolynomialEntry,
     bundle_weight,
+    line_bundle_matrices,
     mult_matrix,
     parse_bundle,
     reconstruct_coefficient,
@@ -282,11 +283,11 @@ def _check_oracle(spec, ch, signs) -> dict:
     """Cross-module consistency of the mod-h^2 data with the operator matrices."""
     failures: List[dict] = []
     points = enumerate_fixed_points(spec)
+    signs = normalize_polarization(points, signs)
     entries = stab_mod_h2(spec, ch, signs)
     if spec.cartan.rank == 1 and entries != stab_offdiag_mod_h2(spec, ch, signs):
         failures.append({"check": "rank-one closed form"})
-    for k in range(spec.length + 1):
-        matrix = mult_matrix(spec, ("L", k), ch, signs)
+    for k, matrix in enumerate(line_bundle_matrices(spec, ch, signs)):
         for p in points:
             expected = bundle_weight(spec, p, ("L", k)).to_polynomial()
             if matrix.entry(p, p) != expected:

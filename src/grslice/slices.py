@@ -9,12 +9,19 @@ lambda_i, summing to mu); sigma denotes the partial-sum path.
 Index 0 is allowed in lambda_seq and denotes a frozen zero slot (orbit {0});
 these arise when a slice is projected onto a wall and keep slot positions
 aligned with the ambient slice.
+
+Slot steps are paired with roots once per spec, in integers: the spec holds
+<d, beta> for every orbit element d and every root beta.  Every slot is
+minuscule or a zero slot, so each such pairing is -1, 0 or +1 (the table
+build checks it).  Enumeration descends on integer coordinate tuples, and
+tangent weights sum table rows into heights, so neither builds a vector.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
@@ -37,8 +44,8 @@ class SliceSpec:
     and lives exactly as long as the spec.
     """
 
-    __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_suffix_sums",
-                 "_points", "_index", "_tangents", "_euler")
+    __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings",
+                 "_suffix_sums", "_points", "_index", "_tangents", "_euler")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -70,13 +77,23 @@ class SliceSpec:
             tuple(sorted(cartan.weyl_orbit(self._slot_coweight(i))))
             for i in range(len(lambda_seq))
         )
-        # suffix_sums[i] = set of possible values of delta_i + .. + delta_l
-        sums = [{cartan.zero_coweight()}]
+        # pairings[d.coords] = (<d, beta> for beta in root_list)
+        roots = [f.coords for f in cartan.root_list]
+        self._pairings = {}
+        for orbit in self._orbits:
+            for d in orbit:
+                row = tuple(sum(map(mul, d.coords, f)) for f in roots)
+                if any(v not in (-1, 0, 1) for v in row):
+                    raise AssertionError(f"slot step {d} is not minuscule")
+                self._pairings[d.coords] = row
+        # suffix_sums[i] = coordinates of the possible values of
+        # delta_i + .. + delta_l
+        sums = [{(0,) * cartan.rank}]
         for orbit in reversed(self._orbits):
             prev = sums[-1]
-            sums.append({d + s for d in orbit for s in prev})
+            sums.append({tuple(map(add, d.coords, s)) for d in orbit for s in prev})
         self._suffix_sums = tuple(reversed(sums))
-        if mu not in self._suffix_sums[0]:
+        if mu.coords not in self._suffix_sums[0]:
             raise InvalidSlice("no fixed point: mu is not a weight of the lambda sequence")
         self._points = None
         self._index = None
@@ -201,22 +218,25 @@ def point_index(spec: SliceSpec) -> Dict[FixedPoint, int]:
 
 
 def _enumerate(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
+    """Depth-first over the slots on coordinate tuples.  Each orbit is sorted,
+    so the points come out in lexicographic order."""
     result: List[FixedPoint] = []
     prefix: List[Coweight] = []
 
-    def descend(slot: int, partial: Coweight):
+    def descend(slot: int, rest: tuple):
+        # rest = coordinates of mu minus the steps taken so far
         if slot == spec.length:
-            result.append(FixedPoint(list(prefix)))
+            result.append(FixedPoint(prefix))
             return
-        remaining_target = spec.mu - partial
+        reachable = spec._suffix_sums[slot + 1]
         for d in spec._orbits[slot]:
-            if (remaining_target - d) in spec._suffix_sums[slot + 1]:
+            left = tuple(map(sub, rest, d.coords))
+            if left in reachable:
                 prefix.append(d)
-                descend(slot + 1, partial + d)
+                descend(slot + 1, left)
                 prefix.pop()
 
-    descend(0, spec.cartan.zero_coweight())
-    result.sort()
+    descend(0, spec.mu.coords)
     return tuple(result)
 
 
@@ -299,33 +319,34 @@ class WeightMultiset:
         return f"WeightMultiset({inner})"
 
 
+def _steps(spec: SliceSpec, p: FixedPoint) -> List[Tuple[int, ...]]:
+    """The spec's pairing-table rows of the slot steps of p, one per slot."""
+    return [spec._pairings[d.coords] for d in p.delta]
+
+
 def tangent_weights(spec: SliceSpec, p: FixedPoint) -> WeightMultiset:
     """Tangent weight multiset at p by the half-integer crossing rule.
 
     For each root beta and each segment of the height path h_i = <sigma_i,
     beta>, a level c = n + 1/2 strictly between the segment endpoints counts
     toward beta + n*h iff the segment moves toward the origin half-space:
-    c > 0 with h decreasing, or c < 0 with h increasing.  Computed once per
-    spec and point; callers share the result and must not mutate it.
+    c > 0 with h decreasing, or c < 0 with h increasing.  Every step is -1, 0
+    or +1, so a segment crosses the one level min(a, b) + 1/2, and it counts
+    iff it leaves a nonzero height toward 0.  Computed once per spec and
+    point; callers share the result and must not mutate it.
     """
     if p in spec._tangents:
         return spec._tangents[p]
-    sigma = p.sigma()
-    entries: Dict[Tuple[AWeightForm, int], int] = {}
-    for root in spec.cartan.root_list:
-        heights = [pairing(s, root) for s in sigma]
-        for a, b in zip(heights, heights[1:]):
-            if a == b:
-                continue
-            lo, hi = (a, b) if a < b else (b, a)
-            decreasing = b < a
-            # half-integer levels strictly between lo and hi: n + 1/2 with
-            # lo < n + 1/2 < hi
-            for n in range(lo, hi):
-                c2 = 2 * n + 1  # 2c, to stay integral
-                if c2 > 0 and decreasing or c2 < 0 and not decreasing:
-                    key = (root, n)
-                    entries[key] = entries.get(key, 0) + 1
+    counts: Dict[Tuple[int, int], int] = {}
+    for r, steps in enumerate(zip(*_steps(spec, p))):
+        h = 0
+        for s in steps:
+            if h * s < 0:
+                key = (r, min(h, h + s))
+                counts[key] = counts.get(key, 0) + 1
+            h += s
+    roots = spec.cartan.root_list
+    entries = {(roots[r], n): m for (r, n), m in counts.items()}
     ws = spec._tangents[p] = WeightMultiset(spec.cartan.rank, entries)
     return ws
 

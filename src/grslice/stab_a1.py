@@ -13,12 +13,14 @@ the opposite chamber provides an independent verification of the result.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Mapping, Tuple
 
 from .cartan import AWeightForm, Chamber, pairing
 from .slices import (
     FixedPoint,
     SliceSpec,
+    _steps,
     dimension,
     enumerate_fixed_points,
     localization_denominator,
@@ -86,15 +88,17 @@ def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:
     return FixedPoint(delta)
 
 
-def _heights(p: FixedPoint) -> Tuple[int, ...]:
-    """Heights <sigma_k, alpha> of the sigma path against the fixed root."""
-    return tuple(pairing(s, _ALPHA) for s in p.sigma())
+def _heights(spec: SliceSpec, p: FixedPoint) -> Tuple[int, ...]:
+    """Heights <sigma_k, alpha> of the sigma path against the fixed root,
+    summed from the spec's pairing table."""
+    col = spec.cartan.root_list.index(_ALPHA)
+    return tuple(accumulate((row[col] for row in _steps(spec, p)), initial=0))
 
 
-def weight_stat(p: FixedPoint, ch: Chamber) -> Fraction:
+def weight_stat(spec: SliceSpec, p: FixedPoint, ch: Chamber) -> Fraction:
     """Half-sum of the sigma heights against the chamber-positive root."""
-    alpha = _chamber_root(ch)
-    return Fraction(sum(pairing(s, alpha) for s in p.sigma()), 2)
+    sign = 1 if _chamber_root(ch) == _ALPHA else -1
+    return Fraction(sign * sum(_heights(spec, p)), 2)
 
 
 def _move_pairs(spec: SliceSpec) -> List[Tuple[int, int]]:
@@ -124,7 +128,7 @@ def _raise_row(p, row, ratio, i, partner, heights):
     p = r_i(prev) != prev, partner maps every point to its swap of slots i
     and j > i (slots strictly between them are frozen, so the swap is an
     adjacent transposition of the nonfrozen subword), heights maps every
-    point to _heights(point) and ratio = eps_p / eps_prev = +-1.  With
+    point to _heights(spec, point) and ratio = eps_p / eps_prev = +-1.  With
     s, s' the heights of q at i-1 and i,
 
         Stab[p]|_q = ratio * ((s - s') h Stab[prev]|_q
@@ -195,7 +199,7 @@ class RestrictionMatrix:
         self.points = list(points)
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
         self.epsilons = dict(epsilons)
-        self._stats = {p: weight_stat(p, chamber) for p in self.points}
+        self._stats = {p: weight_stat(spec, p, chamber) for p in self.points}
 
     def entry(self, p: FixedPoint, q: FixedPoint) -> Polynomial:
         return self.entries.get((p, q), _ZERO)
@@ -219,13 +223,12 @@ class RestrictionMatrix:
                 raise InvariantViolation(
                     f"diagonal at {p.label()} is not the repelling Euler class"
                 )
-        downsets: Dict[FixedPoint, set] = {}
-        partners = [_partners(self.points, i, j) for i, j in _move_pairs(self.spec)]
+        index = {p: i for i, p in enumerate(self.points)}
+        downsets = self._downsets(index)
         for (p, q), val in self.entries.items():
             if p == q:
                 continue
-            if (not self._stats[q] < self._stats[p]
-                    or q not in self._downset(p, partners, downsets)):
+            if not (self._stats[q] < self._stats[p] and downsets[p] >> index[q] & 1):
                 raise InvariantViolation(
                     f"triangularity violated at ({p.label()}, {q.label()})"
                 )
@@ -238,19 +241,21 @@ class RestrictionMatrix:
                     f"a-degree bound violated at ({p.label()}, {q.label()})"
                 )
 
-    def _downset(self, p: FixedPoint, partners, cache: Dict[FixedPoint, set]) -> set:
-        if p not in cache:
-            seen = {p}
-            stack = [p]
-            while stack:
-                x = stack.pop()
-                for partner in partners:
-                    y = partner[x]
-                    if y != x and y not in seen and self._stats[y] < self._stats[x]:
-                        seen.add(y)
-                        stack.append(y)
-            cache[p] = seen
-        return cache[p]
+    def _downsets(self, index: Dict[FixedPoint, int]) -> Dict[FixedPoint, int]:
+        """Each point's downset under the raising moves, as a bit mask over
+        index: the point and the downsets of its partners of lower weight_stat,
+        built in increasing weight_stat order."""
+        stats = self._stats
+        partners = [_partners(self.points, i, j) for i, j in _move_pairs(self.spec)]
+        downsets: Dict[FixedPoint, int] = {}
+        for p in sorted(self.points, key=stats.__getitem__):
+            mask = 1 << index[p]
+            for partner in partners:
+                y = partner[p]
+                if stats[y] < stats[p]:
+                    mask |= downsets[y]
+            downsets[p] = mask
+        return downsets
 
     def to_json(self) -> dict:
         index = {p: i for i, p in enumerate(self.points)}
@@ -275,8 +280,8 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
         raise ValueError("chamber does not belong to the slice's Cartan datum")
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    stats = {p: weight_stat(p, ch) for p in points}
-    heights = {p: _heights(p) for p in points}
+    stats = {p: weight_stat(spec, p, ch) for p in points}
+    heights = {p: _heights(spec, p) for p in points}
     moves = [(i, _partners(points, i, j)) for i, j in _move_pairs(spec)]
 
     epsilons = {
@@ -322,18 +327,19 @@ def stab_offdiag_mod_h2(
     signs = normalize_polarization(points, polarization_signs)
     alpha = _chamber_root(ch)
     alpha_poly = Polynomial.linear_form(alpha.coords, 0)
+    col = spec.cartan.root_list.index(alpha)
     out: Dict[Tuple[FixedPoint, FixedPoint], Polynomial] = {}
     for p in points:
-        heights = [pairing(d, alpha) for d in p.delta]
-        if 1 not in heights or -1 not in heights:
+        steps = [row[col] for row in _steps(spec, p)]
+        if 1 not in steps or -1 not in steps:
             continue
         e_a = repelling_euler(spec, p, ch, False).polynomial()
         entry = exact_div(signs[p] * e_a * _H, alpha_poly)
-        for i, hi in enumerate(heights):
-            if hi != 1:
+        for i, si in enumerate(steps):
+            if si != 1:
                 continue
-            for j in range(i + 1, len(heights)):
-                if heights[j] == -1:
+            for j in range(i + 1, len(steps)):
+                if steps[j] == -1:
                     out[(p, _swap(p, i + 1, j + 1))] = entry
     return out
 
@@ -383,7 +389,7 @@ def theta_action(
     # trivially where diff and expected both vanish
     columns = []
     for q in points:
-        heights = _heights(q)
+        heights = _heights(spec, q)
         columns.append((q, partner[q], _A + heights[i] * _H,
                         _A + heights[i - 1] * _H))
     for p in points:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from .slices import (
@@ -146,7 +146,9 @@ def sigma_sign(
     an adjacent pair on a common wall component of the root.
     """
     canon = _canonical_root(spec.cartan, root)
-    points = enumerate_fixed_points(spec)
+    # a mapping is read at p and q alone, so a table that resolved the signs
+    # once does not resolve them again per move
+    points = (p, q) if isinstance(polarization_signs, Mapping) else enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
     values = set()
     for ch in wall_adjacent_chambers(spec.cartan, canon, samples):

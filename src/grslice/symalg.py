@@ -352,7 +352,8 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
                 remainder[t] = value
             else:
                 del remainder[t]
-    return Polynomial(p.nvars, quotient_terms)
+    # exponents are checked differences, coefficients nonzero and normalized
+    return Polynomial._trusted(p.nvars, quotient_terms)
 
 
 def _canonical_linear(f: Polynomial):

@@ -163,7 +163,7 @@ def test_criterion_06_mod_h2_closed_form_and_diagonal_constant():
                 diag = matrix.entry(p, p).truncate_mod_h2()
                 lead = diag.coefficient((half, 0))
                 slope = Fraction(diag.coefficient((half - 1, 1))) / lead
-                constants.add(s * slope - weight_stat(p, ch))
+                constants.add(s * slope - weight_stat(spec, p, ch))
             assert len(constants) == 1, (l, k, constants)
 
 

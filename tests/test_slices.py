@@ -1,8 +1,12 @@
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight
+from grslice import cartan
+from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, _Vector, pairing
+from grslice.cli import CACHE_ENV, main
 from grslice.slices import (
     FixedPoint,
     InvalidSlice,
@@ -188,6 +192,108 @@ def test_tangent_weights_sum_and_duality():
             assert ws.total() == dim
             for (root, n), m in ws.entries.items():
                 assert ws.multiplicity(-root, -n - 1) == m
+
+
+# ---------------------------------------------------------------- integer kernel
+
+_KERNEL_POOL = [
+    CartanDatum("A", 1),
+    CartanDatum("A", 3),
+    CartanDatum("B", 3),
+    CartanDatum("C", 3),
+    CartanDatum("D", 4),
+    CartanDatum("D", 5),
+    CartanDatum("E", 6),
+]
+# largest product of orbit sizes the brute-force filter walks
+_MAX_PRODUCT = 3000
+
+
+def _reference_tangent_entries(spec, p):
+    """The crossing rule on the sigma path, paired root by root."""
+    sigma = p.sigma()
+    entries = {}
+    for root in spec.cartan.root_list:
+        heights = [pairing(s, root) for s in sigma]
+        for a, b in zip(heights, heights[1:]):
+            if a == b:
+                continue
+            lo, hi = (a, b) if a < b else (b, a)
+            decreasing = b < a
+            for n in range(lo, hi):
+                c2 = 2 * n + 1
+                if c2 > 0 and decreasing or c2 < 0 and not decreasing:
+                    entries[(root, n)] = entries.get((root, n), 0) + 1
+    return entries
+
+
+def _slot_orbit(datum, i):
+    if i == 0:
+        return [datum.zero_coweight()]
+    return sorted(datum.weyl_orbit(datum.fundamental_coweight(i)))
+
+
+@st.composite
+def minuscule_slices(draw):
+    """A random minuscule slice, zero slots included, with its slot orbits."""
+    datum = draw(st.sampled_from(_KERNEL_POOL))
+    choices = sorted(datum.minuscule_indices) + [0]
+    lam = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=5))
+    orbits = [_slot_orbit(datum, i) for i in lam]
+    size = prod(len(o) for o in orbits)
+    if size > _MAX_PRODUCT:
+        # keep the longest prefix the brute force can afford
+        while size > _MAX_PRODUCT:
+            size //= len(orbits.pop())
+        lam = lam[:len(orbits)]
+    sums = sorted({sum(combo, datum.zero_coweight()) for combo in product(*orbits)})
+    mu = draw(st.sampled_from(sums))
+    return SliceSpec(datum, lam, mu), orbits
+
+
+@settings(max_examples=60, deadline=None)
+@given(minuscule_slices())
+def test_integer_kernel_matches_brute_force_and_sigma_rule(slice_and_orbits):
+    spec, orbits = slice_and_orbits
+    brute = [
+        FixedPoint(combo) for combo in product(*orbits)
+        if sum(combo, spec.cartan.zero_coweight()) == spec.mu
+    ]
+    points = enumerate_fixed_points(spec)
+    assert points == sorted(brute, key=FixedPoint.key)
+    for p in points:
+        assert tangent_weights(spec, p).entries == _reference_tangent_entries(spec, p)
+
+
+def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
+    specs = [
+        SliceSpec(A2, [1, 0, 2, 1, 2], Coweight([0, 0])),
+        SliceSpec(CartanDatum("D", 4), [1, 3, 4, 0], Coweight([0, 0, 0, 0])),
+    ]
+    dims = [dimension(spec) for spec in specs]
+
+    def refuse(self, coords):
+        raise AssertionError("a vector was built")
+
+    monkeypatch.setattr(_Vector, "__init__", refuse)
+    for spec, dim in zip(specs, dims):
+        points = enumerate_fixed_points(spec)
+        assert points
+        for p in points:
+            assert tangent_weights(spec, p).total() == dim
+
+
+def test_non_minuscule_step_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    # omega_1 of B2 pairs to 2 with a root; claiming it minuscule must stop
+    # the pairing table, never reach a document
+    monkeypatch.setattr(cartan, "_minuscule_indices", lambda letter, rank: frozenset({1, 2}))
+    with pytest.raises(AssertionError, match="is not minuscule"):
+        SliceSpec(CartanDatum("B", 2), [1], Coweight([1, 0]))
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    code = main(["tangent", "--type", "B", "--rank", "2", "--lambda", "1", "--mu", "1,0"])
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    assert out.startswith("verification failure: ") and out.count("\n") == 1
 
 
 # ---------------------------------------------------------------- euler classes

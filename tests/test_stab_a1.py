@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -15,6 +17,7 @@ from grslice import stab_a1
 from grslice.cli import CACHE_ENV, main
 from grslice.stab_a1 import (
     ExactDivisionFailure,
+    InvariantViolation,
     NotA1,
     PathInconsistency,
     RestrictionMatrix,
@@ -72,15 +75,15 @@ def test_minimal_point_is_stat_minimum():
     for spec in grid_specs(5):
         for ch in (CH_PLUS, CH_MINUS):
             p0 = minimal_point(spec, ch)
-            stats = {p: weight_stat(p, ch) for p in enumerate_fixed_points(spec)}
+            stats = {p: weight_stat(spec, p, ch) for p in enumerate_fixed_points(spec)}
             assert all(stats[p0] <= s for s in stats.values())
             assert sum(1 for s in stats.values() if s == stats[p0]) == 1
 
 
 def test_weight_stat_examples():
-    assert weight_stat(P1, CH_PLUS) == Fraction(-1, 2)
-    assert weight_stat(P2, CH_PLUS) == Fraction(1, 2)
-    assert weight_stat(P1, CH_MINUS) == Fraction(1, 2)
+    assert weight_stat(TSTAR_P1, P1, CH_PLUS) == Fraction(-1, 2)
+    assert weight_stat(TSTAR_P1, P2, CH_PLUS) == Fraction(1, 2)
+    assert weight_stat(TSTAR_P1, P1, CH_MINUS) == Fraction(1, 2)
 
 
 def test_weight_stat_step_is_one():
@@ -91,7 +94,7 @@ def test_weight_stat_step_is_one():
             for i in range(1, spec.length):
                 q = adjacent_transposition(p, i)
                 if q != p:
-                    diff = weight_stat(q, CH_PLUS) - weight_stat(p, CH_PLUS)
+                    diff = weight_stat(spec, q, CH_PLUS) - weight_stat(spec, p, CH_PLUS)
                     assert abs(diff) == 1
 
 
@@ -153,7 +156,7 @@ def test_diagonal_constant_is_point_independent():
                     m * n * root.coords[0]
                     for (root, n), m in repel.entries.items()
                 )
-                constants.add(s * Fraction(slope) - weight_stat(p, ch))
+                constants.add(s * Fraction(slope) - weight_stat(spec, p, ch))
             assert len(constants) == 1
 
 
@@ -321,6 +324,28 @@ def test_theta_action_detects_a_tampered_entry():
         for i in moving:
             with pytest.raises(AssertionError, match="theta action mismatch"):
                 theta_action(spec, i, m)
+
+
+def test_validate_refuses_an_entry_outside_the_downset():
+    spec = a1_spec(6, 0)
+    m = stab_matrix(spec, CH_PLUS)
+
+    def heights(x):
+        return list(accumulate(d.coords[0] for d in x.delta))
+
+    # q has the lower weight_stat, yet no chain of lowering moves leads from
+    # p to q: q's path rises above p's somewhere
+    p, q = next(
+        (p, q) for p in m.points for q in m.points
+        if weight_stat(spec, q, CH_PLUS) < weight_stat(spec, p, CH_PLUS)
+        and any(a > b for a, b in zip(heights(q), heights(p)))
+    )
+    for row, col in ((p, q), (q, p)):
+        tampered = RestrictionMatrix(spec, CH_PLUS, m.polarization_signs, m.points,
+                                     {**m.entries, (row, col): H}, m.epsilons)
+        message = rf"triangularity violated at \({re.escape(row.label())}, {re.escape(col.label())}\)"
+        with pytest.raises(InvariantViolation, match=message):
+            tampered.validate()
 
 
 def test_theta_action_bad_index():
