@@ -245,8 +245,9 @@ class CartanDatum:
         self.root_list: Tuple[AWeightForm, ...] = tuple(sorted(seen, key=lambda f: f.coords))
         self.coroot_of_root: Dict[AWeightForm, Coweight] = {f: seen[f] for f in self.root_list}
         self.root_of_coroot: Dict[Coweight, AWeightForm] = {c: f for f, c in seen.items()}
-        # filled on demand by stab_general.wall_adjacent_chambers
-        self.wall_chambers: Dict[Tuple[AWeightForm, int], list] = {}
+        # filled on demand by stab_general.wall_adjacent_chambers: for each
+        # positive root, its seeded generator and the chambers sampled so far
+        self.wall_chambers: Dict[AWeightForm, Tuple[object, list]] = {}
         assert len(self.root_list) == _ROOT_COUNT[type_letter](rank)
         for f in self.root_list:
             assert -f in self.coroot_of_root

@@ -12,13 +12,16 @@ matrices, so the two routes can be compared entry by entry.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .cartan import AWeightForm, Chamber, Coweight, pairing
 from .slices import (
+    EulerClass,
     FixedPoint,
     SliceSpec,
+    _canonical,
     _steps,
     enumerate_fixed_points,
     localization_denominator,
@@ -26,7 +29,7 @@ from .slices import (
     repelling_euler,
     tangent_euler,
 )
-from .stab_a1 import normalize_polarization, stab_matrix
+from .stab_a1 import ExactDivisionFailure, normalize_polarization, stab_matrix
 from .stab_general import sigma_sign
 from .symalg import NonDivisible, Polynomial, RationalFunction, exact_div
 
@@ -89,13 +92,21 @@ def parse_bundle(spec: SliceSpec, bundle: BundleTag) -> Tuple[str, int]:
 
 
 def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> EquivariantLinearForm:
-    """Torus weight of L_i at the fixed point p, for 0 <= i <= l."""
+    """Torus weight of L_i at the fixed point p, for 0 <= i <= l.
+
+    The weights of L_0..L_l are computed once per spec and point; callers
+    share them.
+    """
     if not 0 <= i <= spec.length:
         raise ValueError(f"line bundle index {i} out of range")
-    sigma = p.sigma()[i]
-    return EquivariantLinearForm(
-        spec.cartan.sharp(sigma), Fraction(spec.cartan.inner(sigma, sigma), 2)
-    )
+    weights = spec._line_weights.get(p)
+    if weights is None:
+        cartan = spec.cartan
+        weights = spec._line_weights[p] = tuple(
+            EquivariantLinearForm(cartan.sharp(sigma), Fraction(cartan.inner(sigma, sigma), 2))
+            for sigma in p.sigma()
+        )
+    return weights[i]
 
 
 def e_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> EquivariantLinearForm:
@@ -477,7 +488,7 @@ def mult_matrix_via_localization(
 def reconstruct_coefficient(
     spec: SliceSpec,
     ch: Chamber,
-    entries: Mapping[Tuple[FixedPoint, FixedPoint], Polynomial],
+    entries: Mapping[Tuple[FixedPoint, FixedPoint], EulerClass],
     p: FixedPoint,
     q: FixedPoint,
     bundle: BundleTag,
@@ -485,22 +496,35 @@ def reconstruct_coefficient(
 ) -> Fraction:
     """Off-diagonal multiplication coefficient recovered from restriction data.
 
-    entries are the restrictions stab_mod_h2(spec, ch, polarization_signs).
-    Divides the h-linear restriction of the stable class of p at q, scaled by
-    the difference of the bundle weights at q and p, by the polarization at q;
-    exactness of the division pins the coefficient of h in the matrix entry.
+    entries are the factored restrictions stab_mod_h2(spec, ch,
+    polarization_signs).  Divides the restriction of the stable class of p
+    at q, over h and times the difference of the bundle weights at q and p,
+    by the polarization at q; all of them are products of linear forms, so
+    the quotient is a multiset difference, and its being a constant pins
+    the coefficient of h in the matrix entry.
     """
     entry = entries.get((p, q))
-    if entry is None or entry.is_zero():
+    if entry is None:
         return Fraction(0)
     # a mapping is read at q alone, so a check that resolved the signs once
     # does not resolve them again per pair
     points = (q,) if isinstance(polarization_signs, Mapping) else enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
     diff = bundle_weight(spec, q, bundle).a_part - bundle_weight(spec, p, bundle).a_part
-    diff_poly = Polynomial.linear_form(diff.coords, 0)
-    eps_q = signs[q] * repelling_euler(spec, q, ch, False).polynomial()
-    quotient = exact_div(entry.div_h() * diff_poly, eps_q)
-    if quotient.total_degree() > 0:
+    if diff.is_zero():
+        return Fraction(0)
+    # diff is the sharp of the coroot that moves p to q, up to sign: an
+    # integer multiple of a root, so its coefficients are integers
+    diff_form, diff_scalar = _canonical(spec._forms, diff.coords + (0,))
+    h = _canonical(spec._forms, (0,) * spec.cartan.rank + (1,))[0]
+    eps_q = repelling_euler(spec, q, ch, False)
+    quotient = entry.times_ratio(Counter([diff_form]), eps_q.factors + Counter([h]),
+                                 Fraction(diff_scalar) / (signs[q] * eps_q.scalar))
+    if quotient is None:
+        raise ExactDivisionFailure(
+            f"the polarization at {q.label()} does not divide the "
+            f"reconstruction of ({p.label()}, {q.label()})"
+        )
+    if quotient.factors:
         raise AssertionError("reconstructed coefficient is not a constant")
-    return Fraction(quotient.constant_term())
+    return Fraction(quotient.scalar)

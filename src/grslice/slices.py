@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
-from .symalg import Polynomial, _canonical_linear
+from .symalg import Polynomial
 
 
 class NonMinusculeUnsupported(ValueError):
@@ -39,13 +40,15 @@ class InvalidSlice(ValueError):
 class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
-    Data derived from the slice (fixed points, their index, tangent weights
-    and Euler classes) is filled in lazily by the functions of this module
-    and lives exactly as long as the spec.
+    Data derived from the slice (fixed points, their index, tangent weights,
+    canonical linear forms, Euler classes and line-bundle weights) is filled
+    in lazily by the functions of this module and of chern, and lives
+    exactly as long as the spec.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings",
-                 "_suffix_sums", "_points", "_index", "_tangents", "_euler")
+                 "_suffix_sums", "_points", "_index", "_tangents", "_forms",
+                 "_euler", "_line_weights")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -98,9 +101,13 @@ class SliceSpec:
         self._points = None
         self._index = None
         self._tangents = {}
+        # _canonical splittings keyed by coefficient tuples (a_1..a_r, h)
+        self._forms = {}
         # Euler classes keyed by (point, chamber, keep_h); chamber None
         # stands for the whole tangent space, a chamber for its repelling half
         self._euler = {}
+        # chern.line_bundle_weight: the weights of L_0..L_l at each point
+        self._line_weights = {}
 
     def _slot_coweight(self, slot0: int) -> Coweight:
         idx = self.lambda_seq[slot0]
@@ -351,8 +358,29 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> WeightMultiset:
     return ws
 
 
+def _canonical(forms: dict, coords: tuple) -> Tuple[Polynomial, int]:
+    """The nonzero linear form with integer coefficients coords = (a_1..a_r,
+    h), split as scalar * canonical: the canonical form has coprime integer
+    coefficients, the first nonzero one (in the order a_1..a_r, h) positive.
+
+    Results are memoized in forms (a spec's _forms).
+    """
+    found = forms.get(coords)
+    if found is None:
+        g = gcd(*coords)
+        if next(c for c in coords if c) < 0:
+            g = -g
+        unit = [c // g for c in coords]
+        found = forms[coords] = (Polynomial.linear_form(unit[:-1], unit[-1]), g)
+    return found
+
+
 class EulerClass(NamedTuple):
-    """A product of linear forms: a scalar times a multiset of canonical forms."""
+    """A product of linear forms: a scalar times a multiset of canonical forms.
+
+    Distinct canonical forms are non-associate primes, so two classes are
+    equal as polynomials exactly when their multisets and scalars are equal.
+    """
 
     nvars: int
     factors: Counter
@@ -364,38 +392,45 @@ class EulerClass(NamedTuple):
             out = out * f**k
         return out
 
+    def times_ratio(self, up: Counter, down: Counter, scalar) -> Optional["EulerClass"]:
+        """self * scalar * prod(up) / prod(down), or None when that is not
+        a polynomial: when some factor's count goes negative."""
+        factors = self.factors.copy()
+        factors.update(up)
+        factors.subtract(down)
+        if min(factors.values(), default=0) < 0:
+            return None
+        return EulerClass(self.nvars, +factors, self.scalar * scalar)
 
-def euler_factors(ws: WeightMultiset, keep_h: bool) -> EulerClass:
+
+def euler_factors(ws: WeightMultiset, keep_h: bool, forms: dict) -> EulerClass:
     """Euler class of ws: the forms root + n*h, or only their A-parts
-    (h set to 0) when keep_h is false, split into canonical factors."""
+    (h set to 0) when keep_h is false, split into canonical factors whose
+    splittings are memoized in forms."""
     factors: Counter = Counter()
-    scalar = Fraction(1)
-    canonical = {}  # distinct weights often share an A-part
+    scalar = 1
     for (root, n), m in ws.entries.items():
-        form = (root, n if keep_h else 0)
-        if form not in canonical:
-            canonical[form] = _canonical_linear(Polynomial.linear_form(root.coords, form[1]))
-        canon, s = canonical[form]
+        canon, s = _canonical(forms, root.coords + (n if keep_h else 0,))
         factors[canon] += m
         scalar *= s**m
-    return EulerClass(ws.rank + 1, factors, scalar)
+    return EulerClass(ws.rank + 1, factors, Fraction(scalar))
 
 
 def euler_class(ws: WeightMultiset) -> Polynomial:
     """Product over the multiset of the linear forms root + n*h."""
-    return euler_factors(ws, True).polynomial()
+    return euler_factors(ws, True, {}).polynomial()
 
 
 def euler_class_a(ws: WeightMultiset) -> Polynomial:
     """Product of the A-parts only (h set to 0)."""
-    return euler_factors(ws, False).polynomial()
+    return euler_factors(ws, False, {}).polynomial()
 
 
 def tangent_euler(spec: SliceSpec, p: FixedPoint) -> EulerClass:
     """e_T of the whole tangent space at p."""
     key = (p, None, True)
     if key not in spec._euler:
-        spec._euler[key] = euler_factors(tangent_weights(spec, p), True)
+        spec._euler[key] = euler_factors(tangent_weights(spec, p), True, spec._forms)
     return spec._euler[key]
 
 
@@ -405,7 +440,7 @@ def repelling_euler(spec: SliceSpec, p: FixedPoint, ch: Chamber, keep_h: bool) -
     key = (p, ch, keep_h)
     if key not in spec._euler:
         _, repel = split_attract_repel(tangent_weights(spec, p), ch)
-        spec._euler[key] = euler_factors(repel, keep_h)
+        spec._euler[key] = euler_factors(repel, keep_h, spec._forms)
     return spec._euler[key]
 
 
@@ -455,29 +490,29 @@ def same_wall_component(spec: SliceSpec, p: FixedPoint, q: FixedPoint) -> Option
     p and q lie in one component of the fixed locus of the wall subtorus
     ker(root) exactly when every sigma difference is an integer multiple of
     the coroot; the root class is then unique.  Returns the positive root.
+    The differences are summed on integer coordinate tuples.
     """
     if p == q:
         raise ValueError("same_wall_component expects distinct points")
-    sp, sq = p.sigma(), q.sigma()
-    diffs = [a - b for a, b in zip(sp, sq)]
+    diffs = set()
+    run = (0,) * spec.cartan.rank
+    for dp, dq in zip(p.delta, q.delta):
+        run = tuple(map(add, run, map(sub, dp.coords, dq.coords)))
+        if any(run):
+            diffs.add(run)
     for root in spec.cartan.root_list:
         if sum(root.coords) < 0:
             continue
-        coroot = spec.cartan.coroot_of_root[root]
-        if _all_integer_multiples(diffs, coroot):
+        coroot = spec.cartan.coroot_of_root[root].coords
+        if all(_integer_multiple(d, coroot) for d in diffs):
             return root
     return None
 
 
-def _all_integer_multiples(diffs: List[Coweight], coroot: Coweight) -> bool:
-    lead = next(i for i, c in enumerate(coroot.coords) if c != 0)
-    for d in diffs:
-        if d.is_zero():
-            continue
-        ratio = Fraction(d.coords[lead], coroot.coords[lead])
-        if ratio.denominator != 1 or d != int(ratio) * coroot:
-            return False
-    return True
+def _integer_multiple(d: tuple, coroot: tuple) -> bool:
+    lead = next(i for i, c in enumerate(coroot) if c != 0)
+    m, r = divmod(d[lead], coroot[lead])
+    return not r and all(x == m * c for x, c in zip(d, coroot))
 
 
 def project_to_wall_slice(

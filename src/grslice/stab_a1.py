@@ -12,14 +12,17 @@ the opposite chamber provides an independent verification of the result.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Mapping, Tuple
 
 from .cartan import AWeightForm, Chamber, pairing
 from .slices import (
+    EulerClass,
     FixedPoint,
     SliceSpec,
+    _canonical,
     _steps,
     dimension,
     enumerate_fixed_points,
@@ -315,8 +318,9 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
 
 def stab_offdiag_mod_h2(
     spec: SliceSpec, ch: Chamber, polarization_signs=None
-) -> Dict[Tuple[FixedPoint, FixedPoint], Polynomial]:
-    """Closed-form off-diagonal restrictions mod h^2.
+) -> Dict[Tuple[FixedPoint, FixedPoint], EulerClass]:
+    """Closed-form off-diagonal restrictions mod h^2, factored as in
+    stab_general.stab_mod_h2.
 
     The entry h * eps|_p / a_ch appears exactly when q is p with one +omega_ch
     increment (slot i) traded against a later -omega_ch increment (slot j);
@@ -326,15 +330,19 @@ def stab_offdiag_mod_h2(
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
     alpha = _chamber_root(ch)
-    alpha_poly = Polynomial.linear_form(alpha.coords, 0)
+    h = Counter([_canonical(spec._forms, (0, 1))[0]])
+    alpha_form, alpha_scalar = _canonical(spec._forms, alpha.coords + (0,))
+    down = Counter([alpha_form])
     col = spec.cartan.root_list.index(alpha)
-    out: Dict[Tuple[FixedPoint, FixedPoint], Polynomial] = {}
+    out: Dict[Tuple[FixedPoint, FixedPoint], EulerClass] = {}
     for p in points:
         steps = [row[col] for row in _steps(spec, p)]
         if 1 not in steps or -1 not in steps:
             continue
-        e_a = repelling_euler(spec, p, ch, False).polynomial()
-        entry = exact_div(signs[p] * e_a * _H, alpha_poly)
+        e_a = repelling_euler(spec, p, ch, False)
+        entry = e_a.times_ratio(h, down, Fraction(signs[p], alpha_scalar))
+        if entry is None:
+            raise ExactDivisionFailure(f"entry at {p.label()} did not clear its denominator")
         for i, si in enumerate(steps):
             if si != 1:
                 continue

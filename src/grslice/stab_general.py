@@ -6,6 +6,8 @@ lowered by a chamber-positive coroot alpha at a slot i and raised back at a
 later slot j.  The coefficient is omega_{p,q} * (h / alpha_form) * eps|_p,
 where omega is the ratio of A-equivariant repelling Euler classes taken for
 a chamber adjacent to the wall ker(alpha_form); both wall sides must agree.
+Every part of it is a product of linear forms, so an entry is an EulerClass
+built by multiset arithmetic and expanded only where a document prints it.
 Diagonals are excluded: their mod-h^2 constant is not pinned down by the
 closed form, and the exact value is available from Euler classes.
 """
@@ -13,14 +15,17 @@ closed form, and the exact value is available from Euler classes.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
+from .cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from .slices import (
     EulerClass,
     FixedPoint,
     SliceSpec,
+    _canonical,
     enumerate_fixed_points,
     flip_sign,
     point_index,
@@ -28,7 +33,6 @@ from .slices import (
     same_wall_component,
 )
 from .stab_a1 import ExactDivisionFailure, normalize_polarization
-from .symalg import NonDivisible, Polynomial, RationalFunction, _factor_key
 
 
 class AdjacencyWitness(NamedTuple):
@@ -77,42 +81,50 @@ def wall_adjacent_chambers(
     Wall points are sampled deterministically (the generator is seeded from
     the datum and the root), projected onto the wall, and checked against
     every other root hyperplane; the perturbation off the wall is small
-    enough to preserve all other signs.
+    enough to preserve all other signs.  Each root keeps one list, grown on
+    demand, so a smaller count gives a prefix of a larger one.  A chamber
+    depends only on the signs of its witness, so each witness is scaled by a
+    positive integer that clears its denominators, and the sampling runs on
+    integers.
     """
     root = _canonical_root(cartan, root)
-    key = (root, count)
-    if key not in cartan.wall_chambers:
+    if root not in cartan.wall_chambers:
         rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root.coords}")
-        coroot = cartan.coroot_of_root[root]
-        others = [f for f in cartan.root_list if f != root and f != -root]
-        out: List[Chamber] = []
+        cartan.wall_chambers[root] = (rng, [])
+    rng, out = cartan.wall_chambers[root]
+    if len(out) < 2 * count:
+        coroot = cartan.coroot_of_root[root].coords
+        others = [f.coords for f in cartan.root_list if f != root and f != -root]
+        slopes = [abs(sum(map(mul, coroot, f))) + 1 for f in others]
         while len(out) < 2 * count:
-            u = Coweight([rng.randint(-9, 9) for _ in range(cartan.rank)])
-            w = u - coroot * Fraction(pairing(u, root), 2)
-            vals = [pairing(w, f) for f in others]
-            if any(v == 0 for v in vals):
+            u = [rng.randint(-9, 9) for _ in range(cartan.rank)]
+            # twice the projection w = u - coroot <u, root> / 2 onto the wall
+            k = sum(map(mul, u, root.coords))
+            w2 = [2 * x - k * c for x, c in zip(u, coroot)]
+            vals = [abs(sum(map(mul, w2, f))) for f in others]
+            if 0 in vals:
                 continue
-            if others:
-                t = min(
-                    abs(Fraction(v)) / (abs(pairing(coroot, f)) + 1)
-                    for v, f in zip(vals, others)
-                )
-            else:
-                t = Fraction(1)
-            out.append(Chamber(cartan, w + coroot * t))
-            out.append(Chamber(cartan, w - coroot * t))
-        cartan.wall_chambers[key] = out
-    return cartan.wall_chambers[key]
+            # the witnesses are w +- t coroot with t = min |<w, f>| / slope(f),
+            # or 1 when no other root exists; 2t = a / b, and they are taken
+            # times 2b
+            a, b = (vals[0], slopes[0]) if others else (2, 1)
+            for v, s in zip(vals, slopes):
+                if v * b < a * s:
+                    a, b = v, s
+            out.append(Chamber(cartan, Coweight([x * b + a * c for x, c in zip(w2, coroot)])))
+            out.append(Chamber(cartan, Coweight([x * b - a * c for x, c in zip(w2, coroot)])))
+    return out[:2 * count]
 
 
 def omega_ratio(
     spec: SliceSpec, p: FixedPoint, q: FixedPoint, root: AWeightForm
-) -> RationalFunction:
+) -> Tuple[Counter, Counter, Fraction]:
     """e_A of the repelling half at q over the one at p, for a chamber
     adjacent to the wall of the root; the two wall sides must agree.
 
     Both Euler classes are multisets of canonical factors, so the ratio is
-    their multiset difference, already in lowest terms.
+    their multiset difference, already in lowest terms: the factors of the
+    numerator, those of the denominator, and the scalar.
     """
     canon = _canonical_root(spec.cartan, root)
     if same_wall_component(spec, p, q) != canon:
@@ -124,9 +136,7 @@ def omega_ratio(
                         e_q.scalar / e_p.scalar))
     if results[0] != results[1]:
         raise AssertionError("the two wall sides disagree on the omega ratio")
-    up, down, scalar = results[0]
-    num = EulerClass(spec.cartan.rank + 1, up, scalar).polynomial()
-    return RationalFunction._trusted(num, tuple(sorted(down.elements(), key=_factor_key)))
+    return results[0]
 
 
 def sigma_sign(
@@ -165,34 +175,34 @@ def sigma_sign(
 
 def stab_mod_h2(
     spec: SliceSpec, ch: Chamber, polarization_signs=None
-) -> Dict[Tuple[FixedPoint, FixedPoint], Polynomial]:
-    """Off-diagonal restrictions mod h^2 for every adjacency-witnessed pair."""
+) -> Dict[Tuple[FixedPoint, FixedPoint], EulerClass]:
+    """Off-diagonal restrictions mod h^2 for every adjacency-witnessed pair.
+
+    Each entry sign_p * eps_p * omega * h / alpha is returned factored, as
+    an EulerClass; its polynomial() method expands it.
+    """
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    nv = spec.cartan.rank + 1
-    h = Polynomial.gen(nv, nv - 1)
-    eps_default = {x: repelling_euler(spec, x, ch, False).polynomial() for x in points}
-    out: Dict[Tuple[FixedPoint, FixedPoint], Polynomial] = {}
+    rank = spec.cartan.rank
+    h = Counter([_canonical(spec._forms, (0,) * rank + (1,))[0]])
+    out: Dict[Tuple[FixedPoint, FixedPoint], EulerClass] = {}
     for p in points:
+        eps = repelling_euler(spec, p, ch, False)
         for q in points:
             if p == q:
                 continue
             witness = find_adjacency(spec, p, q, ch)
             if witness is None:
                 continue
-            omega = omega_ratio(spec, p, q, witness.alpha_form)
-            alpha_poly = Polynomial.linear_form(witness.alpha_form.coords, 0)
-            value = (
-                omega
-                * RationalFunction.reciprocal(nv, [alpha_poly])
-                * (signs[p] * eps_default[p] * h)
-            )
-            try:
-                out[(p, q)] = value.to_polynomial()
-            except NonDivisible as exc:
+            up, down, scalar = omega_ratio(spec, p, q, witness.alpha_form)
+            alpha, alpha_scalar = _canonical(spec._forms, witness.alpha_form.coords + (0,))
+            entry = eps.times_ratio(up + h, down + Counter([alpha]),
+                                    signs[p] * scalar / alpha_scalar)
+            if entry is None:
                 raise ExactDivisionFailure(
                     f"entry ({p.label()}, {q.label()}) did not clear its denominator"
-                ) from exc
+                )
+            out[(p, q)] = entry
     return out
 
 
@@ -207,7 +217,7 @@ def mod_h2_json(spec: SliceSpec, ch: Chamber, entries) -> dict:
                 "p": index[p],
                 "q": index[q],
                 "alpha": list(witness.alpha_form.coords),
-                "value": entries[(p, q)].to_json(),
+                "value": entries[(p, q)].polynomial().to_json(),
             }
         )
     return {"entries": rows}

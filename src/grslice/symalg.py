@@ -5,8 +5,8 @@ basis) plus a final variable h (the deformation class).  Exponent vectors
 therefore have length r+1 with the h-degree in the last slot.
 
 Rational functions keep their denominators as multisets of *linear forms*
-(every denominator produced by localization or an omega ratio is a product
-of forms c_1 a_1 + .. + c_r a_r + c h), with cancellation attempted
+(every denominator produced by localization is a product of forms
+c_1 a_1 + .. + c_r a_r + c h), with cancellation attempted
 factor by factor; equality is decided by cross-multiplication, so partial
 cancellation is harmless.
 """

@@ -43,6 +43,11 @@ def oracle_down_crossings(spec, p):
     return entries
 
 
+def expanded(entries, pair, zero):
+    """A factored mod-h^2 entry as a polynomial; zero where none is stored."""
+    return entries[pair].polynomial() if pair in entries else zero
+
+
 _POOL = [
     CartanDatum("A", 1),
     CartanDatum("A", 2),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from grslice import cartan
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from grslice.chern import (
     EquivariantLinearForm,
@@ -438,3 +439,22 @@ def test_validate_rejects_bad_offdiagonal():
     mat.entries[0][1] = Polynomial.gen(2, 0)
     with pytest.raises(AssertionError):
         mat.validate()
+
+
+def test_bundle_weights_are_computed_once_per_point(monkeypatch):
+    calls = []
+    sharp = cartan.CartanDatum.sharp
+
+    def counted(self, c):
+        calls.append(c)
+        return sharp(self, c)
+
+    monkeypatch.setattr(cartan.CartanDatum, "sharp", counted)
+    spec = SliceSpec(A2, [1, 1, 2], Coweight([1, 0]))
+    points = enumerate_fixed_points(spec)
+    bundles = [("L", k) for k in range(spec.length + 1)]
+    bundles += [("E", i) for i in range(1, spec.length + 1)]
+    first = [[bundle_weight(spec, p, b) for b in bundles] for p in points]
+    assert len(calls) == len(points) * (spec.length + 1)
+    assert [[bundle_weight(spec, p, b) for b in bundles] for p in points] == first
+    assert len(calls) == len(points) * (spec.length + 1)

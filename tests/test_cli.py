@@ -2,14 +2,16 @@ import hashlib
 import inspect
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grslice import cli, slices
-from grslice.cartan import CartanDatum
+from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, JobSpec, build_parser, cache_fetch, cache_store, main
+from grslice.stab_general import stab_mod_h2
 from grslice.symalg import Polynomial
 
 
@@ -528,3 +530,49 @@ def test_cli_exits_cleanly_and_replays_from_cache(capsys, argvs):
         assert firsts[0][0] == firsts[1][0], argvs
     for argv, first in zip(argvs, firsts):
         assert run_cli(capsys, argv)[:2] == first, argv
+
+
+# -- mod-h^2 entries stay factored --------------------------------------------------
+
+
+def test_oracle_reconstruction_that_does_not_divide_exits_three(capsys, monkeypatch):
+    # drop h from one entry: no reconstruction from it divides by the
+    # polarization, which must end the job with one line, not a traceback
+    real = cli.stab_mod_h2
+
+    def tampered(spec, ch, signs=None):
+        entries = real(spec, ch, signs)
+        pair = min(entries, key=lambda pq: (pq[0].key(), pq[1].key()))
+        h = Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
+        entry = entries[pair]
+        entries[pair] = slices.EulerClass(entry.nvars, entry.factors - Counter([h]), entry.scalar)
+        return entries
+
+    monkeypatch.setattr(cli, "stab_mod_h2", tampered)
+    code, out, err = run_cli(capsys, ["verify", "oracle"] + BASE_FL3)
+    assert code == 3
+    assert out.startswith("verification failure: ") and out.count("\n") == 1
+    assert "divide" in out
+    assert err == "" and "Traceback" not in out + err
+
+
+def test_mod_h2_routes_need_no_division_or_rational_function(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial division or RationalFunction used")
+
+    from grslice import symalg
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grslice") and hasattr(module, "exact_div"):
+            monkeypatch.setattr(module, "exact_div", refuse)
+    monkeypatch.setattr(symalg.RationalFunction, "__init__", refuse)
+    monkeypatch.setattr(symalg.RationalFunction, "_trusted", refuse)
+
+    datum = CartanDatum("D", 4)
+    spec = slices.SliceSpec(datum, [1, 1], Coweight([0, 1, 0, 0]))
+    entries = stab_mod_h2(spec, Chamber.dominant(datum))
+    assert entries
+    d4 = ["--type", "D", "--rank", "4", "--lambda", "1,1", "--mu", "0,1,0,0"]
+    for argv in (["stab-mod-h2"] + d4, ["verify", "wallcross"] + d4,
+                 ["verify", "oracle"] + d4):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, (argv, out, err)

@@ -9,6 +9,7 @@ from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, _Vector,
 from grslice.cli import CACHE_ENV, main
 from grslice.slices import (
     FixedPoint,
+    _canonical,
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
@@ -25,7 +26,7 @@ from grslice.slices import (
     tangent_weights,
     validate_point,
 )
-from grslice.symalg import Polynomial
+from grslice.symalg import Polynomial, _canonical_linear
 
 from helpers import oracle_down_crossings, oracle_up_crossings, random_minuscule_specs
 
@@ -431,3 +432,16 @@ def test_point_labels():
     assert point(-1, 1).label() == "(-w,w)"
     assert point(1, 0, -1).label() == "(w,0,-w)"
     assert FixedPoint([E1, E2]).label() == "([1,0],[-1,1])"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=2, max_size=6).filter(any))
+def test_integer_canonical_form_matches_canonical_linear(coords):
+    coords = tuple(coords)
+    forms = {}
+    canon, scalar = _canonical(forms, coords)
+    ref_canon, ref_scalar = _canonical_linear(Polynomial.linear_form(coords[:-1], coords[-1]))
+    assert canon == ref_canon and scalar == ref_scalar
+    assert type(scalar) is int
+    # memoized: a second lookup returns the same objects
+    assert _canonical(forms, coords)[0] is canon

@@ -1,19 +1,28 @@
-import pytest
+import random
+from collections import Counter
+from fractions import Fraction
 
-from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grslice import stab_general
+from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
+    EulerClass,
     FixedPoint,
     SliceSpec,
     dimension,
+    dominant_representative,
     enumerate_fixed_points,
     euler_class_a,
     flip_sign,
     project_to_wall_slice,
+    repelling_euler,
     same_wall_component,
     split_attract_repel,
     tangent_weights,
 )
-from grslice.stab_a1 import stab_offdiag_mod_h2
+from grslice.stab_a1 import ExactDivisionFailure, normalize_polarization, stab_offdiag_mod_h2
 from grslice.stab_general import (
     AdjacencyWitness,
     find_adjacency,
@@ -23,7 +32,7 @@ from grslice.stab_general import (
     stab_mod_h2,
     wall_adjacent_chambers,
 )
-from grslice.symalg import Polynomial, RationalFunction
+from grslice.symalg import Polynomial, RationalFunction, _factor_key
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -125,19 +134,19 @@ def test_wall_adjacent_chambers_touch_only_that_wall():
 def test_omega_ratio_rank1_is_one():
     p2 = fp(Coweight([1]), Coweight([-1]))
     p1 = fp(Coweight([-1]), Coweight([1]))
-    assert omega_ratio(TSTAR_P1, p2, p1, AWeightForm([1])) == RationalFunction.from_polynomial(
-        Polynomial.one(2)
-    )
+    assert omega_ratio(TSTAR_P1, p2, p1, AWeightForm([1])) == (Counter(), Counter(), 1)
 
 
 def test_omega_ratio_reciprocal():
+    # each ratio is in lowest terms, and linear forms are primes, so the
+    # product is one exactly when the factors cancel and the scalars do
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
-    one = RationalFunction.from_polynomial(Polynomial.one(3))
     for p, q in entries:
         root = find_adjacency(TSTAR_FL3, p, q, CH2_PLUS).alpha_form
-        assert omega_ratio(TSTAR_FL3, p, q, root) * omega_ratio(
-            TSTAR_FL3, q, p, root
-        ) == one
+        up, down, scalar = omega_ratio(TSTAR_FL3, p, q, root)
+        up2, down2, scalar2 = omega_ratio(TSTAR_FL3, q, p, root)
+        assert up + up2 == down + down2
+        assert scalar * scalar2 == 1
 
 
 def test_omega_ratio_not_rational_witness():
@@ -149,8 +158,8 @@ def test_omega_ratio_not_rational_witness():
     found = False
     for p, q in entries:
         root = find_adjacency(spec, p, q, CH2_PLUS).alpha_form
-        omega = omega_ratio(spec, p, q, root)
-        if omega.den_factors or omega.num.total_degree() > 0:
+        up, down, _ = omega_ratio(spec, p, q, root)
+        if up or down:
             found = True
     assert found
 
@@ -215,6 +224,7 @@ def test_stab_mod_h2_fl3_support_and_degrees():
     assert entries
     half = dimension(TSTAR_FL3) // 2
     for value in entries.values():
+        value = value.polynomial()
         assert value.h_degree() == 1
         assert value.deg_a() == half - 1 == 2
         assert value.div_h().deg_a() == value.deg_a()
@@ -243,20 +253,20 @@ def test_stab_mod_h2_factorization_oracle():
             assert wall_spec == wall_spec_q
             a1_entry = stab_offdiag_mod_h2(wall_spec, CH1_PLUS)[(p1, q1)]
             images = [Polynomial.linear_form(w.alpha_form.coords, 0), h]
-            z_part = a1_entry.substitute(images)
+            z_part = a1_entry.polynomial().substitute(images)
             sides = wall_adjacent_chambers(spec.cartan, w.alpha_form, 1)
             near_wall = next(c for c in sides if c.is_positive(w.alpha_form))
             induced = flip_sign(spec, p, ch, near_wall)
             oracle = eps_prime(spec, q, near_wall, w.alpha_form) * z_part
             if induced < 0:
                 oracle = oracle * Polynomial.constant(nv, -1)
-            assert value == oracle
+            assert value.polynomial() == oracle
             # same identity with both classes read in the ambient chamber
             rearranged = eps_prime(spec, q, ch, w.alpha_form) * z_part
             sg = sigma_sign(spec, p, q, w.alpha_form, ch)
             if sg < 0:
                 rearranged = rearranged * Polynomial.constant(nv, -1)
-            assert value == rearranged
+            assert value.polynomial() == rearranged
 
 
 def test_stab_mod_h2_wall_crossing_invariance():
@@ -291,3 +301,154 @@ def test_mod_h2_json_shape():
     for r in rows:
         assert set(r) == {"p", "q", "alpha", "value"}
         assert AWeightForm(r["alpha"]) in TSTAR_FL3.cartan.coroot_of_root
+
+
+# -- factored entries against the rational-function route ----------------------
+
+
+def _reference_omega_ratio(spec, p, q, root):
+    """omega_ratio as a RationalFunction, as the program computed it before
+    its entries were factored."""
+    canon = root if sum(root.coords) > 0 else -root
+    results = []
+    for ch in wall_adjacent_chambers(spec.cartan, canon, 1):
+        e_q = repelling_euler(spec, q, ch, False)
+        e_p = repelling_euler(spec, p, ch, False)
+        results.append((e_q.factors - e_p.factors, e_p.factors - e_q.factors,
+                        e_q.scalar / e_p.scalar))
+    assert results[0] == results[1]
+    up, down, scalar = results[0]
+    num = EulerClass(spec.cartan.rank + 1, up, scalar).polynomial()
+    return RationalFunction._trusted(num, tuple(sorted(down.elements(), key=_factor_key)))
+
+
+def _reference_stab_mod_h2(spec, ch, polarization_signs=None):
+    """stab_mod_h2 by rational-function products and exact division."""
+    points = enumerate_fixed_points(spec)
+    signs = normalize_polarization(points, polarization_signs)
+    nv = spec.cartan.rank + 1
+    h = Polynomial.gen(nv, nv - 1)
+    eps = {x: repelling_euler(spec, x, ch, False).polynomial() for x in points}
+    out = {}
+    for p in points:
+        for q in points:
+            if p == q:
+                continue
+            witness = find_adjacency(spec, p, q, ch)
+            if witness is None:
+                continue
+            omega = _reference_omega_ratio(spec, p, q, witness.alpha_form)
+            alpha_poly = Polynomial.linear_form(witness.alpha_form.coords, 0)
+            value = (
+                omega
+                * RationalFunction.reciprocal(nv, [alpha_poly])
+                * (signs[p] * eps[p] * h)
+            )
+            out[(p, q)] = value.to_polynomial()
+    return out
+
+
+SMALL_DATUMS = [CartanDatum(t, r) for t, r in (("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 4))]
+
+
+@st.composite
+def small_slice_jobs(draw):
+    """A small slice of A2, A3, B2, C2 or D4 with a chamber and a polarization."""
+    datum = draw(st.sampled_from(SMALL_DATUMS))
+    lam = draw(st.lists(st.sampled_from(sorted(datum.minuscule_indices)), min_size=2, max_size=3))
+    total = datum.zero_coweight()
+    sums = {datum.zero_coweight()}
+    for i in lam:
+        total = total + datum.fundamental_coweight(i)
+        orbit = datum.weyl_orbit(datum.fundamental_coweight(i))
+        sums = {d + s for d in orbit for s in sums}
+    mu = draw(st.sampled_from(sorted(
+        m for m in sums
+        if 0 < pairing(total - dominant_representative(datum, m), datum.two_rho_check) <= 8
+    )))
+    spec = SliceSpec(datum, lam, mu)
+    # root coefficients are at most 2 in size, so no root vanishes on
+    # distinct powers of 4
+    order = draw(st.permutations(range(datum.rank)))
+    flips = draw(st.lists(st.sampled_from((-1, 1)), min_size=datum.rank, max_size=datum.rank))
+    ch = Chamber(datum, Coweight([s * 4**k for s, k in zip(flips, order)]))
+    n = len(enumerate_fixed_points(spec))
+    signs = draw(st.none() | st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    return spec, ch, signs
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_slice_jobs())
+def test_factored_entries_expand_to_the_rational_function_route(job):
+    spec, ch, signs = job
+    entries = stab_mod_h2(spec, ch, signs)
+    reference = _reference_stab_mod_h2(spec, ch, signs)
+    assert set(entries) == set(reference)
+    for pair, value in entries.items():
+        assert value.polynomial() == reference[pair]
+
+
+def test_negative_count_raises_exact_division_failure(monkeypatch):
+    # an omega with one more factor below than the entry holds cannot clear
+    # its denominator
+    real = stab_general.omega_ratio
+    extra = Polynomial.linear_form([1, 1], 7)
+
+    def tampered(spec, p, q, root):
+        up, down, scalar = real(spec, p, q, root)
+        return up, down + Counter([extra]), scalar
+
+    monkeypatch.setattr(stab_general, "omega_ratio", tampered)
+    with pytest.raises(ExactDivisionFailure, match=r"did not clear its denominator"):
+        stab_mod_h2(TSTAR_FL3, CH2_PLUS)
+
+
+def test_times_ratio_refuses_a_negative_count():
+    a, h = Polynomial.gen(2, 0), Polynomial.gen(2, 1)
+    e = EulerClass(2, Counter({a: 2}), 3)
+    assert e.times_ratio(Counter({h: 1}), Counter({a: 1}), Fraction(1, 3)) == EulerClass(
+        2, Counter({a: 1, h: 1}), 1
+    )
+    assert e.times_ratio(Counter(), Counter({h: 1}), 1) is None
+    assert e.times_ratio(Counter(), Counter({a: 3}), 1) is None
+
+
+# -- wall-adjacent chambers against the rational sampler -------------------------
+
+
+def _reference_wall_chambers(cartan, root, count):
+    """The sampler as it ran on Fraction witnesses, one list per count."""
+    rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root.coords}")
+    coroot = cartan.coroot_of_root[root]
+    others = [f for f in cartan.root_list if f != root and f != -root]
+    out = []
+    while len(out) < 2 * count:
+        u = Coweight([rng.randint(-9, 9) for _ in range(cartan.rank)])
+        w = u - coroot * Fraction(pairing(u, root), 2)
+        vals = [pairing(w, f) for f in others]
+        if any(v == 0 for v in vals):
+            continue
+        if others:
+            t = min(
+                abs(Fraction(v)) / (abs(pairing(coroot, f)) + 1)
+                for v, f in zip(vals, others)
+            )
+        else:
+            t = Fraction(1)
+        out.append(Chamber(cartan, w + coroot * t))
+        out.append(Chamber(cartan, w - coroot * t))
+    return out
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2)])
+def test_wall_chambers_match_the_rational_sampler_and_grow_by_prefix(letter, rank):
+    cartan = CartanDatum(letter, rank)
+    for root in cartan.root_list:
+        if sum(root.coords) < 0:
+            continue
+        one = wall_adjacent_chambers(cartan, root, 1)
+        three = wall_adjacent_chambers(cartan, root, 3)
+        assert three[:2] == one
+        reference = _reference_wall_chambers(CartanDatum(letter, rank), root, 3)
+        assert [c.sign_vector for c in three] == [c.sign_vector for c in reference]
+        assert all(c.witness.is_integral() for c in three)
