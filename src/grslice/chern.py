@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .cartan import AWeightForm, Chamber, Coweight, pairing
@@ -24,14 +25,21 @@ from .slices import (
     _canonical,
     _steps,
     enumerate_fixed_points,
-    localization_denominator,
     point_index,
     repelling_euler,
     tangent_euler,
 )
-from .stab_a1 import ExactDivisionFailure, normalize_polarization, stab_matrix
+from .stab_a1 import (
+    ExactDivisionFailure,
+    _form_div,
+    _linear,
+    _pairing_sums,
+    _polynomial,
+    normalize_polarization,
+    stab_matrix,
+)
 from .stab_general import sigma_sign
-from .symalg import NonDivisible, Polynomial, RationalFunction, exact_div
+from .symalg import NonDivisible, Polynomial, RationalFunction
 
 
 class NonPolynomialEntry(RuntimeError):
@@ -223,7 +231,9 @@ class OperatorMatrix:
 
 
 def _zero_rows(nvars: int, n: int) -> List[List[Polynomial]]:
-    return [[Polynomial.zero(nvars) for _ in range(n)] for _ in range(n)]
+    # polynomials are immutable, so every cell can share one zero
+    zero = Polynomial.zero(nvars)
+    return [[zero] * n for _ in range(n)]
 
 
 def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
@@ -346,6 +356,17 @@ def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
     return table
 
 
+def _slot_step(spec: SliceSpec, d: Coweight) -> tuple:
+    """For a slot step d: the coordinates of sharp(d), <d, mu> and a map
+    d' -> <d, d'> keyed by the coordinates of d', which _mult_l fills as it
+    needs it (each as <d', sharp(d)>); once per spec and step."""
+    found = spec._slot_inners.get(d.coords)
+    if found is None:
+        sharp = spec.cartan.sharp(d).coords
+        found = spec._slot_inners[d.coords] = (sharp, sum(map(mul, spec.mu.coords, sharp)), {})
+    return found
+
+
 def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorMatrix:
     """Matrix of multiplication by c_1(L_k): sum of the slot operators up to k
     minus h times the chamber operators across the cut at k."""
@@ -354,16 +375,20 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     rows = _zero_rows(nv, len(points))
     index = point_index(spec)
     for pi, p in enumerate(points):
-        a_part = spec.cartan.sharp(spec.cartan.zero_coweight())
-        h_coeff = Fraction(0)
-        for i in range(1, k + 1):
-            d = p.delta[i - 1]
-            a_part = a_part + spec.cartan.sharp(d)
-            h_coeff += Fraction(spec.cartan.inner(d, spec.mu), 2)
-        for i in range(1, k + 1):
-            for j in range(k + 1, spec.length + 1):
-                h_coeff -= Fraction(spec.cartan.inner(p.delta[i - 1], p.delta[j - 1]), 2)
-        rows[pi][pi] = EquivariantLinearForm(a_part, h_coeff).to_polynomial()
+        # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu),
+        # less (h/2) (delta_i, delta_j) for every slot j > k
+        a_part = (0,) * (nv - 1)
+        twice_h = 0
+        for d in p.delta[:k]:
+            sharp, with_mu, inner = _slot_step(spec, d)
+            a_part = tuple(map(add, a_part, sharp))
+            twice_h += with_mu
+            for c in (e.coords for e in p.delta[k:]):
+                value = inner.get(c)
+                if value is None:
+                    value = inner[c] = sum(map(mul, c, sharp))
+                twice_h -= value
+        rows[pi][pi] = Polynomial.linear_form(a_part, Fraction(twice_h, 2))
     for p, q, i, j, root, coroot, sign in pair_table:
         if not i <= k < j:
             continue
@@ -446,41 +471,29 @@ def mult_matrix_via_localization(
     plus = stab_matrix(spec, ch, polarization_signs)
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
-    nv = spec.cartan.rank + 1
-    lcm_poly, cofactor = localization_denominator(spec)
-    weight = {
-        x: bundle_weight(spec, x, (kind, idx)).to_polynomial() * cofactor[x] for x in points
-    }
-
-    # the coefficient of Stab_-[q] sums over the points x where both
-    # restrictions are stored; the bundle weight and the cofactor ride on Stab_-
-    plus_rows = plus.stored_rows()
-    minus_rows = {
-        q: {x: val * weight[x] for x, val in row.items()}
-        for q, row in minus.stored_rows().items()
-    }
-    rows = _zero_rows(nv, len(points))
-    for pi, p in enumerate(points):
-        for qi, q in enumerate(points):
-            total = Polynomial.zero(nv)
-            weighted = minus_rows[q]
-            for x, up in plus_rows[p].items():
-                down = weighted.get(x)
-                if down is not None:
-                    total = total + down * up
-            if total.is_zero():
-                continue
-            try:
-                entry = exact_div(total, lcm_poly)
-            except NonDivisible as exc:
-                raise NonPolynomialEntry(
-                    f"localization entry ({q}, {p}) is not polynomial"
-                ) from exc
-            if entry.total_degree() > 1:
-                raise NonPolynomialEntry(
-                    f"localization entry ({q}, {p}) has degree above one"
-                )
-            rows[qi][pi] = entry
+    index = point_index(spec)
+    weight = {}
+    for x in points:
+        w = bundle_weight(spec, x, (kind, idx))
+        weight[x] = (w.a_part.coords[0], w.h_coeff)
+    lcm, sums = _pairing_sums(plus, minus, weight)
+    # the lcm has scalar 1, and every factor is a canonical tangent form a + s h
+    shifts = []
+    for f, k in lcm.factors.items():
+        u, s = _linear(f)
+        assert u == 1
+        shifts += [s] * k
+    rows = _zero_rows(spec.cartan.rank + 1, len(points))
+    # each sum has degree deg(lcm) + 1, so its quotient is a linear form
+    for (p, q), total in sums.items():
+        try:
+            for s in shifts:
+                total = _form_div(total, s)
+        except NonDivisible as exc:
+            raise NonPolynomialEntry(
+                f"localization entry ({q}, {p}) is not polynomial"
+            ) from exc
+        rows[index[q]][index[p]] = _polynomial(total)
     label = f"{kind}{idx}"
     return OperatorMatrix(spec, ch, points, rows, label=label)
 

@@ -41,14 +41,15 @@ class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
     Data derived from the slice (fixed points, their index, tangent weights,
-    canonical linear forms, Euler classes and line-bundle weights) is filled
-    in lazily by the functions of this module and of chern, and lives
-    exactly as long as the spec.
+    canonical linear forms, Euler classes, line-bundle weights, the inner
+    products of slot steps and, in rank one, the heights and raising moves
+    of the fixed points) is filled in lazily by the functions of this module,
+    of chern and of stab_a1, and lives exactly as long as the spec.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings",
                  "_suffix_sums", "_points", "_index", "_tangents", "_forms",
-                 "_euler", "_line_weights")
+                 "_euler", "_line_weights", "_slot_inners", "_heights", "_moves")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -108,6 +109,11 @@ class SliceSpec:
         self._euler = {}
         # chern.line_bundle_weight: the weights of L_0..L_l at each point
         self._line_weights = {}
+        # chern._slot_step: sharp(d), <d, mu> and <d, d'> for the slot steps
+        self._slot_inners = {}
+        # stab_a1._point_heights and _move_partners, by point index
+        self._heights = None
+        self._moves = None
 
     def _slot_coweight(self, slot0: int) -> Coweight:
         idx = self.lambda_seq[slot0]
@@ -444,20 +450,17 @@ def repelling_euler(spec: SliceSpec, p: FixedPoint, ch: Chamber, keep_h: bool) -
     return spec._euler[key]
 
 
-def localization_denominator(spec: SliceSpec) -> Tuple[Polynomial, Dict[FixedPoint, Polynomial]]:
-    """The LCM of the tangent Euler classes over the fixed points, and the
-    cofactor of each point: sum_x f(x) / e_T(T_x) equals
-    (sum_x f(x) * cofactor[x]) / lcm for every f."""
+def localization_denominator(spec: SliceSpec) -> Tuple[EulerClass, Dict[FixedPoint, EulerClass]]:
+    """The LCM of the tangent Euler classes over the fixed points (scalar 1),
+    and the cofactor of each point, both factored: sum_x f(x) / e_T(T_x)
+    equals (sum_x f(x) * cofactor[x]) / lcm for every f."""
     nv = spec.cartan.rank + 1
     euler = {x: tangent_euler(spec, x) for x in enumerate_fixed_points(spec)}
     lcm: Counter = Counter()
     for e in euler.values():
         lcm |= e.factors
-    cofactor = {
-        x: EulerClass(nv, lcm - e.factors, 1 / e.scalar).polynomial()
-        for x, e in euler.items()
-    }
-    return EulerClass(nv, lcm, Fraction(1)).polynomial(), cofactor
+    cofactor = {x: EulerClass(nv, lcm - e.factors, 1 / e.scalar) for x, e in euler.items()}
+    return EulerClass(nv, lcm, Fraction(1)), cofactor
 
 
 def split_attract_repel(ws: WeightMultiset, ch: Chamber) -> Tuple[WeightMultiset, WeightMultiset]:

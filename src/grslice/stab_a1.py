@@ -1,13 +1,20 @@
 """Exact stable-envelope restriction matrices for rank-1 slices.
 
-Entries Stab[p]|_q are built by a raising recursion on the polynomial
-restrictions themselves, starting from the chamber-minimal fixed point: the
-recursion coefficients are linear forms a + n*h read off the sigma path, each
-step divides exactly by one such form, and the polarizations of the two rows
+Entries Stab[p]|_q are built by a raising recursion on the restrictions
+themselves, starting from the chamber-minimal fixed point: the recursion
+coefficients are linear forms a + n*h read off the sigma path, each step
+divides exactly by one such form, and the polarizations of the two rows
 differ by a sign, since every repelling half has dim/2 weights +-a + n*h.
 Diagonals always come from tangent Euler classes, every row reachable along
 two transposition paths is cross-checked, and the localization pairing with
 the opposite chamber provides an independent verification of the result.
+
+Every restriction is a homogeneous form of degree D = dim/2 in (a, h), so
+the recursion, its checks and the pairing keep it as the tuple of its
+coefficients (c_0, .., c_D), c_k the coefficient of a^(D-k) h^k: a product
+is a convolution and a division by a linear form a synthetic division whose
+zero remainder is the divisibility test.  Polynomials appear only where a
+matrix is read from outside (entry, row, stored_rows, to_json).
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from operator import add, neg, sub
 from typing import Dict, List, Mapping, Tuple
 
 from .cartan import AWeightForm, Chamber, pairing
@@ -27,10 +35,11 @@ from .slices import (
     dimension,
     enumerate_fixed_points,
     localization_denominator,
+    point_index,
     repelling_euler,
     tangent_weights,  # noqa: F401  callers import it from this module too
 )
-from .symalg import NonDivisible, Polynomial, exact_div
+from .symalg import NonDivisible, Polynomial, _norm_scalar
 
 
 class NotA1(ValueError):
@@ -50,12 +59,70 @@ class InvariantViolation(RuntimeError):
 
 
 _NVARS = 2  # variables a, h
-_A = Polynomial.gen(_NVARS, 0)
-_H = Polynomial.gen(_NVARS, 1)
 _ZERO = Polynomial.zero(_NVARS)
 # the fixed positive root, i.e. the torus character written as the variable a;
 # chambers only choose the recursion direction and the polarization side
 _ALPHA = AWeightForm((1,))
+
+
+# -- binary forms in (a, h) ------------------------------------------------------
+
+
+def _form_mul(f: tuple, g: tuple) -> tuple:
+    """The product of two forms: the convolution of their coefficients."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for k, y in enumerate(g, i):
+                out[k] += x * y
+    return tuple(out)
+
+
+def _form_div(f: tuple, s) -> tuple:
+    """The form f / (a + s h), of degree len(f) - 2, by synthetic division;
+    NonDivisible when the remainder is not zero."""
+    out = []
+    r = 0
+    for c in f[:-1]:
+        r = c - s * r
+        out.append(r)
+    if f[-1] != s * r:
+        raise NonDivisible("form {} is not divisible by a + {}*h", f, s)
+    return tuple(out)
+
+
+def _linear(form: Polynomial) -> tuple:
+    """A linear polynomial u a + v h as the form (u, v)."""
+    return (form.terms.get((1, 0), 0), form.terms.get((0, 1), 0))
+
+
+def _euler_form(e: EulerClass, sign: int = 1) -> tuple:
+    """sign times a rank-one Euler class, expanded into a form factor by factor."""
+    f = (sign * _norm_scalar(e.scalar),)
+    for factor, k in e.factors.items():
+        lin = _linear(factor)
+        for _ in range(k):
+            f = _form_mul(f, lin)
+    return f
+
+
+def _polynomial(f: tuple) -> Polynomial:
+    """The form f as a polynomial in (a, h)."""
+    d = len(f) - 1
+    return Polynomial._trusted(_NVARS, {(d - k, k): c for k, c in enumerate(f)})
+
+
+def _form_of(poly: Polynomial, degree: int):
+    """The form of a polynomial homogeneous of the given degree in (a, h),
+    or None when it is not one."""
+    if poly.nvars != _NVARS:
+        return None
+    out = [0] * (degree + 1)
+    for (i, k), c in poly.terms.items():
+        if i + k != degree:
+            return None
+        out[k] = c
+    return tuple(out)
 
 
 def _require_a1(spec: SliceSpec) -> None:
@@ -91,23 +158,51 @@ def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:
     return FixedPoint(delta)
 
 
-def _heights(spec: SliceSpec, p: FixedPoint) -> Tuple[int, ...]:
-    """Heights <sigma_k, alpha> of the sigma path against the fixed root,
-    summed from the spec's pairing table."""
-    col = spec.cartan.root_list.index(_ALPHA)
-    return tuple(accumulate((row[col] for row in _steps(spec, p)), initial=0))
+def _point_heights(spec: SliceSpec) -> Tuple[Tuple[int, ...], ...]:
+    """Each fixed point's heights <sigma_k, alpha>, k = 0..l, against the
+    fixed root, by point index (point_index lists the points in order);
+    summed from the spec's pairing table once per spec."""
+    if spec._heights is None:
+        col = spec.cartan.root_list.index(_ALPHA)
+        spec._heights = tuple(
+            tuple(accumulate((row[col] for row in _steps(spec, p)), initial=0))
+            for p in point_index(spec)
+        )
+    return spec._heights
+
+
+def _move_partners(spec: SliceSpec) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """The raising moves, once per spec: (i, partner) for each pair of
+    1-based slots i < j that are adjacent in the nonfrozen subword, where
+    partner[x] is the index of point x with slots i and j swapped.
+
+    A point is its sequence of steps (the height differences), so a swap is
+    looked up by the swapped sequence."""
+    if spec._moves is None:
+        steps = [tuple(map(sub, h[1:], h)) for h in _point_heights(spec)]
+        index = {s: x for x, s in enumerate(steps)}
+        free = [i for i in range(spec.length) if spec.lambda_seq[i] != 0]
+        moves = []
+        for i, j in zip(free, free[1:]):
+            partner = []
+            for s in steps:
+                t = list(s)
+                t[i], t[j] = t[j], t[i]
+                partner.append(index[tuple(t)])
+            moves.append((i + 1, tuple(partner)))
+        spec._moves = tuple(moves)
+    return spec._moves
+
+
+def _stat_keys(spec: SliceSpec, ch: Chamber) -> List[int]:
+    """Twice each point's weight_stat, by point index."""
+    sign = 1 if _chamber_root(ch) == _ALPHA else -1
+    return [sign * sum(h) for h in _point_heights(spec)]
 
 
 def weight_stat(spec: SliceSpec, p: FixedPoint, ch: Chamber) -> Fraction:
     """Half-sum of the sigma heights against the chamber-positive root."""
-    sign = 1 if _chamber_root(ch) == _ALPHA else -1
-    return Fraction(sign * sum(_heights(spec, p)), 2)
-
-
-def _move_pairs(spec: SliceSpec) -> List[Tuple[int, int]]:
-    """1-based slot pairs that adjacent-transpose the nonfrozen subword."""
-    free = [i + 1 for i in range(spec.length) if spec.lambda_seq[i] != 0]
-    return list(zip(free, free[1:]))
+    return Fraction(_stat_keys(spec, ch)[point_index(spec)[p]], 2)
 
 
 def _swap(p: FixedPoint, i: int, j: int) -> FixedPoint:
@@ -116,56 +211,52 @@ def _swap(p: FixedPoint, i: int, j: int) -> FixedPoint:
     return FixedPoint(d)
 
 
-def _partners(points, i: int, j: int) -> Dict[FixedPoint, FixedPoint]:
-    """Each point's (i, j)-swap, as the equal member of points."""
-    same = {p: p for p in points}
-    try:
-        return {q: same[_swap(q, i, j)] for q in points}
-    except KeyError:
-        raise ValueError(f"transposition ({i},{j}) leaves the fixed locus") from None
+def _raise_row(points, p, row, ratio, i, partner, heights):
+    """Nonzero restrictions of Stab[p] from those of Stab[prev] (row), as
+    forms keyed by point index.
 
-
-def _raise_row(p, row, ratio, i, partner, heights):
-    """Nonzero restrictions of Stab[p] from those of Stab[prev] (row).
-
-    p = r_i(prev) != prev, partner maps every point to its swap of slots i
-    and j > i (slots strictly between them are frozen, so the swap is an
-    adjacent transposition of the nonfrozen subword), heights maps every
-    point to _heights(spec, point) and ratio = eps_p / eps_prev = +-1.  With
-    s, s' the heights of q at i-1 and i,
+    p = r_i(prev) != prev, a point index like every point here; partner maps
+    every point to its swap of slots i and j > i (slots strictly between them are frozen, so
+    the swap is an adjacent transposition of the nonfrozen subword), heights
+    is _point_heights(spec) and ratio = eps_p / eps_prev = +-1.  With s, s'
+    the heights of q at i-1 and i,
 
         Stab[p]|_q = ratio * ((s - s') h Stab[prev]|_q
                               + (a + s' h) Stab[prev]|_{r q}) / (a + s h)
+                   = ratio * (Stab[prev]|_{r q} + (s - s') h
+                              (Stab[prev]|_q - Stab[prev]|_{r q}) / (a + s h))
 
     where r q != q, and ratio * Stab[prev]|_q where r q = q; so only the
-    points of row and their partners can have nonzero restrictions.
+    points of row and their partners can have nonzero restrictions, and an
+    entry is polynomial exactly when a + s h divides the difference.
     """
-    out: Dict[FixedPoint, Polynomial] = {}
+    zero = (0,) * len(next(iter(row.values())))
+    out = {}
     for q in dict.fromkeys(x for y in row for x in (y, partner[y])):
         rq = partner[q]
         if rq == q:
             val = row[q]
         else:
             s_prev, s_cur = heights[q][i - 1], heights[q][i]
-            num = (_A + s_cur * _H) * row[rq] if rq in row else _ZERO
-            if q in row:
-                num = num + (s_prev - s_cur) * _H * row[q]
+            low = row.get(rq, zero)
             try:
-                val = exact_div(num, _A + s_prev * _H)
+                quotient = _form_div(tuple(map(sub, row.get(q, zero), low)), s_prev)
             except NonDivisible as exc:
                 raise ExactDivisionFailure(
-                    f"entry ({p.label()}, {q.label()}) is not polynomial"
+                    f"entry ({points[p].label()}, {points[q].label()}) is not polynomial"
                 ) from exc
-        if not val.is_zero():
-            out[q] = ratio * val
+            # s - s' = +-1: add or subtract h times the quotient
+            val = tuple(map(add if s_prev > s_cur else sub, low, (0,) + quotient))
+        if any(val):
+            out[q] = val if ratio == 1 else tuple(map(neg, val))
     return out
 
 
-def _scalar_axis_power(poly: Polynomial) -> Tuple[Fraction, int]:
-    """Write a one-term polynomial as c * a^m."""
-    ((exp, coeff),) = poly.terms.items()
-    assert exp[-1] == 0
-    return Fraction(coeff), exp[0]
+def _epsilon_ratio(c1, c2) -> int:
+    """eps_1 / eps_2 from their a^D coefficients; always +-1 in rank one."""
+    ratio = Fraction(c1, c2)
+    assert ratio in (1, -1)
+    return int(ratio)
 
 
 def normalize_polarization(points, polarization_signs) -> Dict[FixedPoint, int]:
@@ -188,11 +279,13 @@ class RestrictionMatrix:
     """Sparse matrix of restrictions Stab[p]|_q over the fixed points.
 
     entries[(p, q)] = Stab_{ch,eps}[p]|_q with eps|_p = sign(p) * e_A of the
-    repelling half; zero entries are not stored.
+    repelling half, as a form of degree dim/2 in (a, h); zero entries are not
+    stored.  The constructor also takes polynomial entries and refuses one
+    that is not homogeneous of that degree.
     """
 
     __slots__ = ("spec", "chamber", "polarization_signs", "points", "entries",
-                 "epsilons", "_stats")
+                 "epsilons")
 
     def __init__(self, spec, chamber, polarization_signs, points, entries,
                  epsilons):
@@ -200,12 +293,22 @@ class RestrictionMatrix:
         self.chamber = chamber
         self.polarization_signs = dict(polarization_signs)
         self.points = list(points)
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
         self.epsilons = dict(epsilons)
-        self._stats = {p: weight_stat(spec, p, chamber) for p in self.points}
+        degree = dimension(spec) // 2
+        self.entries = {}
+        for (p, q), val in entries.items():
+            if isinstance(val, Polynomial):
+                val = _form_of(val, degree)
+            if val is None or len(val) != degree + 1:
+                raise InvariantViolation(
+                    f"({p.label()}, {q.label()}) is not homogeneous of degree {degree}"
+                )
+            if any(val):
+                self.entries[(p, q)] = val
 
     def entry(self, p: FixedPoint, q: FixedPoint) -> Polynomial:
-        return self.entries.get((p, q), _ZERO)
+        val = self.entries.get((p, q))
+        return _ZERO if val is None else _polynomial(val)
 
     def row(self, p: FixedPoint) -> Dict[FixedPoint, Polynomial]:
         return {q: self.entry(p, q) for q in self.points}
@@ -214,65 +317,74 @@ class RestrictionMatrix:
         """Each point's nonzero restrictions, keyed by the restricting point."""
         rows: Dict[FixedPoint, Dict[FixedPoint, Polynomial]] = {p: {} for p in self.points}
         for (p, q), val in self.entries.items():
-            rows[p][q] = val
+            rows[p][q] = _polynomial(val)
         return rows
 
     def validate(self) -> None:
-        """Triangularity, Euler diagonals, h-divisibility, degree bounds."""
-        half_dim = dimension(self.spec) // 2
+        """Euler diagonals, triangularity, h-divisibility.
+
+        For a form of degree D, divisibility by h and the a-degree bound
+        deg_a < D both say that the a^D coefficient vanishes."""
+        spec, ch = self.spec, self.chamber
         for p in self.points:
-            e_t = repelling_euler(self.spec, p, self.chamber, True).polynomial()
-            if self.entry(p, p) != self.polarization_signs[p] * e_t:
+            expected = _euler_form(repelling_euler(spec, p, ch, True),
+                                   self.polarization_signs[p])
+            if self.entries.get((p, p)) != expected:
                 raise InvariantViolation(
                     f"diagonal at {p.label()} is not the repelling Euler class"
                 )
-        index = {p: i for i, p in enumerate(self.points)}
-        downsets = self._downsets(index)
+        index = point_index(spec)
+        stats = _stat_keys(spec, ch)
+        downsets = _downsets(_move_partners(spec), stats)
         for (p, q), val in self.entries.items():
-            if p == q:
+            x, y = index[p], index[q]
+            if x == y:
                 continue
-            if not (self._stats[q] < self._stats[p] and downsets[p] >> index[q] & 1):
+            if not (stats[y] < stats[x] and downsets[x] >> y & 1):
                 raise InvariantViolation(
                     f"triangularity violated at ({p.label()}, {q.label()})"
                 )
-            if not val.drop_h().is_zero():
+            if val[0]:
                 raise InvariantViolation(
                     f"({p.label()}, {q.label()}) is not divisible by h"
                 )
-            if not val.deg_a() < half_dim:
-                raise InvariantViolation(
-                    f"a-degree bound violated at ({p.label()}, {q.label()})"
-                )
-
-    def _downsets(self, index: Dict[FixedPoint, int]) -> Dict[FixedPoint, int]:
-        """Each point's downset under the raising moves, as a bit mask over
-        index: the point and the downsets of its partners of lower weight_stat,
-        built in increasing weight_stat order."""
-        stats = self._stats
-        partners = [_partners(self.points, i, j) for i, j in _move_pairs(self.spec)]
-        downsets: Dict[FixedPoint, int] = {}
-        for p in sorted(self.points, key=stats.__getitem__):
-            mask = 1 << index[p]
-            for partner in partners:
-                y = partner[p]
-                if stats[y] < stats[p]:
-                    mask |= downsets[y]
-            downsets[p] = mask
-        return downsets
 
     def to_json(self) -> dict:
         index = {p: i for i, p in enumerate(self.points)}
         keys = sorted(
             self.entries, key=lambda pq: (index[pq[0]], index[pq[1]])
         )
+        # each entry as Polynomial.to_json prints it: monomials a^(D-k) h^k
+        # in increasing order of exponent vectors, i.e. k decreasing
+        degree = dimension(self.spec) // 2
+        monomials = [(k, _ZERO._monomial_key((degree - k, k)))
+                     for k in reversed(range(degree + 1))]
+
+        def encode(val):
+            return {name: str(Fraction(val[k])) for k, name in monomials if val[k]}
+
         return {
             "points": [p.to_json() for p in self.points],
             "chamber": list(self.chamber.sign_vector),
             "entries": {
-                f"{index[p]},{index[q]}": self.entries[(p, q)].to_json()
-                for p, q in keys
+                f"{index[p]},{index[q]}": encode(self.entries[(p, q)]) for p, q in keys
             },
         }
+
+
+def _downsets(moves, stats: List[int]) -> List[int]:
+    """Each point's downset under the raising moves, as a bit mask over point
+    indices: the point and the downsets of its partners of lower stat, built
+    in increasing stat order."""
+    downsets = [0] * len(stats)
+    for x in sorted(range(len(stats)), key=stats.__getitem__):
+        mask = 1 << x
+        for _, partner in moves:
+            y = partner[x]
+            if stats[y] < stats[x]:
+                mask |= downsets[y]
+        downsets[x] = mask
+    return downsets
 
 
 def stab_matrix(spec: SliceSpec, ch: Chamber,
@@ -283,34 +395,40 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
         raise ValueError("chamber does not belong to the slice's Cartan datum")
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    stats = {p: weight_stat(spec, p, ch) for p in points}
-    heights = {p: _heights(spec, p) for p in points}
-    moves = [(i, _partners(points, i, j)) for i, j in _move_pairs(spec)]
+    stats = _stat_keys(spec, ch)
+    heights = _point_heights(spec)
+    moves = _move_partners(spec)
 
-    epsilons = {
-        p: signs[p] * repelling_euler(spec, p, ch, False).polynomial() for p in points
-    }
-    p0 = minimal_point(spec, ch)
-    rows = {p0: {p0: signs[p0] * repelling_euler(spec, p0, ch, True).polynomial()}}
+    # eps_p is the a^D coefficient of the diagonal sign_p * e_T(repelling
+    # half); every factor of e_T is a canonical a + n h, so it is sign_p
+    # times the scalar
+    repelling = [repelling_euler(spec, p, ch, True) for p in points]
+    eps = [signs[p] * _norm_scalar(e.scalar) for p, e in zip(points, repelling)]
+    p0 = point_index(spec)[minimal_point(spec, ch)]
+    rows = {p0: {p0: _euler_form(repelling[p0], signs[points[p0]])}}
 
-    for p in sorted((q for q in points if q != p0),
-                    key=lambda q: (stats[q], q.key())):
+    # points come in lexicographic key order, so the index breaks stat ties
+    for p in sorted(range(len(points)), key=lambda x: (stats[x], x)):
+        if p == p0:
+            continue
         candidates = []
         for i, partner in moves:
             prev = partner[p]
             if prev != p and stats[prev] < stats[p]:
-                ratio = _epsilon_ratio(epsilons[p], epsilons[prev])
-                candidates.append(_raise_row(p, rows[prev], ratio, i, partner, heights))
+                ratio = _epsilon_ratio(eps[p], eps[prev])
+                candidates.append(_raise_row(points, p, rows[prev], ratio, i, partner, heights))
         if not candidates:
             raise PathInconsistency(
-                f"{p.label()} is unreachable by raising transpositions"
+                f"{points[p].label()} is unreachable by raising transpositions"
             )
         first = candidates[0]
         if any(other != first for other in candidates[1:]):
-            raise PathInconsistency(f"transposition paths to {p.label()} disagree")
+            raise PathInconsistency(f"transposition paths to {points[p].label()} disagree")
         rows[p] = first
 
-    entries = {(p, q): val for p, row in rows.items() for q, val in row.items()}
+    degree = dimension(spec) // 2
+    epsilons = {p: Polynomial._trusted(_NVARS, {(degree, 0): c}) for p, c in zip(points, eps)}
+    entries = {(points[p], points[q]): val for p, row in rows.items() for q, val in row.items()}
     matrix = RestrictionMatrix(spec, ch, signs, points, entries, epsilons)
     matrix.validate()
     return matrix
@@ -352,15 +470,6 @@ def stab_offdiag_mod_h2(
     return out
 
 
-def _epsilon_ratio(e1: Polynomial, e2: Polynomial) -> int:
-    c1, m1 = _scalar_axis_power(e1)
-    c2, m2 = _scalar_axis_power(e2)
-    assert m1 == m2
-    ratio = c1 / c2
-    assert ratio in (1, -1)
-    return int(ratio)
-
-
 def theta_action(
     spec: SliceSpec, i: int, matrix: RestrictionMatrix
 ) -> Dict[Tuple[FixedPoint, FixedPoint], Polynomial]:
@@ -376,30 +485,40 @@ def theta_action(
         raise IndexError(f"correspondence index {i} out of range")
     if spec.lambda_seq[i - 1] != spec.lambda_seq[i]:
         raise ValueError("transposition crosses a frozen slot")
+    if spec.lambda_seq[i - 1] == 0:
+        return {}  # r_i fixes every point: -Stab[p] + Stab[p] = 0
+    # two adjacent nonfrozen slots are a raising move
+    partner = dict(_move_partners(spec))[i]
+    index = point_index(spec)
+    heights = _point_heights(spec)
+    everyone = list(index)
     points = matrix.points
-    partner = _partners(points, i, i + 1)
-    rows = matrix.stored_rows()
-    left: Dict[Tuple[FixedPoint, FixedPoint], Polynomial] = {}
+    swapped = {p: everyone[partner[index[p]]] for p in points}
+    rows: Dict[FixedPoint, Dict[FixedPoint, tuple]] = {p: {} for p in points}
+    for (p, q), val in matrix.entries.items():
+        rows[p][q] = val
+    zero = (0,) * (dimension(spec) // 2 + 1)
+    left: Dict[Tuple[FixedPoint, FixedPoint], tuple] = {}
     for p in points:
-        rp = partner[p]
+        rp = swapped[p]
         if rp == p:
             continue  # -Stab[p] + Stab[p] = 0
-        ratio = _epsilon_ratio(matrix.epsilons[p], matrix.epsilons[rp])
+        ratio = _epsilon_ratio(_axis_coefficient(matrix.epsilons[p]),
+                               _axis_coefficient(matrix.epsilons[rp]))
         row, other = rows[p], rows[rp]
         for q in points:
             if q not in row and q not in other:
                 continue
-            val = ratio * other.get(q, _ZERO) - row.get(q, _ZERO)
-            if not val.is_zero():
+            val = tuple(ratio * y - x for x, y in zip(row.get(q, zero), other.get(q, zero)))
+            if any(val):
                 left[(p, q)] = val
     # (p, q) holds when (a + s_cur h) * diff == (a + s_prev h) * expected,
-    # the cross-multiplication RationalFunction equality would do; it holds
-    # trivially where diff and expected both vanish
+    # the cross-multiplication a rational-function equality would do; it
+    # holds trivially where diff and expected both vanish
     columns = []
     for q in points:
-        heights = _heights(spec, q)
-        columns.append((q, partner[q], _A + heights[i] * _H,
-                        _A + heights[i - 1] * _H))
+        h = heights[index[q]]
+        columns.append((q, swapped[q], (1, h[i]), (1, h[i - 1])))
     for p in points:
         row = rows[p]
         for q, rq, num, den in columns:
@@ -407,13 +526,53 @@ def theta_action(
             if expected is None:
                 if q not in row and rq not in row:
                     continue
-                expected = _ZERO
-            diff = row.get(rq, _ZERO) - row.get(q, _ZERO)
-            if num * diff != den * expected:
+                expected = zero
+            diff = tuple(map(sub, row.get(rq, zero), row.get(q, zero)))
+            if _form_mul(num, diff) != _form_mul(den, expected):
                 raise AssertionError(
                     f"theta action mismatch at ({p.label()}, {q.label()})"
                 )
-    return left
+    return {pq: _polynomial(val) for pq, val in left.items()}
+
+
+def _axis_coefficient(poly: Polynomial):
+    """c for a one-term polynomial c * a^m."""
+    ((exp, coeff),) = poly.terms.items()
+    assert exp[-1] == 0
+    return coeff
+
+
+def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None):
+    """The localization pairing of the rows of two opposite-chamber matrices
+    on one slice, with the denominator cleared.
+
+    Returns (lcm, sums): lcm is localization_denominator's least common
+    multiple, and sums[(p, q)] is the nonzero form
+
+        sum_x Stab_+[p]|_x * Stab_-[q]|_x * w(x) * cofactor(x)
+
+    with w(x) the form weight[x], or 1 when weight is None.  The sum runs
+    over the points x where both restrictions are stored; the weight and the
+    cofactor ride on Stab_-.
+    """
+    lcm, cofactor = localization_denominator(plus.spec)
+    factor = {x: _euler_form(e) for x, e in cofactor.items()}
+    if weight is not None:
+        factor = {x: _form_mul(f, weight[x]) for x, f in factor.items()}
+    columns: Dict[FixedPoint, List[Tuple[FixedPoint, tuple]]] = {x: [] for x in factor}
+    for (q, x), val in minus.entries.items():
+        columns[x].append((q, _form_mul(val, factor[x])))
+    sums: Dict[Tuple[FixedPoint, FixedPoint], list] = {}
+    for (p, x), up in plus.entries.items():
+        for q, down in columns[x]:
+            total = sums.get((p, q))
+            if total is None:
+                total = sums[(p, q)] = [0] * (len(up) + len(down) - 1)
+            for i, c in enumerate(up):
+                if c:
+                    for k, d in enumerate(down, i):
+                        total[k] += c * d
+    return lcm, {pq: tuple(total) for pq, total in sums.items() if any(total)}
 
 
 def verify_duality(spec: SliceSpec, ch: Chamber,
@@ -424,31 +583,16 @@ def verify_duality(spec: SliceSpec, ch: Chamber,
     for free by passing the same sign map with the opposite chamber: the two
     repelling halves differ by one sign per weight line, dim/2 in total.
     Denominators are cleared by the least common multiple of the tangent
-    Euler classes, so the check is exact polynomial arithmetic.
+    Euler classes, so the check is exact arithmetic on forms.
     """
     plus = stab_matrix(spec, ch, polarization_signs)
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
-    lcm_poly, cofactor = localization_denominator(spec)
-
-    # the pairing of Stab_-[q] with Stab_+[p] sums over the points x where
-    # both restrictions are stored (nonzero); the cofactor rides on Stab_-
-    plus_rows = plus.stored_rows()
-    minus_rows = {
-        q: {x: val * cofactor[x] for x, val in row.items()}
-        for q, row in minus.stored_rows().items()
-    }
-
-    failures = []
-    for q in points:
-        weighted = minus_rows[q]
-        for p in points:
-            total = _ZERO
-            for x, pv in plus_rows[p].items():
-                mv = weighted.get(x)
-                if mv is not None:
-                    total = total + mv * pv
-            expected = lcm_poly if p == q else _ZERO
-            if total != expected:
-                failures.append({"p": p.label(), "q": q.label()})
+    lcm, sums = _pairing_sums(plus, minus)
+    lcm_form = _euler_form(lcm)
+    failures = [
+        {"p": p.label(), "q": q.label()}
+        for qi, q in enumerate(points) for pi, p in enumerate(points)
+        if sums.get((p, q)) != (lcm_form if pi == qi else None)
+    ]
     return {"ok": not failures, "pairs": len(points) ** 2, "failures": failures}

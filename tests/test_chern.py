@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from grslice import cartan
+from grslice import cartan, chern
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from grslice.chern import (
     EquivariantLinearForm,
@@ -458,3 +458,25 @@ def test_bundle_weights_are_computed_once_per_point(monkeypatch):
     assert len(calls) == len(points) * (spec.length + 1)
     assert [[bundle_weight(spec, p, b) for b in bundles] for p in points] == first
     assert len(calls) == len(points) * (spec.length + 1)
+
+
+def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
+    spec = SliceSpec(A2, [1, 1, 2], Coweight([1, 0]))
+    ch = CH2_PLUS
+    before = [chern._mult_l(spec, k, ch, []) for k in range(spec.length + 1)]
+    calls = []
+    for name in ("inner", "sharp"):
+        original = getattr(cartan.CartanDatum, name)
+
+        def counted(self, *args, original=original):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(cartan.CartanDatum, name, counted)
+    again = [chern._mult_l(spec, k, ch, []) for k in range(spec.length + 1)]
+    assert calls == []
+    assert [m.entries for m in again] == [m.entries for m in before]
+    # the slot route and line_bundle_weight agree on every diagonal
+    for k, mat in enumerate(again):
+        for p in mat.basis:
+            assert mat.entry(p, p) == line_bundle_weight(spec, p, k).to_polynomial()

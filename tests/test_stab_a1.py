@@ -1,9 +1,11 @@
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.slices import (
@@ -28,7 +30,8 @@ from grslice.stab_a1 import (
     verify_duality,
     weight_stat,
 )
-from grslice.symalg import Polynomial, RationalFunction
+from grslice.chern import mult_matrix_via_localization
+from grslice.symalg import NonDivisible, Polynomial, RationalFunction, exact_div
 from helpers import expanded
 
 A1 = CartanDatum("A", 1)
@@ -97,6 +100,86 @@ def test_weight_stat_step_is_one():
                 if q != p:
                     diff = weight_stat(spec, q, CH_PLUS) - weight_stat(spec, p, CH_PLUS)
                     assert abs(diff) == 1
+
+
+def test_move_partners_swap_the_slots_of_each_move():
+    spec = SliceSpec(A1, [1, 0, 1, 1, 0, 1], Coweight([0]))
+    points = enumerate_fixed_points(spec)
+    moves = stab_a1._move_partners(spec)
+    # slots 1 and 3 are adjacent in the nonfrozen subword, and so are 4 and 6
+    assert [i for i, _ in moves] == [1, 3, 4]
+    for i, partner in moves:
+        j = next(j for j in range(i + 1, spec.length + 1) if spec.lambda_seq[j - 1])
+        for x, p in enumerate(points):
+            assert points[partner[x]] == stab_a1._swap(p, i, j)
+    heights = stab_a1._point_heights(spec)
+    for x, p in enumerate(points):
+        assert heights[x] == tuple(accumulate((d.coords[0] for d in p.delta), initial=0))
+    # both chambers, validate and theta_action read the same tables
+    stab_matrix(spec, CH_PLUS)
+    stab_matrix(spec, CH_MINUS)
+    assert stab_a1._move_partners(spec) is moves
+    assert stab_a1._point_heights(spec) is heights
+
+
+# -- binary forms ------------------------------------------------------------
+
+COEFFICIENTS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+)
+
+
+@st.composite
+def forms(draw, max_degree=5):
+    degree = draw(st.integers(0, max_degree))
+    return tuple(draw(st.lists(COEFFICIENTS, min_size=degree + 1, max_size=degree + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms(), forms())
+def test_form_product_matches_polynomial_product(f, g):
+    poly = stab_a1._polynomial
+    assert poly(stab_a1._form_mul(f, g)) == poly(f) * poly(g)
+
+
+@settings(max_examples=250, deadline=None)
+@given(forms(), COEFFICIENTS, st.booleans())
+def test_synthetic_division_matches_exact_div(f, s, times_divisor):
+    num = stab_a1._form_mul(f, (1, s)) if times_divisor else f
+    poly = stab_a1._polynomial
+    try:
+        expected = exact_div(poly(num), poly((1, s)))
+    except NonDivisible:
+        with pytest.raises(NonDivisible):
+            stab_a1._form_div(num, s)
+    else:
+        quotient = stab_a1._form_div(num, s)
+        assert len(quotient) == len(num) - 1
+        assert poly(quotient) == expected
+
+
+def test_exact_routes_multiply_and_divide_no_polynomial(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Polynomial product or exact_div used")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grslice") and hasattr(module, "exact_div"):
+            monkeypatch.setattr(module, "exact_div", refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "__rmul__", refuse)
+    spec = a1_spec(5, 1)
+    for ch in (CH_PLUS, CH_MINUS):
+        stab_matrix(spec, ch, [1, -1, 1, 1, -1, -1, 1, -1, 1, 1])
+        assert verify_duality(spec, ch)["ok"]
+        mult_matrix_via_localization(spec, "L2", ch)
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    for check in ("recursion", "duality"):
+        code = main(["verify", check, "--type", "A", "--rank", "1", "--lambda", "1,1,1,1,1",
+                     "--mu", "1", "--chamber", "dominant"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "", out + err
+        assert json.loads(out)["checks"][0]["ok"]
 
 
 # -- recursion ---------------------------------------------------------------
@@ -178,8 +261,8 @@ def test_zero_slot_matrix_matches_compressed():
         return FixedPointOf([d.coords[0] for d in p.delta if not d.is_zero()])
 
     assert {squeeze(p) for p in m.points} == set(compressed.points)
-    for (p, q), val in m.entries.items():
-        assert val == compressed.entry(squeeze(p), squeeze(q))
+    for p, q in m.entries:
+        assert m.entry(p, q) == compressed.entry(squeeze(p), squeeze(q))
     assert verify_duality(frozen, CH_PLUS)["ok"]
 
 
@@ -201,14 +284,15 @@ TWO_PATHS = point(1, -1, 1, -1)
 
 
 def _non_dividing_step(monkeypatch):
-    # h^3 added to one side of a moving pair is not divisible by a + s*h
+    # h^D added to one side of a moving pair leaves a remainder 1 when the
+    # difference of the pair's restrictions is divided by a + s*h
     original = stab_a1._raise_row
 
-    def step(p, row, ratio, i, partner, heights):
-        if p == TWO_PATHS:
+    def step(points, p, row, ratio, i, partner, heights):
+        if points[p] == TWO_PATHS:
             q = next(q for q in row if partner[q] != q)
-            row = {**row, q: row[q] + H ** 3}
-        return original(p, row, ratio, i, partner, heights)
+            row = {**row, q: row[q][:-1] + (row[q][-1] + 1,)}
+        return original(points, p, row, ratio, i, partner, heights)
 
     monkeypatch.setattr(stab_a1, "_raise_row", step)
 
@@ -217,10 +301,10 @@ def _disagreeing_step(monkeypatch):
     # doubling keeps every entry polynomial, so only the path check sees it
     original = stab_a1._raise_row
 
-    def step(p, row, ratio, i, partner, heights):
-        out = original(p, row, ratio, i, partner, heights)
-        if p == TWO_PATHS and i == 1:
-            out = {q: 2 * val for q, val in out.items()}
+    def step(points, p, row, ratio, i, partner, heights):
+        out = original(points, p, row, ratio, i, partner, heights)
+        if points[p] == TWO_PATHS and i == 1:
+            out = {q: tuple(2 * c for c in val) for q, val in out.items()}
         return out
 
     monkeypatch.setattr(stab_a1, "_raise_row", step)
@@ -307,9 +391,12 @@ def test_theta_action_grid_agrees_both_ways():
 
 
 def _tamper_off_diagonal(m):
-    """Add h^2 to the first stored off-diagonal entry; returns its (p, q)."""
+    """Add a^(D-2) h^2 (h^2 when D = 2) to the first stored off-diagonal
+    form; returns its (p, q)."""
     p, q = next(pq for pq in m.entries if pq[0] != pq[1])
-    m.entries[(p, q)] = m.entries[(p, q)] + H * H
+    form = list(m.entries[(p, q)])
+    form[2] += 1
+    m.entries[(p, q)] = tuple(form)
     return p, q
 
 
@@ -343,10 +430,45 @@ def test_validate_refuses_an_entry_outside_the_downset():
     )
     for row, col in ((p, q), (q, p)):
         tampered = RestrictionMatrix(spec, CH_PLUS, m.polarization_signs, m.points,
-                                     {**m.entries, (row, col): H}, m.epsilons)
+                                     {**m.entries, (row, col): H ** 3}, m.epsilons)
         message = rf"triangularity violated at \({re.escape(row.label())}, {re.escape(col.label())}\)"
         with pytest.raises(InvariantViolation, match=message):
             tampered.validate()
+
+
+def test_validate_refuses_a_diagonal_that_is_not_the_euler_class():
+    m = stab_matrix(a1_spec(4, 0), CH_PLUS)
+    p = m.points[2]
+    m.entries[(p, p)] = tuple(2 * c for c in m.entries[(p, p)])
+    message = rf"diagonal at {re.escape(p.label())} is not the repelling Euler class"
+    with pytest.raises(InvariantViolation, match=message):
+        m.validate()
+
+
+def test_validate_refuses_an_entry_not_divisible_by_h():
+    # for a form of degree D, h | f and deg_a f < D both say c_0 = 0
+    m = stab_matrix(a1_spec(4, 0), CH_MINUS)
+    p, q = next(pq for pq in m.entries if pq[0] != pq[1])
+    m.entries[(p, q)] = (1,) + m.entries[(p, q)][1:]
+    message = rf"\({re.escape(p.label())}, {re.escape(q.label())}\) is not divisible by h"
+    with pytest.raises(InvariantViolation, match=message):
+        m.validate()
+
+
+def test_constructor_takes_homogeneous_polynomials_only():
+    spec = a1_spec(6, 0)  # degree 3
+    m = stab_matrix(spec, CH_PLUS)
+    as_polynomials = {pq: m.entry(*pq) for pq in m.entries}
+    again = RestrictionMatrix(spec, CH_PLUS, m.polarization_signs, m.points,
+                              as_polynomials, m.epsilons)
+    assert again.entries == m.entries
+    again.validate()
+    p, q = next(pq for pq in m.entries if pq[0] != pq[1])
+    message = rf"\({re.escape(p.label())}, {re.escape(q.label())}\) is not homogeneous of degree 3"
+    for bad in (H, A ** 3 + H, Polynomial.gen(3, 0) ** 3):
+        with pytest.raises(InvariantViolation, match=message):
+            RestrictionMatrix(spec, CH_PLUS, m.polarization_signs, m.points,
+                              {**m.entries, (p, q): bad}, m.epsilons)
 
 
 def test_theta_action_bad_index():
