@@ -17,13 +17,13 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .cartan import AWeightForm, Chamber, Coweight, pairing
+from .cartan import AWeightForm, Chamber, Coweight
 from .slices import (
     EulerClass,
     FixedPoint,
     SliceSpec,
     _canonical,
-    _steps,
+    adjacent_pairs,
     enumerate_fixed_points,
     point_index,
     repelling_euler,
@@ -252,60 +252,6 @@ def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
     return OperatorMatrix(spec, None, points, rows, label=f"H{i}")
 
 
-def _moved_point(p: FixedPoint, i: int, j: int, coroot: Coweight) -> FixedPoint:
-    """p with slot i lowered and slot j raised by the coroot (1-based slots)."""
-    delta = list(p.delta)
-    delta[i - 1] = delta[i - 1] - coroot
-    delta[j - 1] = delta[j - 1] + coroot
-    return FixedPoint(delta)
-
-
-def omega_zero(spec: SliceSpec, i: int, j: int) -> OperatorMatrix:
-    """Diagonal pairing operator: eigenvalue (delta_i, delta_j) at p."""
-    if not (1 <= i <= spec.length and 1 <= j <= spec.length):
-        raise ValueError("slot index out of range")
-    points = enumerate_fixed_points(spec)
-    nv = spec.cartan.rank + 1
-    rows = _zero_rows(nv, len(points))
-    for pi, p in enumerate(points):
-        val = spec.cartan.inner(p.delta[i - 1], p.delta[j - 1])
-        rows[pi][pi] = Polynomial.constant(nv, Fraction(val))
-    return OperatorMatrix(spec, None, points, rows)
-
-
-def omega_root(
-    spec: SliceSpec,
-    i: int,
-    j: int,
-    root: AWeightForm,
-    ch: Chamber,
-    polarization_signs=None,
-) -> OperatorMatrix:
-    """Single-root lowering operator between slots i < j.
-
-    Sends p to sigma_{p,q} (alpha, alpha)/2 times q whenever slot i pairs to
-    +1 and slot j to -1 against the root; q lowers slot i and raises slot j
-    by the coroot.
-    """
-    if not 1 <= i < j <= spec.length:
-        raise ValueError("slots must satisfy 1 <= i < j <= l")
-    coroot = spec.cartan.coroot_of_root.get(root)
-    if coroot is None:
-        raise ValueError(f"{root} is not a root of the datum")
-    points = enumerate_fixed_points(spec)
-    nv = spec.cartan.rank + 1
-    rows = _zero_rows(nv, len(points))
-    index = point_index(spec)
-    half_len = Fraction(spec.cartan.inner(coroot, coroot), 2)
-    for pi, p in enumerate(points):
-        if pairing(p.delta[i - 1], root) != 1 or pairing(p.delta[j - 1], root) != -1:
-            continue
-        q = _moved_point(p, i, j, coroot)
-        sign = sigma_sign(spec, p, q, root, ch, polarization_signs, samples=1)
-        rows[index[q]][pi] = Polynomial.constant(nv, sign * half_len)
-    return OperatorMatrix(spec, ch, points, rows)
-
-
 def omega_operators(
     spec: SliceSpec,
     i: int,
@@ -324,36 +270,20 @@ def omega_operators(
     for pi, p in enumerate(points):
         val = spec.cartan.inner(p.delta[i - 1], p.delta[j - 1])
         rows[pi][pi] = Polynomial.constant(nv, half * Fraction(val))
-    for p, q, si, sj, root, coroot, sign in _pair_table(spec, ch, polarization_signs):
-        if (si, sj) != (i, j):
+    for p, q, w, sign in _pair_table(spec, ch, polarization_signs):
+        if (w.i, w.j) != (i, j):
             continue
-        half_len = Fraction(spec.cartan.inner(coroot, coroot), 2)
+        half_len = Fraction(spec.cartan.inner(w.alpha, w.alpha), 2)
         prev = rows[index[q]][index[p]]
         rows[index[q]][index[p]] = prev + Polynomial.constant(nv, sign * half_len)
     return OperatorMatrix(spec, ch, points, rows)
 
 
 def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
-    """All lowering moves: tuples (p, q, i, j, root, coroot, sigma) with slots 1-based."""
-    points = enumerate_fixed_points(spec)
-    signs = normalize_polarization(points, polarization_signs)
-    cartan = spec.cartan
-    roots = [(col, f, cartan.coroot_of_root[f])
-             for col, f in enumerate(cartan.root_list) if ch.is_positive(f)]
-    table = []
-    for p in points:
-        steps = _steps(spec, p)
-        for col, root, coroot in roots:
-            ups = [m + 1 for m, row in enumerate(steps) if row[col] == 1]
-            downs = [m + 1 for m, row in enumerate(steps) if row[col] == -1]
-            for i in ups:
-                for j in downs:
-                    if i >= j:
-                        continue
-                    q = _moved_point(p, i, j, coroot)
-                    sign = sigma_sign(spec, p, q, root, ch, signs, samples=1)
-                    table.append((p, q, i, j, root, coroot, sign))
-    return table
+    """All lowering moves: tuples (p, q, witness, sigma), one per adjacent pair."""
+    signs = normalize_polarization(enumerate_fixed_points(spec), polarization_signs)
+    return [(p, q, w, sigma_sign(spec, p, q, w.alpha_form, ch, signs, samples=1))
+            for (p, q), w in adjacent_pairs(spec, ch).items()]
 
 
 def _slot_step(spec: SliceSpec, d: Coweight) -> tuple:
@@ -389,10 +319,10 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
                     value = inner[c] = sum(map(mul, c, sharp))
                 twice_h -= value
         rows[pi][pi] = Polynomial.linear_form(a_part, Fraction(twice_h, 2))
-    for p, q, i, j, root, coroot, sign in pair_table:
-        if not i <= k < j:
+    for p, q, w, sign in pair_table:
+        if not w.i <= k < w.j:
             continue
-        half_len = Fraction(spec.cartan.inner(coroot, coroot), 2)
+        half_len = Fraction(spec.cartan.inner(w.alpha, w.alpha), 2)
         prev = rows[index[q]][index[p]]
         correction = Polynomial.linear_form([0] * (nv - 1), -sign * half_len)
         rows[index[q]][index[p]] = prev + correction

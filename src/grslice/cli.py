@@ -192,20 +192,24 @@ def cache_fetch(key: str) -> Optional[Tuple[int, str]]:
 
 
 def cache_store(key: str, code: int, text: str) -> None:
+    """Store the entry; a store that fails, say because the cache location
+    is a file or is not writable, is skipped, and the job is unaffected."""
     directory = cache_dir()
-    os.makedirs(directory, exist_ok=True)
     rest = b"%d\n" % code + text.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(hashlib.sha256(rest).hexdigest().encode("ascii") + b" ")
             fh.write(rest)
         os.replace(tmp, os.path.join(directory, key + ".json"))
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 # -- document assembly ----------------------------------------------------------

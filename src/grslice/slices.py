@@ -41,15 +41,17 @@ class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
     Data derived from the slice (fixed points, their index, tangent weights,
-    canonical linear forms, Euler classes, line-bundle weights, the inner
-    products of slot steps and, in rank one, the heights and raising moves
-    of the fixed points) is filled in lazily by the functions of this module,
-    of chern and of stab_a1, and lives exactly as long as the spec.
+    canonical linear forms, Euler classes, the adjacent pairs of each
+    chamber, line-bundle weights, the inner products of slot steps and, in
+    rank one, the heights and raising moves of the fixed points) is filled in
+    lazily by the functions of this module, of chern and of stab_a1, and
+    lives exactly as long as the spec.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings",
                  "_suffix_sums", "_points", "_index", "_tangents", "_forms",
-                 "_euler", "_line_weights", "_slot_inners", "_heights", "_moves")
+                 "_euler", "_adjacent", "_line_weights", "_slot_inners",
+                 "_heights", "_moves")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -107,6 +109,8 @@ class SliceSpec:
         # Euler classes keyed by (point, chamber, keep_h); chamber None
         # stands for the whole tangent space, a chamber for its repelling half
         self._euler = {}
+        # adjacent_pairs, keyed by chamber
+        self._adjacent = {}
         # chern.line_bundle_weight: the weights of L_0..L_l at each point
         self._line_weights = {}
         # chern._slot_step: sharp(d), <d, mu> and <d, d'> for the slot steps
@@ -204,16 +208,6 @@ class FixedPoint:
 
     def __repr__(self):
         return f"FixedPoint{self.label()}"
-
-
-def validate_point(spec: SliceSpec, p: FixedPoint) -> None:
-    if len(p.delta) != spec.length:
-        raise ValueError("fixed point length does not match the slice")
-    for i, d in enumerate(p.delta):
-        if d not in spec._orbits[i]:
-            raise ValueError(f"delta_{i + 1} = {d} is not a weight of slot {i + 1}")
-    if p.sigma()[-1] != spec.mu:
-        raise ValueError("increments do not sum to mu")
 
 
 def enumerate_fixed_points(spec: SliceSpec) -> List[FixedPoint]:
@@ -422,16 +416,6 @@ def euler_factors(ws: WeightMultiset, keep_h: bool, forms: dict) -> EulerClass:
     return EulerClass(ws.rank + 1, factors, Fraction(scalar))
 
 
-def euler_class(ws: WeightMultiset) -> Polynomial:
-    """Product over the multiset of the linear forms root + n*h."""
-    return euler_factors(ws, True, {}).polynomial()
-
-
-def euler_class_a(ws: WeightMultiset) -> Polynomial:
-    """Product of the A-parts only (h set to 0)."""
-    return euler_factors(ws, False, {}).polynomial()
-
-
 def tangent_euler(spec: SliceSpec, p: FixedPoint) -> EulerClass:
     """e_T of the whole tangent space at p."""
     key = (p, None, True)
@@ -487,6 +471,54 @@ def flip_sign(spec: SliceSpec, p: FixedPoint, ch1: Chamber, ch2: Chamber) -> int
     return -1 if count % 2 else 1
 
 
+class AdjacencyWitness(NamedTuple):
+    """Slots (1-based, i < j) and the chamber-positive coroot relating p to q."""
+
+    i: int
+    j: int
+    alpha: Coweight
+    alpha_form: AWeightForm
+
+
+def adjacent_pairs(
+    spec: SliceSpec, ch: Chamber
+) -> Dict[Tuple[FixedPoint, FixedPoint], AdjacencyWitness]:
+    """Every adjacent pair (p, q) with its witness: q is p with slot i
+    lowered, and a later slot j raised, by the coroot of a ch-positive root.
+
+    A minuscule step d lowered by the coroot of a root beta stays in its
+    orbit exactly when <d, beta> = 1 (it is then the reflection of d), and
+    raised exactly when <d, beta> = -1, so the pairs are read off the
+    spec's pairing table: a +1 at slot i and a -1 at slot j > i.  Built once
+    per spec and chamber, in order of the point indices of (p, q); callers
+    share the table and must not mutate it.
+    """
+    found = spec._adjacent.get(ch)
+    if found is None:
+        cartan = spec.cartan
+        index = point_index(spec)
+        by_key = {p.key(): p for p in index}
+        roots = [(col, f, cartan.coroot_of_root[f])
+                 for col, f in enumerate(cartan.root_list) if ch.is_positive(f)]
+        found = spec._adjacent[ch] = {}
+        for p in index:
+            key, steps = p.key(), _steps(spec, p)
+            moves = []
+            for col, root, coroot in roots:
+                ups = [m for m, row in enumerate(steps) if row[col] == 1]
+                downs = [m for m, row in enumerate(steps) if row[col] == -1]
+                for i in ups:
+                    for j in (j for j in downs if j > i):
+                        moved = list(key)
+                        moved[i] = tuple(map(sub, key[i], coroot.coords))
+                        moved[j] = tuple(map(add, key[j], coroot.coords))
+                        moves.append((by_key[tuple(moved)],
+                                      AdjacencyWitness(i + 1, j + 1, coroot, root)))
+            for q, witness in sorted(moves, key=lambda move: index[move[0]]):
+                found[(p, q)] = witness
+    return found
+
+
 def same_wall_component(spec: SliceSpec, p: FixedPoint, q: FixedPoint) -> Optional[AWeightForm]:
     """The root (up to sign) whose wall keeps p and q connected, if any.
 
@@ -540,11 +572,3 @@ def project_to_wall_slice(
     wall_spec = SliceSpec(a1, lam, mu1)
     return wall_spec, FixedPoint(delta)
 
-
-def adjacent_transposition(p: FixedPoint, i: int) -> FixedPoint:
-    """Swap delta_i and delta_{i+1} (1-based); identity when they are equal."""
-    if not 1 <= i < len(p.delta):
-        raise IndexError(f"slot index {i} out of range")
-    d = list(p.delta)
-    d[i - 1], d[i] = d[i], d[i - 1]
-    return FixedPoint(d)

@@ -32,6 +32,7 @@ from .slices import (
     SliceSpec,
     _canonical,
     _steps,
+    adjacent_pairs,
     dimension,
     enumerate_fixed_points,
     localization_denominator,
@@ -205,12 +206,6 @@ def weight_stat(spec: SliceSpec, p: FixedPoint, ch: Chamber) -> Fraction:
     return Fraction(_stat_keys(spec, ch)[point_index(spec)[p]], 2)
 
 
-def _swap(p: FixedPoint, i: int, j: int) -> FixedPoint:
-    d = list(p.delta)
-    d[i - 1], d[j - 1] = d[j - 1], d[i - 1]
-    return FixedPoint(d)
-
-
 def _raise_row(points, p, row, ratio, i, partner, heights):
     """Nonzero restrictions of Stab[p] from those of Stab[prev] (row), as
     forms keyed by point index.
@@ -280,8 +275,9 @@ class RestrictionMatrix:
 
     entries[(p, q)] = Stab_{ch,eps}[p]|_q with eps|_p = sign(p) * e_A of the
     repelling half, as a form of degree dim/2 in (a, h); zero entries are not
-    stored.  The constructor also takes polynomial entries and refuses one
-    that is not homogeneous of that degree.
+    stored; epsilons[p] is the integer c with eps|_p = c * a^(dim/2).  The
+    constructor also takes polynomial entries and refuses one that is not
+    homogeneous of that degree.
     """
 
     __slots__ = ("spec", "chamber", "polarization_signs", "points", "entries",
@@ -426,10 +422,8 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
             raise PathInconsistency(f"transposition paths to {points[p].label()} disagree")
         rows[p] = first
 
-    degree = dimension(spec) // 2
-    epsilons = {p: Polynomial._trusted(_NVARS, {(degree, 0): c}) for p, c in zip(points, eps)}
     entries = {(points[p], points[q]): val for p, row in rows.items() for q, val in row.items()}
-    matrix = RestrictionMatrix(spec, ch, signs, points, entries, epsilons)
+    matrix = RestrictionMatrix(spec, ch, signs, points, entries, dict(zip(points, eps)))
     matrix.validate()
     return matrix
 
@@ -441,32 +435,23 @@ def stab_offdiag_mod_h2(
     stab_general.stab_mod_h2.
 
     The entry h * eps|_p / a_ch appears exactly when q is p with one +omega_ch
-    increment (slot i) traded against a later -omega_ch increment (slot j);
-    every other off-diagonal restriction vanishes mod h^2.
+    increment (slot i) traded against a later -omega_ch increment (slot j),
+    that is on the pairs of slices.adjacent_pairs; every other off-diagonal
+    restriction vanishes mod h^2.
     """
     _require_a1(spec)
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    alpha = _chamber_root(ch)
     h = Counter([_canonical(spec._forms, (0, 1))[0]])
-    alpha_form, alpha_scalar = _canonical(spec._forms, alpha.coords + (0,))
+    alpha_form, alpha_scalar = _canonical(spec._forms, _chamber_root(ch).coords + (0,))
     down = Counter([alpha_form])
-    col = spec.cartan.root_list.index(alpha)
     out: Dict[Tuple[FixedPoint, FixedPoint], EulerClass] = {}
-    for p in points:
-        steps = [row[col] for row in _steps(spec, p)]
-        if 1 not in steps or -1 not in steps:
-            continue
+    for p, q in adjacent_pairs(spec, ch):
         e_a = repelling_euler(spec, p, ch, False)
         entry = e_a.times_ratio(h, down, Fraction(signs[p], alpha_scalar))
         if entry is None:
             raise ExactDivisionFailure(f"entry at {p.label()} did not clear its denominator")
-        for i, si in enumerate(steps):
-            if si != 1:
-                continue
-            for j in range(i + 1, len(steps)):
-                if steps[j] == -1:
-                    out[(p, _swap(p, i + 1, j + 1))] = entry
+        out[(p, q)] = entry
     return out
 
 
@@ -503,8 +488,7 @@ def theta_action(
         rp = swapped[p]
         if rp == p:
             continue  # -Stab[p] + Stab[p] = 0
-        ratio = _epsilon_ratio(_axis_coefficient(matrix.epsilons[p]),
-                               _axis_coefficient(matrix.epsilons[rp]))
+        ratio = _epsilon_ratio(matrix.epsilons[p], matrix.epsilons[rp])
         row, other = rows[p], rows[rp]
         for q in points:
             if q not in row and q not in other:
@@ -533,13 +517,6 @@ def theta_action(
                     f"theta action mismatch at ({p.label()}, {q.label()})"
                 )
     return {pq: _polynomial(val) for pq, val in left.items()}
-
-
-def _axis_coefficient(poly: Polynomial):
-    """c for a one-term polynomial c * a^m."""
-    ((exp, coeff),) = poly.terms.items()
-    assert exp[-1] == 0
-    return coeff
 
 
 def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None):

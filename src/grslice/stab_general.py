@@ -18,14 +18,16 @@ import random
 from collections import Counter
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from .slices import (
+    AdjacencyWitness,  # noqa: F401  callers import it from this module too
     EulerClass,
     FixedPoint,
     SliceSpec,
     _canonical,
+    adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
     point_index,
@@ -33,15 +35,6 @@ from .slices import (
     same_wall_component,
 )
 from .stab_a1 import ExactDivisionFailure, normalize_polarization
-
-
-class AdjacencyWitness(NamedTuple):
-    """Slots (1-based, i < j) and the chamber-positive coroot relating p to q."""
-
-    i: int
-    j: int
-    alpha: Coweight
-    alpha_form: AWeightForm
 
 
 def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
@@ -53,24 +46,11 @@ def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
 def find_adjacency(
     spec: SliceSpec, p: FixedPoint, q: FixedPoint, ch: Chamber
 ) -> Optional[AdjacencyWitness]:
-    """The unique adjacency witness for the ordered pair (p, q), if any.
-
-    Requires delta_q = delta_p except at two slots i < j, lowered by a
-    chamber-positive coroot at i and raised by it at j.
-    """
+    """The unique adjacency witness for the ordered pair (p, q), if any:
+    its entry in adjacent_pairs(spec, ch)."""
     if p == q:
         raise ValueError("find_adjacency expects distinct points")
-    diff = [m for m in range(spec.length) if p.delta[m] != q.delta[m]]
-    if len(diff) != 2:
-        return None
-    i, j = diff
-    alpha = p.delta[i] - q.delta[i]
-    if q.delta[j] - p.delta[j] != alpha:
-        return None
-    root = spec.cartan.root_of_coroot.get(alpha)
-    if root is None or not ch.is_positive(root):
-        return None
-    return AdjacencyWitness(i + 1, j + 1, alpha, root)
+    return adjacent_pairs(spec, ch).get((p, q))
 
 
 def wall_adjacent_chambers(
@@ -186,37 +166,31 @@ def stab_mod_h2(
     rank = spec.cartan.rank
     h = Counter([_canonical(spec._forms, (0,) * rank + (1,))[0]])
     out: Dict[Tuple[FixedPoint, FixedPoint], EulerClass] = {}
-    for p in points:
+    for (p, q), witness in adjacent_pairs(spec, ch).items():
         eps = repelling_euler(spec, p, ch, False)
-        for q in points:
-            if p == q:
-                continue
-            witness = find_adjacency(spec, p, q, ch)
-            if witness is None:
-                continue
-            up, down, scalar = omega_ratio(spec, p, q, witness.alpha_form)
-            alpha, alpha_scalar = _canonical(spec._forms, witness.alpha_form.coords + (0,))
-            entry = eps.times_ratio(up + h, down + Counter([alpha]),
-                                    signs[p] * scalar / alpha_scalar)
-            if entry is None:
-                raise ExactDivisionFailure(
-                    f"entry ({p.label()}, {q.label()}) did not clear its denominator"
-                )
-            out[(p, q)] = entry
+        up, down, scalar = omega_ratio(spec, p, q, witness.alpha_form)
+        alpha, alpha_scalar = _canonical(spec._forms, witness.alpha_form.coords + (0,))
+        entry = eps.times_ratio(up + h, down + Counter([alpha]),
+                                signs[p] * scalar / alpha_scalar)
+        if entry is None:
+            raise ExactDivisionFailure(
+                f"entry ({p.label()}, {q.label()}) did not clear its denominator"
+            )
+        out[(p, q)] = entry
     return out
 
 
 def mod_h2_json(spec: SliceSpec, ch: Chamber, entries) -> dict:
     """Sparse triplet serialization sorted by (p, q) enumeration indices."""
     index = point_index(spec)
+    pairs = adjacent_pairs(spec, ch)
     rows = []
     for p, q in sorted(entries, key=lambda pq: (index[pq[0]], index[pq[1]])):
-        witness = find_adjacency(spec, p, q, ch)
         rows.append(
             {
                 "p": index[p],
                 "q": index[q],
-                "alpha": list(witness.alpha_form.coords),
+                "alpha": list(pairs[(p, q)].alpha_form.coords),
                 "value": entries[(p, q)].polynomial().to_json(),
             }
         )

@@ -213,15 +213,8 @@ class Polynomial:
     def coefficient(self, exp: tuple):
         return self.terms.get(tuple(exp), 0)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, 0)
-
     def truncate_mod_h2(self) -> "Polynomial":
         return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if e[-1] < 2})
-
-    def drop_h(self) -> "Polynomial":
-        """Set h = 0."""
-        return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if e[-1] == 0})
 
     def div_h(self) -> "Polynomial":
         """Exact division by the variable h."""

@@ -16,7 +16,7 @@ from grslice.slices import (
     dimension,
     dominant_representative,
     enumerate_fixed_points,
-    euler_class_a,
+    euler_factors,
     flip_sign,
     project_to_wall_slice,
     same_wall_component,
@@ -171,7 +171,7 @@ def eps_prime(spec, x, ch, wall_root):
     """A-Euler class of the repelling weights transverse to the wall."""
     _, repel = split_attract_repel(tangent_weights(spec, x), ch)
     transverse = repel.filter(lambda r, n: r != wall_root and r != -wall_root)
-    return euler_class_a(transverse)
+    return euler_factors(transverse, False, {}).polynomial()
 
 
 def test_criterion_07_general_route_consistency():

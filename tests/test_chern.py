@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from grslice import cartan, chern
-from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight
+from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from grslice.chern import (
     EquivariantLinearForm,
     OperatorMatrix,
@@ -16,14 +16,12 @@ from grslice.chern import (
     mult_matrix,
     mult_matrix_via_localization,
     omega_operators,
-    omega_root,
-    omega_zero,
     parse_bundle,
     reconstruct_coefficient,
 )
 from grslice.slices import FixedPoint, SliceSpec, enumerate_fixed_points
 from grslice.stab_a1 import NotA1, stab_matrix
-from grslice.stab_general import find_adjacency, stab_mod_h2
+from grslice.stab_general import find_adjacency, sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
 
 A1 = CartanDatum("A", 1)
@@ -147,39 +145,32 @@ def test_h_operator_range():
         h_operator(TSTAR_P1, 3)
 
 
-def test_omega_zero_two_point_slice():
-    mat = omega_zero(TSTAR_P1, 1, 2)
-    for p in mat.basis:
-        assert mat.entry(p, p) == Polynomial.constant(2, Fraction(-1, 2))
-
-
-def test_omega_root_two_point_slice():
-    root = AWeightForm([1])
-    mat = omega_root(TSTAR_P1, 1, 2, root, CH1_PLUS)
-    minus, plus = mat.basis
-    assert mat.entry(minus, plus) == Polynomial.constant(2, 1)
-    assert mat.entry(plus, minus).is_zero()
-    assert mat.entry(plus, plus).is_zero() and mat.entry(minus, minus).is_zero()
-    with pytest.raises(ValueError):
-        omega_root(TSTAR_P1, 1, 2, AWeightForm([3]), CH1_PLUS)
-    with pytest.raises(ValueError):
-        omega_root(TSTAR_P1, 2, 1, root, CH1_PLUS)
-
-
 def test_omega_operator_combines_parts():
+    # half the pairing (delta_i, delta_j) on the diagonal, plus one part per
+    # positive root pairing to +1 with slot i and -1 with slot j: it sends p
+    # to sigma_{p,q} (alpha, alpha)/2 times q, where q lowers slot i and
+    # raises slot j by the coroot alpha
     for spec, ch in ((TSTAR_FL3, CH2_PLUS), (B2_SPEC, Chamber.dominant(B2))):
+        datum = spec.cartan
+        points = enumerate_fixed_points(spec)
+        nv = datum.rank + 1
         for i in range(1, spec.length):
             for j in range(i + 1, spec.length + 1):
-                combined = omega_operators(spec, i, j, ch)
-                half = omega_zero(spec, i, j)
-                rows = [
-                    [Polynomial.constant(spec.cartan.rank + 1, Fraction(1, 2)) * e for e in row]
-                    for row in half.entries
-                ]
-                acc = OperatorMatrix(spec, None, half.basis, rows)
-                for root in spec.cartan.positive_roots(ch):
-                    acc = acc + omega_root(spec, i, j, root, ch)
-                assert combined.entries == acc.entries
+                expected = [[Polynomial.zero(nv)] * len(points) for _ in points]
+                for x, p in enumerate(points):
+                    half = Fraction(datum.inner(p.delta[i - 1], p.delta[j - 1]), 2)
+                    expected[x][x] = Polynomial.constant(nv, half)
+                    for root in datum.positive_roots(ch):
+                        if (pairing(p.delta[i - 1], root), pairing(p.delta[j - 1], root)) != (1, -1):
+                            continue
+                        coroot = datum.coroot_of_root[root]
+                        delta = list(p.delta)
+                        delta[i - 1], delta[j - 1] = delta[i - 1] - coroot, delta[j - 1] + coroot
+                        q = FixedPoint(delta)
+                        sign = sigma_sign(spec, p, q, root, ch, samples=1)
+                        half_len = Fraction(datum.inner(coroot, coroot), 2)
+                        expected[points.index(q)][x] = Polynomial.constant(nv, sign * half_len)
+                assert omega_operators(spec, i, j, ch).entries == expected
 
 
 # -- multiplication matrices ---------------------------------------------------

@@ -159,6 +159,23 @@ def test_cache_store_and_fetch_roundtrip():
     assert cache_fetch("0" * 8) is None
 
 
+def test_cache_location_that_is_a_file_skips_the_store(capsys, tmp_path, monkeypatch):
+    # a store that cannot create the cache directory must not end the job:
+    # the document is printed and the job's exit code returned
+    expected = {}
+    for fmt in ("json", "table"):
+        argv = ["fixed-points"] + BASE_A1 + ["--format", fmt]
+        expected[fmt] = run_cli(capsys, argv)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv(CACHE_ENV, str(blocker))
+    for fmt in ("json", "table"):
+        argv = ["fixed-points"] + BASE_A1 + ["--format", fmt]
+        assert run_cli(capsys, argv) == expected[fmt]
+        assert expected[fmt][0] == 0
+    assert blocker.read_text() == ""
+
+
 def _only_entry(tmp_path):
     [entry] = (tmp_path / "cache").glob("*.json")
     return entry
@@ -576,3 +593,27 @@ def test_mod_h2_routes_need_no_division_or_rational_function(capsys, monkeypatch
                  ["verify", "oracle"] + d4):
         code, out, err = run_cli(capsys, argv)
         assert code == 0, (argv, out, err)
+
+
+D4_SLICE = ["--type", "D", "--rank", "4", "--lambda", "1,1", "--mu", "0,1,0,0"]
+A1_FOUR = ["--type", "A", "--rank", "1", "--lambda", "1,1,1,1", "--mu", "0"]
+
+
+def test_adjacency_is_read_from_one_table(capsys, tmp_path, monkeypatch):
+    # the mod-h^2 route, the multiplication matrices and the rank-one closed
+    # form read slices.adjacent_pairs; none asks find_adjacency pair by pair
+    commands = (["stab-mod-h2"], ["mult", "--bundle", "L1"],
+                ["verify", "oracle"], ["verify", "wallcross"])
+    argvs = [command + base for base in (D4_SLICE, A1_FOUR) for command in commands]
+    expected = [run_cli(capsys, argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_adjacency called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grslice") and hasattr(module, "find_adjacency"):
+            monkeypatch.setattr(module, "find_adjacency", refuse)
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache-patched"))
+    for argv, first in zip(argvs, expected):
+        assert first[0] == 0, (argv, first)
+        assert run_cli(capsys, argv) == first, argv

@@ -2,29 +2,29 @@ from itertools import product
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grslice import cartan
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, _Vector, pairing
 from grslice.cli import CACHE_ENV, main
 from grslice.slices import (
+    AdjacencyWitness,
     FixedPoint,
     _canonical,
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
     WeightMultiset,
-    adjacent_transposition,
+    adjacent_pairs,
     dimension,
     enumerate_fixed_points,
-    euler_class,
-    euler_class_a,
+    euler_factors,
     flip_sign,
+    point_index,
     project_to_wall_slice,
     same_wall_component,
     split_attract_repel,
     tangent_weights,
-    validate_point,
 )
 from grslice.symalg import Polynomial, _canonical_linear
 
@@ -103,14 +103,6 @@ def test_enumerate_binomial_counts():
             if (l + k) % 2:
                 continue
             assert len(enumerate_fixed_points(a1_spec(l, k))) == comb(l, (l + k) // 2)
-
-
-def test_validate_point():
-    validate_point(TSTAR_P1, point(-1, 1))
-    with pytest.raises(ValueError):
-        validate_point(TSTAR_P1, point(1, 1))
-    with pytest.raises(ValueError):
-        validate_point(TSTAR_P1, point(-1, 1, 1))
 
 
 # ---------------------------------------------------------------- dimension
@@ -304,10 +296,13 @@ def test_euler_class_examples():
     h = Polynomial.gen(2, 1)
     alpha = AWeightForm([1])
     ws = WeightMultiset(1, {(alpha, -1): 1, (-alpha, 0): 1})
-    assert euler_class(ws) == -(a**2) + a * h
-    assert euler_class(WeightMultiset(1, {})) == Polynomial.one(2)
-    assert euler_class(WeightMultiset(1, {(-alpha, -1): 2})) == (a + h) ** 2
-    assert euler_class_a(ws) == -(a**2)
+    def euler(ws, keep_h=True):
+        return euler_factors(ws, keep_h, {}).polynomial()
+
+    assert euler(ws) == -(a**2) + a * h
+    assert euler(WeightMultiset(1, {})) == Polynomial.one(2)
+    assert euler(WeightMultiset(1, {(-alpha, -1): 2})) == (a + h) ** 2
+    assert euler(ws, False) == -(a**2)
 
 
 def test_split_attract_repel():
@@ -378,7 +373,7 @@ def test_project_to_wall_slice():
     assert wall_spec.lambda_seq == (1, 1, 0)
     assert wall_spec.mu == Coweight([0])
     assert image == point(1, -1, 0)
-    validate_point(wall_spec, image)
+    assert image in point_index(wall_spec)
     # rank-1 projection along its own root is the identity
     s1 = point(-1, 1)
     sp, im = project_to_wall_slice(TSTAR_P1, s1, AWeightForm([1]))
@@ -396,21 +391,66 @@ def test_projected_point_is_fixed_point_of_wall_slice():
         for p in pts[:6]:
             for root in spec.cartan.root_list[:4]:
                 wall_spec, image = project_to_wall_slice(spec, p, root)
-                validate_point(wall_spec, image)
+                assert image in point_index(wall_spec)
 
 
-# ---------------------------------------------------------------- transpositions
+# ---------------------------------------------------------------- adjacent pairs
 
-def test_adjacent_transposition():
-    p = point(-1, 1)
-    assert adjacent_transposition(p, 1) == point(1, -1)
-    assert adjacent_transposition(adjacent_transposition(p, 1), 1) == p
-    q = point(1, 1, -1)
-    assert adjacent_transposition(q, 1) == q
-    with pytest.raises(IndexError):
-        adjacent_transposition(p, 2)
-    with pytest.raises(IndexError):
-        adjacent_transposition(p, 0)
+def _reference_adjacency(spec, p, q, ch):
+    """The pairwise rule: delta_q = delta_p except at two slots i < j, lowered
+    by the coroot of a ch-positive root at i and raised by it at j."""
+    diff = [m for m in range(spec.length) if p.delta[m] != q.delta[m]]
+    if len(diff) != 2:
+        return None
+    i, j = diff
+    alpha = p.delta[i] - q.delta[i]
+    if q.delta[j] - p.delta[j] != alpha:
+        return None
+    root = spec.cartan.root_of_coroot.get(alpha)
+    if root is None or not ch.is_positive(root):
+        return None
+    return AdjacencyWitness(i + 1, j + 1, alpha, root)
+
+
+@st.composite
+def slices_and_chambers(draw):
+    """A random minuscule slice, with zero slots inserted, and a dominant,
+    antidominant or random chamber."""
+    spec = random_minuscule_specs(1, seed=draw(st.integers(0, 10**6)))[0]
+    datum = spec.cartan
+    lam = list(spec.lambda_seq)
+    for position in draw(st.lists(st.integers(0, len(lam)), max_size=2)):
+        lam.insert(position, 0)
+    kind = draw(st.sampled_from(["dominant", "antidominant", "random"]))
+    if kind == "dominant":
+        ch = Chamber.dominant(datum)
+    elif kind == "antidominant":
+        ch = Chamber.antidominant(datum)
+    else:
+        witness = Coweight(draw(st.lists(st.integers(-9, 9), min_size=datum.rank,
+                                         max_size=datum.rank)))
+        assume(all(pairing(witness, f) for f in datum.root_list))
+        ch = Chamber(datum, witness)
+    return SliceSpec(datum, lam, spec.mu), ch
+
+
+@settings(max_examples=80, deadline=None)
+@given(slices_and_chambers())
+def test_adjacent_pairs_match_the_pairwise_rule(spec_and_chamber):
+    spec, ch = spec_and_chamber
+    points = enumerate_fixed_points(spec)
+    expected = {}
+    for p in points:
+        for q in points:
+            witness = None if p == q else _reference_adjacency(spec, p, q, ch)
+            if witness is not None:
+                expected[(p, q)] = witness
+    table = adjacent_pairs(spec, ch)
+    assert table == expected
+    # in order of point indices, and built once per spec and chamber
+    index = point_index(spec)
+    assert list(table) == sorted(table, key=lambda pq: (index[pq[0]], index[pq[1]]))
+    assert adjacent_pairs(spec, ch) is table
 
 
 # ---------------------------------------------------------------- serialization

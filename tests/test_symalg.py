@@ -49,12 +49,11 @@ def test_evaluate():
     assert (A * H).evaluate((Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 6)
 
 
-def test_div_h_and_drop_h():
+def test_div_h():
     p = A * H + 2 * H**2
     assert p.div_h() == A + 2 * H
     with pytest.raises(NonDivisible):
         (A + H).div_h()
-    assert (A**2 + A * H + H).drop_h() == A**2
 
 
 def test_linear_form_builder():
