@@ -27,10 +27,11 @@ from .symalg import _norm_scalar
 class _Vector:
     """Immutable exact coordinate vector; base for Coweight/AWeightForm."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable):
         self.coords = tuple(_norm_scalar(c) for c in coords)
+        self._hash = None
 
     def __len__(self):
         return len(self.coords)
@@ -67,7 +68,11 @@ class _Vector:
         return type(other) is type(self) and self.coords == other.coords
 
     def __hash__(self):
-        return hash((type(self).__name__, self.coords))
+        # vectors key the weight multisets and pairing tables, so the same
+        # vector is hashed far more often than built
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self.coords))
+        return self._hash
 
     def __lt__(self, other):
         self._check(other)

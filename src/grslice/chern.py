@@ -223,8 +223,9 @@ class OperatorMatrix:
         )
 
     def to_json(self) -> dict:
+        shared: dict = {}
         return {
-            "basis": [p.to_json() for p in self.basis],
+            "basis": [p.to_json(shared) for p in self.basis],
             "bundle": self.label,
             "entries": [[e.to_json() for e in row] for row in self.entries],
         }

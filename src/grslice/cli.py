@@ -215,22 +215,27 @@ def cache_store(key: str, code: int, text: str) -> None:
 # -- document assembly ----------------------------------------------------------
 
 
+# A slice has few distinct slot steps and weight records, each repeated at
+# many points: the fixed-points and tangent documents build each one once, in
+# a dict kept for the document, and encode_json prints a repeated one once.
 def _cmd_fixed_points(spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
+    shared: dict = {}
     return {
         "command": "fixed-points",
         "count": len(points),
-        "points": [{"delta": p.to_json(), "label": p.label()} for p in points],
+        "points": [{"delta": p.to_json(shared), "label": p.label()} for p in points],
     }
 
 
 def _cmd_tangent(spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
+    shared: dict = {}
     return {
         "command": "tangent",
         "points": [
-            {"delta": p.to_json(), "label": p.label(),
-             "weights": tangent_weights(spec, p).to_json()}
+            {"delta": p.to_json(shared), "label": p.label(),
+             "weights": tangent_weights(spec, p).to_json(shared)}
             for p in points
         ],
     }
@@ -381,7 +386,7 @@ def _poly_str(obj: dict, rank: int) -> str:
 
 def _table(rows: List[Sequence[str]], header: Sequence[str]) -> str:
     out = [" | ".join(header)]
-    out.extend(" | ".join(str(c) for c in row) for row in rows)
+    out.extend(" | ".join(map(str, row)) for row in rows)
     return "\n".join(out) + "\n"
 
 
@@ -435,27 +440,39 @@ def render_table(payload: dict, rank: int) -> str:
     raise ValueError(f"no table renderer for {command!r}")
 
 
-def _encode(value, indent: str) -> str:
+def _encode(value, indent: str, memo: dict) -> str:
     kind = type(value)
     if kind is str:
         return _encode_str(value)
     if kind is int:
         return repr(value)
-    if kind is list:
+    if kind is list or kind is dict:
         if not value:
-            return "[]"
+            return "[]" if kind is list else "{}"
+        # a container that holds a str (a label or a coefficient) stands at
+        # one place in a document, so the memo looks only at the others
+        key = None
+        if str not in map(type, value if kind is list else value.values()):
+            key = (id(value), indent)
+            seen = memo.get(key)
+            if seen:
+                return seen
         inner = indent + "  "
-        items = [_encode(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        for k in value:
-            if type(k) is not str:
-                raise TypeError(f"cannot encode a {type(k).__name__} key")
-        inner = indent + "  "
-        items = [_encode_str(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        if kind is list:
+            items = [_encode(v, inner, memo) for v in value]
+            text = "[" + inner + ("," + inner).join(items) + indent + "]"
+        else:
+            for k in value:
+                if type(k) is not str:
+                    raise TypeError(f"cannot encode a {type(k).__name__} key")
+            items = [_encode_str(k) + ": " + _encode(value[k], inner, memo)
+                     for k in sorted(value)]
+            text = "{" + inner + ("," + inner).join(items) + indent + "}"
+        # the first sighting leaves an empty mark, and only a repeat keeps
+        # its text, so the memo holds no text of a container met once
+        if key is not None:
+            memo[key] = "" if seen is None else text
+        return text
     if value is None:
         return "null"
     if value is True:
@@ -471,8 +488,18 @@ def encode_json(value) -> str:
     Documents hold str, int, bool, None, lists and dicts with str keys; any
     other value raises TypeError.  Each container joins the encodings of its
     own items, so no list of every piece of the document is ever held.
+
+    A document may hold one list or dict object at many places, such as the
+    slot steps and weight records that a tangent document shares between its
+    points.  A memo that lives for this one call, keyed by a container's
+    identity and depth, keeps the text of each container met more than once,
+    so a repeat is encoded once per depth.  Only containers that hold no str
+    enter it: labels and coefficients stand at one place each.  The ids are
+    stable because `value` holds every container for the whole call.  A
+    builder that shares a sub-document never mutates it, so every sighting
+    prints the same text.
     """
-    return _encode(value, "\n")
+    return _encode(value, "\n", {})
 
 
 def render(payload: dict, fmt: str, rank: int) -> str:

@@ -183,8 +183,18 @@ class FixedPoint:
     def __lt__(self, other):
         return self.key() < other.key()
 
-    def to_json(self) -> list:
-        return [list(d.coords) for d in self.delta]
+    def to_json(self, shared: Optional[dict] = None) -> list:
+        """The slot steps as coordinate lists.  `shared` is a dict kept for
+        one document: each distinct step's list is built once in it, and the
+        same list object stands wherever that step occurs."""
+        lists = {} if shared is None else shared
+        out = []
+        for d in self.delta:
+            coords = lists.get(d)
+            if coords is None:
+                coords = lists[d] = list(d.coords)
+            out.append(coords)
+        return out
 
     @classmethod
     def from_json(cls, obj: list) -> "FixedPoint":
@@ -306,11 +316,19 @@ class WeightMultiset:
             and other.entries == self.entries
         )
 
-    def to_json(self) -> list:
-        return [
-            {"root": list(root.coords), "n": n, "mult": m}
-            for (root, n), m in self.items()
-        ]
+    def to_json(self, shared: Optional[dict] = None) -> list:
+        """The entries as {"root", "n", "mult"} records.  `shared` is a dict
+        kept for one document: each distinct record is built once in it, and
+        the same record object stands wherever that record occurs."""
+        records = {} if shared is None else shared
+        out = []
+        for (root, n), m in self.items():
+            key = (root, n, m)
+            record = records.get(key)
+            if record is None:
+                record = records[key] = {"root": list(root.coords), "n": n, "mult": m}
+            out.append(record)
+        return out
 
     @classmethod
     def from_json(cls, obj: list, rank: int) -> "WeightMultiset":

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import inspect
 import json
@@ -6,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from grslice import cli, slices
 from grslice.cartan import CartanDatum, Chamber, Coweight
@@ -450,9 +451,44 @@ JSON_TREES = st.recursive(
 )
 
 
-@given(JSON_TREES)
-def test_encode_json_matches_json_dumps(tree):
-    assert cli.encode_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+@st.composite
+def shared_json_trees(draw):
+    """A JSON tree in which some list and dict objects, empty ones among
+    them, stand at several places and depths, as the shared slot steps and
+    weight records of a tangent document do."""
+    pool = draw(st.lists(st.one_of(st.lists(JSON_TREES, max_size=3),
+                                   st.dictionaries(JSON_TEXT, JSON_TREES, max_size=3)),
+                         min_size=1, max_size=3))
+    # a shared container may itself hold shared ones
+    pool.append(draw(st.lists(st.sampled_from(pool), max_size=3)))
+    return draw(st.recursive(
+        st.one_of(JSON_LEAVES, st.sampled_from(pool)),
+        lambda children: st.one_of(st.lists(children, max_size=4),
+                                   st.dictionaries(JSON_TEXT, children, max_size=4)),
+        max_leaves=40,
+    ))
+
+
+_STEP = [1, 0, -1]
+_RECORD = {"root": _STEP, "n": 0, "mult": 2}
+_EMPTY_LIST, _EMPTY_DICT = [], {}
+
+
+@given(st.lists(st.one_of(JSON_TREES, shared_json_trees()), min_size=1, max_size=2))
+# one record and one step at several places and depths
+@example([{"a": _RECORD, "b": [_RECORD, _STEP, [_STEP, _RECORD]], "c": _STEP}])
+@example([[_EMPTY_LIST, _EMPTY_DICT, [_EMPTY_LIST, {"k": _EMPTY_DICT}]]])
+# True == 1 and False == 0 in Python, but they print differently
+@example([[{"k": [True, False]}, {"k": [1, 0]}] * 2 + [{"k": True}, {"k": 1}] * 2
+          + [{"k": False}, {"k": 0}] * 2])
+@example([[_RECORD, [_RECORD], _STEP], [{"root": [2], "n": 1, "mult": 1}, [[0, 3]], [5]]])
+def test_encode_json_matches_json_dumps(trees):
+    # Each document is a fresh copy, with its sharing kept, that is freed
+    # before the next one is built, so the next may reuse its ids.
+    for tree in trees:
+        document = copy.deepcopy(tree)
+        assert cli.encode_json(document) == json.dumps(document, sort_keys=True, indent=2)
+        del document
 
 
 @pytest.mark.parametrize("value", [1.5, [0, {"k": 2.0}], {1: "a"}, {"a": {2: None}},
@@ -460,6 +496,40 @@ def test_encode_json_matches_json_dumps(tree):
 def test_encode_json_rejects_what_documents_never_hold(value):
     with pytest.raises(TypeError):
         cli.encode_json(value)
+
+
+# Slices whose documents repeat few slot steps and weight records at many points.
+SHARED_RECORD_SLICES = [("A", 3, "1,2,3,1,2,3", "0,0,0"), ("B", 2, "2,2,2,2,2,2", "0,0"),
+                        ("A", 1, ",".join(["1"] * 10), "2")]
+
+
+@pytest.mark.parametrize("letter, rank, lam, mu", SHARED_RECORD_SLICES,
+                         ids=[f"{letter}{rank}-{lam}" for letter, rank, lam, _ in SHARED_RECORD_SLICES])
+@pytest.mark.parametrize("command", ["fixed-points", "tangent"])
+def test_shared_records_print_as_fresh_ones(capsys, command, letter, rank, lam, mu):
+    job = JobSpec(command, letter, rank, cli._int_list(lam), cli._int_list(mu))
+    spec = job.build()[0]
+    points = slices.enumerate_fixed_points(spec)
+    # the oracle: fresh objects at every point, printed by json.dumps
+    fresh = [{"delta": p.to_json(), "label": p.label()} for p in points]
+    if command == "tangent":
+        for point, p in zip(fresh, points):
+            point["weights"] = slices.tangent_weights(spec, p).to_json()
+        expected = {"command": "tangent", "points": fresh}
+    else:
+        expected = {"command": "fixed-points", "count": len(points), "points": fresh}
+    code, out, err = run_cli(capsys, [command, "--type", letter, "--rank", str(rank),
+                                      "--lambda", lam, "--mu", mu])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    # the document builds each distinct step and record once
+    shared = cli.compute_payload(job, *job.build())["points"]
+    steps = [step for point in shared for step in point["delta"]]
+    assert len({id(step) for step in steps}) == len({tuple(step) for step in steps})
+    records = [w for point in shared for w in point.get("weights", [])]
+    assert len({id(w) for w in records}) == len(
+        {(tuple(w["root"]), w["n"], w["mult"]) for w in records})
 
 
 # -- fuzzing the command line ---------------------------------------------------------
