@@ -19,9 +19,13 @@ A[i][j] = <alpha_j, alphacheck_i>.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import gcd
+from operator import mul
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .symalg import _norm_scalar
+
+_INT = {int}
 
 
 class _Vector:
@@ -30,8 +34,18 @@ class _Vector:
     __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable):
-        self.coords = tuple(_norm_scalar(c) for c in coords)
+        coords = tuple(coords)
+        # almost every vector is integral, and plain ints need no normalizing
+        self.coords = coords if {*map(type, coords)} <= _INT else tuple(map(_norm_scalar, coords))
         self._hash = None
+
+    @classmethod
+    def _of(cls, coords: Tuple[int, ...]):
+        """The vector on a tuple of ints, taken as it is."""
+        v = object.__new__(cls)
+        v.coords = coords
+        v._hash = None
+        return v
 
     def __len__(self):
         return len(self.coords)
@@ -103,21 +117,27 @@ def pairing(c: Coweight, f: AWeightForm):
     return sum(a * b for a, b in zip(c.coords, f.coords))
 
 
-def _invert_rational(rows):
-    """Gauss-Jordan inverse of a square matrix over Fraction."""
+def _invert_integer(rows):
+    """Inverse of a nonsingular integer matrix, as integer rows and a
+    denominator per row: row i of the inverse is rows[i] / dens[i].
+
+    Fraction-free Gauss-Jordan: every row operation is an integer
+    combination, and each row is divided by the gcd of its entries.
+    """
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        pivot_row = aug[col]
+        pivot = pivot_row[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            factor = aug[r][col]
+            if r != col and factor:
+                row = [pivot * x - factor * y for x, y in zip(aug[r], pivot_row)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row]
+    return tuple(tuple(row[n:]) for row in aug), tuple(aug[i][i] for i in range(n))
 
 
 def _build_cartan_matrix(letter: str, rank: int):
@@ -197,6 +217,12 @@ class CartanDatum:
 
     Public indices (simple roots, fundamental coweights, minuscule set) are
     1-based, matching the usual numbering of Dynkin diagrams.
+
+    The datum is built on integers: the root closure runs on int tuples, and
+    the inverse Cartan matrix comes from fraction-free elimination as integer
+    rows over a denominator each, so that only the n^2 entries of the gram
+    matrix are Fractions.  wall_chambers is its one memo, filled during a
+    job; every other table is fixed at construction.
     """
 
     def __init__(self, type_letter: str, rank: int):
@@ -212,60 +238,90 @@ class CartanDatum:
                 if i != j:
                     assert a[i][j] in (0, -1, -2, -3)
 
-        # symmetrizers: d_i * A[i][j] = d_j * A[j][i], normalized min(2 d_i)=2
-        d = [None] * n
-        d[0] = Fraction(1)
+        # symmetrizers: d_i * A[i][j] = d_j * A[j][i], normalized min(2 d_i)=2.
+        # Along each bond d_j = d_i * A[i][j] / A[j][i]; every d found so far
+        # is first scaled by |A[j][i]|, so that they all stay integers.
+        d = [0] * n
+        d[0] = 1
         todo = [0]
         while todo:
             i = todo.pop()
             for j in range(n):
-                if a[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                if a[i][j] != 0 and i != j and not d[j]:
+                    d = [x * -a[j][i] for x in d]
+                    d[j] = d[i] // a[j][i] * a[i][j]
                     todo.append(j)
         scale = min(d)
-        self.symmetrizers = tuple(_norm_scalar(x / scale) for x in d)
+        self.symmetrizers = tuple(_norm_scalar(Fraction(x, scale)) for x in d)
         for i in range(n):
             for j in range(n):
                 assert self.symmetrizers[i] * a[i][j] == self.symmetrizers[j] * a[j][i]
 
         # gram matrix of the invariant form: inner(c, c') = c^T (D A^-1) c'
-        self._inverse = _invert_rational(a)
+        self._inverse_rows, self._inverse_dens = _invert_integer(a)
         self._gram = tuple(
-            tuple(self.symmetrizers[i] * self._inverse[i][j] for j in range(n))
-            for i in range(n)
+            tuple(Fraction(d_i * x, den) for x in row)
+            for d_i, row, den in zip(self.symmetrizers, self._inverse_rows, self._inverse_dens)
         )
 
-        # roots and their coroots via simultaneous reflection closure
-        seen: Dict[AWeightForm, Coweight] = {}
-        queue = [
-            (self.simple_root_form(j), self.simple_coroot(j)) for j in range(1, n + 1)
-        ]
+        # positive roots (simple-root coordinates) with their coroots
+        # (fundamental-coweight coordinates) by simultaneous reflection
+        # closure on int tuples: s_k permutes the positive roots other than
+        # alpha_k.  A reflection keeps lengths, so each root carries the half
+        # squared length of its coroot from the simple coroot it started at:
+        # (alpha_j, alpha_j) / 2 = d_j.  s_k moves a root beta by
+        # <alpha_k, beta> = <beta-check, alpha_k-check> * d_k / half, read off
+        # the coroot: the two pairings differ by the ratio of the lengths.
+        # Column j of A is the simple coroot alpha_j as a coweight.
+        self._simple_coroots = columns = [tuple(row[j] for row in a) for j in range(n)]
+        simple = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        seen: Dict[tuple, tuple] = {}
+        d = self.symmetrizers
+        queue = [(simple[j], columns[j], d[j]) for j in range(n)]
         while queue:
-            form, cow = queue.pop()
+            form, cow, half = queue.pop()
             if form in seen:
                 continue
-            seen[form] = cow
-            for k in range(1, n + 1):
-                queue.append((self.reflect_form(k, form), self.reflect_coweight(k, cow)))
-        self.root_list: Tuple[AWeightForm, ...] = tuple(sorted(seen, key=lambda f: f.coords))
-        self.coroot_of_root: Dict[AWeightForm, Coweight] = {f: seen[f] for f in self.root_list}
-        self.root_of_coroot: Dict[Coweight, AWeightForm] = {c: f for f, c in seen.items()}
-        # filled on demand by stab_general.wall_adjacent_chambers: for each
-        # positive root, its seeded generator and the chambers sampled so far
+            seen[form] = (cow, half)
+            for k, (s, column) in enumerate(zip(cow, columns)):
+                if s and form != simple[k]:
+                    moved = form[:k] + (form[k] - s * d[k] // half,) + form[k + 1:]
+                    if moved not in seen:
+                        queue.append((moved, tuple(c - s * x for c, x in zip(cow, column)), half))
+        positive = list(seen)
+        if any(min(f) < 0 for f in positive):
+            raise AssertionError(f"{type_letter}{rank}: a reflection left the positive roots")
+        # the roots are closed under negation by construction
+        opposite = {}
+        for f in positive:
+            cow, half = seen[f]
+            negative = tuple(-x for x in f)
+            seen[negative] = (tuple(-x for x in cow), half)
+            opposite[negative] = f
+        if len(seen) != _ROOT_COUNT[type_letter](rank):
+            raise AssertionError(f"{type_letter}{rank}: wrong number of roots")
+        forms = {f: AWeightForm._of(f) for f in sorted(seen)}
+        self.root_list: Tuple[AWeightForm, ...] = tuple(forms.values())
+        # the position of each root in root_list: the column of the tables
+        # indexed by root (chamber sign vectors, slot-step pairings, root
+        # counts)
+        self._column: Dict[AWeightForm, int] = {f: i for i, f in enumerate(self.root_list)}
+        self.coroot_of_root: Dict[AWeightForm, Coweight] = {}
+        self.coroot_half_length: Dict[AWeightForm, object] = {}
+        # the positive root of {f, -f} for every root f
+        self._positive_of: Dict[AWeightForm, AWeightForm] = {}
+        for coords, f in forms.items():
+            cow, half = seen[coords]
+            self.coroot_of_root[f] = Coweight._of(cow)
+            self.coroot_half_length[f] = half
+            self._positive_of[f] = forms[opposite.get(coords, coords)]
+        # filled on demand by stab_general.wall_adjacent_chambers, and the
+        # datum's one memo: for each positive root, its seeded generator and
+        # the chambers sampled so far
         self.wall_chambers: Dict[AWeightForm, Tuple[object, list]] = {}
-        assert len(self.root_list) == _ROOT_COUNT[type_letter](rank)
-        for f in self.root_list:
-            assert -f in self.coroot_of_root
 
         self.minuscule_indices = _minuscule_indices(type_letter, rank)
-        self.two_rho_check = self._sum_positive_forms()
-
-    def _sum_positive_forms(self) -> AWeightForm:
-        total = AWeightForm([0] * self.rank)
-        for f in self.root_list:
-            if sum(f.coords) > 0:
-                total = total + f
-        return total
+        self.two_rho_check = AWeightForm(sum(column) for column in zip(*positive))
 
     # -- basis elements (1-based indices) --------------------------------
 
@@ -283,10 +339,13 @@ class CartanDatum:
 
     def coroot_coordinates(self, c: Coweight) -> Optional[List[int]]:
         """Coordinates of c in the simple-coroot basis, or None if not integral."""
-        coeffs = [sum(x * y for x, y in zip(row, c.coords)) for row in self._inverse]
-        if any(x.denominator != 1 for x in coeffs):
-            return None
-        return [int(x) for x in coeffs]
+        coeffs = []
+        for row, den in zip(self._inverse_rows, self._inverse_dens):
+            x = sum(map(mul, row, c.coords))
+            if x % den:
+                return None
+            coeffs.append(int(x // den))
+        return coeffs
 
     # -- pairings and the invariant form ---------------------------------
 
@@ -336,22 +395,25 @@ class CartanDatum:
     def weyl_orbit(self, c: Coweight) -> frozenset:
         if not c.is_integral():
             raise ValueError("weyl_orbit expects an integral coweight")
-        seen = set()
-        queue = [c]
+        return frozenset(Coweight._of(v) for v in self._orbit_coords(c.coords))
+
+    def _orbit_coords(self, coords: tuple) -> FrozenSet[tuple]:
+        """The Weyl orbit of an integral coweight, on coordinate tuples."""
+        seen = {coords}
+        queue = [coords]
         while queue:
             v = queue.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for j in range(1, self.rank + 1):
-                w = self.reflect_coweight(j, v)
-                if w not in seen:
-                    queue.append(w)
+            for t, column in zip(v, self._simple_coroots):
+                if t:
+                    w = tuple(x - t * y for x, y in zip(v, column))
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
         return frozenset(seen)
 
     def positive_roots(self, ch: "Chamber"):
         """Roots beta-check with <witness, beta-check> > 0; half of root_list."""
-        return [f for f in self.root_list if ch.is_positive(f)]
+        return [f for f, s in zip(self.root_list, ch.sign_vector) if s > 0]
 
     def __eq__(self, other):
         return (
@@ -377,9 +439,10 @@ class Chamber:
     def __init__(self, datum: CartanDatum, witness: Coweight):
         if len(witness) != datum.rank:
             raise ValueError("rank mismatch")
+        w = witness.coords
         signs = []
         for f in datum.root_list:
-            v = pairing(witness, f)
+            v = sum(map(mul, w, f.coords))
             if v == 0:
                 raise ValueError(f"chamber witness lies on the root hyperplane of {f}")
             signs.append(1 if v > 0 else -1)

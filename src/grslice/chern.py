@@ -274,7 +274,7 @@ def omega_operators(
     for p, q, w, sign in _pair_table(spec, ch, polarization_signs):
         if (w.i, w.j) != (i, j):
             continue
-        half_len = Fraction(spec.cartan.inner(w.alpha, w.alpha), 2)
+        half_len = spec.cartan.coroot_half_length[w.alpha_form]
         prev = rows[index[q]][index[p]]
         rows[index[q]][index[p]] = prev + Polynomial.constant(nv, sign * half_len)
     return OperatorMatrix(spec, ch, points, rows)
@@ -323,7 +323,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     for p, q, w, sign in pair_table:
         if not w.i <= k < w.j:
             continue
-        half_len = Fraction(spec.cartan.inner(w.alpha, w.alpha), 2)
+        half_len = spec.cartan.coroot_half_length[w.alpha_form]
         prev = rows[index[q]][index[p]]
         correction = Polynomial.linear_form([0] * (nv - 1), -sign * half_len)
         rows[index[q]][index[p]] = prev + correction

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -41,17 +42,18 @@ class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
     Data derived from the slice (fixed points, their index, tangent weights,
-    canonical linear forms, Euler classes, the adjacent pairs of each
-    chamber, line-bundle weights, the inner products of slot steps and, in
-    rank one, the heights and raising moves of the fixed points) is filled in
-    lazily by the functions of this module, of chern and of stab_a1, and
-    lives exactly as long as the spec.
+    the root counts of each point, canonical linear forms, Euler classes,
+    the adjacent pairs of each chamber, the omega ratios of the wall routes,
+    line-bundle weights, the inner products of slot steps and, in rank one,
+    the heights and raising moves of the fixed points) is filled in lazily by
+    the functions of this module, of stab_general, of chern and of stab_a1,
+    and lives exactly as long as the spec.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings",
                  "_suffix_sums", "_points", "_index", "_tangents", "_forms",
-                 "_euler", "_adjacent", "_line_weights", "_slot_inners",
-                 "_heights", "_moves")
+                 "_root_forms", "_root_counts", "_euler", "_adjacent", "_omega",
+                 "_line_weights", "_slot_inners", "_heights", "_moves")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -79,14 +81,17 @@ class SliceSpec:
         if coeffs is None or any(c < 0 for c in coeffs):
             raise InvalidSlice("mu is not below lambda in the coroot order")
 
-        self._orbits = tuple(
-            tuple(sorted(cartan.weyl_orbit(self._slot_coweight(i))))
-            for i in range(len(lambda_seq))
-        )
+        orbits = {}
+        for i in lambda_seq:
+            if i not in orbits:
+                # omega_i, or the zero coweight for a frozen slot
+                start = tuple(int(j == i - 1) for j in range(cartan.rank))
+                orbits[i] = tuple(Coweight._of(v) for v in sorted(cartan._orbit_coords(start)))
+        self._orbits = tuple(orbits[i] for i in lambda_seq)
         # pairings[d.coords] = (<d, beta> for beta in root_list)
         roots = [f.coords for f in cartan.root_list]
         self._pairings = {}
-        for orbit in self._orbits:
+        for orbit in orbits.values():
             for d in orbit:
                 row = tuple(sum(map(mul, d.coords, f)) for f in roots)
                 if any(v not in (-1, 0, 1) for v in row):
@@ -106,11 +111,19 @@ class SliceSpec:
         self._tangents = {}
         # _canonical splittings keyed by coefficient tuples (a_1..a_r, h)
         self._forms = {}
+        # _root_forms: each root_list column split by _canonical; and
+        # _root_counts, by point: the multiplicity of each column among the
+        # A-parts of the tangent weights.  The wall routes read both.
+        self._root_forms = None
+        self._root_counts = {}
         # Euler classes keyed by (point, chamber, keep_h); chamber None
         # stands for the whole tangent space, a chamber for its repelling half
         self._euler = {}
         # adjacent_pairs, keyed by chamber
         self._adjacent = {}
+        # stab_general.omega_ratio, keyed by the ordered pair and the
+        # positive root of the wall; (q, p) is derived from (p, q)
+        self._omega = {}
         # chern.line_bundle_weight: the weights of L_0..L_l at each point
         self._line_weights = {}
         # chern._slot_step: sharp(d), <d, mu> and <d, d'> for the slot steps
@@ -446,10 +459,60 @@ def repelling_euler(spec: SliceSpec, p: FixedPoint, ch: Chamber, keep_h: bool) -
     """e_T of the ch-repelling half of the tangent space at p, or its
     e_A (h set to 0) when keep_h is false."""
     key = (p, ch, keep_h)
-    if key not in spec._euler:
-        _, repel = split_attract_repel(tangent_weights(spec, p), ch)
-        spec._euler[key] = euler_factors(repel, keep_h, spec._forms)
-    return spec._euler[key]
+    found = spec._euler.get(key)
+    if found is None:
+        if keep_h:
+            _, repel = split_attract_repel(tangent_weights(spec, p), ch)
+            found = euler_factors(repel, True, spec._forms)
+        else:
+            factors, _, scalar = _repelling_ratio(spec, _root_counts(spec, p), repeat(0),
+                                                  ch.sign_vector)
+            found = EulerClass(spec.cartan.rank + 1, factors, scalar)
+        spec._euler[key] = found
+    return found
+
+
+def _root_counts(spec: SliceSpec, p: FixedPoint) -> Tuple[int, ...]:
+    """The multiplicity of each root_list column among the A-parts of the
+    tangent weights at p; once per spec and point."""
+    found = spec._root_counts.get(p)
+    if found is None:
+        column = spec.cartan._column
+        counts = [0] * len(column)
+        for (root, _), m in tangent_weights(spec, p).entries.items():
+            counts[column[root]] += m
+        found = spec._root_counts[p] = tuple(counts)
+    return found
+
+
+def _root_forms(spec: SliceSpec) -> Tuple[Tuple[Polynomial, int], ...]:
+    """Each root_list column split by _canonical as a form in a_1..a_r: the
+    positive root of the pair and the sign +-1; once per spec."""
+    if spec._root_forms is None:
+        spec._root_forms = tuple(_canonical(spec._forms, f.coords + (0,))
+                                 for f in spec.cartan.root_list)
+    return spec._root_forms
+
+
+def _repelling_ratio(
+    spec: SliceSpec, top, bottom, signs: Tuple[int, ...]
+) -> Tuple[Counter, Counter, Fraction]:
+    """The roots of the columns with sign -1, each to its count in top, over
+    the same roots to their counts in bottom, in lowest terms: the factors
+    above, those below, and the scalar +-1.  A canonical form has exactly one
+    repelling column per chamber, so each factor is set once."""
+    up: Counter = Counter()
+    down: Counter = Counter()
+    flips = 0
+    for (form, unit), sign, m in zip(_root_forms(spec), signs, map(sub, top, bottom)):
+        if sign < 0 and m:
+            if m > 0:
+                up[form] = m
+            else:
+                down[form] = -m
+            if unit < 0:
+                flips += m
+    return up, down, Fraction(-1 if flips % 2 else 1)
 
 
 def localization_denominator(spec: SliceSpec) -> Tuple[EulerClass, Dict[FixedPoint, EulerClass]]:
@@ -480,12 +543,8 @@ def flip_sign(spec: SliceSpec, p: FixedPoint, ch1: Chamber, ch2: Chamber) -> int
     ch1): each line of weights that changes side contributes one sign flip
     per weight on it.
     """
-    ws = tangent_weights(spec, p)
-    count = sum(
-        m
-        for (root, n), m in ws.entries.items()
-        if (not ch1.is_positive(root)) and ch2.is_positive(root)
-    )
+    count = sum(m for s1, s2, m in zip(ch1.sign_vector, ch2.sign_vector, _root_counts(spec, p))
+                if s1 < s2)
     return -1 if count % 2 else 1
 
 
@@ -517,7 +576,8 @@ def adjacent_pairs(
         index = point_index(spec)
         by_key = {p.key(): p for p in index}
         roots = [(col, f, cartan.coroot_of_root[f])
-                 for col, f in enumerate(cartan.root_list) if ch.is_positive(f)]
+                 for col, (f, sign) in enumerate(zip(cartan.root_list, ch.sign_vector))
+                 if sign > 0]
         found = spec._adjacent[ch] = {}
         for p in index:
             key, steps = p.key(), _steps(spec, p)

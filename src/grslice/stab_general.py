@@ -8,6 +8,10 @@ where omega is the ratio of A-equivariant repelling Euler classes taken for
 a chamber adjacent to the wall ker(alpha_form); both wall sides must agree.
 Every part of it is a product of linear forms, so an entry is an EulerClass
 built by multiset arithmetic and expanded only where a document prints it.
+omega is read from the root counts of p and q (the multiplicity of each root
+among the A-parts of the tangent weights, slices._root_counts) and a
+chamber's sign vector; it belongs to the wall, so it lives in the spec's
+_omega slot, once per unordered pair and root.
 Diagonals are excluded: their mod-h^2 constant is not pinned down by the
 closed form, and the exact value is available from Euler classes.
 """
@@ -27,6 +31,8 @@ from .slices import (
     FixedPoint,
     SliceSpec,
     _canonical,
+    _repelling_ratio,
+    _root_counts,
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
@@ -38,9 +44,10 @@ from .stab_a1 import ExactDivisionFailure, normalize_polarization
 
 
 def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
-    if root not in cartan.coroot_of_root:
+    canon = cartan._positive_of.get(root)
+    if canon is None:
         raise ValueError(f"{root} is not a root")
-    return root if sum(root.coords) > 0 else -root
+    return canon
 
 
 def find_adjacency(
@@ -74,7 +81,7 @@ def wall_adjacent_chambers(
     rng, out = cartan.wall_chambers[root]
     if len(out) < 2 * count:
         coroot = cartan.coroot_of_root[root].coords
-        others = [f.coords for f in cartan.root_list if f != root and f != -root]
+        others = [f.coords for f in cartan.root_list if cartan._positive_of[f] is not root]
         slopes = [abs(sum(map(mul, coroot, f))) + 1 for f in others]
         while len(out) < 2 * count:
             u = [rng.randint(-9, 9) for _ in range(cartan.rank)]
@@ -104,19 +111,30 @@ def omega_ratio(
 
     Both Euler classes are multisets of canonical factors, so the ratio is
     their multiset difference, already in lowest terms: the factors of the
-    numerator, those of the denominator, and the scalar.
+    numerator, those of the denominator, and the scalar.  The ratio belongs
+    to the wall, not to a chamber, so it is computed and checked once per
+    spec, unordered pair and root (the ratio for (q, p) is the reciprocal),
+    and callers share it.
     """
     canon = _canonical_root(spec.cartan, root)
-    if same_wall_component(spec, p, q) != canon:
-        raise ValueError("p and q do not share a wall component for this root")
-    results = []
-    for ch in wall_adjacent_chambers(spec.cartan, canon, 1):
-        e_q, e_p = repelling_euler(spec, q, ch, False), repelling_euler(spec, p, ch, False)
-        results.append((e_q.factors - e_p.factors, e_p.factors - e_q.factors,
-                        e_q.scalar / e_p.scalar))
-    if results[0] != results[1]:
-        raise AssertionError("the two wall sides disagree on the omega ratio")
-    return results[0]
+    key = (p, q, canon)
+    found = spec._omega.get(key)
+    if found is None:
+        reverse = spec._omega.get((q, p, canon))
+        if reverse is not None:
+            up, down, scalar = reverse
+            found = (down, up, 1 / scalar)
+        else:
+            if same_wall_component(spec, p, q) != canon:
+                raise ValueError("p and q do not share a wall component for this root")
+            near, far = (_repelling_ratio(spec, _root_counts(spec, q), _root_counts(spec, p),
+                                          ch.sign_vector)
+                         for ch in wall_adjacent_chambers(spec.cartan, canon, 1))
+            if near != far:
+                raise AssertionError("the two wall sides disagree on the omega ratio")
+            found = near
+        spec._omega[key] = found
+    return found
 
 
 def sigma_sign(

@@ -274,3 +274,81 @@ def test_reflection_preserves_pairing_with_reflected_form(data):
             w = datum.reflect_coweight(j, w)
             g = datum.reflect_form(j, g)
         assert datum.pairing(w, g) == datum.pairing(c, f)
+
+
+# ------------------------------------------------- integer datum against the Fraction one
+
+
+def _reference_tables(datum):
+    """The datum's tables as the Fraction closure and inverse built them:
+    sorted roots, coroot of each root, inverse, gram matrix, symmetrizers
+    and two rho-check, all from the Cartan matrix alone."""
+    a = datum.cartan_matrix
+    n = datum.rank
+    d = [None] * n
+    d[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if a[i][j] != 0 and i != j and d[j] is None:
+                d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                todo.append(j)
+    symmetrizers = tuple(x / min(d) for x in d)
+    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    inverse = tuple(tuple(row[n:]) for row in aug)
+    gram = tuple(tuple(symmetrizers[i] * inverse[i][j] for j in range(n)) for i in range(n))
+    seen = {}
+    queue = [(AWeightForm(int(k == j) for k in range(n)),
+              Coweight(a[i][j] for i in range(n))) for j in range(n)]
+    while queue:
+        form, cow = queue.pop()
+        if form in seen:
+            continue
+        seen[form] = cow
+        for k in range(n):
+            t = sum(form.coords[i] * a[i][k] for i in range(n))
+            moved = AWeightForm(form.coords[m] - (t if m == k else 0) for m in range(n))
+            queue.append((moved, Coweight(cow.coords[i] - cow.coords[k] * a[i][k]
+                                          for i in range(n))))
+    roots = sorted(seen, key=lambda f: f.coords)
+    two_rho = AWeightForm([0] * n)
+    for f in roots:
+        if sum(f.coords) > 0:
+            two_rho = two_rho + f
+    return roots, seen, inverse, gram, symmetrizers, two_rho
+
+
+ALL_TYPES = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 6)]
+             + [("C", r) for r in range(2, 6)] + [("D", r) for r in range(4, 7)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES, ids=lambda v: str(v))
+def test_integer_datum_matches_the_fraction_closure(letter, rank):
+    datum = CartanDatum(letter, rank)
+    roots, coroot, inverse, gram, symmetrizers, two_rho = _reference_tables(datum)
+    assert list(datum.root_list) == roots
+    assert datum.coroot_of_root == coroot
+    assert tuple(tuple(Fraction(x, den) for x in row)
+                 for row, den in zip(datum._inverse_rows, datum._inverse_dens)) == inverse
+    assert datum._gram == gram
+    assert datum.symmetrizers == symmetrizers
+    assert datum.two_rho_check == two_rho
+    for f, c in datum.coroot_of_root.items():
+        assert datum.coroot_half_length[f] == datum.inner(c, c) / 2
+        assert datum._positive_of[f] == (f if sum(f.coords) > 0 else -f)
+    # fundamental coweights have fractional coroot coordinates in most types
+    for c in [datum.fundamental_coweight(i) for i in range(1, rank + 1)] + [Coweight(two_rho)]:
+        coeffs = [sum(x * y for x, y in zip(row, c.coords)) for row in inverse]
+        integral = all(x.denominator == 1 for x in coeffs)
+        assert datum.coroot_coordinates(c) == ([int(x) for x in coeffs] if integral else None)

@@ -687,3 +687,48 @@ def test_adjacency_is_read_from_one_table(capsys, tmp_path, monkeypatch):
     for argv, first in zip(argvs, expected):
         assert first[0] == 0, (argv, first)
         assert run_cli(capsys, argv) == first, argv
+
+
+def test_wallcross_reads_each_wall_from_the_witness_root(capsys, tmp_path, monkeypatch):
+    # _check_wallcross takes the wall of a pair from its adjacency witness;
+    # only omega_ratio still asks same_wall_component, once per ratio
+    argvs = [["verify", "wallcross"] + base for base in (D4_SLICE, BASE_FL3)]
+    expected = [run_cli(capsys, argv) for argv in argvs]
+    real = slices.same_wall_component
+
+    def guarded(spec, p, q):
+        if sys._getframe(1).f_code is cli._check_wallcross.__code__:
+            raise AssertionError("_check_wallcross called same_wall_component")
+        return real(spec, p, q)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grslice") and vars(module).get("same_wall_component") is real:
+            monkeypatch.setattr(module, "same_wall_component", guarded)
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache-patched"))
+    for argv, first in zip(argvs, expected):
+        assert first[0] == 0, (argv, first)
+        assert run_cli(capsys, argv) == first, argv
+
+
+def test_oracle_fails_on_an_entry_off_the_adjacency_table(capsys, monkeypatch):
+    real = cli.line_bundle_matrices
+    moved = {}
+
+    def tampered(spec, ch, signs=None):
+        matrices = real(spec, ch, signs)
+        points = slices.enumerate_fixed_points(spec)
+        pairs = slices.adjacent_pairs(spec, ch)
+        p, q = next((p, q) for p in points for q in points if p != q and (p, q) not in pairs)
+        index = slices.point_index(spec)
+        h = Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
+        matrices[1].entries[index[q]][index[p]] = h
+        moved.update(p=p.label(), q=q.label())
+        return matrices
+
+    monkeypatch.setattr(cli, "line_bundle_matrices", tampered)
+    code, out, err = run_cli(capsys, ["verify", "oracle"] + BASE_FL3)
+    assert code == 3, (out, err)
+    (check,) = json.loads(out)["checks"]
+    assert check["failures"] == [
+        {"check": "reconstruction", "bundle": "L1", "p": moved["p"], "q": moved["q"]}
+    ]

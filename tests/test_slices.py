@@ -406,7 +406,7 @@ def _reference_adjacency(spec, p, q, ch):
     alpha = p.delta[i] - q.delta[i]
     if q.delta[j] - p.delta[j] != alpha:
         return None
-    root = spec.cartan.root_of_coroot.get(alpha)
+    root = {c: f for f, c in spec.cartan.coroot_of_root.items()}.get(alpha)
     if root is None or not ch.is_positive(root):
         return None
     return AdjacencyWitness(i + 1, j + 1, alpha, root)

@@ -11,6 +11,7 @@ from grslice.slices import (
     EulerClass,
     FixedPoint,
     SliceSpec,
+    adjacent_pairs,
     dimension,
     dominant_representative,
     enumerate_fixed_points,
@@ -33,6 +34,7 @@ from grslice.stab_general import (
     wall_adjacent_chambers,
 )
 from grslice.symalg import Polynomial, RationalFunction, _factor_key
+from helpers import random_minuscule_specs
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -306,18 +308,40 @@ def test_mod_h2_json_shape():
 # -- factored entries against the rational-function route ----------------------
 
 
-def _reference_omega_ratio(spec, p, q, root):
-    """omega_ratio as a RationalFunction, as the program computed it before
-    its entries were factored."""
+def _reference_repelling_euler(spec, p, ch):
+    """repelling_euler(keep_h=False) as the multiset route computed it: the
+    ch-repelling weights split off the tangent multiset, then factored."""
+    _, repel = split_attract_repel(tangent_weights(spec, p), ch)
+    return euler_factors(repel, False, {})
+
+
+def _reference_flip_sign(spec, p, ch1, ch2):
+    """flip_sign as the multiset route computed it, weight by weight."""
+    count = sum(m for (root, n), m in tangent_weights(spec, p).entries.items()
+                if not ch1.is_positive(root) and ch2.is_positive(root))
+    return -1 if count % 2 else 1
+
+
+def _reference_omega(spec, p, q, root):
+    """omega_ratio as the multiset route computed it, in every call: the
+    multiset differences of the two repelling Euler classes, on both sides
+    of the wall."""
     canon = root if sum(root.coords) > 0 else -root
+    assert same_wall_component(spec, p, q) == canon
     results = []
     for ch in wall_adjacent_chambers(spec.cartan, canon, 1):
-        e_q = repelling_euler(spec, q, ch, False)
-        e_p = repelling_euler(spec, p, ch, False)
+        e_q = _reference_repelling_euler(spec, q, ch)
+        e_p = _reference_repelling_euler(spec, p, ch)
         results.append((e_q.factors - e_p.factors, e_p.factors - e_q.factors,
                         e_q.scalar / e_p.scalar))
     assert results[0] == results[1]
-    up, down, scalar = results[0]
+    return results[0]
+
+
+def _reference_omega_ratio(spec, p, q, root):
+    """omega_ratio as a RationalFunction, as the program computed it before
+    its entries were factored."""
+    up, down, scalar = _reference_omega(spec, p, q, root)
     num = EulerClass(spec.cartan.rank + 1, up, scalar).polynomial()
     return RationalFunction._trusted(num, tuple(sorted(down.elements(), key=_factor_key)))
 
@@ -328,7 +352,7 @@ def _reference_stab_mod_h2(spec, ch, polarization_signs=None):
     signs = normalize_polarization(points, polarization_signs)
     nv = spec.cartan.rank + 1
     h = Polynomial.gen(nv, nv - 1)
-    eps = {x: repelling_euler(spec, x, ch, False).polynomial() for x in points}
+    eps = {x: _reference_repelling_euler(spec, x, ch).polynomial() for x in points}
     out = {}
     for p in points:
         for q in points:
@@ -386,6 +410,32 @@ def test_factored_entries_expand_to_the_rational_function_route(job):
     assert set(entries) == set(reference)
     for pair, value in entries.items():
         assert value.polynomial() == reference[pair]
+
+
+@st.composite
+def specs_with_chambers(draw):
+    """A random minuscule slice with two chambers, each dominant,
+    antidominant or adjacent to the wall of a drawn root."""
+    spec = random_minuscule_specs(1, seed=draw(st.integers(0, 2**32)), max_dim=8)[0]
+    datum = spec.cartan
+    root = draw(st.sampled_from(datum.root_list))
+    choices = [Chamber.dominant(datum), Chamber.antidominant(datum)]
+    choices += wall_adjacent_chambers(datum, root, 1)
+    return spec, draw(st.sampled_from(choices)), draw(st.sampled_from(choices))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs_with_chambers())
+def test_root_count_routes_match_the_multiset_routes(job):
+    spec, ch1, ch2 = job
+    for p in enumerate_fixed_points(spec):
+        assert repelling_euler(spec, p, ch1, False) == _reference_repelling_euler(spec, p, ch1)
+        assert flip_sign(spec, p, ch1, ch2) == _reference_flip_sign(spec, p, ch1, ch2)
+    for (p, q), witness in adjacent_pairs(spec, ch1).items():
+        for a, b in ((p, q), (q, p)):
+            expected = _reference_omega(spec, a, b, witness.alpha_form)
+            assert omega_ratio(spec, a, b, witness.alpha_form) == expected
+            assert omega_ratio(spec, a, b, -witness.alpha_form) == expected
 
 
 def test_negative_count_raises_exact_division_failure(monkeypatch):
