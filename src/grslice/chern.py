@@ -135,84 +135,71 @@ class OperatorMatrix:
     """Matrix of an operator in the stable basis.
 
     Column p lists the coefficients over rows q: the operator sends the basis
-    element at p to sum_q entries[q][p] times the basis element at q.  The
+    element at p to sum_q entry(q, p) times the basis element at q.  The
     basis is the spec's fixed points in enumerate_fixed_points order, as every
-    constructor passes it, so a point's index is its point_index.
+    constructor passes it, so a point's index is its point_index.  entries
+    holds the nonzero coefficients only, keyed by the index pair (qi, pi);
+    entry reads an absent pair as one shared zero.
     """
 
-    __slots__ = ("spec", "chamber", "basis", "entries", "label")
+    __slots__ = ("spec", "chamber", "basis", "entries", "label", "zero")
 
     def __init__(
         self,
         spec: SliceSpec,
         chamber: Optional[Chamber],
         basis: Sequence[FixedPoint],
-        entries: List[List[Polynomial]],
+        entries: Dict[Tuple[int, int], Polynomial],
         label: Optional[str] = None,
     ):
         self.spec = spec
         self.chamber = chamber
         self.basis = list(basis)
-        self.entries = entries
+        self.entries = {key: e for key, e in entries.items() if not e.is_zero()}
         self.label = label
-
-    def index(self, p: FixedPoint) -> int:
-        return point_index(self.spec)[p]
+        self.zero = Polynomial.zero(spec.cartan.rank + 1)
 
     def entry(self, q: FixedPoint, p: FixedPoint) -> Polynomial:
-        return self.entries[self.index(q)][self.index(p)]
+        index = point_index(self.spec)
+        return self.entries.get((index[q], index[p]), self.zero)
 
     def validate(self) -> None:
         """Diagonal entries are degree-one; off-diagonal ones rational multiples of h."""
-        n = len(self.basis)
-        for qi in range(n):
-            for pi in range(n):
-                e = self.entries[qi][pi]
-                if qi == pi:
-                    if e.deg_a() > 1 or e.h_degree() > 1 or e.total_degree() > 1:
-                        raise AssertionError(f"diagonal entry at {self.basis[pi]} not linear")
-                elif not e.is_zero():
-                    if e.h_degree() != 1 or not (e.div_h().total_degree() == 0):
-                        raise AssertionError(
-                            f"off-diagonal entry ({self.basis[qi]}, {self.basis[pi]}) "
-                            "is not a rational multiple of h"
-                        )
+        for qi, pi in sorted(self.entries):
+            e = self.entries[qi, pi]
+            if qi == pi:
+                if e.deg_a() > 1 or e.h_degree() > 1 or e.total_degree() > 1:
+                    raise AssertionError(f"diagonal entry at {self.basis[pi]} not linear")
+            elif e.h_degree() != 1 or not (e.div_h().total_degree() == 0):
+                raise AssertionError(
+                    f"off-diagonal entry ({self.basis[qi]}, {self.basis[pi]}) "
+                    "is not a rational multiple of h"
+                )
 
-    def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
+    def _common_chamber(self, other: "OperatorMatrix") -> Optional[Chamber]:
+        """The chamber a combination of the two keeps; they must share a basis."""
         if self.spec != other.spec or self.basis != other.basis:
             raise ValueError("operator matrices live on different bases")
-        rows = [
-            [op(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        chamber = self.chamber if self.chamber == other.chamber else None
-        return OperatorMatrix(self.spec, chamber, self.basis, rows)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, lambda a, b: a + b)
+        return self.chamber if self.chamber == other.chamber else None
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, lambda a, b: a - b)
+        chamber = self._common_chamber(other)
+        entries = dict(self.entries)
+        for key, b in other.entries.items():
+            entries[key] = entries[key] - b if key in entries else -b
+        return OperatorMatrix(self.spec, chamber, self.basis, entries)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.spec != other.spec or self.basis != other.basis:
-            raise ValueError("operator matrices live on different bases")
-        n = len(self.basis)
-        nv = self.spec.cartan.rank + 1
-        rows = []
-        for qi in range(n):
-            row = []
-            for pi in range(n):
-                total = Polynomial.zero(nv)
-                for ri in range(n):
-                    a = self.entries[qi][ri]
-                    b = other.entries[ri][pi]
-                    if not a.is_zero() and not b.is_zero():
-                        total = total + a * b
-                row.append(total)
-            rows.append(row)
-        chamber = self.chamber if self.chamber == other.chamber else None
-        return OperatorMatrix(self.spec, chamber, self.basis, rows)
+        chamber = self._common_chamber(other)
+        rows: Dict[int, list] = {}
+        for (ri, pi), b in other.entries.items():
+            rows.setdefault(ri, []).append((pi, b))
+        sums: Dict[Tuple[int, int], Polynomial] = {}
+        for (qi, ri), a in self.entries.items():
+            for pi, b in rows.get(ri, ()):
+                key = qi, pi
+                sums[key] = sums[key] + a * b if key in sums else a * b
+        return OperatorMatrix(self.spec, chamber, self.basis, sums)
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,17 +211,13 @@ class OperatorMatrix:
 
     def to_json(self) -> dict:
         shared: dict = {}
+        get, zero = self.entries.get, self.zero
+        n = range(len(self.basis))
         return {
             "basis": [p.to_json(shared) for p in self.basis],
             "bundle": self.label,
-            "entries": [[e.to_json() for e in row] for row in self.entries],
+            "entries": [[get((qi, pi), zero).to_json() for pi in n] for qi in n],
         }
-
-
-def _zero_rows(nvars: int, n: int) -> List[List[Polynomial]]:
-    # polynomials are immutable, so every cell can share one zero
-    zero = Polynomial.zero(nvars)
-    return [[zero] * n for _ in range(n)]
 
 
 def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
@@ -242,15 +225,14 @@ def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
     if not 1 <= i <= spec.length:
         raise ValueError(f"slot index {i} out of range")
     points = enumerate_fixed_points(spec)
-    nv = spec.cartan.rank + 1
-    rows = _zero_rows(nv, len(points))
+    entries = {}
     for pi, p in enumerate(points):
         d = p.delta[i - 1]
         form = EquivariantLinearForm(
             spec.cartan.sharp(d), Fraction(spec.cartan.inner(d, spec.mu), 2)
         )
-        rows[pi][pi] = form.to_polynomial()
-    return OperatorMatrix(spec, None, points, rows, label=f"H{i}")
+        entries[pi, pi] = form.to_polynomial()
+    return OperatorMatrix(spec, None, points, entries, label=f"H{i}")
 
 
 def omega_operators(
@@ -265,19 +247,18 @@ def omega_operators(
         raise ValueError("slots must satisfy 1 <= i < j <= l")
     points = enumerate_fixed_points(spec)
     nv = spec.cartan.rank + 1
-    rows = _zero_rows(nv, len(points))
+    entries = {}
     index = point_index(spec)
     half = Fraction(1, 2)
     for pi, p in enumerate(points):
         val = spec.cartan.inner(p.delta[i - 1], p.delta[j - 1])
-        rows[pi][pi] = Polynomial.constant(nv, half * Fraction(val))
+        entries[pi, pi] = Polynomial.constant(nv, half * Fraction(val))
     for p, q, w, sign in _pair_table(spec, ch, polarization_signs):
         if (w.i, w.j) != (i, j):
             continue
         half_len = spec.cartan.coroot_half_length[w.alpha_form]
-        prev = rows[index[q]][index[p]]
-        rows[index[q]][index[p]] = prev + Polynomial.constant(nv, sign * half_len)
-    return OperatorMatrix(spec, ch, points, rows)
+        entries[index[q], index[p]] = Polynomial.constant(nv, sign * half_len)
+    return OperatorMatrix(spec, ch, points, entries)
 
 
 def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
@@ -303,7 +284,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     minus h times the chamber operators across the cut at k."""
     points = enumerate_fixed_points(spec)
     nv = spec.cartan.rank + 1
-    rows = _zero_rows(nv, len(points))
+    entries = {}
     index = point_index(spec)
     for pi, p in enumerate(points):
         # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu),
@@ -319,15 +300,13 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
                 if value is None:
                     value = inner[c] = sum(map(mul, c, sharp))
                 twice_h -= value
-        rows[pi][pi] = Polynomial.linear_form(a_part, Fraction(twice_h, 2))
+        entries[pi, pi] = Polynomial.linear_form(a_part, Fraction(twice_h, 2))
     for p, q, w, sign in pair_table:
         if not w.i <= k < w.j:
             continue
         half_len = spec.cartan.coroot_half_length[w.alpha_form]
-        prev = rows[index[q]][index[p]]
-        correction = Polynomial.linear_form([0] * (nv - 1), -sign * half_len)
-        rows[index[q]][index[p]] = prev + correction
-    return OperatorMatrix(spec, ch, points, rows, label=f"L{k}")
+        entries[index[q], index[p]] = Polynomial.linear_form([0] * (nv - 1), -sign * half_len)
+    return OperatorMatrix(spec, ch, points, entries, label=f"L{k}")
 
 
 def mult_matrix(
@@ -344,7 +323,6 @@ def mult_matrix(
     else:
         mat = _mult_l(spec, idx, ch, table) - _mult_l(spec, idx - 1, ch, table)
         mat.label = f"E{idx}"
-        mat.chamber = ch
     mat.validate()
     return mat
 
@@ -414,7 +392,7 @@ def mult_matrix_via_localization(
         u, s = _linear(f)
         assert u == 1
         shifts += [s] * k
-    rows = _zero_rows(spec.cartan.rank + 1, len(points))
+    entries = {}
     # each sum has degree deg(lcm) + 1, so its quotient is a linear form
     for (p, q), total in sums.items():
         try:
@@ -424,9 +402,8 @@ def mult_matrix_via_localization(
             raise NonPolynomialEntry(
                 f"localization entry ({q}, {p}) is not polynomial"
             ) from exc
-        rows[index[q]][index[p]] = _polynomial(total)
-    label = f"{kind}{idx}"
-    return OperatorMatrix(spec, ch, points, rows, label=label)
+        entries[index[q], index[p]] = _polynomial(total)
+    return OperatorMatrix(spec, ch, points, entries, label=f"{kind}{idx}")
 
 
 def reconstruct_coefficient(

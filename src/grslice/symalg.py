@@ -224,19 +224,6 @@ class Polynomial:
             self.nvars, {e[:-1] + (e[-1] - 1,): c for e, c in self.terms.items()}
         )
 
-    def evaluate(self, point: Sequence):
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        pt = [_norm_scalar(x) for x in point]
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            val = Fraction(coeff)
-            for x, e in zip(pt, exp):
-                if e:
-                    val *= Fraction(x) ** e
-            total += val
-        return _norm_scalar(total)
-
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Ring map sending a_i, h to images[i]; images share one variable count."""
         if len(images) != self.nvars:

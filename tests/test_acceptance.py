@@ -246,22 +246,24 @@ def test_criterion_09_multiplication_oracle():
         for ch in (CH_PLUS, CH_MINUS):
             stab = exact(spec, ch)
             points = stab.points
+            # each point's nonzero restrictions, keyed by the restricting point
+            rows = stab.stored_rows()
             for bundle in bundles:
                 mat = mult_matrix(spec, bundle, ch)
                 assert mat.basis == points
-                columns = [
-                    [(points[qi], row_entries) for qi, row_entries in enumerate(col) if not row_entries.is_zero()]
-                    for col in zip(*mat.entries)
-                ]
+                # column p: the stored coefficients, each with the row of its q
+                columns = [[] for _ in points]
+                for (qi, pi), coeff in mat.entries.items():
+                    columns[pi].append((rows[points[qi]], coeff))
                 for x in points:
                     weight = bundle_weight(spec, x, bundle).to_polynomial()
                     for pi, p in enumerate(points):
                         rhs = ZERO2
-                        for q, coeff in columns[pi]:
-                            sv = stab.entry(q, x)
-                            if not sv.is_zero():
+                        for row, coeff in columns[pi]:
+                            sv = row.get(x)
+                            if sv is not None:
                                 rhs = rhs + sv * coeff
-                        assert weight * stab.entry(p, x) == rhs, (l, k, bundle)
+                        assert weight * rows[p].get(x, ZERO2) == rhs, (l, k, bundle)
     assert time.monotonic() - start < 60.0
 
 

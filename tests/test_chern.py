@@ -19,7 +19,7 @@ from grslice.chern import (
     parse_bundle,
     reconstruct_coefficient,
 )
-from grslice.slices import FixedPoint, SliceSpec, enumerate_fixed_points
+from grslice.slices import FixedPoint, SliceSpec, adjacent_pairs, enumerate_fixed_points
 from grslice.stab_a1 import NotA1, stab_matrix
 from grslice.stab_general import find_adjacency, sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
@@ -54,10 +54,10 @@ def h_poly(spec):
     return Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
 
 
-def scale_by_h(mat):
-    h = h_poly(mat.spec)
-    rows = [[h * e for e in row] for row in mat.entries]
-    return OperatorMatrix(mat.spec, mat.chamber, mat.basis, rows)
+def scale_by_h(mat, sign=1):
+    h = sign * h_poly(mat.spec)
+    entries = {key: h * e for key, e in mat.entries.items()}
+    return OperatorMatrix(mat.spec, mat.chamber, mat.basis, entries)
 
 
 # -- bundle weights ------------------------------------------------------------
@@ -156,10 +156,11 @@ def test_omega_operator_combines_parts():
         nv = datum.rank + 1
         for i in range(1, spec.length):
             for j in range(i + 1, spec.length + 1):
-                expected = [[Polynomial.zero(nv)] * len(points) for _ in points]
+                expected = {}
                 for x, p in enumerate(points):
                     half = Fraction(datum.inner(p.delta[i - 1], p.delta[j - 1]), 2)
-                    expected[x][x] = Polynomial.constant(nv, half)
+                    if half:
+                        expected[x, x] = Polynomial.constant(nv, half)
                     for root in datum.positive_roots(ch):
                         if (pairing(p.delta[i - 1], root), pairing(p.delta[j - 1], root)) != (1, -1):
                             continue
@@ -169,7 +170,7 @@ def test_omega_operator_combines_parts():
                         q = FixedPoint(delta)
                         sign = sigma_sign(spec, p, q, root, ch, samples=1)
                         half_len = Fraction(datum.inner(coroot, coroot), 2)
-                        expected[points.index(q)][x] = Polynomial.constant(nv, sign * half_len)
+                        expected[points.index(q), x] = Polynomial.constant(nv, sign * half_len)
                 assert omega_operators(spec, i, j, ch).entries == expected
 
 
@@ -196,7 +197,8 @@ def test_two_point_slice_worked_multiplication():
 def test_trivial_and_determinant_bundles():
     for spec, ch in ((TSTAR_FL3, CH2_PLUS), (a1_spec(3, 1), CH1_PLUS)):
         zero_mat = mult_matrix(spec, "L0", ch)
-        assert all(e.is_zero() for row in zero_mat.entries for e in row)
+        basis = zero_mat.basis
+        assert all(zero_mat.entry(q, p).is_zero() for q in basis for p in basis)
         top = mult_matrix(spec, f"L{spec.length}", ch)
         mu = spec.mu
         scalar = Polynomial.linear_form(
@@ -205,7 +207,7 @@ def test_trivial_and_determinant_bundles():
         for qi, q in enumerate(top.basis):
             for pi, p in enumerate(top.basis):
                 expected = scalar if qi == pi else Polynomial.zero(spec.cartan.rank + 1)
-                assert top.entries[qi][pi] == expected
+                assert top.entry(q, p) == expected
 
 
 def test_diagonal_matches_bundle_weight():
@@ -240,13 +242,13 @@ def test_e_matrix_matches_slot_formula():
     cases = [(TSTAR_FL3, CH2_PLUS), (A2_MIXED, CH2_PLUS), (a1_spec(4, 0), CH1_MINUS)]
     for spec, ch in cases:
         for i in range(1, spec.length + 1):
-            direct = mult_matrix(spec, f"E{i}", ch)
-            acc = h_operator(spec, i)
+            # E_i - H_i - h sum_{j<i} Omega_ji + h sum_{j>i} Omega_ij = 0
+            acc = mult_matrix(spec, f"E{i}", ch) - h_operator(spec, i)
             for j in range(1, i):
-                acc = acc + scale_by_h(omega_operators(spec, j, i, ch))
+                acc = acc - scale_by_h(omega_operators(spec, j, i, ch))
             for j in range(i + 1, spec.length + 1):
-                acc = acc - scale_by_h(omega_operators(spec, i, j, ch))
-            assert direct.entries == acc.entries
+                acc = acc - scale_by_h(omega_operators(spec, i, j, ch), -1)
+            assert acc.entries == {}
 
 
 def test_matrix_conjugates_fixed_point_action():
@@ -420,14 +422,14 @@ def test_operator_json_shape():
 def test_validate_rejects_bad_diagonal():
     mat = mult_matrix(TSTAR_P1, "L1", CH1_PLUS)
     a = Polynomial.gen(2, 0)
-    mat.entries[0][0] = a * a
+    mat.entries[0, 0] = a * a
     with pytest.raises(AssertionError):
         mat.validate()
 
 
 def test_validate_rejects_bad_offdiagonal():
     mat = mult_matrix(TSTAR_P1, "L1", CH1_PLUS)
-    mat.entries[0][1] = Polynomial.gen(2, 0)
+    mat.entries[0, 1] = Polynomial.gen(2, 0)
     with pytest.raises(AssertionError):
         mat.validate()
 
@@ -471,3 +473,74 @@ def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
     for k, mat in enumerate(again):
         for p in mat.basis:
             assert mat.entry(p, p) == line_bundle_weight(spec, p, k).to_polynomial()
+
+
+# -- sparse storage ----------------------------------------------------------------
+
+
+def _dense_product(left, right):
+    """Rows of left @ right, summed over every middle point as dense matrices are."""
+    basis = left.basis
+    rows = []
+    for q in basis:
+        row = []
+        for p in basis:
+            total = Polynomial.zero(left.spec.cartan.rank + 1)
+            for r in basis:
+                total = total + left.entry(q, r) * right.entry(r, p)
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def test_sparse_product_matches_a_dense_reference():
+    cases = [
+        (TSTAR_FL3, CH2_PLUS),
+        (A2_MIXED, CH2_PLUS),
+        (B2_SPEC, Chamber.dominant(B2)),
+        (a1_spec(4, 0), CH1_PLUS),
+    ]
+    for spec, ch in cases:
+        mats = [mult_matrix(spec, f"L{k}", ch) for k in range(spec.length + 1)]
+        for left in mats:
+            for right in mats:
+                product = left @ right
+                basis = product.basis
+                rows = [[product.entry(q, p) for p in basis] for q in basis]
+                assert rows == _dense_product(left, right), (spec, left.label, right.label)
+                assert not any(e.is_zero() for e in product.entries.values())
+                assert product.chamber == ch
+
+
+def test_no_stored_entry_is_zero():
+    for spec, ch in ((TSTAR_FL3, CH2_PLUS), (A2_MIXED, CH2_PLUS), (a1_spec(4, 0), CH1_MINUS)):
+        assert mult_matrix(spec, "L0", ch).entries == {}
+        index = {p: i for i, p in enumerate(enumerate_fixed_points(spec))}
+        pairs = adjacent_pairs(spec, ch)
+        cancelled = 0
+        for i in range(1, spec.length + 1):
+            upper = mult_matrix(spec, f"L{i}", ch)
+            mat = mult_matrix(spec, f"E{i}", ch)
+            assert not any(e.is_zero() for e in mat.entries.values())
+            # a pair whose slots straddle both cuts has one correction in L_i
+            # and the same in L_{i-1}: their difference leaves nothing there
+            for (p, q), w in pairs.items():
+                if w.i < i < w.j:
+                    assert (index[q], index[p]) in upper.entries
+                    assert (index[q], index[p]) not in mat.entries
+                    cancelled += 1
+        assert cancelled > 0, spec
+    for spec, ch in ((a1_spec(4, 0), CH1_PLUS), (a1_spec(5, 1), CH1_MINUS)):
+        assert mult_matrix_via_localization(spec, "L0", ch).entries == {}
+        for bundle in all_bundles(spec):
+            via = mult_matrix_via_localization(spec, bundle, ch)
+            assert not any(e.is_zero() for e in via.entries.values())
+
+
+def test_json_prints_every_cell_through_entry():
+    for spec, ch in ((TSTAR_FL3, CH2_PLUS), (a1_spec(4, 2), CH1_PLUS)):
+        for bundle in all_bundles(spec):
+            mat = mult_matrix(spec, bundle, ch)
+            basis = mat.basis
+            expected = [[mat.entry(q, p).to_json() for p in basis] for q in basis]
+            assert mat.to_json()["entries"] == expected

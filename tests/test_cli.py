@@ -721,7 +721,7 @@ def test_oracle_fails_on_an_entry_off_the_adjacency_table(capsys, monkeypatch):
         p, q = next((p, q) for p in points for q in points if p != q and (p, q) not in pairs)
         index = slices.point_index(spec)
         h = Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
-        matrices[1].entries[index[q]][index[p]] = h
+        matrices[1].entries[index[q], index[p]] = h
         moved.update(p=p.label(), q=q.label())
         return matrices
 

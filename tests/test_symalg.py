@@ -43,12 +43,6 @@ def test_truncate_mod_h2():
     assert ((A + H) * (A + H)).truncate_mod_h2() == A**2 + 2 * A * H
 
 
-def test_evaluate():
-    assert (A + H).evaluate((2, 3)) == 5
-    assert Polynomial.zero(2).evaluate((11, -4)) == 0
-    assert (A * H).evaluate((Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 6)
-
-
 def test_div_h():
     p = A * H + 2 * H**2
     assert p.div_h() == A + 2 * H
@@ -187,14 +181,6 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + Polynomial.zero(2) == p
     assert p * Polynomial.one(2) == p
-
-
-@settings(max_examples=100, deadline=None)
-@given(polys(), polys(), st.integers(-5, 5), st.integers(-5, 5))
-def test_evaluate_is_ring_hom(p, q, x, y):
-    pt = (x, Fraction(y, 3))
-    assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
-    assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
 
 
 @settings(max_examples=100, deadline=None)
