@@ -136,10 +136,9 @@ class OperatorMatrix:
 
     Column p lists the coefficients over rows q: the operator sends the basis
     element at p to sum_q entry(q, p) times the basis element at q.  The
-    basis is the spec's fixed points in enumerate_fixed_points order, as every
-    constructor passes it, so a point's index is its point_index.  entries
-    holds the nonzero coefficients only, keyed by the index pair (qi, pi);
-    entry reads an absent pair as one shared zero.
+    basis is enumerate_fixed_points(spec), so a point's index is its
+    point_index.  entries holds the nonzero coefficients only, keyed by the
+    index pair (qi, pi); entry reads an absent pair as one shared zero.
     """
 
     __slots__ = ("spec", "chamber", "basis", "entries", "label", "zero")
@@ -148,13 +147,12 @@ class OperatorMatrix:
         self,
         spec: SliceSpec,
         chamber: Optional[Chamber],
-        basis: Sequence[FixedPoint],
         entries: Dict[Tuple[int, int], Polynomial],
         label: Optional[str] = None,
     ):
         self.spec = spec
         self.chamber = chamber
-        self.basis = list(basis)
+        self.basis = enumerate_fixed_points(spec)
         self.entries = {key: e for key, e in entries.items() if not e.is_zero()}
         self.label = label
         self.zero = Polynomial.zero(spec.cartan.rank + 1)
@@ -177,9 +175,9 @@ class OperatorMatrix:
                 )
 
     def _common_chamber(self, other: "OperatorMatrix") -> Optional[Chamber]:
-        """The chamber a combination of the two keeps; they must share a basis."""
-        if self.spec != other.spec or self.basis != other.basis:
-            raise ValueError("operator matrices live on different bases")
+        """The chamber a combination of the two keeps; they must share a slice."""
+        if self.spec != other.spec:
+            raise ValueError("operator matrices live on different slices")
         return self.chamber if self.chamber == other.chamber else None
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -187,7 +185,7 @@ class OperatorMatrix:
         entries = dict(self.entries)
         for key, b in other.entries.items():
             entries[key] = entries[key] - b if key in entries else -b
-        return OperatorMatrix(self.spec, chamber, self.basis, entries)
+        return OperatorMatrix(self.spec, chamber, entries)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         chamber = self._common_chamber(other)
@@ -199,13 +197,12 @@ class OperatorMatrix:
             for pi, b in rows.get(ri, ()):
                 key = qi, pi
                 sums[key] = sums[key] + a * b if key in sums else a * b
-        return OperatorMatrix(self.spec, chamber, self.basis, sums)
+        return OperatorMatrix(self.spec, chamber, sums)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OperatorMatrix)
             and self.spec == other.spec
-            and self.basis == other.basis
             and self.entries == other.entries
         )
 
@@ -232,7 +229,7 @@ def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
             spec.cartan.sharp(d), Fraction(spec.cartan.inner(d, spec.mu), 2)
         )
         entries[pi, pi] = form.to_polynomial()
-    return OperatorMatrix(spec, None, points, entries, label=f"H{i}")
+    return OperatorMatrix(spec, None, entries, label=f"H{i}")
 
 
 def omega_operators(
@@ -258,7 +255,7 @@ def omega_operators(
             continue
         half_len = spec.cartan.coroot_half_length[w.alpha_form]
         entries[index[q], index[p]] = Polynomial.constant(nv, sign * half_len)
-    return OperatorMatrix(spec, ch, points, entries)
+    return OperatorMatrix(spec, ch, entries)
 
 
 def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
@@ -306,7 +303,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
             continue
         half_len = spec.cartan.coroot_half_length[w.alpha_form]
         entries[index[q], index[p]] = Polynomial.linear_form([0] * (nv - 1), -sign * half_len)
-    return OperatorMatrix(spec, ch, points, entries, label=f"L{k}")
+    return OperatorMatrix(spec, ch, entries, label=f"L{k}")
 
 
 def mult_matrix(
@@ -380,11 +377,10 @@ def mult_matrix_via_localization(
     plus = stab_matrix(spec, ch, polarization_signs)
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
-    index = point_index(spec)
-    weight = {}
+    weight = []
     for x in points:
         w = bundle_weight(spec, x, (kind, idx))
-        weight[x] = (w.a_part.coords[0], w.h_coeff)
+        weight.append((w.a_part.coords[0], w.h_coeff))
     lcm, sums = _pairing_sums(plus, minus, weight)
     # the lcm has scalar 1, and every factor is a canonical tangent form a + s h
     shifts = []
@@ -400,10 +396,10 @@ def mult_matrix_via_localization(
                 total = _form_div(total, s)
         except NonDivisible as exc:
             raise NonPolynomialEntry(
-                f"localization entry ({q}, {p}) is not polynomial"
+                f"localization entry ({points[q]}, {points[p]}) is not polynomial"
             ) from exc
-        entries[index[q], index[p]] = _polynomial(total)
-    return OperatorMatrix(spec, ch, points, entries, label=f"{kind}{idx}")
+        entries[q, p] = _polynomial(total)
+    return OperatorMatrix(spec, ch, entries, label=f"{kind}{idx}")
 
 
 def reconstruct_coefficient(

@@ -13,8 +13,11 @@ Every restriction is a homogeneous form of degree D = dim/2 in (a, h), so
 the recursion, its checks and the pairing keep it as the tuple of its
 coefficients (c_0, .., c_D), c_k the coefficient of a^(D-k) h^k: a product
 is a convolution and a division by a linear form a synthetic division whose
-zero remainder is the divisibility test.  Polynomials appear only where a
-matrix is read from outside (entry, row, stored_rows, to_json).
+zero remainder is the divisibility test.  Points are their indices in
+enumerate_fixed_points order throughout, as in chern.OperatorMatrix: the
+matrix keys its forms by index pairs and holds its signs and epsilons in
+tuples by index.  Points and polynomials appear only where a matrix is read
+from outside (entry, stored_rows, to_json).
 """
 
 from __future__ import annotations
@@ -111,19 +114,6 @@ def _polynomial(f: tuple) -> Polynomial:
     """The form f as a polynomial in (a, h)."""
     d = len(f) - 1
     return Polynomial._trusted(_NVARS, {(d - k, k): c for k, c in enumerate(f)})
-
-
-def _form_of(poly: Polynomial, degree: int):
-    """The form of a polynomial homogeneous of the given degree in (a, h),
-    or None when it is not one."""
-    if poly.nvars != _NVARS:
-        return None
-    out = [0] * (degree + 1)
-    for (i, k), c in poly.terms.items():
-        if i + k != degree:
-            return None
-        out[k] = c
-    return tuple(out)
 
 
 def _require_a1(spec: SliceSpec) -> None:
@@ -273,47 +263,46 @@ def normalize_polarization(points, polarization_signs) -> Dict[FixedPoint, int]:
 class RestrictionMatrix:
     """Sparse matrix of restrictions Stab[p]|_q over the fixed points.
 
-    entries[(p, q)] = Stab_{ch,eps}[p]|_q with eps|_p = sign(p) * e_A of the
-    repelling half, as a form of degree dim/2 in (a, h); zero entries are not
-    stored; epsilons[p] is the integer c with eps|_p = c * a^(dim/2).  The
-    constructor also takes polynomial entries and refuses one that is not
-    homogeneous of that degree.
+    points is enumerate_fixed_points(spec), so a point's index is its
+    point_index.  entries[(p, q)] = Stab_{ch,eps}[p]|_q for point indices p
+    and q, with eps|_p = polarization_signs[p] * e_A of the repelling half,
+    as a form of degree dim/2 in (a, h); zero entries are not stored, and
+    the constructor refuses a form of another length.  epsilons[p] is the
+    integer c with eps|_p = c * a^(dim/2).  entry and stored_rows read the
+    matrix by point, as polynomials.
     """
 
     __slots__ = ("spec", "chamber", "polarization_signs", "points", "entries",
                  "epsilons")
 
-    def __init__(self, spec, chamber, polarization_signs, points, entries,
-                 epsilons):
+    def __init__(self, spec, chamber, polarization_signs, entries, epsilons):
         self.spec = spec
         self.chamber = chamber
-        self.polarization_signs = dict(polarization_signs)
-        self.points = list(points)
-        self.epsilons = dict(epsilons)
+        self.polarization_signs = tuple(polarization_signs)
+        self.points = enumerate_fixed_points(spec)
+        self.epsilons = tuple(epsilons)
         degree = dimension(spec) // 2
         self.entries = {}
         for (p, q), val in entries.items():
-            if isinstance(val, Polynomial):
-                val = _form_of(val, degree)
-            if val is None or len(val) != degree + 1:
+            if len(val) != degree + 1:
                 raise InvariantViolation(
-                    f"({p.label()}, {q.label()}) is not homogeneous of degree {degree}"
+                    f"({self.points[p].label()}, {self.points[q].label()}) "
+                    f"is not homogeneous of degree {degree}"
                 )
             if any(val):
                 self.entries[(p, q)] = val
 
     def entry(self, p: FixedPoint, q: FixedPoint) -> Polynomial:
-        val = self.entries.get((p, q))
+        index = point_index(self.spec)
+        val = self.entries.get((index[p], index[q]))
         return _ZERO if val is None else _polynomial(val)
-
-    def row(self, p: FixedPoint) -> Dict[FixedPoint, Polynomial]:
-        return {q: self.entry(p, q) for q in self.points}
 
     def stored_rows(self) -> Dict[FixedPoint, Dict[FixedPoint, Polynomial]]:
         """Each point's nonzero restrictions, keyed by the restricting point."""
-        rows: Dict[FixedPoint, Dict[FixedPoint, Polynomial]] = {p: {} for p in self.points}
+        points = self.points
+        rows: Dict[FixedPoint, Dict[FixedPoint, Polynomial]] = {p: {} for p in points}
         for (p, q), val in self.entries.items():
-            rows[p][q] = _polynomial(val)
+            rows[points[p]][points[q]] = _polynomial(val)
         return rows
 
     def validate(self) -> None:
@@ -321,35 +310,28 @@ class RestrictionMatrix:
 
         For a form of degree D, divisibility by h and the a-degree bound
         deg_a < D both say that the a^D coefficient vanishes."""
-        spec, ch = self.spec, self.chamber
-        for p in self.points:
-            expected = _euler_form(repelling_euler(spec, p, ch, True),
-                                   self.polarization_signs[p])
-            if self.entries.get((p, p)) != expected:
+        spec, ch, points = self.spec, self.chamber, self.points
+        for x, (p, sign) in enumerate(zip(points, self.polarization_signs)):
+            expected = _euler_form(repelling_euler(spec, p, ch, True), sign)
+            if self.entries.get((x, x)) != expected:
                 raise InvariantViolation(
                     f"diagonal at {p.label()} is not the repelling Euler class"
                 )
-        index = point_index(spec)
         stats = _stat_keys(spec, ch)
         downsets = _downsets(_move_partners(spec), stats)
-        for (p, q), val in self.entries.items():
-            x, y = index[p], index[q]
+        for (x, y), val in self.entries.items():
             if x == y:
                 continue
             if not (stats[y] < stats[x] and downsets[x] >> y & 1):
                 raise InvariantViolation(
-                    f"triangularity violated at ({p.label()}, {q.label()})"
+                    f"triangularity violated at ({points[x].label()}, {points[y].label()})"
                 )
             if val[0]:
                 raise InvariantViolation(
-                    f"({p.label()}, {q.label()}) is not divisible by h"
+                    f"({points[x].label()}, {points[y].label()}) is not divisible by h"
                 )
 
     def to_json(self) -> dict:
-        index = {p: i for i, p in enumerate(self.points)}
-        keys = sorted(
-            self.entries, key=lambda pq: (index[pq[0]], index[pq[1]])
-        )
         # each entry as Polynomial.to_json prints it: monomials a^(D-k) h^k
         # in increasing order of exponent vectors, i.e. k decreasing
         degree = dimension(self.spec) // 2
@@ -364,7 +346,7 @@ class RestrictionMatrix:
             "points": [p.to_json(shared) for p in self.points],
             "chamber": list(self.chamber.sign_vector),
             "entries": {
-                f"{index[p]},{index[q]}": encode(self.entries[(p, q)]) for p, q in keys
+                f"{p},{q}": encode(self.entries[p, q]) for p, q in sorted(self.entries)
             },
         }
 
@@ -391,7 +373,8 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     if ch.datum != spec.cartan:
         raise ValueError("chamber does not belong to the slice's Cartan datum")
     points = enumerate_fixed_points(spec)
-    signs = normalize_polarization(points, polarization_signs)
+    # in point order, as normalize_polarization lists them
+    signs = tuple(normalize_polarization(points, polarization_signs).values())
     stats = _stat_keys(spec, ch)
     heights = _point_heights(spec)
     moves = _move_partners(spec)
@@ -400,9 +383,9 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     # half); every factor of e_T is a canonical a + n h, so it is sign_p
     # times the scalar
     repelling = [repelling_euler(spec, p, ch, True) for p in points]
-    eps = [signs[p] * _norm_scalar(e.scalar) for p, e in zip(points, repelling)]
+    eps = [s * _norm_scalar(e.scalar) for s, e in zip(signs, repelling)]
     p0 = point_index(spec)[minimal_point(spec, ch)]
-    rows = {p0: {p0: _euler_form(repelling[p0], signs[points[p0]])}}
+    rows = {p0: {p0: _euler_form(repelling[p0], signs[p0])}}
 
     # points come in lexicographic key order, so the index breaks stat ties
     for p in sorted(range(len(points)), key=lambda x: (stats[x], x)):
@@ -423,8 +406,8 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
             raise PathInconsistency(f"transposition paths to {points[p].label()} disagree")
         rows[p] = first
 
-    entries = {(points[p], points[q]): val for p, row in rows.items() for q, val in row.items()}
-    matrix = RestrictionMatrix(spec, ch, signs, points, entries, dict(zip(points, eps)))
+    entries = {(p, q): val for p, row in rows.items() for q, val in row.items()}
+    matrix = RestrictionMatrix(spec, ch, signs, entries, eps)
     matrix.validate()
     return matrix
 
@@ -458,8 +441,9 @@ def stab_offdiag_mod_h2(
 
 def theta_action(
     spec: SliceSpec, i: int, matrix: RestrictionMatrix
-) -> Dict[Tuple[FixedPoint, FixedPoint], Polynomial]:
-    """Action of the i-th transposition correspondence on the rows of matrix.
+) -> Dict[Tuple[int, int], tuple]:
+    """Action of the i-th transposition correspondence on the rows of matrix,
+    as nonzero forms keyed by point-index pairs (p, q).
 
     Computed two independent ways: on rows, -Stab[p] + (eps_p/eps_{r_i p})
     Stab[r_i p]; on columns, the prefactor (a + <alpha, sigma_q^i> h) /
@@ -475,37 +459,28 @@ def theta_action(
         return {}  # r_i fixes every point: -Stab[p] + Stab[p] = 0
     # two adjacent nonfrozen slots are a raising move
     partner = dict(_move_partners(spec))[i]
-    index = point_index(spec)
     heights = _point_heights(spec)
-    everyone = list(index)
-    points = matrix.points
-    swapped = {p: everyone[partner[index[p]]] for p in points}
-    rows: Dict[FixedPoint, Dict[FixedPoint, tuple]] = {p: {} for p in points}
+    points, eps = matrix.points, matrix.epsilons
+    rows: List[Dict[int, tuple]] = [{} for _ in points]
     for (p, q), val in matrix.entries.items():
         rows[p][q] = val
     zero = (0,) * (dimension(spec) // 2 + 1)
-    left: Dict[Tuple[FixedPoint, FixedPoint], tuple] = {}
-    for p in points:
-        rp = swapped[p]
+    left: Dict[Tuple[int, int], tuple] = {}
+    for p, row in enumerate(rows):
+        rp = partner[p]
         if rp == p:
             continue  # -Stab[p] + Stab[p] = 0
-        ratio = _epsilon_ratio(matrix.epsilons[p], matrix.epsilons[rp])
-        row, other = rows[p], rows[rp]
-        for q in points:
-            if q not in row and q not in other:
-                continue
+        ratio = _epsilon_ratio(eps[p], eps[rp])
+        other = rows[rp]
+        for q in row.keys() | other.keys():
             val = tuple(ratio * y - x for x, y in zip(row.get(q, zero), other.get(q, zero)))
             if any(val):
                 left[(p, q)] = val
     # (p, q) holds when (a + s_cur h) * diff == (a + s_prev h) * expected,
     # the cross-multiplication a rational-function equality would do; it
     # holds trivially where diff and expected both vanish
-    columns = []
-    for q in points:
-        h = heights[index[q]]
-        columns.append((q, swapped[q], (1, h[i]), (1, h[i - 1])))
-    for p in points:
-        row = rows[p]
+    columns = [(q, partner[q], (1, h[i]), (1, h[i - 1])) for q, h in enumerate(heights)]
+    for p, row in enumerate(rows):
         for q, rq, num, den in columns:
             expected = left.get((p, q))
             if expected is None:
@@ -515,9 +490,9 @@ def theta_action(
             diff = tuple(map(sub, row.get(rq, zero), row.get(q, zero)))
             if _form_mul(num, diff) != _form_mul(den, expected):
                 raise AssertionError(
-                    f"theta action mismatch at ({p.label()}, {q.label()})"
+                    f"theta action mismatch at ({points[p].label()}, {points[q].label()})"
                 )
-    return {pq: _polynomial(val) for pq, val in left.items()}
+    return left
 
 
 def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None):
@@ -525,22 +500,22 @@ def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None
     on one slice, with the denominator cleared.
 
     Returns (lcm, sums): lcm is localization_denominator's least common
-    multiple, and sums[(p, q)] is the nonzero form
+    multiple, and sums[(p, q)], for point indices p and q, is the nonzero form
 
         sum_x Stab_+[p]|_x * Stab_-[q]|_x * w(x) * cofactor(x)
 
-    with w(x) the form weight[x], or 1 when weight is None.  The sum runs
-    over the points x where both restrictions are stored; the weight and the
-    cofactor ride on Stab_-.
+    with w(x) the form weight[x], by point index, or 1 when weight is None.
+    The sum runs over the points x where both restrictions are stored; the
+    weight and the cofactor ride on Stab_-.
     """
     lcm, cofactor = localization_denominator(plus.spec)
-    factor = {x: _euler_form(e) for x, e in cofactor.items()}
+    factor = [_euler_form(cofactor[x]) for x in plus.points]
     if weight is not None:
-        factor = {x: _form_mul(f, weight[x]) for x, f in factor.items()}
-    columns: Dict[FixedPoint, List[Tuple[FixedPoint, tuple]]] = {x: [] for x in factor}
+        factor = list(map(_form_mul, factor, weight))
+    columns: List[List[Tuple[int, tuple]]] = [[] for _ in factor]
     for (q, x), val in minus.entries.items():
         columns[x].append((q, _form_mul(val, factor[x])))
-    sums: Dict[Tuple[FixedPoint, FixedPoint], list] = {}
+    sums: Dict[Tuple[int, int], list] = {}
     for (p, x), up in plus.entries.items():
         for q, down in columns[x]:
             total = sums.get((p, q))
@@ -571,6 +546,6 @@ def verify_duality(spec: SliceSpec, ch: Chamber,
     failures = [
         {"p": p.label(), "q": q.label()}
         for qi, q in enumerate(points) for pi, p in enumerate(points)
-        if sums.get((p, q)) != (lcm_form if pi == qi else None)
+        if sums.get((pi, qi)) != (lcm_form if pi == qi else None)
     ]
     return {"ok": not failures, "pairs": len(points) ** 2, "failures": failures}

@@ -22,7 +22,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from .slices import (
@@ -48,16 +48,6 @@ def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
     if canon is None:
         raise ValueError(f"{root} is not a root")
     return canon
-
-
-def find_adjacency(
-    spec: SliceSpec, p: FixedPoint, q: FixedPoint, ch: Chamber
-) -> Optional[AdjacencyWitness]:
-    """The unique adjacency witness for the ordered pair (p, q), if any:
-    its entry in adjacent_pairs(spec, ch)."""
-    if p == q:
-        raise ValueError("find_adjacency expects distinct points")
-    return adjacent_pairs(spec, ch).get((p, q))
 
 
 def wall_adjacent_chambers(

@@ -13,6 +13,7 @@ from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
 from grslice.chern import bundle_weight, mult_matrix
 from grslice.slices import (
     SliceSpec,
+    adjacent_pairs,
     dimension,
     dominant_representative,
     enumerate_fixed_points,
@@ -31,7 +32,6 @@ from grslice.stab_a1 import (
     weight_stat,
 )
 from grslice.stab_general import (
-    find_adjacency,
     sigma_sign,
     stab_mod_h2,
     wall_adjacent_chambers,
@@ -188,7 +188,7 @@ def test_criterion_07_general_route_consistency():
             for q in points:
                 if p == q:
                     continue
-                w = find_adjacency(TSTAR_FL3, p, q, ch)
+                w = adjacent_pairs(TSTAR_FL3, ch).get((p, q))
                 if w is None:
                     assert (p, q) not in entries
                     continue
@@ -221,7 +221,7 @@ def test_criterion_08_sigma_sign_well_defined():
             for q in points:
                 if p == q:
                     continue
-                w = find_adjacency(spec, p, q, ch)
+                w = adjacent_pairs(spec, ch).get((p, q))
                 if w is None:
                     continue
                 covered.add(w.alpha_form)

@@ -21,7 +21,7 @@ from grslice.chern import (
 )
 from grslice.slices import FixedPoint, SliceSpec, adjacent_pairs, enumerate_fixed_points
 from grslice.stab_a1 import NotA1, stab_matrix
-from grslice.stab_general import find_adjacency, sigma_sign, stab_mod_h2
+from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
 
 A1 = CartanDatum("A", 1)
@@ -57,7 +57,7 @@ def h_poly(spec):
 def scale_by_h(mat, sign=1):
     h = sign * h_poly(mat.spec)
     entries = {key: h * e for key, e in mat.entries.items()}
-    return OperatorMatrix(mat.spec, mat.chamber, mat.basis, entries)
+    return OperatorMatrix(mat.spec, mat.chamber, entries)
 
 
 # -- bundle weights ------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_offdiagonal_supported_on_adjacent_pairs():
                     if q == p:
                         continue
                     if not mat.entry(q, p).is_zero():
-                        assert find_adjacency(spec, p, q, ch) is not None
+                        assert adjacent_pairs(spec, ch).get((p, q)) is not None
 
 
 def test_e_matrix_matches_slot_formula():

@@ -666,27 +666,6 @@ def test_mod_h2_routes_need_no_division_or_rational_function(capsys, monkeypatch
 
 
 D4_SLICE = ["--type", "D", "--rank", "4", "--lambda", "1,1", "--mu", "0,1,0,0"]
-A1_FOUR = ["--type", "A", "--rank", "1", "--lambda", "1,1,1,1", "--mu", "0"]
-
-
-def test_adjacency_is_read_from_one_table(capsys, tmp_path, monkeypatch):
-    # the mod-h^2 route, the multiplication matrices and the rank-one closed
-    # form read slices.adjacent_pairs; none asks find_adjacency pair by pair
-    commands = (["stab-mod-h2"], ["mult", "--bundle", "L1"],
-                ["verify", "oracle"], ["verify", "wallcross"])
-    argvs = [command + base for base in (D4_SLICE, A1_FOUR) for command in commands]
-    expected = [run_cli(capsys, argv) for argv in argvs]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("find_adjacency called")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("grslice") and hasattr(module, "find_adjacency"):
-            monkeypatch.setattr(module, "find_adjacency", refuse)
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache-patched"))
-    for argv, first in zip(argvs, expected):
-        assert first[0] == 0, (argv, first)
-        assert run_cli(capsys, argv) == first, argv
 
 
 def test_wallcross_reads_each_wall_from_the_witness_root(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
-"""Every `mult` and `verify oracle` document of the benchmark catalog is
-byte-identical to its golden sha256 in perfbench/goldens.json.
+"""Catalog documents are byte-identical to their golden sha256 in
+perfbench/goldens.json: every `mult` and `verify oracle` job, and every
+rank-one `stab-exact`, `verify duality` and `verify recursion` job.
 
 The perfbench files are imported read-only; each job runs through cli.main
 with an empty cache directory of its own, as make_goldens records them.
@@ -17,16 +18,30 @@ import catalog  # noqa: E402
 import make_goldens  # noqa: E402
 
 
-def test_mult_and_oracle_documents_match_their_goldens():
+def _command(argv):
+    return argv[:2] if argv[0] == "verify" else argv[0]
+
+
+def _check_documents(commands):
+    """Run each distinct catalog job of the given commands and compare its
+    document with the golden."""
     with open(make_goldens.GOLDENS, encoding="utf-8") as fh:
         goldens = json.load(fh)
     jobs = {}
     for workload in catalog.WORKLOADS:
         for job in catalog.catalog(workload):
-            if job.argv[0] == "mult" or job.argv[:2] == ("verify", "oracle"):
+            if _command(job.argv) in commands:
                 jobs[job.key] = job
-    assert {job.argv[0] for job in jobs.values()} == {"mult", "verify"}
+    assert {_command(job.argv) for job in jobs.values()} == commands
     results = make_goldens.digests(jobs.values())
     wrong = [key for key, (code, digest) in results.items()
              if code != 0 or digest != goldens[key]]
     assert wrong == [], f"{len(wrong)} of {len(results)} documents differ, first {wrong[0]}"
+
+
+def test_mult_and_oracle_documents_match_their_goldens():
+    _check_documents({"mult", ("verify", "oracle")})
+
+
+def test_rank_one_documents_match_their_goldens():
+    _check_documents({"stab-exact", ("verify", "duality"), ("verify", "recursion")})

@@ -26,7 +26,6 @@ from grslice.slices import (
 from grslice.stab_a1 import ExactDivisionFailure, normalize_polarization, stab_offdiag_mod_h2
 from grslice.stab_general import (
     AdjacencyWitness,
-    find_adjacency,
     mod_h2_json,
     omega_ratio,
     sigma_sign,
@@ -71,11 +70,11 @@ def eps_prime(spec, x, ch, wall_root):
 def test_find_adjacency_psl3():
     p = fp(E1, E2, E3)
     q = fp(E2, E1, E3)
-    w = find_adjacency(TSTAR_FL3, p, q, CH2_PLUS)
+    w = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q))
     assert w == AdjacencyWitness(1, 2, E1 - E2, AWeightForm([1, 0]))
     # reversed pair needs the negative coroot, which is not chamber-positive
-    assert find_adjacency(TSTAR_FL3, q, p, CH2_PLUS) is None
-    assert find_adjacency(TSTAR_FL3, q, p, -CH2_PLUS) == AdjacencyWitness(
+    assert adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((q, p)) is None
+    assert adjacent_pairs(TSTAR_FL3, -CH2_PLUS).get((q, p)) == AdjacencyWitness(
         1, 2, E2 - E1, AWeightForm([-1, 0])
     )
 
@@ -85,20 +84,14 @@ def test_find_adjacency_a1_surface():
     w = Coweight([1])
     p3 = fp(w, w, -w)
     p1 = fp(-w, w, w)
-    witness = find_adjacency(spec, p3, p1, CH1_PLUS)
+    witness = adjacent_pairs(spec, CH1_PLUS).get((p3, p1))
     assert witness == AdjacencyWitness(1, 3, Coweight([2]), AWeightForm([1]))
 
 
 def test_find_adjacency_three_slot_difference():
     p = fp(E1, E2, E3)
     q = fp(E3, E1, E2)
-    assert find_adjacency(TSTAR_FL3, p, q, CH2_PLUS) is None
-
-
-def test_find_adjacency_rejects_equal_points():
-    p = fp(E1, E2, E3)
-    with pytest.raises(ValueError):
-        find_adjacency(TSTAR_FL3, p, p, CH2_PLUS)
+    assert adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)) is None
 
 
 def test_wall_uniqueness_for_witnessed_pairs():
@@ -144,7 +137,7 @@ def test_omega_ratio_reciprocal():
     # product is one exactly when the factors cancel and the scalars do
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
     for p, q in entries:
-        root = find_adjacency(TSTAR_FL3, p, q, CH2_PLUS).alpha_form
+        root = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)).alpha_form
         up, down, scalar = omega_ratio(TSTAR_FL3, p, q, root)
         up2, down2, scalar2 = omega_ratio(TSTAR_FL3, q, p, root)
         assert up + up2 == down + down2
@@ -159,7 +152,7 @@ def test_omega_ratio_not_rational_witness():
     assert entries
     found = False
     for p, q in entries:
-        root = find_adjacency(spec, p, q, CH2_PLUS).alpha_form
+        root = adjacent_pairs(spec, CH2_PLUS).get((p, q)).alpha_form
         up, down, _ = omega_ratio(spec, p, q, root)
         if up or down:
             found = True
@@ -196,7 +189,7 @@ def test_sigma_sign_flips_with_polarization():
 def test_sigma_sign_well_defined_on_fl3():
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
     for p, q in entries:
-        root = find_adjacency(TSTAR_FL3, p, q, CH2_PLUS).alpha_form
+        root = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)).alpha_form
         s = sigma_sign(TSTAR_FL3, p, q, root, CH2_PLUS, samples=4)
         assert s in (1, -1)
         assert s == sigma_sign(TSTAR_FL3, p, q, root, CH2_PLUS, samples=4)
@@ -220,7 +213,7 @@ def test_stab_mod_h2_fl3_support_and_degrees():
         (p, q)
         for p in points
         for q in points
-        if p != q and find_adjacency(TSTAR_FL3, p, q, CH2_PLUS) is not None
+        if p != q and adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)) is not None
     }
     assert set(entries) == expected_pairs
     assert entries
@@ -249,7 +242,7 @@ def test_stab_mod_h2_factorization_oracle():
         entries = stab_mod_h2(spec, ch)
         assert entries
         for (p, q), value in entries.items():
-            w = find_adjacency(spec, p, q, ch)
+            w = adjacent_pairs(spec, ch).get((p, q))
             wall_spec, p1 = project_to_wall_slice(spec, p, w.alpha_form)
             wall_spec_q, q1 = project_to_wall_slice(spec, q, w.alpha_form)
             assert wall_spec == wall_spec_q
@@ -358,7 +351,7 @@ def _reference_stab_mod_h2(spec, ch, polarization_signs=None):
         for q in points:
             if p == q:
                 continue
-            witness = find_adjacency(spec, p, q, ch)
+            witness = adjacent_pairs(spec, ch).get((p, q))
             if witness is None:
                 continue
             omega = _reference_omega_ratio(spec, p, q, witness.alpha_form)
