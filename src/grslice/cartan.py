@@ -221,8 +221,9 @@ class CartanDatum:
     The datum is built on integers: the root closure runs on int tuples, and
     the inverse Cartan matrix comes from fraction-free elimination as integer
     rows over a denominator each, so that only the n^2 entries of the gram
-    matrix are Fractions.  wall_chambers is its one memo, filled during a
-    job; every other table is fixed at construction.
+    matrix are Fractions.  wall_chambers is its one memo, the closed-form
+    chambers on either side of each wall, built when a job first asks for
+    that wall; every other table is fixed at construction.
     """
 
     def __init__(self, type_letter: str, rank: int):
@@ -273,21 +274,41 @@ class CartanDatum:
         # <alpha_k, beta> = <beta-check, alpha_k-check> * d_k / half, read off
         # the coroot: the two pairings differ by the ratio of the lengths.
         # Column j of A is the simple coroot alpha_j as a coweight.
+        #
+        # Each root also carries w(4v), for the word w that reached it from
+        # alpha_j and v = rho-check - omega_j-check (1 in every coordinate
+        # but a 0 at j).  v pairs with a positive root beta to ht(beta) -
+        # c_j(beta) >= 1 unless beta = alpha_j, and |<alpha_j-check, beta>|
+        # <= 3, so 4v +- alpha_j-check lie on the two sides of ker alpha_j
+        # and of no other wall; their images under w do the same for
+        # ker w(alpha_j).
+        #
+        # A queue entry holds a root, the coweights of the root it was
+        # reflected from and the index k of that reflection; s_k(c) = c - c_k
+        # * (column k) moves them when the root is taken, so a root queued
+        # twice is moved once.  alpha_j enters as s_j(-alpha_j).
         self._simple_coroots = columns = [tuple(row[j] for row in a) for j in range(n)]
         simple = [tuple(int(k == j) for k in range(n)) for j in range(n)]
         seen: Dict[tuple, tuple] = {}
+        bases: Dict[tuple, tuple] = {}
         d = self.symmetrizers
-        queue = [(simple[j], columns[j], d[j]) for j in range(n)]
+        queue = [(simple[j], tuple([-x for x in columns[j]]),
+                  tuple([4 * (k != j) for k in range(n)]), d[j], j) for j in range(n)]
         while queue:
-            form, cow, half = queue.pop()
+            form, cow, base, half, k = queue.pop()
             if form in seen:
                 continue
+            column, s, t = columns[k], cow[k], base[k]
+            cow = tuple([c - s * x for c, x in zip(cow, column)])
+            if t:
+                base = tuple([c - t * x for c, x in zip(base, column)])
             seen[form] = (cow, half)
-            for k, (s, column) in enumerate(zip(cow, columns)):
+            bases[form] = base
+            for k, s in enumerate(cow):
                 if s and form != simple[k]:
                     moved = form[:k] + (form[k] - s * d[k] // half,) + form[k + 1:]
                     if moved not in seen:
-                        queue.append((moved, tuple(c - s * x for c, x in zip(cow, column)), half))
+                        queue.append((moved, cow, base, half, k))
         positive = list(seen)
         if any(min(f) < 0 for f in positive):
             raise AssertionError(f"{type_letter}{rank}: a reflection left the positive roots")
@@ -315,10 +336,12 @@ class CartanDatum:
             self.coroot_of_root[f] = Coweight._of(cow)
             self.coroot_half_length[f] = half
             self._positive_of[f] = forms[opposite.get(coords, coords)]
+        # w(4v) by the coordinates of each positive root; its wall witnesses
+        # are w(4v) +- coroot
+        self._wall_bases = bases
         # filled on demand by stab_general.wall_adjacent_chambers, and the
-        # datum's one memo: for each positive root, its seeded generator and
-        # the chambers sampled so far
-        self.wall_chambers: Dict[AWeightForm, Tuple[object, list]] = {}
+        # datum's one memo: the two chambers of each positive root's witnesses
+        self.wall_chambers: Dict[AWeightForm, Tuple["Chamber", "Chamber"]] = {}
 
         self.minuscule_indices = _minuscule_indices(type_letter, rank)
         self.two_rho_check = AWeightForm(sum(column) for column in zip(*positive))

@@ -23,6 +23,7 @@ from .slices import (
     FixedPoint,
     SliceSpec,
     _canonical,
+    _point,
     adjacent_pairs,
     enumerate_fixed_points,
     point_index,
@@ -245,23 +246,23 @@ def omega_operators(
     points = enumerate_fixed_points(spec)
     nv = spec.cartan.rank + 1
     entries = {}
-    index = point_index(spec)
     half = Fraction(1, 2)
     for pi, p in enumerate(points):
         val = spec.cartan.inner(p.delta[i - 1], p.delta[j - 1])
         entries[pi, pi] = Polynomial.constant(nv, half * Fraction(val))
-    for p, q, w, sign in _pair_table(spec, ch, polarization_signs):
+    for pi, qi, w, sign in _pair_table(spec, ch, polarization_signs):
         if (w.i, w.j) != (i, j):
             continue
         half_len = spec.cartan.coroot_half_length[w.alpha_form]
-        entries[index[q], index[p]] = Polynomial.constant(nv, sign * half_len)
+        entries[qi, pi] = Polynomial.constant(nv, sign * half_len)
     return OperatorMatrix(spec, ch, entries)
 
 
 def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
-    """All lowering moves: tuples (p, q, witness, sigma), one per adjacent pair."""
+    """All lowering moves: tuples (p, q, witness, sigma) of point indices,
+    one per adjacent pair."""
     signs = normalize_polarization(enumerate_fixed_points(spec), polarization_signs)
-    return [(p, q, w, sigma_sign(spec, p, q, w.alpha_form, ch, signs, samples=1))
+    return [(p, q, w, sigma_sign(spec, p, q, w.alpha_form, ch, signs))
             for (p, q), w in adjacent_pairs(spec, ch).items()]
 
 
@@ -282,7 +283,6 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     points = enumerate_fixed_points(spec)
     nv = spec.cartan.rank + 1
     entries = {}
-    index = point_index(spec)
     for pi, p in enumerate(points):
         # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu),
         # less (h/2) (delta_i, delta_j) for every slot j > k
@@ -298,11 +298,11 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
                     value = inner[c] = sum(map(mul, c, sharp))
                 twice_h -= value
         entries[pi, pi] = Polynomial.linear_form(a_part, Fraction(twice_h, 2))
-    for p, q, w, sign in pair_table:
+    for pi, qi, w, sign in pair_table:
         if not w.i <= k < w.j:
             continue
         half_len = spec.cartan.coroot_half_length[w.alpha_form]
-        entries[index[q], index[p]] = Polynomial.linear_form([0] * (nv - 1), -sign * half_len)
+        entries[qi, pi] = Polynomial.linear_form([0] * (nv - 1), -sign * half_len)
     return OperatorMatrix(spec, ch, entries, label=f"L{k}")
 
 
@@ -352,10 +352,10 @@ def localization_pair(spec: SliceSpec, v1, v2) -> RationalFunction:
     a = _as_vector(points, v1)
     b = _as_vector(points, v2)
     total = RationalFunction.from_polynomial(Polynomial.zero(nv))
-    for x in points:
+    for xi, x in enumerate(points):
         if x not in a or x not in b:
             continue
-        e = tangent_euler(spec, x)
+        e = tangent_euler(spec, xi)
         total = total + RationalFunction(a[x] * b[x] * (1 / e.scalar), e.factors.elements())
     return total
 
@@ -405,29 +405,27 @@ def mult_matrix_via_localization(
 def reconstruct_coefficient(
     spec: SliceSpec,
     ch: Chamber,
-    entries: Mapping[Tuple[FixedPoint, FixedPoint], EulerClass],
-    p: FixedPoint,
-    q: FixedPoint,
+    entries: Mapping[Tuple[int, int], EulerClass],
+    p: int,
+    q: int,
     bundle: BundleTag,
-    polarization_signs=None,
+    signs: Tuple[int, ...],
 ) -> Fraction:
-    """Off-diagonal multiplication coefficient recovered from restriction data.
+    """Off-diagonal multiplication coefficient recovered from restriction data,
+    for the points of indices p and q.
 
-    entries are the factored restrictions stab_mod_h2(spec, ch,
-    polarization_signs).  Divides the restriction of the stable class of p
-    at q, over h and times the difference of the bundle weights at q and p,
-    by the polarization at q; all of them are products of linear forms, so
-    the quotient is a multiset difference, and its being a constant pins
-    the coefficient of h in the matrix entry.
+    entries are the factored restrictions stab_mod_h2(spec, ch, signs), with
+    signs resolved by normalize_polarization.  Divides the restriction of
+    the stable class of p at q, over h and times the difference of the
+    bundle weights at q and p, by the polarization at q; all of them are
+    products of linear forms, so the quotient is a multiset difference, and
+    its being a constant pins the coefficient of h in the matrix entry.
     """
     entry = entries.get((p, q))
     if entry is None:
         return Fraction(0)
-    # a mapping is read at q alone, so a check that resolved the signs once
-    # does not resolve them again per pair
-    points = (q,) if isinstance(polarization_signs, Mapping) else enumerate_fixed_points(spec)
-    signs = normalize_polarization(points, polarization_signs)
-    diff = bundle_weight(spec, q, bundle).a_part - bundle_weight(spec, p, bundle).a_part
+    at_p, at_q = _point(spec, p), _point(spec, q)
+    diff = bundle_weight(spec, at_q, bundle).a_part - bundle_weight(spec, at_p, bundle).a_part
     if diff.is_zero():
         return Fraction(0)
     # diff is the sharp of the coroot that moves p to q, up to sign: an
@@ -439,8 +437,8 @@ def reconstruct_coefficient(
                                  Fraction(diff_scalar) / (signs[q] * eps_q.scalar))
     if quotient is None:
         raise ExactDivisionFailure(
-            f"the polarization at {q.label()} does not divide the "
-            f"reconstruction of ({p.label()}, {q.label()})"
+            f"the polarization at {at_q.label()} does not divide the "
+            f"reconstruction of ({at_p.label()}, {at_q.label()})"
         )
     if quotient.factors:
         raise AssertionError("reconstructed coefficient is not a constant")

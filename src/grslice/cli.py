@@ -40,7 +40,6 @@ from .slices import (
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
-    point_index,
     tangent_weights,
 )
 from .stab_a1 import (
@@ -299,25 +298,25 @@ def _check_oracle(spec, ch, signs) -> dict:
     """
     failures: List[dict] = []
     points = enumerate_fixed_points(spec)
-    index = point_index(spec)
     signs = normalize_polarization(points, signs)
     entries = stab_mod_h2(spec, ch, signs)
     pairs = adjacent_pairs(spec, ch)
     if spec.cartan.rank == 1 and entries != stab_offdiag_mod_h2(spec, ch, signs):
         failures.append({"check": "rank-one closed form"})
     for k, matrix in enumerate(line_bundle_matrices(spec, ch, signs)):
-        for p in points:
+        stored, zero = matrix.entries, matrix.zero
+        for pi, p in enumerate(points):
             expected = bundle_weight(spec, p, ("L", k)).to_polynomial()
-            if matrix.entry(p, p) != expected:
+            if stored.get((pi, pi), zero) != expected:
                 failures.append({"check": "diagonal", "bundle": f"L{k}", "p": p.label()})
         wrong = []
-        for p, q in pairs:
-            coeff = reconstruct_coefficient(spec, ch, entries, p, q, ("L", k), signs)
+        for pi, qi in pairs:
+            coeff = reconstruct_coefficient(spec, ch, entries, pi, qi, ("L", k), signs)
             rebuilt = Polynomial.linear_form([0] * spec.cartan.rank, coeff)
-            if rebuilt != matrix.entry(q, p):
-                wrong.append((index[p], index[q]))
-        for qi, pi in matrix.entries:
-            if pi != qi and (points[pi], points[qi]) not in pairs:
+            if rebuilt != stored.get((qi, pi), zero):
+                wrong.append((pi, qi))
+        for qi, pi in stored:
+            if pi != qi and (pi, qi) not in pairs:
                 wrong.append((pi, qi))
         for pi, qi in sorted(wrong):
             failures.append(
@@ -340,20 +339,20 @@ def _check_wallcross(spec, ch, signs) -> dict:
     points = enumerate_fixed_points(spec)
     base_signs = normalize_polarization(points, signs)
     for root in spec.cartan.positive_roots(ch):
-        near, far = wall_adjacent_chambers(spec.cartan, root, 1)
+        near, far = wall_adjacent_chambers(spec.cartan, root)
         left = stab_mod_h2(spec, near, base_signs)
-        carried = {p: base_signs[p] * flip_sign(spec, p, near, far) for p in points}
+        carried = [s * flip_sign(spec, x, near, far) for x, s in enumerate(base_signs)]
         right = stab_mod_h2(spec, far, carried)
         near_pairs, far_pairs = adjacent_pairs(spec, near), adjacent_pairs(spec, far)
         on_wall = (root, -root)
-        for pair in set(left) | set(right):
-            witness = near_pairs.get(pair) or far_pairs[pair]
+        for p, q in sorted(left.keys() | right.keys()):
+            witness = near_pairs.get((p, q)) or far_pairs[p, q]
             if witness.alpha_form in on_wall:
                 continue
             compared += 1
-            if left.get(pair) != right.get(pair):
+            if left.get((p, q)) != right.get((p, q)):
                 failures.append(
-                    {"root": list(root.coords), "p": pair[0].label(), "q": pair[1].label()}
+                    {"root": list(root.coords), "p": points[p].label(), "q": points[q].label()}
                 )
     return {"name": "wallcross", "ok": not failures, "compared": compared}
 

@@ -112,16 +112,16 @@ class SliceSpec:
         # _canonical splittings keyed by coefficient tuples (a_1..a_r, h)
         self._forms = {}
         # _root_forms: each root_list column split by _canonical; and
-        # _root_counts, by point: the multiplicity of each column among the
-        # A-parts of the tangent weights.  The wall routes read both.
+        # _root_counts, by point index: the multiplicity of each column among
+        # the A-parts of the tangent weights.  The wall routes read both.
         self._root_forms = None
-        self._root_counts = {}
-        # Euler classes keyed by (point, chamber, keep_h); chamber None
+        self._root_counts = None
+        # Euler classes keyed by (point index, chamber, keep_h); chamber None
         # stands for the whole tangent space, a chamber for its repelling half
         self._euler = {}
         # adjacent_pairs, keyed by chamber
         self._adjacent = {}
-        # stab_general.omega_ratio, keyed by the ordered pair and the
+        # stab_general.omega_ratio, keyed by the ordered index pair and the
         # positive root of the wall; (q, p) is derived from (p, q)
         self._omega = {}
         # chern.line_bundle_weight: the weights of L_0..L_l at each point
@@ -233,11 +233,18 @@ class FixedPoint:
         return f"FixedPoint{self.label()}"
 
 
-def enumerate_fixed_points(spec: SliceSpec) -> List[FixedPoint]:
-    """All increment sequences, in lexicographic order of coordinate vectors."""
+def enumerate_fixed_points(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
+    """All increment sequences, in lexicographic order of coordinate vectors;
+    enumerated once per spec.  A point's position here is its point index."""
     if spec._points is None:
         spec._points = _enumerate(spec)
-    return list(spec._points)
+    return spec._points
+
+
+def _point(spec: SliceSpec, p: int) -> FixedPoint:
+    """The point of index p.  An index comes from the enumeration, so the
+    spec almost always holds its points already."""
+    return (spec._points or enumerate_fixed_points(spec))[p]
 
 
 def point_index(spec: SliceSpec) -> Dict[FixedPoint, int]:
@@ -447,22 +454,23 @@ def euler_factors(ws: WeightMultiset, keep_h: bool, forms: dict) -> EulerClass:
     return EulerClass(ws.rank + 1, factors, Fraction(scalar))
 
 
-def tangent_euler(spec: SliceSpec, p: FixedPoint) -> EulerClass:
-    """e_T of the whole tangent space at p."""
+def tangent_euler(spec: SliceSpec, p: int) -> EulerClass:
+    """e_T of the whole tangent space at the point of index p."""
     key = (p, None, True)
     if key not in spec._euler:
-        spec._euler[key] = euler_factors(tangent_weights(spec, p), True, spec._forms)
+        ws = tangent_weights(spec, _point(spec, p))
+        spec._euler[key] = euler_factors(ws, True, spec._forms)
     return spec._euler[key]
 
 
-def repelling_euler(spec: SliceSpec, p: FixedPoint, ch: Chamber, keep_h: bool) -> EulerClass:
-    """e_T of the ch-repelling half of the tangent space at p, or its
-    e_A (h set to 0) when keep_h is false."""
+def repelling_euler(spec: SliceSpec, p: int, ch: Chamber, keep_h: bool) -> EulerClass:
+    """e_T of the ch-repelling half of the tangent space at the point of
+    index p, or its e_A (h set to 0) when keep_h is false."""
     key = (p, ch, keep_h)
     found = spec._euler.get(key)
     if found is None:
         if keep_h:
-            _, repel = split_attract_repel(tangent_weights(spec, p), ch)
+            _, repel = split_attract_repel(tangent_weights(spec, _point(spec, p)), ch)
             found = euler_factors(repel, True, spec._forms)
         else:
             factors, _, scalar = _repelling_ratio(spec, _root_counts(spec, p), repeat(0),
@@ -472,17 +480,20 @@ def repelling_euler(spec: SliceSpec, p: FixedPoint, ch: Chamber, keep_h: bool) -
     return found
 
 
-def _root_counts(spec: SliceSpec, p: FixedPoint) -> Tuple[int, ...]:
+def _root_counts(spec: SliceSpec, p: int) -> Tuple[int, ...]:
     """The multiplicity of each root_list column among the A-parts of the
-    tangent weights at p; once per spec and point."""
-    found = spec._root_counts.get(p)
-    if found is None:
+    tangent weights at the point of index p; built for every point at once,
+    once per spec."""
+    if spec._root_counts is None:
         column = spec.cartan._column
-        counts = [0] * len(column)
-        for (root, _), m in tangent_weights(spec, p).entries.items():
-            counts[column[root]] += m
-        found = spec._root_counts[p] = tuple(counts)
-    return found
+        table = []
+        for x in enumerate_fixed_points(spec):
+            counts = [0] * len(column)
+            for (root, _), m in tangent_weights(spec, x).entries.items():
+                counts[column[root]] += m
+            table.append(tuple(counts))
+        spec._root_counts = tuple(table)
+    return spec._root_counts[p]
 
 
 def _root_forms(spec: SliceSpec) -> Tuple[Tuple[Polynomial, int], ...]:
@@ -515,16 +526,16 @@ def _repelling_ratio(
     return up, down, Fraction(-1 if flips % 2 else 1)
 
 
-def localization_denominator(spec: SliceSpec) -> Tuple[EulerClass, Dict[FixedPoint, EulerClass]]:
+def localization_denominator(spec: SliceSpec) -> Tuple[EulerClass, List[EulerClass]]:
     """The LCM of the tangent Euler classes over the fixed points (scalar 1),
-    and the cofactor of each point, both factored: sum_x f(x) / e_T(T_x)
-    equals (sum_x f(x) * cofactor[x]) / lcm for every f."""
+    and the cofactor of each point by point index, both factored:
+    sum_x f(x) / e_T(T_x) equals (sum_x f(x) * cofactor[x]) / lcm for every f."""
     nv = spec.cartan.rank + 1
-    euler = {x: tangent_euler(spec, x) for x in enumerate_fixed_points(spec)}
+    euler = [tangent_euler(spec, x) for x in range(len(enumerate_fixed_points(spec)))]
     lcm: Counter = Counter()
-    for e in euler.values():
+    for e in euler:
         lcm |= e.factors
-    cofactor = {x: EulerClass(nv, lcm - e.factors, 1 / e.scalar) for x, e in euler.items()}
+    cofactor = [EulerClass(nv, lcm - e.factors, 1 / e.scalar) for e in euler]
     return EulerClass(nv, lcm, Fraction(1)), cofactor
 
 
@@ -536,8 +547,9 @@ def split_attract_repel(ws: WeightMultiset, ch: Chamber) -> Tuple[WeightMultiset
     return attract, repel
 
 
-def flip_sign(spec: SliceSpec, p: FixedPoint, ch1: Chamber, ch2: Chamber) -> int:
-    """Parity of tangent weights that are ch1-repelling but ch2-attracting.
+def flip_sign(spec: SliceSpec, p: int, ch1: Chamber, ch2: Chamber) -> int:
+    """Parity of tangent weights at the point of index p that are
+    ch1-repelling but ch2-attracting.
 
     This equals the sign of e_A(repelling part, ch2) / e_A(repelling part,
     ch1): each line of weights that changes side contributes one sign flip
@@ -559,27 +571,28 @@ class AdjacencyWitness(NamedTuple):
 
 def adjacent_pairs(
     spec: SliceSpec, ch: Chamber
-) -> Dict[Tuple[FixedPoint, FixedPoint], AdjacencyWitness]:
-    """Every adjacent pair (p, q) with its witness: q is p with slot i
-    lowered, and a later slot j raised, by the coroot of a ch-positive root.
+) -> Dict[Tuple[int, int], AdjacencyWitness]:
+    """Every adjacent pair (p, q) of point indices with its witness: q is p
+    with slot i lowered, and a later slot j raised, by the coroot of a
+    ch-positive root.
 
     A minuscule step d lowered by the coroot of a root beta stays in its
     orbit exactly when <d, beta> = 1 (it is then the reflection of d), and
     raised exactly when <d, beta> = -1, so the pairs are read off the
     spec's pairing table: a +1 at slot i and a -1 at slot j > i.  Built once
-    per spec and chamber, in order of the point indices of (p, q); callers
-    share the table and must not mutate it.
+    per spec and chamber, in order of (p, q); callers share the table and
+    must not mutate it.
     """
     found = spec._adjacent.get(ch)
     if found is None:
         cartan = spec.cartan
-        index = point_index(spec)
-        by_key = {p.key(): p for p in index}
+        points = enumerate_fixed_points(spec)
+        by_key = {p.key(): x for x, p in enumerate(points)}
         roots = [(col, f, cartan.coroot_of_root[f])
                  for col, (f, sign) in enumerate(zip(cartan.root_list, ch.sign_vector))
                  if sign > 0]
         found = spec._adjacent[ch] = {}
-        for p in index:
+        for x, p in enumerate(points):
             key, steps = p.key(), _steps(spec, p)
             moves = []
             for col, root, coroot in roots:
@@ -592,8 +605,9 @@ def adjacent_pairs(
                         moved[j] = tuple(map(add, key[j], coroot.coords))
                         moves.append((by_key[tuple(moved)],
                                       AdjacencyWitness(i + 1, j + 1, coroot, root)))
-            for q, witness in sorted(moves, key=lambda move: index[move[0]]):
-                found[(p, q)] = witness
+            # q determines the move, so the sort compares indices only
+            for q, witness in sorted(moves):
+                found[(x, q)] = witness
     return found
 
 

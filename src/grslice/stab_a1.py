@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, neg, sub
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .cartan import AWeightForm, Chamber, pairing
 from .slices import (
@@ -151,13 +151,13 @@ def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:
 
 def _point_heights(spec: SliceSpec) -> Tuple[Tuple[int, ...], ...]:
     """Each fixed point's heights <sigma_k, alpha>, k = 0..l, against the
-    fixed root, by point index (point_index lists the points in order);
-    summed from the spec's pairing table once per spec."""
+    fixed root, by point index; summed from the spec's pairing table once
+    per spec."""
     if spec._heights is None:
         col = spec.cartan.root_list.index(_ALPHA)
         spec._heights = tuple(
             tuple(accumulate((row[col] for row in _steps(spec, p)), initial=0))
-            for p in point_index(spec)
+            for p in enumerate_fixed_points(spec)
         )
     return spec._heights
 
@@ -244,18 +244,15 @@ def _epsilon_ratio(c1, c2) -> int:
     return int(ratio)
 
 
-def normalize_polarization(points, polarization_signs) -> Dict[FixedPoint, int]:
-    """Resolve None (all +1), a mapping, or a sequence aligned with points."""
+def normalize_polarization(points, polarization_signs) -> Tuple[int, ...]:
+    """Resolve None (all +1) or a sequence of signs aligned with points to
+    the tuple of signs by point index."""
     if polarization_signs is None:
-        signs = {p: 1 for p in points}
-    elif isinstance(polarization_signs, Mapping):
-        signs = {p: int(polarization_signs[p]) for p in points}
-    else:
-        seq = list(polarization_signs)
-        if len(seq) != len(points):
-            raise ValueError("one polarization sign per fixed point required")
-        signs = {p: int(s) for p, s in zip(points, seq)}
-    if any(s not in (-1, 1) for s in signs.values()):
+        return (1,) * len(points)
+    signs = tuple(int(s) for s in polarization_signs)
+    if len(signs) != len(points):
+        raise ValueError("one polarization sign per fixed point required")
+    if any(s not in (-1, 1) for s in signs):
         raise ValueError("polarization signs must be +1 or -1")
     return signs
 
@@ -311,11 +308,11 @@ class RestrictionMatrix:
         For a form of degree D, divisibility by h and the a-degree bound
         deg_a < D both say that the a^D coefficient vanishes."""
         spec, ch, points = self.spec, self.chamber, self.points
-        for x, (p, sign) in enumerate(zip(points, self.polarization_signs)):
-            expected = _euler_form(repelling_euler(spec, p, ch, True), sign)
+        for x, sign in enumerate(self.polarization_signs):
+            expected = _euler_form(repelling_euler(spec, x, ch, True), sign)
             if self.entries.get((x, x)) != expected:
                 raise InvariantViolation(
-                    f"diagonal at {p.label()} is not the repelling Euler class"
+                    f"diagonal at {points[x].label()} is not the repelling Euler class"
                 )
         stats = _stat_keys(spec, ch)
         downsets = _downsets(_move_partners(spec), stats)
@@ -373,8 +370,7 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     if ch.datum != spec.cartan:
         raise ValueError("chamber does not belong to the slice's Cartan datum")
     points = enumerate_fixed_points(spec)
-    # in point order, as normalize_polarization lists them
-    signs = tuple(normalize_polarization(points, polarization_signs).values())
+    signs = normalize_polarization(points, polarization_signs)
     stats = _stat_keys(spec, ch)
     heights = _point_heights(spec)
     moves = _move_partners(spec)
@@ -382,7 +378,7 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     # eps_p is the a^D coefficient of the diagonal sign_p * e_T(repelling
     # half); every factor of e_T is a canonical a + n h, so it is sign_p
     # times the scalar
-    repelling = [repelling_euler(spec, p, ch, True) for p in points]
+    repelling = [repelling_euler(spec, p, ch, True) for p in range(len(points))]
     eps = [s * _norm_scalar(e.scalar) for s, e in zip(signs, repelling)]
     p0 = point_index(spec)[minimal_point(spec, ch)]
     rows = {p0: {p0: _euler_form(repelling[p0], signs[p0])}}
@@ -414,9 +410,9 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
 
 def stab_offdiag_mod_h2(
     spec: SliceSpec, ch: Chamber, polarization_signs=None
-) -> Dict[Tuple[FixedPoint, FixedPoint], EulerClass]:
-    """Closed-form off-diagonal restrictions mod h^2, factored as in
-    stab_general.stab_mod_h2.
+) -> Dict[Tuple[int, int], EulerClass]:
+    """Closed-form off-diagonal restrictions mod h^2, factored and keyed by
+    point indices as in stab_general.stab_mod_h2.
 
     The entry h * eps|_p / a_ch appears exactly when q is p with one +omega_ch
     increment (slot i) traded against a later -omega_ch increment (slot j),
@@ -429,12 +425,13 @@ def stab_offdiag_mod_h2(
     h = Counter([_canonical(spec._forms, (0, 1))[0]])
     alpha_form, alpha_scalar = _canonical(spec._forms, _chamber_root(ch).coords + (0,))
     down = Counter([alpha_form])
-    out: Dict[Tuple[FixedPoint, FixedPoint], EulerClass] = {}
+    out: Dict[Tuple[int, int], EulerClass] = {}
     for p, q in adjacent_pairs(spec, ch):
         e_a = repelling_euler(spec, p, ch, False)
         entry = e_a.times_ratio(h, down, Fraction(signs[p], alpha_scalar))
         if entry is None:
-            raise ExactDivisionFailure(f"entry at {p.label()} did not clear its denominator")
+            raise ExactDivisionFailure(
+                f"entry at {points[p].label()} did not clear its denominator")
         out[(p, q)] = entry
     return out
 
@@ -509,7 +506,7 @@ def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None
     weight and the cofactor ride on Stab_-.
     """
     lcm, cofactor = localization_denominator(plus.spec)
-    factor = [_euler_form(cofactor[x]) for x in plus.points]
+    factor = list(map(_euler_form, cofactor))
     if weight is not None:
         factor = list(map(_form_mul, factor, weight))
     columns: List[List[Tuple[int, tuple]]] = [[] for _ in factor]

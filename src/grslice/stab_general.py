@@ -5,38 +5,39 @@ restriction Stab[p]|_q is nonzero exactly when q is p with one increment
 lowered by a chamber-positive coroot alpha at a slot i and raised back at a
 later slot j.  The coefficient is omega_{p,q} * (h / alpha_form) * eps|_p,
 where omega is the ratio of A-equivariant repelling Euler classes taken for
-a chamber adjacent to the wall ker(alpha_form); both wall sides must agree.
+either closed-form chamber next to the wall ker(alpha_form)
+(wall_adjacent_chambers); the two must agree.
 Every part of it is a product of linear forms, so an entry is an EulerClass
 built by multiset arithmetic and expanded only where a document prints it.
 omega is read from the root counts of p and q (the multiplicity of each root
 among the A-parts of the tangent weights, slices._root_counts) and a
 chamber's sign vector; it belongs to the wall, so it lives in the spec's
 _omega slot, once per unordered pair and root.
+Points are their indices in enumerate_fixed_points, and a polarization is
+the tuple of signs by index that normalize_polarization returns.
 Diagonals are excluded: their mod-h^2 constant is not pinned down by the
 closed form, and the exact value is available from Euler classes.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from fractions import Fraction
-from operator import mul
-from typing import Dict, List, Mapping, Tuple
+from operator import add, sub
+from typing import Dict, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from .slices import (
     AdjacencyWitness,  # noqa: F401  callers import it from this module too
     EulerClass,
-    FixedPoint,
     SliceSpec,
     _canonical,
+    _point,
     _repelling_ratio,
     _root_counts,
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
-    point_index,
     repelling_euler,
     same_wall_component,
 )
@@ -50,54 +51,29 @@ def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
     return canon
 
 
-def wall_adjacent_chambers(
-    cartan: CartanDatum, root: AWeightForm, count: int = 1
-) -> List[Chamber]:
-    """2*count chambers adjacent to ker(root), one pair per generic wall point.
+def wall_adjacent_chambers(cartan: CartanDatum, root: AWeightForm) -> Tuple[Chamber, Chamber]:
+    """The two chambers on either side of ker(root) that touch no other
+    wall, the positive root of {root, -root} positive on the first.
 
-    Wall points are sampled deterministically (the generator is seeded from
-    the datum and the root), projected onto the wall, and checked against
-    every other root hyperplane; the perturbation off the wall is small
-    enough to preserve all other signs.  Each root keeps one list, grown on
-    demand, so a smaller count gives a prefix of a larger one.  A chamber
-    depends only on the signs of its witness, so each witness is scaled by a
-    positive integer that clears its denominators, and the sampling runs on
-    integers.
+    Their witnesses come in closed form from the root closure of the datum
+    (CartanDatum); the chambers are built once per datum and root, when a
+    job first asks for that wall.
     """
     root = _canonical_root(cartan, root)
-    if root not in cartan.wall_chambers:
-        rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root.coords}")
-        cartan.wall_chambers[root] = (rng, [])
-    rng, out = cartan.wall_chambers[root]
-    if len(out) < 2 * count:
-        coroot = cartan.coroot_of_root[root].coords
-        others = [f.coords for f in cartan.root_list if cartan._positive_of[f] is not root]
-        slopes = [abs(sum(map(mul, coroot, f))) + 1 for f in others]
-        while len(out) < 2 * count:
-            u = [rng.randint(-9, 9) for _ in range(cartan.rank)]
-            # twice the projection w = u - coroot <u, root> / 2 onto the wall
-            k = sum(map(mul, u, root.coords))
-            w2 = [2 * x - k * c for x, c in zip(u, coroot)]
-            vals = [abs(sum(map(mul, w2, f))) for f in others]
-            if 0 in vals:
-                continue
-            # the witnesses are w +- t coroot with t = min |<w, f>| / slope(f),
-            # or 1 when no other root exists; 2t = a / b, and they are taken
-            # times 2b
-            a, b = (vals[0], slopes[0]) if others else (2, 1)
-            for v, s in zip(vals, slopes):
-                if v * b < a * s:
-                    a, b = v, s
-            out.append(Chamber(cartan, Coweight([x * b + a * c for x, c in zip(w2, coroot)])))
-            out.append(Chamber(cartan, Coweight([x * b - a * c for x, c in zip(w2, coroot)])))
-    return out[:2 * count]
+    found = cartan.wall_chambers.get(root)
+    if found is None:
+        base, coroot = cartan._wall_bases[root.coords], cartan.coroot_of_root[root].coords
+        found = cartan.wall_chambers[root] = tuple(
+            Chamber(cartan, Coweight._of(tuple(map(op, base, coroot)))) for op in (add, sub))
+    return found
 
 
 def omega_ratio(
-    spec: SliceSpec, p: FixedPoint, q: FixedPoint, root: AWeightForm
+    spec: SliceSpec, p: int, q: int, root: AWeightForm
 ) -> Tuple[Counter, Counter, Fraction]:
-    """e_A of the repelling half at q over the one at p, for a chamber
-    adjacent to the wall of the root; the two wall sides must agree.
+    """e_A of the repelling half at q over the one at p, for the points of
+    indices p and q and a chamber adjacent to the wall of the root; the two
+    chambers of wall_adjacent_chambers must agree.
 
     Both Euler classes are multisets of canonical factors, so the ratio is
     their multiset difference, already in lowest terms: the factors of the
@@ -115,11 +91,11 @@ def omega_ratio(
             up, down, scalar = reverse
             found = (down, up, 1 / scalar)
         else:
-            if same_wall_component(spec, p, q) != canon:
+            if same_wall_component(spec, _point(spec, p), _point(spec, q)) != canon:
                 raise ValueError("p and q do not share a wall component for this root")
             near, far = (_repelling_ratio(spec, _root_counts(spec, q), _root_counts(spec, p),
                                           ch.sign_vector)
-                         for ch in wall_adjacent_chambers(spec.cartan, canon, 1))
+                         for ch in wall_adjacent_chambers(spec.cartan, canon))
             if near != far:
                 raise AssertionError("the two wall sides disagree on the omega ratio")
             found = near
@@ -129,42 +105,32 @@ def omega_ratio(
 
 def sigma_sign(
     spec: SliceSpec,
-    p: FixedPoint,
-    q: FixedPoint,
+    p: int,
+    q: int,
     root: AWeightForm,
     pol_chamber: Chamber,
-    polarization_signs=None,
-    samples: int = 3,
+    signs: Tuple[int, ...],
 ) -> int:
     """Polarization sign pair against a wall-adjacent chamber.
 
-    flip_sign(p, pol_chamber, C) * flip_sign(q, pol_chamber, C) * sign_p *
-    sign_q for C adjacent to the wall of the root; every sampled adjacent
-    chamber must give the same value.  The caller guarantees that (p, q) is
-    an adjacent pair on a common wall component of the root.
+    flip_sign(p, pol_chamber, C) * flip_sign(q, pol_chamber, C) * signs[p] *
+    signs[q] for the points of indices p and q, with signs resolved by
+    normalize_polarization; both chambers C of wall_adjacent_chambers must
+    give the same value.  The caller guarantees that (p, q) is an adjacent
+    pair on a common wall component of the root.
     """
-    canon = _canonical_root(spec.cartan, root)
-    # a mapping is read at p and q alone, so a table that resolved the signs
-    # once does not resolve them again per move
-    points = (p, q) if isinstance(polarization_signs, Mapping) else enumerate_fixed_points(spec)
-    signs = normalize_polarization(points, polarization_signs)
-    values = set()
-    for ch in wall_adjacent_chambers(spec.cartan, canon, samples):
-        values.add(
-            flip_sign(spec, p, pol_chamber, ch)
-            * flip_sign(spec, q, pol_chamber, ch)
-            * signs[p]
-            * signs[q]
-        )
-    if len(values) != 1:
+    near, far = (flip_sign(spec, p, pol_chamber, ch) * flip_sign(spec, q, pol_chamber, ch)
+                 for ch in wall_adjacent_chambers(spec.cartan, root))
+    if near != far:
         raise AssertionError("sigma sign depends on the adjacent chamber")
-    return values.pop()
+    return near * signs[p] * signs[q]
 
 
 def stab_mod_h2(
     spec: SliceSpec, ch: Chamber, polarization_signs=None
-) -> Dict[Tuple[FixedPoint, FixedPoint], EulerClass]:
-    """Off-diagonal restrictions mod h^2 for every adjacency-witnessed pair.
+) -> Dict[Tuple[int, int], EulerClass]:
+    """Off-diagonal restrictions mod h^2 for every adjacency-witnessed pair,
+    keyed by the point indices (p, q).
 
     Each entry sign_p * eps_p * omega * h / alpha is returned factored, as
     an EulerClass; its polynomial() method expands it.
@@ -173,7 +139,7 @@ def stab_mod_h2(
     signs = normalize_polarization(points, polarization_signs)
     rank = spec.cartan.rank
     h = Counter([_canonical(spec._forms, (0,) * rank + (1,))[0]])
-    out: Dict[Tuple[FixedPoint, FixedPoint], EulerClass] = {}
+    out: Dict[Tuple[int, int], EulerClass] = {}
     for (p, q), witness in adjacent_pairs(spec, ch).items():
         eps = repelling_euler(spec, p, ch, False)
         up, down, scalar = omega_ratio(spec, p, q, witness.alpha_form)
@@ -182,24 +148,15 @@ def stab_mod_h2(
                                 signs[p] * scalar / alpha_scalar)
         if entry is None:
             raise ExactDivisionFailure(
-                f"entry ({p.label()}, {q.label()}) did not clear its denominator"
+                f"entry ({points[p].label()}, {points[q].label()}) did not clear its denominator"
             )
         out[(p, q)] = entry
     return out
 
 
 def mod_h2_json(spec: SliceSpec, ch: Chamber, entries) -> dict:
-    """Sparse triplet serialization sorted by (p, q) enumeration indices."""
-    index = point_index(spec)
+    """Sparse triplet serialization sorted by (p, q)."""
     pairs = adjacent_pairs(spec, ch)
-    rows = []
-    for p, q in sorted(entries, key=lambda pq: (index[pq[0]], index[pq[1]])):
-        rows.append(
-            {
-                "p": index[p],
-                "q": index[q],
-                "alpha": list(pairs[(p, q)].alpha_form.coords),
-                "value": entries[(p, q)].polynomial().to_json(),
-            }
-        )
+    rows = [{"p": p, "q": q, "alpha": list(pairs[p, q].alpha_form.coords),
+             "value": entries[p, q].polynomial().to_json()} for p, q in sorted(entries)]
     return {"entries": rows}

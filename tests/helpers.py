@@ -1,10 +1,12 @@
-"""Shared test utilities: independent tangent-weight oracles and random
-minuscule slice sampling."""
+"""Shared test utilities: independent tangent-weight oracles, random
+minuscule slice sampling, and an independent sampler of wall-adjacent
+chambers."""
 
 import random
+from fractions import Fraction
 
-from grslice.cartan import CartanDatum, Coweight, pairing
-from grslice.slices import SliceSpec
+from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
+from grslice.slices import SliceSpec, flip_sign
 
 
 def oracle_up_crossings(spec, p):
@@ -83,3 +85,42 @@ def random_minuscule_specs(count, seed, max_dim=12, max_len=4):
         mu = rng.choice(candidates)
         out.append(SliceSpec(datum, lam, mu))
     return out
+
+
+def reference_wall_chambers(cartan, root, count):
+    """2 * count chambers next to the wall of the positive root, one pair per
+    random wall point, the root positive on the first of each pair: an
+    independent sampler on Fraction witnesses, seeded from the datum and the
+    root."""
+    rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root.coords}")
+    coroot = cartan.coroot_of_root[root]
+    others = [f for f in cartan.root_list if f != root and f != -root]
+    out = []
+    while len(out) < 2 * count:
+        u = Coweight([rng.randint(-9, 9) for _ in range(cartan.rank)])
+        w = u - coroot * Fraction(pairing(u, root), 2)
+        vals = [pairing(w, f) for f in others]
+        if any(v == 0 for v in vals):
+            continue
+        if others:
+            t = min(
+                abs(Fraction(v)) / (abs(pairing(coroot, f)) + 1)
+                for v, f in zip(vals, others)
+            )
+        else:
+            t = Fraction(1)
+        out.append(Chamber(cartan, w + coroot * t))
+        out.append(Chamber(cartan, w - coroot * t))
+    return out
+
+
+def sampled_sigma_signs(spec, p, q, root, pol_chamber, signs, count):
+    """The set of flip_sign(p) * flip_sign(q) * s_p * s_q, for the points of
+    indices p and q, against each of the 2 * count chambers that
+    reference_wall_chambers draws next to the wall of the root."""
+    canon = root if sum(root.coords) > 0 else -root
+    return {
+        flip_sign(spec, p, pol_chamber, ch) * flip_sign(spec, q, pol_chamber, ch)
+        * signs[p] * signs[q]
+        for ch in reference_wall_chambers(spec.cartan, canon, count)
+    }

@@ -19,12 +19,14 @@ from grslice.slices import (
     enumerate_fixed_points,
     euler_factors,
     flip_sign,
+    point_index,
     project_to_wall_slice,
     same_wall_component,
     split_attract_repel,
     tangent_weights,
 )
 from grslice.stab_a1 import (
+    normalize_polarization,
     stab_matrix,
     stab_offdiag_mod_h2,
     theta_action,
@@ -37,7 +39,7 @@ from grslice.stab_general import (
     wall_adjacent_chambers,
 )
 from grslice.symalg import Polynomial
-from helpers import expanded, random_minuscule_specs
+from helpers import expanded, random_minuscule_specs, sampled_sigma_signs
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -154,12 +156,12 @@ def test_criterion_06_mod_h2_closed_form_and_diagonal_constant():
             matrix = exact(spec, ch)
             closed = stab_offdiag_mod_h2(spec, ch)
             constants = set()
-            for p in matrix.points:
-                for q in matrix.points:
+            for pi, p in enumerate(matrix.points):
+                for qi, q in enumerate(matrix.points):
                     if p == q:
                         continue
                     truncated = matrix.entry(p, q).truncate_mod_h2()
-                    assert truncated == expanded(closed, (p, q), ZERO2)
+                    assert truncated == expanded(closed, (pi, qi), ZERO2)
                 diag = matrix.entry(p, p).truncate_mod_h2()
                 lead = diag.coefficient((half, 0))
                 slope = Fraction(diag.coefficient((half - 1, 1))) / lead
@@ -184,30 +186,32 @@ def test_criterion_07_general_route_consistency():
         entries = stab_mod_h2(TSTAR_FL3, ch)
         points = enumerate_fixed_points(TSTAR_FL3)
         witnessed = 0
-        for p in points:
-            for q in points:
+        for pi, p in enumerate(points):
+            for qi, q in enumerate(points):
                 if p == q:
                     continue
-                w = adjacent_pairs(TSTAR_FL3, ch).get((p, q))
+                w = adjacent_pairs(TSTAR_FL3, ch).get((pi, qi))
                 if w is None:
-                    assert (p, q) not in entries
+                    assert (pi, qi) not in entries
                     continue
                 witnessed += 1
                 wall_spec, wall_p = project_to_wall_slice(TSTAR_FL3, p, w.alpha_form)
                 wall_q = project_to_wall_slice(TSTAR_FL3, q, w.alpha_form)[1]
-                z = stab_offdiag_mod_h2(wall_spec, CH_PLUS)[(wall_p, wall_q)]
+                wall_index = point_index(wall_spec)
+                z = stab_offdiag_mod_h2(wall_spec, CH_PLUS)[wall_index[wall_p],
+                                                            wall_index[wall_q]]
                 z_part = z.polynomial().substitute(
                     [
                         Polynomial.linear_form(w.alpha_form.coords, 0),
                         Polynomial.linear_form([0, 0], 1),
                     ]
                 )
-                sides = wall_adjacent_chambers(A2, w.alpha_form, 1)
+                sides = wall_adjacent_chambers(A2, w.alpha_form)
                 near = next(c for c in sides if c.is_positive(w.alpha_form))
                 oracle = eps_prime(TSTAR_FL3, q, near, w.alpha_form) * z_part
-                if flip_sign(TSTAR_FL3, p, ch, near) < 0:
+                if flip_sign(TSTAR_FL3, pi, ch, near) < 0:
                     oracle = -oracle
-                assert entries[(p, q)].polynomial() == oracle, (p.label(), q.label())
+                assert entries[(pi, qi)].polynomial() == oracle, (p.label(), q.label())
         assert witnessed == len(entries) > 0
     assert time.monotonic() - start < 30.0
 
@@ -215,19 +219,23 @@ def test_criterion_07_general_route_consistency():
 def test_criterion_08_sigma_sign_well_defined():
     for spec in (TSTAR_FL3, PSL4_SPEC):
         ch = Chamber.dominant(spec.cartan)
-        points = enumerate_fixed_points(spec)
+        n = len(enumerate_fixed_points(spec))
+        signs = normalize_polarization(range(n), None)
         covered = set()
-        for p in points:
-            for q in points:
+        for p in range(n):
+            for q in range(n):
                 if p == q:
                     continue
                 w = adjacent_pairs(spec, ch).get((p, q))
                 if w is None:
                     continue
                 covered.add(w.alpha_form)
-                # samples wall-generic witnesses; both chambers adjacent to
-                # each witness must give the same sign or this raises
-                assert sigma_sign(spec, p, q, w.alpha_form, ch, samples=3) in (-1, 1)
+                # both closed-form chambers next to the wall must give the
+                # same sign or this raises, and so must both chambers of
+                # each of 3 pairs that an independent sampler draws there
+                s = sigma_sign(spec, p, q, w.alpha_form, ch, signs)
+                assert s in (-1, 1)
+                assert sampled_sigma_signs(spec, p, q, w.alpha_form, ch, signs, 3) == {s}
         assert covered == set(spec.cartan.positive_roots(ch))
 
 
@@ -293,13 +301,13 @@ def test_criterion_10_spectrum_and_commutativity():
 def test_criterion_11_wall_crossing_invariance():
     points = enumerate_fixed_points(TSTAR_FL3)
     for root in A2.positive_roots(CH2_PLUS):
-        near, far = wall_adjacent_chambers(A2, root, 1)
+        near, far = wall_adjacent_chambers(A2, root)
         left = stab_mod_h2(TSTAR_FL3, near)
-        carried = {p: flip_sign(TSTAR_FL3, p, near, far) for p in points}
+        carried = [flip_sign(TSTAR_FL3, p, near, far) for p in range(len(points))]
         right = stab_mod_h2(TSTAR_FL3, far, carried)
         compared = 0
         for pair in set(left) | set(right):
-            wall = same_wall_component(TSTAR_FL3, *pair)
+            wall = same_wall_component(TSTAR_FL3, *(points[x] for x in pair))
             if wall == root or wall == -root:
                 continue
             compared += 1

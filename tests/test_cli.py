@@ -629,7 +629,7 @@ def test_oracle_reconstruction_that_does_not_divide_exits_three(capsys, monkeypa
 
     def tampered(spec, ch, signs=None):
         entries = real(spec, ch, signs)
-        pair = min(entries, key=lambda pq: (pq[0].key(), pq[1].key()))
+        pair = min(entries)
         h = Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
         entry = entries[pair]
         entries[pair] = slices.EulerClass(entry.nvars, entry.factors - Counter([h]), entry.scalar)
@@ -697,11 +697,11 @@ def test_oracle_fails_on_an_entry_off_the_adjacency_table(capsys, monkeypatch):
         matrices = real(spec, ch, signs)
         points = slices.enumerate_fixed_points(spec)
         pairs = slices.adjacent_pairs(spec, ch)
-        p, q = next((p, q) for p in points for q in points if p != q and (p, q) not in pairs)
-        index = slices.point_index(spec)
+        n = range(len(points))
+        p, q = next((p, q) for p in n for q in n if p != q and (p, q) not in pairs)
         h = Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
-        matrices[1].entries[index[q], index[p]] = h
-        moved.update(p=p.label(), q=q.label())
+        matrices[1].entries[q, p] = h
+        moved.update(p=points[p].label(), q=points[q].label())
         return matrices
 
     monkeypatch.setattr(cli, "line_bundle_matrices", tampered)

@@ -1,6 +1,7 @@
 """Catalog documents are byte-identical to their golden sha256 in
-perfbench/goldens.json: every `mult` and `verify oracle` job, and every
-rank-one `stab-exact`, `verify duality` and `verify recursion` job.
+perfbench/goldens.json: every `mult`, `verify oracle`, `stab-mod-h2`,
+`verify wallcross`, `tangent` and `fixed-points` job, and every rank-one
+`stab-exact`, `verify duality` and `verify recursion` job.
 
 The perfbench files are imported read-only; each job runs through cli.main
 with an empty cache directory of its own, as make_goldens records them.
@@ -45,3 +46,7 @@ def test_mult_and_oracle_documents_match_their_goldens():
 
 def test_rank_one_documents_match_their_goldens():
     _check_documents({"stab-exact", ("verify", "duality"), ("verify", "recursion")})
+
+
+def test_wall_route_and_point_documents_match_their_goldens():
+    _check_documents({"stab-mod-h2", ("verify", "wallcross"), "tangent", "fixed-points"})

@@ -72,13 +72,13 @@ def test_mu_below_lambda_gate():
 def test_zero_slots_allowed():
     spec = SliceSpec(A1, [1, 0, 1], Coweight([0]))
     pts = enumerate_fixed_points(spec)
-    assert pts == [point(-1, 0, 1), point(1, 0, -1)]
+    assert pts == (point(-1, 0, 1), point(1, 0, -1))
 
 
 # ---------------------------------------------------------------- enumeration
 
 def test_enumerate_rank1_basic():
-    assert enumerate_fixed_points(TSTAR_P1) == [point(-1, 1), point(1, -1)]
+    assert enumerate_fixed_points(TSTAR_P1) == (point(-1, 1), point(1, -1))
 
 
 def test_enumerate_duval():
@@ -253,7 +253,7 @@ def test_integer_kernel_matches_brute_force_and_sigma_rule(slice_and_orbits):
         if sum(combo, spec.cartan.zero_coweight()) == spec.mu
     ]
     points = enumerate_fixed_points(spec)
-    assert points == sorted(brute, key=FixedPoint.key)
+    assert points == tuple(sorted(brute, key=FixedPoint.key))
     for p in points:
         assert tangent_weights(spec, p).entries == _reference_tangent_entries(spec, p)
 
@@ -322,10 +322,9 @@ def test_split_attract_repel():
 
 def test_flip_sign_examples():
     spec = DUVAL_A4
-    p0 = enumerate_fixed_points(spec)[0]
     dom = Chamber.dominant(A1)
-    assert flip_sign(spec, p0, dom, dom) == 1
-    assert flip_sign(spec, p0, dom, -dom) == -1
+    assert flip_sign(spec, 0, dom, dom) == 1
+    assert flip_sign(spec, 0, dom, -dom) == -1
 
 
 def test_flip_sign_transitive_and_witness_independent():
@@ -335,7 +334,7 @@ def test_flip_sign_transitive_and_witness_independent():
         Chamber(A2, Coweight([-3, 1])),
         Chamber(A2, Coweight([-1, -1])),
     ]
-    for p in enumerate_fixed_points(TSTAR_FL3):
+    for p in range(len(enumerate_fixed_points(TSTAR_FL3))):
         for c1 in chambers:
             for c2 in chambers:
                 s12 = flip_sign(TSTAR_FL3, p, c1, c2)
@@ -349,7 +348,7 @@ def test_flip_sign_transitive_and_witness_independent():
     w1 = Chamber(A2, Coweight([1, 1]))
     w2 = Chamber(A2, Coweight([5, 3]))
     assert w1 == w2
-    for p in enumerate_fixed_points(TSTAR_FL3):
+    for p in range(len(enumerate_fixed_points(TSTAR_FL3))):
         assert flip_sign(TSTAR_FL3, p, w1, -w1) == flip_sign(TSTAR_FL3, p, w2, -w2)
 
 
@@ -440,16 +439,15 @@ def test_adjacent_pairs_match_the_pairwise_rule(spec_and_chamber):
     spec, ch = spec_and_chamber
     points = enumerate_fixed_points(spec)
     expected = {}
-    for p in points:
-        for q in points:
+    for pi, p in enumerate(points):
+        for qi, q in enumerate(points):
             witness = None if p == q else _reference_adjacency(spec, p, q, ch)
             if witness is not None:
-                expected[(p, q)] = witness
+                expected[(pi, qi)] = witness
     table = adjacent_pairs(spec, ch)
     assert table == expected
     # in order of point indices, and built once per spec and chamber
-    index = point_index(spec)
-    assert list(table) == sorted(table, key=lambda pq: (index[pq[0]], index[pq[1]]))
+    assert list(table) == sorted(table)
     assert adjacent_pairs(spec, ch) is table
 
 

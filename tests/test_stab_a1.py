@@ -344,13 +344,15 @@ def test_recursion_failure_exits_three_with_one_line(capsys, tmp_path, monkeypat
 
 def test_mod_h2_tstar_p1():
     closed = stab_offdiag_mod_h2(TSTAR_P1, CH_PLUS)
-    assert {pair: e.polynomial() for pair, e in closed.items()} == {(P2, P1): -H}
+    index = point_index(TSTAR_P1)
+    assert {pair: e.polynomial() for pair, e in closed.items()} == {(index[P2], index[P1]): -H}
 
 
 def test_mod_h2_a2_surface():
     spec = a1_spec(3, 1)
-    p3 = point(1, 1, -1)
-    p1 = point(-1, 1, 1)
+    index = point_index(spec)
+    p3 = index[point(1, 1, -1)]
+    p1 = index[point(-1, 1, 1)]
     closed = stab_offdiag_mod_h2(spec, CH_PLUS)
     assert closed[(p3, p1)].polynomial() == -H
 
@@ -360,12 +362,12 @@ def test_mod_h2_matches_exact_truncation():
         for ch in (CH_PLUS, CH_MINUS):
             m = stab_matrix(spec, ch)
             closed = stab_offdiag_mod_h2(spec, ch)
-            for p in m.points:
-                for q in m.points:
+            for pi, p in enumerate(m.points):
+                for qi, q in enumerate(m.points):
                     if p == q:
                         continue
                     got = m.entry(p, q).truncate_mod_h2()
-                    assert got == expanded(closed, (p, q), Polynomial.zero(2))
+                    assert got == expanded(closed, (pi, qi), Polynomial.zero(2))
 
 
 # -- theta action ------------------------------------------------------------

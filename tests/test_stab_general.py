@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +16,7 @@ from grslice.slices import (
     enumerate_fixed_points,
     euler_factors,
     flip_sign,
+    point_index,
     project_to_wall_slice,
     repelling_euler,
     same_wall_component,
@@ -33,7 +33,7 @@ from grslice.stab_general import (
     wall_adjacent_chambers,
 )
 from grslice.symalg import Polynomial, RationalFunction, _factor_key
-from helpers import random_minuscule_specs
+from helpers import random_minuscule_specs, reference_wall_chambers, sampled_sigma_signs
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -57,6 +57,12 @@ def fp(*coweights):
     return FixedPoint(coweights)
 
 
+def ix(spec, *points):
+    """The point index of each point, as the wall routes key them."""
+    index = point_index(spec)
+    return tuple(index[p] for p in points)
+
+
 def eps_prime(spec, x, ch, wall_root):
     """A-Euler class of the repelling weights transverse to the wall."""
     _, repel = split_attract_repel(tangent_weights(spec, x), ch)
@@ -68,8 +74,7 @@ def eps_prime(spec, x, ch, wall_root):
 
 
 def test_find_adjacency_psl3():
-    p = fp(E1, E2, E3)
-    q = fp(E2, E1, E3)
+    p, q = ix(TSTAR_FL3, fp(E1, E2, E3), fp(E2, E1, E3))
     w = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q))
     assert w == AdjacencyWitness(1, 2, E1 - E2, AWeightForm([1, 0]))
     # reversed pair needs the negative coroot, which is not chamber-positive
@@ -82,26 +87,25 @@ def test_find_adjacency_psl3():
 def test_find_adjacency_a1_surface():
     spec = a1_spec(3, 1)
     w = Coweight([1])
-    p3 = fp(w, w, -w)
-    p1 = fp(-w, w, w)
+    p3, p1 = ix(spec, fp(w, w, -w), fp(-w, w, w))
     witness = adjacent_pairs(spec, CH1_PLUS).get((p3, p1))
     assert witness == AdjacencyWitness(1, 3, Coweight([2]), AWeightForm([1]))
 
 
 def test_find_adjacency_three_slot_difference():
-    p = fp(E1, E2, E3)
-    q = fp(E3, E1, E2)
+    p, q = ix(TSTAR_FL3, fp(E1, E2, E3), fp(E3, E1, E2))
     assert adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)) is None
 
 
 def test_wall_uniqueness_for_witnessed_pairs():
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
+    points = enumerate_fixed_points(TSTAR_FL3)
     for p, q in entries:
         matching = [
             root
             for root in TSTAR_FL3.cartan.root_list
             if sum(root.coords) > 0
-            and same_wall_component(TSTAR_FL3, p, q) == root
+            and same_wall_component(TSTAR_FL3, points[p], points[q]) == root
         ]
         assert len(matching) == 1
 
@@ -111,7 +115,7 @@ def test_wall_uniqueness_for_witnessed_pairs():
 
 def test_wall_adjacent_chambers_touch_only_that_wall():
     for cartan, root in ((A2, AWeightForm([1, 0])), (B2, AWeightForm([1, 1]))):
-        plus, minus = wall_adjacent_chambers(cartan, root, 1)
+        plus, minus = wall_adjacent_chambers(cartan, root)
         diffs = [
             f
             for f, s1, s2 in zip(
@@ -120,15 +124,14 @@ def test_wall_adjacent_chambers_touch_only_that_wall():
             if s1 != s2
         ]
         assert set(diffs) == {root, -root}
-    # deterministic across calls
-    assert wall_adjacent_chambers(A2, AWeightForm([1, 0]), 2) == wall_adjacent_chambers(
-        A2, AWeightForm([1, 0]), 2
+    # deterministic across calls and data, and the same pair for -root
+    assert wall_adjacent_chambers(A2, AWeightForm([1, 0])) == wall_adjacent_chambers(
+        CartanDatum("A", 2), AWeightForm([-1, 0])
     )
 
 
 def test_omega_ratio_rank1_is_one():
-    p2 = fp(Coweight([1]), Coweight([-1]))
-    p1 = fp(Coweight([-1]), Coweight([1]))
+    p2, p1 = ix(TSTAR_P1, fp(Coweight([1]), Coweight([-1])), fp(Coweight([-1]), Coweight([1])))
     assert omega_ratio(TSTAR_P1, p2, p1, AWeightForm([1])) == (Counter(), Counter(), 1)
 
 
@@ -160,8 +163,7 @@ def test_omega_ratio_not_rational_witness():
 
 
 def test_omega_ratio_requires_common_wall():
-    p = fp(E1, E2, E3)
-    q = fp(E3, E1, E2)
+    p, q = ix(TSTAR_FL3, fp(E1, E2, E3), fp(E3, E1, E2))
     with pytest.raises(ValueError):
         omega_ratio(TSTAR_FL3, p, q, AWeightForm([1, 0]))
 
@@ -172,8 +174,9 @@ def test_omega_ratio_requires_common_wall():
 def test_sigma_sign_rank1_repelling_is_plus_one():
     for spec in (a1_spec(3, 1), a1_spec(4, 0)):
         entries = stab_mod_h2(spec, CH1_PLUS)
+        signs = normalize_polarization(enumerate_fixed_points(spec), None)
         for p, q in entries:
-            assert sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS) == 1
+            assert sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS, signs) == 1
 
 
 def test_sigma_sign_flips_with_polarization():
@@ -181,18 +184,20 @@ def test_sigma_sign_flips_with_polarization():
     points = enumerate_fixed_points(spec)
     entries = stab_mod_h2(spec, CH1_PLUS)
     (p, q) = next(iter(entries))
-    base = sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS)
-    flipped = {x: (-1 if x == p else 1) for x in points}
-    assert sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS, flipped) == -base
+    base = sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS, normalize_polarization(points, None))
+    flipped = [-1 if x == p else 1 for x in range(len(points))]
+    assert sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS, tuple(flipped)) == -base
 
 
 def test_sigma_sign_well_defined_on_fl3():
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
+    signs = normalize_polarization(enumerate_fixed_points(TSTAR_FL3), None)
     for p, q in entries:
         root = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)).alpha_form
-        s = sigma_sign(TSTAR_FL3, p, q, root, CH2_PLUS, samples=4)
+        s = sigma_sign(TSTAR_FL3, p, q, root, CH2_PLUS, signs)
         assert s in (1, -1)
-        assert s == sigma_sign(TSTAR_FL3, p, q, root, CH2_PLUS, samples=4)
+        # every one of 4 sampled chamber pairs next to the wall agrees
+        assert sampled_sigma_signs(TSTAR_FL3, p, q, root, CH2_PLUS, signs, 4) == {s}
 
 
 # -- the mod h^2 matrix ---------------------------------------------------------
@@ -208,11 +213,11 @@ def test_stab_mod_h2_specializes_to_rank1_closed_form():
 
 def test_stab_mod_h2_fl3_support_and_degrees():
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
-    points = enumerate_fixed_points(TSTAR_FL3)
+    n = len(enumerate_fixed_points(TSTAR_FL3))
     expected_pairs = {
         (p, q)
-        for p in points
-        for q in points
+        for p in range(n)
+        for q in range(n)
         if p != q and adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)) is not None
     }
     assert set(entries) == expected_pairs
@@ -240,25 +245,27 @@ def test_stab_mod_h2_factorization_oracle():
         nv = spec.cartan.rank + 1
         h = Polynomial.gen(nv, nv - 1)
         entries = stab_mod_h2(spec, ch)
+        points = enumerate_fixed_points(spec)
+        signs = normalize_polarization(points, None)
         assert entries
         for (p, q), value in entries.items():
             w = adjacent_pairs(spec, ch).get((p, q))
-            wall_spec, p1 = project_to_wall_slice(spec, p, w.alpha_form)
-            wall_spec_q, q1 = project_to_wall_slice(spec, q, w.alpha_form)
+            wall_spec, p1 = project_to_wall_slice(spec, points[p], w.alpha_form)
+            wall_spec_q, q1 = project_to_wall_slice(spec, points[q], w.alpha_form)
             assert wall_spec == wall_spec_q
-            a1_entry = stab_offdiag_mod_h2(wall_spec, CH1_PLUS)[(p1, q1)]
+            a1_entry = stab_offdiag_mod_h2(wall_spec, CH1_PLUS)[ix(wall_spec, p1, q1)]
             images = [Polynomial.linear_form(w.alpha_form.coords, 0), h]
             z_part = a1_entry.polynomial().substitute(images)
-            sides = wall_adjacent_chambers(spec.cartan, w.alpha_form, 1)
+            sides = wall_adjacent_chambers(spec.cartan, w.alpha_form)
             near_wall = next(c for c in sides if c.is_positive(w.alpha_form))
             induced = flip_sign(spec, p, ch, near_wall)
-            oracle = eps_prime(spec, q, near_wall, w.alpha_form) * z_part
+            oracle = eps_prime(spec, points[q], near_wall, w.alpha_form) * z_part
             if induced < 0:
                 oracle = oracle * Polynomial.constant(nv, -1)
             assert value.polynomial() == oracle
             # same identity with both classes read in the ambient chamber
-            rearranged = eps_prime(spec, q, ch, w.alpha_form) * z_part
-            sg = sigma_sign(spec, p, q, w.alpha_form, ch)
+            rearranged = eps_prime(spec, points[q], ch, w.alpha_form) * z_part
+            sg = sigma_sign(spec, p, q, w.alpha_form, ch, signs)
             if sg < 0:
                 rearranged = rearranged * Polynomial.constant(nv, -1)
             assert value.polynomial() == rearranged
@@ -270,15 +277,13 @@ def test_stab_mod_h2_wall_crossing_invariance():
     wall_root = AWeightForm([1, 0])
     ch_plus = CH2_PLUS
     ch_minus = Chamber(A2, Coweight([-1, 2]))  # across ker alpha_1 only
-    carried = {
-        p: flip_sign(TSTAR_FL3, p, ch_plus, ch_minus)
-        for p in enumerate_fixed_points(TSTAR_FL3)
-    }
+    points = enumerate_fixed_points(TSTAR_FL3)
+    carried = [flip_sign(TSTAR_FL3, p, ch_plus, ch_minus) for p in range(len(points))]
     left = stab_mod_h2(TSTAR_FL3, ch_plus)
     right = stab_mod_h2(TSTAR_FL3, ch_minus, carried)
     compared = 0
     for pair in set(left) | set(right):
-        if same_wall_component(TSTAR_FL3, *pair) == wall_root:
+        if same_wall_component(TSTAR_FL3, *(points[x] for x in pair)) == wall_root:
             continue
         assert left.get(pair) == right.get(pair), pair
         compared += 1
@@ -304,13 +309,14 @@ def test_mod_h2_json_shape():
 def _reference_repelling_euler(spec, p, ch):
     """repelling_euler(keep_h=False) as the multiset route computed it: the
     ch-repelling weights split off the tangent multiset, then factored."""
-    _, repel = split_attract_repel(tangent_weights(spec, p), ch)
+    _, repel = split_attract_repel(tangent_weights(spec, enumerate_fixed_points(spec)[p]), ch)
     return euler_factors(repel, False, {})
 
 
 def _reference_flip_sign(spec, p, ch1, ch2):
     """flip_sign as the multiset route computed it, weight by weight."""
-    count = sum(m for (root, n), m in tangent_weights(spec, p).entries.items()
+    weights = tangent_weights(spec, enumerate_fixed_points(spec)[p])
+    count = sum(m for (root, n), m in weights.entries.items()
                 if not ch1.is_positive(root) and ch2.is_positive(root))
     return -1 if count % 2 else 1
 
@@ -318,11 +324,12 @@ def _reference_flip_sign(spec, p, ch1, ch2):
 def _reference_omega(spec, p, q, root):
     """omega_ratio as the multiset route computed it, in every call: the
     multiset differences of the two repelling Euler classes, on both sides
-    of the wall."""
+    of the wall, for chambers of the independent sampler."""
     canon = root if sum(root.coords) > 0 else -root
-    assert same_wall_component(spec, p, q) == canon
+    points = enumerate_fixed_points(spec)
+    assert same_wall_component(spec, points[p], points[q]) == canon
     results = []
-    for ch in wall_adjacent_chambers(spec.cartan, canon, 1):
+    for ch in reference_wall_chambers(spec.cartan, canon, 1):
         e_q = _reference_repelling_euler(spec, q, ch)
         e_p = _reference_repelling_euler(spec, p, ch)
         results.append((e_q.factors - e_p.factors, e_p.factors - e_q.factors,
@@ -341,14 +348,14 @@ def _reference_omega_ratio(spec, p, q, root):
 
 def _reference_stab_mod_h2(spec, ch, polarization_signs=None):
     """stab_mod_h2 by rational-function products and exact division."""
-    points = enumerate_fixed_points(spec)
-    signs = normalize_polarization(points, polarization_signs)
+    n = len(enumerate_fixed_points(spec))
+    signs = normalize_polarization(range(n), polarization_signs)
     nv = spec.cartan.rank + 1
     h = Polynomial.gen(nv, nv - 1)
-    eps = {x: _reference_repelling_euler(spec, x, ch).polynomial() for x in points}
+    eps = [_reference_repelling_euler(spec, x, ch).polynomial() for x in range(n)]
     out = {}
-    for p in points:
-        for q in points:
+    for p in range(n):
+        for q in range(n):
             if p == q:
                 continue
             witness = adjacent_pairs(spec, ch).get((p, q))
@@ -413,7 +420,7 @@ def specs_with_chambers(draw):
     datum = spec.cartan
     root = draw(st.sampled_from(datum.root_list))
     choices = [Chamber.dominant(datum), Chamber.antidominant(datum)]
-    choices += wall_adjacent_chambers(datum, root, 1)
+    choices += wall_adjacent_chambers(datum, root)
     return spec, draw(st.sampled_from(choices)), draw(st.sampled_from(choices))
 
 
@@ -421,7 +428,7 @@ def specs_with_chambers(draw):
 @given(specs_with_chambers())
 def test_root_count_routes_match_the_multiset_routes(job):
     spec, ch1, ch2 = job
-    for p in enumerate_fixed_points(spec):
+    for p in range(len(enumerate_fixed_points(spec))):
         assert repelling_euler(spec, p, ch1, False) == _reference_repelling_euler(spec, p, ch1)
         assert flip_sign(spec, p, ch1, ch2) == _reference_flip_sign(spec, p, ch1, ch2)
     for (p, q), witness in adjacent_pairs(spec, ch1).items():
@@ -456,42 +463,38 @@ def test_times_ratio_refuses_a_negative_count():
     assert e.times_ratio(Counter(), Counter({a: 3}), 1) is None
 
 
-# -- wall-adjacent chambers against the rational sampler -------------------------
+# -- wall-adjacent chambers ------------------------------------------------------
 
 
-def _reference_wall_chambers(cartan, root, count):
-    """The sampler as it ran on Fraction witnesses, one list per count."""
-    rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root.coords}")
-    coroot = cartan.coroot_of_root[root]
-    others = [f for f in cartan.root_list if f != root and f != -root]
-    out = []
-    while len(out) < 2 * count:
-        u = Coweight([rng.randint(-9, 9) for _ in range(cartan.rank)])
-        w = u - coroot * Fraction(pairing(u, root), 2)
-        vals = [pairing(w, f) for f in others]
-        if any(v == 0 for v in vals):
-            continue
-        if others:
-            t = min(
-                abs(Fraction(v)) / (abs(pairing(coroot, f)) + 1)
-                for v, f in zip(vals, others)
-            )
-        else:
-            t = Fraction(1)
-        out.append(Chamber(cartan, w + coroot * t))
-        out.append(Chamber(cartan, w - coroot * t))
-    return out
+ALL_TYPES = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 6)]
+             + [("C", r) for r in range(2, 6)] + [("D", r) for r in range(4, 7)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_wall_chambers_differ_exactly_in_their_root(letter, rank):
+    cartan = CartanDatum(letter, rank)
+    for root in cartan.root_list:
+        plus, minus = wall_adjacent_chambers(cartan, root)
+        canon = root if sum(root.coords) > 0 else -root
+        assert plus.is_positive(canon) and not minus.is_positive(canon)
+        flipped = {f for f, s, t in zip(cartan.root_list, plus.sign_vector, minus.sign_vector)
+                   if s != t}
+        assert flipped == {root, -root}
+        assert plus.witness.is_integral() and minus.witness.is_integral()
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2)])
-def test_wall_chambers_match_the_rational_sampler_and_grow_by_prefix(letter, rank):
+def test_reference_sampler_chambers_differ_exactly_in_their_root(letter, rank):
+    # the sampler that the sign and omega checks compare against must itself
+    # land next to the wall
     cartan = CartanDatum(letter, rank)
     for root in cartan.root_list:
         if sum(root.coords) < 0:
             continue
-        one = wall_adjacent_chambers(cartan, root, 1)
-        three = wall_adjacent_chambers(cartan, root, 3)
-        assert three[:2] == one
-        reference = _reference_wall_chambers(CartanDatum(letter, rank), root, 3)
-        assert [c.sign_vector for c in three] == [c.sign_vector for c in reference]
-        assert all(c.witness.is_integral() for c in three)
+        chambers = reference_wall_chambers(cartan, root, 3)
+        for plus, minus in zip(chambers[::2], chambers[1::2]):
+            assert plus.is_positive(root) and not minus.is_positive(root)
+            flipped = {f for f, s, t in zip(cartan.root_list, plus.sign_vector,
+                                            minus.sign_vector) if s != t}
+            assert flipped == {root, -root}
