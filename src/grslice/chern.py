@@ -26,9 +26,9 @@ from .slices import (
     _point,
     adjacent_pairs,
     enumerate_fixed_points,
+    localization_denominator,
     point_index,
     repelling_euler,
-    tangent_euler,
 )
 from .stab_a1 import (
     ExactDivisionFailure,
@@ -346,18 +346,17 @@ def _as_vector(
 
 
 def localization_pair(spec: SliceSpec, v1, v2) -> RationalFunction:
-    """Sum over fixed points of v1(x) v2(x) / e_T(T_x), as a rational function."""
+    """Sum over fixed points of v1(x) v2(x) / e_T(T_x), as the sum of
+    v1(x) v2(x) cofactor(x) over the LCM of the tangent Euler classes."""
     points = enumerate_fixed_points(spec)
-    nv = spec.cartan.rank + 1
     a = _as_vector(points, v1)
     b = _as_vector(points, v2)
-    total = RationalFunction.from_polynomial(Polynomial.zero(nv))
+    lcm, cofactor = localization_denominator(spec)
+    total = Polynomial.zero(lcm.nvars)
     for xi, x in enumerate(points):
-        if x not in a or x not in b:
-            continue
-        e = tangent_euler(spec, xi)
-        total = total + RationalFunction(a[x] * b[x] * (1 / e.scalar), e.factors.elements())
-    return total
+        if x in a and x in b:
+            total = total + a[x] * b[x] * cofactor[xi].polynomial()
+    return RationalFunction(total, lcm.polynomial())
 
 
 def mult_matrix_via_localization(

@@ -22,7 +22,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum, Chamber, Coweight
 from .chern import (
@@ -338,11 +338,20 @@ def _check_wallcross(spec, ch, signs) -> dict:
     compared = 0
     points = enumerate_fixed_points(spec)
     base_signs = normalize_polarization(points, signs)
+    # two walls can share a chamber with the same signs
+    computed: Dict[tuple, dict] = {}
+
+    def entries(chamber, chamber_signs):
+        key = (chamber, chamber_signs)
+        if key not in computed:
+            computed[key] = stab_mod_h2(spec, chamber, chamber_signs)
+        return computed[key]
+
     for root in spec.cartan.positive_roots(ch):
         near, far = wall_adjacent_chambers(spec.cartan, root)
-        left = stab_mod_h2(spec, near, base_signs)
-        carried = [s * flip_sign(spec, x, near, far) for x, s in enumerate(base_signs)]
-        right = stab_mod_h2(spec, far, carried)
+        left = entries(near, base_signs)
+        right = entries(far, tuple(s * flip_sign(spec, x, near, far)
+                                   for x, s in enumerate(base_signs)))
         near_pairs, far_pairs = adjacent_pairs(spec, near), adjacent_pairs(spec, far)
         on_wall = (root, -root)
         for p, q in sorted(left.keys() | right.keys()):

@@ -1,31 +1,27 @@
-"""Exact sparse polynomial and rational-function arithmetic over Q.
+"""Exact sparse polynomial arithmetic over Q.
 
 Variables are a_1..a_r (coordinates on the torus weight lattice, simple-root
 basis) plus a final variable h (the deformation class).  Exponent vectors
 therefore have length r+1 with the h-degree in the last slot.
 
-Rational functions keep their denominators as multisets of *linear forms*
-(every denominator produced by localization is a product of forms
-c_1 a_1 + .. + c_r a_r + c h), with cancellation attempted
-factor by factor; equality is decided by cross-multiplication, so partial
-cancellation is harmless.
+A localization sum is kept as a plain numerator over a denominator, with
+equality decided by cross-multiplication; nothing is ever cancelled.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from math import gcd
-from operator import add, sub
-from typing import Dict, Iterable, Sequence
+from operator import add
+from typing import Dict, Sequence
 
 MINUS_INFINITY = float("-inf")
 
 
 class NonDivisible(ArithmeticError):
-    """exact_div was asked for a quotient that does not exist.
+    """An exact polynomial quotient that does not exist was asked for.
 
-    Raised as NonDivisible(template, *operands); the message is formatted
+    Raised by Polynomial.div_h and by the rank-one synthetic division, as
+    NonDivisible(template, *operands); the message is formatted
     only when it is shown, since most failed divisions are caught silently.
     """
 
@@ -238,11 +234,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def leading(self):
-        """Lex-largest (exponent, coefficient) pair."""
-        exp = max(self.terms)
-        return exp, self.terms[exp]
-
     # -- display / serialization -------------------------------------------
 
     def _monomial_key(self, exp: tuple) -> str:
@@ -304,194 +295,23 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Quotient s with s*q = p exactly; NonDivisible when none exists."""
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.nvars != q.nvars:
-        raise ValueError("variable count mismatch")
-    q_exp, q_coeff = q.leading()
-    q_terms = list(q.terms.items())
-    remainder = dict(p.terms)
-    quotient_terms: Dict[tuple, object] = {}
-    # each step cancels the lex-leading term of the remainder, so the
-    # leading exponents strictly decrease and no quotient term repeats
-    while remainder:
-        r_exp = max(remainder)
-        exp = tuple(map(sub, r_exp, q_exp))
-        if any(e < 0 for e in exp):
-            raise NonDivisible("({}) is not divisible by ({})", p, q)
-        coeff = Fraction(remainder[r_exp], q_coeff)
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
-        quotient_terms[exp] = coeff
-        for e, c in q_terms:
-            t = tuple(map(add, exp, e))
-            value = remainder.get(t, 0) - coeff * c
-            if value:
-                remainder[t] = value
-            else:
-                del remainder[t]
-    # exponents are checked differences, coefficients nonzero and normalized
-    return Polynomial._trusted(p.nvars, quotient_terms)
-
-
-def _canonical_linear(f: Polynomial):
-    """Scale a linear form to coprime integer coefficients, lex-leading one positive.
-
-    Returns (canonical form, scalar) with f = scalar * canonical.
-    """
-    if f.is_zero() or any(sum(e) != 1 for e in f.terms):
-        raise ValueError(f"denominator factor is not a homogeneous linear form: {f}")
-    _, lead = f.leading()
-    g, l = 0, 1
-    for c in f.terms.values():
-        c = Fraction(c)
-        g = gcd(g, abs(c.numerator))
-        l = l * c.denominator // gcd(l, c.denominator)
-    scalar = Fraction(g, l) if lead > 0 else -Fraction(g, l)
-    return Polynomial(f.nvars, {e: Fraction(c) / scalar for e, c in f.terms.items()}), scalar
-
-
-def _cancel(num: Polynomial, den: Iterable[Polynomial]):
-    """Cancel canonical linear factors into num; returns (num, sorted factors).
-
-    Each factor is divided out when it divides the numerator left by the
-    factors before it; a factor that does not divide it then divides none
-    of its later quotients either, so no kept factor divides the result.
-    """
-    if num.is_zero():
-        return num, ()
-    remaining = []
-    for f in den:
-        try:
-            num = exact_div(num, f)
-        except NonDivisible:
-            remaining.append(f)
-    return num, tuple(sorted(remaining, key=_factor_key))
-
-
-def _factor_key(f: Polynomial):
-    """The order in which a rational function keeps its denominator factors."""
-    return sorted(f.terms.items())
-
-
 class RationalFunction:
-    """num / product(linear factors); equality by cross-multiplication."""
+    """num / den, two polynomials; equality by cross-multiplication."""
 
-    __slots__ = ("num", "den_factors")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, factors: Iterable[Polynomial] = ()):
-        den = []
-        scale = Fraction(1)
-        for f in factors:
-            canon, s = _canonical_linear(f)
-            den.append(canon)
-            scale *= s
-        if scale != 1:
-            num = num * (1 / scale)
-        self.num, self.den_factors = _cancel(num, den)
-
-    @classmethod
-    def _trusted(cls, num: Polynomial, den_factors: tuple) -> "RationalFunction":
-        """num / den_factors as given: canonical, sorted and already cancelled."""
-        r = object.__new__(cls)
-        r.num = num
-        r.den_factors = den_factors
-        return r
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        return cls._trusted(p, ())
-
-    @classmethod
-    def reciprocal(cls, nvars: int, factors: Iterable[Polynomial], scalar=1) -> "RationalFunction":
-        return cls(Polynomial.constant(nvars, scalar), factors)
-
-    @property
-    def den(self) -> Polynomial:
-        prod = Polynomial.one(self.num.nvars)
-        for f in self.den_factors:
-            prod = prod * f
-        return prod
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction._trusted(other, ())
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction._trusted(Polynomial.constant(self.num.nvars, other), ())
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        mine, theirs = Counter(self.den_factors), Counter(o.den_factors)
-        lcm = mine | theirs
-        left = self.num
-        for f, k in (lcm - mine).items():
-            left = left * f**k
-        right = o.num
-        for f, k in (lcm - theirs).items():
-            right = right * f**k
-        return RationalFunction._trusted(*_cancel(left + right, lcm.elements()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction._trusted(-self.num, self.den_factors)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # no kept factor divides num, so none divides a nonzero multiple
-            return RationalFunction._trusted(self.num * other, self.den_factors if other else ())
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction._trusted(
-            *_cancel(self.num * o.num, self.den_factors + o.den_factors)
-        )
-
-    __rmul__ = __mul__
+    def __init__(self, num: Polynomial, den: Polynomial):
+        self.num = num
+        self.den = den
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.nvars != self.num.nvars:
-            raise ValueError("variable count mismatch")
-        if o.den_factors == self.den_factors:
-            return self.num == o.num
-        return self.num * o.den == o.num * self.den
+        if isinstance(other, RationalFunction):
+            return self.num * other.den == other.num * self.den
+        if isinstance(other, (int, Fraction, Polynomial)):
+            return self.num == self.den * other
+        return NotImplemented
 
     __hash__ = None  # equality is by cross-multiplication; not hashable
 
-    def to_polynomial(self) -> Polynomial:
-        """Clear the denominator exactly; NonDivisible if the value is not polynomial."""
-        p = self.num
-        for f in self.den_factors:
-            p = exact_div(p, f)
-        return p
-
-    def __str__(self):
-        if not self.den_factors:
-            return str(self.num)
-        den = " * ".join(f"({f})" for f in self.den_factors)
-        return f"({self.num}) / {den}"
-
     def __repr__(self):
-        return f"RationalFunction({self})"
+        return f"RationalFunction(({self.num}) / ({self.den}))"

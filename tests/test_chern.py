@@ -323,26 +323,23 @@ def test_joint_spectrum_separates_points():
 
 
 def test_localization_pair_reproduces_duality():
-    spec = a1_spec(3, 1)
-    plus = stab_matrix(spec, CH1_PLUS)
-    minus = stab_matrix(spec, CH1_MINUS)
-    one = RationalFunction.from_polynomial(Polynomial.one(2))
-    zero = RationalFunction.from_polynomial(Polynomial.zero(2))
-    for p in plus.points:
-        for q in plus.points:
-            v1 = {x: minus.entry(q, x) for x in plus.points}
-            v2 = {x: plus.entry(p, x) for x in plus.points}
-            value = localization_pair(spec, v1, v2)
-            assert value == (one if p == q else zero)
+    for spec in (a1_spec(3, 1), a1_spec(4, 0)):
+        plus = stab_matrix(spec, CH1_PLUS)
+        minus = stab_matrix(spec, CH1_MINUS)
+        for p in plus.points:
+            for q in plus.points:
+                v1 = {x: minus.entry(q, x) for x in plus.points}
+                v2 = {x: plus.entry(p, x) for x in plus.points}
+                value = localization_pair(spec, v1, v2)
+                assert isinstance(value, RationalFunction)
+                assert value == (1 if p == q else 0)
 
 
 def test_localization_pair_zero_vector():
     points = enumerate_fixed_points(TSTAR_P1)
     zero_vec = [Polynomial.zero(2) for _ in points]
     ones = [Polynomial.one(2) for _ in points]
-    assert localization_pair(TSTAR_P1, zero_vec, ones) == RationalFunction.from_polynomial(
-        Polynomial.zero(2)
-    )
+    assert localization_pair(TSTAR_P1, zero_vec, ones) == 0
     with pytest.raises(ValueError):
         localization_pair(TSTAR_P1, [Polynomial.one(2)], ones)
 

@@ -1,5 +1,5 @@
 from itertools import product
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,7 +26,7 @@ from grslice.slices import (
     split_attract_repel,
     tangent_weights,
 )
-from grslice.symalg import Polynomial, _canonical_linear
+from grslice.symalg import Polynomial
 
 from helpers import oracle_down_crossings, oracle_up_crossings, random_minuscule_specs
 
@@ -474,12 +474,15 @@ def test_point_labels():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-12, 12), min_size=2, max_size=6).filter(any))
-def test_integer_canonical_form_matches_canonical_linear(coords):
+def test_integer_canonical_form_properties(coords):
     coords = tuple(coords)
     forms = {}
     canon, scalar = _canonical(forms, coords)
-    ref_canon, ref_scalar = _canonical_linear(Polynomial.linear_form(coords[:-1], coords[-1]))
-    assert canon == ref_canon and scalar == ref_scalar
+    n = len(coords)
+    unit = [canon.coefficient(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    assert all(type(c) is int for c in unit) and gcd(*unit) == 1
+    assert next(c for c in unit if c) > 0
     assert type(scalar) is int
+    assert canon * scalar == Polynomial.linear_form(coords[:-1], coords[-1])
     # memoized: a second lookup returns the same objects
     assert _canonical(forms, coords)[0] is canon
