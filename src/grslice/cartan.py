@@ -327,6 +327,12 @@ class CartanDatum:
         # indexed by root (chamber sign vectors, slot-step pairings, root
         # counts)
         self._column: Dict[AWeightForm, int] = {f: i for i, f in enumerate(self.root_list)}
+        # the column of each positive root and the column of its negative, in
+        # column order of the positive roots: tangent weights walk the first
+        # of each pair and mirror it onto the second
+        column = {coords: i for i, coords in enumerate(forms)}
+        self._root_pairs: Tuple[Tuple[int, int], ...] = tuple(sorted(
+            (column[f], column[tuple([-x for x in f])]) for f in positive))
         self.coroot_of_root: Dict[AWeightForm, Coweight] = {}
         self.coroot_half_length: Dict[AWeightForm, object] = {}
         # the positive root of {f, -f} for every root f

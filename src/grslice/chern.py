@@ -208,11 +208,10 @@ class OperatorMatrix:
         )
 
     def to_json(self) -> dict:
-        shared: dict = {}
         get, zero = self.entries.get, self.zero
         n = range(len(self.basis))
         return {
-            "basis": [p.to_json(shared) for p in self.basis],
+            "basis": [p.to_json() for p in self.basis],
             "bundle": self.label,
             "entries": [[get((qi, pi), zero).to_json() for pi in n] for qi in n],
         }

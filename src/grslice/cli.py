@@ -37,6 +37,7 @@ from .slices import (
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
+    _step_label,
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
@@ -182,11 +183,16 @@ def cache_fetch(key: str) -> Optional[Tuple[int, str]]:
     path = os.path.join(cache_dir(), key + ".json")
     try:
         with open(path, "rb") as fh:
-            digest, _, rest = fh.read().partition(b" ")
-        if hashlib.sha256(rest).hexdigest().encode("ascii") != digest:
+            entry = fh.read()
+        # the digest and the text are read through a view of the one buffer
+        view = memoryview(entry)
+        space = entry.find(b" ")
+        if space < 0 or hashlib.sha256(view[space + 1:]).hexdigest().encode("ascii") != entry[:space]:
             return None
-        code, _, text = rest.partition(b"\n")
-        return int(code), text.decode("utf-8")
+        newline = entry.find(b"\n", space)
+        if newline < 0:
+            newline = len(entry)
+        return int(entry[space + 1:newline]), str(view[newline + 1:], "utf-8")
     except (OSError, ValueError):
         return None
 
@@ -215,30 +221,75 @@ def cache_store(key: str, code: int, text: str) -> None:
 # -- document assembly ----------------------------------------------------------
 
 
-# A slice has few distinct slot steps and weight records, each repeated at
-# many points: the fixed-points and tangent documents build each one once, in
-# a dict kept for the document, and encode_json prints a repeated one once.
+class _PointList:
+    """The "points" of a fixed-points or tangent document: encode_json prints
+    it, and render_table reads its rows.
+
+    A slice has few distinct slot steps and weight records, each repeated at
+    many points, so the text of each (and each step's piece of a label) is
+    built once per document, keyed by integer tuples, and each point's text
+    joins those texts.  Weight records are read in the order of each
+    multiset's entries, which tangent_weights inserts in document order.
+    """
+
+    __slots__ = ("keys", "labels", "weights")
+
+    def __init__(self, points, weights=None):
+        self.keys = [p.key() for p in points]
+        pieces: Dict[tuple, str] = {}
+        self.labels = ["(" + ",".join([pieces.get(c) or pieces.setdefault(c, _step_label(c))
+                                       for c in key]) + ")" for key in self.keys]
+        # the tangent weights at each point; None in a fixed-points document
+        self.weights = weights
+
+    def rows(self) -> list:
+        """(label, weight records) per point, a record (root coords, n, mult)."""
+        if self.weights is None:
+            return [(label, ()) for label in self.labels]
+        return [(label, [(root.coords, n, m) for (root, n), m in ws.entries.items()])
+                for label, ws in zip(self.labels, self.weights)]
+
+    def encode(self, indent: str) -> str:
+        """The list as ``json.dumps(..., sort_keys=True, indent=2)`` prints it
+        at `indent` (a newline and the spaces of its depth)."""
+        point = indent + "  "
+        key = point + "  "
+        item = key + "  "
+        sep = "," + item
+        steps: Dict[tuple, str] = {}
+        records: Dict[tuple, str] = {}
+
+        def step(coords):
+            text = steps[coords] = _encode(list(coords), item)
+            return text
+
+        def record(root, n, m):
+            text = records[root, n, m] = _encode({"root": list(root), "n": n, "mult": m}, item)
+            return text
+
+        head = "{" + key + '"delta": [' + item
+        mid = key + "]," + key + '"label": '
+        tail = point + "}"
+        weights = "," + key + '"weights": '
+        texts = [head + sep.join([steps.get(c) or step(c) for c in coords]) + mid
+                 + _encode_str(label) for coords, label in zip(self.keys, self.labels)]
+        if self.weights is not None:
+            for x, ws in enumerate(self.weights):
+                found = [records.get((root.coords, n, m)) or record(root.coords, n, m)
+                         for (root, n), m in ws.entries.items()]
+                texts[x] += weights + ("[" + item + sep.join(found) + key + "]" if found else "[]")
+        return f"[{point}{(tail + ',' + point).join(texts)}{tail}{indent}]"
+
+
 def _cmd_fixed_points(spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
-    shared: dict = {}
-    return {
-        "command": "fixed-points",
-        "count": len(points),
-        "points": [{"delta": p.to_json(shared), "label": p.label()} for p in points],
-    }
+    return {"command": "fixed-points", "count": len(points), "points": _PointList(points)}
 
 
 def _cmd_tangent(spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
-    shared: dict = {}
-    return {
-        "command": "tangent",
-        "points": [
-            {"delta": p.to_json(shared), "label": p.label(),
-             "weights": tangent_weights(spec, p).to_json(shared)}
-            for p in points
-        ],
-    }
+    weights = [tangent_weights(spec, p) for p in points]
+    return {"command": "tangent", "points": _PointList(points, weights)}
 
 
 def _cmd_stab_exact(spec: SliceSpec, ch: Chamber, signs) -> dict:
@@ -417,23 +468,32 @@ def _table(rows: List[Sequence[str]], header: Sequence[str]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _point_rows(points) -> list:
+    """(label, weight records) per point of a computed point list or of the
+    points of a stored document; a record is (root coords, n, mult)."""
+    if type(points) is _PointList:
+        return points.rows()
+    return [(pt["label"], [(tuple(w["root"]), w["n"], w["mult"]) for w in pt.get("weights", ())])
+            for pt in points]
+
+
 def render_table(payload: dict, rank: int) -> str:
     command = payload["command"]
     if command == "fixed-points":
-        rows = [(i, pt["label"]) for i, pt in enumerate(payload["points"])]
+        rows = [(i, label) for i, (label, _) in enumerate(_point_rows(payload["points"]))]
         return _table(rows, ("index", "label"))
     if command == "tangent":
-        # A slice has few distinct weights, each repeated at many points.
-        weights = {}
-        rows = []
-        for pt in payload["points"]:
-            for w in pt["weights"]:
-                key = (tuple(w["root"]), w["n"])
-                text = weights.get(key)
-                if text is None:
-                    text = weights[key] = str(Polynomial.linear_form(w["root"], w["n"]))
-                rows.append((pt["label"], text, w["mult"]))
-        return _table(rows, ("point", "weight", "mult"))
+        # A slice has few distinct (weight, mult) pairs, each repeated at many points.
+        suffixes: Dict[tuple, str] = {}
+        lines = ["point | weight | mult"]
+        for label, records in _point_rows(payload["points"]):
+            for key in records:
+                suffix = suffixes.get(key)
+                if suffix is None:
+                    root, n, m = key
+                    suffix = suffixes[key] = f" | {Polynomial.linear_form(root, n)} | {m}"
+                lines.append(label + suffix)
+        return "\n".join(lines) + "\n"
     if command == "stab-exact":
         labels = payload["labels"]
         rows = []
@@ -467,7 +527,7 @@ def render_table(payload: dict, rank: int) -> str:
     raise ValueError(f"no table renderer for {command!r}")
 
 
-def _encode(value, indent: str, memo: dict) -> str:
+def _encode(value, indent: str) -> str:
     kind = type(value)
     if kind is str:
         return _encode_str(value)
@@ -476,30 +536,19 @@ def _encode(value, indent: str, memo: dict) -> str:
     if kind is list or kind is dict:
         if not value:
             return "[]" if kind is list else "{}"
-        # a container that holds a str (a label or a coefficient) stands at
-        # one place in a document, so the memo looks only at the others
-        key = None
-        if str not in map(type, value if kind is list else value.values()):
-            key = (id(value), indent)
-            seen = memo.get(key)
-            if seen:
-                return seen
         inner = indent + "  "
+        sep = "," + inner
+        # one f-string wraps the joined items: a large document is copied
+        # once per level, not once per concatenation
         if kind is list:
-            items = [_encode(v, inner, memo) for v in value]
-            text = "[" + inner + ("," + inner).join(items) + indent + "]"
-        else:
-            for k in value:
-                if type(k) is not str:
-                    raise TypeError(f"cannot encode a {type(k).__name__} key")
-            items = [_encode_str(k) + ": " + _encode(value[k], inner, memo)
-                     for k in sorted(value)]
-            text = "{" + inner + ("," + inner).join(items) + indent + "}"
-        # the first sighting leaves an empty mark, and only a repeat keeps
-        # its text, so the memo holds no text of a container met once
-        if key is not None:
-            memo[key] = "" if seen is None else text
-        return text
+            return f"[{inner}{sep.join([_encode(v, inner) for v in value])}{indent}]"
+        for k in value:
+            if type(k) is not str:
+                raise TypeError(f"cannot encode a {type(k).__name__} key")
+        items = [f"{_encode_str(k)}: {_encode(value[k], inner)}" for k in sorted(value)]
+        return f"{{{inner}{sep.join(items)}{indent}}}"
+    if kind is _PointList:
+        return value.encode(indent)
     if value is None:
         return "null"
     if value is True:
@@ -512,21 +561,13 @@ def _encode(value, indent: str, memo: dict) -> str:
 def encode_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, for documents only.
 
-    Documents hold str, int, bool, None, lists and dicts with str keys; any
-    other value raises TypeError.  Each container joins the encodings of its
-    own items, so no list of every piece of the document is ever held.
-
-    A document may hold one list or dict object at many places, such as the
-    slot steps and weight records that a tangent document shares between its
-    points.  A memo that lives for this one call, keyed by a container's
-    identity and depth, keeps the text of each container met more than once,
-    so a repeat is encoded once per depth.  Only containers that hold no str
-    enter it: labels and coefficients stand at one place each.  The ids are
-    stable because `value` holds every container for the whole call.  A
-    builder that shares a sub-document never mutates it, so every sighting
-    prints the same text.
+    Documents hold str, int, bool, None, lists and dicts with str keys, and
+    the point lists of the fixed-points and tangent documents, which print
+    themselves as the lists of dicts they stand for; any other value raises
+    TypeError.  Each container joins the encodings of its own items, so no
+    list of every piece of the document is ever held.
     """
-    return _encode(value, "\n", {})
+    return _encode(value, "\n")
 
 
 def render(payload: dict, fmt: str, rank: int) -> str:

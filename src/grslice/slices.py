@@ -164,6 +164,17 @@ class SliceSpec:
         )
 
 
+_RANK_ONE_LABELS = {1: "w", -1: "-w", 0: "0"}
+
+
+def _step_label(coords: tuple) -> str:
+    """A slot step as a point label prints it: w, -w, 0 or kw in rank 1, and
+    its coordinates in brackets otherwise."""
+    if len(coords) == 1:
+        return _RANK_ONE_LABELS.get(coords[0]) or f"{coords[0]}w"
+    return "[" + ",".join(map(str, coords)) + "]"
+
+
 class FixedPoint:
     """Torus-fixed point of a resolved slice: the increment sequence delta."""
 
@@ -196,38 +207,13 @@ class FixedPoint:
     def __lt__(self, other):
         return self.key() < other.key()
 
-    def to_json(self, shared: Optional[dict] = None) -> list:
-        """The slot steps as coordinate lists.  `shared` is a dict kept for
-        one document: each distinct step's list is built once in it, and the
-        same list object stands wherever that step occurs."""
-        lists = {} if shared is None else shared
-        out = []
-        for d in self.delta:
-            coords = lists.get(d)
-            if coords is None:
-                coords = lists[d] = list(d.coords)
-            out.append(coords)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: list) -> "FixedPoint":
-        return cls(Coweight(v) for v in obj)
+    def to_json(self) -> list:
+        """The slot steps as coordinate lists."""
+        return [list(d.coords) for d in self.delta]
 
     def label(self) -> str:
         """Human-readable delta string, e.g. '(-w,w,w)' in rank 1."""
-        def one(d: Coweight) -> str:
-            if len(d) == 1:
-                v = d.coords[0]
-                if v == 1:
-                    return "w"
-                if v == -1:
-                    return "-w"
-                if v == 0:
-                    return "0"
-                return f"{v}w"
-            return "[" + ",".join(str(c) for c in d.coords) + "]"
-
-        return "(" + ",".join(one(d) for d in self.delta) + ")"
+        return "(" + ",".join([_step_label(d.coords) for d in self.delta]) + ")"
 
     def __repr__(self):
         return f"FixedPoint{self.label()}"
@@ -315,6 +301,15 @@ class WeightMultiset:
             if root.is_zero():
                 raise ValueError("zero A-part is not allowed in a tangent multiset")
 
+    @classmethod
+    def _of(cls, rank: int, entries: Dict[Tuple[AWeightForm, int], int]) -> "WeightMultiset":
+        """The multiset on entries taken as they are: positive counts of
+        nonzero roots, as tangent_weights and filter build them."""
+        ws = object.__new__(cls)
+        ws.rank = rank
+        ws.entries = entries
+        return ws
+
     def total(self) -> int:
         return sum(self.entries.values())
 
@@ -325,7 +320,7 @@ class WeightMultiset:
         return self.entries.get((root, n), 0)
 
     def filter(self, keep) -> "WeightMultiset":
-        return WeightMultiset(
+        return WeightMultiset._of(
             self.rank, {k: m for k, m in self.entries.items() if keep(k[0], k[1])}
         )
 
@@ -334,27 +329,6 @@ class WeightMultiset:
             isinstance(other, WeightMultiset)
             and other.rank == self.rank
             and other.entries == self.entries
-        )
-
-    def to_json(self, shared: Optional[dict] = None) -> list:
-        """The entries as {"root", "n", "mult"} records.  `shared` is a dict
-        kept for one document: each distinct record is built once in it, and
-        the same record object stands wherever that record occurs."""
-        records = {} if shared is None else shared
-        out = []
-        for (root, n), m in self.items():
-            key = (root, n, m)
-            record = records.get(key)
-            if record is None:
-                record = records[key] = {"root": list(root.coords), "n": n, "mult": m}
-            out.append(record)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: list, rank: int) -> "WeightMultiset":
-        return cls(
-            rank,
-            {(AWeightForm(e["root"]), int(e["n"])): int(e["mult"]) for e in obj},
         )
 
     def __repr__(self):
@@ -377,23 +351,35 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> WeightMultiset:
     toward beta + n*h iff the segment moves toward the origin half-space:
     c > 0 with h decreasing, or c < 0 with h increasing.  Every step is -1, 0
     or +1, so a segment crosses the one level min(a, b) + 1/2, and it counts
-    iff it leaves a nonzero height toward 0.  Computed once per spec and
-    point; callers share the result and must not mutate it.
+    iff it leaves a nonzero height toward 0.  The heights of -beta are those
+    of beta negated, so a segment that counts toward beta + n*h counts toward
+    -beta + (-n-1)*h: only one root of each pair is walked.
+
+    The entries are inserted in document order (root coordinates, then n).
+    Computed once per spec and point; callers share the result and must not
+    mutate it.
     """
-    if p in spec._tangents:
-        return spec._tangents[p]
-    counts: Dict[Tuple[int, int], int] = {}
-    for r, steps in enumerate(zip(*_steps(spec, p))):
+    found = spec._tangents.get(p)
+    if found is not None:
+        return found
+    heights = list(zip(*_steps(spec, p)))
+    by_column: list = [()] * len(heights)
+    for col, opposite in spec.cartan._root_pairs:
+        counts: Dict[int, int] = {}
         h = 0
-        for s in steps:
+        for s in heights[col]:
             if h * s < 0:
-                key = (r, min(h, h + s))
-                counts[key] = counts.get(key, 0) + 1
+                n = h if s > 0 else h - 1
+                counts[n] = counts.get(n, 0) + 1
             h += s
+        if counts:
+            ns = sorted(counts)
+            by_column[col] = [(n, counts[n]) for n in ns]
+            by_column[opposite] = [(-n - 1, counts[n]) for n in reversed(ns)]
     roots = spec.cartan.root_list
-    entries = {(roots[r], n): m for (r, n), m in counts.items()}
-    ws = spec._tangents[p] = WeightMultiset(spec.cartan.rank, entries)
-    return ws
+    entries = {(roots[col], n): m for col, column in enumerate(by_column) for n, m in column}
+    found = spec._tangents[p] = WeightMultiset._of(spec.cartan.rank, entries)
+    return found
 
 
 def _canonical(forms: dict, coords: tuple) -> Tuple[Polynomial, int]:

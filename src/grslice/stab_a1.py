@@ -338,9 +338,8 @@ class RestrictionMatrix:
         def encode(val):
             return {name: str(Fraction(val[k])) for k, name in monomials if val[k]}
 
-        shared: dict = {}
         return {
-            "points": [p.to_json(shared) for p in self.points],
+            "points": [p.to_json() for p in self.points],
             "chamber": list(self.chamber.sign_vector),
             "entries": {
                 f"{p},{q}": encode(self.entries[p, q]) for p, q in sorted(self.entries)

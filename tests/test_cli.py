@@ -498,38 +498,55 @@ def test_encode_json_rejects_what_documents_never_hold(value):
         cli.encode_json(value)
 
 
-# Slices whose documents repeat few slot steps and weight records at many points.
-SHARED_RECORD_SLICES = [("A", 3, "1,2,3,1,2,3", "0,0,0"), ("B", 2, "2,2,2,2,2,2", "0,0"),
-                        ("A", 1, ",".join(["1"] * 10), "2")]
+# Slices whose documents repeat few slot steps and weight records at many
+# points, a one-point slice with no tangent weights, and one with a zero slot.
+POINT_LIST_SLICES = [("A", 3, "1,2,3,1,2,3", "0,0,0"), ("B", 2, "2,2,2,2,2,2", "0,0"),
+                     ("A", 1, ",".join(["1"] * 10), "2"), ("A", 1, "1", "1"),
+                     ("A", 1, "1,0,1", "0")]
 
 
-@pytest.mark.parametrize("letter, rank, lam, mu", SHARED_RECORD_SLICES,
-                         ids=[f"{letter}{rank}-{lam}" for letter, rank, lam, _ in SHARED_RECORD_SLICES])
+@pytest.mark.parametrize("letter, rank, lam, mu", POINT_LIST_SLICES,
+                         ids=[f"{letter}{rank}-{lam}" for letter, rank, lam, _ in POINT_LIST_SLICES])
 @pytest.mark.parametrize("command", ["fixed-points", "tangent"])
-def test_shared_records_print_as_fresh_ones(capsys, command, letter, rank, lam, mu):
+def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
+                                            command, letter, rank, lam, mu):
     job = JobSpec(command, letter, rank, cli._int_list(lam), cli._int_list(mu))
     spec = job.build()[0]
     points = slices.enumerate_fixed_points(spec)
-    # the oracle: fresh objects at every point, printed by json.dumps
-    fresh = [{"delta": p.to_json(), "label": p.label()} for p in points]
+    # the oracles: fresh records at every point, printed by json.dumps, and
+    # table rows built from Polynomial.linear_form
+    fresh = [{"delta": [list(d.coords) for d in p.delta], "label": p.label()} for p in points]
     if command == "tangent":
+        rows = []
         for point, p in zip(fresh, points):
-            point["weights"] = slices.tangent_weights(spec, p).to_json()
+            entries = sorted(slices.tangent_weights(spec, p).entries.items(),
+                             key=lambda kv: (kv[0][0].coords, kv[0][1]))
+            point["weights"] = [{"root": list(root.coords), "n": n, "mult": m}
+                                for (root, n), m in entries]
+            rows += [f"{p.label()} | {Polynomial.linear_form(root.coords, n)} | {m}"
+                     for (root, n), m in entries]
         expected = {"command": "tangent", "points": fresh}
+        header = "point | weight | mult"
     else:
         expected = {"command": "fixed-points", "count": len(points), "points": fresh}
-    code, out, err = run_cli(capsys, [command, "--type", letter, "--rank", str(rank),
-                                      "--lambda", lam, "--mu", mu])
-    assert (code, err) == (0, "")
-    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        rows = [f"{i} | {p.label()}" for i, p in enumerate(points)]
+        header = "index | label"
+    document = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    table = "\n".join([header] + rows) + "\n"
+    argv = [command, "--type", letter, "--rank", str(rank), "--lambda", lam, "--mu", mu]
+    table_argv = argv + ["--format", "table"]
 
-    # the document builds each distinct step and record once
-    shared = cli.compute_payload(job, *job.build())["points"]
-    steps = [step for point in shared for step in point["delta"]]
-    assert len({id(step) for step in steps}) == len({tuple(step) for step in steps})
-    records = [w for point in shared for w in point.get("weights", [])]
-    assert len({id(w) for w in records}) == len(
-        {(tuple(w["root"]), w["n"], w["mult"]) for w in records})
+    assert run_cli(capsys, argv) == (0, document, "")
+    # a table miss with the JSON document stored renders its parsed records
+    with monkeypatch.context() as m:
+        m.setattr(cli, "compute_payload", _refuse)
+        assert run_cli(capsys, table_argv) == (0, table, "")
+    # a table-first miss renders the computed point list, and stores both formats
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "table-first"))
+    with monkeypatch.context() as m:
+        m.setattr(json, "loads", _refuse)
+        assert run_cli(capsys, table_argv) == (0, table, "")
+    assert cache_fetch(f"{job.cache_key()}-json") == (0, document)
 
 
 # -- fuzzing the command line ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 from math import comb, gcd, prod
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grslice import cartan
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, _Vector, pairing
-from grslice.cli import CACHE_ENV, main
+from grslice.cli import CACHE_ENV, JobSpec, compute_payload, main, render
 from grslice.slices import (
     AdjacencyWitness,
     FixedPoint,
@@ -255,7 +256,11 @@ def test_integer_kernel_matches_brute_force_and_sigma_rule(slice_and_orbits):
     points = enumerate_fixed_points(spec)
     assert points == tuple(sorted(brute, key=FixedPoint.key))
     for p in points:
-        assert tangent_weights(spec, p).entries == _reference_tangent_entries(spec, p)
+        ws = tangent_weights(spec, p)
+        assert ws.entries == _reference_tangent_entries(spec, p)
+        # in document order: root coordinates, then n
+        keys = [(root.coords, n) for root, n in ws.entries]
+        assert keys == sorted(keys)
 
 
 def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
@@ -455,15 +460,21 @@ def test_adjacent_pairs_match_the_pairwise_rule(spec_and_chamber):
 
 def test_fixed_point_json_round_trip():
     p = FixedPoint([E1, E2, E3])
-    assert FixedPoint.from_json(p.to_json()) == p
     assert p.to_json() == [[1, 0], [-1, 1], [0, -1]]
+    assert FixedPoint(Coweight(v) for v in p.to_json()) == p
 
 
 def test_weight_multiset_json_round_trip():
-    ws = tangent_weights(TSTAR_FL3, FixedPoint([E1, E2, E3]))
-    assert WeightMultiset.from_json(ws.to_json(), 2) == ws
-    for entry in ws.to_json():
-        assert set(entry) == {"root", "n", "mult"}
+    # the weight records of the tangent document read back to the multisets
+    job = JobSpec("tangent", "A", 2, [1, 1, 1], [0, 0])
+    doc = json.loads(render(compute_payload(job, *job.build()), "json", 2))
+    points = enumerate_fixed_points(TSTAR_FL3)
+    assert [pt["delta"] for pt in doc["points"]] == [p.to_json() for p in points]
+    for pt, p in zip(doc["points"], points):
+        for entry in pt["weights"]:
+            assert set(entry) == {"root", "n", "mult"}
+        read = {(AWeightForm(e["root"]), e["n"]): e["mult"] for e in pt["weights"]}
+        assert WeightMultiset(2, read) == tangent_weights(TSTAR_FL3, p)
 
 
 def test_point_labels():
