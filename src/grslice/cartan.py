@@ -82,8 +82,9 @@ class _Vector:
         return type(other) is type(self) and self.coords == other.coords
 
     def __hash__(self):
-        # vectors key the weight multisets and pairing tables, so the same
-        # vector is hashed far more often than built
+        # vectors key the point index (a point hashes its steps) and the
+        # datum's root tables, so the same vector is hashed far more often
+        # than built
         if self._hash is None:
             self._hash = hash((type(self).__name__, self.coords))
         return self._hash
@@ -478,7 +479,6 @@ class Chamber:
         self.datum = datum
         self.witness = witness
         self.sign_vector = tuple(signs)
-        self._positive = {f: s > 0 for f, s in zip(datum.root_list, signs)}
 
     @classmethod
     def dominant(cls, datum: CartanDatum) -> "Chamber":
@@ -492,8 +492,7 @@ class Chamber:
         return Chamber(self.datum, -self.witness)
 
     def is_positive(self, f: AWeightForm) -> bool:
-        side = self._positive.get(f)  # known for every root
-        return pairing(self.witness, f) > 0 if side is None else side
+        return pairing(self.witness, f) > 0
 
     def __eq__(self, other):
         return (

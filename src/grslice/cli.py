@@ -228,25 +228,29 @@ class _PointList:
     A slice has few distinct slot steps and weight records, each repeated at
     many points, so the text of each (and each step's piece of a label) is
     built once per document, keyed by integer tuples, and each point's text
-    joins those texts.  Weight records are read in the order of each
-    multiset's entries, which tangent_weights inserts in document order.
+    joins those texts.  Weight records are read in the order of each point's
+    tangent_weights dict, which is inserted in document order; a record's
+    root is read from the root list by column.
     """
 
-    __slots__ = ("keys", "labels", "weights")
+    __slots__ = ("keys", "labels", "roots", "weights")
 
-    def __init__(self, points, weights=None):
+    def __init__(self, points, weights=None, roots=None):
         self.keys = [p.key() for p in points]
         pieces: Dict[tuple, str] = {}
         self.labels = ["(" + ",".join([pieces.get(c) or pieces.setdefault(c, _step_label(c))
                                        for c in key]) + ")" for key in self.keys]
-        # the tangent weights at each point; None in a fixed-points document
+        # the tangent weights at each point and the datum's root_list; None
+        # in a fixed-points document
         self.weights = weights
+        self.roots = roots
 
     def rows(self) -> list:
         """(label, weight records) per point, a record (root coords, n, mult)."""
         if self.weights is None:
             return [(label, ()) for label in self.labels]
-        return [(label, [(root.coords, n, m) for (root, n), m in ws.entries.items()])
+        roots = self.roots
+        return [(label, [(roots[col].coords, n, m) for (col, n), m in ws.items()])
                 for label, ws in zip(self.labels, self.weights)]
 
     def encode(self, indent: str) -> str:
@@ -263,8 +267,9 @@ class _PointList:
             text = steps[coords] = _encode(list(coords), item)
             return text
 
-        def record(root, n, m):
-            text = records[root, n, m] = _encode({"root": list(root), "n": n, "mult": m}, item)
+        def record(col, n, m):
+            text = records[col, n, m] = _encode(
+                {"root": list(self.roots[col].coords), "n": n, "mult": m}, item)
             return text
 
         head = "{" + key + '"delta": [' + item
@@ -275,8 +280,8 @@ class _PointList:
                  + _encode_str(label) for coords, label in zip(self.keys, self.labels)]
         if self.weights is not None:
             for x, ws in enumerate(self.weights):
-                found = [records.get((root.coords, n, m)) or record(root.coords, n, m)
-                         for (root, n), m in ws.entries.items()]
+                found = [records.get((col, n, m)) or record(col, n, m)
+                         for (col, n), m in ws.items()]
                 texts[x] += weights + ("[" + item + sep.join(found) + key + "]" if found else "[]")
         return f"[{point}{(tail + ',' + point).join(texts)}{tail}{indent}]"
 
@@ -289,7 +294,7 @@ def _cmd_fixed_points(spec: SliceSpec, ch: Chamber, signs) -> dict:
 def _cmd_tangent(spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
     weights = [tangent_weights(spec, p) for p in points]
-    return {"command": "tangent", "points": _PointList(points, weights)}
+    return {"command": "tangent", "points": _PointList(points, weights, spec.cartan.root_list)}
 
 
 def _cmd_stab_exact(spec: SliceSpec, ch: Chamber, signs) -> dict:

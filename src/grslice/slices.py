@@ -15,13 +15,16 @@ Slot steps are paired with roots once per spec, in integers: the spec holds
 minuscule or a zero slot, so each such pairing is -1, 0 or +1 (the table
 build checks it).  Enumeration descends on integer coordinate tuples, and
 tangent weights sum table rows into heights, so neither builds a vector.
+A tangent weight beta + n*h is the integer pair (column of beta in
+root_list, n), so a chamber's side of it is the column's entry in the
+chamber's sign vector, and Euler classes read the root's coordinates by
+column.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -41,13 +44,14 @@ class InvalidSlice(ValueError):
 class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
-    Data derived from the slice (fixed points, their index, tangent weights,
-    the root counts of each point, canonical linear forms, Euler classes,
-    the adjacent pairs of each chamber, the omega ratios of the wall routes,
-    line-bundle weights, the inner products of slot steps and, in rank one,
-    the heights and raising moves of the fixed points) is filled in lazily by
-    the functions of this module, of stab_general, of chern and of stab_a1,
-    and lives exactly as long as the spec.
+    Data derived from the slice (fixed points, their index, tangent weights
+    keyed by (root column, n), the root counts of each point, canonical
+    linear forms, Euler classes, the adjacent pairs of each chamber, the
+    omega ratios of the wall routes, line-bundle weights, the inner products
+    of slot steps and, in rank one, the heights and raising moves of the
+    fixed points) is filled in lazily by the functions of this module, of
+    stab_general, of chern and of stab_a1, and lives exactly as long as the
+    spec.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings",
@@ -287,64 +291,15 @@ def dimension(spec: SliceSpec) -> int:
     return int(d)
 
 
-class WeightMultiset:
-    """Multiset of torus weights root + n*h with positive multiplicities."""
-
-    __slots__ = ("rank", "entries")
-
-    def __init__(self, rank: int, entries: Dict[Tuple[AWeightForm, int], int]):
-        self.rank = rank
-        self.entries = {k: int(m) for k, m in entries.items() if m}
-        for (root, n), m in self.entries.items():
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            if root.is_zero():
-                raise ValueError("zero A-part is not allowed in a tangent multiset")
-
-    @classmethod
-    def _of(cls, rank: int, entries: Dict[Tuple[AWeightForm, int], int]) -> "WeightMultiset":
-        """The multiset on entries taken as they are: positive counts of
-        nonzero roots, as tangent_weights and filter build them."""
-        ws = object.__new__(cls)
-        ws.rank = rank
-        ws.entries = entries
-        return ws
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def items(self):
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][0].coords, kv[0][1]))
-
-    def multiplicity(self, root: AWeightForm, n: int) -> int:
-        return self.entries.get((root, n), 0)
-
-    def filter(self, keep) -> "WeightMultiset":
-        return WeightMultiset._of(
-            self.rank, {k: m for k, m in self.entries.items() if keep(k[0], k[1])}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightMultiset)
-            and other.rank == self.rank
-            and other.entries == self.entries
-        )
-
-    def __repr__(self):
-        inner = ", ".join(
-            f"{root.coords}+{n}h x{m}" for (root, n), m in self.items()
-        )
-        return f"WeightMultiset({inner})"
-
-
 def _steps(spec: SliceSpec, p: FixedPoint) -> List[Tuple[int, ...]]:
     """The spec's pairing-table rows of the slot steps of p, one per slot."""
     return [spec._pairings[d.coords] for d in p.delta]
 
 
-def tangent_weights(spec: SliceSpec, p: FixedPoint) -> WeightMultiset:
-    """Tangent weight multiset at p by the half-integer crossing rule.
+def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int]:
+    """Tangent weights at p by the half-integer crossing rule: each weight
+    beta + n*h, beta the root of root_list column col, as (col, n) to its
+    positive multiplicity.
 
     For each root beta and each segment of the height path h_i = <sigma_i,
     beta>, a level c = n + 1/2 strictly between the segment endpoints counts
@@ -355,9 +310,9 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> WeightMultiset:
     of beta negated, so a segment that counts toward beta + n*h counts toward
     -beta + (-n-1)*h: only one root of each pair is walked.
 
-    The entries are inserted in document order (root coordinates, then n).
-    Computed once per spec and point; callers share the result and must not
-    mutate it.
+    The entries are inserted in document order (root coordinates, then n;
+    root_list is sorted by coordinates).  Computed once per spec and point;
+    callers share the result and must not mutate it.
     """
     found = spec._tangents.get(p)
     if found is not None:
@@ -376,9 +331,8 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> WeightMultiset:
             ns = sorted(counts)
             by_column[col] = [(n, counts[n]) for n in ns]
             by_column[opposite] = [(-n - 1, counts[n]) for n in reversed(ns)]
-    roots = spec.cartan.root_list
-    entries = {(roots[col], n): m for col, column in enumerate(by_column) for n, m in column}
-    found = spec._tangents[p] = WeightMultiset._of(spec.cartan.rank, entries)
+    found = spec._tangents[p] = {(col, n): m for col, column in enumerate(by_column)
+                                 for n, m in column}
     return found
 
 
@@ -427,42 +381,40 @@ class EulerClass(NamedTuple):
         return EulerClass(self.nvars, +factors, self.scalar * scalar)
 
 
-def euler_factors(ws: WeightMultiset, keep_h: bool, forms: dict) -> EulerClass:
-    """Euler class of ws: the forms root + n*h, or only their A-parts
-    (h set to 0) when keep_h is false, split into canonical factors whose
-    splittings are memoized in forms."""
+def euler_factors(spec: SliceSpec, weights: Dict[Tuple[int, int], int],
+                  keep_h: bool) -> EulerClass:
+    """Euler class of weights, keyed as tangent_weights keys them: the forms
+    root + n*h, or only their A-parts (h set to 0) when keep_h is false,
+    split into canonical factors whose splittings are memoized in the spec."""
+    roots = spec.cartan.root_list
     factors: Counter = Counter()
     scalar = 1
-    for (root, n), m in ws.entries.items():
-        canon, s = _canonical(forms, root.coords + (n if keep_h else 0,))
+    for (col, n), m in weights.items():
+        canon, s = _canonical(spec._forms, roots[col].coords + (n if keep_h else 0,))
         factors[canon] += m
         scalar *= s**m
-    return EulerClass(ws.rank + 1, factors, Fraction(scalar))
+    return EulerClass(spec.cartan.rank + 1, factors, Fraction(scalar))
 
 
 def tangent_euler(spec: SliceSpec, p: int) -> EulerClass:
     """e_T of the whole tangent space at the point of index p."""
     key = (p, None, True)
     if key not in spec._euler:
-        ws = tangent_weights(spec, _point(spec, p))
-        spec._euler[key] = euler_factors(ws, True, spec._forms)
+        spec._euler[key] = euler_factors(spec, tangent_weights(spec, _point(spec, p)), True)
     return spec._euler[key]
 
 
 def repelling_euler(spec: SliceSpec, p: int, ch: Chamber, keep_h: bool) -> EulerClass:
     """e_T of the ch-repelling half of the tangent space at the point of
-    index p, or its e_A (h set to 0) when keep_h is false."""
+    index p, or its e_A (h set to 0) when keep_h is false: the weights whose
+    root column has sign -1 in the chamber's sign vector."""
     key = (p, ch, keep_h)
     found = spec._euler.get(key)
     if found is None:
-        if keep_h:
-            _, repel = split_attract_repel(tangent_weights(spec, _point(spec, p)), ch)
-            found = euler_factors(repel, True, spec._forms)
-        else:
-            factors, _, scalar = _repelling_ratio(spec, _root_counts(spec, p), repeat(0),
-                                                  ch.sign_vector)
-            found = EulerClass(spec.cartan.rank + 1, factors, scalar)
-        spec._euler[key] = found
+        signs = ch.sign_vector
+        repel = {k: m for k, m in tangent_weights(spec, _point(spec, p)).items()
+                 if signs[k[0]] < 0}
+        found = spec._euler[key] = euler_factors(spec, repel, keep_h)
     return found
 
 
@@ -471,12 +423,11 @@ def _root_counts(spec: SliceSpec, p: int) -> Tuple[int, ...]:
     tangent weights at the point of index p; built for every point at once,
     once per spec."""
     if spec._root_counts is None:
-        column = spec.cartan._column
         table = []
         for x in enumerate_fixed_points(spec):
-            counts = [0] * len(column)
-            for (root, _), m in tangent_weights(spec, x).entries.items():
-                counts[column[root]] += m
+            counts = [0] * len(spec.cartan.root_list)
+            for (col, _), m in tangent_weights(spec, x).items():
+                counts[col] += m
             table.append(tuple(counts))
         spec._root_counts = tuple(table)
     return spec._root_counts[p]
@@ -523,14 +474,6 @@ def localization_denominator(spec: SliceSpec) -> Tuple[EulerClass, List[EulerCla
         lcm |= e.factors
     cofactor = [EulerClass(nv, lcm - e.factors, 1 / e.scalar) for e in euler]
     return EulerClass(nv, lcm, Fraction(1)), cofactor
-
-
-def split_attract_repel(ws: WeightMultiset, ch: Chamber) -> Tuple[WeightMultiset, WeightMultiset]:
-    """Partition by the sign of the root against the chamber witness."""
-    attract = ws.filter(lambda root, n: ch.is_positive(root))
-    repel = ws.filter(lambda root, n: not ch.is_positive(root))
-    assert attract.total() + repel.total() == ws.total()
-    return attract, repel
 
 
 def flip_sign(spec: SliceSpec, p: int, ch1: Chamber, ch2: Chamber) -> int:

@@ -128,7 +128,7 @@ def _chamber_root(ch: Chamber) -> AWeightForm:
     """The positive root of a rank-1 chamber."""
     if ch.datum.rank != 1:
         raise NotA1("chamber does not belong to a rank-1 datum")
-    return next(f for f in ch.datum.root_list if ch.is_positive(f))
+    return next(f for f, s in zip(ch.datum.root_list, ch.sign_vector) if s > 0)
 
 
 def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:

@@ -519,12 +519,13 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
     if command == "tangent":
         rows = []
         for point, p in zip(fresh, points):
-            entries = sorted(slices.tangent_weights(spec, p).entries.items(),
-                             key=lambda kv: (kv[0][0].coords, kv[0][1]))
-            point["weights"] = [{"root": list(root.coords), "n": n, "mult": m}
-                                for (root, n), m in entries]
-            rows += [f"{p.label()} | {Polynomial.linear_form(root.coords, n)} | {m}"
-                     for (root, n), m in entries]
+            roots = spec.cartan.root_list
+            entries = sorted((roots[col].coords, n, m)
+                             for (col, n), m in slices.tangent_weights(spec, p).items())
+            point["weights"] = [{"root": list(root), "n": n, "mult": m}
+                                for root, n, m in entries]
+            rows += [f"{p.label()} | {Polynomial.linear_form(root, n)} | {m}"
+                     for root, n, m in entries]
         expected = {"command": "tangent", "points": fresh}
         header = "point | weight | mult"
     else:

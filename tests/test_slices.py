@@ -5,7 +5,7 @@ from math import comb, gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grslice import cartan
+from grslice import cartan, cli
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, _Vector, pairing
 from grslice.cli import CACHE_ENV, JobSpec, compute_payload, main, render
 from grslice.slices import (
@@ -15,16 +15,17 @@ from grslice.slices import (
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
-    WeightMultiset,
     adjacent_pairs,
     dimension,
     enumerate_fixed_points,
     euler_factors,
     flip_sign,
+    localization_denominator,
     point_index,
     project_to_wall_slice,
+    repelling_euler,
     same_wall_component,
-    split_attract_repel,
+    tangent_euler,
     tangent_weights,
 )
 from grslice.symalg import Polynomial
@@ -124,13 +125,19 @@ def test_dimension_nondominant_target():
     spec = SliceSpec(b2, [2, 2, 2], Coweight((2, -1)))
     assert dimension(spec) == 2
     for p in enumerate_fixed_points(spec):
-        assert tangent_weights(spec, p).total() == 2
+        assert sum(tangent_weights(spec, p).values()) == 2
 
 
 # ---------------------------------------------------------------- tangent weights
 
 def duval_points(n):
     return enumerate_fixed_points(a1_spec(n + 1, n - 1))
+
+
+def by_column(datum, entries):
+    """Weights keyed by (root, n), rekeyed as tangent_weights keys them:
+    (column of the root in root_list, n)."""
+    return {(datum._column[root], n): m for (root, n), m in entries.items()}
 
 
 def test_tangent_weights_duval_golden():
@@ -140,28 +147,28 @@ def test_tangent_weights_duval_golden():
         spec = a1_spec(n + 1, n - 1)
         for i, p in enumerate(duval_points(n)):
             ws = tangent_weights(spec, p)
-            assert ws == WeightMultiset(1, {(alpha, i - 1): 1, (-alpha, -i): 1})
+            assert ws == by_column(A1, {(alpha, i - 1): 1, (-alpha, -i): 1})
 
 
 def test_tangent_weights_point_slice():
     spec = SliceSpec(A2, [2], A2.fundamental_coweight(2))
     (p,) = enumerate_fixed_points(spec)
-    assert tangent_weights(spec, p).total() == 0
+    assert tangent_weights(spec, p) == {}
 
 
 def test_tangent_weights_full_flag_golden():
     a1f, a2f, a3f = AWeightForm([1, 0]), AWeightForm([0, 1]), AWeightForm([1, 1])
     ws = tangent_weights(TSTAR_FL3, FixedPoint([E1, E2, E3]))
-    assert ws == WeightMultiset(
-        2,
+    assert ws == by_column(
+        A2,
         {
             (a1f, 0): 1, (a2f, 0): 1, (a3f, 0): 1,
             (-a1f, -1): 1, (-a2f, -1): 1, (-a3f, -1): 1,
         },
     )
     ws2 = tangent_weights(TSTAR_FL3, FixedPoint([E2, E1, E3]))
-    assert ws2 == WeightMultiset(
-        2,
+    assert ws2 == by_column(
+        A2,
         {
             (a1f, -1): 1, (-a1f, 0): 1,
             (a2f, 0): 1, (-a2f, -1): 1,
@@ -174,8 +181,8 @@ def test_tangent_weights_against_crossing_oracles():
     for spec in random_minuscule_specs(40, seed=20260814):
         for p in enumerate_fixed_points(spec):
             ws = tangent_weights(spec, p)
-            assert ws.entries == oracle_up_crossings(spec, p)
-            assert ws.entries == oracle_down_crossings(spec, p)
+            assert ws == by_column(spec.cartan, oracle_up_crossings(spec, p))
+            assert ws == by_column(spec.cartan, oracle_down_crossings(spec, p))
 
 
 def test_tangent_weights_sum_and_duality():
@@ -183,9 +190,10 @@ def test_tangent_weights_sum_and_duality():
         dim = dimension(spec)
         for p in enumerate_fixed_points(spec):
             ws = tangent_weights(spec, p)
-            assert ws.total() == dim
-            for (root, n), m in ws.entries.items():
-                assert ws.multiplicity(-root, -n - 1) == m
+            assert sum(ws.values()) == dim
+            roots, column = spec.cartan.root_list, spec.cartan._column
+            for (col, n), m in ws.items():
+                assert ws.get((column[-roots[col]], -n - 1)) == m
 
 
 # ---------------------------------------------------------------- integer kernel
@@ -257,9 +265,9 @@ def test_integer_kernel_matches_brute_force_and_sigma_rule(slice_and_orbits):
     assert points == tuple(sorted(brute, key=FixedPoint.key))
     for p in points:
         ws = tangent_weights(spec, p)
-        assert ws.entries == _reference_tangent_entries(spec, p)
+        assert ws == by_column(spec.cartan, _reference_tangent_entries(spec, p))
         # in document order: root coordinates, then n
-        keys = [(root.coords, n) for root, n in ws.entries]
+        keys = [(spec.cartan.root_list[col].coords, n) for col, n in ws]
         assert keys == sorted(keys)
 
 
@@ -269,16 +277,35 @@ def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
         SliceSpec(CartanDatum("D", 4), [1, 3, 4, 0], Coweight([0, 0, 0, 0])),
     ]
     dims = [dimension(spec) for spec in specs]
+    chambers = [(Chamber.dominant(spec.cartan), Chamber.antidominant(spec.cartan))
+                for spec in specs]
 
     def refuse(self, coords):
         raise AssertionError("a vector was built")
+
+    def refuse_hash(self):
+        raise AssertionError("a root was hashed")
 
     monkeypatch.setattr(_Vector, "__init__", refuse)
     for spec, dim in zip(specs, dims):
         points = enumerate_fixed_points(spec)
         assert points
         for p in points:
-            assert tangent_weights(spec, p).total() == dim
+            assert sum(tangent_weights(spec, p).values()) == dim
+    # tangent weights are keyed by integers: no route from them to an
+    # Euler class, a sign or a document hashes a root
+    monkeypatch.setattr(AWeightForm, "__hash__", refuse_hash)
+    for spec, (ch1, ch2) in zip(specs, chambers):
+        for p in range(len(enumerate_fixed_points(spec))):
+            tangent_euler(spec, p)
+            for ch in (ch1, ch2):
+                for keep_h in (True, False):
+                    repelling_euler(spec, p, ch, keep_h)
+            assert flip_sign(spec, p, ch1, ch2) in (1, -1)
+        localization_denominator(spec)
+        payload = cli._cmd_tangent(spec, ch1, None)
+        for fmt in ("json", "table"):
+            assert render(payload, fmt, spec.cartan.rank)
 
 
 def test_non_minuscule_step_is_an_internal_error(capsys, tmp_path, monkeypatch):
@@ -300,27 +327,35 @@ def test_euler_class_examples():
     a = Polynomial.gen(2, 0)
     h = Polynomial.gen(2, 1)
     alpha = AWeightForm([1])
-    ws = WeightMultiset(1, {(alpha, -1): 1, (-alpha, 0): 1})
-    def euler(ws, keep_h=True):
-        return euler_factors(ws, keep_h, {}).polynomial()
+    weights = by_column(A1, {(alpha, -1): 1, (-alpha, 0): 1})
 
-    assert euler(ws) == -(a**2) + a * h
-    assert euler(WeightMultiset(1, {})) == Polynomial.one(2)
-    assert euler(WeightMultiset(1, {(-alpha, -1): 2})) == (a + h) ** 2
-    assert euler(ws, False) == -(a**2)
+    def euler(weights, keep_h=True):
+        return euler_factors(a1_spec(2, 0), weights, keep_h).polynomial()
+
+    assert euler(weights) == -(a**2) + a * h
+    assert euler({}) == Polynomial.one(2)
+    assert euler(by_column(A1, {(-alpha, -1): 2})) == (a + h) ** 2
+    assert euler(weights, False) == -(a**2)
 
 
-def test_split_attract_repel():
-    spec = DUVAL_A4
-    p0 = enumerate_fixed_points(spec)[0]
-    dom = Chamber.dominant(A1)
-    ws = tangent_weights(spec, p0)
-    att, rep = split_attract_repel(ws, dom)
+def test_repelling_euler_on_both_chambers():
+    # the first point of DUVAL_A4 carries alpha - h and -alpha; each of the
+    # two chambers repels one of them
+    a = Polynomial.gen(2, 0)
+    h = Polynomial.gen(2, 1)
     alpha = AWeightForm([1])
-    assert att == WeightMultiset(1, {(alpha, -1): 1})
-    assert rep == WeightMultiset(1, {(-alpha, 0): 1})
-    att2, rep2 = split_attract_repel(ws, -dom)
-    assert (att2, rep2) == (rep, att)
+    p0 = enumerate_fixed_points(DUVAL_A4)[0]
+    assert tangent_weights(DUVAL_A4, p0) == by_column(A1, {(alpha, -1): 1, (-alpha, 0): 1})
+    dom = Chamber.dominant(A1)
+
+    def euler(ch, keep_h):
+        return repelling_euler(DUVAL_A4, 0, ch, keep_h).polynomial()
+
+    assert euler(dom, True) == euler(dom, False) == -a
+    assert euler(-dom, True) == a - h
+    assert euler(-dom, False) == a
+    # the two repelling halves make up the whole tangent space
+    assert euler(dom, True) * euler(-dom, True) == tangent_euler(DUVAL_A4, 0).polynomial()
 
 
 # ---------------------------------------------------------------- flip signs
@@ -474,7 +509,7 @@ def test_weight_multiset_json_round_trip():
         for entry in pt["weights"]:
             assert set(entry) == {"root", "n", "mult"}
         read = {(AWeightForm(e["root"]), e["n"]): e["mult"] for e in pt["weights"]}
-        assert WeightMultiset(2, read) == tangent_weights(TSTAR_FL3, p)
+        assert by_column(A2, read) == tangent_weights(TSTAR_FL3, p)
 
 
 def test_point_labels():

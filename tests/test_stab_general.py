@@ -14,13 +14,11 @@ from grslice.slices import (
     dimension,
     dominant_representative,
     enumerate_fixed_points,
-    euler_factors,
     flip_sign,
     point_index,
     project_to_wall_slice,
     repelling_euler,
     same_wall_component,
-    split_attract_repel,
     tangent_weights,
 )
 from grslice.stab_a1 import ExactDivisionFailure, normalize_polarization, stab_offdiag_mod_h2
@@ -65,9 +63,12 @@ def ix(spec, *points):
 
 def eps_prime(spec, x, ch, wall_root):
     """A-Euler class of the repelling weights transverse to the wall."""
-    _, repel = split_attract_repel(tangent_weights(spec, x), ch)
-    transverse = repel.filter(lambda r, n: r != wall_root and r != -wall_root)
-    return euler_factors(transverse, False, {}).polynomial()
+    out = Polynomial.one(spec.cartan.rank + 1)
+    for (col, n), m in tangent_weights(spec, x).items():
+        root = spec.cartan.root_list[col]
+        if not ch.is_positive(root) and root != wall_root and root != -wall_root:
+            out = out * Polynomial.linear_form(root.coords, 0) ** m
+    return out
 
 
 # -- adjacency classification -------------------------------------------------
@@ -306,34 +307,55 @@ def test_mod_h2_json_shape():
 # -- factored entries against the rational-function route ----------------------
 
 
-def _reference_repelling_euler(spec, p, ch):
-    """repelling_euler(keep_h=False) as the multiset route computed it: the
-    ch-repelling weights split off the tangent multiset, then factored."""
-    _, repel = split_attract_repel(tangent_weights(spec, enumerate_fixed_points(spec)[p]), ch)
-    return euler_factors(repel, False, {})
+def _weights(spec, p):
+    """(root, n, mult) for each tangent weight at the point of index p."""
+    roots = spec.cartan.root_list
+    return [(roots[col], n, m)
+            for (col, n), m in tangent_weights(spec, enumerate_fixed_points(spec)[p]).items()]
+
+
+def _reference_repelling_euler(spec, p, ch, keep_h):
+    """repelling_euler(..., keep_h) as a polynomial: the product of the
+    ch-repelling weights root + n*h, with h set to 0 when keep_h is false."""
+    out = Polynomial.one(spec.cartan.rank + 1)
+    for root, n, m in _weights(spec, p):
+        if not ch.is_positive(root):
+            out = out * Polynomial.linear_form(root.coords, n if keep_h else 0) ** m
+    return out
+
+
+def _reference_repelling_factors(spec, p, ch):
+    """e_A of the ch-repelling weights, factored weight by weight: each root
+    to the form of the root of its pair whose first nonzero coefficient is
+    positive (every root is primitive), and the sign of the product."""
+    factors, sign = Counter(), 1
+    for root, _, m in _weights(spec, p):
+        if not ch.is_positive(root):
+            lead = next(c for c in root.coords if c)
+            factors[Polynomial.linear_form((root if lead > 0 else -root).coords, 0)] += m
+            sign *= (1 if lead > 0 else -1) ** m
+    return factors, sign
 
 
 def _reference_flip_sign(spec, p, ch1, ch2):
-    """flip_sign as the multiset route computed it, weight by weight."""
-    weights = tangent_weights(spec, enumerate_fixed_points(spec)[p])
-    count = sum(m for (root, n), m in weights.entries.items()
+    """flip_sign weight by weight."""
+    count = sum(m for root, n, m in _weights(spec, p)
                 if not ch1.is_positive(root) and ch2.is_positive(root))
     return -1 if count % 2 else 1
 
 
 def _reference_omega(spec, p, q, root):
-    """omega_ratio as the multiset route computed it, in every call: the
-    multiset differences of the two repelling Euler classes, on both sides
-    of the wall, for chambers of the independent sampler."""
+    """omega_ratio weight by weight, in every call: the multiset differences
+    of the two hand-factored repelling Euler classes, on both sides of the
+    wall, for chambers of the independent sampler."""
     canon = root if sum(root.coords) > 0 else -root
     points = enumerate_fixed_points(spec)
     assert same_wall_component(spec, points[p], points[q]) == canon
     results = []
     for ch in reference_wall_chambers(spec.cartan, canon, 1):
-        e_q = _reference_repelling_euler(spec, q, ch)
-        e_p = _reference_repelling_euler(spec, p, ch)
-        results.append((e_q.factors - e_p.factors, e_p.factors - e_q.factors,
-                        e_q.scalar / e_p.scalar))
+        f_q, s_q = _reference_repelling_factors(spec, q, ch)
+        f_p, s_p = _reference_repelling_factors(spec, p, ch)
+        results.append((f_q - f_p, f_p - f_q, Fraction(s_q, s_p)))
     assert results[0] == results[1]
     return results[0]
 
@@ -352,7 +374,7 @@ def _reference_stab_mod_h2(spec, ch, polarization_signs=None):
     signs = normalize_polarization(range(n), polarization_signs)
     nv = spec.cartan.rank + 1
     h = Polynomial.gen(nv, nv - 1)
-    eps = [_reference_repelling_euler(spec, x, ch).polynomial() for x in range(n)]
+    eps = [_reference_repelling_euler(spec, x, ch, False) for x in range(n)]
     out = {}
     for p in range(n):
         for q in range(n):
@@ -425,13 +447,38 @@ def specs_with_chambers(draw):
 def test_root_count_routes_match_the_multiset_routes(job):
     spec, ch1, ch2 = job
     for p in range(len(enumerate_fixed_points(spec))):
-        assert repelling_euler(spec, p, ch1, False) == _reference_repelling_euler(spec, p, ch1)
+        for keep_h in (True, False):
+            assert (repelling_euler(spec, p, ch1, keep_h).polynomial()
+                    == _reference_repelling_euler(spec, p, ch1, keep_h))
         assert flip_sign(spec, p, ch1, ch2) == _reference_flip_sign(spec, p, ch1, ch2)
     for (p, q), witness in adjacent_pairs(spec, ch1).items():
         for a, b in ((p, q), (q, p)):
             expected = _reference_omega(spec, a, b, witness.alpha_form)
             assert omega_ratio(spec, a, b, witness.alpha_form) == expected
             assert omega_ratio(spec, a, b, -witness.alpha_form) == expected
+
+
+REPELLING_SLICES = [
+    TSTAR_FL3,
+    SliceSpec(B2, [2, 2], Coweight([0, 0])),
+    SliceSpec(CartanDatum("C", 2), [1, 1], Coweight([0, 0])),
+    SliceSpec(CartanDatum("D", 4), [1, 3, 4], Coweight([0, 1, 0, 0])),
+]
+
+
+@pytest.mark.parametrize("spec", REPELLING_SLICES, ids=["A2", "B2", "C2", "D4"])
+def test_repelling_euler_is_the_product_of_the_repelling_weights(spec):
+    # e_T and e_A against the reference on the dominant, the antidominant
+    # and every wall-adjacent chamber
+    datum = spec.cartan
+    chambers = {Chamber.dominant(datum), Chamber.antidominant(datum)}
+    for root in datum.root_list:
+        chambers.update(wall_adjacent_chambers(datum, root))
+    for ch in chambers:
+        for p in range(len(enumerate_fixed_points(spec))):
+            for keep_h in (True, False):
+                assert (repelling_euler(spec, p, ch, keep_h).polynomial()
+                        == _reference_repelling_euler(spec, p, ch, keep_h)), (ch, p, keep_h)
 
 
 def test_negative_count_raises_exact_division_failure(monkeypatch):

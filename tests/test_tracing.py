@@ -41,3 +41,27 @@ def test_tracer_installs_on_every_method_it_names_and_uninstalls():
         uninstall()
     for (cls, attr), original in originals.items():
         assert vars(cls)[attr] is original
+
+
+# Metrics whose span no longer exists: the work they measured is gone from
+# the program, so they read 0.
+RETIRED_SPANS = ("symalg.exact_div", "stab_general.find_adjacency")
+
+
+def test_every_layer_metric_names_a_span_the_tracer_records():
+    # a renamed or deleted function would zero its metrics silently
+    tracing = _load_tracing()
+    suffixes = ("calls", "self_s", "repeat_ratio", "hit_ratio", "fail_ratio", "bytes")
+    named = set()
+    for key in tracing.layer_metrics(tracing.Tracer(), []):
+        span, _, suffix = key.rpartition(".")
+        if suffix in suffixes and span.count(".") == 1:
+            named.add(span)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    uninstall()
+    # wrapping registers each span name; cli.parse is wrapped when a
+    # parser is built
+    spans = set(tracer.names) | {"cli.parse"}
+    assert "slices.tangent_weights" in named and "stab_general.omega_ratio" in named
+    assert sorted(named - spans) == sorted(RETIRED_SPANS)
