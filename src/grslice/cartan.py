@@ -358,12 +358,6 @@ class CartanDatum:
     def fundamental_coweight(self, i: int) -> Coweight:
         return Coweight(int(j == i - 1) for j in range(self.rank))
 
-    def simple_coroot(self, j: int) -> Coweight:
-        return Coweight(self.cartan_matrix[i][j - 1] for i in range(self.rank))
-
-    def simple_root_form(self, j: int) -> AWeightForm:
-        return AWeightForm(int(k == j - 1) for k in range(self.rank))
-
     def zero_coweight(self) -> Coweight:
         return Coweight([0] * self.rank)
 

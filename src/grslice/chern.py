@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import add, mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import add, mul, sub
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .cartan import AWeightForm, Chamber, Coweight
+from .cartan import Chamber, Coweight
 from .slices import (
     EulerClass,
     FixedPoint,
@@ -26,57 +26,23 @@ from .slices import (
     _point,
     adjacent_pairs,
     enumerate_fixed_points,
-    localization_denominator,
     point_index,
     repelling_euler,
 )
 from .stab_a1 import (
     ExactDivisionFailure,
     _form_div,
-    _linear,
     _pairing_sums,
     _polynomial,
     normalize_polarization,
     stab_matrix,
 )
 from .stab_general import sigma_sign
-from .symalg import NonDivisible, Polynomial, RationalFunction
+from .symalg import NonDivisible, Polynomial, _norm_scalar
 
 
 class NonPolynomialEntry(RuntimeError):
     """A localization sum failed to reduce to a degree-one polynomial."""
-
-
-class EquivariantLinearForm:
-    """Restriction of a line-bundle class: a linear form plus a multiple of h."""
-
-    __slots__ = ("a_part", "h_coeff")
-
-    def __init__(self, a_part: AWeightForm, h_coeff):
-        self.a_part = a_part
-        self.h_coeff = Fraction(h_coeff)
-
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial.linear_form(self.a_part.coords, self.h_coeff)
-
-    def __add__(self, other: "EquivariantLinearForm") -> "EquivariantLinearForm":
-        return EquivariantLinearForm(self.a_part + other.a_part, self.h_coeff + other.h_coeff)
-
-    def __sub__(self, other: "EquivariantLinearForm") -> "EquivariantLinearForm":
-        return EquivariantLinearForm(self.a_part - other.a_part, self.h_coeff - other.h_coeff)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EquivariantLinearForm)
-            and self.a_part == other.a_part
-            and self.h_coeff == other.h_coeff
-        )
-
-    def __hash__(self):
-        return hash((self.a_part, self.h_coeff))
-
-    def __repr__(self):
-        return f"EquivariantLinearForm({self.a_part!r}, {self.h_coeff})"
 
 
 BundleTag = Union[str, Tuple[str, int]]
@@ -100,8 +66,10 @@ def parse_bundle(spec: SliceSpec, bundle: BundleTag) -> Tuple[str, int]:
     raise ValueError(f"bundle {kind}{idx} out of range for a length-{l} slice")
 
 
-def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> EquivariantLinearForm:
-    """Torus weight of L_i at the fixed point p, for 0 <= i <= l.
+def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
+    """Torus weight of L_i at the fixed point p, for 0 <= i <= l, as the
+    coefficient tuple (a_1..a_r, h) of the linear form sharp(sigma_i) +
+    (h/2) (sigma_i, sigma_i); the h coefficient is a Fraction.
 
     The weights of L_0..L_l are computed once per spec and point; callers
     share them.
@@ -112,20 +80,21 @@ def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> EquivariantLin
     if weights is None:
         cartan = spec.cartan
         weights = spec._line_weights[p] = tuple(
-            EquivariantLinearForm(cartan.sharp(sigma), Fraction(cartan.inner(sigma, sigma), 2))
+            cartan.sharp(sigma).coords + (Fraction(cartan.inner(sigma, sigma), 2),)
             for sigma in p.sigma()
         )
     return weights[i]
 
 
-def e_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> EquivariantLinearForm:
-    """Torus weight of E_i = L_i / L_{i-1} at p, for 1 <= i <= l."""
+def e_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
+    """Torus weight of E_i = L_i / L_{i-1} at p, for 1 <= i <= l, as a
+    coefficient tuple like line_bundle_weight's."""
     if not 1 <= i <= spec.length:
         raise ValueError(f"quotient bundle index {i} out of range")
-    return line_bundle_weight(spec, p, i) - line_bundle_weight(spec, p, i - 1)
+    return tuple(map(sub, line_bundle_weight(spec, p, i), line_bundle_weight(spec, p, i - 1)))
 
 
-def bundle_weight(spec: SliceSpec, p: FixedPoint, bundle: BundleTag) -> EquivariantLinearForm:
+def bundle_weight(spec: SliceSpec, p: FixedPoint, bundle: BundleTag) -> tuple:
     kind, idx = parse_bundle(spec, bundle)
     if kind == "L":
         return line_bundle_weight(spec, p, idx)
@@ -225,10 +194,8 @@ def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
     entries = {}
     for pi, p in enumerate(points):
         d = p.delta[i - 1]
-        form = EquivariantLinearForm(
-            spec.cartan.sharp(d), Fraction(spec.cartan.inner(d, spec.mu), 2)
-        )
-        entries[pi, pi] = form.to_polynomial()
+        entries[pi, pi] = Polynomial.linear_form(
+            spec.cartan.sharp(d).coords, Fraction(spec.cartan.inner(d, spec.mu), 2))
     return OperatorMatrix(spec, None, entries, label=f"H{i}")
 
 
@@ -334,30 +301,6 @@ def line_bundle_matrices(
     return matrices
 
 
-def _as_vector(
-    points: Sequence[FixedPoint], v: Union[Mapping, Sequence]
-) -> Dict[FixedPoint, Polynomial]:
-    if isinstance(v, Mapping):
-        return {p: v[p] for p in points if p in v and not v[p].is_zero()}
-    if len(v) != len(points):
-        raise ValueError("vector length does not match the fixed-point count")
-    return {p: e for p, e in zip(points, v) if not e.is_zero()}
-
-
-def localization_pair(spec: SliceSpec, v1, v2) -> RationalFunction:
-    """Sum over fixed points of v1(x) v2(x) / e_T(T_x), as the sum of
-    v1(x) v2(x) cofactor(x) over the LCM of the tangent Euler classes."""
-    points = enumerate_fixed_points(spec)
-    a = _as_vector(points, v1)
-    b = _as_vector(points, v2)
-    lcm, cofactor = localization_denominator(spec)
-    total = Polynomial.zero(lcm.nvars)
-    for xi, x in enumerate(points):
-        if x in a and x in b:
-            total = total + a[x] * b[x] * cofactor[xi].polynomial()
-    return RationalFunction(total, lcm.polynomial())
-
-
 def mult_matrix_via_localization(
     spec: SliceSpec,
     bundle: BundleTag,
@@ -375,15 +318,12 @@ def mult_matrix_via_localization(
     plus = stab_matrix(spec, ch, polarization_signs)
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
-    weight = []
-    for x in points:
-        w = bundle_weight(spec, x, (kind, idx))
-        weight.append((w.a_part.coords[0], w.h_coeff))
+    # in rank one a bundle weight (a, h) is already a form of degree one
+    weight = [bundle_weight(spec, x, (kind, idx)) for x in points]
     lcm, sums = _pairing_sums(plus, minus, weight)
     # the lcm has scalar 1, and every factor is a canonical tangent form a + s h
     shifts = []
-    for f, k in lcm.factors.items():
-        u, s = _linear(f)
+    for (u, s), k in lcm.factors.items():
         assert u == 1
         shifts += [s] * k
     entries = {}
@@ -423,13 +363,15 @@ def reconstruct_coefficient(
     if entry is None:
         return Fraction(0)
     at_p, at_q = _point(spec, p), _point(spec, q)
-    diff = bundle_weight(spec, at_q, bundle).a_part - bundle_weight(spec, at_p, bundle).a_part
-    if diff.is_zero():
+    # the A-part of the weight difference is the sharp of the coroot that
+    # moves p to q, up to sign: an integer multiple of a root, whose integral
+    # Fraction coefficients become the ints _canonical takes
+    diff = tuple(map(_norm_scalar, map(sub, bundle_weight(spec, at_q, bundle)[:-1],
+                                       bundle_weight(spec, at_p, bundle)[:-1])))
+    if not any(diff):
         return Fraction(0)
-    # diff is the sharp of the coroot that moves p to q, up to sign: an
-    # integer multiple of a root, so its coefficients are integers
-    diff_form, diff_scalar = _canonical(spec._forms, diff.coords + (0,))
-    h = _canonical(spec._forms, (0,) * spec.cartan.rank + (1,))[0]
+    diff_form, diff_scalar = _canonical(spec._forms, diff + (0,))
+    h = (0,) * spec.cartan.rank + (1,)
     eps_q = repelling_euler(spec, q, ch, False)
     quotient = entry.times_ratio(Counter([diff_form]), eps_q.factors + Counter([h]),
                                  Fraction(diff_scalar) / (signs[q] * eps_q.scalar))

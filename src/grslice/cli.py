@@ -362,7 +362,8 @@ def _check_oracle(spec, ch, signs) -> dict:
     for k, matrix in enumerate(line_bundle_matrices(spec, ch, signs)):
         stored, zero = matrix.entries, matrix.zero
         for pi, p in enumerate(points):
-            expected = bundle_weight(spec, p, ("L", k)).to_polynomial()
+            weight = bundle_weight(spec, p, ("L", k))
+            expected = Polynomial.linear_form(weight[:-1], weight[-1])
             if stored.get((pi, pi), zero) != expected:
                 failures.append({"check": "diagonal", "bundle": f"L{k}", "p": p.label()})
         wrong = []

@@ -18,7 +18,8 @@ tangent weights sum table rows into heights, so neither builds a vector.
 A tangent weight beta + n*h is the integer pair (column of beta in
 root_list, n), so a chamber's side of it is the column's entry in the
 chamber's sign vector, and Euler classes read the root's coordinates by
-column.
+column.  A linear form is the tuple of its coefficients (a_1..a_r, h), and
+an Euler class is a multiset of canonical ones.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ class FixedPoint:
         return isinstance(other, FixedPoint) and other.delta == self.delta
 
     def __hash__(self):
-        # points key the restriction matrices, so the same point is hashed
-        # far more often than built
+        # points key point_index and the spec's tangent and line-bundle
+        # weights, so the same point is hashed far more often than built
         if self._hash is None:
             self._hash = hash(self.delta)
         return self._hash
@@ -336,10 +337,11 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int
     return found
 
 
-def _canonical(forms: dict, coords: tuple) -> Tuple[Polynomial, int]:
+def _canonical(forms: dict, coords: tuple) -> Tuple[tuple, int]:
     """The nonzero linear form with integer coefficients coords = (a_1..a_r,
-    h), split as scalar * canonical: the canonical form has coprime integer
-    coefficients, the first nonzero one (in the order a_1..a_r, h) positive.
+    h), split as scalar * canonical: the canonical form is the tuple of its
+    coprime integer coefficients, the first nonzero one (in the order
+    a_1..a_r, h) positive.
 
     Results are memoized in forms (a spec's _forms).
     """
@@ -348,13 +350,13 @@ def _canonical(forms: dict, coords: tuple) -> Tuple[Polynomial, int]:
         g = gcd(*coords)
         if next(c for c in coords if c) < 0:
             g = -g
-        unit = [c // g for c in coords]
-        found = forms[coords] = (Polynomial.linear_form(unit[:-1], unit[-1]), g)
+        found = forms[coords] = (tuple([c // g for c in coords]), g)
     return found
 
 
 class EulerClass(NamedTuple):
-    """A product of linear forms: a scalar times a multiset of canonical forms.
+    """A product of linear forms: a scalar times a multiset of canonical
+    forms, each the coefficient tuple (a_1..a_r, h) that _canonical returns.
 
     Distinct canonical forms are non-associate primes, so two classes are
     equal as polynomials exactly when their multisets and scalars are equal.
@@ -367,7 +369,7 @@ class EulerClass(NamedTuple):
     def polynomial(self) -> Polynomial:
         out = Polynomial.constant(self.nvars, self.scalar)
         for f, k in self.factors.items():
-            out = out * f**k
+            out = out * Polynomial.linear_form(f[:-1], f[-1]) ** k
         return out
 
     def times_ratio(self, up: Counter, down: Counter, scalar) -> Optional["EulerClass"]:
@@ -433,7 +435,7 @@ def _root_counts(spec: SliceSpec, p: int) -> Tuple[int, ...]:
     return spec._root_counts[p]
 
 
-def _root_forms(spec: SliceSpec) -> Tuple[Tuple[Polynomial, int], ...]:
+def _root_forms(spec: SliceSpec) -> Tuple[Tuple[tuple, int], ...]:
     """Each root_list column split by _canonical as a form in a_1..a_r: the
     positive root of the pair and the sign +-1; once per spec."""
     if spec._root_forms is None:

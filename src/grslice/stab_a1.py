@@ -41,7 +41,7 @@ from .slices import (
     localization_denominator,
     point_index,
     repelling_euler,
-    tangent_weights,  # noqa: F401  callers import it from this module too
+    tangent_weights,  # noqa: F401  the benchmark's tracer test reads it from this module
 )
 from .symalg import NonDivisible, Polynomial, _norm_scalar
 
@@ -95,18 +95,13 @@ def _form_div(f: tuple, s) -> tuple:
     return tuple(out)
 
 
-def _linear(form: Polynomial) -> tuple:
-    """A linear polynomial u a + v h as the form (u, v)."""
-    return (form.terms.get((1, 0), 0), form.terms.get((0, 1), 0))
-
-
 def _euler_form(e: EulerClass, sign: int = 1) -> tuple:
-    """sign times a rank-one Euler class, expanded into a form factor by factor."""
+    """sign times a rank-one Euler class, expanded into a form factor by
+    factor; a canonical factor (u, s) is already the form u a + s h."""
     f = (sign * _norm_scalar(e.scalar),)
     for factor, k in e.factors.items():
-        lin = _linear(factor)
         for _ in range(k):
-            f = _form_mul(f, lin)
+            f = _form_mul(f, factor)
     return f
 
 
@@ -421,7 +416,7 @@ def stab_offdiag_mod_h2(
     _require_a1(spec)
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    h = Counter([_canonical(spec._forms, (0, 1))[0]])
+    h = Counter([(0, 1)])
     alpha_form, alpha_scalar = _canonical(spec._forms, _chamber_root(ch).coords + (0,))
     down = Counter([alpha_form])
     out: Dict[Tuple[int, int], EulerClass] = {}

@@ -137,8 +137,7 @@ def stab_mod_h2(
     """
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    rank = spec.cartan.rank
-    h = Counter([_canonical(spec._forms, (0,) * rank + (1,))[0]])
+    h = Counter([(0,) * spec.cartan.rank + (1,)])
     out: Dict[Tuple[int, int], EulerClass] = {}
     for (p, q), witness in adjacent_pairs(spec, ch).items():
         eps = repelling_euler(spec, p, ch, False)

@@ -44,7 +44,7 @@ def _norm_scalar(x):
 class Polynomial:
     """Immutable sparse polynomial: map exponent vector -> nonzero coefficient."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Dict[tuple, object]):
         clean = {}
@@ -57,7 +57,6 @@ class Polynomial:
                 clean[e] = c
         self.nvars = nvars
         self.terms = clean
-        self._hash = None
 
     @classmethod
     def _trusted(cls, nvars: int, terms: Dict[tuple, object]) -> "Polynomial":
@@ -70,7 +69,6 @@ class Polynomial:
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = {e: c for e, c in terms.items() if c}
-        p._hash = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -181,9 +179,7 @@ class Polynomial:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -209,9 +205,6 @@ class Polynomial:
     def coefficient(self, exp: tuple):
         return self.terms.get(tuple(exp), 0)
 
-    def truncate_mod_h2(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if e[-1] < 2})
-
     def div_h(self) -> "Polynomial":
         """Exact division by the variable h."""
         if any(e[-1] == 0 for e in self.terms):
@@ -219,20 +212,6 @@ class Polynomial:
         return Polynomial(
             self.nvars, {e[:-1] + (e[-1] - 1,): c for e, c in self.terms.items()}
         )
-
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map sending a_i, h to images[i]; images share one variable count."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        nv = images[0].nvars
-        result = Polynomial.zero(nv)
-        for exp, coeff in self.terms.items():
-            term = Polynomial.constant(nv, coeff)
-            for img, e in zip(images, exp):
-                if e:
-                    term = term * img**e
-            result = result + term
-        return result
 
     # -- display / serialization -------------------------------------------
 

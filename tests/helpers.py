@@ -1,12 +1,15 @@
 """Shared test utilities: independent tangent-weight oracles, random
-minuscule slice sampling, and an independent sampler of wall-adjacent
-chambers."""
+minuscule slice sampling, an independent sampler of wall-adjacent chambers,
+and reference polynomial routes (substitution, truncation mod h^2 and the
+localization pairing) that the program itself does not need."""
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
-from grslice.slices import SliceSpec, flip_sign
+from grslice.slices import SliceSpec, enumerate_fixed_points, flip_sign, localization_denominator
+from grslice.symalg import Polynomial, RationalFunction
 
 
 def oracle_up_crossings(spec, p):
@@ -48,6 +51,56 @@ def oracle_down_crossings(spec, p):
 def expanded(entries, pair, zero):
     """A factored mod-h^2 entry as a polynomial; zero where none is stored."""
     return entries[pair].polynomial() if pair in entries else zero
+
+
+def form_polynomial(form):
+    """The linear form with coefficient tuple (a_1..a_r, h) as a polynomial."""
+    return Polynomial.linear_form(form[:-1], form[-1])
+
+
+def truncate_mod_h2(poly):
+    """poly with every term of h-degree 2 or more dropped."""
+    return Polynomial(poly.nvars, {e: c for e, c in poly.terms.items() if e[-1] < 2})
+
+
+def substitute(poly, images):
+    """The ring map sending a_i, h to images[i], applied to poly; the images
+    share one variable count."""
+    if len(images) != poly.nvars:
+        raise ValueError("need one image per variable")
+    nv = images[0].nvars
+    result = Polynomial.zero(nv)
+    for exp, coeff in poly.terms.items():
+        term = Polynomial.constant(nv, coeff)
+        for img, e in zip(images, exp):
+            if e:
+                term = term * img**e
+        result = result + term
+    return result
+
+
+def _as_vector(points, v):
+    """A vector over the fixed points, given as a mapping or a sequence in
+    point order, as a dict of its nonzero entries."""
+    if isinstance(v, Mapping):
+        return {p: v[p] for p in points if p in v and not v[p].is_zero()}
+    if len(v) != len(points):
+        raise ValueError("vector length does not match the fixed-point count")
+    return {p: e for p, e in zip(points, v) if not e.is_zero()}
+
+
+def localization_pair(spec, v1, v2):
+    """Sum over fixed points of v1(x) v2(x) / e_T(T_x), as the sum of
+    v1(x) v2(x) cofactor(x) over the LCM of the tangent Euler classes."""
+    points = enumerate_fixed_points(spec)
+    a = _as_vector(points, v1)
+    b = _as_vector(points, v2)
+    lcm, cofactor = localization_denominator(spec)
+    total = Polynomial.zero(lcm.nvars)
+    for xi, x in enumerate(points):
+        if x in a and x in b:
+            total = total + a[x] * b[x] * cofactor[xi].polynomial()
+    return RationalFunction(total, lcm.polynomial())
 
 
 _POOL = [

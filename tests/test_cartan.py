@@ -20,26 +20,36 @@ def cows(*vecs):
     return {Coweight(v) for v in vecs}
 
 
+def simple_coroot(datum, j):
+    """alphacheck_j in the omega basis: column j of the Cartan matrix."""
+    return Coweight(row[j - 1] for row in datum.cartan_matrix)
+
+
+def simple_root_form(datum, j):
+    """alpha_j in the simple-root basis: the j-th coordinate form."""
+    return AWeightForm(int(k == j - 1) for k in range(datum.rank))
+
+
 # ---------------------------------------------------------------- pairing
 
 def test_pairing_dual_bases():
     for datum in (A1, A2, B2, C2, CartanDatum("D", 4)):
         for i in range(1, datum.rank + 1):
             for j in range(1, datum.rank + 1):
-                got = datum.pairing(datum.fundamental_coweight(i), datum.simple_root_form(j))
+                got = datum.pairing(datum.fundamental_coweight(i), simple_root_form(datum, j))
                 assert got == (1 if i == j else 0)
 
 
 def test_pairing_rank1():
     omega = A1.fundamental_coweight(1)
-    alpha_check = A1.simple_root_form(1)
+    alpha_check = simple_root_form(A1, 1)
     assert A1.pairing(omega, alpha_check) == 1
-    assert A1.pairing(A1.simple_coroot(1), alpha_check) == 2
+    assert A1.pairing(simple_coroot(A1, 1), alpha_check) == 2
 
 
 def test_pairing_rank2_offdiagonal():
     # <alpha_1, alphacheck_2> on the rank-2 type A datum
-    assert A2.pairing(A2.simple_coroot(1), A2.simple_root_form(2)) == -1
+    assert A2.pairing(simple_coroot(A2, 1), simple_root_form(A2, 2)) == -1
 
 
 def test_pairing_rank_mismatch():
@@ -50,7 +60,7 @@ def test_pairing_rank_mismatch():
 # ---------------------------------------------------------------- inner / sharp
 
 def test_inner_rank1():
-    alpha = A1.simple_coroot(1)
+    alpha = simple_coroot(A1, 1)
     omega = A1.fundamental_coweight(1)
     assert A1.inner(alpha, alpha) == 2
     assert A1.inner(omega, omega) == Fraction(1, 2)
@@ -58,9 +68,9 @@ def test_inner_rank1():
 
 
 def test_sharp_rank1():
-    alpha = A1.simple_coroot(1)
+    alpha = simple_coroot(A1, 1)
     omega = A1.fundamental_coweight(1)
-    assert A1.sharp(alpha) == A1.simple_root_form(1)
+    assert A1.sharp(alpha) == simple_root_form(A1, 1)
     assert A1.sharp(omega) == AWeightForm([Fraction(1, 2)])
     assert A1.sharp(A1.zero_coweight()) == AWeightForm([0])
 
@@ -68,7 +78,7 @@ def test_sharp_rank1():
 def test_inner_shortest_coroot_normalization():
     # min over simple coroots of (alpha_j, alpha_j) is exactly 2 in every type
     for datum in (A1, A2, B2, C2, CartanDatum("D", 4), CartanDatum("G", 2), CartanDatum("F", 4)):
-        norms = [datum.inner(datum.simple_coroot(j), datum.simple_coroot(j))
+        norms = [datum.inner(simple_coroot(datum, j), simple_coroot(datum, j))
                  for j in range(1, datum.rank + 1)]
         assert min(norms) == 2
         assert norms == [2 * d for d in datum.symmetrizers]
@@ -169,7 +179,7 @@ def test_coroot_of_root():
             ratio = {Fraction(a, b) for a, b in zip(s.coords, f.coords) if b != 0}
             assert len(ratio) == 1 and ratio.pop() > 0
         for j in range(1, datum.rank + 1):
-            assert datum.coroot_of_root[datum.simple_root_form(j)] == datum.simple_coroot(j)
+            assert datum.coroot_of_root[simple_root_form(datum, j)] == simple_coroot(datum, j)
 
 
 def test_two_rho_check_rank1():

@@ -648,9 +648,11 @@ def test_oracle_reconstruction_that_does_not_divide_exits_three(capsys, monkeypa
     def tampered(spec, ch, signs=None):
         entries = real(spec, ch, signs)
         pair = min(entries)
-        h = Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
+        h = (0,) * spec.cartan.rank + (1,)
         entry = entries[pair]
         entries[pair] = slices.EulerClass(entry.nvars, entry.factors - Counter([h]), entry.scalar)
+        # a key that is not the factor's would leave the entry as it was
+        assert entries[pair] != entry
         return entries
 
     monkeypatch.setattr(cli, "stab_mod_h2", tampered)

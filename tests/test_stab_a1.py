@@ -13,6 +13,8 @@ from grslice.slices import (
     dimension,
     enumerate_fixed_points,
     point_index,
+    repelling_euler,
+    tangent_euler,
     tangent_weights,
 )
 from grslice import stab_a1, symalg
@@ -32,7 +34,7 @@ from grslice.stab_a1 import (
 )
 from grslice.chern import mult_matrix_via_localization
 from grslice.symalg import NonDivisible, Polynomial, RationalFunction
-from helpers import expanded
+from helpers import expanded, truncate_mod_h2
 
 A1 = CartanDatum("A", 1)
 CH_PLUS = Chamber.dominant(A1)
@@ -181,6 +183,18 @@ def test_exact_routes_multiply_and_divide_no_polynomial(capsys, tmp_path, monkey
         out, err = capsys.readouterr()
         assert code == 0 and err == "", out + err
         assert json.loads(out)["checks"][0]["ok"]
+
+
+def test_euler_forms_expand_like_euler_polynomials():
+    # the rank-one route reads each canonical factor (u, s) as the form
+    # u a + s h; EulerClass.polynomial expands the same factors
+    for spec in grid_specs(5):
+        for p in range(len(enumerate_fixed_points(spec))):
+            classes = [tangent_euler(spec, p)]
+            classes += [repelling_euler(spec, p, ch, keep_h)
+                        for ch in (CH_PLUS, CH_MINUS) for keep_h in (True, False)]
+            for e in classes:
+                assert stab_a1._polynomial(stab_a1._euler_form(e)) == e.polynomial()
 
 
 # -- recursion ---------------------------------------------------------------
@@ -363,7 +377,7 @@ def test_mod_h2_matches_exact_truncation():
                 for qi, q in enumerate(m.points):
                     if p == q:
                         continue
-                    got = m.entry(p, q).truncate_mod_h2()
+                    got = truncate_mod_h2(m.entry(p, q))
                     assert got == expanded(closed, (pi, qi), Polynomial.zero(2))
 
 

@@ -15,13 +15,21 @@ from grslice.slices import (
     dominant_representative,
     enumerate_fixed_points,
     flip_sign,
+    localization_denominator,
     point_index,
     project_to_wall_slice,
     repelling_euler,
     same_wall_component,
     tangent_weights,
 )
-from grslice.stab_a1 import ExactDivisionFailure, normalize_polarization, stab_offdiag_mod_h2
+from grslice.chern import reconstruct_coefficient
+from grslice.stab_a1 import (
+    ExactDivisionFailure,
+    normalize_polarization,
+    stab_matrix,
+    stab_offdiag_mod_h2,
+    verify_duality,
+)
 from grslice.stab_general import (
     AdjacencyWitness,
     mod_h2_json,
@@ -31,7 +39,12 @@ from grslice.stab_general import (
     wall_adjacent_chambers,
 )
 from grslice.symalg import Polynomial
-from helpers import random_minuscule_specs, reference_wall_chambers, sampled_sigma_signs
+from helpers import (
+    random_minuscule_specs,
+    reference_wall_chambers,
+    sampled_sigma_signs,
+    substitute,
+)
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -256,7 +269,7 @@ def test_stab_mod_h2_factorization_oracle():
             assert wall_spec == wall_spec_q
             a1_entry = stab_offdiag_mod_h2(wall_spec, CH1_PLUS)[ix(wall_spec, p1, q1)]
             images = [Polynomial.linear_form(w.alpha_form.coords, 0), h]
-            z_part = a1_entry.polynomial().substitute(images)
+            z_part = substitute(a1_entry.polynomial(), images)
             sides = wall_adjacent_chambers(spec.cartan, w.alpha_form)
             near_wall = next(c for c in sides if c.is_positive(w.alpha_form))
             induced = flip_sign(spec, p, ch, near_wall)
@@ -332,7 +345,7 @@ def _reference_repelling_factors(spec, p, ch):
     for root, _, m in _weights(spec, p):
         if not ch.is_positive(root):
             lead = next(c for c in root.coords if c)
-            factors[Polynomial.linear_form((root if lead > 0 else -root).coords, 0)] += m
+            factors[(root if lead > 0 else -root).coords + (0,)] += m
             sign *= (1 if lead > 0 else -1) ** m
     return factors, sign
 
@@ -494,6 +507,38 @@ def test_negative_count_raises_exact_division_failure(monkeypatch):
     monkeypatch.setattr(stab_general, "omega_ratio", tampered)
     with pytest.raises(ExactDivisionFailure, match=r"did not clear its denominator"):
         stab_mod_h2(TSTAR_FL3, CH2_PLUS)
+
+
+def test_factored_routes_build_no_polynomial(monkeypatch):
+    # Euler factors, bundle weights and rank-one forms are coefficient
+    # tuples: a Polynomial is built only where a document or a matrix entry
+    # is expanded
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Polynomial was built")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    monkeypatch.setattr(Polynomial, "_trusted", refuse)
+
+    d4 = CartanDatum("D", 4)
+    spec = SliceSpec(d4, [1, 1], Coweight([0, 1, 0, 0]))
+    ch = Chamber.dominant(d4)
+    entries = stab_mod_h2(spec, ch)
+    assert entries
+    signs = normalize_polarization(enumerate_fixed_points(spec), None)
+    for (p, q), witness in adjacent_pairs(spec, ch).items():
+        omega_ratio(spec, p, q, witness.alpha_form)
+        for k in range(spec.length + 1):
+            reconstruct_coefficient(spec, ch, entries, p, q, ("L", k), signs)
+    for p in range(len(enumerate_fixed_points(spec))):
+        for keep_h in (True, False):
+            repelling_euler(spec, p, ch, keep_h)
+    localization_denominator(spec)
+
+    a1 = SliceSpec(A1, [1] * 5, Coweight([1]))
+    for a1_ch in (CH1_PLUS, CH1_MINUS):
+        stab_matrix(a1, a1_ch)
+        assert verify_duality(a1, a1_ch)["ok"]
+        assert stab_offdiag_mod_h2(a1, a1_ch)
 
 
 def test_times_ratio_refuses_a_negative_count():
