@@ -52,7 +52,8 @@ def parse_bundle(spec: SliceSpec, bundle: BundleTag) -> Tuple[str, int]:
     """Normalize a bundle tag to ("L", k) with 0 <= k <= l or ("E", i) with 1 <= i <= l."""
     if isinstance(bundle, str):
         kind, digits = bundle[:1], bundle[1:]
-        if not digits.isdigit():
+        # str.isdigit admits digits that int() rejects or reads as others
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"malformed bundle tag {bundle!r}")
         idx = int(digits)
     else:

@@ -6,8 +6,8 @@ cached on disk with its exit code, under a content hash of the canonical job
 description and the cache format, so a repeated query is a file read.
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, non-minuscule
-weights, rank restrictions), 3 when a verification suite or an internal
-consistency check fails.
+weights, rank restrictions) and when the document cannot be written, 3 when
+a verification suite or an internal consistency check fails.
 """
 
 from __future__ import annotations
@@ -22,25 +22,17 @@ import sys
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import verify
 from .cartan import CartanDatum, Chamber, Coweight
-from .chern import (
-    NonPolynomialEntry,
-    bundle_weight,
-    line_bundle_matrices,
-    mult_matrix,
-    parse_bundle,
-    reconstruct_coefficient,
-)
+from .chern import NonPolynomialEntry, mult_matrix, parse_bundle
 from .slices import (
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
     _step_label,
-    adjacent_pairs,
     enumerate_fixed_points,
-    flip_sign,
     tangent_weights,
 )
 from .stab_a1 import (
@@ -50,17 +42,14 @@ from .stab_a1 import (
     PathInconsistency,
     normalize_polarization,
     stab_matrix,
-    stab_offdiag_mod_h2,
-    verify_duality,
 )
-from .stab_general import mod_h2_json, stab_mod_h2, wall_adjacent_chambers
+from .stab_general import mod_h2_json, stab_mod_h2
 from .symalg import Polynomial
 
 CACHE_ENV = "GRSLICE_CACHE_DIR"
 # Part of every cache key: raise it whenever any document's bytes change, so
 # that entries written by an older version are recomputed, never served.
 CACHE_FORMAT = 3
-VERIFY_CHECKS = ("recursion", "duality", "oracle", "wallcross")
 
 _VALIDATION_ERRORS = (
     NonMinusculeUnsupported,
@@ -80,48 +69,20 @@ _INTERNAL_ERRORS = (
 # -- job description -----------------------------------------------------------
 
 
-class JobSpec:
+class JobSpec(NamedTuple):
     """Validated, canonicalizable description of one CLI invocation."""
 
-    __slots__ = (
-        "command",
-        "letter",
-        "rank",
-        "lambda_seq",
-        "mu",
-        "chamber",
-        "polarization",
-        "bundle",
-        "which",
-        "fmt",
-        "out",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        letter: str,
-        rank: int,
-        lambda_seq: Sequence[int],
-        mu: Sequence[int],
-        chamber: str = "dominant",
-        polarization: str = "repelling",
-        bundle: Optional[str] = None,
-        which: Optional[str] = None,
-        fmt: str = "json",
-        out: Optional[str] = None,
-    ):
-        self.command = command
-        self.letter = letter
-        self.rank = int(rank)
-        self.lambda_seq = tuple(int(i) for i in lambda_seq)
-        self.mu = tuple(int(c) for c in mu)
-        self.chamber = chamber
-        self.polarization = polarization
-        self.bundle = bundle
-        self.which = which
-        self.fmt = fmt
-        self.out = out
+    command: str
+    letter: str
+    rank: int
+    lambda_seq: Sequence[int]
+    mu: Sequence[int]
+    chamber: str = "dominant"
+    polarization: str = "repelling"
+    bundle: Optional[str] = None
+    which: Optional[str] = None
+    fmt: str = "json"
+    out: Optional[str] = None
 
     def canonical(self) -> dict:
         """Semantic fields only; presentation flags do not enter the cache key."""
@@ -286,18 +247,18 @@ class _PointList:
         return f"[{point}{(tail + ',' + point).join(texts)}{tail}{indent}]"
 
 
-def _cmd_fixed_points(spec: SliceSpec, ch: Chamber, signs) -> dict:
+def _cmd_fixed_points(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
     return {"command": "fixed-points", "count": len(points), "points": _PointList(points)}
 
 
-def _cmd_tangent(spec: SliceSpec, ch: Chamber, signs) -> dict:
+def _cmd_tangent(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
     weights = [tangent_weights(spec, p) for p in points]
     return {"command": "tangent", "points": _PointList(points, weights, spec.cartan.root_list)}
 
 
-def _cmd_stab_exact(spec: SliceSpec, ch: Chamber, signs) -> dict:
+def _cmd_stab_exact(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     matrix = stab_matrix(spec, ch, signs)
     payload = matrix.to_json()
     payload["command"] = "stab-exact"
@@ -305,7 +266,7 @@ def _cmd_stab_exact(spec: SliceSpec, ch: Chamber, signs) -> dict:
     return payload
 
 
-def _cmd_stab_mod_h2(spec: SliceSpec, ch: Chamber, signs) -> dict:
+def _cmd_stab_mod_h2(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     entries = stab_mod_h2(spec, ch, signs)
     payload = mod_h2_json(spec, ch, entries)
     payload["command"] = "stab-mod-h2"
@@ -314,8 +275,8 @@ def _cmd_stab_mod_h2(spec: SliceSpec, ch: Chamber, signs) -> dict:
     return payload
 
 
-def _cmd_mult(spec: SliceSpec, ch: Chamber, signs, bundle: str) -> dict:
-    kind, idx = parse_bundle(spec, bundle)
+def _cmd_mult(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
+    kind, idx = parse_bundle(spec, job.bundle)
     matrix = mult_matrix(spec, (kind, idx), ch, signs)
     payload = matrix.to_json()
     payload["command"] = "mult"
@@ -324,141 +285,23 @@ def _cmd_mult(spec: SliceSpec, ch: Chamber, signs, bundle: str) -> dict:
     return payload
 
 
-def _check_recursion(spec, ch, signs) -> dict:
-    # stab_matrix validates what it builds
-    try:
-        stab_matrix(spec, ch, signs)
-        stab_matrix(spec, -ch, signs)
-    except (PathInconsistency, InvariantViolation, ExactDivisionFailure) as exc:
-        return {"name": "recursion", "ok": False, "detail": str(exc)}
-    return {"name": "recursion", "ok": True}
-
-
-def _check_duality(spec, ch, signs) -> dict:
-    report = verify_duality(spec, ch, signs)
-    return {
-        "name": "duality",
-        "ok": report["ok"],
-        "pairs": report["pairs"],
-        "failures": report["failures"],
-    }
-
-
-def _check_oracle(spec, ch, signs) -> dict:
-    """Cross-module consistency of the mod-h^2 data with the operator matrices.
-
-    Off the diagonal both sides can be nonzero only on an adjacent pair: a
-    reconstruction is 0 off the table of adjacent_pairs, so there each matrix
-    entry is compared with its reconstruction, and elsewhere none may be stored.
-    Failures are listed in the order of the point indices of (p, q).
-    """
-    failures: List[dict] = []
-    points = enumerate_fixed_points(spec)
-    signs = normalize_polarization(points, signs)
-    entries = stab_mod_h2(spec, ch, signs)
-    pairs = adjacent_pairs(spec, ch)
-    if spec.cartan.rank == 1 and entries != stab_offdiag_mod_h2(spec, ch, signs):
-        failures.append({"check": "rank-one closed form"})
-    for k, matrix in enumerate(line_bundle_matrices(spec, ch, signs)):
-        stored, zero = matrix.entries, matrix.zero
-        for pi, p in enumerate(points):
-            weight = bundle_weight(spec, p, ("L", k))
-            expected = Polynomial.linear_form(weight[:-1], weight[-1])
-            if stored.get((pi, pi), zero) != expected:
-                failures.append({"check": "diagonal", "bundle": f"L{k}", "p": p.label()})
-        wrong = []
-        for pi, qi in pairs:
-            coeff = reconstruct_coefficient(spec, ch, entries, pi, qi, ("L", k), signs)
-            rebuilt = Polynomial.linear_form([0] * spec.cartan.rank, coeff)
-            if rebuilt != stored.get((qi, pi), zero):
-                wrong.append((pi, qi))
-        for qi, pi in stored:
-            if pi != qi and (pi, qi) not in pairs:
-                wrong.append((pi, qi))
-        for pi, qi in sorted(wrong):
-            failures.append(
-                {"check": "reconstruction", "bundle": f"L{k}",
-                 "p": points[pi].label(), "q": points[qi].label()}
-            )
-    return {"name": "oracle", "ok": not failures, "failures": failures}
-
-
-def _check_wallcross(spec, ch, signs) -> dict:
-    """Restriction data with a fixed polarization agrees across every wall.
-
-    Pairs on the wall being crossed are left out: their entries change
-    there.  The wall of a pair is read from the root of its adjacency witness:
-    p and q differ by the coroot at two slots, so every sigma difference is a
-    multiple of it, and no other root's coroot divides them all.
-    """
-    failures: List[dict] = []
-    compared = 0
-    points = enumerate_fixed_points(spec)
-    base_signs = normalize_polarization(points, signs)
-    # two walls can share a chamber with the same signs
-    computed: Dict[tuple, dict] = {}
-
-    def entries(chamber, chamber_signs):
-        key = (chamber, chamber_signs)
-        if key not in computed:
-            computed[key] = stab_mod_h2(spec, chamber, chamber_signs)
-        return computed[key]
-
-    for root in spec.cartan.positive_roots(ch):
-        near, far = wall_adjacent_chambers(spec.cartan, root)
-        left = entries(near, base_signs)
-        right = entries(far, tuple(s * flip_sign(spec, x, near, far)
-                                   for x, s in enumerate(base_signs)))
-        near_pairs, far_pairs = adjacent_pairs(spec, near), adjacent_pairs(spec, far)
-        on_wall = (root, -root)
-        for p, q in sorted(left.keys() | right.keys()):
-            witness = near_pairs.get((p, q)) or far_pairs[p, q]
-            if witness.alpha_form in on_wall:
-                continue
-            compared += 1
-            if left.get((p, q)) != right.get((p, q)):
-                failures.append(
-                    {"root": list(root.coords), "p": points[p].label(), "q": points[q].label()}
-                )
-    return {"name": "wallcross", "ok": not failures, "compared": compared}
-
-
-def _cmd_verify(spec, ch, signs, which: str) -> dict:
-    available = {
-        "recursion": (_check_recursion, spec.cartan.rank == 1),
-        "duality": (_check_duality, spec.cartan.rank == 1),
-        "oracle": (_check_oracle, True),
-        "wallcross": (_check_wallcross, True),
-    }
-    if which == "all":
-        selected = [name for name in VERIFY_CHECKS if available[name][1]]
-    else:
-        if not available[which][1]:
-            raise NotA1(f"verify {which} requires a rank-one slice")
-        selected = [which]
-    checks = [available[name][0](spec, ch, signs) for name in selected]
-    return {
-        "command": "verify",
-        "which": which,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-    }
+# each command's builder, called with the job and the slice, chamber and
+# signs it builds
+_BUILDERS = {
+    "fixed-points": _cmd_fixed_points,
+    "tangent": _cmd_tangent,
+    "stab-exact": _cmd_stab_exact,
+    "stab-mod-h2": _cmd_stab_mod_h2,
+    "mult": _cmd_mult,
+    "verify": lambda job, spec, ch, signs: verify.run(spec, ch, signs, job.which),
+}
 
 
 def compute_payload(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
-    if job.command == "fixed-points":
-        return _cmd_fixed_points(spec, ch, signs)
-    if job.command == "tangent":
-        return _cmd_tangent(spec, ch, signs)
-    if job.command == "stab-exact":
-        return _cmd_stab_exact(spec, ch, signs)
-    if job.command == "stab-mod-h2":
-        return _cmd_stab_mod_h2(spec, ch, signs)
-    if job.command == "mult":
-        return _cmd_mult(spec, ch, signs, job.bundle)
-    if job.command == "verify":
-        return _cmd_verify(spec, ch, signs, job.which)
-    raise ValueError(f"unknown command {job.command!r}")
+    build = _BUILDERS.get(job.command)
+    if build is None:
+        raise ValueError(f"unknown command {job.command!r}")
+    return build(job, spec, ch, signs)
 
 
 # -- rendering -------------------------------------------------------------------
@@ -586,8 +429,8 @@ def render(payload: dict, fmt: str, rank: int) -> str:
 # -- argument parsing --------------------------------------------------------------
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",")]
+def _int_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -615,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for resolved affine Grassmannian slices.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", required=True, metavar="LETTER",
+    common.add_argument("--type", required=True, dest="letter", metavar="LETTER",
                         help="Cartan type letter, e.g. A or B")
     common.add_argument("--rank", required=True, type=int)
     common.add_argument("--lambda", required=True, dest="lambda_seq",
@@ -643,26 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     mult = sub.add_parser("mult", parents=[common],
                           help="divisor multiplication matrix in the stable basis")
     mult.add_argument("--bundle", required=True, metavar="L<k>|E<i>")
-    verify = sub.add_parser("verify", parents=[common],
+    suites = sub.add_parser("verify", parents=[common],
                             help="run consistency suites; nonzero exit on failure")
-    verify.add_argument("which", choices=VERIFY_CHECKS + ("all",))
+    suites.add_argument("which", choices=verify.SUITES + ("all",))
     return parser
-
-
-def job_from_args(args: argparse.Namespace) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        letter=args.type,
-        rank=args.rank,
-        lambda_seq=args.lambda_seq,
-        mu=args.mu,
-        chamber=args.chamber,
-        polarization=args.polarization,
-        bundle=getattr(args, "bundle", None),
-        which=getattr(args, "which", None),
-        fmt=args.fmt,
-        out=args.out,
-    )
 
 
 def run(job: JobSpec) -> Tuple[int, str]:
@@ -706,7 +533,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    job = job_from_args(args)
+    job = JobSpec(**vars(args))
     if job.out and not os.path.isdir(os.path.dirname(os.path.abspath(job.out))):
         sys.stderr.write(f"error: no directory to hold --out {job.out}\n")
         return 2
@@ -721,7 +548,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif code == 2:
         sys.stderr.write(document)
     else:
-        sys.stdout.write(document)
+        try:
+            sys.stdout.write(document)
+            sys.stdout.flush()
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write to stdout: {exc.strerror}\n")
+            return 2
     return code
 
 

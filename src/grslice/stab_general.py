@@ -28,7 +28,6 @@ from typing import Dict, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from .slices import (
-    AdjacencyWitness,  # noqa: F401  callers import it from this module too
     EulerClass,
     SliceSpec,
     _canonical,

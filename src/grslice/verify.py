@@ -1,0 +1,155 @@
+"""Verification suites: the paper's cross-checks as library functions.
+
+Each suite takes a slice, a chamber and a polarization (None for the
+repelling one, or one sign per fixed point) and returns its check record, a
+dict with the suite's "name", whether it passed ("ok"), and what it found.
+`run` assembles the document that ``grslice verify`` prints.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List
+
+from .chern import bundle_weight, line_bundle_matrices, reconstruct_coefficient
+from .slices import adjacent_pairs, enumerate_fixed_points, flip_sign
+from .stab_a1 import (
+    ExactDivisionFailure,
+    InvariantViolation,
+    NotA1,
+    PathInconsistency,
+    normalize_polarization,
+    stab_matrix,
+    stab_offdiag_mod_h2,
+    verify_duality,
+)
+from .stab_general import stab_mod_h2, wall_adjacent_chambers
+from .symalg import Polynomial
+
+SUITES = ("recursion", "duality", "oracle", "wallcross")
+# the suites that exist for rank-one slices only
+RANK_ONE_SUITES = ("recursion", "duality")
+
+
+def recursion(spec, ch, signs=None) -> dict:
+    """The exact rank-one envelopes of both opposite chambers build and validate."""
+    # stab_matrix validates what it builds
+    try:
+        stab_matrix(spec, ch, signs)
+        stab_matrix(spec, -ch, signs)
+    except (PathInconsistency, InvariantViolation, ExactDivisionFailure) as exc:
+        return {"name": "recursion", "ok": False, "detail": str(exc)}
+    return {"name": "recursion", "ok": True}
+
+
+def duality(spec, ch, signs=None) -> dict:
+    """The envelopes of opposite chambers are dual under the localization pairing."""
+    report = verify_duality(spec, ch, signs)
+    return {
+        "name": "duality",
+        "ok": report["ok"],
+        "pairs": report["pairs"],
+        "failures": report["failures"],
+    }
+
+
+def oracle(spec, ch, signs=None) -> dict:
+    """Cross-module consistency of the mod-h^2 data with the operator matrices.
+
+    Off the diagonal both sides can be nonzero only on an adjacent pair: a
+    reconstruction is 0 off the table of adjacent_pairs, so there each matrix
+    entry is compared with its reconstruction, and elsewhere none may be stored.
+    Failures are listed in the order of the point indices of (p, q).
+    """
+    failures: List[dict] = []
+    points = enumerate_fixed_points(spec)
+    signs = normalize_polarization(points, signs)
+    entries = stab_mod_h2(spec, ch, signs)
+    pairs = adjacent_pairs(spec, ch)
+    if spec.cartan.rank == 1 and entries != stab_offdiag_mod_h2(spec, ch, signs):
+        failures.append({"check": "rank-one closed form"})
+    for k, matrix in enumerate(line_bundle_matrices(spec, ch, signs)):
+        stored, zero = matrix.entries, matrix.zero
+        for pi, p in enumerate(points):
+            weight = bundle_weight(spec, p, ("L", k))
+            expected = Polynomial.linear_form(weight[:-1], weight[-1])
+            if stored.get((pi, pi), zero) != expected:
+                failures.append({"check": "diagonal", "bundle": f"L{k}", "p": p.label()})
+        wrong = []
+        for pi, qi in pairs:
+            coeff = reconstruct_coefficient(spec, ch, entries, pi, qi, ("L", k), signs)
+            rebuilt = Polynomial.linear_form([0] * spec.cartan.rank, coeff)
+            if rebuilt != stored.get((qi, pi), zero):
+                wrong.append((pi, qi))
+        for qi, pi in stored:
+            if pi != qi and (pi, qi) not in pairs:
+                wrong.append((pi, qi))
+        for pi, qi in sorted(wrong):
+            failures.append(
+                {"check": "reconstruction", "bundle": f"L{k}",
+                 "p": points[pi].label(), "q": points[qi].label()}
+            )
+    return {"name": "oracle", "ok": not failures, "failures": failures}
+
+
+def wallcross(spec, ch, signs=None) -> dict:
+    """Restriction data with a fixed polarization agrees across every wall.
+
+    Pairs on the wall being crossed are left out: their entries change
+    there.  The wall of a pair is read from the root of its adjacency witness:
+    p and q differ by the coroot at two slots, so every sigma difference is a
+    multiple of it, and no other root's coroot divides them all.
+    """
+    failures: List[dict] = []
+    compared = 0
+    points = enumerate_fixed_points(spec)
+    base_signs = normalize_polarization(points, signs)
+    # two walls can share a chamber with the same signs
+    computed: Dict[tuple, dict] = {}
+
+    def entries(chamber, chamber_signs):
+        key = (chamber, chamber_signs)
+        if key not in computed:
+            computed[key] = stab_mod_h2(spec, chamber, chamber_signs)
+        return computed[key]
+
+    for root in spec.cartan.positive_roots(ch):
+        near, far = wall_adjacent_chambers(spec.cartan, root)
+        left = entries(near, base_signs)
+        right = entries(far, tuple(s * flip_sign(spec, x, near, far)
+                                   for x, s in enumerate(base_signs)))
+        near_pairs, far_pairs = adjacent_pairs(spec, near), adjacent_pairs(spec, far)
+        on_wall = (root, -root)
+        for p, q in sorted(left.keys() | right.keys()):
+            witness = near_pairs.get((p, q)) or far_pairs[p, q]
+            if witness.alpha_form in on_wall:
+                continue
+            compared += 1
+            if left.get((p, q)) != right.get((p, q)):
+                failures.append(
+                    {"root": list(root.coords), "p": points[p].label(), "q": points[q].label()}
+                )
+    return {"name": "wallcross", "ok": not failures, "compared": compared}
+
+
+def run(spec, ch, signs=None, which: str = "all") -> dict:
+    """The verify document of the suite `which`, or with "all" of every
+    suite that applies to the slice, in the order of SUITES.
+
+    Raises NotA1 when a rank-one suite is named on a higher-rank slice.
+    """
+    rank_one = spec.cartan.rank == 1
+    if which == "all":
+        selected = [name for name in SUITES if rank_one or name not in RANK_ONE_SUITES]
+    elif which in RANK_ONE_SUITES and not rank_one:
+        raise NotA1(f"verify {which} requires a rank-one slice")
+    else:
+        selected = [which]
+    suites = {"recursion": recursion, "duality": duality, "oracle": oracle,
+              "wallcross": wallcross}
+    checks = [suites[name](spec, ch, signs) for name in selected]
+    return {
+        "command": "verify",
+        "which": which,
+        "checks": checks,
+        "ok": all(c["ok"] for c in checks),
+    }

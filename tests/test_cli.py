@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import inspect
 import json
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from grslice import cli, slices
+from grslice import cli, slices, verify
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, JobSpec, build_parser, cache_fetch, cache_store, main
 from grslice.stab_general import stab_mod_h2
@@ -116,10 +117,41 @@ def test_bundle_out_of_range_exits_two(capsys):
     assert code == 2 and "out of range" in err
 
 
+# str.isdigit holds for both tags; int() rejects the first and reads the second as 1
+@pytest.mark.parametrize("tag", ["L\u00b2", "L\u0661"])
+def test_bundle_tag_with_a_non_ascii_digit_exits_two(capsys, tag):
+    code, out, err = run_cli(capsys, ["mult"] + BASE_A1 + ["--bundle", tag])
+    assert (code, out, err) == (2, "", f"error: malformed bundle tag {tag!r}\n")
+
+
 def test_chamber_with_zero_denominator_exits_two(capsys):
     code, out, err = run_cli(capsys, ["fixed-points"] + BASE_A1 + ["--chamber", "1/0"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _FailingStdout:
+    """A stdout on a full disk: `failing` names the method that raises."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_failed_stdout_write_exits_two_with_one_line(capsys, monkeypatch, failing):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
+    code = main(["fixed-points"] + BASE_A1)
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write to stdout: No space left on device\n"
 
 
 def test_out_in_missing_directory_exits_two(capsys, tmp_path):
@@ -411,6 +443,47 @@ def test_job_spec_cache_key_ignores_presentation():
     assert a.cache_key() != c.cache_key()
 
 
+def test_cache_keys_are_unchanged():
+    # digests taken from an earlier version: a key that moves strands every
+    # stored entry, and must come with a new CACHE_FORMAT
+    mult = JobSpec(command="mult", letter="A", rank=2, lambda_seq=(1, 1, 1), mu=(0, 0),
+                   chamber="2,-1/2", bundle="E2")
+    check = JobSpec(command="verify", letter="D", rank=4, lambda_seq=(1, 3, 4),
+                    mu=(0, 0, 0, 0), chamber="1,-2,3,3", which="all", fmt="table")
+    assert cli.CACHE_FORMAT == 3
+    assert mult.cache_key() == "de0201f296141764372c95ca1eef979742a1802ef7cd90058929d04941e46075"
+    assert check.cache_key() == "b411e6fa1fb6082036ec7019e5af88a3d0f8600cb9ea95cc63ed3c7ae8f88c9a"
+
+
+PARSED_JOBS = [
+    (["fixed-points"] + BASE_FL3,
+     JobSpec("fixed-points", "A", 2, (1, 1, 1), (0, 0))),
+    (["tangent"] + BASE_A1 + ["--format", "table"],
+     JobSpec("tangent", "A", 1, (1, 1), (0,), fmt="table")),
+    (["stab-exact"] + BASE_A1 + ["--chamber", "antidominant", "--polarization", "-1,+1"],
+     JobSpec("stab-exact", "A", 1, (1, 1), (0,), chamber="antidominant",
+             polarization="-1,+1")),
+    (["stab-mod-h2"] + BASE_FL3 + ["--chamber", "2,-1/2"],
+     JobSpec("stab-mod-h2", "A", 2, (1, 1, 1), (0, 0), chamber="2,-1/2")),
+    (["mult"] + BASE_FL3 + ["--bundle", "E2", "--out", "doc.json"],
+     JobSpec("mult", "A", 2, (1, 1, 1), (0, 0), bundle="E2", out="doc.json")),
+    (["verify", "oracle"] + BASE_A1,
+     JobSpec("verify", "A", 1, (1, 1), (0,), which="oracle")),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSED_JOBS, ids=[argv[0] for argv, _ in PARSED_JOBS])
+def test_parsed_job_is_the_job_built_by_hand(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)  # main writes the empty document to --out
+    jobs = []
+    monkeypatch.setattr(cli, "run", lambda job: jobs.append(job) or (0, ""))
+    assert main(argv) == 0
+    (job,) = jobs
+    assert job.canonical() == expected.canonical()
+    assert job.cache_key() == expected.cache_key()
+    assert (job.fmt, job.out) == (expected.fmt, expected.out)
+
+
 NEGATIVE_LIST_FLAGS = [
     (["fixed-points", "--type", "A", "--rank", "2", "--lambda", "1,1,1"], "--mu", "-1,2"),
     (["stab-mod-h2"] + BASE_FL3, "--chamber", "-1,2"),
@@ -604,7 +677,7 @@ def cli_argvs(draw):
         flags[garbled] = draw(GARBLED)
     head = [command]
     if command == "verify":
-        head.append(draw(st.sampled_from(cli.VERIFY_CHECKS + ("all", "none"))))
+        head.append(draw(st.sampled_from(verify.SUITES + ("all", "none"))))
     separate = {flag: draw(st.booleans()) for flag in flags}
 
     def argv(flags):
@@ -643,7 +716,7 @@ def test_cli_exits_cleanly_and_replays_from_cache(capsys, argvs):
 def test_oracle_reconstruction_that_does_not_divide_exits_three(capsys, monkeypatch):
     # drop h from one entry: no reconstruction from it divides by the
     # polarization, which must end the job with one line, not a traceback
-    real = cli.stab_mod_h2
+    real = verify.stab_mod_h2
 
     def tampered(spec, ch, signs=None):
         entries = real(spec, ch, signs)
@@ -655,7 +728,7 @@ def test_oracle_reconstruction_that_does_not_divide_exits_three(capsys, monkeypa
         assert entries[pair] != entry
         return entries
 
-    monkeypatch.setattr(cli, "stab_mod_h2", tampered)
+    monkeypatch.setattr(verify, "stab_mod_h2", tampered)
     code, out, err = run_cli(capsys, ["verify", "oracle"] + BASE_FL3)
     assert code == 3
     assert out.startswith("verification failure: ") and out.count("\n") == 1
@@ -686,15 +759,15 @@ D4_SLICE = ["--type", "D", "--rank", "4", "--lambda", "1,1", "--mu", "0,1,0,0"]
 
 
 def test_wallcross_reads_each_wall_from_the_witness_root(capsys, tmp_path, monkeypatch):
-    # _check_wallcross takes the wall of a pair from its adjacency witness;
+    # verify.wallcross takes the wall of a pair from its adjacency witness;
     # only omega_ratio still asks same_wall_component, once per ratio
     argvs = [["verify", "wallcross"] + base for base in (D4_SLICE, BASE_FL3)]
     expected = [run_cli(capsys, argv) for argv in argvs]
     real = slices.same_wall_component
 
     def guarded(spec, p, q):
-        if sys._getframe(1).f_code is cli._check_wallcross.__code__:
-            raise AssertionError("_check_wallcross called same_wall_component")
+        if sys._getframe(1).f_code is verify.wallcross.__code__:
+            raise AssertionError("verify.wallcross called same_wall_component")
         return real(spec, p, q)
 
     for name, module in list(sys.modules.items()):
@@ -708,14 +781,14 @@ def test_wallcross_reads_each_wall_from_the_witness_root(capsys, tmp_path, monke
 
 def test_wallcross_computes_each_chamber_and_signs_once(capsys, tmp_path, monkeypatch):
     # on B2 2,2 two of the four walls share a chamber with the same signs
-    real = cli.stab_mod_h2
+    real = verify.stab_mod_h2
     keys = []
 
     def counted(spec, ch, signs=None):
         keys.append((ch, tuple(signs)))
         return real(spec, ch, signs)
 
-    monkeypatch.setattr(cli, "stab_mod_h2", counted)
+    monkeypatch.setattr(verify, "stab_mod_h2", counted)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
     code, out, err = run_cli(capsys, ["verify", "wallcross", "--type", "B", "--rank", "2",
                                       "--lambda", "2,2", "--mu", "0,0"])
@@ -724,7 +797,7 @@ def test_wallcross_computes_each_chamber_and_signs_once(capsys, tmp_path, monkey
 
 
 def test_oracle_fails_on_an_entry_off_the_adjacency_table(capsys, monkeypatch):
-    real = cli.line_bundle_matrices
+    real = verify.line_bundle_matrices
     moved = {}
 
     def tampered(spec, ch, signs=None):
@@ -738,7 +811,7 @@ def test_oracle_fails_on_an_entry_off_the_adjacency_table(capsys, monkeypatch):
         moved.update(p=points[p].label(), q=points[q].label())
         return matrices
 
-    monkeypatch.setattr(cli, "line_bundle_matrices", tampered)
+    monkeypatch.setattr(verify, "line_bundle_matrices", tampered)
     code, out, err = run_cli(capsys, ["verify", "oracle"] + BASE_FL3)
     assert code == 3, (out, err)
     (check,) = json.loads(out)["checks"]

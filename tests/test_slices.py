@@ -303,7 +303,7 @@ def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
                     repelling_euler(spec, p, ch, keep_h)
             assert flip_sign(spec, p, ch1, ch2) in (1, -1)
         localization_denominator(spec)
-        payload = cli._cmd_tangent(spec, ch1, None)
+        payload = cli._cmd_tangent(None, spec, ch1, None)
         for fmt in ("json", "table"):
             assert render(payload, fmt, spec.cartan.rank)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from grslice import stab_general
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
+    AdjacencyWitness,
     EulerClass,
     FixedPoint,
     SliceSpec,
@@ -31,7 +32,6 @@ from grslice.stab_a1 import (
     verify_duality,
 )
 from grslice.stab_general import (
-    AdjacencyWitness,
     mod_h2_json,
     omega_ratio,
     sigma_sign,
