@@ -8,13 +8,19 @@ triangular corrections supported on adjacent fixed-point pairs.  The module
 builds these matrices from the combinatorial formula and, in rank one,
 recomputes them by equivariant localization against the exact restriction
 matrices, so the two routes can be compared entry by entry.
+
+Every entry is a linear form in (a, h): a diagonal entry is a bundle weight,
+an off-diagonal one a rational multiple of h.  Like the bundle weights, an
+entry is kept as its coefficient tuple (a_1, .., a_r, h), keyed by the index
+pair of its points; a Polynomial is built only where OperatorMatrix.entry
+reads one cell.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .cartan import Chamber, Coweight
@@ -33,12 +39,11 @@ from .stab_a1 import (
     ExactDivisionFailure,
     _form_div,
     _pairing_sums,
-    _polynomial,
     normalize_polarization,
     stab_matrix,
 )
 from .stab_general import sigma_sign
-from .symalg import NonDivisible, Polynomial, _norm_scalar
+from .symalg import NonDivisible, Polynomial, _norm_scalar, monomial_key
 
 
 class NonPolynomialEntry(RuntimeError):
@@ -50,6 +55,8 @@ BundleTag = Union[str, Tuple[str, int]]
 
 def parse_bundle(spec: SliceSpec, bundle: BundleTag) -> Tuple[str, int]:
     """Normalize a bundle tag to ("L", k) with 0 <= k <= l or ("E", i) with 1 <= i <= l."""
+    if bundle is None:
+        raise ValueError("mult needs a bundle tag L<k> or E<i>")
     if isinstance(bundle, str):
         kind, digits = bundle[:1], bundle[1:]
         # str.isdigit admits digits that int() rejects or reads as others
@@ -59,6 +66,8 @@ def parse_bundle(spec: SliceSpec, bundle: BundleTag) -> Tuple[str, int]:
     else:
         kind, idx = bundle
     kind = kind.upper()
+    if kind not in ("L", "E"):
+        raise ValueError(f"unknown bundle kind {kind!r}")
     l = spec.length
     if kind == "L" and 0 <= idx <= l:
         return kind, idx
@@ -109,7 +118,9 @@ class OperatorMatrix:
     element at p to sum_q entry(q, p) times the basis element at q.  The
     basis is enumerate_fixed_points(spec), so a point's index is its
     point_index.  entries holds the nonzero coefficients only, keyed by the
-    index pair (qi, pi); entry reads an absent pair as one shared zero.
+    index pair (qi, pi), each a linear form in (a, h) as its coefficient
+    tuple (a_1, .., a_r, h); zero is the all-zero tuple, and entry reads a
+    cell as a Polynomial.
     """
 
     __slots__ = ("spec", "chamber", "basis", "entries", "label", "zero")
@@ -118,72 +129,61 @@ class OperatorMatrix:
         self,
         spec: SliceSpec,
         chamber: Optional[Chamber],
-        entries: Dict[Tuple[int, int], Polynomial],
+        entries: Dict[Tuple[int, int], tuple],
         label: Optional[str] = None,
     ):
         self.spec = spec
         self.chamber = chamber
         self.basis = enumerate_fixed_points(spec)
-        self.entries = {key: e for key, e in entries.items() if not e.is_zero()}
+        self.entries = {key: e for key, e in entries.items() if any(e)}
         self.label = label
-        self.zero = Polynomial.zero(spec.cartan.rank + 1)
+        self.zero = (0,) * (spec.cartan.rank + 1)
 
     def entry(self, q: FixedPoint, p: FixedPoint) -> Polynomial:
         index = point_index(self.spec)
-        return self.entries.get((index[q], index[p]), self.zero)
+        e = self.entries.get((index[q], index[p]), self.zero)
+        return Polynomial.linear_form(e[:-1], e[-1])
 
     def validate(self) -> None:
-        """Diagonal entries are degree-one; off-diagonal ones rational multiples of h."""
+        """Entries are linear forms; off-diagonal ones rational multiples of h."""
+        width = len(self.zero)
         for qi, pi in sorted(self.entries):
             e = self.entries[qi, pi]
-            if qi == pi:
-                if e.deg_a() > 1 or e.h_degree() > 1 or e.total_degree() > 1:
-                    raise AssertionError(f"diagonal entry at {self.basis[pi]} not linear")
-            elif e.h_degree() != 1 or not (e.div_h().total_degree() == 0):
+            if len(e) != width:
+                raise AssertionError(
+                    f"entry ({self.basis[qi]}, {self.basis[pi]}) is not a linear form"
+                )
+            if qi != pi and any(e[:-1]):
                 raise AssertionError(
                     f"off-diagonal entry ({self.basis[qi]}, {self.basis[pi]}) "
                     "is not a rational multiple of h"
                 )
 
-    def _common_chamber(self, other: "OperatorMatrix") -> Optional[Chamber]:
-        """The chamber a combination of the two keeps; they must share a slice."""
+    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.spec != other.spec:
             raise ValueError("operator matrices live on different slices")
-        return self.chamber if self.chamber == other.chamber else None
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        chamber = self._common_chamber(other)
         entries = dict(self.entries)
         for key, b in other.entries.items():
-            entries[key] = entries[key] - b if key in entries else -b
+            a = entries.get(key)
+            entries[key] = tuple(map(neg, b)) if a is None else tuple(map(sub, a, b))
+        chamber = self.chamber if self.chamber == other.chamber else None
         return OperatorMatrix(self.spec, chamber, entries)
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        chamber = self._common_chamber(other)
-        rows: Dict[int, list] = {}
-        for (ri, pi), b in other.entries.items():
-            rows.setdefault(ri, []).append((pi, b))
-        sums: Dict[Tuple[int, int], Polynomial] = {}
-        for (qi, ri), a in self.entries.items():
-            for pi, b in rows.get(ri, ()):
-                key = qi, pi
-                sums[key] = sums[key] + a * b if key in sums else a * b
-        return OperatorMatrix(self.spec, chamber, sums)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OperatorMatrix)
-            and self.spec == other.spec
-            and self.entries == other.entries
-        )
-
     def to_json(self) -> dict:
+        # each cell as Polynomial.to_json prints the form; encode_json sorts
+        # the monomial keys
+        width = len(self.zero)
+        names = [monomial_key(tuple(int(j == i) for j in range(width))) for i in range(width)]
+
+        def encode(e):
+            return {name: str(Fraction(c)) for name, c in zip(names, e) if c}
+
         get, zero = self.entries.get, self.zero
         n = range(len(self.basis))
         return {
             "basis": [p.to_json() for p in self.basis],
             "bundle": self.label,
-            "entries": [[get((qi, pi), zero).to_json() for pi in n] for qi in n],
+            "entries": [[encode(get((qi, pi), zero)) for pi in n] for qi in n],
         }
 
 
@@ -195,8 +195,8 @@ def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
     entries = {}
     for pi, p in enumerate(points):
         d = p.delta[i - 1]
-        entries[pi, pi] = Polynomial.linear_form(
-            spec.cartan.sharp(d).coords, Fraction(spec.cartan.inner(d, spec.mu), 2))
+        entries[pi, pi] = (spec.cartan.sharp(d).coords
+                           + (Fraction(spec.cartan.inner(d, spec.mu), 2),))
     return OperatorMatrix(spec, None, entries, label=f"H{i}")
 
 
@@ -207,21 +207,23 @@ def omega_operators(
     ch: Chamber,
     polarization_signs=None,
 ) -> OperatorMatrix:
-    """Chamber operator between slots: half the pairing part plus all positive-root parts."""
+    """h times the chamber operator Omega_ij between slots: half the pairing
+    part plus all positive-root parts.  The entries of Omega_ij are
+    constants, which are not linear forms in (a, h), so the operator comes
+    as h Omega_ij, the form in which it enters the slot formula for E_i."""
     if not 1 <= i < j <= spec.length:
         raise ValueError("slots must satisfy 1 <= i < j <= l")
     points = enumerate_fixed_points(spec)
-    nv = spec.cartan.rank + 1
+    a_zero = (0,) * spec.cartan.rank
     entries = {}
-    half = Fraction(1, 2)
     for pi, p in enumerate(points):
         val = spec.cartan.inner(p.delta[i - 1], p.delta[j - 1])
-        entries[pi, pi] = Polynomial.constant(nv, half * Fraction(val))
+        entries[pi, pi] = a_zero + (Fraction(val, 2),)
     for pi, qi, w, sign in _pair_table(spec, ch, polarization_signs):
         if (w.i, w.j) != (i, j):
             continue
         half_len = spec.cartan.coroot_half_length[w.alpha_form]
-        entries[qi, pi] = Polynomial.constant(nv, sign * half_len)
+        entries[qi, pi] = a_zero + (sign * half_len,)
     return OperatorMatrix(spec, ch, entries)
 
 
@@ -248,12 +250,12 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     """Matrix of multiplication by c_1(L_k): sum of the slot operators up to k
     minus h times the chamber operators across the cut at k."""
     points = enumerate_fixed_points(spec)
-    nv = spec.cartan.rank + 1
+    a_zero = (0,) * spec.cartan.rank
     entries = {}
     for pi, p in enumerate(points):
         # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu),
         # less (h/2) (delta_i, delta_j) for every slot j > k
-        a_part = (0,) * (nv - 1)
+        a_part = a_zero
         twice_h = 0
         for d in p.delta[:k]:
             sharp, with_mu, inner = _slot_step(spec, d)
@@ -264,12 +266,12 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
                 if value is None:
                     value = inner[c] = sum(map(mul, c, sharp))
                 twice_h -= value
-        entries[pi, pi] = Polynomial.linear_form(a_part, Fraction(twice_h, 2))
+        entries[pi, pi] = a_part + (Fraction(twice_h, 2),)
     for pi, qi, w, sign in pair_table:
         if not w.i <= k < w.j:
             continue
         half_len = spec.cartan.coroot_half_length[w.alpha_form]
-        entries[qi, pi] = Polynomial.linear_form([0] * (nv - 1), -sign * half_len)
+        entries[qi, pi] = a_zero + (-sign * half_len,)
     return OperatorMatrix(spec, ch, entries, label=f"L{k}")
 
 
@@ -328,7 +330,8 @@ def mult_matrix_via_localization(
         assert u == 1
         shifts += [s] * k
     entries = {}
-    # each sum has degree deg(lcm) + 1, so its quotient is a linear form
+    # each sum has degree deg(lcm) + 1, so its quotient is a linear form,
+    # whose coefficients (c_0, c_1) are already the tuple (a, h)
     for (p, q), total in sums.items():
         try:
             for s in shifts:
@@ -337,7 +340,7 @@ def mult_matrix_via_localization(
             raise NonPolynomialEntry(
                 f"localization entry ({points[q]}, {points[p]}) is not polynomial"
             ) from exc
-        entries[q, p] = _polynomial(total)
+        entries[q, p] = total
     return OperatorMatrix(spec, ch, entries, label=f"{kind}{idx}")
 
 

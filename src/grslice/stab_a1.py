@@ -43,7 +43,7 @@ from .slices import (
     repelling_euler,
     tangent_weights,  # noqa: F401  the benchmark's tracer test reads it from this module
 )
-from .symalg import NonDivisible, Polynomial, _norm_scalar
+from .symalg import NonDivisible, Polynomial, _norm_scalar, monomial_key
 
 
 class NotA1(ValueError):
@@ -327,7 +327,7 @@ class RestrictionMatrix:
         # each entry as Polynomial.to_json prints it: monomials a^(D-k) h^k
         # in increasing order of exponent vectors, i.e. k decreasing
         degree = dimension(self.spec) // 2
-        monomials = [(k, _ZERO._monomial_key((degree - k, k)))
+        monomials = [(k, monomial_key((degree - k, k)))
                      for k in reversed(range(degree + 1))]
 
         def encode(val):

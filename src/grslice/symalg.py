@@ -14,15 +14,13 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Sequence
 
-MINUS_INFINITY = float("-inf")
-
 
 class NonDivisible(ArithmeticError):
     """An exact polynomial quotient that does not exist was asked for.
 
-    Raised by Polynomial.div_h and by the rank-one synthetic division, as
-    NonDivisible(template, *operands); the message is formatted
-    only when it is shown, since most failed divisions are caught silently.
+    Raised by the rank-one synthetic division as
+    NonDivisible(template, *operands); the message is formatted only when
+    it is shown, since most failed divisions are caught silently.
     """
 
     def __str__(self):
@@ -39,6 +37,22 @@ def _norm_scalar(x):
         raise TypeError(f"exact arithmetic only, got float {x!r}")
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
+
+
+def monomial_key(exp: tuple) -> str:
+    """The name of the monomial with exponent vector exp, as documents print
+    it: "a1^2*h", and "1" for the constant monomial."""
+    parts = []
+    for i, e in enumerate(exp[:-1]):
+        if e == 1:
+            parts.append(f"a{i + 1}")
+        elif e > 1:
+            parts.append(f"a{i + 1}^{e}")
+    if exp[-1] == 1:
+        parts.append("h")
+    elif exp[-1] > 1:
+        parts.append(f"h^{exp[-1]}")
+    return "*".join(parts) if parts else "1"
 
 
 class Polynomial:
@@ -186,50 +200,13 @@ class Polynomial:
 
     # -- queries -----------------------------------------------------------
 
-    def deg_a(self):
-        """Max total degree in the a-variables; h ignored; zero -> -infinity."""
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(sum(e[:-1]) for e in self.terms)
-
-    def h_degree(self):
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(e[-1] for e in self.terms)
-
-    def total_degree(self):
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(sum(e) for e in self.terms)
-
     def coefficient(self, exp: tuple):
         return self.terms.get(tuple(exp), 0)
 
-    def div_h(self) -> "Polynomial":
-        """Exact division by the variable h."""
-        if any(e[-1] == 0 for e in self.terms):
-            raise NonDivisible("{} is not divisible by h", self)
-        return Polynomial(
-            self.nvars, {e[:-1] + (e[-1] - 1,): c for e, c in self.terms.items()}
-        )
-
     # -- display / serialization -------------------------------------------
 
-    def _monomial_key(self, exp: tuple) -> str:
-        parts = []
-        for i, e in enumerate(exp[:-1]):
-            if e == 1:
-                parts.append(f"a{i + 1}")
-            elif e > 1:
-                parts.append(f"a{i + 1}^{e}")
-        if exp[-1] == 1:
-            parts.append("h")
-        elif exp[-1] > 1:
-            parts.append(f"h^{exp[-1]}")
-        return "*".join(parts) if parts else "1"
-
     def to_json(self) -> dict:
-        return {self._monomial_key(e): str(Fraction(c)) for e, c in sorted(self.terms.items())}
+        return {monomial_key(e): str(Fraction(c)) for e, c in sorted(self.terms.items())}
 
     @classmethod
     def from_json(cls, obj: dict, nvars: int) -> "Polynomial":
@@ -255,7 +232,7 @@ class Polynomial:
         chunks = []
         for exp in sorted(self.terms, reverse=True):
             coeff = self.terms[exp]
-            key = self._monomial_key(exp)
+            key = monomial_key(exp)
             if key == "1":
                 body = str(coeff)
             elif coeff == 1:

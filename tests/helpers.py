@@ -1,7 +1,8 @@
 """Shared test utilities: independent tangent-weight oracles, random
 minuscule slice sampling, an independent sampler of wall-adjacent chambers,
-and reference polynomial routes (substitution, truncation mod h^2 and the
-localization pairing) that the program itself does not need."""
+and reference polynomial routes (substitution, truncation mod h^2, the
+localization pairing and the product of operator matrices) that the program
+itself does not need."""
 
 import random
 from collections.abc import Mapping
@@ -56,6 +57,24 @@ def expanded(entries, pair, zero):
 def form_polynomial(form):
     """The linear form with coefficient tuple (a_1..a_r, h) as a polynomial."""
     return Polynomial.linear_form(form[:-1], form[-1])
+
+
+def operator_product(left, right):
+    """The sparse product of two operator matrices on one slice, as a dict
+    {(qi, pi): Polynomial} of its nonzero entries: the entries of a product
+    of linear forms are quadratic, so they are no OperatorMatrix."""
+    if left.spec != right.spec:
+        raise ValueError("operator matrices live on different slices")
+    rows = {}
+    for (ri, pi), b in right.entries.items():
+        rows.setdefault(ri, []).append((pi, form_polynomial(b)))
+    sums = {}
+    for (qi, ri), a in left.entries.items():
+        a = form_polynomial(a)
+        for pi, b in rows.get(ri, ()):
+            key = qi, pi
+            sums[key] = sums[key] + a * b if key in sums else a * b
+    return {key: e for key, e in sums.items() if not e.is_zero()}
 
 
 def truncate_mod_h2(poly):

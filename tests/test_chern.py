@@ -22,7 +22,7 @@ from grslice.slices import FixedPoint, SliceSpec, adjacent_pairs, enumerate_fixe
 from grslice.stab_a1 import NotA1, normalize_polarization, stab_matrix
 from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
-from helpers import form_polynomial, localization_pair
+from helpers import form_polynomial, localization_pair, operator_product
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -54,12 +54,6 @@ def h_poly(spec):
     return Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
 
 
-def scale_by_h(mat, sign=1):
-    h = sign * h_poly(mat.spec)
-    entries = {key: h * e for key, e in mat.entries.items()}
-    return OperatorMatrix(mat.spec, mat.chamber, entries)
-
-
 # -- bundle weights ------------------------------------------------------------
 
 
@@ -71,6 +65,11 @@ def test_parse_bundle_accepts_and_rejects():
     # "L\u00b2" and "L\u0661" hold digits that str.isdigit admits and int() rejects or reads as 1
     for bad in ("L4", "E0", "E4", "Lx", "Q1", "L", "L\u00b2", "L\u0661"):
         with pytest.raises(ValueError):
+            parse_bundle(TSTAR_FL3, bad)
+    with pytest.raises(ValueError, match=r"mult needs a bundle tag L<k> or E<i>"):
+        parse_bundle(TSTAR_FL3, None)
+    for bad in ("X1", ("x", 1), "x2"):
+        with pytest.raises(ValueError, match="unknown bundle kind 'X'"):
             parse_bundle(TSTAR_FL3, bad)
 
 
@@ -144,22 +143,22 @@ def test_h_operator_range():
 
 
 def test_omega_operator_combines_parts():
-    # half the pairing (delta_i, delta_j) on the diagonal, plus one part per
-    # positive root pairing to +1 with slot i and -1 with slot j: it sends p
-    # to sigma_{p,q} (alpha, alpha)/2 times q, where q lowers slot i and
-    # raises slot j by the coroot alpha
+    # h times: half the pairing (delta_i, delta_j) on the diagonal, plus one
+    # part per positive root pairing to +1 with slot i and -1 with slot j: it
+    # sends p to sigma_{p,q} (alpha, alpha)/2 times q, where q lowers slot i
+    # and raises slot j by the coroot alpha
     for spec, ch in ((TSTAR_FL3, CH2_PLUS), (B2_SPEC, Chamber.dominant(B2))):
         datum = spec.cartan
         points = enumerate_fixed_points(spec)
         signs = normalize_polarization(points, None)
-        nv = datum.rank + 1
+        a_zero = (0,) * datum.rank
         for i in range(1, spec.length):
             for j in range(i + 1, spec.length + 1):
                 expected = {}
                 for x, p in enumerate(points):
                     half = Fraction(datum.inner(p.delta[i - 1], p.delta[j - 1]), 2)
                     if half:
-                        expected[x, x] = Polynomial.constant(nv, half)
+                        expected[x, x] = a_zero + (half,)
                     for root in datum.positive_roots(ch):
                         if (pairing(p.delta[i - 1], root), pairing(p.delta[j - 1], root)) != (1, -1):
                             continue
@@ -169,7 +168,7 @@ def test_omega_operator_combines_parts():
                         y = points.index(FixedPoint(delta))
                         sign = sigma_sign(spec, x, y, root, ch, signs)
                         half_len = Fraction(datum.inner(coroot, coroot), 2)
-                        expected[y, x] = Polynomial.constant(nv, sign * half_len)
+                        expected[y, x] = a_zero + (sign * half_len,)
                 assert omega_operators(spec, i, j, ch).entries == expected
 
 
@@ -224,6 +223,28 @@ def test_diagonal_matches_bundle_weight():
                 assert mat.entry(p, p) == form_polynomial(bundle_weight(spec, p, bundle))
 
 
+def test_entries_are_coefficient_tuples():
+    # every stored entry is a linear form (a_1, .., a_r, h); a diagonal is the
+    # bundle weight itself, an off-diagonal entry has a zero a-part
+    for spec, ch in ((TSTAR_FL3, CH2_PLUS), (B2_SPEC, Chamber.dominant(B2)),
+                     (a1_spec(4, 2), CH1_MINUS)):
+        width = spec.cartan.rank + 1
+        mats = [mult_matrix(spec, b, ch) for b in all_bundles(spec)]
+        mats += [h_operator(spec, i) for i in range(1, spec.length + 1)]
+        mats += [omega_operators(spec, 1, 2, ch)]
+        if spec.cartan.rank == 1:
+            mats += [mult_matrix_via_localization(spec, b, ch) for b in all_bundles(spec)]
+        for mat in mats:
+            assert mat.zero == (0,) * width
+            for (qi, pi), e in mat.entries.items():
+                assert type(e) is tuple and len(e) == width and any(e)
+                if qi != pi:
+                    assert not any(e[:-1])
+        for bundle, mat in zip(all_bundles(spec), mats):
+            for pi, p in enumerate(mat.basis):
+                assert mat.entries.get((pi, pi), mat.zero) == bundle_weight(spec, p, bundle)
+
+
 def test_offdiagonal_supported_on_adjacent_pairs():
     cases = [(TSTAR_FL3, CH2_PLUS), (A2_MIXED, CH2_PLUS), (a1_spec(4, 2), CH1_PLUS)]
     for spec, ch in cases:
@@ -241,13 +262,14 @@ def test_e_matrix_matches_slot_formula():
     cases = [(TSTAR_FL3, CH2_PLUS), (A2_MIXED, CH2_PLUS), (a1_spec(4, 0), CH1_MINUS)]
     for spec, ch in cases:
         for i in range(1, spec.length + 1):
-            # E_i - H_i - h sum_{j<i} Omega_ji + h sum_{j>i} Omega_ij = 0
-            acc = mult_matrix(spec, f"E{i}", ch) - h_operator(spec, i)
+            # E_i - H_i - h sum_{j<i} Omega_ji = -h sum_{j>i} Omega_ij
+            lhs = mult_matrix(spec, f"E{i}", ch) - h_operator(spec, i)
             for j in range(1, i):
-                acc = acc - scale_by_h(omega_operators(spec, j, i, ch))
+                lhs = lhs - omega_operators(spec, j, i, ch)
+            rhs = OperatorMatrix(spec, ch, {})
             for j in range(i + 1, spec.length + 1):
-                acc = acc - scale_by_h(omega_operators(spec, i, j, ch), -1)
-            assert acc.entries == {}
+                rhs = rhs - omega_operators(spec, i, j, ch)
+            assert lhs.entries == rhs.entries
 
 
 def test_matrix_conjugates_fixed_point_action():
@@ -291,9 +313,9 @@ def test_line_bundle_matrices_commute():
         mats = [mult_matrix(spec, f"L{k}", ch) for k in range(1, spec.length)]
         for a in range(len(mats)):
             for b in range(a + 1, len(mats)):
-                left = mats[a] @ mats[b]
-                right = mats[b] @ mats[a]
-                assert left.entries == right.entries, (spec, ch, a + 1, b + 1)
+                left = operator_product(mats[a], mats[b])
+                right = operator_product(mats[b], mats[a])
+                assert left == right, (spec, ch, a + 1, b + 1)
 
 
 def test_joint_spectrum_separates_points():
@@ -418,16 +440,16 @@ def test_operator_json_shape():
 
 def test_validate_rejects_bad_diagonal():
     mat = mult_matrix(TSTAR_P1, "L1", CH1_PLUS)
-    a = Polynomial.gen(2, 0)
-    mat.entries[0, 0] = a * a
-    with pytest.raises(AssertionError):
+    # a form in three variables on a rank-one slice
+    mat.entries[0, 0] = (1, 0, 1)
+    with pytest.raises(AssertionError, match="not a linear form"):
         mat.validate()
 
 
 def test_validate_rejects_bad_offdiagonal():
     mat = mult_matrix(TSTAR_P1, "L1", CH1_PLUS)
-    mat.entries[0, 1] = Polynomial.gen(2, 0)
-    with pytest.raises(AssertionError):
+    mat.entries[0, 1] = (1, 1)
+    with pytest.raises(AssertionError, match="not a rational multiple of h"):
         mat.validate()
 
 
@@ -476,7 +498,8 @@ def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
 
 
 def _dense_product(left, right):
-    """Rows of left @ right, summed over every middle point as dense matrices are."""
+    """Rows of left times right, summed over every middle point as dense
+    matrices are."""
     basis = left.basis
     rows = []
     for q in basis:
@@ -501,12 +524,12 @@ def test_sparse_product_matches_a_dense_reference():
         mats = [mult_matrix(spec, f"L{k}", ch) for k in range(spec.length + 1)]
         for left in mats:
             for right in mats:
-                product = left @ right
-                basis = product.basis
-                rows = [[product.entry(q, p) for p in basis] for q in basis]
+                product = operator_product(left, right)
+                n = range(len(left.basis))
+                zero = Polynomial.zero(spec.cartan.rank + 1)
+                rows = [[product.get((qi, pi), zero) for pi in n] for qi in n]
                 assert rows == _dense_product(left, right), (spec, left.label, right.label)
-                assert not any(e.is_zero() for e in product.entries.values())
-                assert product.chamber == ch
+                assert not any(e.is_zero() for e in product.values())
 
 
 def test_no_stored_entry_is_zero():
@@ -517,7 +540,7 @@ def test_no_stored_entry_is_zero():
         for i in range(1, spec.length + 1):
             upper = mult_matrix(spec, f"L{i}", ch)
             mat = mult_matrix(spec, f"E{i}", ch)
-            assert not any(e.is_zero() for e in mat.entries.values())
+            assert all(any(e) for e in mat.entries.values())
             # a pair whose slots straddle both cuts has one correction in L_i
             # and the same in L_{i-1}: their difference leaves nothing there
             for (p, q), w in pairs.items():
@@ -530,7 +553,7 @@ def test_no_stored_entry_is_zero():
         assert mult_matrix_via_localization(spec, "L0", ch).entries == {}
         for bundle in all_bundles(spec):
             via = mult_matrix_via_localization(spec, bundle, ch)
-            assert not any(e.is_zero() for e in via.entries.values())
+            assert all(any(e) for e in via.entries.values())
 
 
 def test_json_prints_every_cell_through_entry():

@@ -124,6 +124,18 @@ def test_bundle_tag_with_a_non_ascii_digit_exits_two(capsys, tag):
     assert (code, out, err) == (2, "", f"error: malformed bundle tag {tag!r}\n")
 
 
+# the parser requires --bundle and restricts `which`; a job built in code
+# reaches the library with neither check
+@pytest.mark.parametrize("job, message", [
+    (JobSpec("mult", "A", 1, (1, 1), (0,)), "mult needs a bundle tag L<k> or E<i>"),
+    (JobSpec("mult", "A", 1, (1, 1), (0,), bundle="X1"), "unknown bundle kind 'X'"),
+    (JobSpec("verify", "A", 1, (1, 1), (0,), which="nonsense"),
+     "unknown verify suite 'nonsense'"),
+], ids=["no-bundle", "unknown-bundle-kind", "unknown-suite"])
+def test_job_built_in_code_with_a_bad_tag_exits_two(job, message):
+    assert cli.run(job) == (2, f"error: {message}\n")
+
+
 def test_chamber_with_zero_denominator_exits_two(capsys):
     code, out, err = run_cli(capsys, ["fixed-points"] + BASE_A1 + ["--chamber", "1/0"])
     assert code == 2 and out == ""
@@ -806,8 +818,7 @@ def test_oracle_fails_on_an_entry_off_the_adjacency_table(capsys, monkeypatch):
         pairs = slices.adjacent_pairs(spec, ch)
         n = range(len(points))
         p, q = next((p, q) for p in n for q in n if p != q and (p, q) not in pairs)
-        h = Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
-        matrices[1].entries[q, p] = h
+        matrices[1].entries[q, p] = (0,) * spec.cartan.rank + (1,)
         moved.update(p=points[p].label(), q=points[q].label())
         return matrices
 

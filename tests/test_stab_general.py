@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grslice import stab_general
+from grslice import stab_general, verify
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
     AdjacencyWitness,
@@ -23,7 +23,12 @@ from grslice.slices import (
     same_wall_component,
     tangent_weights,
 )
-from grslice.chern import reconstruct_coefficient
+from grslice.chern import (
+    line_bundle_matrices,
+    mult_matrix,
+    mult_matrix_via_localization,
+    reconstruct_coefficient,
+)
 from grslice.stab_a1 import (
     ExactDivisionFailure,
     normalize_polarization,
@@ -238,10 +243,11 @@ def test_stab_mod_h2_fl3_support_and_degrees():
     assert entries
     half = dimension(TSTAR_FL3) // 2
     for value in entries.values():
-        value = value.polynomial()
-        assert value.h_degree() == 1
-        assert value.deg_a() == half - 1 == 2
-        assert value.div_h().deg_a() == value.deg_a()
+        # every term is h times a monomial of degree half - 1 in a
+        exponents = value.polynomial().terms
+        assert exponents
+        assert {e[-1] for e in exponents} == {1}
+        assert {sum(e[:-1]) for e in exponents} == {half - 1} == {2}
 
 
 def test_stab_mod_h2_factorization_oracle():
@@ -510,9 +516,9 @@ def test_negative_count_raises_exact_division_failure(monkeypatch):
 
 
 def test_factored_routes_build_no_polynomial(monkeypatch):
-    # Euler factors, bundle weights and rank-one forms are coefficient
-    # tuples: a Polynomial is built only where a document or a matrix entry
-    # is expanded
+    # Euler factors, bundle weights, rank-one forms and multiplication matrix
+    # entries are coefficient tuples: a Polynomial is built only where a
+    # document or a matrix entry is expanded
     def refuse(*args, **kwargs):
         raise AssertionError("a Polynomial was built")
 
@@ -533,12 +539,19 @@ def test_factored_routes_build_no_polynomial(monkeypatch):
         for keep_h in (True, False):
             repelling_euler(spec, p, ch, keep_h)
     localization_denominator(spec)
+    bundles = [f"L{k}" for k in range(spec.length + 1)]
+    bundles += [f"E{i}" for i in range(1, spec.length + 1)]
+    for bundle in bundles:
+        assert mult_matrix(spec, bundle, ch).to_json()["bundle"] == bundle
+    assert len(line_bundle_matrices(spec, ch)) == spec.length + 1
+    assert verify.oracle(spec, ch)["ok"]
 
     a1 = SliceSpec(A1, [1] * 5, Coweight([1]))
     for a1_ch in (CH1_PLUS, CH1_MINUS):
         stab_matrix(a1, a1_ch)
         assert verify_duality(a1, a1_ch)["ok"]
         assert stab_offdiag_mod_h2(a1, a1_ch)
+        assert mult_matrix_via_localization(a1, "L2", a1_ch).to_json()["entries"]
 
 
 def test_times_ratio_refuses_a_negative_count():

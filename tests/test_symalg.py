@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grslice.symalg import MINUS_INFINITY, NonDivisible, Polynomial, RationalFunction
+from grslice.symalg import Polynomial, RationalFunction
 from helpers import truncate_mod_h2
 
 # two variables: a1 and h
@@ -12,26 +12,10 @@ H = Polynomial.gen(2, 1)
 ONE = Polynomial.one(2)
 
 
-def test_deg_a():
-    assert (A**2 * H**3).deg_a() == 2
-    assert H.deg_a() == 0
-    p = Polynomial.gen(3, 0) * Polynomial.gen(3, 1) + Polynomial.gen(3, 2) * Polynomial.gen(3, 0)
-    assert p.deg_a() == 2  # a1*a2 + h*a1
-    assert Polynomial.zero(2).deg_a() == MINUS_INFINITY
-    assert MINUS_INFINITY < -(10**9)
-
-
 def test_truncate_mod_h2():
     assert truncate_mod_h2(A + H + H**2) == A + H
     assert truncate_mod_h2(H**2) == Polynomial.zero(2)
     assert truncate_mod_h2((A + H) * (A + H)) == A**2 + 2 * A * H
-
-
-def test_div_h():
-    p = A * H + 2 * H**2
-    assert p.div_h() == A + 2 * H
-    with pytest.raises(NonDivisible):
-        (A + H).div_h()
 
 
 def test_linear_form_builder():
