@@ -93,9 +93,6 @@ class _Vector:
         self._check(other)
         return self.coords < other.coords
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coords)
 

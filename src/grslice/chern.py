@@ -39,11 +39,12 @@ from .stab_a1 import (
     ExactDivisionFailure,
     _form_div,
     _pairing_sums,
+    _unpack,
     normalize_polarization,
     stab_matrix,
 )
 from .stab_general import sigma_sign
-from .symalg import NonDivisible, Polynomial, _norm_scalar, monomial_key
+from .symalg import NonDivisible, Polynomial, _norm_scalar
 
 
 class NonPolynomialEntry(RuntimeError):
@@ -169,23 +170,6 @@ class OperatorMatrix:
         chamber = self.chamber if self.chamber == other.chamber else None
         return OperatorMatrix(self.spec, chamber, entries)
 
-    def to_json(self) -> dict:
-        # each cell as Polynomial.to_json prints the form; encode_json sorts
-        # the monomial keys
-        width = len(self.zero)
-        names = [monomial_key(tuple(int(j == i) for j in range(width))) for i in range(width)]
-
-        def encode(e):
-            return {name: str(Fraction(c)) for name, c in zip(names, e) if c}
-
-        get, zero = self.entries.get, self.zero
-        n = range(len(self.basis))
-        return {
-            "basis": [p.to_json() for p in self.basis],
-            "bundle": self.label,
-            "entries": [[encode(get((qi, pi), zero)) for pi in n] for qi in n],
-        }
-
 
 def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
     """Diagonal operator with eigenvalue sharp(delta_i) + (h/2) (delta_i, mu) at p."""
@@ -235,13 +219,19 @@ def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
             for (p, q), w in adjacent_pairs(spec, ch).items()]
 
 
-def _slot_step(spec: SliceSpec, d: Coweight) -> tuple:
-    """For a slot step d: the coordinates of sharp(d), <d, mu> and a map
-    d' -> <d, d'> keyed by the coordinates of d', which _mult_l fills as it
-    needs it (each as <d', sharp(d)>); once per spec and step."""
+def _over(n: int, d: int):
+    """n / d, an int where it is one."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _slot_step(spec: SliceSpec, d: Coweight, scale: int) -> tuple:
+    """For a slot step d, as ints times scale, which clears the gram matrix's
+    denominators: the coordinates of sharp(d), <d, mu> and a map d' -> <d, d'>
+    keyed by the coordinates of d', which _mult_l fills as it needs it (each
+    as <d', sharp(d)>); once per spec and step."""
     found = spec._slot_inners.get(d.coords)
     if found is None:
-        sharp = spec.cartan.sharp(d).coords
+        sharp = tuple([int(x * scale) for x in spec.cartan.sharp(d).coords])
         found = spec._slot_inners[d.coords] = (sharp, sum(map(mul, spec.mu.coords, sharp)), {})
     return found
 
@@ -251,14 +241,17 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     minus h times the chamber operators across the cut at k."""
     points = enumerate_fixed_points(spec)
     a_zero = (0,) * spec.cartan.rank
+    scale = 1
+    for den in {x.denominator for row in spec.cartan._gram for x in row}:
+        scale *= den
     entries = {}
     for pi, p in enumerate(points):
         # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu),
-        # less (h/2) (delta_i, delta_j) for every slot j > k
+        # less (h/2) (delta_i, delta_j) for every slot j > k, all times scale
         a_part = a_zero
         twice_h = 0
         for d in p.delta[:k]:
-            sharp, with_mu, inner = _slot_step(spec, d)
+            sharp, with_mu, inner = _slot_step(spec, d, scale)
             a_part = tuple(map(add, a_part, sharp))
             twice_h += with_mu
             for c in (e.coords for e in p.delta[k:]):
@@ -266,7 +259,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
                 if value is None:
                     value = inner[c] = sum(map(mul, c, sharp))
                 twice_h -= value
-        entries[pi, pi] = a_part + (Fraction(twice_h, 2),)
+        entries[pi, pi] = tuple([_over(x, scale) for x in a_part]) + (_over(twice_h, 2 * scale),)
     for pi, qi, w, sign in pair_table:
         if not w.i <= k < w.j:
             continue
@@ -323,7 +316,11 @@ def mult_matrix_via_localization(
     points = plus.points
     # in rank one a bundle weight (a, h) is already a form of degree one
     weight = [bundle_weight(spec, x, (kind, idx)) for x in points]
-    lcm, sums = _pairing_sums(plus, minus, weight)
+    den = 1  # a common denominator of the weights
+    for d in {c.denominator for w in weight for c in w}:
+        den *= d
+    weight = [tuple(c.numerator * (den // c.denominator) for c in w) for w in weight]
+    b, lcm, sums = _pairing_sums(plus, minus, weight)
     # the lcm has scalar 1, and every factor is a canonical tangent form a + s h
     shifts = []
     for (u, s), k in lcm.factors.items():
@@ -333,14 +330,15 @@ def mult_matrix_via_localization(
     # each sum has degree deg(lcm) + 1, so its quotient is a linear form,
     # whose coefficients (c_0, c_1) are already the tuple (a, h)
     for (p, q), total in sums.items():
+        form = _unpack(total, b, len(shifts) + 1)
         try:
             for s in shifts:
-                total = _form_div(total, s)
+                form = _form_div(form, s)
         except NonDivisible as exc:
             raise NonPolynomialEntry(
                 f"localization entry ({points[q]}, {points[p]}) is not polynomial"
             ) from exc
-        entries[q, p] = total
+        entries[q, p] = tuple([_over(c, den) for c in form])
     return OperatorMatrix(spec, ch, entries, label=f"{kind}{idx}")
 
 

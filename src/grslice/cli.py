@@ -22,7 +22,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import verify
 from .cartan import CartanDatum, Chamber, Coweight
@@ -32,6 +32,7 @@ from .slices import (
     NonMinusculeUnsupported,
     SliceSpec,
     _step_label,
+    dimension,
     enumerate_fixed_points,
     tangent_weights,
 )
@@ -40,11 +41,12 @@ from .stab_a1 import (
     InvariantViolation,
     NotA1,
     PathInconsistency,
+    _polynomial,
     normalize_polarization,
     stab_matrix,
 )
 from .stab_general import mod_h2_json, stab_mod_h2
-from .symalg import Polynomial
+from .symalg import Polynomial, monomial_key
 
 CACHE_ENV = "GRSLICE_CACHE_DIR"
 # Part of every cache key: raise it whenever any document's bytes change, so
@@ -182,107 +184,143 @@ def cache_store(key: str, code: int, text: str) -> None:
 # -- document assembly ----------------------------------------------------------
 
 
-class _PointList:
-    """The "points" of a fixed-points or tangent document: encode_json prints
-    it, and render_table reads its rows.
+class _Encoded(NamedTuple):
+    """A document value that prints itself: encode_json splices in text(indent),
+    what json.dumps(..., sort_keys=True, indent=2) prints for it, and render_table reads rows()."""
 
-    A slice has few distinct slot steps and weight records, each repeated at
-    many points, so the text of each (and each step's piece of a label) is
-    built once per document, keyed by integer tuples, and each point's text
-    joins those texts.  Weight records are read in the order of each point's
-    tangent_weights dict, which is inserted in document order; a record's
-    root is read from the root list by column.
-    """
+    text: Callable[[str], str]
+    rows: Optional[Callable[[], list]] = None
 
-    __slots__ = ("keys", "labels", "roots", "weights")
 
-    def __init__(self, points, weights=None, roots=None):
-        self.keys = [p.key() for p in points]
-        pieces: Dict[tuple, str] = {}
-        self.labels = ["(" + ",".join([pieces.get(c) or pieces.setdefault(c, _step_label(c))
-                                       for c in key]) + ")" for key in self.keys]
-        # the tangent weights at each point and the datum's root_list; None
-        # in a fixed-points document
-        self.weights = weights
-        self.roots = roots
+def _wrap(items: List[str], indent: str, brackets: str = "[]") -> str:
+    """A nonempty list, or dict, of printed items, at `indent`; one f-string
+    wraps the joined items, so a large document is copied once per level."""
+    inner = indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
-    def rows(self) -> list:
-        """(label, weight records) per point, a record (root coords, n, mult)."""
-        if self.weights is None:
-            return [(label, ()) for label in self.labels]
-        roots = self.roots
+
+def _delta_texts(keys, indent: str) -> List[str]:
+    """Each point's steps (keys[x], those of point x) as a list of coordinate
+    lists at `indent`; each distinct step's text is built once."""
+    inner, steps = indent + "  ", {}
+    head, sep, close = "[" + inner, "," + inner, indent + "]"
+    return [head + sep.join([steps.get(c) or steps.setdefault(c, _encode(list(c), inner))
+                             for c in key]) + close for key in keys]
+
+
+def _point_list(points, weights=None, roots=None) -> _Encoded:
+    """The "points" of a fixed-points or tangent document (with the tangent
+    weights at each point and the datum's root_list); rows are (label, weight
+    records) per point, a record (root coords, n, mult).  Each distinct slot
+    step, label piece and weight record is printed once, in document order."""
+    keys = [p.key() for p in points]
+    pieces: Dict[tuple, str] = {}
+    labels = ["(" + ",".join([pieces.get(c) or pieces.setdefault(c, _step_label(c))
+                              for c in key]) + ")" for key in keys]
+
+    def rows():
+        if weights is None:
+            return [(label, ()) for label in labels]
         return [(label, [(roots[col].coords, n, m) for (col, n), m in ws.items()])
-                for label, ws in zip(self.labels, self.weights)]
+                for label, ws in zip(labels, weights)]
 
-    def encode(self, indent: str) -> str:
-        """The list as ``json.dumps(..., sort_keys=True, indent=2)`` prints it
-        at `indent` (a newline and the spaces of its depth)."""
-        point = indent + "  "
-        key = point + "  "
-        item = key + "  "
-        sep = "," + item
-        steps: Dict[tuple, str] = {}
-        records: Dict[tuple, str] = {}
+    def text(indent):
+        point, key = indent + "  ", indent + "    "
+        head, mid, tail = "{" + key + '"delta": ', "," + key + '"label": ', point + "}"
+        texts = [head + delta + mid + _encode_str(label) + (tail if weights is None else "")
+                 for delta, label in zip(_delta_texts(keys, key), labels)]
+        if weights is not None:
+            item, records = key + "  ", {}
+            for x, ws in enumerate(weights):
+                found = [records.get((col, n, m)) or records.setdefault((col, n, m), _encode(
+                    {"root": list(roots[col].coords), "n": n, "mult": m}, item))
+                    for (col, n), m in ws.items()]
+                texts[x] += ("," + key + '"weights": ' + (_wrap(found, key) if found else "[]")
+                             + point + "}")
+        return _wrap(texts, indent)
 
-        def step(coords):
-            text = steps[coords] = _encode(list(coords), item)
-            return text
+    return _Encoded(text, rows)
 
-        def record(col, n, m):
-            text = records[col, n, m] = _encode(
-                {"root": list(self.roots[col].coords), "n": n, "mult": m}, item)
-            return text
 
-        head = "{" + key + '"delta": [' + item
-        mid = key + "]," + key + '"label": '
-        tail = point + "}"
-        weights = "," + key + '"weights": '
-        texts = [head + sep.join([steps.get(c) or step(c) for c in coords]) + mid
-                 + _encode_str(label) for coords, label in zip(self.keys, self.labels)]
-        if self.weights is not None:
-            for x, ws in enumerate(self.weights):
-                found = [records.get((col, n, m)) or record(col, n, m)
-                         for (col, n), m in ws.items()]
-                texts[x] += weights + ("[" + item + sep.join(found) + key + "]" if found else "[]")
-        return f"[{point}{(tail + ',' + point).join(texts)}{tail}{indent}]"
+def _delta_list(points) -> _Encoded:
+    """The "points" of a stab-exact document, the "basis" of a mult one."""
+    keys = [p.key() for p in points]
+    return _Encoded(lambda indent: _wrap(_delta_texts(keys, indent + "  "), indent))
+
+
+def _form_texts(names: List[str], forms, indent: str) -> List[str]:
+    """Each nonzero form (coefficients by position k) as the dict {names[k]:
+    str(c)} of its nonzero coefficients prints at `indent`, each line's head
+    built once; str prints an int and an equal Fraction alike."""
+    inner, order = indent + "  ", sorted(range(len(names)), key=names.__getitem__)
+    heads = [(k, f'{inner}"{names[k]}": "') for k in order]
+    return ["{" + ",".join([head + str(f[k]) + '"' for k, head in heads if f[k]]) + indent + "}"
+            for f in forms]
+
+
+def _stab_entries(matrix) -> _Encoded:
+    """The "entries" of a stab-exact document: each stored form under its
+    key "p,q"; rows (p, q, value) in index order."""
+    degree = dimension(matrix.spec) // 2
+    names = [monomial_key((degree - k, k)) for k in range(degree + 1)]
+    keys, forms = zip(*sorted((f'"{p},{q}": ', val) for (p, q), val in matrix.entries.items()))
+
+    def text(indent):
+        cells = _form_texts(names, forms, indent + "  ")
+        return _wrap([key + cell for key, cell in zip(keys, cells)], indent, "{}")
+
+    return _Encoded(text, lambda: [(p, q, str(_polynomial(val)))
+                                   for (p, q), val in sorted(matrix.entries.items())])
+
+
+def _mult_entries(matrix) -> _Encoded:
+    """The "entries" of a mult document: the dense rows of the operator
+    matrix, {} where no entry is stored; rows (q, p, value) in index order."""
+    width, n = len(matrix.zero), len(matrix.basis)
+    names = [monomial_key(tuple(int(j == i) for j in range(width))) for i in range(width)]
+
+    def text(indent):
+        row, cell = indent + "  ", indent + "    "
+        grid = [["{}"] * n for _ in range(n)]
+        for (qi, pi), t in zip(matrix.entries, _form_texts(names, matrix.entries.values(), cell)):
+            grid[qi][pi] = t
+        return _wrap([_wrap(r, row) for r in grid], indent)
+
+    return _Encoded(text, lambda: [(qi, pi, str(Polynomial.linear_form(e[:-1], e[-1])))
+                                   for (qi, pi), e in sorted(matrix.entries.items())])
 
 
 def _cmd_fixed_points(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
-    return {"command": "fixed-points", "count": len(points), "points": _PointList(points)}
+    return {"command": "fixed-points", "count": len(points), "points": _point_list(points)}
 
 
 def _cmd_tangent(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     points = enumerate_fixed_points(spec)
     weights = [tangent_weights(spec, p) for p in points]
-    return {"command": "tangent", "points": _PointList(points, weights, spec.cartan.root_list)}
+    return {"command": "tangent", "points": _point_list(points, weights, spec.cartan.root_list)}
 
 
 def _cmd_stab_exact(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     matrix = stab_matrix(spec, ch, signs)
-    payload = matrix.to_json()
-    payload["command"] = "stab-exact"
-    payload["labels"] = [p.label() for p in matrix.points]
-    return payload
+    return {"command": "stab-exact", "points": _delta_list(matrix.points),
+            "chamber": list(ch.sign_vector), "entries": _stab_entries(matrix),
+            "labels": [p.label() for p in matrix.points]}
 
 
 def _cmd_stab_mod_h2(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
-    entries = stab_mod_h2(spec, ch, signs)
-    payload = mod_h2_json(spec, ch, entries)
-    payload["command"] = "stab-mod-h2"
-    payload["chamber"] = list(ch.sign_vector)
-    payload["labels"] = [p.label() for p in enumerate_fixed_points(spec)]
+    payload = mod_h2_json(spec, ch, stab_mod_h2(spec, ch, signs))
+    payload.update(command="stab-mod-h2", chamber=list(ch.sign_vector),
+                   labels=[p.label() for p in enumerate_fixed_points(spec)])
     return payload
 
 
 def _cmd_mult(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     kind, idx = parse_bundle(spec, job.bundle)
     matrix = mult_matrix(spec, (kind, idx), ch, signs)
-    payload = matrix.to_json()
-    payload["command"] = "mult"
-    payload["chamber"] = list(ch.sign_vector)
-    payload["labels"] = [p.label() for p in matrix.basis]
-    return payload
+    return {"command": "mult", "basis": _delta_list(matrix.basis), "bundle": matrix.label,
+            "chamber": list(ch.sign_vector), "entries": _mult_entries(matrix),
+            "labels": [p.label() for p in matrix.basis]}
 
 
 # each command's builder, called with the job and the slice, chamber and
@@ -320,10 +358,25 @@ def _table(rows: List[Sequence[str]], header: Sequence[str]) -> str:
 def _point_rows(points) -> list:
     """(label, weight records) per point of a computed point list or of the
     points of a stored document; a record is (root coords, n, mult)."""
-    if type(points) is _PointList:
+    if type(points) is _Encoded:
         return points.rows()
     return [(pt["label"], [(tuple(w["root"]), w["n"], w["mult"]) for w in pt.get("weights", ())])
             for pt in points]
+
+
+def _cells(payload: dict, rank: int) -> list:
+    """(label, label, value) for each stored entry of a computed stab-exact
+    or mult document, or of a stored one, in index order."""
+    labels, entries = payload["labels"], payload["entries"]
+    if type(entries) is _Encoded:
+        cells = entries.rows()
+    elif payload["command"] == "stab-exact":
+        cells = sorted((*map(int, key.split(",")), _poly_str(cell, rank))
+                       for key, cell in entries.items())
+    else:
+        cells = [(qi, pi, _poly_str(cell, rank))
+                 for qi, row in enumerate(entries) for pi, cell in enumerate(row) if cell]
+    return [(labels[i], labels[j], value) for i, j, value in cells]
 
 
 def render_table(payload: dict, rank: int) -> str:
@@ -343,33 +396,14 @@ def render_table(payload: dict, rank: int) -> str:
                     suffix = suffixes[key] = f" | {Polynomial.linear_form(root, n)} | {m}"
                 lines.append(label + suffix)
         return "\n".join(lines) + "\n"
-    if command == "stab-exact":
-        labels = payload["labels"]
-        rows = []
-        for key in sorted(payload["entries"], key=lambda k: tuple(map(int, k.split(",")))):
-            i, j = (int(t) for t in key.split(","))
-            rows.append((labels[i], labels[j], _poly_str(payload["entries"][key], rank)))
-        return _table(rows, ("p", "q", "value"))
+    if command in ("stab-exact", "mult"):
+        header = ("p", "q") if command == "stab-exact" else ("row", "column")
+        return _table(_cells(payload, rank), header + ("value",))
     if command == "stab-mod-h2":
         labels = payload["labels"]
-        rows = [
-            (
-                labels[e["p"]],
-                labels[e["q"]],
-                ",".join(str(c) for c in e["alpha"]),
-                _poly_str(e["value"], rank),
-            )
-            for e in payload["entries"]
-        ]
+        rows = [(labels[e["p"]], labels[e["q"]], ",".join(str(c) for c in e["alpha"]),
+                 _poly_str(e["value"], rank)) for e in payload["entries"]]
         return _table(rows, ("p", "q", "alpha", "value"))
-    if command == "mult":
-        labels = payload["labels"]
-        rows = []
-        for qi, row in enumerate(payload["entries"]):
-            for pi, cell in enumerate(row):
-                if cell:
-                    rows.append((labels[qi], labels[pi], _poly_str(cell, rank)))
-        return _table(rows, ("row", "column", "value"))
     if command == "verify":
         rows = [(c["name"], "ok" if c["ok"] else "FAIL") for c in payload["checks"]]
         return _table(rows, ("check", "status"))
@@ -396,8 +430,8 @@ def _encode(value, indent: str) -> str:
                 raise TypeError(f"cannot encode a {type(k).__name__} key")
         items = [f"{_encode_str(k)}: {_encode(value[k], inner)}" for k in sorted(value)]
         return f"{{{inner}{sep.join(items)}{indent}}}"
-    if kind is _PointList:
-        return value.encode(indent)
+    if kind is _Encoded:
+        return value.text(indent)
     if value is None:
         return "null"
     if value is True:
@@ -411,10 +445,10 @@ def encode_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, for documents only.
 
     Documents hold str, int, bool, None, lists and dicts with str keys, and
-    the point lists of the fixed-points and tangent documents, which print
-    themselves as the lists of dicts they stand for; any other value raises
-    TypeError.  Each container joins the encodings of its own items, so no
-    list of every piece of the document is ever held.
+    pre-encoded values (_Encoded: the point lists and the matrix entries),
+    which print themselves as the lists and dicts they stand for; any other
+    value raises TypeError.  Each container joins the encodings of its own
+    items, so no list of every piece of the document is ever held.
     """
     return _encode(value, "\n")
 

@@ -48,17 +48,17 @@ class SliceSpec:
     Data derived from the slice (fixed points, their index, tangent weights
     keyed by (root column, n), the root counts of each point, canonical
     linear forms, Euler classes, the adjacent pairs of each chamber, the
-    omega ratios of the wall routes, line-bundle weights, the inner products
-    of slot steps and, in rank one, the heights and raising moves of the
-    fixed points) is filled in lazily by the functions of this module, of
-    stab_general, of chern and of stab_a1, and lives exactly as long as the
-    spec.
+    omega ratios of the wall routes, the flip signs of chamber pairs,
+    line-bundle weights, the inner products of slot steps and, in rank one,
+    the heights and raising moves of the fixed points) is filled in lazily
+    by the functions of this module, of stab_general, of chern and of
+    stab_a1, and lives exactly as long as the spec.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings",
                  "_suffix_sums", "_points", "_index", "_tangents", "_forms",
                  "_root_forms", "_root_counts", "_euler", "_adjacent", "_omega",
-                 "_line_weights", "_slot_inners", "_heights", "_moves")
+                 "_line_weights", "_slot_inners", "_heights", "_moves", "_flips")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -136,6 +136,8 @@ class SliceSpec:
         # stab_a1._point_heights and _move_partners, by point index
         self._heights = None
         self._moves = None
+        # _flip_signs, keyed by the sign vectors of the two chambers
+        self._flips = {}
 
     def _slot_coweight(self, slot0: int) -> Coweight:
         idx = self.lambda_seq[slot0]
@@ -364,7 +366,7 @@ class EulerClass(NamedTuple):
 
     nvars: int
     factors: Counter
-    scalar: Fraction
+    scalar: Fraction  # an int where it is one
 
     def polynomial(self) -> Polynomial:
         out = Polynomial.constant(self.nvars, self.scalar)
@@ -395,7 +397,7 @@ def euler_factors(spec: SliceSpec, weights: Dict[Tuple[int, int], int],
         canon, s = _canonical(spec._forms, roots[col].coords + (n if keep_h else 0,))
         factors[canon] += m
         scalar *= s**m
-    return EulerClass(spec.cartan.rank + 1, factors, Fraction(scalar))
+    return EulerClass(spec.cartan.rank + 1, factors, scalar)
 
 
 def tangent_euler(spec: SliceSpec, p: int) -> EulerClass:
@@ -474,8 +476,21 @@ def localization_denominator(spec: SliceSpec) -> Tuple[EulerClass, List[EulerCla
     lcm: Counter = Counter()
     for e in euler:
         lcm |= e.factors
-    cofactor = [EulerClass(nv, lcm - e.factors, 1 / e.scalar) for e in euler]
+    cofactor = [EulerClass(nv, lcm - e.factors, Fraction(1, e.scalar)) for e in euler]
     return EulerClass(nv, lcm, Fraction(1)), cofactor
+
+
+def _flip_signs(spec: SliceSpec, ch1: Chamber, ch2: Chamber) -> Tuple[int, ...]:
+    """flip_sign of every point, by point index; read off the root counts
+    once per spec and pair of sign vectors."""
+    key = (ch1.sign_vector, ch2.sign_vector)
+    found = spec._flips.get(key)
+    if found is None:
+        _root_counts(spec, 0)
+        cols = [c for c, (s1, s2) in enumerate(zip(*key)) if s1 < s2]
+        found = spec._flips[key] = tuple(-1 if sum([counts[c] for c in cols]) % 2 else 1
+                                         for counts in spec._root_counts)
+    return found
 
 
 def flip_sign(spec: SliceSpec, p: int, ch1: Chamber, ch2: Chamber) -> int:
@@ -486,9 +501,7 @@ def flip_sign(spec: SliceSpec, p: int, ch1: Chamber, ch2: Chamber) -> int:
     ch1): each line of weights that changes side contributes one sign flip
     per weight on it.
     """
-    count = sum(m for s1, s2, m in zip(ch1.sign_vector, ch2.sign_vector, _root_counts(spec, p))
-                if s1 < s2)
-    return -1 if count % 2 else 1
+    return _flip_signs(spec, ch1, ch2)[p]
 
 
 class AdjacencyWitness(NamedTuple):

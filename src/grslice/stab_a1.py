@@ -17,7 +17,8 @@ zero remainder is the divisibility test.  Points are their indices in
 enumerate_fixed_points order throughout, as in chern.OperatorMatrix: the
 matrix keys its forms by index pairs and holds its signs and epsilons in
 tuples by index.  Points and polynomials appear only where a matrix is read
-from outside (entry, stored_rows, to_json).
+from outside (entry); grslice.cli prints the stab-exact document from the
+forms themselves.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .slices import (
     repelling_euler,
     tangent_weights,  # noqa: F401  the benchmark's tracer test reads it from this module
 )
-from .symalg import NonDivisible, Polynomial, _norm_scalar, monomial_key
+from .symalg import NonDivisible, Polynomial, _norm_scalar
 
 
 class NotA1(ValueError):
@@ -91,7 +92,7 @@ def _form_div(f: tuple, s) -> tuple:
         r = c - s * r
         out.append(r)
     if f[-1] != s * r:
-        raise NonDivisible("form {} is not divisible by a + {}*h", f, s)
+        raise NonDivisible(f"form {f} is not divisible by a + {s}*h")
     return tuple(out)
 
 
@@ -181,14 +182,10 @@ def _move_partners(spec: SliceSpec) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
 
 
 def _stat_keys(spec: SliceSpec, ch: Chamber) -> List[int]:
-    """Twice each point's weight_stat, by point index."""
+    """Twice each point's weight statistic, by point index: the sum of its
+    sigma heights against the chamber-positive root."""
     sign = 1 if _chamber_root(ch) == _ALPHA else -1
     return [sign * sum(h) for h in _point_heights(spec)]
-
-
-def weight_stat(spec: SliceSpec, p: FixedPoint, ch: Chamber) -> Fraction:
-    """Half-sum of the sigma heights against the chamber-positive root."""
-    return Fraction(_stat_keys(spec, ch)[point_index(spec)[p]], 2)
 
 
 def _raise_row(points, p, row, ratio, i, partner, heights):
@@ -208,35 +205,40 @@ def _raise_row(points, p, row, ratio, i, partner, heights):
 
     where r q != q, and ratio * Stab[prev]|_q where r q = q; so only the
     points of row and their partners can have nonzero restrictions, and an
-    entry is polynomial exactly when a + s h divides the difference.
+    entry is polynomial exactly when a + s h divides the difference.  r q has
+    the same s and the opposite s - s' = +-1 and difference, so one synthetic
+    division (its remainder decides) gives the multiple of h both add.
     """
     zero = (0,) * len(next(iter(row.values())))
-    out = {}
-    for q in dict.fromkeys(x for y in row for x in (y, partner[y])):
+    out, seen = {}, set()
+    for q, high in row.items():
         rq = partner[q]
+        if rq in seen:
+            continue
+        seen.add(q)
         if rq == q:
-            val = row[q]
+            vals = ((q, high),)
         else:
-            s_prev, s_cur = heights[q][i - 1], heights[q][i]
+            s, step = heights[q][i - 1], heights[q][i - 1] - heights[q][i]
             low = row.get(rq, zero)
-            try:
-                quotient = _form_div(tuple(map(sub, row.get(q, zero), low)), s_prev)
-            except NonDivisible as exc:
+            r, shift = 0, [0]
+            for x, y in zip(high, low):
+                r = x - y - s * r
+                shift.append(step * r)
+            if shift.pop():
                 raise ExactDivisionFailure(
-                    f"entry ({points[p].label()}, {points[q].label()}) is not polynomial"
-                ) from exc
-            # s - s' = +-1: add or subtract h times the quotient
-            val = tuple(map(add if s_prev > s_cur else sub, low, (0,) + quotient))
-        if any(val):
-            out[q] = val if ratio == 1 else tuple(map(neg, val))
+                    f"entry ({points[p].label()}, {points[q].label()}) is not polynomial")
+            vals = ((q, tuple(map(add, low, shift))), (rq, tuple(map(add, high, shift))))
+        for x, val in vals:
+            if any(val):
+                out[x] = val if ratio == 1 else tuple(map(neg, val))
     return out
 
 
-def _epsilon_ratio(c1, c2) -> int:
+def _epsilon_ratio(c1: int, c2: int) -> int:
     """eps_1 / eps_2 from their a^D coefficients; always +-1 in rank one."""
-    ratio = Fraction(c1, c2)
-    assert ratio in (1, -1)
-    return int(ratio)
+    assert c1 in (c2, -c2)
+    return 1 if c1 == c2 else -1
 
 
 def normalize_polarization(points, polarization_signs) -> Tuple[int, ...]:
@@ -260,8 +262,8 @@ class RestrictionMatrix:
     and q, with eps|_p = polarization_signs[p] * e_A of the repelling half,
     as a form of degree dim/2 in (a, h); zero entries are not stored, and
     the constructor refuses a form of another length.  epsilons[p] is the
-    integer c with eps|_p = c * a^(dim/2).  entry and stored_rows read the
-    matrix by point, as polynomials.
+    integer c with eps|_p = c * a^(dim/2).  entry reads one restriction by
+    point, as a polynomial.
     """
 
     __slots__ = ("spec", "chamber", "polarization_signs", "points", "entries",
@@ -289,14 +291,6 @@ class RestrictionMatrix:
         val = self.entries.get((index[p], index[q]))
         return _ZERO if val is None else _polynomial(val)
 
-    def stored_rows(self) -> Dict[FixedPoint, Dict[FixedPoint, Polynomial]]:
-        """Each point's nonzero restrictions, keyed by the restricting point."""
-        points = self.points
-        rows: Dict[FixedPoint, Dict[FixedPoint, Polynomial]] = {p: {} for p in points}
-        for (p, q), val in self.entries.items():
-            rows[points[p]][points[q]] = _polynomial(val)
-        return rows
-
     def validate(self) -> None:
         """Euler diagonals, triangularity, h-divisibility.
 
@@ -322,24 +316,6 @@ class RestrictionMatrix:
                 raise InvariantViolation(
                     f"({points[x].label()}, {points[y].label()}) is not divisible by h"
                 )
-
-    def to_json(self) -> dict:
-        # each entry as Polynomial.to_json prints it: monomials a^(D-k) h^k
-        # in increasing order of exponent vectors, i.e. k decreasing
-        degree = dimension(self.spec) // 2
-        monomials = [(k, monomial_key((degree - k, k)))
-                     for k in reversed(range(degree + 1))]
-
-        def encode(val):
-            return {name: str(Fraction(val[k])) for k, name in monomials if val[k]}
-
-        return {
-            "points": [p.to_json() for p in self.points],
-            "chamber": list(self.chamber.sign_vector),
-            "entries": {
-                f"{p},{q}": encode(self.entries[p, q]) for p, q in sorted(self.entries)
-            },
-        }
 
 
 def _downsets(moves, stats: List[int]) -> List[int]:
@@ -486,37 +462,72 @@ def theta_action(
     return left
 
 
+def _pack(f: tuple, b: int) -> int:
+    """The integer form f evaluated at a = 2^b, h = 1."""
+    v = 0
+    for c in f:
+        v = (v << b) + c
+    return v
+
+
+def _unpack(v: int, b: int, degree: int) -> tuple:
+    """The form of the given degree, coefficients below 2^(b-1) in absolute
+    value, whose value at a = 2^b, h = 1 is v: v's balanced base-2^b digits."""
+    half, digits = 1 << (b - 1), []
+    for _ in range(degree + 1):
+        digits.append((v + half) % (2 * half) - half)
+        v = (v - digits[-1]) >> b
+    return tuple(reversed(digits))
+
+
+def _class_value(e: EulerClass, b: int) -> int:
+    """A rank-one Euler class with an integral scalar at a = 2^b, h = 1."""
+    v = _norm_scalar(e.scalar)
+    for (u, s), k in e.factors.items():
+        v *= ((u << b) + s) ** k
+    return v
+
+
 def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None):
     """The localization pairing of the rows of two opposite-chamber matrices
-    on one slice, with the denominator cleared.
+    on one slice, with the denominator cleared, by Kronecker substitution.
 
-    Returns (lcm, sums): lcm is localization_denominator's least common
-    multiple, and sums[(p, q)], for point indices p and q, is the nonzero form
+    Returns (b, lcm, sums): lcm is localization_denominator's least common
+    multiple, and sums[(p, q)], for point indices p and q, is the value at
+    a = 2^b, h = 1 of the form
 
-        sum_x Stab_+[p]|_x * Stab_-[q]|_x * w(x) * cofactor(x)
+        S_pq = sum_x Stab_+[p]|_x * Stab_-[q]|_x * w(x) * cofactor(x)
 
-    with w(x) the form weight[x], by point index, or 1 when weight is None.
-    The sum runs over the points x where both restrictions are stored; the
-    weight and the cofactor ride on Stab_-.
+    with w(x) the integer linear form weight[x], by point index, or 1.
+    Evaluation is a ring map, so each entry of Stab_- is packed once, with
+    its weight and cofactor, and the sums are of ints.  |coefficient of f g|
+    <= max|f| * sum|g| <= max|f| * prod(|u| + |s|) for g a product of forms
+    u a + s h, and a cofactor is +-1 times factors of the lcm, so b keeps
+    every coefficient of S_pq and of S_pq - lcm below 2^(b-1) in absolute
+    value.  A nonzero form F with coefficients below 2^b in absolute value
+    has F(2^b, 1) != 0: it is 2^(b k) (c + 2^b m), c != 0 the coefficient of
+    its lowest power a^k.  So S_pq = lcm, or 0, exactly when the packed
+    values agree, and _unpack reads S_pq back.
     """
     lcm, cofactor = localization_denominator(plus.spec)
-    factor = list(map(_euler_form, cofactor))
-    if weight is not None:
-        factor = list(map(_form_mul, factor, weight))
-    columns: List[List[Tuple[int, tuple]]] = [[] for _ in factor]
+    weight = weight or [(1,)] * len(cofactor)
+    bound = len(cofactor) * (dimension(plus.spec) // 2 + 1) * max(sum(map(abs, w)) for w in weight)
+    for forms in (plus.entries.values(), minus.entries.values()):
+        bound *= max(max(map(max, forms), default=0), -min(map(min, forms), default=0))
+    bound += 1  # S_pq - lcm has the lcm once more
+    for (u, s), k in lcm.factors.items():
+        bound *= (abs(u) + abs(s)) ** k
+    b = bound.bit_length() + 2
+    factor = [_class_value(c, b) * _pack(w, b) for c, w in zip(cofactor, weight)]
+    columns: List[List[Tuple[int, int]]] = [[] for _ in factor]
     for (q, x), val in minus.entries.items():
-        columns[x].append((q, _form_mul(val, factor[x])))
-    sums: Dict[Tuple[int, int], list] = {}
+        columns[x].append((q, _pack(val, b) * factor[x]))
+    sums: Dict[Tuple[int, int], int] = {}
     for (p, x), up in plus.entries.items():
+        u = _pack(up, b)
         for q, down in columns[x]:
-            total = sums.get((p, q))
-            if total is None:
-                total = sums[(p, q)] = [0] * (len(up) + len(down) - 1)
-            for i, c in enumerate(up):
-                if c:
-                    for k, d in enumerate(down, i):
-                        total[k] += c * d
-    return lcm, {pq: tuple(total) for pq, total in sums.items() if any(total)}
+            sums[p, q] = sums.get((p, q), 0) + u * down
+    return b, lcm, sums
 
 
 def verify_duality(spec: SliceSpec, ch: Chamber,
@@ -527,16 +538,16 @@ def verify_duality(spec: SliceSpec, ch: Chamber,
     for free by passing the same sign map with the opposite chamber: the two
     repelling halves differ by one sign per weight line, dim/2 in total.
     Denominators are cleared by the least common multiple of the tangent
-    Euler classes, so the check is exact arithmetic on forms.
+    Euler classes, so the check is exact arithmetic on packed forms.
     """
     plus = stab_matrix(spec, ch, polarization_signs)
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
-    lcm, sums = _pairing_sums(plus, minus)
-    lcm_form = _euler_form(lcm)
+    b, lcm, sums = _pairing_sums(plus, minus)
+    one = _class_value(lcm, b)
     failures = [
         {"p": p.label(), "q": q.label()}
         for qi, q in enumerate(points) for pi, p in enumerate(points)
-        if sums.get((pi, qi)) != (lcm_form if pi == qi else None)
+        if sums.get((pi, qi), 0) != (one if pi == qi else 0)
     ]
     return {"ok": not failures, "pairs": len(points) ** 2, "failures": failures}

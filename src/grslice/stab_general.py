@@ -31,12 +31,12 @@ from .slices import (
     EulerClass,
     SliceSpec,
     _canonical,
+    _flip_signs,
     _point,
     _repelling_ratio,
     _root_counts,
     adjacent_pairs,
     enumerate_fixed_points,
-    flip_sign,
     repelling_euler,
     same_wall_component,
 )
@@ -116,13 +116,15 @@ def sigma_sign(
     signs[q] for the points of indices p and q, with signs resolved by
     normalize_polarization; both chambers C of wall_adjacent_chambers must
     give the same value.  The caller guarantees that (p, q) is an adjacent
-    pair on a common wall component of the root.
+    pair on a common wall component of the root.  Each side reads its two
+    flip signs from the spec's table of them.
     """
-    near, far = (flip_sign(spec, p, pol_chamber, ch) * flip_sign(spec, q, pol_chamber, ch)
-                 for ch in wall_adjacent_chambers(spec.cartan, root))
-    if near != far:
+    near, far = wall_adjacent_chambers(spec.cartan, root)
+    at_near, at_far = _flip_signs(spec, pol_chamber, near), _flip_signs(spec, pol_chamber, far)
+    sign = at_near[p] * at_near[q]
+    if sign != at_far[p] * at_far[q]:
         raise AssertionError("sigma sign depends on the adjacent chamber")
-    return near * signs[p] * signs[q]
+    return sign * signs[p] * signs[q]
 
 
 def stab_mod_h2(

@@ -16,16 +16,7 @@ from typing import Dict, Sequence
 
 
 class NonDivisible(ArithmeticError):
-    """An exact polynomial quotient that does not exist was asked for.
-
-    Raised by the rank-one synthetic division as
-    NonDivisible(template, *operands); the message is formatted only when
-    it is shown, since most failed divisions are caught silently.
-    """
-
-    def __str__(self):
-        template, *operands = self.args
-        return template.format(*operands)
+    """An exact polynomial quotient that does not exist was asked for."""
 
 
 def _norm_scalar(x):
@@ -98,12 +89,6 @@ class Polynomial:
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
         return cls.constant(nvars, 1)
-
-    @classmethod
-    def gen(cls, nvars: int, index: int) -> "Polynomial":
-        exp = [0] * nvars
-        exp[index] = 1
-        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def linear_form(cls, a_coords: Sequence, h_coeff) -> "Polynomial":
@@ -194,14 +179,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- queries -----------------------------------------------------------
-
-    def coefficient(self, exp: tuple):
-        return self.terms.get(tuple(exp), 0)
 
     # -- display / serialization -------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .chern import bundle_weight, line_bundle_matrices, reconstruct_coefficient
+from .chern import line_bundle_matrices, line_bundle_weight, reconstruct_coefficient
 from .slices import adjacent_pairs, enumerate_fixed_points, flip_sign
 from .stab_a1 import (
     ExactDivisionFailure,
@@ -52,7 +52,9 @@ def oracle(spec, ch, signs=None) -> dict:
 
     Off the diagonal both sides can be nonzero only on an adjacent pair: a
     reconstruction is 0 off the table of adjacent_pairs, so there each matrix
-    entry is compared with its reconstruction, and elsewhere none may be stored.
+    entry's h coefficient (its only one, validated) is compared with its
+    reconstruction, made once per pair and distinct A-part of the bundle
+    weight difference (all it reads); elsewhere none may be stored.
     Failures are listed in the order of the point indices of (p, q).
     """
     failures: List[dict] = []
@@ -62,15 +64,21 @@ def oracle(spec, ch, signs=None) -> dict:
     pairs = adjacent_pairs(spec, ch)
     if spec.cartan.rank == 1 and entries != stab_offdiag_mod_h2(spec, ch, signs):
         failures.append({"check": "rank-one closed form"})
+    coefficients: Dict[tuple, object] = {}
     for k, matrix in enumerate(line_bundle_matrices(spec, ch, signs)):
         stored, zero = matrix.entries, matrix.zero
+        weights = [line_bundle_weight(spec, p, k) for p in points]
         for pi, p in enumerate(points):
-            if stored.get((pi, pi), zero) != bundle_weight(spec, p, ("L", k)):
+            if stored.get((pi, pi), zero) != weights[pi]:
                 failures.append({"check": "diagonal", "bundle": f"L{k}", "p": p.label()})
         wrong = []
         for pi, qi in pairs:
-            coeff = reconstruct_coefficient(spec, ch, entries, pi, qi, ("L", k), signs)
-            if zero[:-1] + (coeff,) != stored.get((qi, pi), zero):
+            key = (pi, qi, tuple([w - v for w, v in zip(weights[qi][:-1], weights[pi][:-1])]))
+            coeff = coefficients.get(key)
+            if coeff is None:
+                coeff = coefficients[key] = reconstruct_coefficient(
+                    spec, ch, entries, pi, qi, ("L", k), signs)
+            if stored.get((qi, pi), zero)[-1] != coeff:
                 wrong.append((pi, qi))
         for qi, pi in stored:
             if pi != qi and (pi, qi) not in pairs:

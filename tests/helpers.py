@@ -1,16 +1,37 @@
 """Shared test utilities: independent tangent-weight oracles, random
 minuscule slice sampling, an independent sampler of wall-adjacent chambers,
-and reference polynomial routes (substitution, truncation mod h^2, the
-localization pairing and the product of operator matrices) that the program
-itself does not need."""
+polynomial queries the program itself does not need (generators, the zero
+test, one coefficient), reference polynomial routes (substitution,
+truncation mod h^2, the localization pairing on polynomials and on
+coefficient tuples, the product of operator matrices), and reference
+builders of the stab-exact and mult documents."""
 
+import json
 import random
 from collections.abc import Mapping
 from fractions import Fraction
 
+from grslice import cli
 from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import SliceSpec, enumerate_fixed_points, flip_sign, localization_denominator
+from grslice.stab_a1 import _euler_form, _form_mul, _polynomial
 from grslice.symalg import Polynomial, RationalFunction
+
+
+def gen(nvars, index):
+    """The variable of the given index as a polynomial in nvars variables."""
+    exp = [0] * nvars
+    exp[index] = 1
+    return Polynomial(nvars, {tuple(exp): 1})
+
+
+def is_zero(poly):
+    return not poly.terms
+
+
+def coefficient(poly, exp):
+    """The coefficient of the monomial with exponent vector exp."""
+    return poly.terms.get(tuple(exp), 0)
 
 
 def oracle_up_crossings(spec, p):
@@ -74,7 +95,7 @@ def operator_product(left, right):
         for pi, b in rows.get(ri, ()):
             key = qi, pi
             sums[key] = sums[key] + a * b if key in sums else a * b
-    return {key: e for key, e in sums.items() if not e.is_zero()}
+    return {key: e for key, e in sums.items() if not is_zero(e)}
 
 
 def truncate_mod_h2(poly):
@@ -102,10 +123,10 @@ def _as_vector(points, v):
     """A vector over the fixed points, given as a mapping or a sequence in
     point order, as a dict of its nonzero entries."""
     if isinstance(v, Mapping):
-        return {p: v[p] for p in points if p in v and not v[p].is_zero()}
+        return {p: v[p] for p in points if p in v and not is_zero(v[p])}
     if len(v) != len(points):
         raise ValueError("vector length does not match the fixed-point count")
-    return {p: e for p, e in zip(points, v) if not e.is_zero()}
+    return {p: e for p, e in zip(points, v) if not is_zero(e)}
 
 
 def localization_pair(spec, v1, v2):
@@ -196,3 +217,73 @@ def sampled_sigma_signs(spec, p, q, root, pol_chamber, signs, count):
         * signs[p] * signs[q]
         for ch in reference_wall_chambers(spec.cartan, canon, count)
     }
+
+
+def pairing_sums_reference(plus, minus, weight=None):
+    """The localization pairing sums of two opposite-chamber restriction
+    matrices as coefficient tuples, by convolution: {(p, q): form} of
+    sum_x Stab_+[p]|_x * Stab_-[q]|_x * w(x) * cofactor(x) for every pair
+    with a point x where both are stored, w(x) the form weight[x] (int or
+    Fraction coefficients) or 1."""
+    lcm, cofactor = localization_denominator(plus.spec)
+    factor = [_euler_form(c) for c in cofactor]
+    if weight is not None:
+        factor = [_form_mul(f, w) for f, w in zip(factor, weight)]
+    sums = {}
+    for (p, x), up in plus.entries.items():
+        for (q, y), down in minus.entries.items():
+            if x == y:
+                term = _form_mul(up, _form_mul(down, factor[x]))
+                old = sums.get((p, q))
+                sums[p, q] = term if old is None else tuple(map(sum, zip(old, term)))
+    return sums
+
+
+def weight_stat(spec, p, ch):
+    """Half the sum of the heights <sigma_k, alpha> of the point p of a
+    rank-one slice, alpha the root positive on the chamber ch."""
+    alpha = next(f for f, s in zip(ch.datum.root_list, ch.sign_vector) if s > 0)
+    return Fraction(sum(pairing(s, alpha) for s in p.sigma()), 2)
+
+
+def stored_rows(matrix):
+    """Each point's nonzero restrictions in a restriction matrix, keyed by
+    the restricting point, as polynomials."""
+    points = matrix.points
+    rows = {p: {} for p in points}
+    for (p, q), val in matrix.entries.items():
+        rows[points[p]][points[q]] = _polynomial(val)
+    return rows
+
+
+def reference_document(command, matrix, ch):
+    """The stab-exact or mult document of a matrix as a plain dict, each
+    cell read through the matrix's entry reader and printed by
+    Polynomial.to_json."""
+    points = enumerate_fixed_points(matrix.spec)
+    doc = {"command": command, "chamber": list(ch.sign_vector),
+           "labels": [p.label() for p in points]}
+    deltas = [p.to_json() for p in points]
+    if command == "stab-exact":
+        doc["points"] = deltas
+        doc["entries"] = {f"{pi},{qi}": matrix.entry(p, q).to_json()
+                          for pi, p in enumerate(points) for qi, q in enumerate(points)
+                          if not is_zero(matrix.entry(p, q))}
+    else:
+        doc["basis"] = deltas
+        doc["bundle"] = matrix.label
+        doc["entries"] = [[matrix.entry(q, p).to_json() for p in points] for q in points]
+    return doc
+
+
+def printed(value):
+    """A document value as encode_json prints it, read back."""
+    return json.loads(cli.encode_json(value))
+
+
+def document(command, spec, ch, signs=None, bundle=None):
+    """The document the command prints for the slice and chamber, read back:
+    cli's builder run on the given spec, printed by encode_json."""
+    job = cli.JobSpec(command, spec.cartan.type_letter, spec.cartan.rank, spec.lambda_seq,
+                      spec.mu.coords, bundle=bundle)
+    return printed(cli.compute_payload(job, spec, ch, signs))

@@ -4,7 +4,7 @@ from operator import add
 
 import pytest
 
-from grslice import cartan, chern
+from grslice import cartan, chern, cli
 from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
 from grslice.chern import (
     OperatorMatrix,
@@ -22,7 +22,15 @@ from grslice.slices import FixedPoint, SliceSpec, adjacent_pairs, enumerate_fixe
 from grslice.stab_a1 import NotA1, normalize_polarization, stab_matrix
 from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
-from helpers import form_polynomial, localization_pair, operator_product
+from helpers import (
+    document,
+    form_polynomial,
+    gen,
+    is_zero,
+    localization_pair,
+    operator_product,
+    printed,
+)
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -51,7 +59,7 @@ def all_bundles(spec):
 
 
 def h_poly(spec):
-    return Polynomial.gen(spec.cartan.rank + 1, spec.cartan.rank)
+    return gen(spec.cartan.rank + 1, spec.cartan.rank)
 
 
 # -- bundle weights ------------------------------------------------------------
@@ -123,7 +131,7 @@ def test_h_operator_diagonal():
     minus, plus = mat.basis
     assert mat.entry(plus, plus) == Polynomial.linear_form([Fraction(1, 2)], 0)
     assert mat.entry(minus, minus) == Polynomial.linear_form([Fraction(-1, 2)], 0)
-    assert mat.entry(minus, plus).is_zero() and mat.entry(plus, minus).is_zero()
+    assert is_zero(mat.entry(minus, plus)) and is_zero(mat.entry(plus, minus))
 
     spec = a1_spec(3, 1)
     mat = h_operator(spec, 2)
@@ -181,7 +189,7 @@ def test_two_point_slice_worked_multiplication():
     assert mat.entry(plus, plus) == Polynomial.linear_form([Fraction(1, 2)], Fraction(1, 4))
     assert mat.entry(minus, plus) == Polynomial.linear_form([0], -1)
     assert mat.entry(minus, minus) == Polynomial.linear_form([Fraction(-1, 2)], Fraction(1, 4))
-    assert mat.entry(plus, minus).is_zero()
+    assert is_zero(mat.entry(plus, minus))
 
     stab = stab_matrix(TSTAR_P1, CH1_PLUS)
     weight = Polynomial.linear_form([Fraction(1, 2)], Fraction(1, 4))
@@ -196,7 +204,7 @@ def test_trivial_and_determinant_bundles():
     for spec, ch in ((TSTAR_FL3, CH2_PLUS), (a1_spec(3, 1), CH1_PLUS)):
         zero_mat = mult_matrix(spec, "L0", ch)
         basis = zero_mat.basis
-        assert all(zero_mat.entry(q, p).is_zero() for q in basis for p in basis)
+        assert all(is_zero(zero_mat.entry(q, p)) for q in basis for p in basis)
         top = mult_matrix(spec, f"L{spec.length}", ch)
         mu = spec.mu
         scalar = Polynomial.linear_form(
@@ -254,7 +262,7 @@ def test_offdiagonal_supported_on_adjacent_pairs():
                 for pi, p in enumerate(mat.basis):
                     if q == p:
                         continue
-                    if not mat.entry(q, p).is_zero():
+                    if not is_zero(mat.entry(q, p)):
                         assert adjacent_pairs(spec, ch).get((pi, qi)) is not None
 
 
@@ -296,7 +304,7 @@ def test_matrix_conjugates_fixed_point_action():
                     rhs = Polynomial.zero(2)
                     for q in stab.points:
                         m = mat.entry(q, p)
-                        if not m.is_zero():
+                        if not is_zero(m):
                             rhs = rhs + stab.entry(q, x) * m
                     assert w * stab.entry(p, x) == rhs, (spec, ch, bundle)
 
@@ -417,7 +425,7 @@ def test_reconstruction_matches_matrix_entries():
                         continue
                     expected = mat.entry(q, p)
                     coeff = reconstruct_coefficient(spec, ch, entries, pi, qi, bundle, signs)
-                    if expected.is_zero():
+                    if is_zero(expected):
                         assert coeff == 0
                     else:
                         assert Polynomial.linear_form(
@@ -429,9 +437,8 @@ def test_reconstruction_matches_matrix_entries():
 
 
 def test_operator_json_shape():
-    mat = mult_matrix(TSTAR_FL3, "L2", CH2_PLUS)
-    blob = mat.to_json()
-    assert set(blob) == {"basis", "bundle", "entries"}
+    blob = document("mult", TSTAR_FL3, CH2_PLUS, bundle="L2")
+    assert set(blob) == {"basis", "bundle", "chamber", "command", "entries", "labels"}
     assert blob["bundle"] == "L2"
     n = len(blob["basis"])
     assert n == 6
@@ -529,7 +536,7 @@ def test_sparse_product_matches_a_dense_reference():
                 zero = Polynomial.zero(spec.cartan.rank + 1)
                 rows = [[product.get((qi, pi), zero) for pi in n] for qi in n]
                 assert rows == _dense_product(left, right), (spec, left.label, right.label)
-                assert not any(e.is_zero() for e in product.values())
+                assert not any(is_zero(e) for e in product.values())
 
 
 def test_no_stored_entry_is_zero():
@@ -562,4 +569,4 @@ def test_json_prints_every_cell_through_entry():
             mat = mult_matrix(spec, bundle, ch)
             basis = mat.basis
             expected = [[mat.entry(q, p).to_json() for p in basis] for q in basis]
-            assert mat.to_json()["entries"] == expected
+            assert printed(cli._mult_entries(mat)) == expected

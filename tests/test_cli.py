@@ -13,8 +13,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from grslice import cli, slices, verify
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, JobSpec, build_parser, cache_fetch, cache_store, main
+from grslice.chern import mult_matrix
+from grslice.stab_a1 import stab_matrix
 from grslice.stab_general import stab_mod_h2
 from grslice.symalg import Polynomial
+from helpers import is_zero, reference_document
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +57,7 @@ def test_stab_exact_five_point_slice(capsys):
     for key, value in payload["entries"].items():
         i, j = key.split(",")
         assert 0 <= int(i) < 5 and 0 <= int(j) < 5
-        assert not Polynomial.from_json(value, 2).is_zero()
+        assert not is_zero(Polynomial.from_json(value, 2))
 
 
 def test_verify_all_three_point_flag_slice(capsys):
@@ -633,6 +636,78 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
         m.setattr(json, "loads", _refuse)
         assert run_cli(capsys, table_argv) == (0, table, "")
     assert cache_fetch(f"{job.cache_key()}-json") == (0, document)
+
+
+# Matrix documents of types A1, A2 and D4: rank-one restriction matrices, one
+# with an alternating polarization and one with a zero slot, and
+# multiplication matrices for line and quotient bundles in several chambers.
+MATRIX_JOBS = [
+    ("stab-exact", "A", 1, "1,1,1,1", "0", None, "dominant", "repelling"),
+    ("stab-exact", "A", 1, "1,1,1,1,1", "1", None, "antidominant", "+1,-1,+1,-1,+1,-1,+1,-1,+1,-1"),
+    ("stab-exact", "A", 1, "1,0,1,1", "-1", None, "dominant", "repelling"),
+    ("mult", "A", 1, "1,1,1,1,1", "1", "E3", "dominant", "repelling"),
+    ("mult", "A", 2, "1,1,1", "0,0", "L1", "antidominant", "repelling"),
+    ("mult", "A", 2, "1,2,1,2", "0,0", "E2", "2,-1", "repelling"),
+    ("mult", "D", 4, "1,1", "0,1,0,0", "L1", "dominant", "repelling"),
+    ("mult", "D", 4, "1,3,4", "0,0,0,0", "E2", "1,-2,3,3", "repelling"),
+]
+
+
+@pytest.mark.parametrize("command, letter, rank, lam, mu, bundle, chamber, polarization",
+                         MATRIX_JOBS, ids=[f"{job[0]}-{job[1]}{job[2]}-{job[3]}"
+                                           for job in MATRIX_JOBS])
+def test_matrix_documents_print_what_json_dumps_prints(capsys, tmp_path, monkeypatch, command,
+                                                       letter, rank, lam, mu, bundle, chamber,
+                                                       polarization):
+    job = JobSpec(command, letter, rank, cli._int_list(lam), cli._int_list(mu), chamber,
+                  polarization, bundle)
+    spec, ch, signs = job.build()
+    if command == "stab-exact":
+        matrix = stab_matrix(spec, ch, signs)
+        cells = [(p, q, matrix.entry(p, q)) for p in matrix.points for q in matrix.points]
+        header = "p | q | value"
+    else:
+        matrix = mult_matrix(spec, bundle, ch, signs)
+        cells = [(q, p, matrix.entry(q, p)) for q in matrix.basis for p in matrix.basis]
+        header = "row | column | value"
+    # the oracles: the document built cell by cell from the entry readers and
+    # printed by json.dumps, and table rows printed from the same cells
+    document = json.dumps(reference_document(command, matrix, ch), sort_keys=True, indent=2) + "\n"
+    table = "\n".join([header] + [f"{x.label()} | {y.label()} | {value}"
+                                  for x, y, value in cells if not is_zero(value)]) + "\n"
+    argv = [command, "--type", letter, "--rank", str(rank), "--lambda", lam, "--mu", mu,
+            "--chamber", chamber, "--polarization", polarization]
+    argv += ["--bundle", bundle] if bundle else []
+    table_argv = argv + ["--format", "table"]
+
+    assert run_cli(capsys, argv) == (0, document, "")
+    # a table miss with the JSON document stored renders its parsed entries
+    with monkeypatch.context() as m:
+        m.setattr(cli, "compute_payload", _refuse)
+        assert run_cli(capsys, table_argv) == (0, table, "")
+    # a table-first miss renders the computed entries, and stores both formats
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "table-first"))
+    with monkeypatch.context() as m:
+        m.setattr(json, "loads", _refuse)
+        assert run_cli(capsys, table_argv) == (0, table, "")
+    assert cache_fetch(f"{job.cache_key()}-json") == (0, document)
+
+
+# Documents with wider coefficients than any catalog job prints, with their
+# sha256 from before the rank-one documents were printed from their tuples.
+WIDE_JOBS = [
+    (["stab-exact", "--type", "A", "--rank", "1", "--lambda", "1,1,1,1,1,1,1,1", "--mu", "0"],
+     "55ad7e06514bece2f95ca1ee0caedd8ee7885089849743473d39d6301c286b5c"),
+    (["verify", "duality", "--type", "A", "--rank", "1", "--lambda", "1,1,1,1,1,1,1", "--mu", "1"],
+     "3fe1fa2950017423b4dc34473bade07085afe9ce766a3fa3f341e8f714ea5182"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", WIDE_JOBS, ids=["stab-exact-l8", "verify-duality-l7"])
+def test_wide_rank_one_documents_keep_their_sha256(capsys, argv, digest):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # -- fuzzing the command line ---------------------------------------------------------

@@ -30,7 +30,7 @@ from grslice.slices import (
 )
 from grslice.symalg import Polynomial
 
-from helpers import oracle_down_crossings, oracle_up_crossings, random_minuscule_specs
+from helpers import gen, oracle_down_crossings, oracle_up_crossings, random_minuscule_specs
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -324,8 +324,8 @@ def test_non_minuscule_step_is_an_internal_error(capsys, tmp_path, monkeypatch):
 # ---------------------------------------------------------------- euler classes
 
 def test_euler_class_examples():
-    a = Polynomial.gen(2, 0)
-    h = Polynomial.gen(2, 1)
+    a = gen(2, 0)
+    h = gen(2, 1)
     alpha = AWeightForm([1])
     weights = by_column(A1, {(alpha, -1): 1, (-alpha, 0): 1})
 
@@ -341,8 +341,8 @@ def test_euler_class_examples():
 def test_repelling_euler_on_both_chambers():
     # the first point of DUVAL_A4 carries alpha - h and -alpha; each of the
     # two chambers repels one of them
-    a = Polynomial.gen(2, 0)
-    h = Polynomial.gen(2, 1)
+    a = gen(2, 0)
+    h = gen(2, 1)
     alpha = AWeightForm([1])
     p0 = enumerate_fixed_points(DUVAL_A4)[0]
     assert tangent_weights(DUVAL_A4, p0) == by_column(A1, {(alpha, -1): 1, (-alpha, 0): 1})

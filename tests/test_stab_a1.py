@@ -12,6 +12,7 @@ from grslice.slices import (
     SliceSpec,
     dimension,
     enumerate_fixed_points,
+    localization_denominator,
     point_index,
     repelling_euler,
     tangent_euler,
@@ -30,17 +31,23 @@ from grslice.stab_a1 import (
     stab_offdiag_mod_h2,
     theta_action,
     verify_duality,
+)
+from grslice.chern import bundle_weight, mult_matrix_via_localization
+from grslice.symalg import NonDivisible, Polynomial, RationalFunction
+from helpers import (
+    document,
+    expanded,
+    gen,
+    pairing_sums_reference,
+    truncate_mod_h2,
     weight_stat,
 )
-from grslice.chern import mult_matrix_via_localization
-from grslice.symalg import NonDivisible, Polynomial, RationalFunction
-from helpers import expanded, truncate_mod_h2
 
 A1 = CartanDatum("A", 1)
 CH_PLUS = Chamber.dominant(A1)
 CH_MINUS = Chamber.antidominant(A1)
-A = Polynomial.gen(2, 0)
-H = Polynomial.gen(2, 1)
+A = gen(2, 0)
+H = gen(2, 1)
 
 
 def a1_spec(l, k):
@@ -90,6 +97,11 @@ def test_weight_stat_examples():
     assert weight_stat(TSTAR_P1, P1, CH_PLUS) == Fraction(-1, 2)
     assert weight_stat(TSTAR_P1, P2, CH_PLUS) == Fraction(1, 2)
     assert weight_stat(TSTAR_P1, P1, CH_MINUS) == Fraction(1, 2)
+    # the recursion orders points by twice the statistic
+    for spec in grid_specs(5):
+        for ch in (CH_PLUS, CH_MINUS):
+            assert stab_a1._stat_keys(spec, ch) == [
+                2 * weight_stat(spec, p, ch) for p in enumerate_fixed_points(spec)]
 
 
 def test_weight_stat_step_is_one():
@@ -275,7 +287,7 @@ def test_zero_slot_matrix_matches_compressed():
     compressed = stab_matrix(TSTAR_P1, CH_PLUS)
 
     def squeeze(p):
-        return FixedPointOf([d.coords[0] for d in p.delta if not d.is_zero()])
+        return FixedPointOf([d.coords[0] for d in p.delta if any(d.coords)])
 
     assert {squeeze(p) for p in m.points} == set(compressed.points)
     for p, q in m.entries:
@@ -550,17 +562,122 @@ def test_verify_duality_custom_polarization():
     assert report["ok"]
 
 
+# -- the packed localization pairing ------------------------------------------
+
+PAIRING_SPECS = [a1_spec(3, 1), a1_spec(4, 0), a1_spec(4, 2), a1_spec(5, 1)]
+
+
+def _with_entries(matrix, entries):
+    return RestrictionMatrix(matrix.spec, matrix.chamber, matrix.polarization_signs, entries,
+                             matrix.epsilons)
+
+
+def _sum_degree(spec, weighted):
+    # a sum has the degree of the lcm, one more with a linear weight
+    return sum(localization_denominator(spec)[0].factors.values()) + weighted
+
+
+def _check_packed_sums(plus, minus, weight=None):
+    """The packed sums decode to the convolution's, every coefficient of
+    those sums lies below the digit width, and a packed sum equals the
+    packed lcm, or 0, exactly when the convolution's sum equals the lcm."""
+    b, lcm, sums = stab_a1._pairing_sums(plus, minus, weight)
+    reference = pairing_sums_reference(plus, minus, weight)
+    assert sums.keys() == reference.keys()
+    degree = _sum_degree(plus.spec, weight is not None)
+    lcm_form = stab_a1._euler_form(lcm)
+    for pq, total in sums.items():
+        assert stab_a1._unpack(total, b, degree) == reference[pq]
+        assert total == stab_a1._pack(reference[pq], b)
+        assert all(abs(c) < 1 << (b - 1) for c in reference[pq])
+        if weight is None:
+            assert (total == stab_a1._class_value(lcm, b)) == (reference[pq] == lcm_form)
+            assert (total == 0) == (not any(reference[pq]))
+    return sums, reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(PAIRING_SPECS), st.sampled_from([1, 9, 2**31, 2**80]),
+       st.booleans())
+def test_packed_pairing_matches_the_convolution(data, spec, magnitude, weighted):
+    # coefficients of both signs, often zero or at the largest magnitude, so
+    # that sums cancel or grow toward the digit width; a drawn all-zero form
+    # is not stored
+    coefficient = st.one_of(st.integers(-magnitude, magnitude), st.just(0),
+                            st.sampled_from([magnitude, -magnitude]))
+
+    def drawn(matrix):
+        width = dimension(spec) // 2 + 1
+        return _with_entries(matrix, {pq: tuple(data.draw(st.lists(
+            coefficient, min_size=width, max_size=width))) for pq in matrix.entries})
+
+    plus, minus = drawn(stab_matrix(spec, CH_PLUS)), drawn(stab_matrix(spec, CH_MINUS))
+    weight = None
+    if weighted:
+        weight = [tuple(data.draw(st.lists(coefficient, min_size=2, max_size=2)))
+                  for _ in enumerate_fixed_points(spec)]
+    _check_packed_sums(plus, minus, weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 70), st.data())
+def test_unpack_reads_balanced_digits_up_to_the_digit_width(b, data):
+    half = 1 << (b - 1)
+    digit = st.one_of(st.integers(-half, half - 1), st.sampled_from([-half, half - 1, 0]))
+    form = tuple(data.draw(st.lists(digit, min_size=1, max_size=8)))
+    assert stab_a1._unpack(stab_a1._pack(form, b), b, len(form) - 1) == form
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 13, 31, 64])
+def test_packed_duality_sees_a_tamper_that_vanishes_at_a_power_of_two(k):
+    # a^D - 2^k a^(D-1) h is 0 at a = 2^k, h = 1: packed with b = k it
+    # would cancel; b must come from the tampered coefficients
+    spec = a1_spec(4, 0)
+    plus, minus = stab_matrix(spec, CH_PLUS), stab_matrix(spec, CH_MINUS)
+    pq, val = next((pq, val) for pq, val in plus.entries.items() if pq[0] != pq[1])
+    tamper = (1, -(1 << k)) + (0,) * (len(val) - 2)
+    tampered = _with_entries(plus, {**plus.entries, pq: tuple(map(sum, zip(val, tamper)))})
+    sums, reference = _check_packed_sums(tampered, minus)
+    lcm_form = stab_a1._euler_form(localization_denominator(spec)[0])
+    assert any(reference[p, q] != (lcm_form if p == q else (0,) * len(lcm_form))
+               for p, q in reference)
+
+
+def test_localization_route_divides_the_convolution_with_fraction_weights():
+    # bundle weights have Fraction coefficients, which the packed route
+    # scales to integers and divides out again
+    fractional = set()
+    for spec in (a1_spec(4, 0), a1_spec(5, 1)):
+        points = enumerate_fixed_points(spec)
+        lcm = stab_a1._polynomial(stab_a1._euler_form(localization_denominator(spec)[0]))
+        bundles = [f"L{k}" for k in range(spec.length + 1)]
+        bundles += [f"E{i}" for i in range(1, spec.length + 1)]
+        for ch in (CH_PLUS, CH_MINUS):
+            plus, minus = stab_matrix(spec, ch), stab_matrix(spec, -ch)
+            for bundle in bundles:
+                weight = [bundle_weight(spec, x, bundle) for x in points]
+                if any(c.denominator > 1 for w in weight for c in w):
+                    fractional.add(bundle)
+                reference = pairing_sums_reference(plus, minus, weight)
+                via = mult_matrix_via_localization(spec, bundle, ch)
+                assert {(p, q) for q, p in via.entries} <= reference.keys()
+                for (p, q), total in reference.items():
+                    entry = stab_a1._polynomial(via.entries.get((q, p), (0, 0)))
+                    assert stab_a1._polynomial(total) == lcm * entry
+    assert len(fractional) > 4
+
+
 # -- serialization -----------------------------------------------------------
 
 
 def test_restriction_matrix_json():
     m = stab_matrix(TSTAR_P1, CH_PLUS)
-    obj = m.to_json()
+    obj = document("stab-exact", TSTAR_P1, CH_PLUS)
     assert obj["points"] == [[[-1]], [[1]]] or obj["points"] == [p.to_json() for p in m.points]
     assert obj["points"] == [p.to_json() for p in m.points]
     assert sorted(obj["chamber"]) == [-1, 1]
     assert set(obj["entries"]) == {"0,0", "1,0", "1,1"}
     assert Polynomial.from_json(obj["entries"]["1,0"], 2) == -H
     # byte-identical across rebuilds
-    again = stab_matrix(TSTAR_P1, CH_PLUS).to_json()
+    again = document("stab-exact", TSTAR_P1, CH_PLUS)
     assert json.dumps(obj, sort_keys=True) == json.dumps(again, sort_keys=True)

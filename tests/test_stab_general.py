@@ -1,10 +1,12 @@
+import os
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grslice import stab_general, verify
+from grslice import cli, stab_general, verify
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
     AdjacencyWitness,
@@ -45,11 +47,20 @@ from grslice.stab_general import (
 )
 from grslice.symalg import Polynomial
 from helpers import (
+    document,
+    gen,
+    printed,
     random_minuscule_specs,
     reference_wall_chambers,
     sampled_sigma_signs,
     substitute,
 )
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.append(PERFBENCH)
+
+import catalog  # noqa: E402
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -219,6 +230,38 @@ def test_sigma_sign_well_defined_on_fl3():
         assert sampled_sigma_signs(TSTAR_FL3, p, q, root, CH2_PLUS, signs, 4) == {s}
 
 
+def _catalog_slices(workload):
+    """Each distinct (slice, chamber) of a benchmark workload's jobs, built
+    as the command line builds it."""
+    seen = {}
+    for job in catalog.catalog(workload):
+        args = vars(cli._parser().parse_args(job.argv))
+        built = cli.JobSpec(**args)._replace(command="fixed-points", bundle=None, which=None)
+        if built not in seen:
+            seen[built] = built.build()
+    return list(seen.values())
+
+
+def test_sigma_sign_is_four_flip_signs_on_the_higher_rank_catalog():
+    # flip_sign against its definition, the parity of the tangent weights
+    # that change side, and sigma_sign against the product of four of them
+    checked = 0
+    for spec, ch, signs in _catalog_slices("higher-rank"):
+        signs = normalize_polarization(enumerate_fixed_points(spec), signs)
+        points = enumerate_fixed_points(spec)
+        for (p, q), w in adjacent_pairs(spec, ch).items():
+            for wall in wall_adjacent_chambers(spec.cartan, w.alpha_form):
+                for x in (p, q):
+                    moved = sum(m for (col, _), m in tangent_weights(spec, points[x]).items()
+                                if ch.sign_vector[col] < 0 < wall.sign_vector[col])
+                    assert flip_sign(spec, x, ch, wall) == (-1) ** moved
+                expected = (flip_sign(spec, p, ch, wall) * flip_sign(spec, q, ch, wall)
+                            * signs[p] * signs[q])
+                assert sigma_sign(spec, p, q, w.alpha_form, ch, signs) == expected
+                checked += 1
+    assert checked > 1000
+
+
 # -- the mod h^2 matrix ---------------------------------------------------------
 
 
@@ -263,7 +306,7 @@ def test_stab_mod_h2_factorization_oracle():
     ]
     for spec, ch in cases:
         nv = spec.cartan.rank + 1
-        h = Polynomial.gen(nv, nv - 1)
+        h = gen(nv, nv - 1)
         entries = stab_mod_h2(spec, ch)
         points = enumerate_fixed_points(spec)
         signs = normalize_polarization(points, None)
@@ -392,7 +435,7 @@ def _reference_stab_mod_h2(spec, ch, polarization_signs=None):
     n = len(enumerate_fixed_points(spec))
     signs = normalize_polarization(range(n), polarization_signs)
     nv = spec.cartan.rank + 1
-    h = Polynomial.gen(nv, nv - 1)
+    h = gen(nv, nv - 1)
     eps = [_reference_repelling_euler(spec, x, ch, False) for x in range(n)]
     out = {}
     for p in range(n):
@@ -542,7 +585,7 @@ def test_factored_routes_build_no_polynomial(monkeypatch):
     bundles = [f"L{k}" for k in range(spec.length + 1)]
     bundles += [f"E{i}" for i in range(1, spec.length + 1)]
     for bundle in bundles:
-        assert mult_matrix(spec, bundle, ch).to_json()["bundle"] == bundle
+        assert document("mult", spec, ch, bundle=bundle)["bundle"] == bundle
     assert len(line_bundle_matrices(spec, ch)) == spec.length + 1
     assert verify.oracle(spec, ch)["ok"]
 
@@ -551,11 +594,11 @@ def test_factored_routes_build_no_polynomial(monkeypatch):
         stab_matrix(a1, a1_ch)
         assert verify_duality(a1, a1_ch)["ok"]
         assert stab_offdiag_mod_h2(a1, a1_ch)
-        assert mult_matrix_via_localization(a1, "L2", a1_ch).to_json()["entries"]
+        assert printed(cli._mult_entries(mult_matrix_via_localization(a1, "L2", a1_ch)))
 
 
 def test_times_ratio_refuses_a_negative_count():
-    a, h = Polynomial.gen(2, 0), Polynomial.gen(2, 1)
+    a, h = gen(2, 0), gen(2, 1)
     e = EulerClass(2, Counter({a: 2}), 3)
     assert e.times_ratio(Counter({h: 1}), Counter({a: 1}), Fraction(1, 3)) == EulerClass(
         2, Counter({a: 1, h: 1}), 1

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grslice.symalg import Polynomial, RationalFunction
-from helpers import truncate_mod_h2
+from helpers import gen, truncate_mod_h2
 
 # two variables: a1 and h
-A = Polynomial.gen(2, 0)
-H = Polynomial.gen(2, 1)
+A = gen(2, 0)
+H = gen(2, 1)
 ONE = Polynomial.one(2)
 
 
@@ -21,7 +21,7 @@ def test_truncate_mod_h2():
 def test_linear_form_builder():
     f = Polynomial.linear_form([2, -1], Fraction(1, 2))
     assert f.nvars == 3
-    assert f == 2 * Polynomial.gen(3, 0) - Polynomial.gen(3, 1) + Fraction(1, 2) * Polynomial.gen(3, 2)
+    assert f == 2 * gen(3, 0) - gen(3, 1) + Fraction(1, 2) * gen(3, 2)
 
 
 def test_json_round_trip():
