@@ -18,15 +18,14 @@ reads one cell.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from operator import add, mul, neg, sub
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .cartan import Chamber, Coweight
 from .slices import (
-    EulerClass,
     FixedPoint,
+    RootMonomial,
     SliceSpec,
     _canonical,
     _point,
@@ -345,7 +344,7 @@ def mult_matrix_via_localization(
 def reconstruct_coefficient(
     spec: SliceSpec,
     ch: Chamber,
-    entries: Mapping[Tuple[int, int], EulerClass],
+    entries: Mapping[Tuple[int, int], RootMonomial],
     p: int,
     q: int,
     bundle: BundleTag,
@@ -358,8 +357,9 @@ def reconstruct_coefficient(
     signs resolved by normalize_polarization.  Divides the restriction of
     the stable class of p at q, over h and times the difference of the
     bundle weights at q and p, by the polarization at q; all of them are
-    products of linear forms, so the quotient is a multiset difference, and
-    its being a constant pins the coefficient of h in the matrix entry.
+    products of positive roots and h, so the quotient is a difference of
+    exponent vectors, and its being a constant pins the coefficient of h in
+    the matrix entry.
     """
     entry = entries.get((p, q))
     if entry is None:
@@ -373,15 +373,18 @@ def reconstruct_coefficient(
     if not any(diff):
         return Fraction(0)
     diff_form, diff_scalar = _canonical(spec._forms, diff + (0,))
-    h = (0,) * spec.cartan.rank + (1,)
     eps_q = repelling_euler(spec, q, ch, False)
-    quotient = entry.times_ratio(Counter([diff_form]), eps_q.factors + Counter([h]),
-                                 Fraction(diff_scalar) / (signs[q] * eps_q.scalar))
+    # times the root of the difference, over eps_q and h; the signs +-1 of
+    # eps_q and the polarization are their own inverses
+    ratio = [-m for m in eps_q.exponents]
+    ratio[entry.forms.index(diff_form)] += 1
+    ratio[-1] -= 1
+    quotient = entry.times_ratio(ratio, diff_scalar * signs[q] * eps_q.scalar)
     if quotient is None:
         raise ExactDivisionFailure(
             f"the polarization at {at_q.label()} does not divide the "
             f"reconstruction of ({at_p.label()}, {at_q.label()})"
         )
-    if quotient.factors:
+    if any(quotient.exponents):
         raise AssertionError("reconstructed coefficient is not a constant")
     return Fraction(quotient.scalar)

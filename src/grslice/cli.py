@@ -32,7 +32,6 @@ from .slices import (
     NonMinusculeUnsupported,
     SliceSpec,
     _step_label,
-    dimension,
     enumerate_fixed_points,
     tangent_weights,
 )
@@ -261,7 +260,7 @@ def _form_texts(names: List[str], forms, indent: str) -> List[str]:
 def _stab_entries(matrix) -> _Encoded:
     """The "entries" of a stab-exact document: each stored form under its
     key "p,q"; rows (p, q, value) in index order."""
-    degree = dimension(matrix.spec) // 2
+    degree = matrix.spec.dimension // 2
     names = [monomial_key((degree - k, k)) for k in range(degree + 1)]
     keys, forms = zip(*sorted((f'"{p},{q}": ', val) for (p, q), val in matrix.entries.items()))
 

@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 from operator import add, mul, sub
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from .symalg import Polynomial
@@ -45,19 +45,21 @@ class InvalidSlice(ValueError):
 class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
-    Data derived from the slice (fixed points, their index, tangent weights
-    keyed by (root column, n), the root counts of each point, canonical
-    linear forms, Euler classes, the adjacent pairs of each chamber, the
-    omega ratios of the wall routes, the flip signs of chamber pairs,
-    line-bundle weights, the inner products of slot steps and, in rank one,
-    the heights and raising moves of the fixed points) is filled in lazily
-    by the functions of this module, of stab_general, of chern and of
-    stab_a1, and lives exactly as long as the spec.
+    Data derived from the slice (its dimension, fixed points, their index,
+    tangent weights keyed by (root column, n), the root counts of each
+    point, canonical linear forms, the exponent slots of the positive
+    roots, Euler classes and A-part classes, the adjacent pairs of each
+    chamber, the omega ratios of the wall routes, the flip signs of chamber
+    pairs, line-bundle weights, the inner products of slot steps and, in
+    rank one, the heights and raising moves of the fixed points) is filled
+    in lazily, the dimension by its property and the rest by the functions
+    of this module, of stab_general, of chern and of stab_a1, and lives
+    exactly as long as the spec.
     """
 
-    __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings",
+    __slots__ = ("cartan", "lambda_seq", "mu", "_dimension", "_orbits", "_pairings",
                  "_suffix_sums", "_points", "_index", "_tangents", "_forms",
-                 "_root_forms", "_root_counts", "_euler", "_adjacent", "_omega",
+                 "_root_slots", "_root_counts", "_euler", "_adjacent", "_omega",
                  "_line_weights", "_slot_inners", "_heights", "_moves", "_flips")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
@@ -111,18 +113,21 @@ class SliceSpec:
         self._suffix_sums = tuple(reversed(sums))
         if mu.coords not in self._suffix_sums[0]:
             raise InvalidSlice("no fixed point: mu is not a weight of the lambda sequence")
+        self._dimension = None
         self._points = None
         self._index = None
         self._tangents = {}
         # _canonical splittings keyed by coefficient tuples (a_1..a_r, h)
         self._forms = {}
-        # _root_forms: each root_list column split by _canonical; and
-        # _root_counts, by point index: the multiplicity of each column among
-        # the A-parts of the tangent weights.  The wall routes read both.
-        self._root_forms = None
+        # _root_slots: the forms of the RootMonomial exponent slots and the
+        # slot of each root_list column; and _root_counts, by point index:
+        # the multiplicity of each column among the A-parts of the tangent
+        # weights.  The wall routes read both.
+        self._root_slots = None
         self._root_counts = None
-        # Euler classes keyed by (point index, chamber, keep_h); chamber None
-        # stands for the whole tangent space, a chamber for its repelling half
+        # Euler classes (RootMonomials when keep_h is false) keyed by (point
+        # index, chamber, keep_h); chamber None stands for the whole tangent
+        # space, a chamber for its repelling half
         self._euler = {}
         # adjacent_pairs, keyed by chamber
         self._adjacent = {}
@@ -146,6 +151,23 @@ class SliceSpec:
     @property
     def length(self) -> int:
         return len(self.lambda_seq)
+
+    @property
+    def dimension(self) -> int:
+        """<lambda - mu, sum of positive roots>, with mu taken to its
+        dominant Weyl representative; even and nonnegative.  Computed on
+        first read.
+
+        The dominant representative matters: the path model accepts any
+        target mu below lambda, and the tangent multiplicity total at every
+        fixed point is invariant under replacing mu by a Weyl conjugate.
+        """
+        if self._dimension is None:
+            mu_plus = dominant_representative(self.cartan, self.mu)
+            d = pairing(self.lambda_total() - mu_plus, self.cartan.two_rho_check)
+            assert d >= 0 and d % 2 == 0
+            self._dimension = int(d)
+        return self._dimension
 
     def lambda_total(self) -> Coweight:
         total = self.cartan.zero_coweight()
@@ -280,20 +302,6 @@ def dominant_representative(cartan: CartanDatum, c: Coweight) -> Coweight:
         v = cartan.reflect_coweight(j + 1, v)
 
 
-def dimension(spec: SliceSpec) -> int:
-    """<lambda - mu, sum of positive roots>, with mu taken to its dominant
-    Weyl representative; even and nonnegative.
-
-    The dominant representative matters: the path model accepts any target
-    mu below lambda, and the tangent multiplicity total at every fixed point
-    is invariant under replacing mu by a Weyl conjugate.
-    """
-    mu_plus = dominant_representative(spec.cartan, spec.mu)
-    d = pairing(spec.lambda_total() - mu_plus, spec.cartan.two_rho_check)
-    assert d >= 0 and d % 2 == 0
-    return int(d)
-
-
 def _steps(spec: SliceSpec, p: FixedPoint) -> List[Tuple[int, ...]]:
     """The spec's pairing-table rows of the slot steps of p, one per slot."""
     return [spec._pairings[d.coords] for d in p.delta]
@@ -369,32 +377,55 @@ class EulerClass(NamedTuple):
     scalar: Fraction  # an int where it is one
 
     def polynomial(self) -> Polynomial:
-        out = Polynomial.constant(self.nvars, self.scalar)
-        for f, k in self.factors.items():
+        return _expand_product(self.nvars, self.factors.items(), self.scalar)
+
+
+def _expand_product(nvars: int, factors: Iterable[Tuple[tuple, int]], scalar) -> Polynomial:
+    """scalar times the product of the forms f ** k for (f, k) in factors."""
+    out = Polynomial.constant(nvars, scalar)
+    for f, k in factors:
+        if k:
             out = out * Polynomial.linear_form(f[:-1], f[-1]) ** k
-        return out
+    return out
 
-    def times_ratio(self, up: Counter, down: Counter, scalar) -> Optional["EulerClass"]:
-        """self * scalar * prod(up) / prod(down), or None when that is not
-        a polynomial: when some factor's count goes negative."""
-        factors = self.factors.copy()
-        factors.update(up)
-        factors.subtract(down)
-        if min(factors.values(), default=0) < 0:
+
+class RootMonomial(NamedTuple):
+    """An A-part class: scalar * prod(forms[k] ** exponents[k]), with forms
+    the spec's slot forms (_root_slots), the canonical coefficient tuples of
+    the positive roots in root_list order and then h.
+
+    Positive roots are primitive in simple-root coordinates and their own
+    canonical forms, so the scalar of a product of roots is +-1 and an int.
+    Canonical forms are non-associate primes, so two classes over the same
+    forms are equal as polynomials exactly when they are equal as tuples.
+    """
+
+    forms: Tuple[tuple, ...]
+    exponents: Tuple[int, ...]
+    scalar: int
+
+    def polynomial(self) -> Polynomial:
+        return _expand_product(len(self.forms[-1]), zip(self.forms, self.exponents), self.scalar)
+
+    def times_ratio(self, ratio: Sequence[int], scalar: int) -> Optional["RootMonomial"]:
+        """self * scalar * prod(forms[k] ** ratio[k]), ratio a signed
+        exponent vector, or None when that is not a polynomial: when some
+        exponent goes negative."""
+        exponents = tuple(map(add, self.exponents, ratio))
+        if min(exponents) < 0:
             return None
-        return EulerClass(self.nvars, +factors, self.scalar * scalar)
+        return RootMonomial(self.forms, exponents, self.scalar * scalar)
 
 
-def euler_factors(spec: SliceSpec, weights: Dict[Tuple[int, int], int],
-                  keep_h: bool) -> EulerClass:
+def euler_factors(spec: SliceSpec, weights: Dict[Tuple[int, int], int]) -> EulerClass:
     """Euler class of weights, keyed as tangent_weights keys them: the forms
-    root + n*h, or only their A-parts (h set to 0) when keep_h is false,
-    split into canonical factors whose splittings are memoized in the spec."""
+    root + n*h, split into canonical factors whose splittings are memoized
+    in the spec."""
     roots = spec.cartan.root_list
     factors: Counter = Counter()
     scalar = 1
     for (col, n), m in weights.items():
-        canon, s = _canonical(spec._forms, roots[col].coords + (n if keep_h else 0,))
+        canon, s = _canonical(spec._forms, roots[col].coords + (n,))
         factors[canon] += m
         scalar *= s**m
     return EulerClass(spec.cartan.rank + 1, factors, scalar)
@@ -404,21 +435,28 @@ def tangent_euler(spec: SliceSpec, p: int) -> EulerClass:
     """e_T of the whole tangent space at the point of index p."""
     key = (p, None, True)
     if key not in spec._euler:
-        spec._euler[key] = euler_factors(spec, tangent_weights(spec, _point(spec, p)), True)
+        spec._euler[key] = euler_factors(spec, tangent_weights(spec, _point(spec, p)))
     return spec._euler[key]
 
 
-def repelling_euler(spec: SliceSpec, p: int, ch: Chamber, keep_h: bool) -> EulerClass:
+def repelling_euler(spec: SliceSpec, p: int, ch: Chamber,
+                    keep_h: bool) -> Union[EulerClass, RootMonomial]:
     """e_T of the ch-repelling half of the tangent space at the point of
-    index p, or its e_A (h set to 0) when keep_h is false: the weights whose
-    root column has sign -1 in the chamber's sign vector."""
+    index p, as an EulerClass, or its e_A (h set to 0) as a RootMonomial
+    when keep_h is false: the weights whose root column has sign -1 in the
+    chamber's sign vector."""
     key = (p, ch, keep_h)
     found = spec._euler.get(key)
     if found is None:
         signs = ch.sign_vector
-        repel = {k: m for k, m in tangent_weights(spec, _point(spec, p)).items()
-                 if signs[k[0]] < 0}
-        found = spec._euler[key] = euler_factors(spec, repel, keep_h)
+        if keep_h:
+            repel = {k: m for k, m in tangent_weights(spec, _point(spec, p)).items()
+                     if signs[k[0]] < 0}
+            found = euler_factors(spec, repel)
+        else:
+            found = RootMonomial(_root_slots(spec)[0],
+                                 *_repelling_exponents(spec, _root_counts(spec, p), signs))
+        spec._euler[key] = found
     return found
 
 
@@ -437,34 +475,39 @@ def _root_counts(spec: SliceSpec, p: int) -> Tuple[int, ...]:
     return spec._root_counts[p]
 
 
-def _root_forms(spec: SliceSpec) -> Tuple[Tuple[tuple, int], ...]:
-    """Each root_list column split by _canonical as a form in a_1..a_r: the
-    positive root of the pair and the sign +-1; once per spec."""
-    if spec._root_forms is None:
-        spec._root_forms = tuple(_canonical(spec._forms, f.coords + (0,))
-                                 for f in spec.cartan.root_list)
-    return spec._root_forms
+def _root_slots(spec: SliceSpec) -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, int], ...]]:
+    """The forms of the RootMonomial exponent slots, the positive roots in
+    root_list order as (a_1..a_r, 0) and then h, and each root_list
+    column's slot and sign +-1: the root is sign times its slot's form; once
+    per spec."""
+    if spec._root_slots is None:
+        roots = spec.cartan.root_list
+        rank = spec.cartan.rank
+        columns: list = [None] * len(roots)
+        forms = []
+        for col, opposite in spec.cartan._root_pairs:
+            columns[col], columns[opposite] = (len(forms), 1), (len(forms), -1)
+            forms.append(roots[col].coords + (0,))
+        forms.append((0,) * rank + (1,))
+        spec._root_slots = (tuple(forms), tuple(columns))
+    return spec._root_slots
 
 
-def _repelling_ratio(
-    spec: SliceSpec, top, bottom, signs: Tuple[int, ...]
-) -> Tuple[Counter, Counter, Fraction]:
-    """The roots of the columns with sign -1, each to its count in top, over
-    the same roots to their counts in bottom, in lowest terms: the factors
-    above, those below, and the scalar +-1.  A canonical form has exactly one
-    repelling column per chamber, so each factor is set once."""
-    up: Counter = Counter()
-    down: Counter = Counter()
+def _repelling_exponents(spec: SliceSpec, values: Iterable[int],
+                         signs: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """The exponent vector that gives each column with sign -1 its value in
+    values (a count by root_list column) on its slot, h 0, and the sign of
+    that product of repelling roots.  A positive root has exactly one
+    repelling column per chamber, so each slot is set once."""
+    forms, columns = _root_slots(spec)
+    exponents = [0] * len(forms)
     flips = 0
-    for (form, unit), sign, m in zip(_root_forms(spec), signs, map(sub, top, bottom)):
+    for (slot, unit), sign, m in zip(columns, signs, values):
         if sign < 0 and m:
-            if m > 0:
-                up[form] = m
-            else:
-                down[form] = -m
+            exponents[slot] = m
             if unit < 0:
                 flips += m
-    return up, down, Fraction(-1 if flips % 2 else 1)
+    return tuple(exponents), -1 if flips % 2 else 1
 
 
 def localization_denominator(spec: SliceSpec) -> Tuple[EulerClass, List[EulerClass]]:

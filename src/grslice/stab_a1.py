@@ -23,8 +23,6 @@ forms themselves.
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, neg, sub
 from typing import Dict, List, Tuple
@@ -33,11 +31,10 @@ from .cartan import AWeightForm, Chamber, pairing
 from .slices import (
     EulerClass,
     FixedPoint,
+    RootMonomial,
     SliceSpec,
-    _canonical,
     _steps,
     adjacent_pairs,
-    dimension,
     enumerate_fixed_points,
     localization_denominator,
     point_index,
@@ -275,7 +272,7 @@ class RestrictionMatrix:
         self.polarization_signs = tuple(polarization_signs)
         self.points = enumerate_fixed_points(spec)
         self.epsilons = tuple(epsilons)
-        degree = dimension(spec) // 2
+        degree = spec.dimension // 2
         self.entries = {}
         for (p, q), val in entries.items():
             if len(val) != degree + 1:
@@ -380,7 +377,7 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
 
 def stab_offdiag_mod_h2(
     spec: SliceSpec, ch: Chamber, polarization_signs=None
-) -> Dict[Tuple[int, int], EulerClass]:
+) -> Dict[Tuple[int, int], RootMonomial]:
     """Closed-form off-diagonal restrictions mod h^2, factored and keyed by
     point indices as in stab_general.stab_mod_h2.
 
@@ -392,13 +389,12 @@ def stab_offdiag_mod_h2(
     _require_a1(spec)
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    h = Counter([(0, 1)])
-    alpha_form, alpha_scalar = _canonical(spec._forms, _chamber_root(ch).coords + (0,))
-    down = Counter([alpha_form])
-    out: Dict[Tuple[int, int], EulerClass] = {}
+    # the slots are a and h: times h over a_ch = +-a, whose sign is its own inverse
+    alpha_sign = _chamber_root(ch).coords[0]
+    out: Dict[Tuple[int, int], RootMonomial] = {}
     for p, q in adjacent_pairs(spec, ch):
         e_a = repelling_euler(spec, p, ch, False)
-        entry = e_a.times_ratio(h, down, Fraction(signs[p], alpha_scalar))
+        entry = e_a.times_ratio((-1, 1), signs[p] * alpha_sign)
         if entry is None:
             raise ExactDivisionFailure(
                 f"entry at {points[p].label()} did not clear its denominator")
@@ -431,7 +427,7 @@ def theta_action(
     rows: List[Dict[int, tuple]] = [{} for _ in points]
     for (p, q), val in matrix.entries.items():
         rows[p][q] = val
-    zero = (0,) * (dimension(spec) // 2 + 1)
+    zero = (0,) * (spec.dimension // 2 + 1)
     left: Dict[Tuple[int, int], tuple] = {}
     for p, row in enumerate(rows):
         rp = partner[p]
@@ -511,7 +507,7 @@ def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None
     """
     lcm, cofactor = localization_denominator(plus.spec)
     weight = weight or [(1,)] * len(cofactor)
-    bound = len(cofactor) * (dimension(plus.spec) // 2 + 1) * max(sum(map(abs, w)) for w in weight)
+    bound = len(cofactor) * (plus.spec.dimension // 2 + 1) * max(sum(map(abs, w)) for w in weight)
     for forms in (plus.entries.values(), minus.entries.values()):
         bound *= max(max(map(max, forms), default=0), -min(map(min, forms), default=0))
     bound += 1  # S_pq - lcm has the lcm once more

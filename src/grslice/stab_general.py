@@ -7,8 +7,9 @@ later slot j.  The coefficient is omega_{p,q} * (h / alpha_form) * eps|_p,
 where omega is the ratio of A-equivariant repelling Euler classes taken for
 either closed-form chamber next to the wall ker(alpha_form)
 (wall_adjacent_chambers); the two must agree.
-Every part of it is a product of linear forms, so an entry is an EulerClass
-built by multiset arithmetic and expanded only where a document prints it.
+Every part of it is a product of positive roots and h, so an entry is a
+RootMonomial, an exponent vector over those forms built by tuple
+arithmetic, and expanded only where a document prints it.
 omega is read from the root counts of p and q (the multiplicity of each root
 among the A-parts of the tangent weights, slices._root_counts) and a
 chamber's sign vector; it belongs to the wall, so it lives in the spec's
@@ -21,26 +22,25 @@ closed form, and the exact value is available from Euler classes.
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
 from operator import add, sub
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from .slices import (
-    EulerClass,
+    RootMonomial,
     SliceSpec,
-    _canonical,
     _flip_signs,
     _point,
-    _repelling_ratio,
+    _repelling_exponents,
     _root_counts,
+    _root_slots,
     adjacent_pairs,
     enumerate_fixed_points,
     repelling_euler,
     same_wall_component,
 )
 from .stab_a1 import ExactDivisionFailure, normalize_polarization
+from .symalg import monomial_key
 
 
 def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
@@ -69,17 +69,18 @@ def wall_adjacent_chambers(cartan: CartanDatum, root: AWeightForm) -> Tuple[Cham
 
 def omega_ratio(
     spec: SliceSpec, p: int, q: int, root: AWeightForm
-) -> Tuple[Counter, Counter, Fraction]:
+) -> Tuple[Tuple[int, ...], int]:
     """e_A of the repelling half at q over the one at p, for the points of
     indices p and q and a chamber adjacent to the wall of the root; the two
     chambers of wall_adjacent_chambers must agree.
 
-    Both Euler classes are multisets of canonical factors, so the ratio is
-    their multiset difference, already in lowest terms: the factors of the
-    numerator, those of the denominator, and the scalar.  The ratio belongs
-    to the wall, not to a chamber, so it is computed and checked once per
-    spec, unordered pair and root (the ratio for (q, p) is the reciprocal),
-    and callers share it.
+    Both Euler classes are RootMonomials, so the ratio is the difference of
+    their exponent vectors, already in lowest terms: a signed exponent
+    vector over the spec's slot forms (positive for a factor above,
+    negative for one below, 0 for h), and the scalar +-1.  The ratio
+    belongs to the wall, not to a chamber, so it is computed and checked
+    once per spec, unordered pair and root (the ratio for (q, p) is the
+    reciprocal), and callers share it.
     """
     canon = _canonical_root(spec.cartan, root)
     key = (p, q, canon)
@@ -87,13 +88,13 @@ def omega_ratio(
     if found is None:
         reverse = spec._omega.get((q, p, canon))
         if reverse is not None:
-            up, down, scalar = reverse
-            found = (down, up, 1 / scalar)
+            exponents, scalar = reverse
+            found = (tuple([-m for m in exponents]), scalar)
         else:
             if same_wall_component(spec, _point(spec, p), _point(spec, q)) != canon:
                 raise ValueError("p and q do not share a wall component for this root")
-            near, far = (_repelling_ratio(spec, _root_counts(spec, q), _root_counts(spec, p),
-                                          ch.sign_vector)
+            counts = tuple(map(sub, _root_counts(spec, q), _root_counts(spec, p)))
+            near, far = (_repelling_exponents(spec, counts, ch.sign_vector)
                          for ch in wall_adjacent_chambers(spec.cartan, canon))
             if near != far:
                 raise AssertionError("the two wall sides disagree on the omega ratio")
@@ -129,23 +130,27 @@ def sigma_sign(
 
 def stab_mod_h2(
     spec: SliceSpec, ch: Chamber, polarization_signs=None
-) -> Dict[Tuple[int, int], EulerClass]:
+) -> Dict[Tuple[int, int], RootMonomial]:
     """Off-diagonal restrictions mod h^2 for every adjacency-witnessed pair,
     keyed by the point indices (p, q).
 
     Each entry sign_p * eps_p * omega * h / alpha is returned factored, as
-    an EulerClass; its polynomial() method expands it.
+    a RootMonomial; its polynomial() method expands it.
     """
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    h = Counter([(0,) * spec.cartan.rank + (1,)])
-    out: Dict[Tuple[int, int], EulerClass] = {}
+    columns = _root_slots(spec)[1]
+    column_of = spec.cartan._column
+    out: Dict[Tuple[int, int], RootMonomial] = {}
     for (p, q), witness in adjacent_pairs(spec, ch).items():
         eps = repelling_euler(spec, p, ch, False)
-        up, down, scalar = omega_ratio(spec, p, q, witness.alpha_form)
-        alpha, alpha_scalar = _canonical(spec._forms, witness.alpha_form.coords + (0,))
-        entry = eps.times_ratio(up + h, down + Counter([alpha]),
-                                signs[p] * scalar / alpha_scalar)
+        omega, scalar = omega_ratio(spec, p, q, witness.alpha_form)
+        # times h over alpha, whose sign +-1 is its own inverse
+        slot, alpha_sign = columns[column_of[witness.alpha_form]]
+        ratio = list(omega)
+        ratio[slot] -= 1
+        ratio[-1] += 1
+        entry = eps.times_ratio(ratio, signs[p] * scalar * alpha_sign)
         if entry is None:
             raise ExactDivisionFailure(
                 f"entry ({points[p].label()}, {points[q].label()}) did not clear its denominator"
@@ -154,9 +159,58 @@ def stab_mod_h2(
     return out
 
 
+def _expand(entries: List[RootMonomial]) -> List[dict]:
+    """Each entry's polynomial().to_json(), without building a Polynomial;
+    the entries share their forms, as those of one spec do.
+
+    A monomial is packed into the int sum of e_i * base ** (n - 1 - i) over
+    its exponents (e_1, .., e_n) = (a_1, .., a_r, h), base one more than
+    the largest degree, so that no exponent carries and the packed ints
+    order like the exponent tuples.  A product is expanded one linear factor
+    at a time on a dict of packed monomials with int coefficients, and
+    scaled once.  Entries share most monomials, so each key is named once
+    per call.
+    """
+    if not entries:
+        return []
+    forms = entries[0].forms
+    n = len(forms[-1])
+    base = max(sum(e.exponents) for e in entries) + 1
+    # each form as the packed shift of each of its variables and the coefficient
+    steps = [[(base ** (n - 1 - i), c) for i, c in enumerate(f) if c] for f in forms]
+    names: Dict[int, str] = {}
+    out = []
+    for entry in entries:
+        terms = {0: 1}
+        for step, power in zip(steps, entry.exponents):
+            for _ in range(power):
+                product: Dict[int, int] = {}
+                get = product.get
+                for m, d in terms.items():
+                    for shift, c in step:
+                        product[m + shift] = get(m + shift, 0) + d * c
+                terms = product
+        value = {}
+        for m in sorted(terms):
+            d = terms[m] * entry.scalar
+            if d:
+                name = names.get(m)
+                if name is None:
+                    digits, rest = [], m
+                    for _ in range(n):
+                        rest, e = divmod(rest, base)
+                        digits.append(e)
+                    name = names[m] = monomial_key(tuple(reversed(digits)))
+                value[name] = str(d)
+        out.append(value)
+    return out
+
+
 def mod_h2_json(spec: SliceSpec, ch: Chamber, entries) -> dict:
     """Sparse triplet serialization sorted by (p, q)."""
     pairs = adjacent_pairs(spec, ch)
-    rows = [{"p": p, "q": q, "alpha": list(pairs[p, q].alpha_form.coords),
-             "value": entries[p, q].polynomial().to_json()} for p, q in sorted(entries)]
+    keys = sorted(entries)
+    values = _expand([entries[key] for key in keys])
+    rows = [{"p": p, "q": q, "alpha": list(pairs[p, q].alpha_form.coords), "value": value}
+            for (p, q), value in zip(keys, values)]
     return {"entries": rows}

@@ -3,18 +3,29 @@ minuscule slice sampling, an independent sampler of wall-adjacent chambers,
 polynomial queries the program itself does not need (generators, the zero
 test, one coefficient), reference polynomial routes (substitution,
 truncation mod h^2, the localization pairing on polynomials and on
-coefficient tuples, the product of operator matrices), and reference
-builders of the stab-exact and mult documents."""
+coefficient tuples, the product of operator matrices), the Counter
+reference of the mod-h^2 entries, and reference builders of the stab-exact
+and mult documents."""
 
 import json
 import random
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
 from grslice import cli
 from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
-from grslice.slices import SliceSpec, enumerate_fixed_points, flip_sign, localization_denominator
-from grslice.stab_a1 import _euler_form, _form_mul, _polynomial
+from grslice.slices import (
+    EulerClass,
+    SliceSpec,
+    adjacent_pairs,
+    enumerate_fixed_points,
+    flip_sign,
+    localization_denominator,
+    same_wall_component,
+    tangent_weights,
+)
+from grslice.stab_a1 import _euler_form, _form_mul, _polynomial, normalize_polarization
 from grslice.symalg import Polynomial, RationalFunction
 
 
@@ -287,3 +298,80 @@ def document(command, spec, ch, signs=None, bundle=None):
     job = cli.JobSpec(command, spec.cartan.type_letter, spec.cartan.rank, spec.lambda_seq,
                       spec.mu.coords, bundle=bundle)
     return printed(cli.compute_payload(job, spec, ch, signs))
+
+
+# -- the Counter reference of the mod-h^2 entries ----------------------------------
+
+
+def as_euler_class(monomial):
+    """A RootMonomial as the EulerClass of the same factors: a Counter of
+    the forms with a nonzero exponent."""
+    return EulerClass(len(monomial.forms[-1]),
+                      Counter({f: k for f, k in zip(monomial.forms, monomial.exponents) if k}),
+                      monomial.scalar)
+
+
+def as_counter_ratio(forms, exponents, scalar):
+    """A signed exponent vector over forms, with its scalar, as the Counters
+    of the factors above and below and the scalar."""
+    up = Counter({f: k for f, k in zip(forms, exponents) if k > 0})
+    down = Counter({f: -k for f, k in zip(forms, exponents) if k < 0})
+    return up, down, scalar
+
+
+def _weights(spec, p):
+    """(root, n, mult) for each tangent weight at the point of index p."""
+    roots = spec.cartan.root_list
+    return [(roots[col], n, m)
+            for (col, n), m in tangent_weights(spec, enumerate_fixed_points(spec)[p]).items()]
+
+
+def counter_repelling_factors(spec, p, ch):
+    """e_A of the ch-repelling weights, factored weight by weight: each root
+    to the form of the root of its pair whose first nonzero coefficient is
+    positive (every root is primitive), and the sign of the product."""
+    factors, sign = Counter(), 1
+    for root, _, m in _weights(spec, p):
+        if not ch.is_positive(root):
+            lead = next(c for c in root.coords if c)
+            factors[(root if lead > 0 else -root).coords + (0,)] += m
+            sign *= (1 if lead > 0 else -1) ** m
+    return factors, sign
+
+
+def counter_omega_ratio(spec, p, q, root):
+    """omega_ratio weight by weight, in every call: the multiset differences
+    of the two hand-factored repelling Euler classes, on both sides of the
+    wall, for chambers of the independent sampler."""
+    canon = root if sum(root.coords) > 0 else -root
+    points = enumerate_fixed_points(spec)
+    assert same_wall_component(spec, points[p], points[q]) == canon
+    results = []
+    for ch in reference_wall_chambers(spec.cartan, canon, 1):
+        f_q, s_q = counter_repelling_factors(spec, q, ch)
+        f_p, s_p = counter_repelling_factors(spec, p, ch)
+        results.append((f_q - f_p, f_p - f_q, Fraction(s_q, s_p)))
+    assert results[0] == results[1]
+    return results[0]
+
+
+def counter_stab_mod_h2(spec, ch, signs=None):
+    """stab_mod_h2 on Counters: each entry sign_p * eps_p * omega * h /
+    alpha as an EulerClass, from counter_repelling_factors and
+    counter_omega_ratio; None where a factor's count goes negative."""
+    signs = normalize_polarization(enumerate_fixed_points(spec), signs)
+    nv = spec.cartan.rank + 1
+    h = (0,) * spec.cartan.rank + (1,)
+    out = {}
+    for (p, q), witness in adjacent_pairs(spec, ch).items():
+        eps, eps_sign = counter_repelling_factors(spec, p, ch)
+        up, down, scalar = counter_omega_ratio(spec, p, q, witness.alpha_form)
+        alpha = witness.alpha_form.coords
+        alpha_sign = 1 if next(c for c in alpha if c) > 0 else -1
+        factors = eps + up + Counter([h])
+        factors.subtract(down + Counter([tuple(alpha_sign * c for c in alpha) + (0,)]))
+        if min(factors.values()) < 0:
+            out[p, q] = None
+        else:
+            out[p, q] = EulerClass(nv, +factors, signs[p] * eps_sign * scalar * alpha_sign)
+    return out

@@ -14,7 +14,6 @@ from grslice.chern import bundle_weight, mult_matrix
 from grslice.slices import (
     SliceSpec,
     adjacent_pairs,
-    dimension,
     dominant_representative,
     enumerate_fixed_points,
     flip_sign,
@@ -161,7 +160,7 @@ def test_criterion_05_duality_orthonormality():
 def test_criterion_06_mod_h2_closed_form_and_diagonal_constant():
     for l, k in a1_grid(8):
         spec = a1_spec(l, k)
-        half = dimension(spec) // 2
+        half = spec.dimension // 2
         for ch, s in ((CH_PLUS, 1), (CH_MINUS, -1)):
             matrix = exact(spec, ch)
             closed = stab_offdiag_mod_h2(spec, ch)

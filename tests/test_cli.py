@@ -4,7 +4,6 @@ import hashlib
 import inspect
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -808,10 +807,9 @@ def test_oracle_reconstruction_that_does_not_divide_exits_three(capsys, monkeypa
     def tampered(spec, ch, signs=None):
         entries = real(spec, ch, signs)
         pair = min(entries)
-        h = (0,) * spec.cartan.rank + (1,)
         entry = entries[pair]
-        entries[pair] = slices.EulerClass(entry.nvars, entry.factors - Counter([h]), entry.scalar)
-        # a key that is not the factor's would leave the entry as it was
+        exponents = entry.exponents
+        entries[pair] = entry._replace(exponents=exponents[:-1] + (exponents[-1] - 1,))
         assert entries[pair] != entry
         return entries
 
@@ -843,6 +841,20 @@ def test_mod_h2_routes_need_no_division_or_rational_function(capsys, monkeypatch
 
 
 D4_SLICE = ["--type", "D", "--rank", "4", "--lambda", "1,1", "--mu", "0,1,0,0"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("stab-mod-h2 --type D --rank 4 --lambda 1,3,4 --mu 0,0,0,0",
+     "bb491a7e387a56c0153f300eaa4ce648393f198ffd8e3548cc8ec8ba90d1a48e"),
+    ("verify wallcross --type E --rank 6 --lambda 1,6 --mu 0,0,0,0,0,0",
+     "8c680c252cadfd64bd9d82646308e42e131776ca1b8ff6a6654774b3ea283ace"),
+], ids=["D4-stab-mod-h2", "E6-wallcross"])
+def test_wall_route_documents_outside_the_catalog_keep_their_sha256(capsys, argv, digest):
+    # two documents of the mod-h^2 route that no golden covers, pinned to
+    # the sha256 of the text the Counter-based entries printed
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_wallcross_reads_each_wall_from_the_witness_root(capsys, tmp_path, monkeypatch):

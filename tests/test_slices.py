@@ -16,7 +16,6 @@ from grslice.slices import (
     NonMinusculeUnsupported,
     SliceSpec,
     adjacent_pairs,
-    dimension,
     enumerate_fixed_points,
     euler_factors,
     flip_sign,
@@ -110,20 +109,20 @@ def test_enumerate_binomial_counts():
 # ---------------------------------------------------------------- dimension
 
 def test_dimension():
-    assert dimension(DUVAL_A4) == 2
-    assert dimension(TSTAR_FL3) == 6
-    assert dimension(SliceSpec(A2, [2], A2.fundamental_coweight(2))) == 0
-    assert dimension(TSTAR_P1) == 2
+    assert DUVAL_A4.dimension == 2
+    assert TSTAR_FL3.dimension == 6
+    assert SliceSpec(A2, [2], A2.fundamental_coweight(2)).dimension == 0
+    assert TSTAR_P1.dimension == 2
 
 
 def test_dimension_nondominant_target():
     # reflecting mu across a wall leaves the tangent totals unchanged,
     # so the dimension must use the dominant representative
-    assert dimension(a1_spec(4, -2)) == dimension(a1_spec(4, 2)) == 2
-    assert dimension(a1_spec(3, -3)) == 0
+    assert a1_spec(4, -2).dimension == a1_spec(4, 2).dimension == 2
+    assert a1_spec(3, -3).dimension == 0
     b2 = CartanDatum("B", 2)
     spec = SliceSpec(b2, [2, 2, 2], Coweight((2, -1)))
-    assert dimension(spec) == 2
+    assert spec.dimension == 2
     for p in enumerate_fixed_points(spec):
         assert sum(tangent_weights(spec, p).values()) == 2
 
@@ -187,7 +186,7 @@ def test_tangent_weights_against_crossing_oracles():
 
 def test_tangent_weights_sum_and_duality():
     for spec in random_minuscule_specs(40, seed=9):
-        dim = dimension(spec)
+        dim = spec.dimension
         for p in enumerate_fixed_points(spec):
             ws = tangent_weights(spec, p)
             assert sum(ws.values()) == dim
@@ -276,7 +275,7 @@ def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
         SliceSpec(A2, [1, 0, 2, 1, 2], Coweight([0, 0])),
         SliceSpec(CartanDatum("D", 4), [1, 3, 4, 0], Coweight([0, 0, 0, 0])),
     ]
-    dims = [dimension(spec) for spec in specs]
+    dims = [spec.dimension for spec in specs]
     chambers = [(Chamber.dominant(spec.cartan), Chamber.antidominant(spec.cartan))
                 for spec in specs]
 
@@ -329,13 +328,12 @@ def test_euler_class_examples():
     alpha = AWeightForm([1])
     weights = by_column(A1, {(alpha, -1): 1, (-alpha, 0): 1})
 
-    def euler(weights, keep_h=True):
-        return euler_factors(a1_spec(2, 0), weights, keep_h).polynomial()
+    def euler(weights):
+        return euler_factors(a1_spec(2, 0), weights).polynomial()
 
     assert euler(weights) == -(a**2) + a * h
     assert euler({}) == Polynomial.one(2)
     assert euler(by_column(A1, {(-alpha, -1): 2})) == (a + h) ** 2
-    assert euler(weights, False) == -(a**2)
 
 
 def test_repelling_euler_on_both_chambers():

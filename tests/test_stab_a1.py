@@ -10,7 +10,6 @@ from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.slices import (
     FixedPoint,
     SliceSpec,
-    dimension,
     enumerate_fixed_points,
     localization_denominator,
     point_index,
@@ -203,8 +202,7 @@ def test_euler_forms_expand_like_euler_polynomials():
     for spec in grid_specs(5):
         for p in range(len(enumerate_fixed_points(spec))):
             classes = [tangent_euler(spec, p)]
-            classes += [repelling_euler(spec, p, ch, keep_h)
-                        for ch in (CH_PLUS, CH_MINUS) for keep_h in (True, False)]
+            classes += [repelling_euler(spec, p, ch, True) for ch in (CH_PLUS, CH_MINUS)]
             for e in classes:
                 assert stab_a1._polynomial(stab_a1._euler_form(e)) == e.polynomial()
 
@@ -607,7 +605,7 @@ def test_packed_pairing_matches_the_convolution(data, spec, magnitude, weighted)
                             st.sampled_from([magnitude, -magnitude]))
 
     def drawn(matrix):
-        width = dimension(spec) // 2 + 1
+        width = spec.dimension // 2 + 1
         return _with_entries(matrix, {pq: tuple(data.draw(st.lists(
             coefficient, min_size=width, max_size=width))) for pq in matrix.entries})
 

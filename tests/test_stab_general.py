@@ -1,7 +1,6 @@
+import json
 import os
 import sys
-from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +11,10 @@ from grslice.slices import (
     AdjacencyWitness,
     EulerClass,
     FixedPoint,
+    RootMonomial,
     SliceSpec,
+    _root_slots,
     adjacent_pairs,
-    dimension,
     dominant_representative,
     enumerate_fixed_points,
     flip_sign,
@@ -47,6 +47,11 @@ from grslice.stab_general import (
 )
 from grslice.symalg import Polynomial
 from helpers import (
+    as_counter_ratio,
+    as_euler_class,
+    counter_omega_ratio,
+    counter_repelling_factors,
+    counter_stab_mod_h2,
     document,
     gen,
     printed,
@@ -162,18 +167,18 @@ def test_wall_adjacent_chambers_touch_only_that_wall():
 
 def test_omega_ratio_rank1_is_one():
     p2, p1 = ix(TSTAR_P1, fp(Coweight([1]), Coweight([-1])), fp(Coweight([-1]), Coweight([1])))
-    assert omega_ratio(TSTAR_P1, p2, p1, AWeightForm([1])) == (Counter(), Counter(), 1)
+    assert omega_ratio(TSTAR_P1, p2, p1, AWeightForm([1])) == ((0, 0), 1)
 
 
 def test_omega_ratio_reciprocal():
     # each ratio is in lowest terms, and linear forms are primes, so the
-    # product is one exactly when the factors cancel and the scalars do
+    # product is one exactly when the exponents cancel and the scalars do
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
     for p, q in entries:
         root = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)).alpha_form
-        up, down, scalar = omega_ratio(TSTAR_FL3, p, q, root)
-        up2, down2, scalar2 = omega_ratio(TSTAR_FL3, q, p, root)
-        assert up + up2 == down + down2
+        exponents, scalar = omega_ratio(TSTAR_FL3, p, q, root)
+        exponents2, scalar2 = omega_ratio(TSTAR_FL3, q, p, root)
+        assert all(a + b == 0 for a, b in zip(exponents, exponents2))
         assert scalar * scalar2 == 1
 
 
@@ -186,8 +191,8 @@ def test_omega_ratio_not_rational_witness():
     found = False
     for p, q in entries:
         root = adjacent_pairs(spec, CH2_PLUS).get((p, q)).alpha_form
-        up, down, _ = omega_ratio(spec, p, q, root)
-        if up or down:
+        exponents, _ = omega_ratio(spec, p, q, root)
+        if any(exponents):
             found = True
     assert found
 
@@ -284,7 +289,7 @@ def test_stab_mod_h2_fl3_support_and_degrees():
     }
     assert set(entries) == expected_pairs
     assert entries
-    half = dimension(TSTAR_FL3) // 2
+    half = TSTAR_FL3.dimension // 2
     for value in entries.values():
         # every term is h times a monomial of degree half - 1 in a
         exponents = value.polynomial().terms
@@ -386,19 +391,6 @@ def _reference_repelling_euler(spec, p, ch, keep_h):
     return out
 
 
-def _reference_repelling_factors(spec, p, ch):
-    """e_A of the ch-repelling weights, factored weight by weight: each root
-    to the form of the root of its pair whose first nonzero coefficient is
-    positive (every root is primitive), and the sign of the product."""
-    factors, sign = Counter(), 1
-    for root, _, m in _weights(spec, p):
-        if not ch.is_positive(root):
-            lead = next(c for c in root.coords if c)
-            factors[(root if lead > 0 else -root).coords + (0,)] += m
-            sign *= (1 if lead > 0 else -1) ** m
-    return factors, sign
-
-
 def _reference_flip_sign(spec, p, ch1, ch2):
     """flip_sign weight by weight."""
     count = sum(m for root, n, m in _weights(spec, p)
@@ -406,25 +398,9 @@ def _reference_flip_sign(spec, p, ch1, ch2):
     return -1 if count % 2 else 1
 
 
-def _reference_omega(spec, p, q, root):
-    """omega_ratio weight by weight, in every call: the multiset differences
-    of the two hand-factored repelling Euler classes, on both sides of the
-    wall, for chambers of the independent sampler."""
-    canon = root if sum(root.coords) > 0 else -root
-    points = enumerate_fixed_points(spec)
-    assert same_wall_component(spec, points[p], points[q]) == canon
-    results = []
-    for ch in reference_wall_chambers(spec.cartan, canon, 1):
-        f_q, s_q = _reference_repelling_factors(spec, q, ch)
-        f_p, s_p = _reference_repelling_factors(spec, p, ch)
-        results.append((f_q - f_p, f_p - f_q, Fraction(s_q, s_p)))
-    assert results[0] == results[1]
-    return results[0]
-
-
 def _reference_omega_ratio(spec, p, q, root):
     """omega_ratio as a numerator and denominator polynomial."""
-    up, down, scalar = _reference_omega(spec, p, q, root)
+    up, down, scalar = counter_omega_ratio(spec, p, q, root)
     nv = spec.cartan.rank + 1
     return EulerClass(nv, up, scalar).polynomial(), EulerClass(nv, down, 1).polynomial()
 
@@ -513,11 +489,12 @@ def test_root_count_routes_match_the_multiset_routes(job):
             assert (repelling_euler(spec, p, ch1, keep_h).polynomial()
                     == _reference_repelling_euler(spec, p, ch1, keep_h))
         assert flip_sign(spec, p, ch1, ch2) == _reference_flip_sign(spec, p, ch1, ch2)
+    forms = _root_slots(spec)[0]
     for (p, q), witness in adjacent_pairs(spec, ch1).items():
         for a, b in ((p, q), (q, p)):
-            expected = _reference_omega(spec, a, b, witness.alpha_form)
-            assert omega_ratio(spec, a, b, witness.alpha_form) == expected
-            assert omega_ratio(spec, a, b, -witness.alpha_form) == expected
+            expected = counter_omega_ratio(spec, a, b, witness.alpha_form)
+            for root in (witness.alpha_form, -witness.alpha_form):
+                assert as_counter_ratio(forms, *omega_ratio(spec, a, b, root)) == expected
 
 
 REPELLING_SLICES = [
@@ -544,24 +521,24 @@ def test_repelling_euler_is_the_product_of_the_repelling_weights(spec):
 
 
 def test_negative_count_raises_exact_division_failure(monkeypatch):
-    # an omega with one more factor below than the entry holds cannot clear
-    # its denominator
+    # an omega with h twice below, where the entry holds it once, cannot
+    # clear its denominator
     real = stab_general.omega_ratio
-    extra = Polynomial.linear_form([1, 1], 7)
 
     def tampered(spec, p, q, root):
-        up, down, scalar = real(spec, p, q, root)
-        return up, down + Counter([extra]), scalar
+        exponents, scalar = real(spec, p, q, root)
+        return exponents[:-1] + (exponents[-1] - 2,), scalar
 
     monkeypatch.setattr(stab_general, "omega_ratio", tampered)
     with pytest.raises(ExactDivisionFailure, match=r"did not clear its denominator"):
         stab_mod_h2(TSTAR_FL3, CH2_PLUS)
 
 
-def test_factored_routes_build_no_polynomial(monkeypatch):
+def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
     # Euler factors, bundle weights, rank-one forms and multiplication matrix
-    # entries are coefficient tuples: a Polynomial is built only where a
-    # document or a matrix entry is expanded
+    # entries are coefficient tuples, and mod-h^2 entries exponent vectors
+    # that their JSON document expands itself: a Polynomial is built only
+    # where a table cell or a matrix entry is read
     def refuse(*args, **kwargs):
         raise AssertionError("a Polynomial was built")
 
@@ -588,6 +565,13 @@ def test_factored_routes_build_no_polynomial(monkeypatch):
         assert document("mult", spec, ch, bundle=bundle)["bundle"] == bundle
     assert len(line_bundle_matrices(spec, ch)) == spec.length + 1
     assert verify.oracle(spec, ch)["ok"]
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+    d4_args = ["--type", "D", "--rank", "4", "--lambda", "1,1", "--mu", "0,1,0,0"]
+    for argv in (["stab-mod-h2", "--format", "json"], ["verify", "wallcross"],
+                 ["verify", "oracle"]):
+        assert cli.main(argv + d4_args) == 0, argv
+        out, err = capsys.readouterr()
+        assert json.loads(out) and err == ""
 
     a1 = SliceSpec(A1, [1] * 5, Coweight([1]))
     for a1_ch in (CH1_PLUS, CH1_MINUS):
@@ -598,13 +582,60 @@ def test_factored_routes_build_no_polynomial(monkeypatch):
 
 
 def test_times_ratio_refuses_a_negative_count():
-    a, h = gen(2, 0), gen(2, 1)
-    e = EulerClass(2, Counter({a: 2}), 3)
-    assert e.times_ratio(Counter({h: 1}), Counter({a: 1}), Fraction(1, 3)) == EulerClass(
-        2, Counter({a: 1, h: 1}), 1
-    )
-    assert e.times_ratio(Counter(), Counter({h: 1}), 1) is None
-    assert e.times_ratio(Counter(), Counter({a: 3}), 1) is None
+    forms = ((1, 0), (0, 1))
+    e = RootMonomial(forms, (2, 0), 3)
+    assert e.times_ratio((-1, 1), -1) == RootMonomial(forms, (1, 1), -3)
+    assert e.times_ratio([0, -1], 1) is None
+    assert e.times_ratio((-3, 0), 1) is None
+
+
+@st.composite
+def root_monomial_documents(draw):
+    """One to three RootMonomials over shared forms: one to three distinct
+    forms in one to three a-variables with small signed coefficients (so
+    terms can cancel), h last, exponents up to 3 (h up to 4), and nonzero
+    signed scalars."""
+    rank = draw(st.integers(1, 3))
+    coefficient = st.integers(-2, 2)
+    forms = draw(st.lists(st.tuples(*[coefficient] * rank).filter(any).map(lambda f: f + (0,)),
+                          min_size=1, max_size=3, unique=True))
+    forms = tuple(forms) + ((0,) * rank + (1,),)
+    count = draw(st.integers(1, 3))
+    return [RootMonomial(forms,
+                         tuple(draw(st.lists(st.integers(0, 3), min_size=len(forms) - 1,
+                                             max_size=len(forms) - 1))) + (draw(st.integers(0, 4)),),
+                         draw(st.integers(-5, 5).filter(bool)))
+            for _ in range(count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_monomial_documents())
+def test_packed_expansion_prints_the_polynomial_json(entries):
+    # the document's expansion against the Counter reference's Polynomial,
+    # key by key in the same order
+    for value, entry in zip(stab_general._expand(entries), entries):
+        expected = as_euler_class(entry).polynomial().to_json()
+        assert list(value.items()) == list(expected.items())
+
+
+def test_root_monomials_match_the_counter_reference_on_the_higher_rank_catalog():
+    # e_A, omega and the mod-h^2 entries of every higher-rank catalog slice
+    # and chamber, against the Counter route that factors weight by weight
+    checked = 0
+    for spec, ch, signs in _catalog_slices("higher-rank"):
+        forms = _root_slots(spec)[0]
+        for p in range(len(enumerate_fixed_points(spec))):
+            factors, sign = counter_repelling_factors(spec, p, ch)
+            assert as_euler_class(repelling_euler(spec, p, ch, False)) == EulerClass(
+                len(forms[-1]), factors, sign)
+        for (p, q), witness in adjacent_pairs(spec, ch).items():
+            assert (as_counter_ratio(forms, *omega_ratio(spec, p, q, witness.alpha_form))
+                    == counter_omega_ratio(spec, p, q, witness.alpha_form))
+        entries = stab_mod_h2(spec, ch, signs)
+        assert {pair: as_euler_class(e) for pair, e in entries.items()} == counter_stab_mod_h2(
+            spec, ch, signs)
+        checked += len(entries)
+    assert checked >= 700
 
 
 # -- wall-adjacent chambers ------------------------------------------------------
