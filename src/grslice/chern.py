@@ -12,8 +12,7 @@ matrices, so the two routes can be compared entry by entry.
 Every entry is a linear form in (a, h): a diagonal entry is a bundle weight,
 an off-diagonal one a rational multiple of h.  Like the bundle weights, an
 entry is kept as its coefficient tuple (a_1, .., a_r, h), keyed by the index
-pair of its points; a Polynomial is built only where OperatorMatrix.entry
-reads one cell.
+pair of its points, and OperatorMatrix.entry reads one cell as that tuple.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ from .stab_a1 import (
     stab_matrix,
 )
 from .stab_general import sigma_sign
-from .symalg import NonDivisible, Polynomial, _norm_scalar
+from .symalg import NonDivisible, _norm_scalar
 
 
-class NonPolynomialEntry(RuntimeError):
-    """A localization sum failed to reduce to a degree-one polynomial."""
+class NonLinearFormEntry(RuntimeError):
+    """A localization sum failed to reduce to a linear form in (a, h)."""
 
 
 BundleTag = Union[str, Tuple[str, int]]
@@ -120,7 +119,7 @@ class OperatorMatrix:
     point_index.  entries holds the nonzero coefficients only, keyed by the
     index pair (qi, pi), each a linear form in (a, h) as its coefficient
     tuple (a_1, .., a_r, h); zero is the all-zero tuple, and entry reads a
-    cell as a Polynomial.
+    cell by point, zero where none is stored.
     """
 
     __slots__ = ("spec", "chamber", "basis", "entries", "label", "zero")
@@ -139,10 +138,9 @@ class OperatorMatrix:
         self.label = label
         self.zero = (0,) * (spec.cartan.rank + 1)
 
-    def entry(self, q: FixedPoint, p: FixedPoint) -> Polynomial:
+    def entry(self, q: FixedPoint, p: FixedPoint) -> tuple:
         index = point_index(self.spec)
-        e = self.entries.get((index[q], index[p]), self.zero)
-        return Polynomial.linear_form(e[:-1], e[-1])
+        return self.entries.get((index[q], index[p]), self.zero)
 
     def validate(self) -> None:
         """Entries are linear forms; off-diagonal ones rational multiples of h."""
@@ -334,7 +332,7 @@ def mult_matrix_via_localization(
             for s in shifts:
                 form = _form_div(form, s)
         except NonDivisible as exc:
-            raise NonPolynomialEntry(
+            raise NonLinearFormEntry(
                 f"localization entry ({points[q]}, {points[p]}) is not polynomial"
             ) from exc
         entries[q, p] = tuple([_over(c, den) for c in form])

@@ -26,12 +26,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import verify
 from .cartan import CartanDatum, Chamber, Coweight
-from .chern import NonPolynomialEntry, mult_matrix, parse_bundle
+from .chern import NonLinearFormEntry, mult_matrix, parse_bundle
 from .slices import (
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
     _step_label,
+    adjacent_pairs,
     enumerate_fixed_points,
     tangent_weights,
 )
@@ -40,12 +41,11 @@ from .stab_a1 import (
     InvariantViolation,
     NotA1,
     PathInconsistency,
-    _polynomial,
     normalize_polarization,
     stab_matrix,
 )
-from .stab_general import mod_h2_json, stab_mod_h2
-from .symalg import Polynomial, monomial_key
+from .stab_general import expand_entries, stab_mod_h2
+from .symalg import monomial_key, polynomial_text, term_reader
 
 CACHE_ENV = "GRSLICE_CACHE_DIR"
 # Part of every cache key: raise it whenever any document's bytes change, so
@@ -62,7 +62,7 @@ _INTERNAL_ERRORS = (
     PathInconsistency,
     ExactDivisionFailure,
     InvariantViolation,
-    NonPolynomialEntry,
+    NonLinearFormEntry,
     AssertionError,
 )
 
@@ -247,6 +247,18 @@ def _delta_list(points) -> _Encoded:
     return _Encoded(lambda indent: _wrap(_delta_texts(keys, indent + "  "), indent))
 
 
+def _linear_names(width: int) -> List[str]:
+    """The monomial names of a linear form's coefficients (a_1, .., a_r, h),
+    in descending exponent order."""
+    return [f"a{i}" for i in range(1, width)] + ["h"]
+
+
+def _form_text(names: List[str], form) -> str:
+    """The form with coefficients by position k of names[k] (in descending
+    exponent order) as a table cell prints it."""
+    return polynomial_text([(name, c) for name, c in zip(names, form) if c])
+
+
 def _form_texts(names: List[str], forms, indent: str) -> List[str]:
     """Each nonzero form (coefficients by position k) as the dict {names[k]:
     str(c)} of its nonzero coefficients prints at `indent`, each line's head
@@ -268,15 +280,14 @@ def _stab_entries(matrix) -> _Encoded:
         cells = _form_texts(names, forms, indent + "  ")
         return _wrap([key + cell for key, cell in zip(keys, cells)], indent, "{}")
 
-    return _Encoded(text, lambda: [(p, q, str(_polynomial(val)))
+    return _Encoded(text, lambda: [(p, q, _form_text(names, val))
                                    for (p, q), val in sorted(matrix.entries.items())])
 
 
 def _mult_entries(matrix) -> _Encoded:
     """The "entries" of a mult document: the dense rows of the operator
     matrix, {} where no entry is stored; rows (q, p, value) in index order."""
-    width, n = len(matrix.zero), len(matrix.basis)
-    names = [monomial_key(tuple(int(j == i) for j in range(width))) for i in range(width)]
+    names, n = _linear_names(len(matrix.zero)), len(matrix.basis)
 
     def text(indent):
         row, cell = indent + "  ", indent + "    "
@@ -285,8 +296,31 @@ def _mult_entries(matrix) -> _Encoded:
             grid[qi][pi] = t
         return _wrap([_wrap(r, row) for r in grid], indent)
 
-    return _Encoded(text, lambda: [(qi, pi, str(Polynomial.linear_form(e[:-1], e[-1])))
+    return _Encoded(text, lambda: [(qi, pi, _form_text(names, e))
                                    for (qi, pi), e in sorted(matrix.entries.items())])
+
+
+def _mod_h2_entries(spec: SliceSpec, ch: Chamber, entries) -> _Encoded:
+    """The "entries" of a stab-mod-h2 document: a record {"alpha", "p", "q",
+    "value"} per entry in (p, q) order, value the expanded entry; rows (p,
+    q, alpha, value).  Both print one expansion of each entry, held as the
+    names and coefficients of its terms, each name built once."""
+    pairs, keys, names = adjacent_pairs(spec, ch), sorted(entries), {}
+    values = [(tuple([names.get(e) or names.setdefault(e, monomial_key(e)) for e in terms]),
+               tuple(terms.values()))
+              for terms in expand_entries([entries[key] for key in keys])]
+
+    def cell(terms, coeffs):  # sorted as it prints, one entry at a time
+        return _Encoded(lambda indent: _wrap(
+            [f'"{name}": "{c}"' for name, c in sorted(zip(terms, coeffs))], indent, "{}"))
+
+    def text(indent):
+        return _encode([{"alpha": list(pairs[p, q].alpha_form.coords), "p": p, "q": q,
+                         "value": cell(*value)} for (p, q), value in zip(keys, values)], indent)
+
+    return _Encoded(text, lambda: [(p, q, ",".join(map(str, pairs[p, q].alpha_form.coords)),
+                                    polynomial_text(zip(reversed(terms), reversed(coeffs))))
+                                   for (p, q), (terms, coeffs) in zip(keys, values)])
 
 
 def _cmd_fixed_points(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
@@ -308,10 +342,9 @@ def _cmd_stab_exact(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
 
 
 def _cmd_stab_mod_h2(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
-    payload = mod_h2_json(spec, ch, stab_mod_h2(spec, ch, signs))
-    payload.update(command="stab-mod-h2", chamber=list(ch.sign_vector),
-                   labels=[p.label() for p in enumerate_fixed_points(spec)])
-    return payload
+    return {"command": "stab-mod-h2", "chamber": list(ch.sign_vector),
+            "entries": _mod_h2_entries(spec, ch, stab_mod_h2(spec, ch, signs)),
+            "labels": [p.label() for p in enumerate_fixed_points(spec)]}
 
 
 def _cmd_mult(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
@@ -344,10 +377,6 @@ def compute_payload(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
 # -- rendering -------------------------------------------------------------------
 
 
-def _poly_str(obj: dict, rank: int) -> str:
-    return str(Polynomial.from_json(obj, rank + 1))
-
-
 def _table(rows: List[Sequence[str]], header: Sequence[str]) -> str:
     out = [" | ".join(header)]
     out.extend(" | ".join(map(str, row)) for row in rows)
@@ -363,19 +392,37 @@ def _point_rows(points) -> list:
             for pt in points]
 
 
-def _cells(payload: dict, rank: int) -> list:
-    """(label, label, value) for each stored entry of a computed stab-exact
-    or mult document, or of a stored one, in index order."""
+def _matrix_rows(payload: dict, rank: int) -> list:
+    """(label, label, value) for each stored entry of a computed stab-exact,
+    mult or stab-mod-h2 document, or of a stored one, in index order, with
+    a stab-mod-h2 entry's alpha before its value; each monomial of a stored
+    document is parsed and named once."""
     labels, entries = payload["labels"], payload["entries"]
     if type(entries) is _Encoded:
         cells = entries.rows()
-    elif payload["command"] == "stab-exact":
-        cells = sorted((*map(int, key.split(",")), _poly_str(cell, rank))
-                       for key, cell in entries.items())
     else:
-        cells = [(qi, pi, _poly_str(cell, rank))
-                 for qi, row in enumerate(entries) for pi, cell in enumerate(row) if cell]
-    return [(labels[i], labels[j], value) for i, j, value in cells]
+        read, names = term_reader(rank + 1), {}
+
+        def value(cell):
+            terms = read(cell)
+            return polynomial_text([(names.get(e) or names.setdefault(e, monomial_key(e)), terms[e])
+                                    for e in sorted(terms, reverse=True)])
+
+        command = payload["command"]
+        if command == "stab-exact":
+            cells = sorted((*map(int, key.split(",")), value(cell))
+                           for key, cell in entries.items())
+        elif command == "mult":
+            cells = [(qi, pi, value(cell))
+                     for qi, row in enumerate(entries) for pi, cell in enumerate(row) if cell]
+        else:
+            cells = [(e["p"], e["q"], ",".join(map(str, e["alpha"])), value(e["value"]))
+                     for e in entries]
+    return [(labels[i], labels[j], *rest) for i, j, *rest in cells]
+
+
+_MATRIX_HEADERS = {"stab-exact": ("p", "q", "value"), "mult": ("row", "column", "value"),
+                   "stab-mod-h2": ("p", "q", "alpha", "value")}
 
 
 def render_table(payload: dict, rank: int) -> str:
@@ -386,23 +433,18 @@ def render_table(payload: dict, rank: int) -> str:
     if command == "tangent":
         # A slice has few distinct (weight, mult) pairs, each repeated at many points.
         suffixes: Dict[tuple, str] = {}
+        names = _linear_names(rank + 1)
         lines = ["point | weight | mult"]
         for label, records in _point_rows(payload["points"]):
             for key in records:
                 suffix = suffixes.get(key)
                 if suffix is None:
                     root, n, m = key
-                    suffix = suffixes[key] = f" | {Polynomial.linear_form(root, n)} | {m}"
+                    suffix = suffixes[key] = f" | {_form_text(names, root + (n,))} | {m}"
                 lines.append(label + suffix)
         return "\n".join(lines) + "\n"
-    if command in ("stab-exact", "mult"):
-        header = ("p", "q") if command == "stab-exact" else ("row", "column")
-        return _table(_cells(payload, rank), header + ("value",))
-    if command == "stab-mod-h2":
-        labels = payload["labels"]
-        rows = [(labels[e["p"]], labels[e["q"]], ",".join(str(c) for c in e["alpha"]),
-                 _poly_str(e["value"], rank)) for e in payload["entries"]]
-        return _table(rows, ("p", "q", "alpha", "value"))
+    if command in _MATRIX_HEADERS:
+        return _table(_matrix_rows(payload, rank), _MATRIX_HEADERS[command])
     if command == "verify":
         rows = [(c["name"], "ok" if c["ok"] else "FAIL") for c in payload["checks"]]
         return _table(rows, ("check", "status"))

@@ -1,4 +1,4 @@
-"""Fixed points, tangent weights, Euler classes, and wall components of
+"""Fixed points, tangent weights, Euler classes, and adjacent pairs of
 resolved slices.
 
 A slice is specified by a Cartan datum, a sequence of minuscule fundamental
@@ -31,7 +31,6 @@ from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
-from .symalg import Polynomial
 
 
 class NonMinusculeUnsupported(ValueError):
@@ -376,18 +375,6 @@ class EulerClass(NamedTuple):
     factors: Counter
     scalar: Fraction  # an int where it is one
 
-    def polynomial(self) -> Polynomial:
-        return _expand_product(self.nvars, self.factors.items(), self.scalar)
-
-
-def _expand_product(nvars: int, factors: Iterable[Tuple[tuple, int]], scalar) -> Polynomial:
-    """scalar times the product of the forms f ** k for (f, k) in factors."""
-    out = Polynomial.constant(nvars, scalar)
-    for f, k in factors:
-        if k:
-            out = out * Polynomial.linear_form(f[:-1], f[-1]) ** k
-    return out
-
 
 class RootMonomial(NamedTuple):
     """An A-part class: scalar * prod(forms[k] ** exponents[k]), with forms
@@ -403,9 +390,6 @@ class RootMonomial(NamedTuple):
     forms: Tuple[tuple, ...]
     exponents: Tuple[int, ...]
     scalar: int
-
-    def polynomial(self) -> Polynomial:
-        return _expand_product(len(self.forms[-1]), zip(self.forms, self.exponents), self.scalar)
 
     def times_ratio(self, ratio: Sequence[int], scalar: int) -> Optional["RootMonomial"]:
         """self * scalar * prod(forms[k] ** ratio[k]), ratio a signed
@@ -596,31 +580,6 @@ def adjacent_pairs(
             for q, witness in sorted(moves):
                 found[(x, q)] = witness
     return found
-
-
-def same_wall_component(spec: SliceSpec, p: FixedPoint, q: FixedPoint) -> Optional[AWeightForm]:
-    """The root (up to sign) whose wall keeps p and q connected, if any.
-
-    p and q lie in one component of the fixed locus of the wall subtorus
-    ker(root) exactly when every sigma difference is an integer multiple of
-    the coroot; the root class is then unique.  Returns the positive root.
-    The differences are summed on integer coordinate tuples.
-    """
-    if p == q:
-        raise ValueError("same_wall_component expects distinct points")
-    diffs = set()
-    run = (0,) * spec.cartan.rank
-    for dp, dq in zip(p.delta, q.delta):
-        run = tuple(map(add, run, map(sub, dp.coords, dq.coords)))
-        if any(run):
-            diffs.add(run)
-    for root in spec.cartan.root_list:
-        if sum(root.coords) < 0:
-            continue
-        coroot = spec.cartan.coroot_of_root[root].coords
-        if all(_integer_multiple(d, coroot) for d in diffs):
-            return root
-    return None
 
 
 def _integer_multiple(d: tuple, coroot: tuple) -> bool:

@@ -16,9 +16,9 @@ is a convolution and a division by a linear form a synthetic division whose
 zero remainder is the divisibility test.  Points are their indices in
 enumerate_fixed_points order throughout, as in chern.OperatorMatrix: the
 matrix keys its forms by index pairs and holds its signs and epsilons in
-tuples by index.  Points and polynomials appear only where a matrix is read
-from outside (entry); grslice.cli prints the stab-exact document from the
-forms themselves.
+tuples by index.  Points appear only where a matrix is read from outside
+(entry); grslice.cli prints the stab-exact document from the forms
+themselves.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .slices import (
     repelling_euler,
     tangent_weights,  # noqa: F401  the benchmark's tracer test reads it from this module
 )
-from .symalg import NonDivisible, Polynomial, _norm_scalar
+from .symalg import NonDivisible, _norm_scalar
 
 
 class NotA1(ValueError):
@@ -60,8 +60,6 @@ class InvariantViolation(RuntimeError):
     """A computed matrix breaks a restriction-matrix invariant."""
 
 
-_NVARS = 2  # variables a, h
-_ZERO = Polynomial.zero(_NVARS)
 # the fixed positive root, i.e. the torus character written as the variable a;
 # chambers only choose the recursion direction and the polarization side
 _ALPHA = AWeightForm((1,))
@@ -101,12 +99,6 @@ def _euler_form(e: EulerClass, sign: int = 1) -> tuple:
         for _ in range(k):
             f = _form_mul(f, factor)
     return f
-
-
-def _polynomial(f: tuple) -> Polynomial:
-    """The form f as a polynomial in (a, h)."""
-    d = len(f) - 1
-    return Polynomial._trusted(_NVARS, {(d - k, k): c for k, c in enumerate(f)})
 
 
 def _require_a1(spec: SliceSpec) -> None:
@@ -260,7 +252,7 @@ class RestrictionMatrix:
     as a form of degree dim/2 in (a, h); zero entries are not stored, and
     the constructor refuses a form of another length.  epsilons[p] is the
     integer c with eps|_p = c * a^(dim/2).  entry reads one restriction by
-    point, as a polynomial.
+    point, as its form, the zero form where none is stored.
     """
 
     __slots__ = ("spec", "chamber", "polarization_signs", "points", "entries",
@@ -283,10 +275,10 @@ class RestrictionMatrix:
             if any(val):
                 self.entries[(p, q)] = val
 
-    def entry(self, p: FixedPoint, q: FixedPoint) -> Polynomial:
+    def entry(self, p: FixedPoint, q: FixedPoint) -> tuple:
         index = point_index(self.spec)
         val = self.entries.get((index[p], index[q]))
-        return _ZERO if val is None else _polynomial(val)
+        return (0,) * (self.spec.dimension // 2 + 1) if val is None else val
 
     def validate(self) -> None:
         """Euler diagonals, triangularity, h-divisibility.

@@ -23,13 +23,14 @@ closed form, and the exact value is available from Euler classes.
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight
 from .slices import (
     RootMonomial,
     SliceSpec,
     _flip_signs,
+    _integer_multiple,
     _point,
     _repelling_exponents,
     _root_counts,
@@ -37,10 +38,8 @@ from .slices import (
     adjacent_pairs,
     enumerate_fixed_points,
     repelling_euler,
-    same_wall_component,
 )
 from .stab_a1 import ExactDivisionFailure, normalize_polarization
-from .symalg import monomial_key
 
 
 def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
@@ -91,8 +90,13 @@ def omega_ratio(
             exponents, scalar = reverse
             found = (tuple([-m for m in exponents]), scalar)
         else:
-            if same_wall_component(spec, _point(spec, p), _point(spec, q)) != canon:
-                raise ValueError("p and q do not share a wall component for this root")
+            # p and q lie in one component of the fixed locus of ker(canon) when they
+            # differ and every sigma difference is a multiple of its coroot (of no other)
+            coroot, run = spec.cartan.coroot_of_root[canon].coords, (0,) * spec.cartan.rank
+            for dp, dq in zip(_point(spec, p).delta, _point(spec, q).delta):
+                run = tuple(map(add, run, map(sub, dp.coords, dq.coords)))
+                if p == q or not _integer_multiple(run, coroot):
+                    raise ValueError("p and q do not share a wall component for this root")
             counts = tuple(map(sub, _root_counts(spec, q), _root_counts(spec, p)))
             near, far = (_repelling_exponents(spec, counts, ch.sign_vector)
                          for ch in wall_adjacent_chambers(spec.cartan, canon))
@@ -135,7 +139,7 @@ def stab_mod_h2(
     keyed by the point indices (p, q).
 
     Each entry sign_p * eps_p * omega * h / alpha is returned factored, as
-    a RootMonomial; its polynomial() method expands it.
+    a RootMonomial; expand_entries expands entries for a document.
     """
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
@@ -159,27 +163,26 @@ def stab_mod_h2(
     return out
 
 
-def _expand(entries: List[RootMonomial]) -> List[dict]:
-    """Each entry's polynomial().to_json(), without building a Polynomial;
-    the entries share their forms, as those of one spec do.
+def expand_entries(entries: List[RootMonomial]) -> Iterator[Dict[tuple, int]]:
+    """Each entry in turn, so that a caller holds one at a time, expanded
+    into its coefficient map {exponent vector: nonzero coefficient} in
+    increasing exponent order; the entries share their forms, as a spec's do.
 
     A monomial is packed into the int sum of e_i * base ** (n - 1 - i) over
-    its exponents (e_1, .., e_n) = (a_1, .., a_r, h), base one more than
-    the largest degree, so that no exponent carries and the packed ints
-    order like the exponent tuples.  A product is expanded one linear factor
-    at a time on a dict of packed monomials with int coefficients, and
-    scaled once.  Entries share most monomials, so each key is named once
-    per call.
+    its exponents (e_1, .., e_n) = (a_1, .., a_r, h), base one more than the
+    largest degree, so that no exponent carries and the packed ints order
+    like the exponent tuples.  A product is expanded one linear factor at a
+    time on a dict of packed monomials with int coefficients, and scaled
+    once.  Each packed monomial is unpacked once, into a tuple entries share.
     """
     if not entries:
-        return []
+        return
     forms = entries[0].forms
     n = len(forms[-1])
     base = max(sum(e.exponents) for e in entries) + 1
     # each form as the packed shift of each of its variables and the coefficient
     steps = [[(base ** (n - 1 - i), c) for i, c in enumerate(f) if c] for f in forms]
-    names: Dict[int, str] = {}
-    out = []
+    vectors: Dict[int, tuple] = {}
     for entry in entries:
         terms = {0: 1}
         for step, power in zip(steps, entry.exponents):
@@ -192,25 +195,13 @@ def _expand(entries: List[RootMonomial]) -> List[dict]:
                 terms = product
         value = {}
         for m in sorted(terms):
-            d = terms[m] * entry.scalar
-            if d:
-                name = names.get(m)
-                if name is None:
+            if terms[m]:
+                exp = vectors.get(m)
+                if exp is None:
                     digits, rest = [], m
                     for _ in range(n):
                         rest, e = divmod(rest, base)
                         digits.append(e)
-                    name = names[m] = monomial_key(tuple(reversed(digits)))
-                value[name] = str(d)
-        out.append(value)
-    return out
-
-
-def mod_h2_json(spec: SliceSpec, ch: Chamber, entries) -> dict:
-    """Sparse triplet serialization sorted by (p, q)."""
-    pairs = adjacent_pairs(spec, ch)
-    keys = sorted(entries)
-    values = _expand([entries[key] for key in keys])
-    rows = [{"p": p, "q": q, "alpha": list(pairs[p, q].alpha_form.coords), "value": value}
-            for (p, q), value in zip(keys, values)]
-    return {"entries": rows}
+                    exp = vectors[m] = tuple(reversed(digits))
+                value[exp] = terms[m] * entry.scalar
+        yield value

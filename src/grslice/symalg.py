@@ -1,18 +1,19 @@
-"""Exact sparse polynomial arithmetic over Q.
+"""Exact polynomials over Q: how they are named, printed and read back.
 
 Variables are a_1..a_r (coordinates on the torus weight lattice, simple-root
 basis) plus a final variable h (the deformation class).  Exponent vectors
 therefore have length r+1 with the h-degree in the last slot.
-
-A localization sum is kept as a plain numerator over a denominator, with
-equality decided by cross-multiplication; nothing is ever cancelled.
+monomial_key names a monomial, polynomial_text prints every polynomial and
+term_reader reads stored JSON cells back.  Polynomial and RationalFunction
+(a numerator over a denominator, compared by cross-multiplication) are the
+tests' reference arithmetic, which no program route builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Sequence
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 
 class NonDivisible(ArithmeticError):
@@ -44,6 +45,53 @@ def monomial_key(exp: tuple) -> str:
     elif exp[-1] > 1:
         parts.append(f"h^{exp[-1]}")
     return "*".join(parts) if parts else "1"
+
+
+def polynomial_text(terms: Iterable[Tuple[str, object]]) -> str:
+    """The text of the polynomial with the given (monomial name, nonzero
+    coefficient) pairs, in descending exponent order: "a1^2 - 3/2*a1*h + 2",
+    and "0" for no pairs.  Coefficients print with str, so an int, an equal
+    Fraction and the text of either print alike."""
+    out = []
+    for name, coeff in terms:
+        c = str(coeff)
+        if name == "1":
+            body = c
+        elif c == "1" or c == "-1":
+            body = c[:-1] + name  # the sign alone
+        else:
+            body = f"{c}*{name}"
+        if out:
+            body = " - " + body[1:] if body[0] == "-" else " + " + body
+        out.append(body)
+    return "".join(out) or "0"
+
+
+def term_reader(nvars: int) -> Callable[[dict], Dict[tuple, object]]:
+    """A parser of JSON cells {monomial name: coefficient text} in nvars
+    variables into coefficient maps {exponent vector: nonzero coefficient};
+    a name's factors may come in any order, and repeated monomials add up.
+    Each distinct name and coefficient text is parsed once per reader, so
+    the cells of one document share one."""
+    exponents: Dict[str, tuple] = {}
+    scalars: Dict[str, object] = {}
+
+    def exponent(key: str) -> tuple:
+        exp = [0] * nvars
+        for factor in key.split("*") if key != "1" else ():
+            name, _, power = factor.partition("^")
+            exp[nvars - 1 if name == "h" else int(name[1:]) - 1] += int(power or 1)
+        return tuple(exp)
+
+    def read(obj: dict) -> Dict[tuple, object]:
+        terms: Dict[tuple, object] = {}
+        for key, val in obj.items():
+            exp = exponents.get(key) or exponents.setdefault(key, exponent(key))
+            c = scalars.get(val) or scalars.setdefault(val, _norm_scalar(Fraction(val)))
+            terms[exp] = terms.get(exp, 0) + c
+        return {e: c for e, c in terms.items() if c}
+
+    return read
 
 
 class Polynomial:
@@ -187,42 +235,11 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, obj: dict, nvars: int) -> "Polynomial":
-        terms: Dict[tuple, object] = {}
-        for key, val in obj.items():
-            exp = [0] * nvars
-            if key != "1":
-                for factor in key.split("*"):
-                    if "^" in factor:
-                        name, power = factor.split("^")
-                        e = int(power)
-                    else:
-                        name, e = factor, 1
-                    idx = nvars - 1 if name == "h" else int(name[1:]) - 1
-                    exp[idx] += e
-            t = tuple(exp)
-            terms[t] = Fraction(val) + Fraction(terms.get(t, 0))
-        return cls(nvars, terms)
+        return cls(nvars, term_reader(nvars)(obj))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exp in sorted(self.terms, reverse=True):
-            coeff = self.terms[exp]
-            key = monomial_key(exp)
-            if key == "1":
-                body = str(coeff)
-            elif coeff == 1:
-                body = key
-            elif coeff == -1:
-                body = "-" + key
-            else:
-                body = f"{coeff}*{key}"
-            chunks.append(body)
-        out = chunks[0]
-        for body in chunks[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out
+        return polynomial_text((monomial_key(e), self.terms[e])
+                               for e in sorted(self.terms, reverse=True))
 
     def __repr__(self):
         return f"Polynomial({self})"

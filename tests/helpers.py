@@ -1,11 +1,13 @@
 """Shared test utilities: independent tangent-weight oracles, random
 minuscule slice sampling, an independent sampler of wall-adjacent chambers,
 polynomial queries the program itself does not need (generators, the zero
-test, one coefficient), reference polynomial routes (substitution,
-truncation mod h^2, the localization pairing on polynomials and on
-coefficient tuples, the product of operator matrices), the Counter
-reference of the mod-h^2 entries, and reference builders of the stab-exact
-and mult documents."""
+test, one coefficient), the reference expansions of Euler classes, forms
+and matrix entries into Polynomials and the reference printer of a
+Polynomial, reference polynomial routes (substitution, truncation mod h^2,
+the localization pairing on polynomials and on coefficient tuples, the
+product of operator matrices), the Counter reference of the mod-h^2
+entries, and reference builders of the stab-exact, stab-mod-h2 and mult
+documents."""
 
 import json
 import random
@@ -18,15 +20,15 @@ from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
     EulerClass,
     SliceSpec,
+    _integer_multiple,
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
     localization_denominator,
-    same_wall_component,
     tangent_weights,
 )
-from grslice.stab_a1 import _euler_form, _form_mul, _polynomial, normalize_polarization
-from grslice.symalg import Polynomial, RationalFunction
+from grslice.stab_a1 import RestrictionMatrix, _euler_form, _form_mul, normalize_polarization
+from grslice.symalg import Polynomial, RationalFunction, monomial_key
 
 
 def gen(nvars, index):
@@ -43,6 +45,24 @@ def is_zero(poly):
 def coefficient(poly, exp):
     """The coefficient of the monomial with exponent vector exp."""
     return poly.terms.get(tuple(exp), 0)
+
+
+def same_wall_component(spec, p, q):
+    """The positive root whose wall keeps the points p and q connected, if
+    any, found by walking every positive root: p and q lie in one component
+    of the fixed locus of the wall subtorus ker(root) exactly when every
+    sigma difference is an integer multiple of the coroot, and the root
+    class is then unique."""
+    if p == q:
+        raise ValueError("same_wall_component expects distinct points")
+    diffs = {tuple(a - b for a, b in zip(sp.coords, sq.coords))
+             for sp, sq in zip(p.sigma(), q.sigma())} - {(0,) * spec.cartan.rank}
+    for root in spec.cartan.root_list:
+        if sum(root.coords) > 0:
+            coroot = spec.cartan.coroot_of_root[root].coords
+            if all(_integer_multiple(d, coroot) for d in diffs):
+                return root
+    return None
 
 
 def oracle_up_crossings(spec, p):
@@ -81,14 +101,71 @@ def oracle_down_crossings(spec, p):
     return entries
 
 
+def reference_str(poly):
+    """The text of a Polynomial, term by term in descending exponent order:
+    the reference for symalg.polynomial_text."""
+    if not poly.terms:
+        return "0"
+    chunks = []
+    for exp in sorted(poly.terms, reverse=True):
+        coeff = poly.terms[exp]
+        key = monomial_key(exp)
+        if key == "1":
+            body = str(coeff)
+        elif coeff == 1:
+            body = key
+        elif coeff == -1:
+            body = "-" + key
+        else:
+            body = f"{coeff}*{key}"
+        chunks.append(body)
+    out = chunks[0]
+    for body in chunks[1:]:
+        out += " - " + body[1:] if body.startswith("-") else " + " + body
+    return out
+
+
+def expand_product(nvars, factors, scalar):
+    """scalar times the product of the forms f ** k for (f, k) in factors."""
+    out = Polynomial.constant(nvars, scalar)
+    for f, k in factors:
+        if k:
+            out = out * Polynomial.linear_form(f[:-1], f[-1]) ** k
+    return out
+
+
+def euler_polynomial(e):
+    """An EulerClass or a RootMonomial expanded into a Polynomial, factor
+    by factor."""
+    if isinstance(e, EulerClass):
+        return expand_product(e.nvars, e.factors.items(), e.scalar)
+    return expand_product(len(e.forms[-1]), zip(e.forms, e.exponents), e.scalar)
+
+
 def expanded(entries, pair, zero):
     """A factored mod-h^2 entry as a polynomial; zero where none is stored."""
-    return entries[pair].polynomial() if pair in entries else zero
+    return euler_polynomial(entries[pair]) if pair in entries else zero
 
 
 def form_polynomial(form):
     """The linear form with coefficient tuple (a_1..a_r, h) as a polynomial."""
     return Polynomial.linear_form(form[:-1], form[-1])
+
+
+def binary_polynomial(f):
+    """The binary form with coefficients (c_0, .., c_D), c_k that of
+    a^(D-k) h^k, as a polynomial in (a, h)."""
+    d = len(f) - 1
+    return Polynomial(2, {(d - k, k): c for k, c in enumerate(f)})
+
+
+def entry_polynomial(matrix, x, y):
+    """matrix.entry(x, y) as a polynomial: a restriction matrix's binary
+    form, an operator matrix's linear form."""
+    value = matrix.entry(x, y)
+    if isinstance(matrix, RestrictionMatrix):
+        return binary_polynomial(value)
+    return form_polynomial(value)
 
 
 def operator_product(left, right):
@@ -150,8 +227,8 @@ def localization_pair(spec, v1, v2):
     total = Polynomial.zero(lcm.nvars)
     for xi, x in enumerate(points):
         if x in a and x in b:
-            total = total + a[x] * b[x] * cofactor[xi].polynomial()
-    return RationalFunction(total, lcm.polynomial())
+            total = total + a[x] * b[x] * euler_polynomial(cofactor[xi])
+    return RationalFunction(total, euler_polynomial(lcm))
 
 
 _POOL = [
@@ -263,27 +340,35 @@ def stored_rows(matrix):
     points = matrix.points
     rows = {p: {} for p in points}
     for (p, q), val in matrix.entries.items():
-        rows[points[p]][points[q]] = _polynomial(val)
+        rows[points[p]][points[q]] = binary_polynomial(val)
     return rows
 
 
-def reference_document(command, matrix, ch):
-    """The stab-exact or mult document of a matrix as a plain dict, each
-    cell read through the matrix's entry reader and printed by
-    Polynomial.to_json."""
-    points = enumerate_fixed_points(matrix.spec)
+def reference_document(command, spec, ch, matrix):
+    """The stab-exact, mult or stab-mod-h2 document of a matrix as a plain
+    dict, each cell expanded into a Polynomial and printed by
+    Polynomial.to_json: a stab-exact or mult cell read through the matrix's
+    entry reader, a stab-mod-h2 one (matrix the entries of stab_mod_h2)
+    through euler_polynomial."""
+    points = enumerate_fixed_points(spec)
     doc = {"command": command, "chamber": list(ch.sign_vector),
            "labels": [p.label() for p in points]}
     deltas = [p.to_json() for p in points]
     if command == "stab-exact":
         doc["points"] = deltas
-        doc["entries"] = {f"{pi},{qi}": matrix.entry(p, q).to_json()
+        doc["entries"] = {f"{pi},{qi}": entry_polynomial(matrix, p, q).to_json()
                           for pi, p in enumerate(points) for qi, q in enumerate(points)
-                          if not is_zero(matrix.entry(p, q))}
-    else:
+                          if not is_zero(entry_polynomial(matrix, p, q))}
+    elif command == "mult":
         doc["basis"] = deltas
         doc["bundle"] = matrix.label
-        doc["entries"] = [[matrix.entry(q, p).to_json() for p in points] for q in points]
+        doc["entries"] = [[entry_polynomial(matrix, q, p).to_json() for p in points]
+                          for q in points]
+    else:
+        pairs = adjacent_pairs(spec, ch)
+        doc["entries"] = [{"p": p, "q": q, "alpha": list(pairs[p, q].alpha_form.coords),
+                           "value": euler_polynomial(matrix[p, q]).to_json()}
+                          for p, q in sorted(matrix)]
     return doc
 
 

@@ -24,6 +24,7 @@ from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
 from helpers import (
     document,
+    entry_polynomial,
     form_polynomial,
     gen,
     is_zero,
@@ -129,9 +130,9 @@ def test_bundle_weight_dispatch():
 def test_h_operator_diagonal():
     mat = h_operator(TSTAR_P1, 1)
     minus, plus = mat.basis
-    assert mat.entry(plus, plus) == Polynomial.linear_form([Fraction(1, 2)], 0)
-    assert mat.entry(minus, minus) == Polynomial.linear_form([Fraction(-1, 2)], 0)
-    assert is_zero(mat.entry(minus, plus)) and is_zero(mat.entry(plus, minus))
+    assert mat.entry(plus, plus) == (Fraction(1, 2), 0)
+    assert mat.entry(minus, minus) == (Fraction(-1, 2), 0)
+    assert mat.entry(minus, plus) == mat.entry(plus, minus) == mat.zero == (0, 0)
 
     spec = a1_spec(3, 1)
     mat = h_operator(spec, 2)
@@ -140,7 +141,7 @@ def test_h_operator_diagonal():
         expected = Polynomial.linear_form(
             spec.cartan.sharp(d).coords, Fraction(spec.cartan.inner(d, spec.mu), 2)
         )
-        assert mat.entry(p, p) == expected
+        assert entry_polynomial(mat, p, p) == expected
 
 
 def test_h_operator_range():
@@ -186,17 +187,17 @@ def test_omega_operator_combines_parts():
 def test_two_point_slice_worked_multiplication():
     mat = mult_matrix(TSTAR_P1, "E1", CH1_PLUS)
     minus, plus = mat.basis
-    assert mat.entry(plus, plus) == Polynomial.linear_form([Fraction(1, 2)], Fraction(1, 4))
-    assert mat.entry(minus, plus) == Polynomial.linear_form([0], -1)
-    assert mat.entry(minus, minus) == Polynomial.linear_form([Fraction(-1, 2)], Fraction(1, 4))
-    assert is_zero(mat.entry(plus, minus))
+    assert mat.entry(plus, plus) == (Fraction(1, 2), Fraction(1, 4))
+    assert mat.entry(minus, plus) == (0, -1)
+    assert mat.entry(minus, minus) == (Fraction(-1, 2), Fraction(1, 4))
+    assert mat.entry(plus, minus) == (0, 0)
 
     stab = stab_matrix(TSTAR_P1, CH1_PLUS)
     weight = Polynomial.linear_form([Fraction(1, 2)], Fraction(1, 4))
     h = h_poly(TSTAR_P1)
     for x in stab.points:
-        lhs = form_polynomial(bundle_weight(TSTAR_P1, x, "E1")) * stab.entry(plus, x)
-        rhs = weight * stab.entry(plus, x) - h * stab.entry(minus, x)
+        lhs = form_polynomial(bundle_weight(TSTAR_P1, x, "E1")) * entry_polynomial(stab, plus, x)
+        rhs = weight * entry_polynomial(stab, plus, x) - h * entry_polynomial(stab, minus, x)
         assert lhs == rhs
 
 
@@ -204,7 +205,7 @@ def test_trivial_and_determinant_bundles():
     for spec, ch in ((TSTAR_FL3, CH2_PLUS), (a1_spec(3, 1), CH1_PLUS)):
         zero_mat = mult_matrix(spec, "L0", ch)
         basis = zero_mat.basis
-        assert all(is_zero(zero_mat.entry(q, p)) for q in basis for p in basis)
+        assert all(is_zero(entry_polynomial(zero_mat, q, p)) for q in basis for p in basis)
         top = mult_matrix(spec, f"L{spec.length}", ch)
         mu = spec.mu
         scalar = Polynomial.linear_form(
@@ -213,7 +214,7 @@ def test_trivial_and_determinant_bundles():
         for qi, q in enumerate(top.basis):
             for pi, p in enumerate(top.basis):
                 expected = scalar if qi == pi else Polynomial.zero(spec.cartan.rank + 1)
-                assert top.entry(q, p) == expected
+                assert entry_polynomial(top, q, p) == expected
 
 
 def test_diagonal_matches_bundle_weight():
@@ -228,7 +229,7 @@ def test_diagonal_matches_bundle_weight():
         for bundle in all_bundles(spec):
             mat = mult_matrix(spec, bundle, ch)
             for p in mat.basis:
-                assert mat.entry(p, p) == form_polynomial(bundle_weight(spec, p, bundle))
+                assert entry_polynomial(mat, p, p) == form_polynomial(bundle_weight(spec, p, bundle))
 
 
 def test_entries_are_coefficient_tuples():
@@ -262,7 +263,7 @@ def test_offdiagonal_supported_on_adjacent_pairs():
                 for pi, p in enumerate(mat.basis):
                     if q == p:
                         continue
-                    if not is_zero(mat.entry(q, p)):
+                    if not is_zero(entry_polynomial(mat, q, p)):
                         assert adjacent_pairs(spec, ch).get((pi, qi)) is not None
 
 
@@ -303,10 +304,10 @@ def test_matrix_conjugates_fixed_point_action():
                 for p in stab.points:
                     rhs = Polynomial.zero(2)
                     for q in stab.points:
-                        m = mat.entry(q, p)
+                        m = entry_polynomial(mat, q, p)
                         if not is_zero(m):
-                            rhs = rhs + stab.entry(q, x) * m
-                    assert w * stab.entry(p, x) == rhs, (spec, ch, bundle)
+                            rhs = rhs + entry_polynomial(stab, q, x) * m
+                    assert w * entry_polynomial(stab, p, x) == rhs, (spec, ch, bundle)
 
 
 def test_line_bundle_matrices_commute():
@@ -356,8 +357,8 @@ def test_localization_pair_reproduces_duality():
         minus = stab_matrix(spec, CH1_MINUS)
         for p in plus.points:
             for q in plus.points:
-                v1 = {x: minus.entry(q, x) for x in plus.points}
-                v2 = {x: plus.entry(p, x) for x in plus.points}
+                v1 = {x: entry_polynomial(minus, q, x) for x in plus.points}
+                v2 = {x: entry_polynomial(plus, p, x) for x in plus.points}
                 value = localization_pair(spec, v1, v2)
                 assert isinstance(value, RationalFunction)
                 assert value == (1 if p == q else 0)
@@ -423,7 +424,7 @@ def test_reconstruction_matches_matrix_entries():
                 for qi, q in enumerate(points):
                     if p == q:
                         continue
-                    expected = mat.entry(q, p)
+                    expected = entry_polynomial(mat, q, p)
                     coeff = reconstruct_coefficient(spec, ch, entries, pi, qi, bundle, signs)
                     if is_zero(expected):
                         assert coeff == 0
@@ -498,7 +499,7 @@ def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
     # the slot route and line_bundle_weight agree on every diagonal
     for k, mat in enumerate(again):
         for p in mat.basis:
-            assert mat.entry(p, p) == form_polynomial(line_bundle_weight(spec, p, k))
+            assert entry_polynomial(mat, p, p) == form_polynomial(line_bundle_weight(spec, p, k))
 
 
 # -- sparse storage ----------------------------------------------------------------
@@ -514,7 +515,7 @@ def _dense_product(left, right):
         for p in basis:
             total = Polynomial.zero(left.spec.cartan.rank + 1)
             for r in basis:
-                total = total + left.entry(q, r) * right.entry(r, p)
+                total = total + entry_polynomial(left, q, r) * entry_polynomial(right, r, p)
             row.append(total)
         rows.append(row)
     return rows
@@ -568,5 +569,5 @@ def test_json_prints_every_cell_through_entry():
         for bundle in all_bundles(spec):
             mat = mult_matrix(spec, bundle, ch)
             basis = mat.basis
-            expected = [[mat.entry(q, p).to_json() for p in basis] for q in basis]
+            expected = [[entry_polynomial(mat, q, p).to_json() for p in basis] for q in basis]
             assert printed(cli._mult_entries(mat)) == expected

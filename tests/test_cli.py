@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from grslice import cli, slices, verify
+from grslice import cli, slices, stab_general, verify
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, JobSpec, build_parser, cache_fetch, cache_store, main
 from grslice.chern import mult_matrix
+from grslice.slices import adjacent_pairs, enumerate_fixed_points
 from grslice.stab_a1 import stab_matrix
 from grslice.stab_general import stab_mod_h2
 from grslice.symalg import Polynomial
-from helpers import is_zero, reference_document
+from helpers import entry_polynomial, euler_polynomial, is_zero, reference_document, reference_str
 
 
 @pytest.fixture(autouse=True)
@@ -374,7 +375,7 @@ def test_table_and_json_mult_agree(capsys):
     for qi, row in enumerate(payload["entries"]):
         for pi, cell in enumerate(row):
             if cell:
-                poly = str(Polynomial.from_json(cell, 3))
+                poly = reference_str(Polynomial.from_json(cell, 3))
                 from_json.add((labels[qi], labels[pi], poly))
     lines = as_table.strip().split("\n")
     assert lines[0] == "row | column | value"
@@ -390,7 +391,7 @@ def test_table_and_json_tangent_agree(capsys):
     from_json = set()
     for pt in payload["points"]:
         for w in pt["weights"]:
-            poly = str(Polynomial.linear_form(w["root"], w["n"]))
+            poly = reference_str(Polynomial.linear_form(w["root"], w["n"]))
             from_json.add((pt["label"], poly, str(w["mult"])))
     lines = as_table.strip().split("\n")
     assert lines[0] == "point | weight | mult"
@@ -611,7 +612,7 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
                              for (col, n), m in slices.tangent_weights(spec, p).items())
             point["weights"] = [{"root": list(root), "n": n, "mult": m}
                                 for root, n, m in entries]
-            rows += [f"{p.label()} | {Polynomial.linear_form(root, n)} | {m}"
+            rows += [f"{p.label()} | {reference_str(Polynomial.linear_form(root, n))} | {m}"
                      for root, n, m in entries]
         expected = {"command": "tangent", "points": fresh}
         header = "point | weight | mult"
@@ -637,9 +638,10 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
     assert cache_fetch(f"{job.cache_key()}-json") == (0, document)
 
 
-# Matrix documents of types A1, A2 and D4: rank-one restriction matrices, one
-# with an alternating polarization and one with a zero slot, and
-# multiplication matrices for line and quotient bundles in several chambers.
+# Matrix documents of types A1, A2, B2 and D4: rank-one restriction
+# matrices, one with an alternating polarization and one with a zero slot,
+# multiplication matrices for line and quotient bundles in several chambers,
+# and mod-h^2 restriction matrices.
 MATRIX_JOBS = [
     ("stab-exact", "A", 1, "1,1,1,1", "0", None, "dominant", "repelling"),
     ("stab-exact", "A", 1, "1,1,1,1,1", "1", None, "antidominant", "+1,-1,+1,-1,+1,-1,+1,-1,+1,-1"),
@@ -649,6 +651,9 @@ MATRIX_JOBS = [
     ("mult", "A", 2, "1,2,1,2", "0,0", "E2", "2,-1", "repelling"),
     ("mult", "D", 4, "1,1", "0,1,0,0", "L1", "dominant", "repelling"),
     ("mult", "D", 4, "1,3,4", "0,0,0,0", "E2", "1,-2,3,3", "repelling"),
+    ("stab-mod-h2", "A", 2, "1,1,1", "0,0", None, "antidominant", "repelling"),
+    ("stab-mod-h2", "B", 2, "2,2", "0,0", None, "dominant", "repelling"),
+    ("stab-mod-h2", "D", 4, "1,3,4", "0,0,0,0", None, "1,-2,3,3", "repelling"),
 ]
 
 
@@ -661,19 +666,30 @@ def test_matrix_documents_print_what_json_dumps_prints(capsys, tmp_path, monkeyp
     job = JobSpec(command, letter, rank, cli._int_list(lam), cli._int_list(mu), chamber,
                   polarization, bundle)
     spec, ch, signs = job.build()
+    points = enumerate_fixed_points(spec)
+    # the oracles: the document built cell by cell from the reference
+    # expansions and printed by json.dumps, and table rows printed by the
+    # reference printer from the same cells
     if command == "stab-exact":
         matrix = stab_matrix(spec, ch, signs)
-        cells = [(p, q, matrix.entry(p, q)) for p in matrix.points for q in matrix.points]
+        cells = [(p, q, entry_polynomial(matrix, p, q)) for p in points for q in points]
         header = "p | q | value"
-    else:
+    elif command == "mult":
         matrix = mult_matrix(spec, bundle, ch, signs)
-        cells = [(q, p, matrix.entry(q, p)) for q in matrix.basis for p in matrix.basis]
+        cells = [(q, p, entry_polynomial(matrix, q, p)) for q in points for p in points]
         header = "row | column | value"
-    # the oracles: the document built cell by cell from the entry readers and
-    # printed by json.dumps, and table rows printed from the same cells
-    document = json.dumps(reference_document(command, matrix, ch), sort_keys=True, indent=2) + "\n"
-    table = "\n".join([header] + [f"{x.label()} | {y.label()} | {value}"
-                                  for x, y, value in cells if not is_zero(value)]) + "\n"
+    else:
+        matrix = stab_mod_h2(spec, ch, signs)
+        alphas = {pair: ",".join(map(str, w.alpha_form.coords))
+                  for pair, w in adjacent_pairs(spec, ch).items()}
+        cells = [(points[p], points[q], alphas[p, q], euler_polynomial(matrix[p, q]))
+                 for p, q in sorted(matrix)]
+        header = "p | q | alpha | value"
+    assert cells
+    document = json.dumps(reference_document(command, spec, ch, matrix), sort_keys=True,
+                          indent=2) + "\n"
+    table = "\n".join([header] + [" | ".join([x.label(), y.label(), *extra, reference_str(value)])
+                                  for x, y, *extra, value in cells if not is_zero(value)]) + "\n"
     argv = [command, "--type", letter, "--rank", str(rank), "--lambda", lam, "--mu", mu,
             "--chamber", chamber, "--polarization", polarization]
     argv += ["--bundle", bundle] if bundle else []
@@ -858,24 +874,29 @@ def test_wall_route_documents_outside_the_catalog_keep_their_sha256(capsys, argv
 
 
 def test_wallcross_reads_each_wall_from_the_witness_root(capsys, tmp_path, monkeypatch):
-    # verify.wallcross takes the wall of a pair from its adjacency witness;
-    # only omega_ratio still asks same_wall_component, once per ratio
+    # verify.wallcross takes the wall of a pair from its adjacency witness,
+    # and omega_ratio checks only the coroot of the root it is given, so
+    # every sigma difference it tests is a multiple of that coroot: no route
+    # walks the other roots to find the wall of a pair
     argvs = [["verify", "wallcross"] + base for base in (D4_SLICE, BASE_FL3)]
     expected = [run_cli(capsys, argv) for argv in argvs]
-    real = slices.same_wall_component
+    real = stab_general._integer_multiple
+    checked = []
 
-    def guarded(spec, p, q):
-        if sys._getframe(1).f_code is verify.wallcross.__code__:
-            raise AssertionError("verify.wallcross called same_wall_component")
-        return real(spec, p, q)
+    def guarded(d, coroot):
+        if not real(d, coroot):
+            raise AssertionError(f"{d} tested against the coroot {coroot} of another wall")
+        checked.append(coroot)
+        return True
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("grslice") and vars(module).get("same_wall_component") is real:
-            monkeypatch.setattr(module, "same_wall_component", guarded)
+    monkeypatch.setattr(stab_general, "_integer_multiple", guarded)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache-patched"))
     for argv, first in zip(argvs, expected):
         assert first[0] == 0, (argv, first)
         assert run_cli(capsys, argv) == first, argv
+    assert checked
+    assert not any(hasattr(module, "same_wall_component")
+                   for name, module in sys.modules.items() if name.startswith("grslice"))
 
 
 def test_wallcross_computes_each_chamber_and_signs_once(capsys, tmp_path, monkeypatch):

@@ -13,5 +13,6 @@ def test_readme_python_blocks_run():
     for block in blocks:
         namespace = {}
         exec(compile(block, README, "exec"), namespace)
-    # the library example ends by expanding one mod-h^2 entry on A1 1^4, mu 0
-    assert str(namespace["value"]) == "a1*h"
+    # the library example ends by expanding and printing one mod-h^2 entry on
+    # A1 1^4, mu 0
+    assert namespace["value"] == "a1*h"

@@ -23,13 +23,19 @@ from grslice.slices import (
     point_index,
     project_to_wall_slice,
     repelling_euler,
-    same_wall_component,
     tangent_euler,
     tangent_weights,
 )
 from grslice.symalg import Polynomial
 
-from helpers import gen, oracle_down_crossings, oracle_up_crossings, random_minuscule_specs
+from helpers import (
+    euler_polynomial,
+    gen,
+    oracle_down_crossings,
+    oracle_up_crossings,
+    random_minuscule_specs,
+    same_wall_component,
+)
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -329,7 +335,7 @@ def test_euler_class_examples():
     weights = by_column(A1, {(alpha, -1): 1, (-alpha, 0): 1})
 
     def euler(weights):
-        return euler_factors(a1_spec(2, 0), weights).polynomial()
+        return euler_polynomial(euler_factors(a1_spec(2, 0), weights))
 
     assert euler(weights) == -(a**2) + a * h
     assert euler({}) == Polynomial.one(2)
@@ -347,13 +353,13 @@ def test_repelling_euler_on_both_chambers():
     dom = Chamber.dominant(A1)
 
     def euler(ch, keep_h):
-        return repelling_euler(DUVAL_A4, 0, ch, keep_h).polynomial()
+        return euler_polynomial(repelling_euler(DUVAL_A4, 0, ch, keep_h))
 
     assert euler(dom, True) == euler(dom, False) == -a
     assert euler(-dom, True) == a - h
     assert euler(-dom, False) == a
     # the two repelling halves make up the whole tangent space
-    assert euler(dom, True) * euler(-dom, True) == tangent_euler(DUVAL_A4, 0).polynomial()
+    assert euler(dom, True) * euler(-dom, True) == euler_polynomial(tangent_euler(DUVAL_A4, 0))
 
 
 # ---------------------------------------------------------------- flip signs

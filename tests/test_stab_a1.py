@@ -34,7 +34,10 @@ from grslice.stab_a1 import (
 from grslice.chern import bundle_weight, mult_matrix_via_localization
 from grslice.symalg import NonDivisible, Polynomial, RationalFunction
 from helpers import (
+    binary_polynomial,
     document,
+    entry_polynomial,
+    euler_polynomial,
     expanded,
     gen,
     pairing_sums_reference,
@@ -154,7 +157,7 @@ def forms(draw, max_degree=5):
 @settings(max_examples=150, deadline=None)
 @given(forms(), forms())
 def test_form_product_matches_polynomial_product(f, g):
-    poly = stab_a1._polynomial
+    poly = binary_polynomial
     assert poly(stab_a1._form_mul(f, g)) == poly(f) * poly(g)
 
 
@@ -162,7 +165,7 @@ def test_form_product_matches_polynomial_product(f, g):
 @given(forms(), COEFFICIENTS, st.booleans())
 def test_synthetic_division_inverts_multiplication(f, s, times_divisor):
     num = stab_a1._form_mul(f, (1, s)) if times_divisor else f
-    poly = stab_a1._polynomial
+    poly = binary_polynomial
     try:
         quotient = stab_a1._form_div(num, s)
     except NonDivisible:
@@ -204,7 +207,7 @@ def test_euler_forms_expand_like_euler_polynomials():
             classes = [tangent_euler(spec, p)]
             classes += [repelling_euler(spec, p, ch, True) for ch in (CH_PLUS, CH_MINUS)]
             for e in classes:
-                assert stab_a1._polynomial(stab_a1._euler_form(e)) == e.polynomial()
+                assert binary_polynomial(stab_a1._euler_form(e)) == euler_polynomial(e)
 
 
 # -- recursion ---------------------------------------------------------------
@@ -212,16 +215,16 @@ def test_euler_forms_expand_like_euler_polynomials():
 
 def test_stab_matrix_tstar_p1_golden():
     m = stab_matrix(TSTAR_P1, CH_PLUS)
-    assert m.entry(P1, P1) == -A
-    assert m.entry(P2, P1) == -H
-    assert m.entry(P2, P2) == -(A + H)
+    assert entry_polynomial(m, P1, P1) == -A
+    assert entry_polynomial(m, P2, P1) == -H
+    assert entry_polynomial(m, P2, P2) == -(A + H)
     index = point_index(TSTAR_P1)
     assert (index[P1], index[P2]) not in m.entries
 
     w = stab_matrix(TSTAR_P1, CH_MINUS)
-    assert w.entry(P2, P2) == A
-    assert w.entry(P1, P1) == A - H
-    assert w.entry(P1, P2) == -H
+    assert entry_polynomial(w, P2, P2) == A
+    assert entry_polynomial(w, P1, P1) == A - H
+    assert entry_polynomial(w, P1, P2) == -H
     assert (index[P2], index[P1]) not in w.entries
 
 
@@ -274,9 +277,9 @@ def test_diagonal_constant_is_point_independent():
 def test_custom_polarization_rescales_rows():
     base = stab_matrix(TSTAR_P1, CH_PLUS)
     flipped = stab_matrix(TSTAR_P1, CH_PLUS, [1, -1])
-    assert flipped.entry(P1, P1) == base.entry(P1, P1)
-    assert flipped.entry(P2, P1) == -base.entry(P2, P1)
-    assert flipped.entry(P2, P2) == -base.entry(P2, P2)
+    assert entry_polynomial(flipped, P1, P1) == entry_polynomial(base, P1, P1)
+    assert entry_polynomial(flipped, P2, P1) == -entry_polynomial(base, P2, P1)
+    assert entry_polynomial(flipped, P2, P2) == -entry_polynomial(base, P2, P2)
 
 
 def test_zero_slot_matrix_matches_compressed():
@@ -290,7 +293,7 @@ def test_zero_slot_matrix_matches_compressed():
     assert {squeeze(p) for p in m.points} == set(compressed.points)
     for p, q in m.entries:
         p, q = m.points[p], m.points[q]
-        assert m.entry(p, q) == compressed.entry(squeeze(p), squeeze(q))
+        assert entry_polynomial(m, p, q) == entry_polynomial(compressed, squeeze(p), squeeze(q))
     assert verify_duality(frozen, CH_PLUS)["ok"]
 
 
@@ -366,7 +369,7 @@ def test_recursion_failure_exits_three_with_one_line(capsys, tmp_path, monkeypat
 def test_mod_h2_tstar_p1():
     closed = stab_offdiag_mod_h2(TSTAR_P1, CH_PLUS)
     index = point_index(TSTAR_P1)
-    assert {pair: e.polynomial() for pair, e in closed.items()} == {(index[P2], index[P1]): -H}
+    assert {pair: euler_polynomial(e) for pair, e in closed.items()} == {(index[P2], index[P1]): -H}
 
 
 def test_mod_h2_a2_surface():
@@ -375,7 +378,7 @@ def test_mod_h2_a2_surface():
     p3 = index[point(1, 1, -1)]
     p1 = index[point(-1, 1, 1)]
     closed = stab_offdiag_mod_h2(spec, CH_PLUS)
-    assert closed[(p3, p1)].polynomial() == -H
+    assert euler_polynomial(closed[(p3, p1)]) == -H
 
 
 def test_mod_h2_matches_exact_truncation():
@@ -387,7 +390,7 @@ def test_mod_h2_matches_exact_truncation():
                 for qi, q in enumerate(m.points):
                     if p == q:
                         continue
-                    got = truncate_mod_h2(m.entry(p, q))
+                    got = truncate_mod_h2(entry_polynomial(m, p, q))
                     assert got == expanded(closed, (pi, qi), Polynomial.zero(2))
 
 
@@ -401,9 +404,9 @@ def test_theta_action_tstar_p1():
     # Theta Stab[p] = -Stab[p] + Stab[r p] with both epsilon ratios +1 here
     for p, rp in ((P1, P2), (P2, P1)):
         for q in (P1, P2):
-            want = -m.entry(p, q) + m.entry(rp, q)
+            want = -entry_polynomial(m, p, q) + entry_polynomial(m, rp, q)
             got = out.get((index[p], index[q]))
-            assert (Polynomial.zero(2) if got is None else stab_a1._polynomial(got)) == want
+            assert (Polynomial.zero(2) if got is None else binary_polynomial(got)) == want
 
 
 def test_theta_action_fixed_point_row_is_zero():
@@ -647,7 +650,7 @@ def test_localization_route_divides_the_convolution_with_fraction_weights():
     fractional = set()
     for spec in (a1_spec(4, 0), a1_spec(5, 1)):
         points = enumerate_fixed_points(spec)
-        lcm = stab_a1._polynomial(stab_a1._euler_form(localization_denominator(spec)[0]))
+        lcm = binary_polynomial(stab_a1._euler_form(localization_denominator(spec)[0]))
         bundles = [f"L{k}" for k in range(spec.length + 1)]
         bundles += [f"E{i}" for i in range(1, spec.length + 1)]
         for ch in (CH_PLUS, CH_MINUS):
@@ -660,8 +663,8 @@ def test_localization_route_divides_the_convolution_with_fraction_weights():
                 via = mult_matrix_via_localization(spec, bundle, ch)
                 assert {(p, q) for q, p in via.entries} <= reference.keys()
                 for (p, q), total in reference.items():
-                    entry = stab_a1._polynomial(via.entries.get((q, p), (0, 0)))
-                    assert stab_a1._polynomial(total) == lcm * entry
+                    entry = binary_polynomial(via.entries.get((q, p), (0, 0)))
+                    assert binary_polynomial(total) == lcm * entry
     assert len(fractional) > 4
 
 

@@ -22,7 +22,6 @@ from grslice.slices import (
     point_index,
     project_to_wall_slice,
     repelling_euler,
-    same_wall_component,
     tangent_weights,
 )
 from grslice.chern import (
@@ -39,13 +38,12 @@ from grslice.stab_a1 import (
     verify_duality,
 )
 from grslice.stab_general import (
-    mod_h2_json,
     omega_ratio,
     sigma_sign,
     stab_mod_h2,
     wall_adjacent_chambers,
 )
-from grslice.symalg import Polynomial
+from grslice.symalg import Polynomial, monomial_key
 from helpers import (
     as_counter_ratio,
     as_euler_class,
@@ -53,10 +51,12 @@ from helpers import (
     counter_repelling_factors,
     counter_stab_mod_h2,
     document,
+    euler_polynomial,
     gen,
     printed,
     random_minuscule_specs,
     reference_wall_chambers,
+    same_wall_component,
     sampled_sigma_signs,
     substitute,
 )
@@ -203,6 +203,24 @@ def test_omega_ratio_requires_common_wall():
         omega_ratio(TSTAR_FL3, p, q, AWeightForm([1, 0]))
 
 
+def test_omega_ratio_refuses_a_root_off_the_pairs_wall():
+    # every adjacent pair shares the wall of its witness root only, and no
+    # point shares a wall component with itself
+    spec = SliceSpec(A2, [1, 1, 1], Coweight([0, 0]))
+    positive = [root for root in A2.root_list if sum(root.coords) > 0]
+    pairs = adjacent_pairs(spec, CH2_PLUS)
+    assert pairs
+    for (p, q), witness in pairs.items():
+        canon = witness.alpha_form if sum(witness.alpha_form.coords) > 0 else -witness.alpha_form
+        for root in positive:
+            if root != canon:
+                with pytest.raises(ValueError, match="do not share a wall component"):
+                    omega_ratio(spec, p, q, root)
+        omega_ratio(spec, p, q, canon)
+        with pytest.raises(ValueError, match="do not share a wall component"):
+            omega_ratio(spec, p, p, canon)
+
+
 # -- sigma signs ---------------------------------------------------------------
 
 
@@ -292,7 +310,7 @@ def test_stab_mod_h2_fl3_support_and_degrees():
     half = TSTAR_FL3.dimension // 2
     for value in entries.values():
         # every term is h times a monomial of degree half - 1 in a
-        exponents = value.polynomial().terms
+        exponents = euler_polynomial(value).terms
         assert exponents
         assert {e[-1] for e in exponents} == {1}
         assert {sum(e[:-1]) for e in exponents} == {half - 1} == {2}
@@ -323,20 +341,20 @@ def test_stab_mod_h2_factorization_oracle():
             assert wall_spec == wall_spec_q
             a1_entry = stab_offdiag_mod_h2(wall_spec, CH1_PLUS)[ix(wall_spec, p1, q1)]
             images = [Polynomial.linear_form(w.alpha_form.coords, 0), h]
-            z_part = substitute(a1_entry.polynomial(), images)
+            z_part = substitute(euler_polynomial(a1_entry), images)
             sides = wall_adjacent_chambers(spec.cartan, w.alpha_form)
             near_wall = next(c for c in sides if c.is_positive(w.alpha_form))
             induced = flip_sign(spec, p, ch, near_wall)
             oracle = eps_prime(spec, points[q], near_wall, w.alpha_form) * z_part
             if induced < 0:
                 oracle = oracle * Polynomial.constant(nv, -1)
-            assert value.polynomial() == oracle
+            assert euler_polynomial(value) == oracle
             # same identity with both classes read in the ambient chamber
             rearranged = eps_prime(spec, points[q], ch, w.alpha_form) * z_part
             sg = sigma_sign(spec, p, q, w.alpha_form, ch, signs)
             if sg < 0:
                 rearranged = rearranged * Polynomial.constant(nv, -1)
-            assert value.polynomial() == rearranged
+            assert euler_polynomial(value) == rearranged
 
 
 def test_stab_mod_h2_wall_crossing_invariance():
@@ -360,8 +378,8 @@ def test_stab_mod_h2_wall_crossing_invariance():
 
 def test_mod_h2_json_shape():
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
-    obj = mod_h2_json(TSTAR_FL3, CH2_PLUS, entries)
-    assert set(obj) == {"entries"}
+    obj = document("stab-mod-h2", TSTAR_FL3, CH2_PLUS)
+    assert set(obj) == {"chamber", "command", "entries", "labels"}
     rows = obj["entries"]
     assert len(rows) == len(entries)
     keys = [(r["p"], r["q"]) for r in rows]
@@ -402,7 +420,7 @@ def _reference_omega_ratio(spec, p, q, root):
     """omega_ratio as a numerator and denominator polynomial."""
     up, down, scalar = counter_omega_ratio(spec, p, q, root)
     nv = spec.cartan.rank + 1
-    return EulerClass(nv, up, scalar).polynomial(), EulerClass(nv, down, 1).polynomial()
+    return euler_polynomial(EulerClass(nv, up, scalar)), euler_polynomial(EulerClass(nv, down, 1))
 
 
 def _reference_stab_mod_h2(spec, ch, polarization_signs=None):
@@ -465,7 +483,7 @@ def test_factored_entries_expand_to_the_rational_function_route(job):
     assert set(entries) == set(reference)
     for pair, value in entries.items():
         num, den = reference[pair]
-        assert value.polynomial() * den == num
+        assert euler_polynomial(value) * den == num
 
 
 @st.composite
@@ -486,7 +504,7 @@ def test_root_count_routes_match_the_multiset_routes(job):
     spec, ch1, ch2 = job
     for p in range(len(enumerate_fixed_points(spec))):
         for keep_h in (True, False):
-            assert (repelling_euler(spec, p, ch1, keep_h).polynomial()
+            assert (euler_polynomial(repelling_euler(spec, p, ch1, keep_h))
                     == _reference_repelling_euler(spec, p, ch1, keep_h))
         assert flip_sign(spec, p, ch1, ch2) == _reference_flip_sign(spec, p, ch1, ch2)
     forms = _root_slots(spec)[0]
@@ -516,7 +534,7 @@ def test_repelling_euler_is_the_product_of_the_repelling_weights(spec):
     for ch in chambers:
         for p in range(len(enumerate_fixed_points(spec))):
             for keep_h in (True, False):
-                assert (repelling_euler(spec, p, ch, keep_h).polynomial()
+                assert (euler_polynomial(repelling_euler(spec, p, ch, keep_h))
                         == _reference_repelling_euler(spec, p, ch, keep_h)), (ch, p, keep_h)
 
 
@@ -537,8 +555,8 @@ def test_negative_count_raises_exact_division_failure(monkeypatch):
 def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
     # Euler factors, bundle weights, rank-one forms and multiplication matrix
     # entries are coefficient tuples, and mod-h^2 entries exponent vectors
-    # that their JSON document expands itself: a Polynomial is built only
-    # where a table cell or a matrix entry is read
+    # that their document expands itself: no route builds a Polynomial, not
+    # even to print a table cell or to read a matrix entry
     def refuse(*args, **kwargs):
         raise AssertionError("a Polynomial was built")
 
@@ -580,6 +598,32 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
         assert stab_offdiag_mod_h2(a1, a1_ch)
         assert printed(cli._mult_entries(mult_matrix_via_localization(a1, "L2", a1_ch)))
 
+    # both entry readers return the stored tuples, and the zero tuple elsewhere
+    stab = stab_matrix(a1, CH1_PLUS)
+    forms = [stab.entry(p, q) for p in stab.points for q in stab.points]
+    assert any(map(any, forms)) and not all(map(any, forms))
+    mat = mult_matrix(spec, "L1", ch)
+    forms = [mat.entry(q, p) for q in mat.basis for p in mat.basis]
+    assert any(map(any, forms)) and not all(map(any, forms))
+    # every command's table, computed when the table is asked for first, and
+    # rendered from the stored JSON document when the JSON was
+    a1_args = ["--type", "A", "--rank", "1", "--lambda", "1,1,1,1,1", "--mu", "1"]
+    jobs = [(["fixed-points"], d4_args), (["tangent"], d4_args), (["stab-exact"], a1_args),
+            (["stab-mod-h2"], d4_args), (["mult", "--bundle", "E2"], d4_args),
+            (["verify", "oracle"], d4_args)]
+    for k, (command, args) in enumerate(jobs):
+        for route in ("table-first", "json-first"):
+            monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / f"{route}-{k}"))
+            if route == "json-first":
+                assert cli.main(command + args) == 0
+                capsys.readouterr()
+            with monkeypatch.context() as m:
+                if route == "json-first":
+                    m.setattr(cli, "compute_payload", refuse)
+                assert cli.main(command + args + ["--format", "table"]) == 0, (command, route)
+            out, err = capsys.readouterr()
+            assert out.count("\n") > 1 and err == "", (command, route)
+
 
 def test_times_ratio_refuses_a_negative_count():
     forms = ((1, 0), (0, 1))
@@ -612,10 +656,14 @@ def root_monomial_documents(draw):
 @given(root_monomial_documents())
 def test_packed_expansion_prints_the_polynomial_json(entries):
     # the document's expansion against the Counter reference's Polynomial,
-    # key by key in the same order
-    for value, entry in zip(stab_general._expand(entries), entries):
-        expected = as_euler_class(entry).polynomial().to_json()
-        assert list(value.items()) == list(expected.items())
+    # term by term in increasing exponent order
+    values = list(stab_general.expand_entries(entries))
+    assert len(values) == len(entries)
+    for value, entry in zip(values, entries):
+        expected = euler_polynomial(as_euler_class(entry))
+        assert value == expected.terms
+        assert [(monomial_key(e), str(d)) for e, d in value.items()] == list(
+            expected.to_json().items())
 
 
 def test_root_monomials_match_the_counter_reference_on_the_higher_rank_catalog():

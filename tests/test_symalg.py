@@ -1,10 +1,19 @@
+import ast
+import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from grslice.symalg import Polynomial, RationalFunction
-from helpers import gen, truncate_mod_h2
+from grslice import symalg
+from grslice.symalg import (
+    Polynomial,
+    RationalFunction,
+    monomial_key,
+    polynomial_text,
+    term_reader,
+)
+from helpers import gen, reference_str, truncate_mod_h2
 
 # two variables: a1 and h
 A = gen(2, 0)
@@ -40,6 +49,35 @@ def test_str_readable():
     assert str(-A) == "-a1"
 
 
+def test_term_reader_sums_repeated_monomials_and_drops_zeros():
+    read = term_reader(3)
+    assert read({"h*a1": "1/2", "a1*h": "1/2", "a2": "0", "a2^2": "3", "a2*a2": "-3"}) == {
+        (1, 0, 1): 1}
+    # one reader serves every cell of a document
+    assert read({"1": "2/4", "h^2": "-1"}) == {(0, 0, 0): Fraction(1, 2), (0, 0, 2): -1}
+    assert read({}) == {}
+
+
+def test_only_symalg_names_the_reference_classes():
+    # no program module imports or reads Polynomial or RationalFunction
+    names = {"Polynomial", "RationalFunction"}
+    src = os.path.dirname(symalg.__file__)
+    found = []
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py") or filename == "symalg.py":
+            continue
+        with open(os.path.join(src, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [(filename, a.name) for a in node.names if a.name in names]
+            elif isinstance(node, ast.Attribute) and node.attr in names:
+                found.append((filename, node.attr))
+            elif isinstance(node, ast.Name) and node.id in names:
+                found.append((filename, node.id))
+    assert found == []
+
+
 # ------------------------------------------------------------ rational functions
 
 def test_rational_function_cross_multiplication_equality():
@@ -67,6 +105,46 @@ def polys(draw, nvars=2, max_terms=4):
         exp = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
         terms[exp] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
     return Polynomial(nvars, terms)
+
+
+# exponents that name the constant monomial and pure powers of h, and
+# coefficients that print without a factor (+-1, as ints or Fractions)
+_SPECIAL_EXPONENTS = [(0, 0, 0), (0, 0, 1), (0, 0, 3), (1, 0, 0), (0, 2, 1)]
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1), Fraction(-1, 2)]),
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def term_maps(draw):
+    """A map of three-variable exponent vectors to coefficients, zeros
+    included, with constant and h-only terms among the drawn exponents."""
+    exponents = st.one_of(st.sampled_from(_SPECIAL_EXPONENTS),
+                          st.tuples(*[st.integers(0, 3)] * 3))
+    return draw(st.dictionaries(exponents, _COEFFICIENTS, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_maps())
+@example({})
+@example({(0, 0, 0): Fraction(-1)})
+@example({(0, 0, 2): -1, (0, 0, 0): Fraction(1)})
+@example({(1, 0, 0): Fraction(3, 2), (0, 0, 1): Fraction(-1), (0, 0, 0): -1})
+def test_polynomial_text_prints_what_the_reference_prints(terms):
+    nonzero = {e: c for e, c in terms.items() if c}
+    poly = Polynomial(3, terms)
+    expected = reference_str(poly)
+    assert polynomial_text([(monomial_key(e), nonzero[e])
+                            for e in sorted(nonzero, reverse=True)]) == expected
+    assert str(poly) == expected
+    # a JSON cell reads back into the same coefficient map
+    cell = poly.to_json()
+    assert term_reader(3)(cell) == poly.terms
+    assert Polynomial.from_json(cell, 3) == poly
+    if not nonzero:
+        assert expected == "0"
 
 
 @settings(max_examples=120, deadline=None)
