@@ -18,16 +18,17 @@ pair of its points, and OperatorMatrix.entry reads one cell as that tuple.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import add, mul, neg, sub
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .cartan import Chamber, Coweight
+from .cartan import AWeightForm, Chamber, Coweight
 from .slices import (
     FixedPoint,
     RootMonomial,
     SliceSpec,
-    _canonical,
     _point,
+    _root_slots,
     adjacent_pairs,
     enumerate_fixed_points,
     point_index,
@@ -318,11 +319,8 @@ def mult_matrix_via_localization(
         den *= d
     weight = [tuple(c.numerator * (den // c.denominator) for c in w) for w in weight]
     b, lcm, sums = _pairing_sums(plus, minus, weight)
-    # the lcm has scalar 1, and every factor is a canonical tangent form a + s h
-    shifts = []
-    for (u, s), k in lcm.factors.items():
-        assert u == 1
-        shifts += [s] * k
+    # the lcm is the product of the forms a + s h, s counted in lcm
+    shifts = list(lcm.elements())
     entries = {}
     # each sum has degree deg(lcm) + 1, so its quotient is a linear form,
     # whose coefficients (c_0, c_1) are already the tuple (a, h)
@@ -364,20 +362,24 @@ def reconstruct_coefficient(
         return Fraction(0)
     at_p, at_q = _point(spec, p), _point(spec, q)
     # the A-part of the weight difference is the sharp of the coroot that
-    # moves p to q, up to sign: an integer multiple of a root, whose integral
-    # Fraction coefficients become the ints _canonical takes
-    diff = tuple(map(_norm_scalar, map(sub, bundle_weight(spec, at_q, bundle)[:-1],
-                                       bundle_weight(spec, at_p, bundle)[:-1])))
+    # moves p to q, up to sign: an integer multiple of a root, with integral
+    # Fraction coefficients; every root is primitive, so the difference is
+    # the gcd of its coefficients times a root, and that root is +-1 times
+    # its slot's form
+    diff = [_norm_scalar(c) for c in map(sub, bundle_weight(spec, at_q, bundle)[:-1],
+                                        bundle_weight(spec, at_p, bundle)[:-1])]
     if not any(diff):
         return Fraction(0)
-    diff_form, diff_scalar = _canonical(spec._forms, diff + (0,))
-    eps_q = repelling_euler(spec, q, ch, False)
+    g = gcd(*diff)
+    root = AWeightForm._of(tuple([c // g for c in diff]))
+    slot, root_sign = _root_slots(spec)[1][spec.cartan._column[root]]
+    eps_q = repelling_euler(spec, q, ch)
     # times the root of the difference, over eps_q and h; the signs +-1 of
     # eps_q and the polarization are their own inverses
     ratio = [-m for m in eps_q.exponents]
-    ratio[entry.forms.index(diff_form)] += 1
+    ratio[slot] += 1
     ratio[-1] -= 1
-    quotient = entry.times_ratio(ratio, diff_scalar * signs[q] * eps_q.scalar)
+    quotient = entry.times_ratio(ratio, g * root_sign * signs[q] * eps_q.scalar)
     if quotient is None:
         raise ExactDivisionFailure(
             f"the polarization at {at_q.label()} does not divide the "

@@ -198,13 +198,18 @@ def _wrap(items: List[str], indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
-def _delta_texts(keys, indent: str) -> List[str]:
+def _delta_texts(keys, indent: str, head: str = "", tails=None) -> List[str]:
     """Each point's steps (keys[x], those of point x) as a list of coordinate
-    lists at `indent`; each distinct step's text is built once."""
+    lists at `indent`, between head and tails[x] (by default nothing) in one
+    f-string, so the steps are copied once; each distinct step's text is
+    built once."""
     inner, steps = indent + "  ", {}
-    head, sep, close = "[" + inner, "," + inner, indent + "]"
-    return [head + sep.join([steps.get(c) or steps.setdefault(c, _encode(list(c), inner))
-                             for c in key]) + close for key in keys]
+    sep, close = "," + inner, indent + "]"
+    out = []
+    for key, tail in zip(keys, tails or [""] * len(keys)):
+        texts = [steps.get(c) or steps.setdefault(c, _encode(list(c), inner)) for c in key]
+        out.append(f"{head}[{inner}{sep.join(texts)}{close}{tail}")
+    return out
 
 
 def _point_list(points, weights=None, roots=None) -> _Encoded:
@@ -224,19 +229,21 @@ def _point_list(points, weights=None, roots=None) -> _Encoded:
                 for label, ws in zip(labels, weights)]
 
     def text(indent):
+        # each point's text is one f-string: its steps, then a tail with its
+        # label (and weights)
         point, key = indent + "  ", indent + "    "
-        head, mid, tail = "{" + key + '"delta": ', "," + key + '"label": ', point + "}"
-        texts = [head + delta + mid + _encode_str(label) + (tail if weights is None else "")
-                 for delta, label in zip(_delta_texts(keys, key), labels)]
-        if weights is not None:
-            item, records = key + "  ", {}
-            for x, ws in enumerate(weights):
+        mid, end = "," + key + '"label": ', point + "}"
+        if weights is None:
+            tails = [f"{mid}{_encode_str(label)}{end}" for label in labels]
+        else:
+            item, records, tails = key + "  ", {}, []
+            for label, ws in zip(labels, weights):
                 found = [records.get((col, n, m)) or records.setdefault((col, n, m), _encode(
                     {"root": list(roots[col].coords), "n": n, "mult": m}, item))
                     for (col, n), m in ws.items()]
-                texts[x] += ("," + key + '"weights": ' + (_wrap(found, key) if found else "[]")
-                             + point + "}")
-        return _wrap(texts, indent)
+                tails.append(f'{mid}{_encode_str(label)},{key}"weights": '
+                             f'{_wrap(found, key) if found else "[]"}{end}')
+        return _wrap(_delta_texts(keys, key, "{" + key + '"delta": ', tails), indent)
 
     return _Encoded(text, rows)
 

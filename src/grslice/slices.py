@@ -17,18 +17,17 @@ build checks it).  Enumeration descends on integer coordinate tuples, and
 tangent weights sum table rows into heights, so neither builds a vector.
 A tangent weight beta + n*h is the integer pair (column of beta in
 root_list, n), so a chamber's side of it is the column's entry in the
-chamber's sign vector, and Euler classes read the root's coordinates by
-column.  A linear form is the tuple of its coefficients (a_1..a_r, h), and
-an Euler class is a multiset of canonical ones.
+chamber's sign vector.  A linear form is the tuple of its coefficients
+(a_1..a_r, h).  The one Euler class held here is the e_A of a repelling
+half, a RootMonomial: an exponent vector over the positive roots and h.
+The h-shifted e_T classes are needed in rank one only, where stab_a1
+expands them as binary forms in (a, h).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
-from math import gcd
 from operator import add, mul, sub
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 
@@ -46,18 +45,19 @@ class SliceSpec:
 
     Data derived from the slice (its dimension, fixed points, their index,
     tangent weights keyed by (root column, n), the root counts of each
-    point, canonical linear forms, the exponent slots of the positive
-    roots, Euler classes and A-part classes, the adjacent pairs of each
+    point, the exponent slots of the positive roots, the e_A classes of
+    the repelling halves (RootMonomials), the adjacent pairs of each
     chamber, the omega ratios of the wall routes, the flip signs of chamber
     pairs, line-bundle weights, the inner products of slot steps and, in
     rank one, the heights and raising moves of the fixed points) is filled
     in lazily, the dimension by its property and the rest by the functions
     of this module, of stab_general, of chern and of stab_a1, and lives
-    exactly as long as the spec.
+    exactly as long as the spec.  The h-shifted e_T classes are not held
+    here: stab_a1 expands the rank-one ones from the tangent weights.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_dimension", "_orbits", "_pairings",
-                 "_suffix_sums", "_points", "_index", "_tangents", "_forms",
+                 "_suffix_sums", "_points", "_index", "_tangents",
                  "_root_slots", "_root_counts", "_euler", "_adjacent", "_omega",
                  "_line_weights", "_slot_inners", "_heights", "_moves", "_flips")
 
@@ -116,17 +116,13 @@ class SliceSpec:
         self._points = None
         self._index = None
         self._tangents = {}
-        # _canonical splittings keyed by coefficient tuples (a_1..a_r, h)
-        self._forms = {}
         # _root_slots: the forms of the RootMonomial exponent slots and the
         # slot of each root_list column; and _root_counts, by point index:
         # the multiplicity of each column among the A-parts of the tangent
         # weights.  The wall routes read both.
         self._root_slots = None
         self._root_counts = None
-        # Euler classes (RootMonomials when keep_h is false) keyed by (point
-        # index, chamber, keep_h); chamber None stands for the whole tangent
-        # space, a chamber for its repelling half
+        # repelling_euler's e_A classes, keyed by (point index, chamber)
         self._euler = {}
         # adjacent_pairs, keyed by chamber
         self._adjacent = {}
@@ -346,45 +342,15 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int
     return found
 
 
-def _canonical(forms: dict, coords: tuple) -> Tuple[tuple, int]:
-    """The nonzero linear form with integer coefficients coords = (a_1..a_r,
-    h), split as scalar * canonical: the canonical form is the tuple of its
-    coprime integer coefficients, the first nonzero one (in the order
-    a_1..a_r, h) positive.
-
-    Results are memoized in forms (a spec's _forms).
-    """
-    found = forms.get(coords)
-    if found is None:
-        g = gcd(*coords)
-        if next(c for c in coords if c) < 0:
-            g = -g
-        found = forms[coords] = (tuple([c // g for c in coords]), g)
-    return found
-
-
-class EulerClass(NamedTuple):
-    """A product of linear forms: a scalar times a multiset of canonical
-    forms, each the coefficient tuple (a_1..a_r, h) that _canonical returns.
-
-    Distinct canonical forms are non-associate primes, so two classes are
-    equal as polynomials exactly when their multisets and scalars are equal.
-    """
-
-    nvars: int
-    factors: Counter
-    scalar: Fraction  # an int where it is one
-
-
 class RootMonomial(NamedTuple):
     """An A-part class: scalar * prod(forms[k] ** exponents[k]), with forms
-    the spec's slot forms (_root_slots), the canonical coefficient tuples of
-    the positive roots in root_list order and then h.
+    the spec's slot forms (_root_slots), the coefficient tuples of the
+    positive roots in root_list order and then h.
 
-    Positive roots are primitive in simple-root coordinates and their own
-    canonical forms, so the scalar of a product of roots is +-1 and an int.
-    Canonical forms are non-associate primes, so two classes over the same
-    forms are equal as polynomials exactly when they are equal as tuples.
+    Every root is +-1 times a positive root, so the scalar of a product of
+    roots is +-1 and an int.  No two positive roots are proportional, so
+    the forms are non-associate primes, and two classes over the same forms
+    are equal as polynomials exactly when they are equal as tuples.
     """
 
     forms: Tuple[tuple, ...]
@@ -401,46 +367,16 @@ class RootMonomial(NamedTuple):
         return RootMonomial(self.forms, exponents, self.scalar * scalar)
 
 
-def euler_factors(spec: SliceSpec, weights: Dict[Tuple[int, int], int]) -> EulerClass:
-    """Euler class of weights, keyed as tangent_weights keys them: the forms
-    root + n*h, split into canonical factors whose splittings are memoized
-    in the spec."""
-    roots = spec.cartan.root_list
-    factors: Counter = Counter()
-    scalar = 1
-    for (col, n), m in weights.items():
-        canon, s = _canonical(spec._forms, roots[col].coords + (n,))
-        factors[canon] += m
-        scalar *= s**m
-    return EulerClass(spec.cartan.rank + 1, factors, scalar)
-
-
-def tangent_euler(spec: SliceSpec, p: int) -> EulerClass:
-    """e_T of the whole tangent space at the point of index p."""
-    key = (p, None, True)
-    if key not in spec._euler:
-        spec._euler[key] = euler_factors(spec, tangent_weights(spec, _point(spec, p)))
-    return spec._euler[key]
-
-
-def repelling_euler(spec: SliceSpec, p: int, ch: Chamber,
-                    keep_h: bool) -> Union[EulerClass, RootMonomial]:
-    """e_T of the ch-repelling half of the tangent space at the point of
-    index p, as an EulerClass, or its e_A (h set to 0) as a RootMonomial
-    when keep_h is false: the weights whose root column has sign -1 in the
-    chamber's sign vector."""
-    key = (p, ch, keep_h)
+def repelling_euler(spec: SliceSpec, p: int, ch: Chamber) -> RootMonomial:
+    """e_A of the ch-repelling half of the tangent space at the point of
+    index p (h set to 0): the product of the roots of the weights whose root
+    column has sign -1 in the chamber's sign vector.  Built once per spec,
+    point and chamber."""
+    key = (p, ch)
     found = spec._euler.get(key)
     if found is None:
-        signs = ch.sign_vector
-        if keep_h:
-            repel = {k: m for k, m in tangent_weights(spec, _point(spec, p)).items()
-                     if signs[k[0]] < 0}
-            found = euler_factors(spec, repel)
-        else:
-            found = RootMonomial(_root_slots(spec)[0],
-                                 *_repelling_exponents(spec, _root_counts(spec, p), signs))
-        spec._euler[key] = found
+        exponents, sign = _repelling_exponents(spec, _root_counts(spec, p), ch.sign_vector)
+        found = spec._euler[key] = RootMonomial(_root_slots(spec)[0], exponents, sign)
     return found
 
 
@@ -492,19 +428,6 @@ def _repelling_exponents(spec: SliceSpec, values: Iterable[int],
             if unit < 0:
                 flips += m
     return tuple(exponents), -1 if flips % 2 else 1
-
-
-def localization_denominator(spec: SliceSpec) -> Tuple[EulerClass, List[EulerClass]]:
-    """The LCM of the tangent Euler classes over the fixed points (scalar 1),
-    and the cofactor of each point by point index, both factored:
-    sum_x f(x) / e_T(T_x) equals (sum_x f(x) * cofactor[x]) / lcm for every f."""
-    nv = spec.cartan.rank + 1
-    euler = [tangent_euler(spec, x) for x in range(len(enumerate_fixed_points(spec)))]
-    lcm: Counter = Counter()
-    for e in euler:
-        lcm |= e.factors
-    cofactor = [EulerClass(nv, lcm - e.factors, Fraction(1, e.scalar)) for e in euler]
-    return EulerClass(nv, lcm, Fraction(1)), cofactor
 
 
 def _flip_signs(spec: SliceSpec, ch1: Chamber, ch2: Chamber) -> Tuple[int, ...]:

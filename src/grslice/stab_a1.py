@@ -9,6 +9,14 @@ Diagonals always come from tangent Euler classes, every row reachable along
 two transposition paths is cross-checked, and the localization pairing with
 the opposite chamber provides an independent verification of the result.
 
+The h-shifted tangent Euler classes live here, the only place that needs
+them: the e_T of a repelling half is expanded as a form straight from the
+tangent weights (_repelling_form), and the denominator of the localization
+pairing, the lcm of the e_T of the whole tangent spaces and each point's
+cofactor, is a Counter of shifts s of the forms a + s h (_lcm_cofactors).
+The e_A of a repelling half, whose scalar is the sign of eps, is
+slices.repelling_euler's RootMonomial, as in every rank.
+
 Every restriction is a homogeneous form of degree D = dim/2 in (a, h), so
 the recursion, its checks and the pairing keep it as the tuple of its
 coefficients (c_0, .., c_D), c_k the coefficient of a^(D-k) h^k: a product
@@ -23,25 +31,24 @@ themselves.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 from operator import add, neg, sub
 from typing import Dict, List, Tuple
 
 from .cartan import AWeightForm, Chamber, pairing
 from .slices import (
-    EulerClass,
     FixedPoint,
     RootMonomial,
     SliceSpec,
     _steps,
     adjacent_pairs,
     enumerate_fixed_points,
-    localization_denominator,
     point_index,
     repelling_euler,
-    tangent_weights,  # noqa: F401  the benchmark's tracer test reads it from this module
+    tangent_weights,
 )
-from .symalg import NonDivisible, _norm_scalar
+from .symalg import NonDivisible
 
 
 class NotA1(ValueError):
@@ -91,14 +98,42 @@ def _form_div(f: tuple, s) -> tuple:
     return tuple(out)
 
 
-def _euler_form(e: EulerClass, sign: int = 1) -> tuple:
-    """sign times a rank-one Euler class, expanded into a form factor by
-    factor; a canonical factor (u, s) is already the form u a + s h."""
-    f = (sign * _norm_scalar(e.scalar),)
-    for factor, k in e.factors.items():
-        for _ in range(k):
-            f = _form_mul(f, factor)
+def _repelling_form(spec: SliceSpec, p: FixedPoint, ch: Chamber, sign: int) -> tuple:
+    """sign times e_T of the ch-repelling half of the tangent space at p:
+    the product of the weights u a + n h (u = +-1, the root's coordinate)
+    whose root column has sign -1 in the chamber's sign vector."""
+    roots, signs = spec.cartan.root_list, ch.sign_vector
+    f = (sign,)
+    for (col, n), m in tangent_weights(spec, p).items():
+        if signs[col] < 0:
+            for _ in range(m):
+                f = _form_mul(f, (roots[col].coords[0], n))
     return f
+
+
+def _lcm_cofactors(spec: SliceSpec) -> Tuple[Counter, List[Tuple[Counter, int]]]:
+    """The localization denominator: the least common multiple of the
+    tangent Euler classes over the fixed points, and each point's cofactor,
+    by point index.
+
+    A tangent weight u a + n h (u = +-1) is u (a + u n h), so every class is
+    a sign times a product of forms a + s h, held as a Counter of the shifts
+    s.  The lcm is such a Counter with sign 1, and a cofactor a Counter with
+    the sign of its point's class, so that sum_x f(x) / e_T(T_x) equals
+    (sum_x f(x) * sign_x * cofactor_x) / lcm for every f."""
+    roots = spec.cartan.root_list
+    classes = []
+    for x in enumerate_fixed_points(spec):
+        shifts, sign = Counter(), 1
+        for (col, n), m in tangent_weights(spec, x).items():
+            u = roots[col].coords[0]
+            shifts[u * n] += m
+            sign *= u**m
+        classes.append((shifts, sign))
+    lcm: Counter = Counter()
+    for shifts, _ in classes:
+        lcm |= shifts
+    return lcm, [(lcm - shifts, sign) for shifts, sign in classes]
 
 
 def _require_a1(spec: SliceSpec) -> None:
@@ -287,8 +322,7 @@ class RestrictionMatrix:
         deg_a < D both say that the a^D coefficient vanishes."""
         spec, ch, points = self.spec, self.chamber, self.points
         for x, sign in enumerate(self.polarization_signs):
-            expected = _euler_form(repelling_euler(spec, x, ch, True), sign)
-            if self.entries.get((x, x)) != expected:
+            if self.entries.get((x, x)) != _repelling_form(spec, points[x], ch, sign):
                 raise InvariantViolation(
                     f"diagonal at {points[x].label()} is not the repelling Euler class"
                 )
@@ -335,12 +369,11 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     moves = _move_partners(spec)
 
     # eps_p is the a^D coefficient of the diagonal sign_p * e_T(repelling
-    # half); every factor of e_T is a canonical a + n h, so it is sign_p
-    # times the scalar
-    repelling = [repelling_euler(spec, p, ch, True) for p in range(len(points))]
-    eps = [s * _norm_scalar(e.scalar) for s, e in zip(signs, repelling)]
+    # half), the product of its weights +-a + n h: sign_p times the scalar
+    # of e_A, the product of the roots +-a
+    eps = [s * repelling_euler(spec, p, ch).scalar for p, s in enumerate(signs)]
     p0 = point_index(spec)[minimal_point(spec, ch)]
-    rows = {p0: {p0: _euler_form(repelling[p0], signs[p0])}}
+    rows = {p0: {p0: _repelling_form(spec, points[p0], ch, signs[p0])}}
 
     # points come in lexicographic key order, so the index breaks stat ties
     for p in sorted(range(len(points)), key=lambda x: (stats[x], x)):
@@ -385,7 +418,7 @@ def stab_offdiag_mod_h2(
     alpha_sign = _chamber_root(ch).coords[0]
     out: Dict[Tuple[int, int], RootMonomial] = {}
     for p, q in adjacent_pairs(spec, ch):
-        e_a = repelling_euler(spec, p, ch, False)
+        e_a = repelling_euler(spec, p, ch)
         entry = e_a.times_ratio((-1, 1), signs[p] * alpha_sign)
         if entry is None:
             raise ExactDivisionFailure(
@@ -468,11 +501,12 @@ def _unpack(v: int, b: int, degree: int) -> tuple:
     return tuple(reversed(digits))
 
 
-def _class_value(e: EulerClass, b: int) -> int:
-    """A rank-one Euler class with an integral scalar at a = 2^b, h = 1."""
-    v = _norm_scalar(e.scalar)
-    for (u, s), k in e.factors.items():
-        v *= ((u << b) + s) ** k
+def _shifts_value(shifts: Counter, b: int, sign: int = 1) -> int:
+    """sign times the product of the forms a + s h, s counted in shifts, at
+    a = 2^b, h = 1."""
+    v = sign
+    for s, k in shifts.items():
+        v *= ((1 << b) + s) ** k
     return v
 
 
@@ -480,33 +514,33 @@ def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None
     """The localization pairing of the rows of two opposite-chamber matrices
     on one slice, with the denominator cleared, by Kronecker substitution.
 
-    Returns (b, lcm, sums): lcm is localization_denominator's least common
-    multiple, and sums[(p, q)], for point indices p and q, is the value at
-    a = 2^b, h = 1 of the form
+    Returns (b, lcm, sums): lcm is the shift Counter of _lcm_cofactors'
+    least common multiple, and sums[(p, q)], for point indices p and q, is
+    the value at a = 2^b, h = 1 of the form
 
-        S_pq = sum_x Stab_+[p]|_x * Stab_-[q]|_x * w(x) * cofactor(x)
+        S_pq = sum_x Stab_+[p]|_x * Stab_-[q]|_x * w(x) * sign_x * cofactor(x)
 
     with w(x) the integer linear form weight[x], by point index, or 1.
     Evaluation is a ring map, so each entry of Stab_- is packed once, with
     its weight and cofactor, and the sums are of ints.  |coefficient of f g|
-    <= max|f| * sum|g| <= max|f| * prod(|u| + |s|) for g a product of forms
-    u a + s h, and a cofactor is +-1 times factors of the lcm, so b keeps
+    <= max|f| * sum|g| <= max|f| * prod(1 + |s|) for g a product of forms
+    a + s h, and a cofactor is +-1 times factors of the lcm, so b keeps
     every coefficient of S_pq and of S_pq - lcm below 2^(b-1) in absolute
     value.  A nonzero form F with coefficients below 2^b in absolute value
     has F(2^b, 1) != 0: it is 2^(b k) (c + 2^b m), c != 0 the coefficient of
     its lowest power a^k.  So S_pq = lcm, or 0, exactly when the packed
     values agree, and _unpack reads S_pq back.
     """
-    lcm, cofactor = localization_denominator(plus.spec)
+    lcm, cofactor = _lcm_cofactors(plus.spec)
     weight = weight or [(1,)] * len(cofactor)
     bound = len(cofactor) * (plus.spec.dimension // 2 + 1) * max(sum(map(abs, w)) for w in weight)
     for forms in (plus.entries.values(), minus.entries.values()):
         bound *= max(max(map(max, forms), default=0), -min(map(min, forms), default=0))
     bound += 1  # S_pq - lcm has the lcm once more
-    for (u, s), k in lcm.factors.items():
-        bound *= (abs(u) + abs(s)) ** k
+    for s, k in lcm.items():
+        bound *= (1 + abs(s)) ** k
     b = bound.bit_length() + 2
-    factor = [_class_value(c, b) * _pack(w, b) for c, w in zip(cofactor, weight)]
+    factor = [_shifts_value(c, b, sign) * _pack(w, b) for (c, sign), w in zip(cofactor, weight)]
     columns: List[List[Tuple[int, int]]] = [[] for _ in factor]
     for (q, x), val in minus.entries.items():
         columns[x].append((q, _pack(val, b) * factor[x]))
@@ -532,7 +566,7 @@ def verify_duality(spec: SliceSpec, ch: Chamber,
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
     b, lcm, sums = _pairing_sums(plus, minus)
-    one = _class_value(lcm, b)
+    one = _shifts_value(lcm, b)
     failures = [
         {"p": p.label(), "q": q.label()}
         for qi, q in enumerate(points) for pi, p in enumerate(points)

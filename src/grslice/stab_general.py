@@ -147,7 +147,7 @@ def stab_mod_h2(
     column_of = spec.cartan._column
     out: Dict[Tuple[int, int], RootMonomial] = {}
     for (p, q), witness in adjacent_pairs(spec, ch).items():
-        eps = repelling_euler(spec, p, ch, False)
+        eps = repelling_euler(spec, p, ch)
         omega, scalar = omega_ratio(spec, p, q, witness.alpha_form)
         # times h over alpha, whose sign +-1 is its own inverse
         slot, alpha_sign = columns[column_of[witness.alpha_form]]

@@ -5,29 +5,32 @@ test, one coefficient), the reference expansions of Euler classes, forms
 and matrix entries into Polynomials and the reference printer of a
 Polynomial, reference polynomial routes (substitution, truncation mod h^2,
 the localization pairing on polynomials and on coefficient tuples, the
-product of operator matrices), the Counter reference of the mod-h^2
-entries, and reference builders of the stab-exact, stab-mod-h2 and mult
-documents."""
+product of operator matrices), the Counter reference of Euler classes
+(canonical splittings, the h-shifted e_T and the localization denominator)
+and of the mod-h^2 entries, and reference builders of the stab-exact,
+stab-mod-h2 and mult documents."""
 
 import json
+import os
 import random
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from grslice import cli
 from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
-    EulerClass,
     SliceSpec,
     _integer_multiple,
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
-    localization_denominator,
     tangent_weights,
 )
-from grslice.stab_a1 import RestrictionMatrix, _euler_form, _form_mul, normalize_polarization
+from grslice.stab_a1 import RestrictionMatrix, _form_mul, normalize_polarization
 from grslice.symalg import Polynomial, RationalFunction, monomial_key
 
 
@@ -132,6 +135,92 @@ def expand_product(nvars, factors, scalar):
         if k:
             out = out * Polynomial.linear_form(f[:-1], f[-1]) ** k
     return out
+
+
+# -- the Counter reference of Euler classes ----------------------------------------
+
+
+def canonical(coords):
+    """The nonzero linear form with integer coefficients coords = (a_1..a_r,
+    h), split as scalar * canonical: the canonical form is the tuple of its
+    coprime integer coefficients, the first nonzero one (in the order
+    a_1..a_r, h) positive."""
+    g = gcd(*coords)
+    if next(c for c in coords if c) < 0:
+        g = -g
+    return tuple([c // g for c in coords]), g
+
+
+class EulerClass(NamedTuple):
+    """A product of linear forms: a scalar times a Counter of canonical
+    forms, each a coefficient tuple (a_1..a_r, h) that canonical returns.
+
+    Distinct canonical forms are non-associate primes, so two classes are
+    equal as polynomials exactly when their multisets and scalars are equal.
+    """
+
+    nvars: int
+    factors: Counter
+    scalar: Fraction  # an int where it is one
+
+
+def euler_factors(spec, weights):
+    """Euler class of weights, keyed as tangent_weights keys them: the forms
+    root + n*h, each split into its canonical factor."""
+    roots = spec.cartan.root_list
+    factors = Counter()
+    scalar = 1
+    for (col, n), m in weights.items():
+        canon, s = canonical(roots[col].coords + (n,))
+        factors[canon] += m
+        scalar *= s**m
+    return EulerClass(spec.cartan.rank + 1, factors, scalar)
+
+
+def tangent_euler(spec, p):
+    """e_T of the whole tangent space at the point of index p."""
+    return euler_factors(spec, tangent_weights(spec, enumerate_fixed_points(spec)[p]))
+
+
+def repelling_tangent_euler(spec, p, ch):
+    """e_T of the ch-repelling half of the tangent space at the point of
+    index p: the weights whose root column has sign -1 in ch's sign vector."""
+    weights = tangent_weights(spec, enumerate_fixed_points(spec)[p])
+    return euler_factors(spec, {k: m for k, m in weights.items() if ch.sign_vector[k[0]] < 0})
+
+
+def localization_denominator(spec):
+    """The LCM of the tangent Euler classes over the fixed points (scalar 1),
+    and the cofactor of each point by point index, both factored:
+    sum_x f(x) / e_T(T_x) equals (sum_x f(x) * cofactor[x]) / lcm for every f."""
+    nv = spec.cartan.rank + 1
+    euler = [tangent_euler(spec, x) for x in range(len(enumerate_fixed_points(spec)))]
+    lcm = Counter()
+    for e in euler:
+        lcm |= e.factors
+    cofactor = [EulerClass(nv, lcm - e.factors, Fraction(1, e.scalar)) for e in euler]
+    return EulerClass(nv, lcm, Fraction(1)), cofactor
+
+
+def euler_form(e):
+    """A rank-one Euler class with an integral scalar as a binary form
+    (c_0, .., c_D), factor by factor: a canonical factor (u, s) is the form
+    u a + s h."""
+    assert e.scalar == int(e.scalar)
+    f = (int(e.scalar),)
+    for factor, k in e.factors.items():
+        for _ in range(k):
+            f = _form_mul(f, factor)
+    return f
+
+
+def shifts_form(shifts, sign=1):
+    """sign times the product of the forms a + s h, s counted in the Counter
+    shifts, as a binary form: a class of stab_a1's localization denominator."""
+    f = (sign,)
+    for s in shifts.elements():
+        f = _form_mul(f, (1, s))
+    return f
 
 
 def euler_polynomial(e):
@@ -314,7 +403,7 @@ def pairing_sums_reference(plus, minus, weight=None):
     with a point x where both are stored, w(x) the form weight[x] (int or
     Fraction coefficients) or 1."""
     lcm, cofactor = localization_denominator(plus.spec)
-    factor = [_euler_form(c) for c in cofactor]
+    factor = [euler_form(c) for c in cofactor]
     if weight is not None:
         factor = [_form_mul(f, w) for f, w in zip(factor, weight)]
     sums = {}
@@ -370,6 +459,24 @@ def reference_document(command, spec, ch, matrix):
                            "value": euler_polynomial(matrix[p, q]).to_json()}
                           for p, q in sorted(matrix)]
     return doc
+
+
+def catalog_slices(workload):
+    """Each distinct (slice, chamber, polarization) of a benchmark workload's
+    jobs, built as the command line builds it."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    import catalog
+
+    seen = {}
+    for job in catalog.catalog(workload):
+        args = vars(cli._parser().parse_args(job.argv))
+        built = cli.JobSpec(**args)._replace(command="fixed-points", bundle=None, which=None)
+        if built not in seen:
+            seen[built] = built.build()
+    return list(seen.values())
 
 
 def printed(value):

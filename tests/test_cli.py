@@ -725,6 +725,29 @@ def test_wide_rank_one_documents_keep_their_sha256(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# Rank-one documents with frozen zero slots, which no catalog job has, with
+# their sha256 from before the rank-one Euler classes became binary forms.
+ZERO_SLOT_JOBS = [
+    ("stab-exact --lambda 0 --mu 0",
+     "4b0d9e2f7c0556039bcccd820f139b86f5f0c4294bde9435607a681d33c4506d"),
+    ("stab-exact --lambda 1,0,1,1,0,1 --mu 2",
+     "fb70b552fe597aa8f2fa47c6afc589e8b62cdb31a14d8f533526117c62bf8246"),
+    ("verify all --lambda 1,0,1 --mu 0",
+     "f392675c78c0a189f335d86230c089723272773466d59b854581e6aa496fd116"),
+    ("verify all --lambda 1,0,1,1,0,1 --mu 0",
+     "5f2f0713178384751a1193759dcdf072a0f86932104f83e00ab39038c3a2475d"),
+    ("mult --bundle E3 --lambda 1,0,1,1 --mu 1",
+     "902dc92175214f2a869671986d0034f1715f5504391c760e68ebfeecbeedc761"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", ZERO_SLOT_JOBS, ids=[a for a, _ in ZERO_SLOT_JOBS])
+def test_zero_slot_rank_one_documents_keep_their_sha256(capsys, argv, digest):
+    code, out, err = run_cli(capsys, argv.split() + ["--type", "A", "--rank", "1"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # -- fuzzing the command line ---------------------------------------------------------
 
 GARBLED = st.sampled_from(["", "x", "1,,2", "1/0", "+", "-", "nan", "1e9", " 1", "0x1"])

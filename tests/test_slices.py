@@ -5,36 +5,37 @@ from math import comb, gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grslice import cartan, cli
+from grslice import cartan, cli, stab_a1
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, _Vector, pairing
 from grslice.cli import CACHE_ENV, JobSpec, compute_payload, main, render
 from grslice.slices import (
     AdjacencyWitness,
     FixedPoint,
-    _canonical,
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
     adjacent_pairs,
     enumerate_fixed_points,
-    euler_factors,
     flip_sign,
-    localization_denominator,
     point_index,
     project_to_wall_slice,
     repelling_euler,
-    tangent_euler,
     tangent_weights,
 )
 from grslice.symalg import Polynomial
 
 from helpers import (
+    binary_polynomial,
+    canonical,
+    euler_factors,
     euler_polynomial,
     gen,
     oracle_down_crossings,
     oracle_up_crossings,
     random_minuscule_specs,
+    repelling_tangent_euler,
     same_wall_component,
+    tangent_euler,
 )
 
 A1 = CartanDatum("A", 1)
@@ -280,6 +281,7 @@ def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
     specs = [
         SliceSpec(A2, [1, 0, 2, 1, 2], Coweight([0, 0])),
         SliceSpec(CartanDatum("D", 4), [1, 3, 4, 0], Coweight([0, 0, 0, 0])),
+        SliceSpec(A1, [1, 0, 1, 1], Coweight([1])),
     ]
     dims = [spec.dimension for spec in specs]
     chambers = [(Chamber.dominant(spec.cartan), Chamber.antidominant(spec.cartan))
@@ -301,13 +303,15 @@ def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
     # Euler class, a sign or a document hashes a root
     monkeypatch.setattr(AWeightForm, "__hash__", refuse_hash)
     for spec, (ch1, ch2) in zip(specs, chambers):
-        for p in range(len(enumerate_fixed_points(spec))):
-            tangent_euler(spec, p)
+        points = enumerate_fixed_points(spec)
+        for p in range(len(points)):
             for ch in (ch1, ch2):
-                for keep_h in (True, False):
-                    repelling_euler(spec, p, ch, keep_h)
+                repelling_euler(spec, p, ch)
+                if spec.cartan.rank == 1:
+                    stab_a1._repelling_form(spec, points[p], ch, 1)
             assert flip_sign(spec, p, ch1, ch2) in (1, -1)
-        localization_denominator(spec)
+        if spec.cartan.rank == 1:
+            stab_a1._lcm_cofactors(spec)
         payload = cli._cmd_tangent(None, spec, ch1, None)
         for fmt in ("json", "table"):
             assert render(payload, fmt, spec.cartan.rank)
@@ -353,11 +357,16 @@ def test_repelling_euler_on_both_chambers():
     dom = Chamber.dominant(A1)
 
     def euler(ch, keep_h):
-        return euler_polynomial(repelling_euler(DUVAL_A4, 0, ch, keep_h))
+        # e_T in rank one is stab_a1's form, e_A the RootMonomial of slices
+        if keep_h:
+            return binary_polynomial(stab_a1._repelling_form(DUVAL_A4, p0, ch, 1))
+        return euler_polynomial(repelling_euler(DUVAL_A4, 0, ch))
 
     assert euler(dom, True) == euler(dom, False) == -a
     assert euler(-dom, True) == a - h
     assert euler(-dom, False) == a
+    for ch in (dom, -dom):
+        assert euler(ch, True) == euler_polynomial(repelling_tangent_euler(DUVAL_A4, 0, ch))
     # the two repelling halves make up the whole tangent space
     assert euler(dom, True) * euler(-dom, True) == euler_polynomial(tangent_euler(DUVAL_A4, 0))
 
@@ -525,13 +534,11 @@ def test_point_labels():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-12, 12), min_size=2, max_size=6).filter(any))
 def test_integer_canonical_form_properties(coords):
+    # the splitting of the Counter reference of Euler classes
     coords = tuple(coords)
-    forms = {}
-    canon, scalar = _canonical(forms, coords)
+    canon, scalar = canonical(coords)
     assert type(canon) is tuple and len(canon) == len(coords)
     assert all(type(c) is int for c in canon) and gcd(*canon) == 1
     assert next(c for c in canon if c) > 0
     assert type(scalar) is int
     assert tuple(c * scalar for c in canon) == coords
-    # memoized: a second lookup returns the same objects
-    assert _canonical(forms, coords)[0] is canon

@@ -11,10 +11,7 @@ from grslice.slices import (
     FixedPoint,
     SliceSpec,
     enumerate_fixed_points,
-    localization_denominator,
     point_index,
-    repelling_euler,
-    tangent_euler,
     tangent_weights,
 )
 from grslice import stab_a1, symalg
@@ -35,12 +32,19 @@ from grslice.chern import bundle_weight, mult_matrix_via_localization
 from grslice.symalg import NonDivisible, Polynomial, RationalFunction
 from helpers import (
     binary_polynomial,
+    catalog_slices,
+    coefficient,
     document,
     entry_polynomial,
+    euler_form,
     euler_polynomial,
     expanded,
     gen,
+    localization_denominator,
     pairing_sums_reference,
+    repelling_tangent_euler,
+    shifts_form,
+    tangent_euler,
     truncate_mod_h2,
     weight_stat,
 )
@@ -200,14 +204,58 @@ def test_exact_routes_multiply_and_divide_no_polynomial(capsys, tmp_path, monkey
 
 
 def test_euler_forms_expand_like_euler_polynomials():
-    # the rank-one route reads each canonical factor (u, s) as the form
-    # u a + s h; EulerClass.polynomial expands the same factors
+    # the rank-one route multiplies the weights u a + n h into forms, and
+    # the Counter reference expands the canonical factors a + u n h
     for spec in grid_specs(5):
-        for p in range(len(enumerate_fixed_points(spec))):
-            classes = [tangent_euler(spec, p)]
-            classes += [repelling_euler(spec, p, ch, True) for ch in (CH_PLUS, CH_MINUS)]
-            for e in classes:
-                assert binary_polynomial(stab_a1._euler_form(e)) == euler_polynomial(e)
+        points = enumerate_fixed_points(spec)
+        for p, x in enumerate(points):
+            for ch in (CH_PLUS, CH_MINUS):
+                form = stab_a1._repelling_form(spec, x, ch, -1)
+                assert binary_polynomial(form) == -euler_polynomial(
+                    repelling_tangent_euler(spec, p, ch))
+        lcm, cofactor = stab_a1._lcm_cofactors(spec)
+        for p, (shifts, sign) in enumerate(cofactor):
+            # cofactor times e_T is the lcm
+            assert (binary_polynomial(shifts_form(shifts, sign))
+                    * euler_polynomial(tangent_euler(spec, p))
+                    == binary_polynomial(shifts_form(lcm)))
+
+
+# the zero-slot slices next to the a1-exact catalog, which has none
+ZERO_SLOT_SLICES = [SliceSpec(A1, lam, Coweight([k])) for lam, ks in
+                    (([0], [0]), ([1, 0, 1], [-2, 0, 2]), ([1, 0, 1, 1, 0, 1], [-4, -2, 0, 2, 4]))
+                    for k in ks]
+
+
+def test_rank_one_euler_classes_match_the_counter_reference():
+    # on every a1-exact catalog slice (l = 3..7, every |mu|) and the
+    # zero-slot slices, in both chambers: the diagonals and epsilons of
+    # stab_matrix and the localization denominator of _lcm_cofactors
+    # against the Counter classes, expanded with euler_polynomial
+    polarizations = {}
+    for spec, _, signs in catalog_slices("a1-exact"):
+        polarizations.setdefault(spec, {None}).add(signs and tuple(signs))
+    assert {spec.length for spec in polarizations} == {3, 4, 5, 6, 7}
+    polarizations.update((spec, {None}) for spec in ZERO_SLOT_SLICES)
+    checked = 0
+    for spec, polarization in polarizations.items():
+        points = enumerate_fixed_points(spec)
+        degree = spec.dimension // 2
+        for ch in (CH_PLUS, CH_MINUS):
+            for signs in polarization:
+                matrix = stab_matrix(spec, ch, signs)
+                for x, sign in enumerate(matrix.polarization_signs):
+                    reference = sign * euler_polynomial(repelling_tangent_euler(spec, x, ch))
+                    assert binary_polynomial(matrix.entries[x, x]) == reference
+                    assert matrix.epsilons[x] == coefficient(reference, (degree, 0))
+                    checked += 1
+        lcm, cofactor = stab_a1._lcm_cofactors(spec)
+        reference_lcm, reference_cofactor = localization_denominator(spec)
+        assert binary_polynomial(shifts_form(lcm)) == euler_polynomial(reference_lcm)
+        assert len(cofactor) == len(points)
+        for (shifts, sign), expected in zip(cofactor, reference_cofactor):
+            assert binary_polynomial(shifts_form(shifts, sign)) == euler_polynomial(expected)
+    assert checked > 1400
 
 
 # -- recursion ---------------------------------------------------------------
@@ -586,13 +634,14 @@ def _check_packed_sums(plus, minus, weight=None):
     reference = pairing_sums_reference(plus, minus, weight)
     assert sums.keys() == reference.keys()
     degree = _sum_degree(plus.spec, weight is not None)
-    lcm_form = stab_a1._euler_form(lcm)
+    lcm_form = euler_form(localization_denominator(plus.spec)[0])
+    assert shifts_form(lcm) == lcm_form
     for pq, total in sums.items():
         assert stab_a1._unpack(total, b, degree) == reference[pq]
         assert total == stab_a1._pack(reference[pq], b)
         assert all(abs(c) < 1 << (b - 1) for c in reference[pq])
         if weight is None:
-            assert (total == stab_a1._class_value(lcm, b)) == (reference[pq] == lcm_form)
+            assert (total == stab_a1._shifts_value(lcm, b)) == (reference[pq] == lcm_form)
             assert (total == 0) == (not any(reference[pq]))
     return sums, reference
 
@@ -639,7 +688,7 @@ def test_packed_duality_sees_a_tamper_that_vanishes_at_a_power_of_two(k):
     tamper = (1, -(1 << k)) + (0,) * (len(val) - 2)
     tampered = _with_entries(plus, {**plus.entries, pq: tuple(map(sum, zip(val, tamper)))})
     sums, reference = _check_packed_sums(tampered, minus)
-    lcm_form = stab_a1._euler_form(localization_denominator(spec)[0])
+    lcm_form = euler_form(localization_denominator(spec)[0])
     assert any(reference[p, q] != (lcm_form if p == q else (0,) * len(lcm_form))
                for p, q in reference)
 
@@ -650,7 +699,7 @@ def test_localization_route_divides_the_convolution_with_fraction_weights():
     fractional = set()
     for spec in (a1_spec(4, 0), a1_spec(5, 1)):
         points = enumerate_fixed_points(spec)
-        lcm = binary_polynomial(stab_a1._euler_form(localization_denominator(spec)[0]))
+        lcm = binary_polynomial(euler_form(localization_denominator(spec)[0]))
         bundles = [f"L{k}" for k in range(spec.length + 1)]
         bundles += [f"E{i}" for i in range(1, spec.length + 1)]
         for ch in (CH_PLUS, CH_MINUS):

@@ -1,6 +1,4 @@
 import json
-import os
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +7,6 @@ from grslice import cli, stab_general, verify
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
     AdjacencyWitness,
-    EulerClass,
     FixedPoint,
     RootMonomial,
     SliceSpec,
@@ -18,7 +15,6 @@ from grslice.slices import (
     dominant_representative,
     enumerate_fixed_points,
     flip_sign,
-    localization_denominator,
     point_index,
     project_to_wall_slice,
     repelling_euler,
@@ -32,6 +28,7 @@ from grslice.chern import (
 )
 from grslice.stab_a1 import (
     ExactDivisionFailure,
+    _repelling_form,
     normalize_polarization,
     stab_matrix,
     stab_offdiag_mod_h2,
@@ -45,10 +42,13 @@ from grslice.stab_general import (
 )
 from grslice.symalg import Polynomial, monomial_key
 from helpers import (
+    EulerClass,
     as_counter_ratio,
     as_euler_class,
     counter_omega_ratio,
     counter_repelling_factors,
+    binary_polynomial,
+    catalog_slices,
     counter_stab_mod_h2,
     document,
     euler_polynomial,
@@ -60,12 +60,6 @@ from helpers import (
     sampled_sigma_signs,
     substitute,
 )
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.append(PERFBENCH)
-
-import catalog  # noqa: E402
 
 A1 = CartanDatum("A", 1)
 A2 = CartanDatum("A", 2)
@@ -253,23 +247,11 @@ def test_sigma_sign_well_defined_on_fl3():
         assert sampled_sigma_signs(TSTAR_FL3, p, q, root, CH2_PLUS, signs, 4) == {s}
 
 
-def _catalog_slices(workload):
-    """Each distinct (slice, chamber) of a benchmark workload's jobs, built
-    as the command line builds it."""
-    seen = {}
-    for job in catalog.catalog(workload):
-        args = vars(cli._parser().parse_args(job.argv))
-        built = cli.JobSpec(**args)._replace(command="fixed-points", bundle=None, which=None)
-        if built not in seen:
-            seen[built] = built.build()
-    return list(seen.values())
-
-
 def test_sigma_sign_is_four_flip_signs_on_the_higher_rank_catalog():
     # flip_sign against its definition, the parity of the tangent weights
     # that change side, and sigma_sign against the product of four of them
     checked = 0
-    for spec, ch, signs in _catalog_slices("higher-rank"):
+    for spec, ch, signs in catalog_slices("higher-rank"):
         signs = normalize_polarization(enumerate_fixed_points(spec), signs)
         points = enumerate_fixed_points(spec)
         for (p, q), w in adjacent_pairs(spec, ch).items():
@@ -400,8 +382,9 @@ def _weights(spec, p):
 
 
 def _reference_repelling_euler(spec, p, ch, keep_h):
-    """repelling_euler(..., keep_h) as a polynomial: the product of the
-    ch-repelling weights root + n*h, with h set to 0 when keep_h is false."""
+    """e_T of the ch-repelling half at the point of index p as a polynomial,
+    the product of the ch-repelling weights root + n*h, or its e_A, with h
+    set to 0, when keep_h is false."""
     out = Polynomial.one(spec.cartan.rank + 1)
     for root, n, m in _weights(spec, p):
         if not ch.is_positive(root):
@@ -502,10 +485,14 @@ def specs_with_chambers(draw):
 @given(specs_with_chambers())
 def test_root_count_routes_match_the_multiset_routes(job):
     spec, ch1, ch2 = job
-    for p in range(len(enumerate_fixed_points(spec))):
-        for keep_h in (True, False):
-            assert (euler_polynomial(repelling_euler(spec, p, ch1, keep_h))
-                    == _reference_repelling_euler(spec, p, ch1, keep_h))
+    points = enumerate_fixed_points(spec)
+    for p in range(len(points)):
+        assert (euler_polynomial(repelling_euler(spec, p, ch1))
+                == _reference_repelling_euler(spec, p, ch1, False))
+        if spec.cartan.rank == 1:
+            # the h-shifted e_T, which only the rank-one route builds
+            assert (binary_polynomial(_repelling_form(spec, points[p], ch1, 1))
+                    == _reference_repelling_euler(spec, p, ch1, True))
         assert flip_sign(spec, p, ch1, ch2) == _reference_flip_sign(spec, p, ch1, ch2)
     forms = _root_slots(spec)[0]
     for (p, q), witness in adjacent_pairs(spec, ch1).items():
@@ -525,17 +512,16 @@ REPELLING_SLICES = [
 
 @pytest.mark.parametrize("spec", REPELLING_SLICES, ids=["A2", "B2", "C2", "D4"])
 def test_repelling_euler_is_the_product_of_the_repelling_weights(spec):
-    # e_T and e_A against the reference on the dominant, the antidominant
-    # and every wall-adjacent chamber
+    # e_A against the reference on the dominant, the antidominant and every
+    # wall-adjacent chamber
     datum = spec.cartan
     chambers = {Chamber.dominant(datum), Chamber.antidominant(datum)}
     for root in datum.root_list:
         chambers.update(wall_adjacent_chambers(datum, root))
     for ch in chambers:
         for p in range(len(enumerate_fixed_points(spec))):
-            for keep_h in (True, False):
-                assert (euler_polynomial(repelling_euler(spec, p, ch, keep_h))
-                        == _reference_repelling_euler(spec, p, ch, keep_h)), (ch, p, keep_h)
+            assert (euler_polynomial(repelling_euler(spec, p, ch))
+                    == _reference_repelling_euler(spec, p, ch, False)), (ch, p)
 
 
 def test_negative_count_raises_exact_division_failure(monkeypatch):
@@ -574,9 +560,7 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
         for k in range(spec.length + 1):
             reconstruct_coefficient(spec, ch, entries, p, q, ("L", k), signs)
     for p in range(len(enumerate_fixed_points(spec))):
-        for keep_h in (True, False):
-            repelling_euler(spec, p, ch, keep_h)
-    localization_denominator(spec)
+        repelling_euler(spec, p, ch)
     bundles = [f"L{k}" for k in range(spec.length + 1)]
     bundles += [f"E{i}" for i in range(1, spec.length + 1)]
     for bundle in bundles:
@@ -670,11 +654,11 @@ def test_root_monomials_match_the_counter_reference_on_the_higher_rank_catalog()
     # e_A, omega and the mod-h^2 entries of every higher-rank catalog slice
     # and chamber, against the Counter route that factors weight by weight
     checked = 0
-    for spec, ch, signs in _catalog_slices("higher-rank"):
+    for spec, ch, signs in catalog_slices("higher-rank"):
         forms = _root_slots(spec)[0]
         for p in range(len(enumerate_fixed_points(spec))):
             factors, sign = counter_repelling_factors(spec, p, ch)
-            assert as_euler_class(repelling_euler(spec, p, ch, False)) == EulerClass(
+            assert as_euler_class(repelling_euler(spec, p, ch)) == EulerClass(
                 len(forms[-1]), factors, sign)
         for (p, q), witness in adjacent_pairs(spec, ch).items():
             assert (as_counter_ratio(forms, *omega_ratio(spec, p, q, witness.alpha_form))
