@@ -219,9 +219,16 @@ class CartanDatum:
     The datum is built on integers: the root closure runs on int tuples, and
     the inverse Cartan matrix comes from fraction-free elimination as integer
     rows over a denominator each, so that only the n^2 entries of the gram
-    matrix are Fractions.  wall_chambers is its one memo, the closed-form
-    chambers on either side of each wall, built when a job first asks for
-    that wall; every other table is fixed at construction.
+    matrix are Fractions.
+
+    A root is its column, its position in root_list, and the root tables
+    are kept by column: coroots, half_lengths (half the squared length of
+    each coroot) and _slots, (slot, sign) with the root sign times the
+    positive root of its slot, a slot being the place of a +-pair in
+    _root_pairs.  slot_forms are the RootMonomial forms of those positive
+    roots, by slot, and h.  wall_chambers is the one memo, by slot: the
+    closed-form chambers on either side of each wall, built when a job
+    first asks for that wall; every other table is fixed at construction.
     """
 
     def __init__(self, type_letter: str, rank: int):
@@ -311,41 +318,40 @@ class CartanDatum:
         if any(min(f) < 0 for f in positive):
             raise AssertionError(f"{type_letter}{rank}: a reflection left the positive roots")
         # the roots are closed under negation by construction
-        opposite = {}
         for f in positive:
             cow, half = seen[f]
-            negative = tuple(-x for x in f)
-            seen[negative] = (tuple(-x for x in cow), half)
-            opposite[negative] = f
+            seen[tuple(-x for x in f)] = (tuple(-x for x in cow), half)
         if len(seen) != _ROOT_COUNT[type_letter](rank):
             raise AssertionError(f"{type_letter}{rank}: wrong number of roots")
-        forms = {f: AWeightForm._of(f) for f in sorted(seen)}
-        self.root_list: Tuple[AWeightForm, ...] = tuple(forms.values())
-        # the position of each root in root_list: the column of the tables
-        # indexed by root (chamber sign vectors, slot-step pairings, root
-        # counts)
+        coords = sorted(seen)
+        self.root_list: Tuple[AWeightForm, ...] = tuple(map(AWeightForm._of, coords))
+        # the position of each root in root_list: its column, the one key of
+        # the tables indexed by root (chamber sign vectors, slot-step
+        # pairings, root counts and the tables below)
         self._column: Dict[AWeightForm, int] = {f: i for i, f in enumerate(self.root_list)}
+        self.coroots: Tuple[Coweight, ...] = tuple(Coweight._of(seen[f][0]) for f in coords)
+        self.half_lengths: Tuple[int, ...] = tuple(seen[f][1] for f in coords)
         # the column of each positive root and the column of its negative, in
-        # column order of the positive roots: tangent weights walk the first
-        # of each pair and mirror it onto the second
-        column = {coords: i for i, coords in enumerate(forms)}
+        # column order of the positive roots: a pair's place here is its slot.
+        # Tangent weights walk the first of each pair and mirror it onto the
+        # second
+        column = {f: i for i, f in enumerate(coords)}
         self._root_pairs: Tuple[Tuple[int, int], ...] = tuple(sorted(
             (column[f], column[tuple([-x for x in f])]) for f in positive))
-        self.coroot_of_root: Dict[AWeightForm, Coweight] = {}
-        self.coroot_half_length: Dict[AWeightForm, object] = {}
-        # the positive root of {f, -f} for every root f
-        self._positive_of: Dict[AWeightForm, AWeightForm] = {}
-        for coords, f in forms.items():
-            cow, half = seen[coords]
-            self.coroot_of_root[f] = Coweight._of(cow)
-            self.coroot_half_length[f] = half
-            self._positive_of[f] = forms[opposite.get(coords, coords)]
-        # w(4v) by the coordinates of each positive root; its wall witnesses
-        # are w(4v) +- coroot
-        self._wall_bases = bases
+        # (slot, sign) by column: the root is sign times its slot's positive root
+        slots: list = [None] * len(coords)
+        for slot, (col, opposite) in enumerate(self._root_pairs):
+            slots[col], slots[opposite] = (slot, 1), (slot, -1)
+        self._slots: Tuple[Tuple[int, int], ...] = tuple(slots)
+        # the forms of the RootMonomial exponent slots: the positive roots as
+        # (a_1..a_r, 0), by slot, and then h
+        self.slot_forms: Tuple[tuple, ...] = tuple(
+            coords[col] + (0,) for col, _ in self._root_pairs) + ((0,) * n + (1,),)
+        # w(4v) by slot; its wall witnesses are w(4v) +- coroot
+        self._wall_bases = tuple(bases[coords[col]] for col, _ in self._root_pairs)
         # filled on demand by stab_general.wall_adjacent_chambers, and the
-        # datum's one memo: the two chambers of each positive root's witnesses
-        self.wall_chambers: Dict[AWeightForm, Tuple["Chamber", "Chamber"]] = {}
+        # datum's one memo: the two chambers of each slot's witnesses
+        self.wall_chambers: Dict[int, Tuple["Chamber", "Chamber"]] = {}
 
         self.minuscule_indices = _minuscule_indices(type_letter, rank)
         self.two_rho_check = AWeightForm(sum(column) for column in zip(*positive))

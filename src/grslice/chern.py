@@ -28,7 +28,6 @@ from .slices import (
     RootMonomial,
     SliceSpec,
     _point,
-    _root_slots,
     adjacent_pairs,
     enumerate_fixed_points,
     point_index,
@@ -204,8 +203,7 @@ def omega_operators(
     for pi, qi, w, sign in _pair_table(spec, ch, polarization_signs):
         if (w.i, w.j) != (i, j):
             continue
-        half_len = spec.cartan.coroot_half_length[w.alpha_form]
-        entries[qi, pi] = a_zero + (sign * half_len,)
+        entries[qi, pi] = a_zero + (sign * spec.cartan.half_lengths[w.column],)
     return OperatorMatrix(spec, ch, entries)
 
 
@@ -213,7 +211,7 @@ def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
     """All lowering moves: tuples (p, q, witness, sigma) of point indices,
     one per adjacent pair."""
     signs = normalize_polarization(enumerate_fixed_points(spec), polarization_signs)
-    return [(p, q, w, sigma_sign(spec, p, q, w.alpha_form, ch, signs))
+    return [(p, q, w, sigma_sign(spec, p, q, w.column, ch, signs))
             for (p, q), w in adjacent_pairs(spec, ch).items()]
 
 
@@ -261,8 +259,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     for pi, qi, w, sign in pair_table:
         if not w.i <= k < w.j:
             continue
-        half_len = spec.cartan.coroot_half_length[w.alpha_form]
-        entries[qi, pi] = a_zero + (-sign * half_len,)
+        entries[qi, pi] = a_zero + (-sign * spec.cartan.half_lengths[w.column],)
     return OperatorMatrix(spec, ch, entries, label=f"L{k}")
 
 
@@ -372,7 +369,7 @@ def reconstruct_coefficient(
         return Fraction(0)
     g = gcd(*diff)
     root = AWeightForm._of(tuple([c // g for c in diff]))
-    slot, root_sign = _root_slots(spec)[1][spec.cartan._column[root]]
+    slot, root_sign = spec.cartan._slots[spec.cartan._column[root]]
     eps_q = repelling_euler(spec, q, ch)
     # times the root of the difference, over eps_q and h; the signs +-1 of
     # eps_q and the polarization are their own inverses

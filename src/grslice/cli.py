@@ -313,6 +313,7 @@ def _mod_h2_entries(spec: SliceSpec, ch: Chamber, entries) -> _Encoded:
     q, alpha, value).  Both print one expansion of each entry, held as the
     names and coefficients of its terms, each name built once."""
     pairs, keys, names = adjacent_pairs(spec, ch), sorted(entries), {}
+    roots = spec.cartan.root_list
     values = [(tuple([names.get(e) or names.setdefault(e, monomial_key(e)) for e in terms]),
                tuple(terms.values()))
               for terms in expand_entries([entries[key] for key in keys])]
@@ -322,10 +323,10 @@ def _mod_h2_entries(spec: SliceSpec, ch: Chamber, entries) -> _Encoded:
             [f'"{name}": "{c}"' for name, c in sorted(zip(terms, coeffs))], indent, "{}"))
 
     def text(indent):
-        return _encode([{"alpha": list(pairs[p, q].alpha_form.coords), "p": p, "q": q,
+        return _encode([{"alpha": list(roots[pairs[p, q].column].coords), "p": p, "q": q,
                          "value": cell(*value)} for (p, q), value in zip(keys, values)], indent)
 
-    return _Encoded(text, lambda: [(p, q, ",".join(map(str, pairs[p, q].alpha_form.coords)),
+    return _Encoded(text, lambda: [(p, q, ",".join(map(str, roots[pairs[p, q].column].coords)),
                                     polynomial_text(zip(reversed(terms), reversed(coeffs))))
                                    for (p, q), (terms, coeffs) in zip(keys, values)])
 

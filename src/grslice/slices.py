@@ -15,9 +15,10 @@ Slot steps are paired with roots once per spec, in integers: the spec holds
 minuscule or a zero slot, so each such pairing is -1, 0 or +1 (the table
 build checks it).  Enumeration descends on integer coordinate tuples, and
 tangent weights sum table rows into heights, so neither builds a vector.
-A tangent weight beta + n*h is the integer pair (column of beta in
-root_list, n), so a chamber's side of it is the column's entry in the
-chamber's sign vector.  A linear form is the tuple of its coefficients
+A root is its column in root_list throughout: a tangent weight beta + n*h
+is the integer pair (column of beta, n), so a chamber's side of it is the
+column's entry in the chamber's sign vector, and an adjacency witness names
+its root by column.  A linear form is the tuple of its coefficients
 (a_1..a_r, h).  The one Euler class held here is the e_A of a repelling
 half, a RootMonomial: an exponent vector over the positive roots and h.
 The h-shifted e_T classes are needed in rank one only, where stab_a1
@@ -45,21 +46,22 @@ class SliceSpec:
 
     Data derived from the slice (its dimension, fixed points, their index,
     tangent weights keyed by (root column, n), the root counts of each
-    point, the exponent slots of the positive roots, the e_A classes of
-    the repelling halves (RootMonomials), the adjacent pairs of each
-    chamber, the omega ratios of the wall routes, the flip signs of chamber
-    pairs, line-bundle weights, the inner products of slot steps and, in
-    rank one, the heights and raising moves of the fixed points) is filled
-    in lazily, the dimension by its property and the rest by the functions
-    of this module, of stab_general, of chern and of stab_a1, and lives
-    exactly as long as the spec.  The h-shifted e_T classes are not held
-    here: stab_a1 expands the rank-one ones from the tangent weights.
+    point, the e_A classes of the repelling halves (RootMonomials), the
+    adjacent pairs of each chamber, the omega ratios of the wall routes,
+    line-bundle weights, the inner products of slot steps and, in rank one,
+    the heights and raising moves of the fixed points) is filled in lazily,
+    the dimension by its property and the rest by the functions of this
+    module, of stab_general, of chern and of stab_a1, and lives exactly as
+    long as the spec.  The h-shifted e_T classes are not held
+    here: stab_a1 expands the rank-one ones from the tangent weights.  Root
+    data that depends on the datum alone (coroots, slots, slot forms) is
+    the CartanDatum's, by root column.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_dimension", "_orbits", "_pairings",
-                 "_suffix_sums", "_points", "_index", "_tangents",
-                 "_root_slots", "_root_counts", "_euler", "_adjacent", "_omega",
-                 "_line_weights", "_slot_inners", "_heights", "_moves", "_flips")
+                 "_suffix_sums", "_points", "_index", "_tangents", "_root_counts",
+                 "_euler", "_adjacent", "_omega", "_line_weights", "_slot_inners",
+                 "_heights", "_moves")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -116,18 +118,15 @@ class SliceSpec:
         self._points = None
         self._index = None
         self._tangents = {}
-        # _root_slots: the forms of the RootMonomial exponent slots and the
-        # slot of each root_list column; and _root_counts, by point index:
-        # the multiplicity of each column among the A-parts of the tangent
-        # weights.  The wall routes read both.
-        self._root_slots = None
+        # _root_counts, by point index: the multiplicity of each column among
+        # the A-parts of the tangent weights, which the wall routes read
         self._root_counts = None
         # repelling_euler's e_A classes, keyed by (point index, chamber)
         self._euler = {}
         # adjacent_pairs, keyed by chamber
         self._adjacent = {}
         # stab_general.omega_ratio, keyed by the ordered index pair and the
-        # positive root of the wall; (q, p) is derived from (p, q)
+        # slot of the wall's root; (q, p) is derived from (p, q)
         self._omega = {}
         # chern.line_bundle_weight: the weights of L_0..L_l at each point
         self._line_weights = {}
@@ -136,8 +135,6 @@ class SliceSpec:
         # stab_a1._point_heights and _move_partners, by point index
         self._heights = None
         self._moves = None
-        # _flip_signs, keyed by the sign vectors of the two chambers
-        self._flips = {}
 
     def _slot_coweight(self, slot0: int) -> Coweight:
         idx = self.lambda_seq[slot0]
@@ -230,10 +227,6 @@ class FixedPoint:
 
     def __lt__(self, other):
         return self.key() < other.key()
-
-    def to_json(self) -> list:
-        """The slot steps as coordinate lists."""
-        return [list(d.coords) for d in self.delta]
 
     def label(self) -> str:
         """Human-readable delta string, e.g. '(-w,w,w)' in rank 1."""
@@ -344,8 +337,8 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int
 
 class RootMonomial(NamedTuple):
     """An A-part class: scalar * prod(forms[k] ** exponents[k]), with forms
-    the spec's slot forms (_root_slots), the coefficient tuples of the
-    positive roots in root_list order and then h.
+    the datum's slot_forms, the coefficient tuples of the positive roots in
+    root_list order and then h.
 
     Every root is +-1 times a positive root, so the scalar of a product of
     roots is +-1 and an int.  No two positive roots are proportional, so
@@ -375,8 +368,9 @@ def repelling_euler(spec: SliceSpec, p: int, ch: Chamber) -> RootMonomial:
     key = (p, ch)
     found = spec._euler.get(key)
     if found is None:
-        exponents, sign = _repelling_exponents(spec, _root_counts(spec, p), ch.sign_vector)
-        found = spec._euler[key] = RootMonomial(_root_slots(spec)[0], exponents, sign)
+        exponents, sign = _repelling_exponents(spec.cartan, _root_counts(spec, p),
+                                               ch.sign_vector)
+        found = spec._euler[key] = RootMonomial(spec.cartan.slot_forms, exponents, sign)
     return found
 
 
@@ -395,52 +389,20 @@ def _root_counts(spec: SliceSpec, p: int) -> Tuple[int, ...]:
     return spec._root_counts[p]
 
 
-def _root_slots(spec: SliceSpec) -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, int], ...]]:
-    """The forms of the RootMonomial exponent slots, the positive roots in
-    root_list order as (a_1..a_r, 0) and then h, and each root_list
-    column's slot and sign +-1: the root is sign times its slot's form; once
-    per spec."""
-    if spec._root_slots is None:
-        roots = spec.cartan.root_list
-        rank = spec.cartan.rank
-        columns: list = [None] * len(roots)
-        forms = []
-        for col, opposite in spec.cartan._root_pairs:
-            columns[col], columns[opposite] = (len(forms), 1), (len(forms), -1)
-            forms.append(roots[col].coords + (0,))
-        forms.append((0,) * rank + (1,))
-        spec._root_slots = (tuple(forms), tuple(columns))
-    return spec._root_slots
-
-
-def _repelling_exponents(spec: SliceSpec, values: Iterable[int],
+def _repelling_exponents(cartan: CartanDatum, values: Iterable[int],
                          signs: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
     """The exponent vector that gives each column with sign -1 its value in
     values (a count by root_list column) on its slot, h 0, and the sign of
     that product of repelling roots.  A positive root has exactly one
     repelling column per chamber, so each slot is set once."""
-    forms, columns = _root_slots(spec)
-    exponents = [0] * len(forms)
+    exponents = [0] * len(cartan.slot_forms)
     flips = 0
-    for (slot, unit), sign, m in zip(columns, signs, values):
+    for (slot, unit), sign, m in zip(cartan._slots, signs, values):
         if sign < 0 and m:
             exponents[slot] = m
             if unit < 0:
                 flips += m
     return tuple(exponents), -1 if flips % 2 else 1
-
-
-def _flip_signs(spec: SliceSpec, ch1: Chamber, ch2: Chamber) -> Tuple[int, ...]:
-    """flip_sign of every point, by point index; read off the root counts
-    once per spec and pair of sign vectors."""
-    key = (ch1.sign_vector, ch2.sign_vector)
-    found = spec._flips.get(key)
-    if found is None:
-        _root_counts(spec, 0)
-        cols = [c for c, (s1, s2) in enumerate(zip(*key)) if s1 < s2]
-        found = spec._flips[key] = tuple(-1 if sum([counts[c] for c in cols]) % 2 else 1
-                                         for counts in spec._root_counts)
-    return found
 
 
 def flip_sign(spec: SliceSpec, p: int, ch1: Chamber, ch2: Chamber) -> int:
@@ -449,18 +411,20 @@ def flip_sign(spec: SliceSpec, p: int, ch1: Chamber, ch2: Chamber) -> int:
 
     This equals the sign of e_A(repelling part, ch2) / e_A(repelling part,
     ch1): each line of weights that changes side contributes one sign flip
-    per weight on it.
+    per weight on it.  Summed over the point's root counts on each call.
     """
-    return _flip_signs(spec, ch1, ch2)[p]
+    moved = sum([m for m, s1, s2 in zip(_root_counts(spec, p), ch1.sign_vector,
+                                        ch2.sign_vector) if s1 < s2])
+    return -1 if moved % 2 else 1
 
 
 class AdjacencyWitness(NamedTuple):
-    """Slots (1-based, i < j) and the chamber-positive coroot relating p to q."""
+    """Slots (1-based, i < j) and the root_list column of the
+    chamber-positive root whose coroot relates p to q."""
 
     i: int
     j: int
-    alpha: Coweight
-    alpha_form: AWeightForm
+    column: int
 
 
 def adjacent_pairs(
@@ -482,23 +446,21 @@ def adjacent_pairs(
         cartan = spec.cartan
         points = enumerate_fixed_points(spec)
         by_key = {p.key(): x for x, p in enumerate(points)}
-        roots = [(col, f, cartan.coroot_of_root[f])
-                 for col, (f, sign) in enumerate(zip(cartan.root_list, ch.sign_vector))
-                 if sign > 0]
+        roots = [(col, cartan.coroots[col].coords)
+                 for col, sign in enumerate(ch.sign_vector) if sign > 0]
         found = spec._adjacent[ch] = {}
         for x, p in enumerate(points):
             key, steps = p.key(), _steps(spec, p)
             moves = []
-            for col, root, coroot in roots:
+            for col, coroot in roots:
                 ups = [m for m, row in enumerate(steps) if row[col] == 1]
                 downs = [m for m, row in enumerate(steps) if row[col] == -1]
                 for i in ups:
                     for j in (j for j in downs if j > i):
                         moved = list(key)
-                        moved[i] = tuple(map(sub, key[i], coroot.coords))
-                        moved[j] = tuple(map(add, key[j], coroot.coords))
-                        moves.append((by_key[tuple(moved)],
-                                      AdjacencyWitness(i + 1, j + 1, coroot, root)))
+                        moved[i] = tuple(map(sub, key[i], coroot))
+                        moved[j] = tuple(map(add, key[j], coroot))
+                        moves.append((by_key[tuple(moved)], AdjacencyWitness(i + 1, j + 1, col)))
             # q determines the move, so the sort compares indices only
             for q, witness in sorted(moves):
                 found[(x, q)] = witness
@@ -519,7 +481,7 @@ def project_to_wall_slice(
     Slot i carries k_i = |<delta_i, root>| in {0, 1}; the image point is
     delta'_i = <delta_i, root> omega; the new target is <mu, root> omega.
     """
-    if root not in spec.cartan.coroot_of_root:
+    if root not in spec.cartan._column:
         raise ValueError(f"{root} is not a root")
     a1 = CartanDatum("A", 1)
     lam, delta = [], []

@@ -36,7 +36,7 @@ from itertools import accumulate
 from operator import add, neg, sub
 from typing import Dict, List, Tuple
 
-from .cartan import AWeightForm, Chamber, pairing
+from .cartan import Chamber
 from .slices import (
     FixedPoint,
     RootMonomial,
@@ -65,11 +65,6 @@ class ExactDivisionFailure(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """A computed matrix breaks a restriction-matrix invariant."""
-
-
-# the fixed positive root, i.e. the torus character written as the variable a;
-# chambers only choose the recursion direction and the polarization side
-_ALPHA = AWeightForm((1,))
 
 
 # -- binary forms in (a, h) ------------------------------------------------------
@@ -144,21 +139,23 @@ def _require_a1(spec: SliceSpec) -> None:
         )
 
 
-def _chamber_root(ch: Chamber) -> AWeightForm:
-    """The positive root of a rank-1 chamber."""
+def _chamber_sign(ch: Chamber) -> int:
+    """The sign of a rank-1 chamber at the positive root a, the torus
+    character written as the variable a: +1 where a is ch-positive.
+    Chambers only choose the recursion direction and the polarization side."""
     if ch.datum.rank != 1:
         raise NotA1("chamber does not belong to a rank-1 datum")
-    return next(f for f, s in zip(ch.datum.root_list, ch.sign_vector) if s > 0)
+    return ch.sign_vector[ch.datum._root_pairs[0][0]]
 
 
 def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:
     """The chamber-minimal fixed point: all -omega_ch increments first."""
     _require_a1(spec)
-    alpha = _chamber_root(ch)
+    sign = _chamber_sign(ch)
     omega = spec.cartan.fundamental_coweight(1)
-    if pairing(omega, alpha) < 0:
+    if sign < 0:
         omega = -omega
-    k = pairing(spec.mu, alpha)
+    k = sign * spec.mu.coords[0]
     free = [i for i in range(spec.length) if spec.lambda_seq[i] != 0]
     n_plus, rem = divmod(len(free) + k, 2)
     # SliceSpec construction guarantees a nonempty fixed locus
@@ -170,11 +167,11 @@ def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:
 
 
 def _point_heights(spec: SliceSpec) -> Tuple[Tuple[int, ...], ...]:
-    """Each fixed point's heights <sigma_k, alpha>, k = 0..l, against the
-    fixed root, by point index; summed from the spec's pairing table once
-    per spec."""
+    """Each fixed point's heights <sigma_k, a>, k = 0..l, against the
+    positive root a, by point index; summed from the spec's pairing table
+    once per spec."""
     if spec._heights is None:
-        col = spec.cartan.root_list.index(_ALPHA)
+        col = spec.cartan._root_pairs[0][0]
         spec._heights = tuple(
             tuple(accumulate((row[col] for row in _steps(spec, p)), initial=0))
             for p in enumerate_fixed_points(spec)
@@ -208,7 +205,7 @@ def _move_partners(spec: SliceSpec) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
 def _stat_keys(spec: SliceSpec, ch: Chamber) -> List[int]:
     """Twice each point's weight statistic, by point index: the sum of its
     sigma heights against the chamber-positive root."""
-    sign = 1 if _chamber_root(ch) == _ALPHA else -1
+    sign = _chamber_sign(ch)
     return [sign * sum(h) for h in _point_heights(spec)]
 
 
@@ -415,7 +412,7 @@ def stab_offdiag_mod_h2(
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
     # the slots are a and h: times h over a_ch = +-a, whose sign is its own inverse
-    alpha_sign = _chamber_root(ch).coords[0]
+    alpha_sign = _chamber_sign(ch)
     out: Dict[Tuple[int, int], RootMonomial] = {}
     for p, q in adjacent_pairs(spec, ch):
         e_a = repelling_euler(spec, p, ch)

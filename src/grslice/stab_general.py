@@ -3,19 +3,22 @@
 Only the adjacency classification survives mod h^2: an off-diagonal
 restriction Stab[p]|_q is nonzero exactly when q is p with one increment
 lowered by a chamber-positive coroot alpha at a slot i and raised back at a
-later slot j.  The coefficient is omega_{p,q} * (h / alpha_form) * eps|_p,
-where omega is the ratio of A-equivariant repelling Euler classes taken for
-either closed-form chamber next to the wall ker(alpha_form)
-(wall_adjacent_chambers); the two must agree.
+later slot j.  The coefficient is omega_{p,q} * (h / alpha) * eps|_p, where
+alpha is the root of the coroot and omega is the ratio of A-equivariant
+repelling Euler classes taken for either closed-form chamber next to the
+wall ker(alpha) (wall_adjacent_chambers); the two must agree.
 Every part of it is a product of positive roots and h, so an entry is a
 RootMonomial, an exponent vector over those forms built by tuple
 arithmetic, and expanded only where a document prints it.
 omega is read from the root counts of p and q (the multiplicity of each root
 among the A-parts of the tangent weights, slices._root_counts) and a
 chamber's sign vector; it belongs to the wall, so it lives in the spec's
-_omega slot, once per unordered pair and root.
+_omega slot, once per unordered pair and wall.
 Points are their indices in enumerate_fixed_points, and a polarization is
-the tuple of signs by index that normalize_polarization returns.
+the tuple of signs by index that normalize_polarization returns.  A root
+is its column in the datum's root_list: the wall routes take it so and
+read its coroot, slot and sign from the datum's tables, and a wall is the
+slot of its two roots.
 Diagonals are excluded: their mod-h^2 constant is not pinned down by the
 closed form, and the exact value is available from Euler classes.
 """
@@ -25,81 +28,76 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Dict, Iterator, List, Tuple
 
-from .cartan import AWeightForm, CartanDatum, Chamber, Coweight
+from .cartan import CartanDatum, Chamber, Coweight
 from .slices import (
     RootMonomial,
     SliceSpec,
-    _flip_signs,
     _integer_multiple,
     _point,
     _repelling_exponents,
     _root_counts,
-    _root_slots,
     adjacent_pairs,
     enumerate_fixed_points,
+    flip_sign,
     repelling_euler,
 )
 from .stab_a1 import ExactDivisionFailure, normalize_polarization
 
 
-def _canonical_root(cartan: CartanDatum, root: AWeightForm) -> AWeightForm:
-    canon = cartan._positive_of.get(root)
-    if canon is None:
-        raise ValueError(f"{root} is not a root")
-    return canon
-
-
-def wall_adjacent_chambers(cartan: CartanDatum, root: AWeightForm) -> Tuple[Chamber, Chamber]:
-    """The two chambers on either side of ker(root) that touch no other
-    wall, the positive root of {root, -root} positive on the first.
+def wall_adjacent_chambers(cartan: CartanDatum, column: int) -> Tuple[Chamber, Chamber]:
+    """The two chambers on either side of the wall of the root of the given
+    root_list column that touch no other wall, the positive root of the
+    +-pair positive on the first.
 
     Their witnesses come in closed form from the root closure of the datum
-    (CartanDatum); the chambers are built once per datum and root, when a
-    job first asks for that wall.
+    (CartanDatum); the chambers are built once per datum and wall (the
+    column's slot), when a job first asks for that wall.
     """
-    root = _canonical_root(cartan, root)
-    found = cartan.wall_chambers.get(root)
+    slot = cartan._slots[column][0]
+    found = cartan.wall_chambers.get(slot)
     if found is None:
-        base, coroot = cartan._wall_bases[root.coords], cartan.coroot_of_root[root].coords
-        found = cartan.wall_chambers[root] = tuple(
+        base = cartan._wall_bases[slot]
+        coroot = cartan.coroots[cartan._root_pairs[slot][0]].coords
+        found = cartan.wall_chambers[slot] = tuple(
             Chamber(cartan, Coweight._of(tuple(map(op, base, coroot)))) for op in (add, sub))
     return found
 
 
-def omega_ratio(
-    spec: SliceSpec, p: int, q: int, root: AWeightForm
-) -> Tuple[Tuple[int, ...], int]:
+def omega_ratio(spec: SliceSpec, p: int, q: int, column: int) -> Tuple[Tuple[int, ...], int]:
     """e_A of the repelling half at q over the one at p, for the points of
-    indices p and q and a chamber adjacent to the wall of the root; the two
-    chambers of wall_adjacent_chambers must agree.
+    indices p and q and a chamber adjacent to the wall of the root of the
+    given root_list column; the two chambers of wall_adjacent_chambers must
+    agree.
 
     Both Euler classes are RootMonomials, so the ratio is the difference of
     their exponent vectors, already in lowest terms: a signed exponent
-    vector over the spec's slot forms (positive for a factor above,
+    vector over the datum's slot forms (positive for a factor above,
     negative for one below, 0 for h), and the scalar +-1.  The ratio
     belongs to the wall, not to a chamber, so it is computed and checked
-    once per spec, unordered pair and root (the ratio for (q, p) is the
+    once per spec, unordered pair and wall (the ratio for (q, p) is the
     reciprocal), and callers share it.
     """
-    canon = _canonical_root(spec.cartan, root)
-    key = (p, q, canon)
+    cartan = spec.cartan
+    slot = cartan._slots[column][0]
+    key = (p, q, slot)
     found = spec._omega.get(key)
     if found is None:
-        reverse = spec._omega.get((q, p, canon))
+        reverse = spec._omega.get((q, p, slot))
         if reverse is not None:
             exponents, scalar = reverse
             found = (tuple([-m for m in exponents]), scalar)
         else:
-            # p and q lie in one component of the fixed locus of ker(canon) when they
-            # differ and every sigma difference is a multiple of its coroot (of no other)
-            coroot, run = spec.cartan.coroot_of_root[canon].coords, (0,) * spec.cartan.rank
+            # p and q lie in one component of the fixed locus of the wall when
+            # they differ and every sigma difference is a multiple of its
+            # coroot (of no other)
+            coroot, run = cartan.coroots[column].coords, (0,) * cartan.rank
             for dp, dq in zip(_point(spec, p).delta, _point(spec, q).delta):
                 run = tuple(map(add, run, map(sub, dp.coords, dq.coords)))
                 if p == q or not _integer_multiple(run, coroot):
                     raise ValueError("p and q do not share a wall component for this root")
             counts = tuple(map(sub, _root_counts(spec, q), _root_counts(spec, p)))
-            near, far = (_repelling_exponents(spec, counts, ch.sign_vector)
-                         for ch in wall_adjacent_chambers(spec.cartan, canon))
+            near, far = (_repelling_exponents(cartan, counts, ch.sign_vector)
+                         for ch in wall_adjacent_chambers(cartan, column))
             if near != far:
                 raise AssertionError("the two wall sides disagree on the omega ratio")
             found = near
@@ -111,7 +109,7 @@ def sigma_sign(
     spec: SliceSpec,
     p: int,
     q: int,
-    root: AWeightForm,
+    column: int,
     pol_chamber: Chamber,
     signs: Tuple[int, ...],
 ) -> int:
@@ -119,15 +117,14 @@ def sigma_sign(
 
     flip_sign(p, pol_chamber, C) * flip_sign(q, pol_chamber, C) * signs[p] *
     signs[q] for the points of indices p and q, with signs resolved by
-    normalize_polarization; both chambers C of wall_adjacent_chambers must
-    give the same value.  The caller guarantees that (p, q) is an adjacent
-    pair on a common wall component of the root.  Each side reads its two
-    flip signs from the spec's table of them.
+    normalize_polarization; both chambers C of wall_adjacent_chambers of
+    the root of the given root_list column must give the same value.  The
+    caller guarantees that (p, q) is an adjacent pair on a common wall
+    component of the root.
     """
-    near, far = wall_adjacent_chambers(spec.cartan, root)
-    at_near, at_far = _flip_signs(spec, pol_chamber, near), _flip_signs(spec, pol_chamber, far)
-    sign = at_near[p] * at_near[q]
-    if sign != at_far[p] * at_far[q]:
+    near, far = wall_adjacent_chambers(spec.cartan, column)
+    sign = flip_sign(spec, p, pol_chamber, near) * flip_sign(spec, q, pol_chamber, near)
+    if sign != flip_sign(spec, p, pol_chamber, far) * flip_sign(spec, q, pol_chamber, far):
         raise AssertionError("sigma sign depends on the adjacent chamber")
     return sign * signs[p] * signs[q]
 
@@ -143,14 +140,13 @@ def stab_mod_h2(
     """
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
-    columns = _root_slots(spec)[1]
-    column_of = spec.cartan._column
+    slots = spec.cartan._slots
     out: Dict[Tuple[int, int], RootMonomial] = {}
     for (p, q), witness in adjacent_pairs(spec, ch).items():
         eps = repelling_euler(spec, p, ch)
-        omega, scalar = omega_ratio(spec, p, q, witness.alpha_form)
+        omega, scalar = omega_ratio(spec, p, q, witness.column)
         # times h over alpha, whose sign +-1 is its own inverse
-        slot, alpha_sign = columns[column_of[witness.alpha_form]]
+        slot, alpha_sign = slots[witness.column]
         ratio = list(omega)
         ratio[slot] -= 1
         ratio[-1] += 1

@@ -103,6 +103,7 @@ def wallcross(spec, ch, signs=None) -> dict:
     compared = 0
     points = enumerate_fixed_points(spec)
     base_signs = normalize_polarization(points, signs)
+    cartan = spec.cartan
     # two walls can share a chamber with the same signs
     computed: Dict[tuple, dict] = {}
 
@@ -112,16 +113,18 @@ def wallcross(spec, ch, signs=None) -> dict:
             computed[key] = stab_mod_h2(spec, chamber, chamber_signs)
         return computed[key]
 
-    for root in spec.cartan.positive_roots(ch):
-        near, far = wall_adjacent_chambers(spec.cartan, root)
+    for root in cartan.positive_roots(ch):
+        column = cartan._column[root]
+        near, far = wall_adjacent_chambers(cartan, column)
         left = entries(near, base_signs)
         right = entries(far, tuple(s * flip_sign(spec, x, near, far)
                                    for x, s in enumerate(base_signs)))
         near_pairs, far_pairs = adjacent_pairs(spec, near), adjacent_pairs(spec, far)
-        on_wall = (root, -root)
+        # two roots lie on one wall when their columns share a slot
+        wall = cartan._slots[column][0]
         for p, q in sorted(left.keys() | right.keys()):
             witness = near_pairs.get((p, q)) or far_pairs[p, q]
-            if witness.alpha_form in on_wall:
+            if cartan._slots[witness.column][0] == wall:
                 continue
             compared += 1
             if left.get((p, q)) != right.get((p, q)):

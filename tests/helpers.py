@@ -60,10 +60,9 @@ def same_wall_component(spec, p, q):
         raise ValueError("same_wall_component expects distinct points")
     diffs = {tuple(a - b for a, b in zip(sp.coords, sq.coords))
              for sp, sq in zip(p.sigma(), q.sigma())} - {(0,) * spec.cartan.rank}
-    for root in spec.cartan.root_list:
+    for root, coroot in zip(spec.cartan.root_list, spec.cartan.coroots):
         if sum(root.coords) > 0:
-            coroot = spec.cartan.coroot_of_root[root].coords
-            if all(_integer_multiple(d, coroot) for d in diffs):
+            if all(_integer_multiple(d, coroot.coords) for d in diffs):
                 return root
     return None
 
@@ -363,7 +362,7 @@ def reference_wall_chambers(cartan, root, count):
     independent sampler on Fraction witnesses, seeded from the datum and the
     root."""
     rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root.coords}")
-    coroot = cartan.coroot_of_root[root]
+    coroot = cartan.coroots[cartan._column[root]]
     others = [f for f in cartan.root_list if f != root and f != -root]
     out = []
     while len(out) < 2 * count:
@@ -384,10 +383,12 @@ def reference_wall_chambers(cartan, root, count):
     return out
 
 
-def sampled_sigma_signs(spec, p, q, root, pol_chamber, signs, count):
+def sampled_sigma_signs(spec, p, q, column, pol_chamber, signs, count):
     """The set of flip_sign(p) * flip_sign(q) * s_p * s_q, for the points of
     indices p and q, against each of the 2 * count chambers that
-    reference_wall_chambers draws next to the wall of the root."""
+    reference_wall_chambers draws next to the wall of the root of the
+    root_list column."""
+    root = spec.cartan.root_list[column]
     canon = root if sum(root.coords) > 0 else -root
     return {
         flip_sign(spec, p, pol_chamber, ch) * flip_sign(spec, q, pol_chamber, ch)
@@ -442,7 +443,7 @@ def reference_document(command, spec, ch, matrix):
     points = enumerate_fixed_points(spec)
     doc = {"command": command, "chamber": list(ch.sign_vector),
            "labels": [p.label() for p in points]}
-    deltas = [p.to_json() for p in points]
+    deltas = [[list(c) for c in p.key()] for p in points]
     if command == "stab-exact":
         doc["points"] = deltas
         doc["entries"] = {f"{pi},{qi}": entry_polynomial(matrix, p, q).to_json()
@@ -455,7 +456,8 @@ def reference_document(command, spec, ch, matrix):
                           for q in points]
     else:
         pairs = adjacent_pairs(spec, ch)
-        doc["entries"] = [{"p": p, "q": q, "alpha": list(pairs[p, q].alpha_form.coords),
+        roots = spec.cartan.root_list
+        doc["entries"] = [{"p": p, "q": q, "alpha": list(roots[pairs[p, q].column].coords),
                            "value": euler_polynomial(matrix[p, q]).to_json()}
                           for p, q in sorted(matrix)]
     return doc
@@ -531,10 +533,12 @@ def counter_repelling_factors(spec, p, ch):
     return factors, sign
 
 
-def counter_omega_ratio(spec, p, q, root):
+def counter_omega_ratio(spec, p, q, column):
     """omega_ratio weight by weight, in every call: the multiset differences
     of the two hand-factored repelling Euler classes, on both sides of the
-    wall, for chambers of the independent sampler."""
+    wall of the root of the root_list column, for chambers of the
+    independent sampler."""
+    root = spec.cartan.root_list[column]
     canon = root if sum(root.coords) > 0 else -root
     points = enumerate_fixed_points(spec)
     assert same_wall_component(spec, points[p], points[q]) == canon
@@ -557,8 +561,8 @@ def counter_stab_mod_h2(spec, ch, signs=None):
     out = {}
     for (p, q), witness in adjacent_pairs(spec, ch).items():
         eps, eps_sign = counter_repelling_factors(spec, p, ch)
-        up, down, scalar = counter_omega_ratio(spec, p, q, witness.alpha_form)
-        alpha = witness.alpha_form.coords
+        up, down, scalar = counter_omega_ratio(spec, p, q, witness.column)
+        alpha = spec.cartan.root_list[witness.column].coords
         alpha_sign = 1 if next(c for c in alpha if c) > 0 else -1
         factors = eps + up + Counter([h])
         factors.subtract(down + Counter([tuple(alpha_sign * c for c in alpha) + (0,)]))

@@ -208,21 +208,22 @@ def test_criterion_07_general_route_consistency():
                     assert (pi, qi) not in entries
                     continue
                 witnessed += 1
-                wall_spec, wall_p = project_to_wall_slice(TSTAR_FL3, p, w.alpha_form)
-                wall_q = project_to_wall_slice(TSTAR_FL3, q, w.alpha_form)[1]
+                root = A2.root_list[w.column]
+                wall_spec, wall_p = project_to_wall_slice(TSTAR_FL3, p, root)
+                wall_q = project_to_wall_slice(TSTAR_FL3, q, root)[1]
                 wall_index = point_index(wall_spec)
                 z = stab_offdiag_mod_h2(wall_spec, CH_PLUS)[wall_index[wall_p],
                                                             wall_index[wall_q]]
                 z_part = substitute(
                     euler_polynomial(z),
                     [
-                        Polynomial.linear_form(w.alpha_form.coords, 0),
+                        Polynomial.linear_form(root.coords, 0),
                         Polynomial.linear_form([0, 0], 1),
                     ]
                 )
-                sides = wall_adjacent_chambers(A2, w.alpha_form)
-                near = next(c for c in sides if c.is_positive(w.alpha_form))
-                oracle = eps_prime(TSTAR_FL3, q, near, w.alpha_form) * z_part
+                sides = wall_adjacent_chambers(A2, w.column)
+                near = next(c for c in sides if c.is_positive(root))
+                oracle = eps_prime(TSTAR_FL3, q, near, root) * z_part
                 if flip_sign(TSTAR_FL3, pi, ch, near) < 0:
                     oracle = -oracle
                 assert euler_polynomial(entries[(pi, qi)]) == oracle, (p.label(), q.label())
@@ -243,13 +244,13 @@ def test_criterion_08_sigma_sign_well_defined():
                 w = adjacent_pairs(spec, ch).get((p, q))
                 if w is None:
                     continue
-                covered.add(w.alpha_form)
+                covered.add(spec.cartan.root_list[w.column])
                 # both closed-form chambers next to the wall must give the
                 # same sign or this raises, and so must both chambers of
                 # each of 3 pairs that an independent sampler draws there
-                s = sigma_sign(spec, p, q, w.alpha_form, ch, signs)
+                s = sigma_sign(spec, p, q, w.column, ch, signs)
                 assert s in (-1, 1)
-                assert sampled_sigma_signs(spec, p, q, w.alpha_form, ch, signs, 3) == {s}
+                assert sampled_sigma_signs(spec, p, q, w.column, ch, signs, 3) == {s}
         assert covered == set(spec.cartan.positive_roots(ch))
 
 
@@ -315,7 +316,7 @@ def test_criterion_10_spectrum_and_commutativity():
 def test_criterion_11_wall_crossing_invariance():
     points = enumerate_fixed_points(TSTAR_FL3)
     for root in A2.positive_roots(CH2_PLUS):
-        near, far = wall_adjacent_chambers(A2, root)
+        near, far = wall_adjacent_chambers(A2, A2._column[root])
         left = stab_mod_h2(TSTAR_FL3, near)
         carried = [flip_sign(TSTAR_FL3, p, near, far) for p in range(len(points))]
         right = stab_mod_h2(TSTAR_FL3, far, carried)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
+from grslice.stab_general import wall_adjacent_chambers
 
 
 A1 = CartanDatum("A", 1)
@@ -172,14 +173,15 @@ def test_positive_roots_rank2_typeA():
 
 def test_coroot_of_root():
     for datum in (A1, A2, B2, C2, CartanDatum("D", 4), CartanDatum("G", 2)):
-        for f, c in datum.coroot_of_root.items():
+        for f, c in zip(datum.root_list, datum.coroots):
             assert datum.pairing(c, f) == 2
             # sharp(coroot) is proportional to the root with a positive ratio
             s = datum.sharp(c)
             ratio = {Fraction(a, b) for a, b in zip(s.coords, f.coords) if b != 0}
             assert len(ratio) == 1 and ratio.pop() > 0
         for j in range(1, datum.rank + 1):
-            assert datum.coroot_of_root[simple_root_form(datum, j)] == simple_coroot(datum, j)
+            column = datum._column[simple_root_form(datum, j)]
+            assert datum.coroots[column] == simple_coroot(datum, j)
 
 
 def test_two_rho_check_rank1():
@@ -348,15 +350,29 @@ def test_integer_datum_matches_the_fraction_closure(letter, rank):
     datum = CartanDatum(letter, rank)
     roots, coroot, inverse, gram, symmetrizers, two_rho = _reference_tables(datum)
     assert list(datum.root_list) == roots
-    assert datum.coroot_of_root == coroot
+    assert datum.coroots == tuple(coroot[f] for f in roots)
     assert tuple(tuple(Fraction(x, den) for x in row)
                  for row, den in zip(datum._inverse_rows, datum._inverse_dens)) == inverse
     assert datum._gram == gram
     assert datum.symmetrizers == symmetrizers
     assert datum.two_rho_check == two_rho
-    for f, c in datum.coroot_of_root.items():
-        assert datum.coroot_half_length[f] == datum.inner(c, c) / 2
-        assert datum._positive_of[f] == (f if sum(f.coords) > 0 else -f)
+    # the root tables by column: half squared lengths, and the slot and
+    # sign of each root against the positive root of its slot
+    for col, c in enumerate(datum.coroots):
+        assert datum.half_lengths[col] == sum(
+            x * gram[i][j] * y for i, x in enumerate(c.coords)
+            for j, y in enumerate(c.coords)) / 2
+        slot, sign = datum._slots[col]
+        positive, negative = datum._root_pairs[slot]
+        assert sum(roots[positive].coords) > 0 and roots[negative] == -roots[positive]
+        assert roots[col] == roots[positive] * sign
+    assert datum.slot_forms == (tuple(f.coords + (0,) for f in roots if sum(f.coords) > 0)
+                                + ((0,) * rank + (1,),))
+    # a column and its opposite name one wall: a datum that meets the wall
+    # first by the negative root builds the same pair of chambers
+    fresh = CartanDatum(letter, rank)
+    for positive, negative in datum._root_pairs:
+        assert wall_adjacent_chambers(datum, positive) == wall_adjacent_chambers(fresh, negative)
     # fundamental coweights have fractional coroot coordinates in most types
     for c in [datum.fundamental_coweight(i) for i in range(1, rank + 1)] + [Coweight(two_rho)]:
         coeffs = [sum(x * y for x, y in zip(row, c.coords)) for row in inverse]

@@ -171,11 +171,12 @@ def test_omega_operator_combines_parts():
                     for root in datum.positive_roots(ch):
                         if (pairing(p.delta[i - 1], root), pairing(p.delta[j - 1], root)) != (1, -1):
                             continue
-                        coroot = datum.coroot_of_root[root]
+                        column = datum._column[root]
+                        coroot = datum.coroots[column]
                         delta = list(p.delta)
                         delta[i - 1], delta[j - 1] = delta[i - 1] - coroot, delta[j - 1] + coroot
                         y = points.index(FixedPoint(delta))
-                        sign = sigma_sign(spec, x, y, root, ch, signs)
+                        sign = sigma_sign(spec, x, y, column, ch, signs)
                         half_len = Fraction(datum.inner(coroot, coroot), 2)
                         expected[y, x] = a_zero + (sign * half_len,)
                 assert omega_operators(spec, i, j, ch).entries == expected

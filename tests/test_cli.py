@@ -680,7 +680,7 @@ def test_matrix_documents_print_what_json_dumps_prints(capsys, tmp_path, monkeyp
         header = "row | column | value"
     else:
         matrix = stab_mod_h2(spec, ch, signs)
-        alphas = {pair: ",".join(map(str, w.alpha_form.coords))
+        alphas = {pair: ",".join(map(str, spec.cartan.root_list[w.column].coords))
                   for pair, w in adjacent_pairs(spec, ch).items()}
         cells = [(points[p], points[q], alphas[p, q], euler_polynomial(matrix[p, q]))
                  for p, q in sorted(matrix)]

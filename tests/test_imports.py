@@ -1,8 +1,12 @@
-"""Every name a grslice module imports is used in that module.
+"""Every name a grslice module imports is used in that module, and every
+private module-level function or class is named outside its own body.
 
 Read with the standard library's ast: a name counts as used where the
 module loads it, or names it inside a string annotation.  The
-``from __future__ import annotations`` line imports nothing to use.
+``from __future__ import annotations`` line imports nothing to use.  A
+private definition counts as named where any grslice module loads it,
+imports it or reads it as an attribute, outside the definition itself, so
+code that only its own recursion or the tests reach shows up.
 """
 
 import ast
@@ -60,3 +64,54 @@ def test_the_check_sees_an_unused_import():
                      "def f(x: 'Optional[int]') -> None:\n    return os.sep\n")
     used = _used(tree)
     assert [name for name, _ in _imported(tree) if name not in used] == ["List"]
+
+
+def _named(node):
+    """Every name the node loads, names in a string annotation, imports or
+    reads as an attribute."""
+    names = _used(node)
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.alias):
+            names.add(child.name)
+    return names
+
+
+def _unreferenced(trees):
+    """The private module-level functions and classes of the modules (a map
+    of module name to tree) that no module names outside their own body, as
+    "module.name" in module and definition order."""
+    statements = [(node, _named(node)) for tree in trees.values() for node in tree.body]
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not any(node.name in names for other, names in statements
+                                if other is not node)):
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_every_private_definition_is_named_outside_its_body():
+    trees = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            trees[module[:-3]] = ast.parse(fh.read(), module)
+    unreferenced = _unreferenced(trees)
+    assert not unreferenced, f"private definitions nothing names: {', '.join(unreferenced)}"
+
+
+def test_the_check_sees_an_unreferenced_private_definition():
+    trees = {
+        "a": ast.parse("def _imported():\n    return 1\n\n"
+                       "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                       "class _Base:\n    pass\n\n"
+                       "class Public(_Base):\n    pass\n\n"
+                       "def _orphan():\n    return Public\n\n"
+                       "def _attribute():\n    return 2\n"),
+        "b": ast.parse("import a\nfrom a import _imported\n\n"
+                       "def f():\n    return _imported() + a._attribute()\n"),
+    }
+    assert _unreferenced(trees) == ["a._recursive", "a._orphan"]

@@ -458,10 +458,10 @@ def _reference_adjacency(spec, p, q, ch):
     alpha = p.delta[i] - q.delta[i]
     if q.delta[j] - p.delta[j] != alpha:
         return None
-    root = {c: f for f, c in spec.cartan.coroot_of_root.items()}.get(alpha)
-    if root is None or not ch.is_positive(root):
+    column = next((col for col, c in enumerate(spec.cartan.coroots) if c == alpha), None)
+    if column is None or not ch.is_positive(spec.cartan.root_list[column]):
         return None
-    return AdjacencyWitness(i + 1, j + 1, alpha, root)
+    return AdjacencyWitness(i + 1, j + 1, column)
 
 
 @st.composite
@@ -508,8 +508,9 @@ def test_adjacent_pairs_match_the_pairwise_rule(spec_and_chamber):
 
 def test_fixed_point_json_round_trip():
     p = FixedPoint([E1, E2, E3])
-    assert p.to_json() == [[1, 0], [-1, 1], [0, -1]]
-    assert FixedPoint(Coweight(v) for v in p.to_json()) == p
+    deltas = [list(c) for c in p.key()]
+    assert deltas == [[1, 0], [-1, 1], [0, -1]]
+    assert FixedPoint(Coweight(v) for v in deltas) == p
 
 
 def test_weight_multiset_json_round_trip():
@@ -517,7 +518,7 @@ def test_weight_multiset_json_round_trip():
     job = JobSpec("tangent", "A", 2, [1, 1, 1], [0, 0])
     doc = json.loads(render(compute_payload(job, *job.build()), "json", 2))
     points = enumerate_fixed_points(TSTAR_FL3)
-    assert [pt["delta"] for pt in doc["points"]] == [p.to_json() for p in points]
+    assert [pt["delta"] for pt in doc["points"]] == [[list(c) for c in p.key()] for p in points]
     for pt, p in zip(doc["points"], points):
         for entry in pt["weights"]:
             assert set(entry) == {"root", "n", "mult"}

@@ -10,7 +10,6 @@ from grslice.slices import (
     FixedPoint,
     RootMonomial,
     SliceSpec,
-    _root_slots,
     adjacent_pairs,
     dominant_representative,
     enumerate_fixed_points,
@@ -75,6 +74,11 @@ TSTAR_FL3 = SliceSpec(A2, [1, 1, 1], Coweight([0, 0]))
 TSTAR_P1 = SliceSpec(A1, [1] * 2, Coweight([0]))
 
 
+def col(datum, *coords):
+    """The root_list column of the root with the given coordinates."""
+    return datum._column[AWeightForm(coords)]
+
+
 def a1_spec(l, k):
     return SliceSpec(A1, [1] * l, Coweight([k]))
 
@@ -105,12 +109,11 @@ def eps_prime(spec, x, ch, wall_root):
 def test_find_adjacency_psl3():
     p, q = ix(TSTAR_FL3, fp(E1, E2, E3), fp(E2, E1, E3))
     w = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q))
-    assert w == AdjacencyWitness(1, 2, E1 - E2, AWeightForm([1, 0]))
+    assert w == AdjacencyWitness(1, 2, col(A2, 1, 0)) and A2.coroots[w.column] == E1 - E2
     # reversed pair needs the negative coroot, which is not chamber-positive
     assert adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((q, p)) is None
-    assert adjacent_pairs(TSTAR_FL3, -CH2_PLUS).get((q, p)) == AdjacencyWitness(
-        1, 2, E2 - E1, AWeightForm([-1, 0])
-    )
+    w = adjacent_pairs(TSTAR_FL3, -CH2_PLUS).get((q, p))
+    assert w == AdjacencyWitness(1, 2, col(A2, -1, 0)) and A2.coroots[w.column] == E2 - E1
 
 
 def test_find_adjacency_a1_surface():
@@ -118,7 +121,8 @@ def test_find_adjacency_a1_surface():
     w = Coweight([1])
     p3, p1 = ix(spec, fp(w, w, -w), fp(-w, w, w))
     witness = adjacent_pairs(spec, CH1_PLUS).get((p3, p1))
-    assert witness == AdjacencyWitness(1, 3, Coweight([2]), AWeightForm([1]))
+    assert witness == AdjacencyWitness(1, 3, col(A1, 1))
+    assert spec.cartan.coroots[witness.column] == Coweight([2])
 
 
 def test_find_adjacency_three_slot_difference():
@@ -144,7 +148,7 @@ def test_wall_uniqueness_for_witnessed_pairs():
 
 def test_wall_adjacent_chambers_touch_only_that_wall():
     for cartan, root in ((A2, AWeightForm([1, 0])), (B2, AWeightForm([1, 1]))):
-        plus, minus = wall_adjacent_chambers(cartan, root)
+        plus, minus = wall_adjacent_chambers(cartan, cartan._column[root])
         diffs = [
             f
             for f, s1, s2 in zip(
@@ -154,14 +158,14 @@ def test_wall_adjacent_chambers_touch_only_that_wall():
         ]
         assert set(diffs) == {root, -root}
     # deterministic across calls and data, and the same pair for -root
-    assert wall_adjacent_chambers(A2, AWeightForm([1, 0])) == wall_adjacent_chambers(
-        CartanDatum("A", 2), AWeightForm([-1, 0])
+    assert wall_adjacent_chambers(A2, col(A2, 1, 0)) == wall_adjacent_chambers(
+        CartanDatum("A", 2), col(A2, -1, 0)
     )
 
 
 def test_omega_ratio_rank1_is_one():
     p2, p1 = ix(TSTAR_P1, fp(Coweight([1]), Coweight([-1])), fp(Coweight([-1]), Coweight([1])))
-    assert omega_ratio(TSTAR_P1, p2, p1, AWeightForm([1])) == ((0, 0), 1)
+    assert omega_ratio(TSTAR_P1, p2, p1, col(A1, 1)) == ((0, 0), 1)
 
 
 def test_omega_ratio_reciprocal():
@@ -169,9 +173,9 @@ def test_omega_ratio_reciprocal():
     # product is one exactly when the exponents cancel and the scalars do
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
     for p, q in entries:
-        root = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)).alpha_form
-        exponents, scalar = omega_ratio(TSTAR_FL3, p, q, root)
-        exponents2, scalar2 = omega_ratio(TSTAR_FL3, q, p, root)
+        column = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)).column
+        exponents, scalar = omega_ratio(TSTAR_FL3, p, q, column)
+        exponents2, scalar2 = omega_ratio(TSTAR_FL3, q, p, column)
         assert all(a + b == 0 for a, b in zip(exponents, exponents2))
         assert scalar * scalar2 == 1
 
@@ -184,8 +188,8 @@ def test_omega_ratio_not_rational_witness():
     assert entries
     found = False
     for p, q in entries:
-        root = adjacent_pairs(spec, CH2_PLUS).get((p, q)).alpha_form
-        exponents, _ = omega_ratio(spec, p, q, root)
+        column = adjacent_pairs(spec, CH2_PLUS).get((p, q)).column
+        exponents, _ = omega_ratio(spec, p, q, column)
         if any(exponents):
             found = True
     assert found
@@ -194,22 +198,23 @@ def test_omega_ratio_not_rational_witness():
 def test_omega_ratio_requires_common_wall():
     p, q = ix(TSTAR_FL3, fp(E1, E2, E3), fp(E3, E1, E2))
     with pytest.raises(ValueError):
-        omega_ratio(TSTAR_FL3, p, q, AWeightForm([1, 0]))
+        omega_ratio(TSTAR_FL3, p, q, col(A2, 1, 0))
 
 
 def test_omega_ratio_refuses_a_root_off_the_pairs_wall():
     # every adjacent pair shares the wall of its witness root only, and no
     # point shares a wall component with itself
     spec = SliceSpec(A2, [1, 1, 1], Coweight([0, 0]))
-    positive = [root for root in A2.root_list if sum(root.coords) > 0]
+    positive = [A2._column[root] for root in A2.root_list if sum(root.coords) > 0]
     pairs = adjacent_pairs(spec, CH2_PLUS)
     assert pairs
     for (p, q), witness in pairs.items():
-        canon = witness.alpha_form if sum(witness.alpha_form.coords) > 0 else -witness.alpha_form
-        for root in positive:
-            if root != canon:
+        root = A2.root_list[witness.column]
+        canon = A2._column[root if sum(root.coords) > 0 else -root]
+        for column in positive:
+            if column != canon:
                 with pytest.raises(ValueError, match="do not share a wall component"):
-                    omega_ratio(spec, p, q, root)
+                    omega_ratio(spec, p, q, column)
         omega_ratio(spec, p, q, canon)
         with pytest.raises(ValueError, match="do not share a wall component"):
             omega_ratio(spec, p, p, canon)
@@ -223,7 +228,7 @@ def test_sigma_sign_rank1_repelling_is_plus_one():
         entries = stab_mod_h2(spec, CH1_PLUS)
         signs = normalize_polarization(enumerate_fixed_points(spec), None)
         for p, q in entries:
-            assert sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS, signs) == 1
+            assert sigma_sign(spec, p, q, col(A1, 1), CH1_PLUS, signs) == 1
 
 
 def test_sigma_sign_flips_with_polarization():
@@ -231,20 +236,20 @@ def test_sigma_sign_flips_with_polarization():
     points = enumerate_fixed_points(spec)
     entries = stab_mod_h2(spec, CH1_PLUS)
     (p, q) = next(iter(entries))
-    base = sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS, normalize_polarization(points, None))
+    base = sigma_sign(spec, p, q, col(A1, 1), CH1_PLUS, normalize_polarization(points, None))
     flipped = [-1 if x == p else 1 for x in range(len(points))]
-    assert sigma_sign(spec, p, q, AWeightForm([1]), CH1_PLUS, tuple(flipped)) == -base
+    assert sigma_sign(spec, p, q, col(A1, 1), CH1_PLUS, tuple(flipped)) == -base
 
 
 def test_sigma_sign_well_defined_on_fl3():
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
     signs = normalize_polarization(enumerate_fixed_points(TSTAR_FL3), None)
     for p, q in entries:
-        root = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)).alpha_form
-        s = sigma_sign(TSTAR_FL3, p, q, root, CH2_PLUS, signs)
+        column = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)).column
+        s = sigma_sign(TSTAR_FL3, p, q, column, CH2_PLUS, signs)
         assert s in (1, -1)
         # every one of 4 sampled chamber pairs next to the wall agrees
-        assert sampled_sigma_signs(TSTAR_FL3, p, q, root, CH2_PLUS, signs, 4) == {s}
+        assert sampled_sigma_signs(TSTAR_FL3, p, q, column, CH2_PLUS, signs, 4) == {s}
 
 
 def test_sigma_sign_is_four_flip_signs_on_the_higher_rank_catalog():
@@ -255,14 +260,14 @@ def test_sigma_sign_is_four_flip_signs_on_the_higher_rank_catalog():
         signs = normalize_polarization(enumerate_fixed_points(spec), signs)
         points = enumerate_fixed_points(spec)
         for (p, q), w in adjacent_pairs(spec, ch).items():
-            for wall in wall_adjacent_chambers(spec.cartan, w.alpha_form):
+            for wall in wall_adjacent_chambers(spec.cartan, w.column):
                 for x in (p, q):
                     moved = sum(m for (col, _), m in tangent_weights(spec, points[x]).items()
                                 if ch.sign_vector[col] < 0 < wall.sign_vector[col])
                     assert flip_sign(spec, x, ch, wall) == (-1) ** moved
                 expected = (flip_sign(spec, p, ch, wall) * flip_sign(spec, q, ch, wall)
                             * signs[p] * signs[q])
-                assert sigma_sign(spec, p, q, w.alpha_form, ch, signs) == expected
+                assert sigma_sign(spec, p, q, w.column, ch, signs) == expected
                 checked += 1
     assert checked > 1000
 
@@ -318,22 +323,23 @@ def test_stab_mod_h2_factorization_oracle():
         assert entries
         for (p, q), value in entries.items():
             w = adjacent_pairs(spec, ch).get((p, q))
-            wall_spec, p1 = project_to_wall_slice(spec, points[p], w.alpha_form)
-            wall_spec_q, q1 = project_to_wall_slice(spec, points[q], w.alpha_form)
+            root = spec.cartan.root_list[w.column]
+            wall_spec, p1 = project_to_wall_slice(spec, points[p], root)
+            wall_spec_q, q1 = project_to_wall_slice(spec, points[q], root)
             assert wall_spec == wall_spec_q
             a1_entry = stab_offdiag_mod_h2(wall_spec, CH1_PLUS)[ix(wall_spec, p1, q1)]
-            images = [Polynomial.linear_form(w.alpha_form.coords, 0), h]
+            images = [Polynomial.linear_form(root.coords, 0), h]
             z_part = substitute(euler_polynomial(a1_entry), images)
-            sides = wall_adjacent_chambers(spec.cartan, w.alpha_form)
-            near_wall = next(c for c in sides if c.is_positive(w.alpha_form))
+            sides = wall_adjacent_chambers(spec.cartan, w.column)
+            near_wall = next(c for c in sides if c.is_positive(root))
             induced = flip_sign(spec, p, ch, near_wall)
-            oracle = eps_prime(spec, points[q], near_wall, w.alpha_form) * z_part
+            oracle = eps_prime(spec, points[q], near_wall, root) * z_part
             if induced < 0:
                 oracle = oracle * Polynomial.constant(nv, -1)
             assert euler_polynomial(value) == oracle
             # same identity with both classes read in the ambient chamber
-            rearranged = eps_prime(spec, points[q], ch, w.alpha_form) * z_part
-            sg = sigma_sign(spec, p, q, w.alpha_form, ch, signs)
+            rearranged = eps_prime(spec, points[q], ch, root) * z_part
+            sg = sigma_sign(spec, p, q, w.column, ch, signs)
             if sg < 0:
                 rearranged = rearranged * Polynomial.constant(nv, -1)
             assert euler_polynomial(value) == rearranged
@@ -368,7 +374,7 @@ def test_mod_h2_json_shape():
     assert keys == sorted(keys)
     for r in rows:
         assert set(r) == {"p", "q", "alpha", "value"}
-        assert AWeightForm(r["alpha"]) in TSTAR_FL3.cartan.coroot_of_root
+        assert AWeightForm(r["alpha"]) in TSTAR_FL3.cartan._column
 
 
 # -- factored entries against the rational-function route ----------------------
@@ -399,9 +405,9 @@ def _reference_flip_sign(spec, p, ch1, ch2):
     return -1 if count % 2 else 1
 
 
-def _reference_omega_ratio(spec, p, q, root):
+def _reference_omega_ratio(spec, p, q, column):
     """omega_ratio as a numerator and denominator polynomial."""
-    up, down, scalar = counter_omega_ratio(spec, p, q, root)
+    up, down, scalar = counter_omega_ratio(spec, p, q, column)
     nv = spec.cartan.rank + 1
     return euler_polynomial(EulerClass(nv, up, scalar)), euler_polynomial(EulerClass(nv, down, 1))
 
@@ -422,8 +428,8 @@ def _reference_stab_mod_h2(spec, ch, polarization_signs=None):
             witness = adjacent_pairs(spec, ch).get((p, q))
             if witness is None:
                 continue
-            num, den = _reference_omega_ratio(spec, p, q, witness.alpha_form)
-            alpha_poly = Polynomial.linear_form(witness.alpha_form.coords, 0)
+            num, den = _reference_omega_ratio(spec, p, q, witness.column)
+            alpha_poly = Polynomial.linear_form(spec.cartan.root_list[witness.column].coords, 0)
             out[(p, q)] = (num * (signs[p] * eps[p] * h), den * alpha_poly)
     return out
 
@@ -475,9 +481,9 @@ def specs_with_chambers(draw):
     antidominant or adjacent to the wall of a drawn root."""
     spec = random_minuscule_specs(1, seed=draw(st.integers(0, 2**32)), max_dim=8)[0]
     datum = spec.cartan
-    root = draw(st.sampled_from(datum.root_list))
+    column = draw(st.sampled_from(range(len(datum.root_list))))
     choices = [Chamber.dominant(datum), Chamber.antidominant(datum)]
-    choices += wall_adjacent_chambers(datum, root)
+    choices += wall_adjacent_chambers(datum, column)
     return spec, draw(st.sampled_from(choices)), draw(st.sampled_from(choices))
 
 
@@ -494,12 +500,13 @@ def test_root_count_routes_match_the_multiset_routes(job):
             assert (binary_polynomial(_repelling_form(spec, points[p], ch1, 1))
                     == _reference_repelling_euler(spec, p, ch1, True))
         assert flip_sign(spec, p, ch1, ch2) == _reference_flip_sign(spec, p, ch1, ch2)
-    forms = _root_slots(spec)[0]
+    forms = spec.cartan.slot_forms
     for (p, q), witness in adjacent_pairs(spec, ch1).items():
+        opposite = spec.cartan._column[-spec.cartan.root_list[witness.column]]
         for a, b in ((p, q), (q, p)):
-            expected = counter_omega_ratio(spec, a, b, witness.alpha_form)
-            for root in (witness.alpha_form, -witness.alpha_form):
-                assert as_counter_ratio(forms, *omega_ratio(spec, a, b, root)) == expected
+            expected = counter_omega_ratio(spec, a, b, witness.column)
+            for column in (witness.column, opposite):
+                assert as_counter_ratio(forms, *omega_ratio(spec, a, b, column)) == expected
 
 
 REPELLING_SLICES = [
@@ -516,8 +523,8 @@ def test_repelling_euler_is_the_product_of_the_repelling_weights(spec):
     # wall-adjacent chamber
     datum = spec.cartan
     chambers = {Chamber.dominant(datum), Chamber.antidominant(datum)}
-    for root in datum.root_list:
-        chambers.update(wall_adjacent_chambers(datum, root))
+    for column in range(len(datum.root_list)):
+        chambers.update(wall_adjacent_chambers(datum, column))
     for ch in chambers:
         for p in range(len(enumerate_fixed_points(spec))):
             assert (euler_polynomial(repelling_euler(spec, p, ch))
@@ -529,8 +536,8 @@ def test_negative_count_raises_exact_division_failure(monkeypatch):
     # clear its denominator
     real = stab_general.omega_ratio
 
-    def tampered(spec, p, q, root):
-        exponents, scalar = real(spec, p, q, root)
+    def tampered(spec, p, q, column):
+        exponents, scalar = real(spec, p, q, column)
         return exponents[:-1] + (exponents[-1] - 2,), scalar
 
     monkeypatch.setattr(stab_general, "omega_ratio", tampered)
@@ -556,7 +563,7 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
     assert entries
     signs = normalize_polarization(enumerate_fixed_points(spec), None)
     for (p, q), witness in adjacent_pairs(spec, ch).items():
-        omega_ratio(spec, p, q, witness.alpha_form)
+        omega_ratio(spec, p, q, witness.column)
         for k in range(spec.length + 1):
             reconstruct_coefficient(spec, ch, entries, p, q, ("L", k), signs)
     for p in range(len(enumerate_fixed_points(spec))):
@@ -655,14 +662,14 @@ def test_root_monomials_match_the_counter_reference_on_the_higher_rank_catalog()
     # and chamber, against the Counter route that factors weight by weight
     checked = 0
     for spec, ch, signs in catalog_slices("higher-rank"):
-        forms = _root_slots(spec)[0]
+        forms = spec.cartan.slot_forms
         for p in range(len(enumerate_fixed_points(spec))):
             factors, sign = counter_repelling_factors(spec, p, ch)
             assert as_euler_class(repelling_euler(spec, p, ch)) == EulerClass(
                 len(forms[-1]), factors, sign)
         for (p, q), witness in adjacent_pairs(spec, ch).items():
-            assert (as_counter_ratio(forms, *omega_ratio(spec, p, q, witness.alpha_form))
-                    == counter_omega_ratio(spec, p, q, witness.alpha_form))
+            assert (as_counter_ratio(forms, *omega_ratio(spec, p, q, witness.column))
+                    == counter_omega_ratio(spec, p, q, witness.column))
         entries = stab_mod_h2(spec, ch, signs)
         assert {pair: as_euler_class(e) for pair, e in entries.items()} == counter_stab_mod_h2(
             spec, ch, signs)
@@ -681,8 +688,8 @@ ALL_TYPES = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 6)]
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
 def test_wall_chambers_differ_exactly_in_their_root(letter, rank):
     cartan = CartanDatum(letter, rank)
-    for root in cartan.root_list:
-        plus, minus = wall_adjacent_chambers(cartan, root)
+    for column, root in enumerate(cartan.root_list):
+        plus, minus = wall_adjacent_chambers(cartan, column)
         canon = root if sum(root.coords) > 0 else -root
         assert plus.is_positive(canon) and not minus.is_positive(canon)
         flipped = {f for f, s, t in zip(cartan.root_list, plus.sign_vector, minus.sign_vector)
