@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .symalg import _norm_scalar
 
@@ -381,23 +381,20 @@ class CartanDatum:
             raise ValueError("rank mismatch")
         return pairing(c, f)
 
-    def inner(self, c1: Coweight, c2: Coweight):
-        """Weyl-invariant form; shortest simple coroot has (x,x) = 2."""
+    def inner(self, c1: Sequence, c2: Sequence):
+        """Weyl-invariant form on coweights or their coordinate tuples;
+        shortest simple coroot has (x,x) = 2."""
         if len(c1) != self.rank or len(c2) != self.rank:
             raise ValueError("rank mismatch")
-        return sum(
-            c1.coords[i] * self._gram[i][j] * c2.coords[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if c1.coords[i] != 0 and c2.coords[j] != 0
-        )
+        c2 = tuple(c2)
+        return sum(x * g * y for x, row in zip(c1, self._gram) if x
+                   for g, y in zip(row, c2) if y)
 
-    def sharp(self, c: Coweight) -> AWeightForm:
-        """The functional (c, -) as a weight form: <c', sharp(c)> = inner(c, c')."""
-        return AWeightForm(
-            sum(self._gram[i][j] * c.coords[i] for i in range(self.rank))
-            for j in range(self.rank)
-        )
+    def sharp(self, c: Sequence) -> AWeightForm:
+        """The functional (c, -) as a weight form, c a coweight or its
+        coordinate tuple: <c', sharp(c)> = inner(c, c')."""
+        c = tuple(c)
+        return AWeightForm(sum(map(mul, column, c)) for column in zip(*self._gram))
 
     # -- Weyl group -------------------------------------------------------
 

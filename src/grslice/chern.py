@@ -22,7 +22,7 @@ from math import gcd
 from operator import add, mul, neg, sub
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .cartan import AWeightForm, Chamber, Coweight
+from .cartan import AWeightForm, Chamber
 from .slices import (
     FixedPoint,
     RootMonomial,
@@ -175,7 +175,7 @@ def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
     points = enumerate_fixed_points(spec)
     entries = {}
     for pi, p in enumerate(points):
-        d = p.delta[i - 1]
+        d = p[i - 1]
         entries[pi, pi] = (spec.cartan.sharp(d).coords
                            + (Fraction(spec.cartan.inner(d, spec.mu), 2),))
     return OperatorMatrix(spec, None, entries, label=f"H{i}")
@@ -198,7 +198,7 @@ def omega_operators(
     a_zero = (0,) * spec.cartan.rank
     entries = {}
     for pi, p in enumerate(points):
-        val = spec.cartan.inner(p.delta[i - 1], p.delta[j - 1])
+        val = spec.cartan.inner(p[i - 1], p[j - 1])
         entries[pi, pi] = a_zero + (Fraction(val, 2),)
     for pi, qi, w, sign in _pair_table(spec, ch, polarization_signs):
         if (w.i, w.j) != (i, j):
@@ -220,15 +220,15 @@ def _over(n: int, d: int):
     return n // d if n % d == 0 else Fraction(n, d)
 
 
-def _slot_step(spec: SliceSpec, d: Coweight, scale: int) -> tuple:
+def _slot_step(spec: SliceSpec, d: Tuple[int, ...], scale: int) -> tuple:
     """For a slot step d, as ints times scale, which clears the gram matrix's
     denominators: the coordinates of sharp(d), <d, mu> and a map d' -> <d, d'>
     keyed by the coordinates of d', which _mult_l fills as it needs it (each
     as <d', sharp(d)>); once per spec and step."""
-    found = spec._slot_inners.get(d.coords)
+    found = spec._slot_inners.get(d)
     if found is None:
         sharp = tuple([int(x * scale) for x in spec.cartan.sharp(d).coords])
-        found = spec._slot_inners[d.coords] = (sharp, sum(map(mul, spec.mu.coords, sharp)), {})
+        found = spec._slot_inners[d] = (sharp, sum(map(mul, spec.mu.coords, sharp)), {})
     return found
 
 
@@ -246,11 +246,11 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
         # less (h/2) (delta_i, delta_j) for every slot j > k, all times scale
         a_part = a_zero
         twice_h = 0
-        for d in p.delta[:k]:
+        for d in p[:k]:
             sharp, with_mu, inner = _slot_step(spec, d, scale)
             a_part = tuple(map(add, a_part, sharp))
             twice_h += with_mu
-            for c in (e.coords for e in p.delta[k:]):
+            for c in p[k:]:
                 value = inner.get(c)
                 if value is None:
                     value = inner[c] = sum(map(mul, c, sharp))

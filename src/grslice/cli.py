@@ -198,16 +198,15 @@ def _wrap(items: List[str], indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
-def _delta_texts(keys, indent: str, head: str = "", tails=None) -> List[str]:
-    """Each point's steps (keys[x], those of point x) as a list of coordinate
-    lists at `indent`, between head and tails[x] (by default nothing) in one
-    f-string, so the steps are copied once; each distinct step's text is
-    built once."""
+def _delta_texts(points, indent: str, head: str = "", tails=None) -> List[str]:
+    """Each point's steps as a list of coordinate lists at `indent`, between
+    head and tails[x] (by default nothing) in one f-string, so the steps are
+    copied once; each distinct step's text is built once."""
     inner, steps = indent + "  ", {}
     sep, close = "," + inner, indent + "]"
     out = []
-    for key, tail in zip(keys, tails or [""] * len(keys)):
-        texts = [steps.get(c) or steps.setdefault(c, _encode(list(c), inner)) for c in key]
+    for p, tail in zip(points, tails or [""] * len(points)):
+        texts = [steps.get(c) or steps.setdefault(c, _encode(list(c), inner)) for c in p]
         out.append(f"{head}[{inner}{sep.join(texts)}{close}{tail}")
     return out
 
@@ -217,10 +216,9 @@ def _point_list(points, weights=None, roots=None) -> _Encoded:
     weights at each point and the datum's root_list); rows are (label, weight
     records) per point, a record (root coords, n, mult).  Each distinct slot
     step, label piece and weight record is printed once, in document order."""
-    keys = [p.key() for p in points]
     pieces: Dict[tuple, str] = {}
     labels = ["(" + ",".join([pieces.get(c) or pieces.setdefault(c, _step_label(c))
-                              for c in key]) + ")" for key in keys]
+                              for c in p]) + ")" for p in points]
 
     def rows():
         if weights is None:
@@ -243,15 +241,14 @@ def _point_list(points, weights=None, roots=None) -> _Encoded:
                     for (col, n), m in ws.items()]
                 tails.append(f'{mid}{_encode_str(label)},{key}"weights": '
                              f'{_wrap(found, key) if found else "[]"}{end}')
-        return _wrap(_delta_texts(keys, key, "{" + key + '"delta": ', tails), indent)
+        return _wrap(_delta_texts(points, key, "{" + key + '"delta": ', tails), indent)
 
     return _Encoded(text, rows)
 
 
 def _delta_list(points) -> _Encoded:
     """The "points" of a stab-exact document, the "basis" of a mult one."""
-    keys = [p.key() for p in points]
-    return _Encoded(lambda indent: _wrap(_delta_texts(keys, indent + "  "), indent))
+    return _Encoded(lambda indent: _wrap(_delta_texts(points, indent + "  "), indent))
 
 
 def _linear_names(width: int) -> List[str]:

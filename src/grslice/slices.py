@@ -4,7 +4,10 @@ resolved slices.
 A slice is specified by a Cartan datum, a sequence of minuscule fundamental
 coweight indices lambda_1..lambda_l, and a target coweight mu.  A torus-fixed
 point is the increment sequence delta (each delta_i in the Weyl orbit of
-lambda_i, summing to mu); sigma denotes the partial-sum path.
+lambda_i, summing to mu); sigma denotes the partial-sum path.  A point is a
+FixedPoint, the tuple of its steps, and a step is the int tuple of its
+coordinates in the fundamental-coweight basis, so points compare, hash and
+sort as tuples.
 
 Index 0 is allowed in lambda_seq and denotes a frozen zero slot (orbit {0});
 these arise when a slice is projected onto a wall and keep slot positions
@@ -13,8 +16,9 @@ aligned with the ambient slice.
 Slot steps are paired with roots once per spec, in integers: the spec holds
 <d, beta> for every orbit element d and every root beta.  Every slot is
 minuscule or a zero slot, so each such pairing is -1, 0 or +1 (the table
-build checks it).  Enumeration descends on integer coordinate tuples, and
-tangent weights sum table rows into heights, so neither builds a vector.
+build checks it).  Enumeration descends on the steps' coordinate tuples,
+tangent weights sum table rows into heights, and the adjacent pairs move
+steps by coroot coordinates, so none of them builds a vector.
 A root is its column in root_list throughout: a tangent weight beta + n*h
 is the integer pair (column of beta, n), so a chamber's side of it is the
 column's entry in the chamber's sign vector, and an adjacency witness names
@@ -27,6 +31,7 @@ expands them as binary forms in (a, h).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,12 +49,14 @@ class InvalidSlice(ValueError):
 class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
-    Data derived from the slice (its dimension, fixed points, their index,
-    tangent weights keyed by (root column, n), the root counts of each
-    point, the e_A classes of the repelling halves (RootMonomials), the
-    adjacent pairs of each chamber, the omega ratios of the wall routes,
-    line-bundle weights, the inner products of slot steps and, in rank one,
-    the heights and raising moves of the fixed points) is filled in lazily,
+    The slot orbits (sorted coordinate tuples), their pairing table and
+    the suffix sums are built with the spec.  Data derived from the slice
+    (its dimension, fixed points, their index, tangent weights keyed by
+    (root column, n), the root counts of each point, the e_A classes of the
+    repelling halves (RootMonomials), the adjacent pairs of each chamber,
+    the omega ratios of the wall routes, line-bundle weights, the inner
+    products of slot steps and, in rank one, the heights and raising moves
+    of the fixed points and the restriction matrices) is filled in lazily,
     the dimension by its property and the rest by the functions of this
     module, of stab_general, of chern and of stab_a1, and lives exactly as
     long as the spec.  The h-shifted e_T classes are not held
@@ -61,7 +68,7 @@ class SliceSpec:
     __slots__ = ("cartan", "lambda_seq", "mu", "_dimension", "_orbits", "_pairings",
                  "_suffix_sums", "_points", "_index", "_tangents", "_root_counts",
                  "_euler", "_adjacent", "_omega", "_line_weights", "_slot_inners",
-                 "_heights", "_moves")
+                 "_heights", "_moves", "_stab")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -94,23 +101,22 @@ class SliceSpec:
             if i not in orbits:
                 # omega_i, or the zero coweight for a frozen slot
                 start = tuple(int(j == i - 1) for j in range(cartan.rank))
-                orbits[i] = tuple(Coweight._of(v) for v in sorted(cartan._orbit_coords(start)))
+                orbits[i] = tuple(sorted(cartan._orbit_coords(start)))
         self._orbits = tuple(orbits[i] for i in lambda_seq)
-        # pairings[d.coords] = (<d, beta> for beta in root_list)
+        # pairings[d] = (<d, beta> for beta in root_list)
         roots = [f.coords for f in cartan.root_list]
         self._pairings = {}
         for orbit in orbits.values():
             for d in orbit:
-                row = tuple(sum(map(mul, d.coords, f)) for f in roots)
+                row = tuple(sum(map(mul, d, f)) for f in roots)
                 if any(v not in (-1, 0, 1) for v in row):
                     raise AssertionError(f"slot step {d} is not minuscule")
-                self._pairings[d.coords] = row
-        # suffix_sums[i] = coordinates of the possible values of
-        # delta_i + .. + delta_l
+                self._pairings[d] = row
+        # suffix_sums[i] = the possible values of delta_i + .. + delta_l
         sums = [{(0,) * cartan.rank}]
         for orbit in reversed(self._orbits):
             prev = sums[-1]
-            sums.append({tuple(map(add, d.coords, s)) for d in orbit for s in prev})
+            sums.append({tuple(map(add, d, s)) for d in orbit for s in prev})
         self._suffix_sums = tuple(reversed(sums))
         if mu.coords not in self._suffix_sums[0]:
             raise InvalidSlice("no fixed point: mu is not a weight of the lambda sequence")
@@ -135,6 +141,8 @@ class SliceSpec:
         # stab_a1._point_heights and _move_partners, by point index
         self._heights = None
         self._moves = None
+        # stab_a1.stab_matrix, keyed by chamber and polarization signs
+        self._stab = {}
 
     def _slot_coweight(self, slot0: int) -> Coweight:
         idx = self.lambda_seq[slot0]
@@ -196,41 +204,21 @@ def _step_label(coords: tuple) -> str:
     return "[" + ",".join(map(str, coords)) + "]"
 
 
-class FixedPoint:
-    """Torus-fixed point of a resolved slice: the increment sequence delta."""
+class FixedPoint(tuple):
+    """Torus-fixed point of a resolved slice: the increment sequence delta,
+    as the tuple of its steps, each the int coordinate tuple of a coweight.
+    Points compare, hash and sort as tuples."""
 
-    __slots__ = ("delta", "_hash")
+    __slots__ = ()
 
-    def __init__(self, delta: Iterable[Coweight]):
-        self.delta = tuple(delta)
-        self._hash = None
-
-    def sigma(self) -> Tuple[Coweight, ...]:
+    def sigma(self) -> Tuple[Tuple[int, ...], ...]:
         """Partial sums sigma_0 = 0, sigma_i = delta_1 + .. + delta_i."""
-        out = [Coweight([0] * len(self.delta[0]))]
-        for d in self.delta:
-            out.append(out[-1] + d)
-        return tuple(out)
-
-    def key(self):
-        return tuple(d.coords for d in self.delta)
-
-    def __eq__(self, other):
-        return isinstance(other, FixedPoint) and other.delta == self.delta
-
-    def __hash__(self):
-        # points key point_index and the spec's tangent and line-bundle
-        # weights, so the same point is hashed far more often than built
-        if self._hash is None:
-            self._hash = hash(self.delta)
-        return self._hash
-
-    def __lt__(self, other):
-        return self.key() < other.key()
+        return tuple(accumulate(self, lambda s, d: tuple(map(add, s, d)),
+                                initial=(0,) * len(self[0])))
 
     def label(self) -> str:
         """Human-readable delta string, e.g. '(-w,w,w)' in rank 1."""
-        return "(" + ",".join([_step_label(d.coords) for d in self.delta]) + ")"
+        return "(" + ",".join(map(_step_label, self)) + ")"
 
     def __repr__(self):
         return f"FixedPoint{self.label()}"
@@ -251,7 +239,8 @@ def _point(spec: SliceSpec, p: int) -> FixedPoint:
 
 
 def point_index(spec: SliceSpec) -> Dict[FixedPoint, int]:
-    """Position of each fixed point in enumerate_fixed_points; do not mutate."""
+    """Position of each fixed point in enumerate_fixed_points, which the
+    plain tuple of a point's steps looks up too; do not mutate."""
     if spec._index is None:
         spec._index = {p: i for i, p in enumerate(enumerate_fixed_points(spec))}
     return spec._index
@@ -261,7 +250,7 @@ def _enumerate(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
     """Depth-first over the slots on coordinate tuples.  Each orbit is sorted,
     so the points come out in lexicographic order."""
     result: List[FixedPoint] = []
-    prefix: List[Coweight] = []
+    prefix: List[Tuple[int, ...]] = []
 
     def descend(slot: int, rest: tuple):
         # rest = coordinates of mu minus the steps taken so far
@@ -270,7 +259,7 @@ def _enumerate(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
             return
         reachable = spec._suffix_sums[slot + 1]
         for d in spec._orbits[slot]:
-            left = tuple(map(sub, rest, d.coords))
+            left = tuple(map(sub, rest, d))
             if left in reachable:
                 prefix.append(d)
                 descend(slot + 1, left)
@@ -292,7 +281,7 @@ def dominant_representative(cartan: CartanDatum, c: Coweight) -> Coweight:
 
 def _steps(spec: SliceSpec, p: FixedPoint) -> List[Tuple[int, ...]]:
     """The spec's pairing-table rows of the slot steps of p, one per slot."""
-    return [spec._pairings[d.coords] for d in p.delta]
+    return [spec._pairings[d] for d in p]
 
 
 def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int]:
@@ -444,23 +433,23 @@ def adjacent_pairs(
     found = spec._adjacent.get(ch)
     if found is None:
         cartan = spec.cartan
-        points = enumerate_fixed_points(spec)
-        by_key = {p.key(): x for x, p in enumerate(points)}
+        index = point_index(spec)
         roots = [(col, cartan.coroots[col].coords)
                  for col, sign in enumerate(ch.sign_vector) if sign > 0]
         found = spec._adjacent[ch] = {}
-        for x, p in enumerate(points):
-            key, steps = p.key(), _steps(spec, p)
+        # the index holds the points in index order
+        for p, x in index.items():
+            steps = _steps(spec, p)
             moves = []
             for col, coroot in roots:
                 ups = [m for m, row in enumerate(steps) if row[col] == 1]
                 downs = [m for m, row in enumerate(steps) if row[col] == -1]
                 for i in ups:
                     for j in (j for j in downs if j > i):
-                        moved = list(key)
-                        moved[i] = tuple(map(sub, key[i], coroot))
-                        moved[j] = tuple(map(add, key[j], coroot))
-                        moves.append((by_key[tuple(moved)], AdjacencyWitness(i + 1, j + 1, col)))
+                        moved = list(p)
+                        moved[i] = tuple(map(sub, p[i], coroot))
+                        moved[j] = tuple(map(add, p[j], coroot))
+                        moves.append((index[tuple(moved)], AdjacencyWitness(i + 1, j + 1, col)))
             # q determines the move, so the sort compares indices only
             for q, witness in sorted(moves):
                 found[(x, q)] = witness
@@ -485,12 +474,12 @@ def project_to_wall_slice(
         raise ValueError(f"{root} is not a root")
     a1 = CartanDatum("A", 1)
     lam, delta = [], []
-    for d in p.delta:
-        v = pairing(d, root)
+    for d in p:
+        v = sum(map(mul, d, root.coords))
         if v not in (-1, 0, 1):
             raise AssertionError("non-minuscule pairing in wall projection")
-        lam.append(abs(int(v)))
-        delta.append(Coweight([v]))
+        lam.append(abs(v))
+        delta.append((v,))
     mu1 = Coweight([pairing(spec.mu, root)])
     wall_spec = SliceSpec(a1, lam, mu1)
     return wall_spec, FixedPoint(delta)

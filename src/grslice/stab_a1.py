@@ -152,17 +152,14 @@ def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:
     """The chamber-minimal fixed point: all -omega_ch increments first."""
     _require_a1(spec)
     sign = _chamber_sign(ch)
-    omega = spec.cartan.fundamental_coweight(1)
-    if sign < 0:
-        omega = -omega
     k = sign * spec.mu.coords[0]
     free = [i for i in range(spec.length) if spec.lambda_seq[i] != 0]
     n_plus, rem = divmod(len(free) + k, 2)
     # SliceSpec construction guarantees a nonempty fixed locus
     assert rem == 0 and 0 <= n_plus <= len(free)
-    delta = [spec.cartan.zero_coweight()] * spec.length
+    delta = [(0,)] * spec.length
     for pos, slot in enumerate(free):
-        delta[slot] = omega if pos >= len(free) - n_plus else -omega
+        delta[slot] = (sign,) if pos >= len(free) - n_plus else (-sign,)
     return FixedPoint(delta)
 
 
@@ -355,12 +352,17 @@ def _downsets(moves, stats: List[int]) -> List[int]:
 
 def stab_matrix(spec: SliceSpec, ch: Chamber,
                 polarization_signs=None) -> RestrictionMatrix:
-    """All restrictions Stab[p]|_q by the raising recursion from the minimum."""
+    """All restrictions Stab[p]|_q by the raising recursion from the minimum,
+    built and validated once per spec, chamber and polarization; callers
+    share the matrix and must not mutate it."""
     _require_a1(spec)
     if ch.datum != spec.cartan:
         raise ValueError("chamber does not belong to the slice's Cartan datum")
     points = enumerate_fixed_points(spec)
     signs = normalize_polarization(points, polarization_signs)
+    found = spec._stab.get((ch, signs))
+    if found is not None:
+        return found
     stats = _stat_keys(spec, ch)
     heights = _point_heights(spec)
     moves = _move_partners(spec)
@@ -394,6 +396,7 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     entries = {(p, q): val for p, row in rows.items() for q, val in row.items()}
     matrix = RestrictionMatrix(spec, ch, signs, entries, eps)
     matrix.validate()
+    spec._stab[ch, signs] = matrix
     return matrix
 
 

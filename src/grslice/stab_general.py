@@ -91,8 +91,8 @@ def omega_ratio(spec: SliceSpec, p: int, q: int, column: int) -> Tuple[Tuple[int
             # they differ and every sigma difference is a multiple of its
             # coroot (of no other)
             coroot, run = cartan.coroots[column].coords, (0,) * cartan.rank
-            for dp, dq in zip(_point(spec, p).delta, _point(spec, q).delta):
-                run = tuple(map(add, run, map(sub, dp.coords, dq.coords)))
+            for dp, dq in zip(_point(spec, p), _point(spec, q)):
+                run = tuple(map(add, run, map(sub, dp, dq)))
                 if p == q or not _integer_multiple(run, coroot):
                     raise ValueError("p and q do not share a wall component for this root")
             counts = tuple(map(sub, _root_counts(spec, q), _root_counts(spec, p)))

@@ -23,6 +23,7 @@ from typing import NamedTuple
 from grslice import cli
 from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
+    FixedPoint,
     SliceSpec,
     _integer_multiple,
     adjacent_pairs,
@@ -50,6 +51,12 @@ def coefficient(poly, exp):
     return poly.terms.get(tuple(exp), 0)
 
 
+def point(*steps):
+    """The fixed point with the given steps, each an int (a rank-one step),
+    a Coweight or a coordinate sequence."""
+    return FixedPoint((s,) if isinstance(s, int) else tuple(s) for s in steps)
+
+
 def same_wall_component(spec, p, q):
     """The positive root whose wall keeps the points p and q connected, if
     any, found by walking every positive root: p and q lie in one component
@@ -58,7 +65,7 @@ def same_wall_component(spec, p, q):
     class is then unique."""
     if p == q:
         raise ValueError("same_wall_component expects distinct points")
-    diffs = {tuple(a - b for a, b in zip(sp.coords, sq.coords))
+    diffs = {tuple(a - b for a, b in zip(sp, sq))
              for sp, sq in zip(p.sigma(), q.sigma())} - {(0,) * spec.cartan.rank}
     for root, coroot in zip(spec.cartan.root_list, spec.cartan.coroots):
         if sum(root.coords) > 0:
@@ -70,7 +77,7 @@ def same_wall_component(spec, p, q):
 def oracle_up_crossings(spec, p):
     """Independent multiplicity counter: up-crossings with a -1 correction
     on levels strictly between 0 and the final height."""
-    sigma = p.sigma()
+    sigma = [Coweight(s) for s in p.sigma()]
     entries = {}
     for root in spec.cartan.root_list:
         heights = [pairing(s, root) for s in sigma]
@@ -88,7 +95,7 @@ def oracle_up_crossings(spec, p):
 def oracle_down_crossings(spec, p):
     """Independent multiplicity counter: down-crossings with a -1 correction
     on levels strictly between the final height and 0."""
-    sigma = p.sigma()
+    sigma = [Coweight(s) for s in p.sigma()]
     entries = {}
     for root in spec.cartan.root_list:
         heights = [pairing(s, root) for s in sigma]
@@ -421,7 +428,7 @@ def weight_stat(spec, p, ch):
     """Half the sum of the heights <sigma_k, alpha> of the point p of a
     rank-one slice, alpha the root positive on the chamber ch."""
     alpha = next(f for f, s in zip(ch.datum.root_list, ch.sign_vector) if s > 0)
-    return Fraction(sum(pairing(s, alpha) for s in p.sigma()), 2)
+    return Fraction(sum(pairing(Coweight(s), alpha) for s in p.sigma()), 2)
 
 
 def stored_rows(matrix):
@@ -443,7 +450,7 @@ def reference_document(command, spec, ch, matrix):
     points = enumerate_fixed_points(spec)
     doc = {"command": command, "chamber": list(ch.sign_vector),
            "labels": [p.label() for p in points]}
-    deltas = [[list(c) for c in p.key()] for p in points]
+    deltas = [[list(c) for c in p] for p in points]
     if command == "stab-exact":
         doc["points"] = deltas
         doc["entries"] = {f"{pi},{qi}": entry_polynomial(matrix, p, q).to_json()

@@ -18,7 +18,7 @@ from grslice.chern import (
     parse_bundle,
     reconstruct_coefficient,
 )
-from grslice.slices import FixedPoint, SliceSpec, adjacent_pairs, enumerate_fixed_points
+from grslice.slices import SliceSpec, adjacent_pairs, enumerate_fixed_points
 from grslice.stab_a1 import NotA1, normalize_polarization, stab_matrix
 from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
@@ -30,6 +30,7 @@ from helpers import (
     is_zero,
     localization_pair,
     operator_product,
+    point,
     printed,
 )
 
@@ -48,10 +49,6 @@ B2_SPEC = SliceSpec(B2, [2, 2], Coweight([0, 0]))
 
 def a1_spec(l, k):
     return SliceSpec(A1, [1] * l, Coweight([k]))
-
-
-def fp(*coweights):
-    return FixedPoint(coweights)
 
 
 def all_bundles(spec):
@@ -137,7 +134,7 @@ def test_h_operator_diagonal():
     spec = a1_spec(3, 1)
     mat = h_operator(spec, 2)
     for p in mat.basis:
-        d = p.delta[1]
+        d = Coweight(p[1])
         expected = Polynomial.linear_form(
             spec.cartan.sharp(d).coords, Fraction(spec.cartan.inner(d, spec.mu), 2)
         )
@@ -165,17 +162,18 @@ def test_omega_operator_combines_parts():
             for j in range(i + 1, spec.length + 1):
                 expected = {}
                 for x, p in enumerate(points):
-                    half = Fraction(datum.inner(p.delta[i - 1], p.delta[j - 1]), 2)
+                    steps = [Coweight(d) for d in p]
+                    half = Fraction(datum.inner(steps[i - 1], steps[j - 1]), 2)
                     if half:
                         expected[x, x] = a_zero + (half,)
                     for root in datum.positive_roots(ch):
-                        if (pairing(p.delta[i - 1], root), pairing(p.delta[j - 1], root)) != (1, -1):
+                        if (pairing(steps[i - 1], root), pairing(steps[j - 1], root)) != (1, -1):
                             continue
                         column = datum._column[root]
                         coroot = datum.coroots[column]
-                        delta = list(p.delta)
+                        delta = list(steps)
                         delta[i - 1], delta[j - 1] = delta[i - 1] - coroot, delta[j - 1] + coroot
-                        y = points.index(FixedPoint(delta))
+                        y = points.index(point(*delta))
                         sign = sigma_sign(spec, x, y, column, ch, signs)
                         half_len = Fraction(datum.inner(coroot, coroot), 2)
                         expected[y, x] = a_zero + (sign * half_len,)

@@ -263,8 +263,19 @@ def _other_exit_code(raw: bytes) -> bytes:
     return digest + b" 3" + rest[1:]
 
 
+def _empty(raw: bytes) -> bytes:
+    # A 0-byte file, as a store cut before its first write leaves it.
+    return b""
+
+
+def _header_only(raw: bytes) -> bytes:
+    # The entry cut right after its header line: the digest and the exit code.
+    return raw[:raw.index(b"\n") + 1]
+
+
 @pytest.mark.parametrize("damage", [_truncate, _flip_last_digit, _compact_format,
-                                    _digest_line_only, _other_exit_code])
+                                    _digest_line_only, _other_exit_code, _empty,
+                                    _header_only])
 def test_damaged_entry_is_recomputed_and_rewritten(capsys, tmp_path, damage):
     argv = ["tangent"] + BASE_FL3
     _, fresh, _ = run_cli(capsys, argv)
@@ -603,7 +614,7 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
     points = slices.enumerate_fixed_points(spec)
     # the oracles: fresh records at every point, printed by json.dumps, and
     # table rows built from Polynomial.linear_form
-    fresh = [{"delta": [list(d.coords) for d in p.delta], "label": p.label()} for p in points]
+    fresh = [{"delta": [list(d) for d in p], "label": p.label()} for p in points]
     if command == "tangent":
         rows = []
         for point, p in zip(fresh, points):

@@ -1,12 +1,15 @@
-"""Every name a grslice module imports is used in that module, and every
-private module-level function or class is named outside its own body.
+"""Every name a grslice module imports is used in that module, every
+private module-level function or class is named outside its own body, and
+every name in a class's __slots__ is read outside __init__.
 
 Read with the standard library's ast: a name counts as used where the
 module loads it, or names it inside a string annotation.  The
 ``from __future__ import annotations`` line imports nothing to use.  A
 private definition counts as named where any grslice module loads it,
 imports it or reads it as an attribute, outside the definition itself, so
-code that only its own recursion or the tests reach shows up.
+code that only its own recursion or the tests reach shows up.  A slot
+counts as read where any grslice module loads it as an attribute outside
+the body of an __init__, so a slot that is only ever set shows up.
 """
 
 import ast
@@ -115,3 +118,60 @@ def test_the_check_sees_an_unreferenced_private_definition():
                        "def f():\n    return _imported() + a._attribute()\n"),
     }
     assert _unreferenced(trees) == ["a._recursive", "a._orphan"]
+
+
+def _slots(tree):
+    """(class name, slot name) for every name in the __slots__ of the
+    module's classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                    names = ast.literal_eval(stmt.value)
+                    for name in (names,) if isinstance(names, str) else names:
+                        yield node.name, name
+
+
+def _read_outside_init(node, names):
+    """Add to names every attribute the node loads outside an __init__ body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__init__":
+        return names
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        names.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        _read_outside_init(child, names)
+    return names
+
+
+def _unread_slots(trees):
+    """The slots of the modules' classes (a map of module name to tree) that
+    no module reads outside __init__, as "module.class.slot" in module and
+    definition order."""
+    read = set()
+    for tree in trees.values():
+        _read_outside_init(tree, read)
+    return [f"{module}.{cls}.{slot}" for module, tree in trees.items()
+            for cls, slot in _slots(tree) if slot not in read]
+
+
+def test_every_slot_is_read_outside_init():
+    trees = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            trees[module[:-3]] = ast.parse(fh.read(), module)
+    unread = _unread_slots(trees)
+    assert not unread, f"slots nothing reads outside __init__: {', '.join(unread)}"
+
+
+def test_the_check_sees_an_unread_slot():
+    trees = {
+        "a": ast.parse("class Point:\n    __slots__ = ('x', 'y', '_cache')\n\n"
+                       "    def __init__(self, x, y):\n"
+                       "        self.x, self.y = x, y\n        self._cache = [self.y]\n\n"
+                       "    def norm(self):\n        return self.x * self.x\n\n"
+                       "class Box:\n    __slots__ = 'size'\n\n"
+                       "    def __init__(self, size):\n        self.size = size\n"),
+        "b": ast.parse("def grow(box):\n    box.size += 1\n    return box.size\n"),
+    }
+    assert _unread_slots(trees) == ["a.Point.y", "a.Point._cache"]

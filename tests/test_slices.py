@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grslice import cartan, cli, stab_a1
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, _Vector, pairing
-from grslice.cli import CACHE_ENV, JobSpec, compute_payload, main, render
+from grslice.chern import line_bundle_weight
+from grslice.cli import CACHE_ENV, JobSpec, compute_payload, encode_json, main, render
 from grslice.slices import (
     AdjacencyWitness,
-    FixedPoint,
     InvalidSlice,
     NonMinusculeUnsupported,
     SliceSpec,
@@ -22,6 +22,7 @@ from grslice.slices import (
     repelling_euler,
     tangent_weights,
 )
+from grslice.stab_general import omega_ratio, wall_adjacent_chambers
 from grslice.symalg import Polynomial
 
 from helpers import (
@@ -32,6 +33,7 @@ from helpers import (
     gen,
     oracle_down_crossings,
     oracle_up_crossings,
+    point,
     random_minuscule_specs,
     repelling_tangent_euler,
     same_wall_component,
@@ -44,10 +46,6 @@ A2 = CartanDatum("A", 2)
 
 def a1_spec(l, k):
     return SliceSpec(A1, [1] * l, Coweight([k]))
-
-
-def point(*vals):
-    return FixedPoint(Coweight([v]) for v in vals)
 
 
 TSTAR_P1 = a1_spec(2, 0)
@@ -94,15 +92,15 @@ def test_enumerate_duval():
     assert len(pts) == 5
     # lex order puts the single -omega in slot 1, then slot 2, ..
     for i, p in enumerate(pts):
-        assert p.delta[i] == Coweight([-1])
-        assert sum(1 for d in p.delta if d == Coweight([-1])) == 1
+        assert p[i] == (-1,)
+        assert sum(1 for d in p if d == (-1,)) == 1
 
 
 def test_enumerate_full_flag():
     pts = enumerate_fixed_points(TSTAR_FL3)
     assert len(pts) == 6
     for p in pts:
-        assert sorted(p.delta) == sorted([E1, E2, E3])
+        assert sorted(p) == sorted(point(E1, E2, E3))
 
 
 def test_enumerate_binomial_counts():
@@ -164,7 +162,7 @@ def test_tangent_weights_point_slice():
 
 def test_tangent_weights_full_flag_golden():
     a1f, a2f, a3f = AWeightForm([1, 0]), AWeightForm([0, 1]), AWeightForm([1, 1])
-    ws = tangent_weights(TSTAR_FL3, FixedPoint([E1, E2, E3]))
+    ws = tangent_weights(TSTAR_FL3, point(E1, E2, E3))
     assert ws == by_column(
         A2,
         {
@@ -172,7 +170,7 @@ def test_tangent_weights_full_flag_golden():
             (-a1f, -1): 1, (-a2f, -1): 1, (-a3f, -1): 1,
         },
     )
-    ws2 = tangent_weights(TSTAR_FL3, FixedPoint([E2, E1, E3]))
+    ws2 = tangent_weights(TSTAR_FL3, point(E2, E1, E3))
     assert ws2 == by_column(
         A2,
         {
@@ -219,7 +217,7 @@ _MAX_PRODUCT = 3000
 
 def _reference_tangent_entries(spec, p):
     """The crossing rule on the sigma path, paired root by root."""
-    sigma = p.sigma()
+    sigma = [Coweight(s) for s in p.sigma()]
     entries = {}
     for root in spec.cartan.root_list:
         heights = [pairing(s, root) for s in sigma]
@@ -264,11 +262,11 @@ def minuscule_slices(draw):
 def test_integer_kernel_matches_brute_force_and_sigma_rule(slice_and_orbits):
     spec, orbits = slice_and_orbits
     brute = [
-        FixedPoint(combo) for combo in product(*orbits)
+        point(*combo) for combo in product(*orbits)
         if sum(combo, spec.cartan.zero_coweight()) == spec.mu
     ]
     points = enumerate_fixed_points(spec)
-    assert points == tuple(sorted(brute, key=FixedPoint.key))
+    assert points == tuple(sorted(brute))
     for p in points:
         ws = tangent_weights(spec, p)
         assert ws == by_column(spec.cartan, _reference_tangent_entries(spec, p))
@@ -286,6 +284,12 @@ def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
     dims = [spec.dimension for spec in specs]
     chambers = [(Chamber.dominant(spec.cartan), Chamber.antidominant(spec.cartan))
                 for spec in specs]
+    # the wall chambers belong to the datum, not to a point
+    for spec in specs:
+        for column in range(len(spec.cartan.root_list)):
+            wall_adjacent_chambers(spec.cartan, column)
+    jobs = [(job, job.build()) for job in (
+        JobSpec(command, "A", 2, [1, 0, 2, 1, 2], [0, 0]) for command in ("fixed-points", "tangent"))]
 
     def refuse(self, coords):
         raise AssertionError("a vector was built")
@@ -293,12 +297,34 @@ def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
     def refuse_hash(self):
         raise AssertionError("a root was hashed")
 
+    def refuse_coweight_hash(self):
+        raise AssertionError("a coweight was hashed")
+
+    # a point is a tuple of int steps: no point route builds or hashes a
+    # Coweight
+    monkeypatch.setattr(Coweight, "__init__", refuse)
+    monkeypatch.setattr(Coweight, "_of", classmethod(refuse))
+    monkeypatch.setattr(Coweight, "__hash__", refuse_coweight_hash)
+    init = _Vector.__init__
     monkeypatch.setattr(_Vector, "__init__", refuse)
-    for spec, dim in zip(specs, dims):
+    for spec, dim, (ch1, ch2) in zip(specs, dims, chambers):
         points = enumerate_fixed_points(spec)
         assert points
+        assert list(point_index(spec).values()) == list(range(len(points)))
         for p in points:
             assert sum(tangent_weights(spec, p).values()) == dim
+        for ch in (ch1, ch2):
+            for (p, q), witness in adjacent_pairs(spec, ch).items():
+                omega_ratio(spec, p, q, witness.column)
+    # line-bundle weights are linear forms, which sharp builds
+    monkeypatch.setattr(_Vector, "__init__", init)
+    for spec in specs:
+        for p in enumerate_fixed_points(spec):
+            assert line_bundle_weight(spec, p, 0) == (0,) * (spec.cartan.rank + 1)
+            for i in range(1, spec.length + 1):
+                line_bundle_weight(spec, p, i)
+    for job, built in jobs:
+        assert encode_json(compute_payload(job, *built))
     # tangent weights are keyed by integers: no route from them to an
     # Euler class, a sign or a document hashes a root
     monkeypatch.setattr(AWeightForm, "__hash__", refuse_hash)
@@ -408,10 +434,10 @@ def test_flip_sign_transitive_and_witness_independent():
 # ---------------------------------------------------------------- walls
 
 def test_same_wall_component_examples():
-    p = FixedPoint([E1, E2, E3])
-    q = FixedPoint([E2, E1, E3])
+    p = point(E1, E2, E3)
+    q = point(E2, E1, E3)
     assert same_wall_component(TSTAR_FL3, p, q) == AWeightForm([1, 0])
-    r = FixedPoint([E3, E1, E2])
+    r = point(E3, E1, E2)
     assert same_wall_component(TSTAR_FL3, p, r) is None
     s1, s2 = enumerate_fixed_points(TSTAR_P1)
     assert same_wall_component(TSTAR_P1, s1, s2) == AWeightForm([1])
@@ -420,7 +446,7 @@ def test_same_wall_component_examples():
 
 
 def test_project_to_wall_slice():
-    p = FixedPoint([E1, E2, E3])
+    p = point(E1, E2, E3)
     wall_spec, image = project_to_wall_slice(TSTAR_FL3, p, AWeightForm([1, 0]))
     assert wall_spec.lambda_seq == (1, 1, 0)
     assert wall_spec.mu == Coweight([0])
@@ -451,12 +477,13 @@ def test_projected_point_is_fixed_point_of_wall_slice():
 def _reference_adjacency(spec, p, q, ch):
     """The pairwise rule: delta_q = delta_p except at two slots i < j, lowered
     by the coroot of a ch-positive root at i and raised by it at j."""
-    diff = [m for m in range(spec.length) if p.delta[m] != q.delta[m]]
+    dp, dq = [Coweight(d) for d in p], [Coweight(d) for d in q]
+    diff = [m for m in range(spec.length) if dp[m] != dq[m]]
     if len(diff) != 2:
         return None
     i, j = diff
-    alpha = p.delta[i] - q.delta[i]
-    if q.delta[j] - p.delta[j] != alpha:
+    alpha = dp[i] - dq[i]
+    if dq[j] - dp[j] != alpha:
         return None
     column = next((col for col, c in enumerate(spec.cartan.coroots) if c == alpha), None)
     if column is None or not ch.is_positive(spec.cartan.root_list[column]):
@@ -507,10 +534,10 @@ def test_adjacent_pairs_match_the_pairwise_rule(spec_and_chamber):
 # ---------------------------------------------------------------- serialization
 
 def test_fixed_point_json_round_trip():
-    p = FixedPoint([E1, E2, E3])
-    deltas = [list(c) for c in p.key()]
+    p = point(E1, E2, E3)
+    deltas = [list(c) for c in p]
     assert deltas == [[1, 0], [-1, 1], [0, -1]]
-    assert FixedPoint(Coweight(v) for v in deltas) == p
+    assert point(*deltas) == p
 
 
 def test_weight_multiset_json_round_trip():
@@ -518,7 +545,7 @@ def test_weight_multiset_json_round_trip():
     job = JobSpec("tangent", "A", 2, [1, 1, 1], [0, 0])
     doc = json.loads(render(compute_payload(job, *job.build()), "json", 2))
     points = enumerate_fixed_points(TSTAR_FL3)
-    assert [pt["delta"] for pt in doc["points"]] == [[list(c) for c in p.key()] for p in points]
+    assert [pt["delta"] for pt in doc["points"]] == [[list(c) for c in p] for p in points]
     for pt, p in zip(doc["points"], points):
         for entry in pt["weights"]:
             assert set(entry) == {"root", "n", "mult"}
@@ -529,7 +556,7 @@ def test_weight_multiset_json_round_trip():
 def test_point_labels():
     assert point(-1, 1).label() == "(-w,w)"
     assert point(1, 0, -1).label() == "(w,0,-w)"
-    assert FixedPoint([E1, E2]).label() == "([1,0],[-1,1])"
+    assert point(E1, E2).label() == "([1,0],[-1,1])"
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.slices import (
-    FixedPoint,
     SliceSpec,
     enumerate_fixed_points,
     point_index,
@@ -42,6 +41,7 @@ from helpers import (
     gen,
     localization_denominator,
     pairing_sums_reference,
+    point,
     repelling_tangent_euler,
     shifts_form,
     tangent_euler,
@@ -58,16 +58,6 @@ H = gen(2, 1)
 
 def a1_spec(l, k):
     return SliceSpec(A1, [1] * l, Coweight([k]))
-
-
-def point(*vals):
-    return FixedPointOf(vals)
-
-
-def FixedPointOf(vals):
-    from grslice.slices import FixedPoint
-
-    return FixedPoint(Coweight([v]) for v in vals)
 
 
 TSTAR_P1 = a1_spec(2, 0)
@@ -114,9 +104,9 @@ def test_weight_stat_step_is_one():
     for spec in grid_specs(5):
         for p in enumerate_fixed_points(spec):
             for i in range(1, spec.length):
-                delta = list(p.delta)
+                delta = list(p)
                 delta[i - 1], delta[i] = delta[i], delta[i - 1]
-                q = FixedPoint(delta)
+                q = point(*delta)
                 if q != p:
                     diff = weight_stat(spec, q, CH_PLUS) - weight_stat(spec, p, CH_PLUS)
                     assert abs(diff) == 1
@@ -131,12 +121,12 @@ def test_move_partners_swap_the_slots_of_each_move():
     for i, partner in moves:
         j = next(j for j in range(i + 1, spec.length + 1) if spec.lambda_seq[j - 1])
         for x, p in enumerate(points):
-            delta = list(p.delta)
+            delta = list(p)
             delta[i - 1], delta[j - 1] = delta[j - 1], delta[i - 1]
-            assert points[partner[x]] == FixedPoint(delta)
+            assert points[partner[x]] == point(*delta)
     heights = stab_a1._point_heights(spec)
     for x, p in enumerate(points):
-        assert heights[x] == tuple(accumulate((d.coords[0] for d in p.delta), initial=0))
+        assert heights[x] == tuple(accumulate((d[0] for d in p), initial=0))
     # both chambers, validate and theta_action read the same tables
     stab_matrix(spec, CH_PLUS)
     stab_matrix(spec, CH_MINUS)
@@ -336,7 +326,7 @@ def test_zero_slot_matrix_matches_compressed():
     compressed = stab_matrix(TSTAR_P1, CH_PLUS)
 
     def squeeze(p):
-        return FixedPointOf([d.coords[0] for d in p.delta if any(d.coords)])
+        return point(*[d[0] for d in p if any(d)])
 
     assert {squeeze(p) for p in m.points} == set(compressed.points)
     for p, q in m.entries:
@@ -488,7 +478,7 @@ def test_theta_action_detects_a_tampered_entry():
         m = stab_matrix(spec, ch)
         _, q = _tamper_off_diagonal(m)
         # the slots i at which swapping i and i + 1 moves q
-        moving = [i for i in range(1, spec.length) if q.delta[i - 1] != q.delta[i]]
+        moving = [i for i in range(1, spec.length) if q[i - 1] != q[i]]
         assert moving
         for i in moving:
             with pytest.raises(AssertionError, match="theta action mismatch"):
@@ -500,7 +490,7 @@ def test_validate_refuses_an_entry_outside_the_downset():
     m = stab_matrix(spec, CH_PLUS)
 
     def heights(x):
-        return list(accumulate(d.coords[0] for d in x.delta))
+        return list(accumulate(d[0] for d in x))
 
     # q has the lower weight_stat, yet no chain of lowering moves leads from
     # p to q: q's path rises above p's somewhere
@@ -723,7 +713,7 @@ def test_localization_route_divides_the_convolution_with_fraction_weights():
 def test_restriction_matrix_json():
     m = stab_matrix(TSTAR_P1, CH_PLUS)
     obj = document("stab-exact", TSTAR_P1, CH_PLUS)
-    deltas = [[list(c) for c in p.key()] for p in m.points]
+    deltas = [[list(c) for c in p] for p in m.points]
     assert obj["points"] == [[[-1]], [[1]]] or obj["points"] == deltas
     assert obj["points"] == deltas
     assert sorted(obj["chamber"]) == [-1, 1]

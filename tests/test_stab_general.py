@@ -7,7 +7,6 @@ from grslice import cli, stab_general, verify
 from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
 from grslice.slices import (
     AdjacencyWitness,
-    FixedPoint,
     RootMonomial,
     SliceSpec,
     adjacent_pairs,
@@ -52,6 +51,7 @@ from helpers import (
     document,
     euler_polynomial,
     gen,
+    point,
     printed,
     random_minuscule_specs,
     reference_wall_chambers,
@@ -83,10 +83,6 @@ def a1_spec(l, k):
     return SliceSpec(A1, [1] * l, Coweight([k]))
 
 
-def fp(*coweights):
-    return FixedPoint(coweights)
-
-
 def ix(spec, *points):
     """The point index of each point, as the wall routes key them."""
     index = point_index(spec)
@@ -107,7 +103,7 @@ def eps_prime(spec, x, ch, wall_root):
 
 
 def test_find_adjacency_psl3():
-    p, q = ix(TSTAR_FL3, fp(E1, E2, E3), fp(E2, E1, E3))
+    p, q = ix(TSTAR_FL3, point(E1, E2, E3), point(E2, E1, E3))
     w = adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q))
     assert w == AdjacencyWitness(1, 2, col(A2, 1, 0)) and A2.coroots[w.column] == E1 - E2
     # reversed pair needs the negative coroot, which is not chamber-positive
@@ -119,14 +115,14 @@ def test_find_adjacency_psl3():
 def test_find_adjacency_a1_surface():
     spec = a1_spec(3, 1)
     w = Coweight([1])
-    p3, p1 = ix(spec, fp(w, w, -w), fp(-w, w, w))
+    p3, p1 = ix(spec, point(w, w, -w), point(-w, w, w))
     witness = adjacent_pairs(spec, CH1_PLUS).get((p3, p1))
     assert witness == AdjacencyWitness(1, 3, col(A1, 1))
     assert spec.cartan.coroots[witness.column] == Coweight([2])
 
 
 def test_find_adjacency_three_slot_difference():
-    p, q = ix(TSTAR_FL3, fp(E1, E2, E3), fp(E3, E1, E2))
+    p, q = ix(TSTAR_FL3, point(E1, E2, E3), point(E3, E1, E2))
     assert adjacent_pairs(TSTAR_FL3, CH2_PLUS).get((p, q)) is None
 
 
@@ -164,7 +160,7 @@ def test_wall_adjacent_chambers_touch_only_that_wall():
 
 
 def test_omega_ratio_rank1_is_one():
-    p2, p1 = ix(TSTAR_P1, fp(Coweight([1]), Coweight([-1])), fp(Coweight([-1]), Coweight([1])))
+    p2, p1 = ix(TSTAR_P1, point(Coweight([1]), Coweight([-1])), point(Coweight([-1]), Coweight([1])))
     assert omega_ratio(TSTAR_P1, p2, p1, col(A1, 1)) == ((0, 0), 1)
 
 
@@ -196,7 +192,7 @@ def test_omega_ratio_not_rational_witness():
 
 
 def test_omega_ratio_requires_common_wall():
-    p, q = ix(TSTAR_FL3, fp(E1, E2, E3), fp(E3, E1, E2))
+    p, q = ix(TSTAR_FL3, point(E1, E2, E3), point(E3, E1, E2))
     with pytest.raises(ValueError):
         omega_ratio(TSTAR_FL3, p, q, col(A2, 1, 0))
 

@@ -6,7 +6,7 @@ from grslice import cli, verify
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, main
 from grslice.slices import SliceSpec
-from grslice.stab_a1 import NotA1
+from grslice.stab_a1 import NotA1, RestrictionMatrix
 
 # (type, rank, lambda, mu)
 SLICES = [("A", 1, (1,) * 5, (1,)), ("A", 2, (1, 1, 1), (0, 0)), ("D", 4, (1, 1), (0, 1, 0, 0))]
@@ -41,3 +41,21 @@ def test_rank_one_suite_on_a_higher_rank_slice_raises():
     for which in verify.RANK_ONE_SUITES:
         with pytest.raises(NotA1, match=f"^verify {which} requires a rank-one slice$"):
             verify.run(spec, Chamber.dominant(datum), None, which)
+
+
+def test_verify_all_builds_each_restriction_matrix_once(monkeypatch):
+    # recursion and duality both read the matrices of the chamber and of its
+    # opposite: one build each per job
+    built = []
+    init = RestrictionMatrix.__init__
+
+    def counting(self, spec, chamber, *args):
+        built.append(chamber)
+        init(self, spec, chamber, *args)
+
+    monkeypatch.setattr(RestrictionMatrix, "__init__", counting)
+    datum = CartanDatum("A", 1)
+    ch = Chamber.dominant(datum)
+    document = verify.run(SliceSpec(datum, (1,) * 6, Coweight((0,))), ch, None, "all")
+    assert document["ok"]
+    assert built == [ch, -ch]
