@@ -2,12 +2,13 @@
 
 Coordinate conventions used throughout the package:
 
-  * A ``Coweight`` is a vector in the fundamental-coweight basis
-    ``omega_1 .. omega_rank``.  The j-th simple coroot ``alpha_j`` is
-    column j of the Cartan matrix in this basis.
-  * An ``AWeightForm`` is a linear functional on coweights, written in the
-    simple-root basis ``alphacheck_1 .. alphacheck_rank``.  Roots live here.
-  * ``pairing(coweight, form)`` is the plain dot product of coordinates,
+  * A coweight is the int tuple of its coordinates in the
+    fundamental-coweight basis ``omega_1 .. omega_rank``; ``Coweight`` is
+    that tuple as a public input type.  The j-th simple coroot ``alpha_j``
+    is column j of the Cartan matrix in this basis.
+  * A root is the int tuple of a linear functional on coweights, written in
+    the simple-root basis ``alphacheck_1 .. alphacheck_rank``.
+  * A coweight pairs with a root by the plain dot product of the tuples,
     so <omega_i, alphacheck_j> = delta_ij.
   * The invariant form on coweights is normalized so that the shortest
     simple coroot has squared length exactly 2.
@@ -18,101 +19,25 @@ A[i][j] = <alpha_j, alphacheck_i>.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-from .symalg import _norm_scalar
-
-_INT = {int}
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
-class _Vector:
-    """Immutable exact coordinate vector; base for Coweight/AWeightForm."""
+class Coweight(tuple):
+    """A coweight given as input: the tuple of its coordinates in the
+    fundamental-coweight basis.  It compares and hashes as that tuple, and
+    every coweight the datum returns is a plain int tuple."""
 
-    __slots__ = ("coords", "_hash")
-
-    def __init__(self, coords: Iterable):
-        coords = tuple(coords)
-        # almost every vector is integral, and plain ints need no normalizing
-        self.coords = coords if {*map(type, coords)} <= _INT else tuple(map(_norm_scalar, coords))
-        self._hash = None
-
-    @classmethod
-    def _of(cls, coords: Tuple[int, ...]):
-        """The vector on a tuple of ints, taken as it is."""
-        v = object.__new__(cls)
-        v.coords = coords
-        v._hash = None
-        return v
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def _check(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if len(other.coords) != len(self.coords):
-            raise ValueError("rank mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return type(self)(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other):
-        self._check(other)
-        return type(self)(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self):
-        return type(self)(-a for a in self.coords)
-
-    def __mul__(self, scalar):
-        return type(self)(a * _norm_scalar(scalar) for a in self.coords)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.coords == other.coords
-
-    def __hash__(self):
-        # vectors key the point index (a point hashes its steps) and the
-        # datum's root tables, so the same vector is hashed far more often
-        # than built
-        if self._hash is None:
-            self._hash = hash((type(self).__name__, self.coords))
-        return self._hash
-
-    def __lt__(self, other):
-        self._check(other)
-        return self.coords < other.coords
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coords)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(str(c) for c in self.coords)})"
+    __slots__ = ()
 
 
-class Coweight(_Vector):
-    """Vector in the fundamental-coweight basis."""
+class Gram(NamedTuple):
+    """A gram matrix as integer rows over one common denominator."""
 
-
-class AWeightForm(_Vector):
-    """Linear functional on coweights, in the simple-root basis."""
-
-
-def pairing(c: Coweight, f: AWeightForm):
-    """Exact pairing <c, f>; integer whenever both vectors are integral."""
-    if len(c) != len(f):
-        raise ValueError("rank mismatch")
-    return sum(a * b for a, b in zip(c.coords, f.coords))
+    rows: Tuple[Tuple[int, ...], ...]
+    den: int
 
 
 def _invert_integer(rows):
@@ -216,19 +141,21 @@ class CartanDatum:
     Public indices (simple roots, fundamental coweights, minuscule set) are
     1-based, matching the usual numbering of Dynkin diagrams.
 
-    The datum is built on integers: the root closure runs on int tuples, and
-    the inverse Cartan matrix comes from fraction-free elimination as integer
-    rows over a denominator each, so that only the n^2 entries of the gram
-    matrix are Fractions.
+    The datum is integral: roots, coroots and coweights are int tuples, the
+    inverse Cartan matrix comes from fraction-free elimination as integer
+    rows over a denominator each, and the gram matrix of the invariant form
+    is integer rows over one common denominator, so that inner and sharp
+    return ints and their callers divide once.
 
     A root is its column, its position in root_list, and the root tables
     are kept by column: coroots, half_lengths (half the squared length of
     each coroot) and _slots, (slot, sign) with the root sign times the
     positive root of its slot, a slot being the place of a +-pair in
     _root_pairs.  slot_forms are the RootMonomial forms of those positive
-    roots, by slot, and h.  wall_chambers is the one memo, by slot: the
-    closed-form chambers on either side of each wall, built when a job
-    first asks for that wall; every other table is fixed at construction.
+    roots, by slot, and h.  The gram matrix, the wall bases and
+    two_rho_check are built when first read; wall_chambers is the one memo,
+    by slot: the closed-form chambers on either side of each wall, built
+    when a job first asks for that wall.
     """
 
     def __init__(self, type_letter: str, rank: int):
@@ -258,17 +185,13 @@ class CartanDatum:
                     d[j] = d[i] // a[j][i] * a[i][j]
                     todo.append(j)
         scale = min(d)
-        self.symmetrizers = tuple(_norm_scalar(Fraction(x, scale)) for x in d)
+        assert all(x % scale == 0 for x in d)
+        self.symmetrizers = d = tuple(x // scale for x in d)
         for i in range(n):
             for j in range(n):
-                assert self.symmetrizers[i] * a[i][j] == self.symmetrizers[j] * a[j][i]
+                assert d[i] * a[i][j] == d[j] * a[j][i]
 
-        # gram matrix of the invariant form: inner(c, c') = c^T (D A^-1) c'
         self._inverse_rows, self._inverse_dens = _invert_integer(a)
-        self._gram = tuple(
-            tuple(Fraction(d_i * x, den) for x in row)
-            for d_i, row, den in zip(self.symmetrizers, self._inverse_rows, self._inverse_dens)
-        )
 
         # positive roots (simple-root coordinates) with their coroots
         # (fundamental-coweight coordinates) by simultaneous reflection
@@ -280,40 +203,32 @@ class CartanDatum:
         # the coroot: the two pairings differ by the ratio of the lengths.
         # Column j of A is the simple coroot alpha_j as a coweight.
         #
-        # Each root also carries w(4v), for the word w that reached it from
-        # alpha_j and v = rho-check - omega_j-check (1 in every coordinate
-        # but a 0 at j).  v pairs with a positive root beta to ht(beta) -
-        # c_j(beta) >= 1 unless beta = alpha_j, and |<alpha_j-check, beta>|
-        # <= 3, so 4v +- alpha_j-check lie on the two sides of ker alpha_j
-        # and of no other wall; their images under w do the same for
-        # ker w(alpha_j).
-        #
-        # A queue entry holds a root, the coweights of the root it was
-        # reflected from and the index k of that reflection; s_k(c) = c - c_k
-        # * (column k) moves them when the root is taken, so a root queued
-        # twice is moved once.  alpha_j enters as s_j(-alpha_j).
+        # A queue entry holds a root, the coroot of the root it was reflected
+        # from, that root and the index k of that reflection; s_k(c) = c - c_k
+        # * (column k) moves the coroot when the root is taken, so a root
+        # queued twice is moved once.  alpha_j enters as s_j(-alpha_j),
+        # reflected from no root.  _words keeps, in the order the roots are
+        # taken, the root and reflection each was reached by, which the wall
+        # bases retrace.
         self._simple_coroots = columns = [tuple(row[j] for row in a) for j in range(n)]
         simple = [tuple(int(k == j) for k in range(n)) for j in range(n)]
         seen: Dict[tuple, tuple] = {}
-        bases: Dict[tuple, tuple] = {}
-        d = self.symmetrizers
-        queue = [(simple[j], tuple([-x for x in columns[j]]),
-                  tuple([4 * (k != j) for k in range(n)]), d[j], j) for j in range(n)]
+        words: Dict[tuple, tuple] = {}
+        queue = [(simple[j], tuple([-x for x in columns[j]]), None, d[j], j) for j in range(n)]
         while queue:
-            form, cow, base, half, k = queue.pop()
+            form, cow, parent, half, k = queue.pop()
             if form in seen:
                 continue
-            column, s, t = columns[k], cow[k], base[k]
+            column, s = columns[k], cow[k]
             cow = tuple([c - s * x for c, x in zip(cow, column)])
-            if t:
-                base = tuple([c - t * x for c, x in zip(base, column)])
             seen[form] = (cow, half)
-            bases[form] = base
+            words[form] = (parent, k)
             for k, s in enumerate(cow):
                 if s and form != simple[k]:
                     moved = form[:k] + (form[k] - s * d[k] // half,) + form[k + 1:]
                     if moved not in seen:
-                        queue.append((moved, cow, base, half, k))
+                        queue.append((moved, cow, form, half, k))
+        self._words = words
         positive = list(seen)
         if any(min(f) < 0 for f in positive):
             raise AssertionError(f"{type_letter}{rank}: a reflection left the positive roots")
@@ -323,108 +238,130 @@ class CartanDatum:
             seen[tuple(-x for x in f)] = (tuple(-x for x in cow), half)
         if len(seen) != _ROOT_COUNT[type_letter](rank):
             raise AssertionError(f"{type_letter}{rank}: wrong number of roots")
-        coords = sorted(seen)
-        self.root_list: Tuple[AWeightForm, ...] = tuple(map(AWeightForm._of, coords))
+        self.root_list: Tuple[Tuple[int, ...], ...] = tuple(sorted(seen))
         # the position of each root in root_list: its column, the one key of
         # the tables indexed by root (chamber sign vectors, slot-step
         # pairings, root counts and the tables below)
-        self._column: Dict[AWeightForm, int] = {f: i for i, f in enumerate(self.root_list)}
-        self.coroots: Tuple[Coweight, ...] = tuple(Coweight._of(seen[f][0]) for f in coords)
-        self.half_lengths: Tuple[int, ...] = tuple(seen[f][1] for f in coords)
+        self._column: Dict[tuple, int] = {f: i for i, f in enumerate(self.root_list)}
+        self.coroots: Tuple[Tuple[int, ...], ...] = tuple(seen[f][0] for f in self.root_list)
+        self.half_lengths: Tuple[int, ...] = tuple(seen[f][1] for f in self.root_list)
         # the column of each positive root and the column of its negative, in
         # column order of the positive roots: a pair's place here is its slot.
         # Tangent weights walk the first of each pair and mirror it onto the
         # second
-        column = {f: i for i, f in enumerate(coords)}
+        column = self._column
         self._root_pairs: Tuple[Tuple[int, int], ...] = tuple(sorted(
             (column[f], column[tuple([-x for x in f])]) for f in positive))
         # (slot, sign) by column: the root is sign times its slot's positive root
-        slots: list = [None] * len(coords)
+        slots: list = [None] * len(column)
         for slot, (col, opposite) in enumerate(self._root_pairs):
             slots[col], slots[opposite] = (slot, 1), (slot, -1)
         self._slots: Tuple[Tuple[int, int], ...] = tuple(slots)
         # the forms of the RootMonomial exponent slots: the positive roots as
         # (a_1..a_r, 0), by slot, and then h
         self.slot_forms: Tuple[tuple, ...] = tuple(
-            coords[col] + (0,) for col, _ in self._root_pairs) + ((0,) * n + (1,),)
-        # w(4v) by slot; its wall witnesses are w(4v) +- coroot
-        self._wall_bases = tuple(bases[coords[col]] for col, _ in self._root_pairs)
+            self.root_list[col] + (0,) for col, _ in self._root_pairs) + ((0,) * n + (1,),)
         # filled on demand by stab_general.wall_adjacent_chambers, and the
         # datum's one memo: the two chambers of each slot's witnesses
         self.wall_chambers: Dict[int, Tuple["Chamber", "Chamber"]] = {}
 
         self.minuscule_indices = _minuscule_indices(type_letter, rank)
-        self.two_rho_check = AWeightForm(sum(column) for column in zip(*positive))
+
+    @cached_property
+    def gram(self) -> Gram:
+        """The gram matrix D A^-1 of the invariant form: (c, c') = c^T D A^-1
+        c'."""
+        den = lcm(*self._inverse_dens)
+        rows = [[d_i * x * (den // e) for x in row] for d_i, row, e
+                in zip(self.symmetrizers, self._inverse_rows, self._inverse_dens)]
+        g = gcd(den, *(x for row in rows for x in row))
+        return Gram(tuple(tuple(x // g for x in row) for row in rows), den // g)
+
+    @cached_property
+    def two_rho_check(self) -> Tuple[int, ...]:
+        """The sum of the positive roots."""
+        return tuple(map(sum, zip(*[self.root_list[col] for col, _ in self._root_pairs])))
+
+    @cached_property
+    def _wall_bases(self) -> Tuple[Tuple[int, ...], ...]:
+        """w(4v) by slot, for the word w that reached the slot's positive root
+        from a simple root alpha_j and v = rho-check - omega_j-check (1 in
+        every coordinate but a 0 at j); its wall witnesses are w(4v) +-
+        coroot.
+
+        v pairs with a positive root beta to ht(beta) - c_j(beta) >= 1 unless
+        beta = alpha_j, and |<alpha_j-check, beta>| <= 3, so 4v +- alpha_j-check
+        lie on the two sides of ker alpha_j and of no other wall; their images
+        under w do the same for ker w(alpha_j).  A root is taken after the
+        root it was reflected from, so each base is its parent's moved by
+        the one reflection.
+        """
+        bases: Dict[tuple, tuple] = {}
+        for form, (parent, k) in self._words.items():
+            if parent is None:
+                bases[form] = tuple([4 * (i != k) for i in range(self.rank)])
+            else:
+                base = bases[parent]
+                t = base[k]
+                bases[form] = (tuple([c - t * x for c, x in zip(base, self._simple_coroots[k])])
+                               if t else base)
+        return tuple(bases[self.root_list[col]] for col, _ in self._root_pairs)
 
     # -- basis elements (1-based indices) --------------------------------
 
-    def fundamental_coweight(self, i: int) -> Coweight:
-        return Coweight(int(j == i - 1) for j in range(self.rank))
+    def fundamental_coweight(self, i: int) -> Tuple[int, ...]:
+        return tuple(int(j == i - 1) for j in range(self.rank))
 
-    def zero_coweight(self) -> Coweight:
-        return Coweight([0] * self.rank)
+    def zero_coweight(self) -> Tuple[int, ...]:
+        return (0,) * self.rank
 
-    def coroot_coordinates(self, c: Coweight) -> Optional[List[int]]:
+    def coroot_coordinates(self, c: Sequence[int]) -> Optional[List[int]]:
         """Coordinates of c in the simple-coroot basis, or None if not integral."""
         coeffs = []
         for row, den in zip(self._inverse_rows, self._inverse_dens):
-            x = sum(map(mul, row, c.coords))
+            x = sum(map(mul, row, c))
             if x % den:
                 return None
-            coeffs.append(int(x // den))
+            coeffs.append(x // den)
         return coeffs
 
-    # -- pairings and the invariant form ---------------------------------
+    # -- the invariant form ----------------------------------------------
 
-    def pairing(self, c: Coweight, f: AWeightForm):
-        if len(c) != self.rank or len(f) != self.rank:
-            raise ValueError("rank mismatch")
-        return pairing(c, f)
-
-    def inner(self, c1: Sequence, c2: Sequence):
-        """Weyl-invariant form on coweights or their coordinate tuples;
-        shortest simple coroot has (x,x) = 2."""
+    def inner(self, c1: Sequence[int], c2: Sequence[int]) -> int:
+        """The Weyl-invariant form on coweights times the gram denominator,
+        gram.den; the shortest simple coroot has (x,x) = 2."""
         if len(c1) != self.rank or len(c2) != self.rank:
             raise ValueError("rank mismatch")
-        c2 = tuple(c2)
-        return sum(x * g * y for x, row in zip(c1, self._gram) if x
+        return sum(x * g * y for x, row in zip(c1, self.gram.rows) if x
                    for g, y in zip(row, c2) if y)
 
-    def sharp(self, c: Sequence) -> AWeightForm:
-        """The functional (c, -) as a weight form, c a coweight or its
-        coordinate tuple: <c', sharp(c)> = inner(c, c')."""
-        c = tuple(c)
-        return AWeightForm(sum(map(mul, column, c)) for column in zip(*self._gram))
+    def sharp(self, c: Sequence[int]) -> Tuple[int, ...]:
+        """The functional (c, -) as a root-basis tuple times the gram
+        denominator: <c', sharp(c)> = inner(c, c')."""
+        return tuple(sum(map(mul, column, c)) for column in zip(*self.gram.rows))
 
     # -- Weyl group -------------------------------------------------------
 
-    def reflect_coweight(self, j: int, c: Coweight) -> Coweight:
+    def reflect_coweight(self, j: int, c: Sequence[int]) -> Tuple[int, ...]:
         """Simple reflection s_j on coweights: c - <c, alphacheck_j> alpha_j."""
-        t = c.coords[j - 1]
+        t = c[j - 1]
         if t == 0:
-            return c
-        return Coweight(
-            c.coords[i] - t * self.cartan_matrix[i][j - 1] for i in range(self.rank)
-        )
+            return tuple(c)
+        return tuple(x - t * y for x, y in zip(c, self._simple_coroots[j - 1]))
 
-    def reflect_form(self, j: int, f: AWeightForm) -> AWeightForm:
-        """Simple reflection s_j on weight forms (dual action)."""
-        t = sum(f.coords[i] * self.cartan_matrix[i][j - 1] for i in range(self.rank))
-        if t == 0:
-            return f
-        return AWeightForm(
-            f.coords[k] - (t if k == j - 1 else 0) for k in range(self.rank)
-        )
+    def reflect_form(self, j: int, f: Sequence[int]) -> Tuple[int, ...]:
+        """Simple reflection s_j on roots (dual action)."""
+        f = tuple(f)
+        t = sum(map(mul, f, self._simple_coroots[j - 1]))
+        return f[:j - 1] + (f[j - 1] - t,) + f[j:]
 
-    def weyl_orbit(self, c: Coweight) -> frozenset:
-        if not c.is_integral():
+    def weyl_orbit(self, c: Sequence[int]) -> frozenset:
+        """The Weyl orbit of an integral coweight, as int tuples."""
+        c = tuple(c)
+        if any(type(x) is not int for x in c):
             raise ValueError("weyl_orbit expects an integral coweight")
-        return frozenset(Coweight._of(v) for v in self._orbit_coords(c.coords))
-
-    def _orbit_coords(self, coords: tuple) -> FrozenSet[tuple]:
-        """The Weyl orbit of an integral coweight, on coordinate tuples."""
-        seen = {coords}
-        queue = [coords]
+        seen = {c}
+        queue = [c]
         while queue:
             v = queue.pop()
             for t, column in zip(v, self._simple_coroots):
@@ -435,7 +372,7 @@ class CartanDatum:
                         queue.append(w)
         return frozenset(seen)
 
-    def positive_roots(self, ch: "Chamber"):
+    def positive_roots(self, ch: "Chamber") -> List[Tuple[int, ...]]:
         """Roots beta-check with <witness, beta-check> > 0; half of root_list."""
         return [f for f, s in zip(self.root_list, ch.sign_vector) if s > 0]
 
@@ -457,36 +394,37 @@ class Chamber:
     """Connected component of the coweight space minus all root hyperplanes.
 
     Determined by any witness vector with nonzero pairing against every
-    root; equality compares the sign pattern, not the witness.
+    root, an int tuple wherever the program builds one; equality compares
+    the sign pattern, not the witness.
     """
 
-    def __init__(self, datum: CartanDatum, witness: Coweight):
-        if len(witness) != datum.rank:
+    def __init__(self, datum: CartanDatum, witness: Sequence[int]):
+        w = tuple(witness)
+        if len(w) != datum.rank:
             raise ValueError("rank mismatch")
-        w = witness.coords
         signs = []
         for f in datum.root_list:
-            v = sum(map(mul, w, f.coords))
+            v = sum(map(mul, w, f))
             if v == 0:
                 raise ValueError(f"chamber witness lies on the root hyperplane of {f}")
             signs.append(1 if v > 0 else -1)
         self.datum = datum
-        self.witness = witness
+        self.witness = w
         self.sign_vector = tuple(signs)
 
     @classmethod
     def dominant(cls, datum: CartanDatum) -> "Chamber":
-        return cls(datum, Coweight([1] * datum.rank))
+        return cls(datum, (1,) * datum.rank)
 
     @classmethod
     def antidominant(cls, datum: CartanDatum) -> "Chamber":
-        return cls(datum, Coweight([-1] * datum.rank))
+        return cls(datum, (-1,) * datum.rank)
 
     def __neg__(self):
-        return Chamber(self.datum, -self.witness)
+        return Chamber(self.datum, tuple(-x for x in self.witness))
 
-    def is_positive(self, f: AWeightForm) -> bool:
-        return pairing(self.witness, f) > 0
+    def is_positive(self, f: Sequence[int]) -> bool:
+        return sum(map(mul, self.witness, f)) > 0
 
     def __eq__(self, other):
         return (

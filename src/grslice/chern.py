@@ -22,7 +22,7 @@ from math import gcd
 from operator import add, mul, neg, sub
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .cartan import AWeightForm, Chamber
+from .cartan import Chamber
 from .slices import (
     FixedPoint,
     RootMonomial,
@@ -78,7 +78,8 @@ def parse_bundle(spec: SliceSpec, bundle: BundleTag) -> Tuple[str, int]:
 def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
     """Torus weight of L_i at the fixed point p, for 0 <= i <= l, as the
     coefficient tuple (a_1..a_r, h) of the linear form sharp(sigma_i) +
-    (h/2) (sigma_i, sigma_i); the h coefficient is a Fraction.
+    (h/2) (sigma_i, sigma_i); an A coefficient is an int where it is one,
+    and the h coefficient is a Fraction.
 
     The weights of L_0..L_l are computed once per spec and point; callers
     share them.
@@ -88,8 +89,10 @@ def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
     weights = spec._line_weights.get(p)
     if weights is None:
         cartan = spec.cartan
+        den = cartan.gram.den
         weights = spec._line_weights[p] = tuple(
-            cartan.sharp(sigma).coords + (Fraction(cartan.inner(sigma, sigma), 2),)
+            tuple([_over(x, den) for x in cartan.sharp(sigma)])
+            + (Fraction(cartan.inner(sigma, sigma), 2 * den),)
             for sigma in p.sigma()
         )
     return weights[i]
@@ -172,12 +175,13 @@ def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
     """Diagonal operator with eigenvalue sharp(delta_i) + (h/2) (delta_i, mu) at p."""
     if not 1 <= i <= spec.length:
         raise ValueError(f"slot index {i} out of range")
-    points = enumerate_fixed_points(spec)
+    cartan = spec.cartan
+    den = cartan.gram.den
     entries = {}
-    for pi, p in enumerate(points):
+    for pi, p in enumerate(enumerate_fixed_points(spec)):
         d = p[i - 1]
-        entries[pi, pi] = (spec.cartan.sharp(d).coords
-                           + (Fraction(spec.cartan.inner(d, spec.mu), 2),))
+        entries[pi, pi] = (tuple([_over(x, den) for x in cartan.sharp(d)])
+                           + (Fraction(cartan.inner(d, spec.mu), 2 * den),))
     return OperatorMatrix(spec, None, entries, label=f"H{i}")
 
 
@@ -194,12 +198,11 @@ def omega_operators(
     as h Omega_ij, the form in which it enters the slot formula for E_i."""
     if not 1 <= i < j <= spec.length:
         raise ValueError("slots must satisfy 1 <= i < j <= l")
-    points = enumerate_fixed_points(spec)
     a_zero = (0,) * spec.cartan.rank
+    den = spec.cartan.gram.den
     entries = {}
-    for pi, p in enumerate(points):
-        val = spec.cartan.inner(p[i - 1], p[j - 1])
-        entries[pi, pi] = a_zero + (Fraction(val, 2),)
+    for pi, p in enumerate(enumerate_fixed_points(spec)):
+        entries[pi, pi] = a_zero + (Fraction(spec.cartan.inner(p[i - 1], p[j - 1]), 2 * den),)
     for pi, qi, w, sign in _pair_table(spec, ch, polarization_signs):
         if (w.i, w.j) != (i, j):
             continue
@@ -220,15 +223,15 @@ def _over(n: int, d: int):
     return n // d if n % d == 0 else Fraction(n, d)
 
 
-def _slot_step(spec: SliceSpec, d: Tuple[int, ...], scale: int) -> tuple:
-    """For a slot step d, as ints times scale, which clears the gram matrix's
-    denominators: the coordinates of sharp(d), <d, mu> and a map d' -> <d, d'>
-    keyed by the coordinates of d', which _mult_l fills as it needs it (each
-    as <d', sharp(d)>); once per spec and step."""
+def _slot_step(spec: SliceSpec, d: Tuple[int, ...]) -> tuple:
+    """For a slot step d, as ints times the gram denominator: the coordinates
+    of sharp(d), <d, mu> and a map d' -> <d, d'> keyed by the coordinates of
+    d', which _mult_l fills as it needs it (each as <d', sharp(d)>); once
+    per spec and step."""
     found = spec._slot_inners.get(d)
     if found is None:
-        sharp = tuple([int(x * scale) for x in spec.cartan.sharp(d).coords])
-        found = spec._slot_inners[d] = (sharp, sum(map(mul, spec.mu.coords, sharp)), {})
+        sharp = spec.cartan.sharp(d)
+        found = spec._slot_inners[d] = (sharp, sum(map(mul, spec.mu, sharp)), {})
     return found
 
 
@@ -237,9 +240,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     minus h times the chamber operators across the cut at k."""
     points = enumerate_fixed_points(spec)
     a_zero = (0,) * spec.cartan.rank
-    scale = 1
-    for den in {x.denominator for row in spec.cartan._gram for x in row}:
-        scale *= den
+    scale = spec.cartan.gram.den
     entries = {}
     for pi, p in enumerate(points):
         # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu),
@@ -247,7 +248,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
         a_part = a_zero
         twice_h = 0
         for d in p[:k]:
-            sharp, with_mu, inner = _slot_step(spec, d, scale)
+            sharp, with_mu, inner = _slot_step(spec, d)
             a_part = tuple(map(add, a_part, sharp))
             twice_h += with_mu
             for c in p[k:]:
@@ -360,7 +361,7 @@ def reconstruct_coefficient(
     at_p, at_q = _point(spec, p), _point(spec, q)
     # the A-part of the weight difference is the sharp of the coroot that
     # moves p to q, up to sign: an integer multiple of a root, with integral
-    # Fraction coefficients; every root is primitive, so the difference is
+    # coefficients that may be Fractions; every root is primitive, so the difference is
     # the gcd of its coefficients times a root, and that root is +-1 times
     # its slot's form
     diff = [_norm_scalar(c) for c in map(sub, bundle_weight(spec, at_q, bundle)[:-1],
@@ -368,8 +369,7 @@ def reconstruct_coefficient(
     if not any(diff):
         return Fraction(0)
     g = gcd(*diff)
-    root = AWeightForm._of(tuple([c // g for c in diff]))
-    slot, root_sign = spec.cartan._slots[spec.cartan._column[root]]
+    slot, root_sign = spec.cartan._slots[spec.cartan._column[tuple([c // g for c in diff])]]
     eps_q = repelling_euler(spec, q, ch)
     # times the root of the difference, over eps_q and h; the signs +-1 of
     # eps_q and the polarization are their own inverses

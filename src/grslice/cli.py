@@ -19,9 +19,9 @@ import json
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import verify
@@ -116,7 +116,10 @@ class JobSpec(NamedTuple):
                 coords = [Fraction(tok) for tok in self.chamber.split(",")]
             except ZeroDivisionError:
                 raise ValueError(f"chamber {self.chamber!r} has a zero denominator") from None
-            ch = Chamber(datum, Coweight(coords))
+            # a chamber is its sign vector, which scaling the witness to
+            # integers keeps
+            den = lcm(*[c.denominator for c in coords])
+            ch = Chamber(datum, Coweight(c.numerator * (den // c.denominator) for c in coords))
         if self.polarization == "repelling":
             signs: Optional[List[int]] = None
         else:
@@ -160,24 +163,35 @@ def cache_fetch(key: str) -> Optional[Tuple[int, str]]:
 
 
 def cache_store(key: str, code: int, text: str) -> None:
-    """Store the entry; a store that fails, say because the cache location
-    is a file or is not writable, is skipped, and the job is unaffected."""
+    """Store the entry through a new randomly named file beside it, renamed
+    over it once written; the cache directory is made when that file cannot
+    be created for want of it.  A store that fails, say because the cache
+    location is a file or is not writable, is skipped, its file removed, and
+    the job is unaffected."""
     directory = cache_dir()
-    rest = b"%d\n" % code + text.encode("utf-8")
-    tmp = None
+    head, body = b"%d\n" % code, text.encode("utf-8")
+    digest = hashlib.sha256(head)
+    digest.update(body)
+    tmp = os.path.join(directory, f"{key}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(hashlib.sha256(rest).hexdigest().encode("ascii") + b" ")
-            fh.write(rest)
+        try:
+            fd = os.open(tmp, flags, 0o600)
+        except FileNotFoundError:
+            os.makedirs(directory, exist_ok=True)
+            fd = os.open(tmp, flags, 0o600)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(digest.hexdigest().encode("ascii") + b" " + head)
+            fh.write(body)
         os.replace(tmp, os.path.join(directory, key + ".json"))
     except OSError:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
 
 
 # -- document assembly ----------------------------------------------------------
@@ -198,17 +212,14 @@ def _wrap(items: List[str], indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
-def _delta_texts(points, indent: str, head: str = "", tails=None) -> List[str]:
-    """Each point's steps as a list of coordinate lists at `indent`, between
-    head and tails[x] (by default nothing) in one f-string, so the steps are
-    copied once; each distinct step's text is built once."""
+def _step_texts(points, indent: str) -> List[str]:
+    """Each point's steps, the coordinate lists of its list of steps at
+    `indent`, joined: what goes between "[" + indent + "  " and indent +
+    "]".  Each distinct step's text is built once."""
     inner, steps = indent + "  ", {}
-    sep, close = "," + inner, indent + "]"
-    out = []
-    for p, tail in zip(points, tails or [""] * len(points)):
-        texts = [steps.get(c) or steps.setdefault(c, _encode(list(c), inner)) for c in p]
-        out.append(f"{head}[{inner}{sep.join(texts)}{close}{tail}")
-    return out
+    sep = "," + inner
+    return [sep.join([steps.get(c) or steps.setdefault(c, _encode(list(c), inner)) for c in p])
+            for p in points]
 
 
 def _point_list(points, weights=None, roots=None) -> _Encoded:
@@ -223,32 +234,42 @@ def _point_list(points, weights=None, roots=None) -> _Encoded:
     def rows():
         if weights is None:
             return [(label, ()) for label in labels]
-        return [(label, [(roots[col].coords, n, m) for (col, n), m in ws.items()])
+        return [(label, [(roots[col], n, m) for (col, n), m in ws.items()])
                 for label, ws in zip(labels, weights)]
 
     def text(indent):
-        # each point's text is one f-string: its steps, then a tail with its
-        # label (and weights)
+        # each point's text is one f-string: its steps, its label and its
+        # weights, so each is copied once
         point, key = indent + "  ", indent + "    "
-        mid, end = "," + key + '"label": ', point + "}"
+        inner = key + "  "
+        head = "{" + key + '"delta": [' + inner
+        mid, end = key + "]," + key + '"label": ', point + "}"
+        deltas = _step_texts(points, key)
         if weights is None:
-            tails = [f"{mid}{_encode_str(label)}{end}" for label in labels]
-        else:
-            item, records, tails = key + "  ", {}, []
-            for label, ws in zip(labels, weights):
-                found = [records.get((col, n, m)) or records.setdefault((col, n, m), _encode(
-                    {"root": list(roots[col].coords), "n": n, "mult": m}, item))
-                    for (col, n), m in ws.items()]
-                tails.append(f'{mid}{_encode_str(label)},{key}"weights": '
-                             f'{_wrap(found, key) if found else "[]"}{end}')
-        return _wrap(_delta_texts(points, key, "{" + key + '"delta": ', tails), indent)
+            return _wrap([f"{head}{delta}{mid}{_encode_str(label)}{end}"
+                          for delta, label in zip(deltas, labels)], indent)
+        sep, records, out = "," + inner, {}, []
+        for delta, label, ws in zip(deltas, labels, weights):
+            found = [records.get((col, n, m)) or records.setdefault((col, n, m), _encode(
+                {"root": list(roots[col]), "n": n, "mult": m}, inner))
+                for (col, n), m in ws.items()]
+            opening, closing = ("[" + inner, key + "]") if found else ("[", "]")
+            out.append(f'{head}{delta}{mid}{_encode_str(label)},{key}"weights": '
+                       f'{opening}{sep.join(found)}{closing}{end}')
+        return _wrap(out, indent)
 
     return _Encoded(text, rows)
 
 
 def _delta_list(points) -> _Encoded:
     """The "points" of a stab-exact document, the "basis" of a mult one."""
-    return _Encoded(lambda indent: _wrap(_delta_texts(points, indent + "  "), indent))
+    def text(indent):
+        inner = indent + "  "
+        opening, closing = "[" + inner + "  ", inner + "]"
+        return _wrap([f"{opening}{delta}{closing}" for delta in _step_texts(points, inner)],
+                     indent)
+
+    return _Encoded(text)
 
 
 def _linear_names(width: int) -> List[str]:
@@ -320,10 +341,10 @@ def _mod_h2_entries(spec: SliceSpec, ch: Chamber, entries) -> _Encoded:
             [f'"{name}": "{c}"' for name, c in sorted(zip(terms, coeffs))], indent, "{}"))
 
     def text(indent):
-        return _encode([{"alpha": list(roots[pairs[p, q].column].coords), "p": p, "q": q,
+        return _encode([{"alpha": list(roots[pairs[p, q].column]), "p": p, "q": q,
                          "value": cell(*value)} for (p, q), value in zip(keys, values)], indent)
 
-    return _Encoded(text, lambda: [(p, q, ",".join(map(str, roots[pairs[p, q].column].coords)),
+    return _Encoded(text, lambda: [(p, q, ",".join(map(str, roots[pairs[p, q].column])),
                                     polynomial_text(zip(reversed(terms), reversed(coeffs))))
                                    for (p, q), (terms, coeffs) in zip(keys, values)])
 

@@ -18,7 +18,8 @@ Slot steps are paired with roots once per spec, in integers: the spec holds
 minuscule or a zero slot, so each such pairing is -1, 0 or +1 (the table
 build checks it).  Enumeration descends on the steps' coordinate tuples,
 tangent weights sum table rows into heights, and the adjacent pairs move
-steps by coroot coordinates, so none of them builds a vector.
+steps by coroot coordinates.  mu, the orbits, the roots and the coroots
+are int tuples too, as the CartanDatum holds them.
 A root is its column in root_list throughout: a tangent weight beta + n*h
 is the integer pair (column of beta, n), so a chamber's side of it is the
 column's entry in the chamber's sign vector, and an adjacency witness names
@@ -35,7 +36,7 @@ from itertools import accumulate
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cartan import AWeightForm, CartanDatum, Chamber, Coweight, pairing
+from .cartan import CartanDatum, Chamber
 
 
 class NonMinusculeUnsupported(ValueError):
@@ -70,7 +71,7 @@ class SliceSpec:
                  "_euler", "_adjacent", "_omega", "_line_weights", "_slot_inners",
                  "_heights", "_moves", "_stab")
 
-    def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Coweight):
+    def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Sequence[int]):
         lambda_seq = tuple(int(i) for i in lambda_seq)
         if not lambda_seq:
             raise InvalidSlice("lambda sequence must be nonempty")
@@ -83,16 +84,17 @@ class SliceSpec:
                 raise NonMinusculeUnsupported(
                     f"omega_{i} is not minuscule in type {cartan.type_letter}{cartan.rank}"
                 )
-        if len(mu) != cartan.rank or not mu.is_integral():
+        # an integral Fraction counts as the integer it equals
+        if len(mu) != cartan.rank or any(getattr(c, "denominator", 0) != 1 for c in mu):
             raise InvalidSlice("mu must be an integral coweight of matching rank")
         self.cartan = cartan
         self.lambda_seq = lambda_seq
-        self.mu = mu
+        self.mu = mu = tuple(map(int, mu))
 
         # mu <= lambda: lambda - mu must be a nonnegative integer combination
         # of simple coroots, i.e. A^-1 (lambda - mu) has nonnegative integer
         # entries (lambda - mu is in the omega-basis)
-        coeffs = cartan.coroot_coordinates(self.lambda_total() - mu)
+        coeffs = cartan.coroot_coordinates(tuple(map(sub, self.lambda_total(), mu)))
         if coeffs is None or any(c < 0 for c in coeffs):
             raise InvalidSlice("mu is not below lambda in the coroot order")
 
@@ -101,14 +103,13 @@ class SliceSpec:
             if i not in orbits:
                 # omega_i, or the zero coweight for a frozen slot
                 start = tuple(int(j == i - 1) for j in range(cartan.rank))
-                orbits[i] = tuple(sorted(cartan._orbit_coords(start)))
+                orbits[i] = tuple(sorted(cartan.weyl_orbit(start)))
         self._orbits = tuple(orbits[i] for i in lambda_seq)
         # pairings[d] = (<d, beta> for beta in root_list)
-        roots = [f.coords for f in cartan.root_list]
         self._pairings = {}
         for orbit in orbits.values():
             for d in orbit:
-                row = tuple(sum(map(mul, d, f)) for f in roots)
+                row = tuple(sum(map(mul, d, f)) for f in cartan.root_list)
                 if any(v not in (-1, 0, 1) for v in row):
                     raise AssertionError(f"slot step {d} is not minuscule")
                 self._pairings[d] = row
@@ -118,7 +119,7 @@ class SliceSpec:
             prev = sums[-1]
             sums.append({tuple(map(add, d, s)) for d in orbit for s in prev})
         self._suffix_sums = tuple(reversed(sums))
-        if mu.coords not in self._suffix_sums[0]:
+        if mu not in self._suffix_sums[0]:
             raise InvalidSlice("no fixed point: mu is not a weight of the lambda sequence")
         self._dimension = None
         self._points = None
@@ -144,10 +145,6 @@ class SliceSpec:
         # stab_a1.stab_matrix, keyed by chamber and polarization signs
         self._stab = {}
 
-    def _slot_coweight(self, slot0: int) -> Coweight:
-        idx = self.lambda_seq[slot0]
-        return self.cartan.zero_coweight() if idx == 0 else self.cartan.fundamental_coweight(idx)
-
     @property
     def length(self) -> int:
         return len(self.lambda_seq)
@@ -164,16 +161,14 @@ class SliceSpec:
         """
         if self._dimension is None:
             mu_plus = dominant_representative(self.cartan, self.mu)
-            d = pairing(self.lambda_total() - mu_plus, self.cartan.two_rho_check)
+            d = sum(map(mul, map(sub, self.lambda_total(), mu_plus), self.cartan.two_rho_check))
             assert d >= 0 and d % 2 == 0
-            self._dimension = int(d)
+            self._dimension = d
         return self._dimension
 
-    def lambda_total(self) -> Coweight:
-        total = self.cartan.zero_coweight()
-        for i in range(len(self.lambda_seq)):
-            total = total + self._slot_coweight(i)
-        return total
+    def lambda_total(self) -> Tuple[int, ...]:
+        """The sum of the slots' fundamental coweights, zero slots adding 0."""
+        return tuple(map(self.lambda_seq.count, range(1, self.cartan.rank + 1)))
 
     def __eq__(self, other):
         return (
@@ -189,7 +184,7 @@ class SliceSpec:
     def __repr__(self):
         return (
             f"SliceSpec({self.cartan.type_letter}{self.cartan.rank}, "
-            f"lambda={list(self.lambda_seq)}, mu={list(self.mu.coords)})"
+            f"lambda={list(self.lambda_seq)}, mu={list(self.mu)})"
         )
 
 
@@ -265,15 +260,15 @@ def _enumerate(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
                 descend(slot + 1, left)
                 prefix.pop()
 
-    descend(0, spec.mu.coords)
+    descend(0, spec.mu)
     return tuple(result)
 
 
-def dominant_representative(cartan: CartanDatum, c: Coweight) -> Coweight:
+def dominant_representative(cartan: CartanDatum, c: Sequence[int]) -> Tuple[int, ...]:
     """The dominant coweight in the Weyl orbit of c."""
-    v = c
+    v = tuple(c)
     while True:
-        j = next((i for i, x in enumerate(v.coords) if x < 0), None)
+        j = next((i for i, x in enumerate(v) if x < 0), None)
         if j is None:
             return v
         v = cartan.reflect_coweight(j + 1, v)
@@ -434,8 +429,7 @@ def adjacent_pairs(
     if found is None:
         cartan = spec.cartan
         index = point_index(spec)
-        roots = [(col, cartan.coroots[col].coords)
-                 for col, sign in enumerate(ch.sign_vector) if sign > 0]
+        roots = [(col, cartan.coroots[col]) for col, sign in enumerate(ch.sign_vector) if sign > 0]
         found = spec._adjacent[ch] = {}
         # the index holds the points in index order
         for p, x in index.items():
@@ -463,7 +457,7 @@ def _integer_multiple(d: tuple, coroot: tuple) -> bool:
 
 
 def project_to_wall_slice(
-    spec: SliceSpec, p: FixedPoint, root: AWeightForm
+    spec: SliceSpec, p: FixedPoint, root: Tuple[int, ...]
 ) -> Tuple[SliceSpec, FixedPoint]:
     """Project p onto the wall ker(root): a rank-1 slice with 0-slots retained.
 
@@ -475,12 +469,11 @@ def project_to_wall_slice(
     a1 = CartanDatum("A", 1)
     lam, delta = [], []
     for d in p:
-        v = sum(map(mul, d, root.coords))
+        v = sum(map(mul, d, root))
         if v not in (-1, 0, 1):
             raise AssertionError("non-minuscule pairing in wall projection")
         lam.append(abs(v))
         delta.append((v,))
-    mu1 = Coweight([pairing(spec.mu, root)])
-    wall_spec = SliceSpec(a1, lam, mu1)
+    wall_spec = SliceSpec(a1, lam, (sum(map(mul, spec.mu, root)),))
     return wall_spec, FixedPoint(delta)
 

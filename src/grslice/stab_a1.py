@@ -102,7 +102,7 @@ def _repelling_form(spec: SliceSpec, p: FixedPoint, ch: Chamber, sign: int) -> t
     for (col, n), m in tangent_weights(spec, p).items():
         if signs[col] < 0:
             for _ in range(m):
-                f = _form_mul(f, (roots[col].coords[0], n))
+                f = _form_mul(f, (roots[col][0], n))
     return f
 
 
@@ -121,7 +121,7 @@ def _lcm_cofactors(spec: SliceSpec) -> Tuple[Counter, List[Tuple[Counter, int]]]
     for x in enumerate_fixed_points(spec):
         shifts, sign = Counter(), 1
         for (col, n), m in tangent_weights(spec, x).items():
-            u = roots[col].coords[0]
+            u = roots[col][0]
             shifts[u * n] += m
             sign *= u**m
         classes.append((shifts, sign))
@@ -152,7 +152,7 @@ def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:
     """The chamber-minimal fixed point: all -omega_ch increments first."""
     _require_a1(spec)
     sign = _chamber_sign(ch)
-    k = sign * spec.mu.coords[0]
+    k = sign * spec.mu[0]
     free = [i for i in range(spec.length) if spec.lambda_seq[i] != 0]
     n_plus, rem = divmod(len(free) + k, 2)
     # SliceSpec construction guarantees a nonempty fixed locus

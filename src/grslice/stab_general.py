@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Dict, Iterator, List, Tuple
 
-from .cartan import CartanDatum, Chamber, Coweight
+from .cartan import CartanDatum, Chamber
 from .slices import (
     RootMonomial,
     SliceSpec,
@@ -57,9 +57,9 @@ def wall_adjacent_chambers(cartan: CartanDatum, column: int) -> Tuple[Chamber, C
     found = cartan.wall_chambers.get(slot)
     if found is None:
         base = cartan._wall_bases[slot]
-        coroot = cartan.coroots[cartan._root_pairs[slot][0]].coords
+        coroot = cartan.coroots[cartan._root_pairs[slot][0]]
         found = cartan.wall_chambers[slot] = tuple(
-            Chamber(cartan, Coweight._of(tuple(map(op, base, coroot)))) for op in (add, sub))
+            Chamber(cartan, tuple(map(op, base, coroot))) for op in (add, sub))
     return found
 
 
@@ -90,7 +90,7 @@ def omega_ratio(spec: SliceSpec, p: int, q: int, column: int) -> Tuple[Tuple[int
             # p and q lie in one component of the fixed locus of the wall when
             # they differ and every sigma difference is a multiple of its
             # coroot (of no other)
-            coroot, run = cartan.coroots[column].coords, (0,) * cartan.rank
+            coroot, run = cartan.coroots[column], (0,) * cartan.rank
             for dp, dq in zip(_point(spec, p), _point(spec, q)):
                 run = tuple(map(add, run, map(sub, dp, dq)))
                 if p == q or not _integer_multiple(run, coroot):

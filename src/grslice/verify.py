@@ -129,7 +129,7 @@ def wallcross(spec, ch, signs=None) -> dict:
             compared += 1
             if left.get((p, q)) != right.get((p, q)):
                 failures.append(
-                    {"root": list(root.coords), "p": points[p].label(), "q": points[q].label()}
+                    {"root": list(root), "p": points[p].label(), "q": points[q].label()}
                 )
     return {"name": "wallcross", "ok": not failures, "compared": compared}
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent tangent-weight oracles, random
+"""Shared test utilities: the pairing and arithmetic of coweight and root
+tuples, independent tangent-weight oracles, random
 minuscule slice sampling, an independent sampler of wall-adjacent chambers,
 polynomial queries the program itself does not need (generators, the zero
 test, one coefficient), the reference expansions of Euler classes, forms
@@ -21,7 +22,7 @@ from math import gcd
 from typing import NamedTuple
 
 from grslice import cli
-from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
+from grslice.cartan import CartanDatum, Chamber
 from grslice.slices import (
     FixedPoint,
     SliceSpec,
@@ -33,6 +34,42 @@ from grslice.slices import (
 )
 from grslice.stab_a1 import RestrictionMatrix, _form_mul, normalize_polarization
 from grslice.symalg import Polynomial, RationalFunction, monomial_key
+
+
+def pairing(c, f):
+    """<c, f>: the dot product of a coweight and a root, as coordinate
+    tuples of one rank."""
+    if len(c) != len(f):
+        raise ValueError("rank mismatch")
+    return sum(a * b for a, b in zip(c, f))
+
+
+def exact_inner(datum, c1, c2):
+    """The invariant form (c1, c2): datum.inner over the gram denominator."""
+    return Fraction(datum.inner(c1, c2), datum.gram.den)
+
+
+def exact_sharp(datum, c):
+    """sharp(c) as the Fractions it stands for: datum.sharp over the gram
+    denominator."""
+    return tuple(Fraction(x, datum.gram.den) for x in datum.sharp(c))
+
+
+def vsum(*vecs):
+    """The sum of coordinate tuples of one rank."""
+    return tuple(map(sum, zip(*vecs)))
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vneg(v):
+    return tuple(-x for x in v)
+
+
+def vscale(v, k):
+    return tuple(x * k for x in v)
 
 
 def gen(nvars, index):
@@ -52,8 +89,8 @@ def coefficient(poly, exp):
 
 
 def point(*steps):
-    """The fixed point with the given steps, each an int (a rank-one step),
-    a Coweight or a coordinate sequence."""
+    """The fixed point with the given steps, each an int (a rank-one step)
+    or a coordinate sequence."""
     return FixedPoint((s,) if isinstance(s, int) else tuple(s) for s in steps)
 
 
@@ -68,8 +105,8 @@ def same_wall_component(spec, p, q):
     diffs = {tuple(a - b for a, b in zip(sp, sq))
              for sp, sq in zip(p.sigma(), q.sigma())} - {(0,) * spec.cartan.rank}
     for root, coroot in zip(spec.cartan.root_list, spec.cartan.coroots):
-        if sum(root.coords) > 0:
-            if all(_integer_multiple(d, coroot.coords) for d in diffs):
+        if sum(root) > 0:
+            if all(_integer_multiple(d, coroot) for d in diffs):
                 return root
     return None
 
@@ -77,7 +114,7 @@ def same_wall_component(spec, p, q):
 def oracle_up_crossings(spec, p):
     """Independent multiplicity counter: up-crossings with a -1 correction
     on levels strictly between 0 and the final height."""
-    sigma = [Coweight(s) for s in p.sigma()]
+    sigma = p.sigma()
     entries = {}
     for root in spec.cartan.root_list:
         heights = [pairing(s, root) for s in sigma]
@@ -95,7 +132,7 @@ def oracle_up_crossings(spec, p):
 def oracle_down_crossings(spec, p):
     """Independent multiplicity counter: down-crossings with a -1 correction
     on levels strictly between the final height and 0."""
-    sigma = [Coweight(s) for s in p.sigma()]
+    sigma = p.sigma()
     entries = {}
     for root in spec.cartan.root_list:
         heights = [pairing(s, root) for s in sigma]
@@ -177,7 +214,7 @@ def euler_factors(spec, weights):
     factors = Counter()
     scalar = 1
     for (col, n), m in weights.items():
-        canon, s = canonical(roots[col].coords + (n,))
+        canon, s = canonical(roots[col] + (n,))
         factors[canon] += m
         scalar *= s**m
     return EulerClass(spec.cartan.rank + 1, factors, scalar)
@@ -344,17 +381,15 @@ def random_minuscule_specs(count, seed, max_dim=12, max_len=4):
         datum = rng.choice(_POOL)
         l = rng.randint(1, max_len)
         lam = [rng.choice(sorted(datum.minuscule_indices)) for _ in range(l)]
-        total = datum.zero_coweight()
-        for i in lam:
-            total = total + datum.fundamental_coweight(i)
+        total = vsum(datum.zero_coweight(), *map(datum.fundamental_coweight, lam))
         # sample mu among achievable weights (suffix-sum closure of the orbits)
         sums = {datum.zero_coweight()}
         for i in lam:
             orbit = datum.weyl_orbit(datum.fundamental_coweight(i))
-            sums = {d + s for d in orbit for s in sums}
+            sums = {vsum(d, s) for d in orbit for s in sums}
         candidates = [
             mu for mu in sorted(sums)
-            if pairing(total - mu, datum.two_rho_check) <= max_dim
+            if pairing(vsub(total, mu), datum.two_rho_check) <= max_dim
         ]
         if not candidates:
             continue
@@ -368,13 +403,13 @@ def reference_wall_chambers(cartan, root, count):
     random wall point, the root positive on the first of each pair: an
     independent sampler on Fraction witnesses, seeded from the datum and the
     root."""
-    rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root.coords}")
+    rng = random.Random(f"{cartan.type_letter}{cartan.rank}:{root}")
     coroot = cartan.coroots[cartan._column[root]]
-    others = [f for f in cartan.root_list if f != root and f != -root]
+    others = [f for f in cartan.root_list if f != root and f != vneg(root)]
     out = []
     while len(out) < 2 * count:
-        u = Coweight([rng.randint(-9, 9) for _ in range(cartan.rank)])
-        w = u - coroot * Fraction(pairing(u, root), 2)
+        u = [rng.randint(-9, 9) for _ in range(cartan.rank)]
+        w = vsub(u, vscale(coroot, Fraction(pairing(u, root), 2)))
         vals = [pairing(w, f) for f in others]
         if any(v == 0 for v in vals):
             continue
@@ -385,8 +420,8 @@ def reference_wall_chambers(cartan, root, count):
             )
         else:
             t = Fraction(1)
-        out.append(Chamber(cartan, w + coroot * t))
-        out.append(Chamber(cartan, w - coroot * t))
+        out.append(Chamber(cartan, vsum(w, vscale(coroot, t))))
+        out.append(Chamber(cartan, vsub(w, vscale(coroot, t))))
     return out
 
 
@@ -396,7 +431,7 @@ def sampled_sigma_signs(spec, p, q, column, pol_chamber, signs, count):
     reference_wall_chambers draws next to the wall of the root of the
     root_list column."""
     root = spec.cartan.root_list[column]
-    canon = root if sum(root.coords) > 0 else -root
+    canon = root if sum(root) > 0 else vneg(root)
     return {
         flip_sign(spec, p, pol_chamber, ch) * flip_sign(spec, q, pol_chamber, ch)
         * signs[p] * signs[q]
@@ -428,7 +463,7 @@ def weight_stat(spec, p, ch):
     """Half the sum of the heights <sigma_k, alpha> of the point p of a
     rank-one slice, alpha the root positive on the chamber ch."""
     alpha = next(f for f, s in zip(ch.datum.root_list, ch.sign_vector) if s > 0)
-    return Fraction(sum(pairing(Coweight(s), alpha) for s in p.sigma()), 2)
+    return Fraction(sum(pairing(s, alpha) for s in p.sigma()), 2)
 
 
 def stored_rows(matrix):
@@ -464,28 +499,36 @@ def reference_document(command, spec, ch, matrix):
     else:
         pairs = adjacent_pairs(spec, ch)
         roots = spec.cartan.root_list
-        doc["entries"] = [{"p": p, "q": q, "alpha": list(roots[pairs[p, q].column].coords),
+        doc["entries"] = [{"p": p, "q": q, "alpha": list(roots[pairs[p, q].column]),
                            "value": euler_polynomial(matrix[p, q]).to_json()}
                           for p, q in sorted(matrix)]
     return doc
 
 
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench")
+if _PERFBENCH not in sys.path:
+    sys.path.append(_PERFBENCH)
+import catalog  # noqa: E402
+
+WORKLOADS = catalog.WORKLOADS
+
+
+def catalog_jobs(workload):
+    """Each distinct (slice, chamber, polarization) of a benchmark workload's
+    jobs, as the JobSpec of its fixed-points job, in catalog order."""
+    jobs = {}
+    for job in catalog.catalog(workload):
+        args = vars(cli._parser().parse_args(job.argv))
+        jobs.setdefault(cli.JobSpec(**args)._replace(command="fixed-points", bundle=None,
+                                                     which=None))
+    return list(jobs)
+
+
 def catalog_slices(workload):
     """Each distinct (slice, chamber, polarization) of a benchmark workload's
     jobs, built as the command line builds it."""
-    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "perfbench")
-    if perfbench not in sys.path:
-        sys.path.append(perfbench)
-    import catalog
-
-    seen = {}
-    for job in catalog.catalog(workload):
-        args = vars(cli._parser().parse_args(job.argv))
-        built = cli.JobSpec(**args)._replace(command="fixed-points", bundle=None, which=None)
-        if built not in seen:
-            seen[built] = built.build()
-    return list(seen.values())
+    return [job.build() for job in catalog_jobs(workload)]
 
 
 def printed(value):
@@ -497,7 +540,7 @@ def document(command, spec, ch, signs=None, bundle=None):
     """The document the command prints for the slice and chamber, read back:
     cli's builder run on the given spec, printed by encode_json."""
     job = cli.JobSpec(command, spec.cartan.type_letter, spec.cartan.rank, spec.lambda_seq,
-                      spec.mu.coords, bundle=bundle)
+                      spec.mu, bundle=bundle)
     return printed(cli.compute_payload(job, spec, ch, signs))
 
 
@@ -534,8 +577,8 @@ def counter_repelling_factors(spec, p, ch):
     factors, sign = Counter(), 1
     for root, _, m in _weights(spec, p):
         if not ch.is_positive(root):
-            lead = next(c for c in root.coords if c)
-            factors[(root if lead > 0 else -root).coords + (0,)] += m
+            lead = next(c for c in root if c)
+            factors[(root if lead > 0 else vneg(root)) + (0,)] += m
             sign *= (1 if lead > 0 else -1) ** m
     return factors, sign
 
@@ -546,7 +589,7 @@ def counter_omega_ratio(spec, p, q, column):
     wall of the root of the root_list column, for chambers of the
     independent sampler."""
     root = spec.cartan.root_list[column]
-    canon = root if sum(root.coords) > 0 else -root
+    canon = root if sum(root) > 0 else vneg(root)
     points = enumerate_fixed_points(spec)
     assert same_wall_component(spec, points[p], points[q]) == canon
     results = []
@@ -569,7 +612,7 @@ def counter_stab_mod_h2(spec, ch, signs=None):
     for (p, q), witness in adjacent_pairs(spec, ch).items():
         eps, eps_sign = counter_repelling_factors(spec, p, ch)
         up, down, scalar = counter_omega_ratio(spec, p, q, witness.column)
-        alpha = spec.cartan.root_list[witness.column].coords
+        alpha = spec.cartan.root_list[witness.column]
         alpha_sign = 1 if next(c for c in alpha if c) > 0 else -1
         factors = eps + up + Counter([h])
         factors.subtract(down + Counter([tuple(alpha_sign * c for c in alpha) + (0,)]))

@@ -9,7 +9,7 @@ import math
 import time
 from fractions import Fraction
 
-from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
+from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.chern import bundle_weight, mult_matrix
 from grslice.slices import (
     SliceSpec,
@@ -41,12 +41,15 @@ from helpers import (
     expanded,
     form_polynomial,
     operator_product,
+    pairing,
     random_minuscule_specs,
     same_wall_component,
     sampled_sigma_signs,
     stored_rows,
     substitute,
     truncate_mod_h2,
+    vneg,
+    vsub,
     weight_stat,
 )
 
@@ -94,7 +97,7 @@ def test_criterion_01_surface_tangent_weight_goldens():
         # i-th point of the resolved chain carries {a + (i-1)h, -(a + ih)}
         for i, p in enumerate(points):
             got = {
-                (spec.cartan.root_list[col].coords[0], m): mult
+                (spec.cartan.root_list[col][0], m): mult
                 for (col, m), mult in tangent_weights(spec, p).items()
             }
             assert got == {(1, i - 1): 1, (-1, -i): 1}
@@ -111,11 +114,11 @@ def test_criterion_02_multiplicity_sum_and_h_duality():
             ws = tangent_weights(spec, p)
             roots, column = spec.cartan.root_list, spec.cartan._column
             for (col, n), m in ws.items():
-                assert ws.get((column[-roots[col]], -(n + 1))) == m
+                assert ws.get((column[vneg(roots[col])], -(n + 1))) == m
         # the degree formula reads off the dominant representative
         mu = dominant_representative(spec.cartan, spec.mu)
         dom = SliceSpec(spec.cartan, spec.lambda_seq, mu)
-        expected = pairing(dom.lambda_total() - mu, spec.cartan.two_rho_check)
+        expected = pairing(vsub(dom.lambda_total(), mu), spec.cartan.two_rho_check)
         for p in enumerate_fixed_points(dom):
             assert sum(tangent_weights(dom, p).values()) == expected
     assert len(letters) >= 5
@@ -184,8 +187,8 @@ def eps_prime(spec, x, ch, wall_root):
     out = Polynomial.one(spec.cartan.rank + 1)
     for (col, n), m in tangent_weights(spec, x).items():
         root = spec.cartan.root_list[col]
-        if not ch.is_positive(root) and root != wall_root and root != -wall_root:
-            out = out * Polynomial.linear_form(root.coords, 0) ** m
+        if not ch.is_positive(root) and root != wall_root and root != vneg(wall_root):
+            out = out * Polynomial.linear_form(root, 0) ** m
     return out
 
 
@@ -217,7 +220,7 @@ def test_criterion_07_general_route_consistency():
                 z_part = substitute(
                     euler_polynomial(z),
                     [
-                        Polynomial.linear_form(root.coords, 0),
+                        Polynomial.linear_form(root, 0),
                         Polynomial.linear_form([0, 0], 1),
                     ]
                 )
@@ -323,7 +326,7 @@ def test_criterion_11_wall_crossing_invariance():
         compared = 0
         for pair in set(left) | set(right):
             wall = same_wall_component(TSTAR_FL3, *(points[x] for x in pair))
-            if wall == root or wall == -root:
+            if wall == root or wall == vneg(root):
                 continue
             compared += 1
             assert expanded(left, pair, ZERO2) == expanded(right, pair, ZERO2), pair

@@ -5,7 +5,7 @@ from operator import add
 import pytest
 
 from grslice import cartan, chern, cli
-from grslice.cartan import CartanDatum, Chamber, Coweight, pairing
+from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.chern import (
     OperatorMatrix,
     bundle_weight,
@@ -25,13 +25,18 @@ from grslice.symalg import Polynomial, RationalFunction
 from helpers import (
     document,
     entry_polynomial,
+    exact_inner,
+    exact_sharp,
     form_polynomial,
     gen,
     is_zero,
     localization_pair,
     operator_product,
+    pairing,
     point,
     printed,
+    vsub,
+    vsum,
 )
 
 A1 = CartanDatum("A", 1)
@@ -89,7 +94,8 @@ def test_first_line_bundle_is_trivial():
 def test_last_line_bundle_is_constant_in_p():
     for spec in (TSTAR_P1, TSTAR_FL3, A2_MIXED, B2_SPEC, a1_spec(5, 1)):
         mu = spec.mu
-        expected = spec.cartan.sharp(mu).coords + (Fraction(spec.cartan.inner(mu, mu), 2),)
+        expected = (exact_sharp(spec.cartan, mu)
+                    + (exact_inner(spec.cartan, mu, mu) / 2,))
         for p in enumerate_fixed_points(spec):
             assert line_bundle_weight(spec, p, spec.length) == expected
 
@@ -134,9 +140,9 @@ def test_h_operator_diagonal():
     spec = a1_spec(3, 1)
     mat = h_operator(spec, 2)
     for p in mat.basis:
-        d = Coweight(p[1])
+        d = p[1]
         expected = Polynomial.linear_form(
-            spec.cartan.sharp(d).coords, Fraction(spec.cartan.inner(d, spec.mu), 2)
+            exact_sharp(spec.cartan, d), exact_inner(spec.cartan, d, spec.mu) / 2
         )
         assert entry_polynomial(mat, p, p) == expected
 
@@ -162,8 +168,8 @@ def test_omega_operator_combines_parts():
             for j in range(i + 1, spec.length + 1):
                 expected = {}
                 for x, p in enumerate(points):
-                    steps = [Coweight(d) for d in p]
-                    half = Fraction(datum.inner(steps[i - 1], steps[j - 1]), 2)
+                    steps = list(p)
+                    half = exact_inner(datum, steps[i - 1], steps[j - 1]) / 2
                     if half:
                         expected[x, x] = a_zero + (half,)
                     for root in datum.positive_roots(ch):
@@ -172,10 +178,11 @@ def test_omega_operator_combines_parts():
                         column = datum._column[root]
                         coroot = datum.coroots[column]
                         delta = list(steps)
-                        delta[i - 1], delta[j - 1] = delta[i - 1] - coroot, delta[j - 1] + coroot
+                        delta[i - 1] = vsub(delta[i - 1], coroot)
+                        delta[j - 1] = vsum(delta[j - 1], coroot)
                         y = points.index(point(*delta))
                         sign = sigma_sign(spec, x, y, column, ch, signs)
-                        half_len = Fraction(datum.inner(coroot, coroot), 2)
+                        half_len = exact_inner(datum, coroot, coroot) / 2
                         expected[y, x] = a_zero + (sign * half_len,)
                 assert omega_operators(spec, i, j, ch).entries == expected
 
@@ -208,7 +215,7 @@ def test_trivial_and_determinant_bundles():
         top = mult_matrix(spec, f"L{spec.length}", ch)
         mu = spec.mu
         scalar = Polynomial.linear_form(
-            spec.cartan.sharp(mu).coords, Fraction(spec.cartan.inner(mu, mu), 2)
+            exact_sharp(spec.cartan, mu), exact_inner(spec.cartan, mu, mu) / 2
         )
         for qi, q in enumerate(top.basis):
             for pi, p in enumerate(top.basis):

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import inspect
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from grslice.slices import adjacent_pairs, enumerate_fixed_points
 from grslice.stab_a1 import stab_matrix
 from grslice.stab_general import stab_mod_h2
 from grslice.symalg import Polynomial
-from helpers import entry_polynomial, euler_polynomial, is_zero, reference_document, reference_str
+from helpers import (entry_polynomial, euler_polynomial, is_zero, reference_document,
+                     reference_str, vsum)
 
 
 @pytest.fixture(autouse=True)
@@ -222,6 +224,64 @@ def test_cache_location_that_is_a_file_skips_the_store(capsys, tmp_path, monkeyp
         assert run_cli(capsys, argv) == expected[fmt]
         assert expected[fmt][0] == 0
     assert blocker.read_text() == ""
+
+
+class _FileThatCannotBeWritten:
+    """A file open on a full disk: every write fails."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _open_on_a_full_disk(file, *args, **kwargs):
+    """open, where a file opened by its descriptor cannot be written."""
+    if isinstance(file, int):
+        return _FileThatCannotBeWritten(file)
+    return open(file, *args, **kwargs)
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_store_leaves_no_temporary_file(capsys, tmp_path, monkeypatch, failing):
+    # a store whose write or rename fails removes its file and stores
+    # nothing; the job prints the same text with the same exit code
+    argvs = [["tangent"] + BASE_FL3 + ["--format", fmt] for fmt in ("table", "json")]
+    argvs.append(["verify", "all"] + BASE_A1)
+    expected = [run_cli(capsys, argv) for argv in argvs]
+    cache = tmp_path / "cache-two"
+    monkeypatch.setenv(CACHE_ENV, str(cache))
+    if failing == "write":
+        monkeypatch.setattr(cli, "open", _open_on_a_full_disk, raising=False)
+    else:
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+    for argv, (code, out, err) in zip(argvs, expected):
+        assert run_cli(capsys, argv) == (code, out, err)
+        assert code == 0 and out and not err
+        # nothing is left, so the job computes again
+        assert sorted(cache.iterdir()) == []
+
+
+def test_store_into_a_missing_directory_creates_it(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "not" / "yet" / "made"
+    monkeypatch.setenv(CACHE_ENV, str(cache))
+    argv = ["fixed-points"] + BASE_A1
+    code, out, _ = run_cli(capsys, argv)
+    [entry] = cache.glob("*.json")
+    assert code == 0 and cache_fetch(entry.stem) == (0, out)
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+    monkeypatch.setattr(cli, "compute_payload", None)
+    assert run_cli(capsys, argv) == (0, out, "")
 
 
 def _only_entry(tmp_path):
@@ -619,7 +679,7 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
         rows = []
         for point, p in zip(fresh, points):
             roots = spec.cartan.root_list
-            entries = sorted((roots[col].coords, n, m)
+            entries = sorted((roots[col], n, m)
                              for (col, n), m in slices.tangent_weights(spec, p).items())
             point["weights"] = [{"root": list(root), "n": n, "mult": m}
                                 for root, n, m in entries]
@@ -691,7 +751,7 @@ def test_matrix_documents_print_what_json_dumps_prints(capsys, tmp_path, monkeyp
         header = "row | column | value"
     else:
         matrix = stab_mod_h2(spec, ch, signs)
-        alphas = {pair: ",".join(map(str, spec.cartan.root_list[w.column].coords))
+        alphas = {pair: ",".join(map(str, spec.cartan.root_list[w.column]))
                   for pair, w in adjacent_pairs(spec, ch).items()}
         cells = [(points[p], points[q], alphas[p, q], euler_polynomial(matrix[p, q]))
                  for p, q in sorted(matrix)]
@@ -788,7 +848,7 @@ def cli_argvs(draw):
     lambda_seq = draw(st.lists(st.sampled_from(indices), min_size=length, max_size=length))
     mu = datum.zero_coweight()
     for i in lambda_seq:
-        mu = mu + draw(st.sampled_from(sorted(datum.weyl_orbit(datum.fundamental_coweight(i)))))
+        mu = vsum(mu, draw(st.sampled_from(sorted(datum.weyl_orbit(datum.fundamental_coweight(i))))))
     chamber = draw(st.one_of(
         st.sampled_from(["dominant", "antidominant"]),
         st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(_csv)))
@@ -801,7 +861,7 @@ def cli_argvs(draw):
         "--type": letter,
         "--rank": str(rank),
         "--lambda": _csv(lambda_seq),
-        "--mu": _csv(mu.coords),
+        "--mu": _csv(mu),
         "--chamber": chamber,
         "--polarization": polarization,
         "--format": draw(st.sampled_from(["json", "table"])),

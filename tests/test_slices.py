@@ -1,14 +1,14 @@
 import json
+from fractions import Fraction
 from itertools import product
 from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grslice import cartan, cli, stab_a1
-from grslice.cartan import AWeightForm, CartanDatum, Chamber, Coweight, _Vector, pairing
-from grslice.chern import line_bundle_weight
-from grslice.cli import CACHE_ENV, JobSpec, compute_payload, encode_json, main, render
+from grslice import cartan, stab_a1
+from grslice.cartan import CartanDatum, Chamber, Coweight
+from grslice.cli import CACHE_ENV, JobSpec, compute_payload, main, render
 from grslice.slices import (
     AdjacencyWitness,
     InvalidSlice,
@@ -22,22 +22,28 @@ from grslice.slices import (
     repelling_euler,
     tangent_weights,
 )
-from grslice.stab_general import omega_ratio, wall_adjacent_chambers
+from grslice.stab_general import wall_adjacent_chambers
 from grslice.symalg import Polynomial
 
 from helpers import (
+    WORKLOADS,
     binary_polynomial,
     canonical,
+    catalog_jobs,
     euler_factors,
     euler_polynomial,
     gen,
     oracle_down_crossings,
     oracle_up_crossings,
+    pairing,
     point,
     random_minuscule_specs,
     repelling_tangent_euler,
     same_wall_component,
     tangent_euler,
+    vneg,
+    vsub,
+    vsum,
 )
 
 A1 = CartanDatum("A", 1)
@@ -73,6 +79,16 @@ def test_mu_below_lambda_gate():
         a1_spec(2, 4)  # mu above lambda
     with pytest.raises(InvalidSlice):
         SliceSpec(A2, [1], Coweight([2, -2]))  # below lambda but not a weight
+
+
+def test_mu_must_be_integral():
+    with pytest.raises(InvalidSlice, match="integral"):
+        SliceSpec(A1, [1, 1], Coweight([Fraction(1, 2)]))
+    with pytest.raises(InvalidSlice, match="integral"):
+        SliceSpec(A1, [1, 1], Coweight([0, 0]))
+    # an integral Fraction is the integer it equals
+    spec = SliceSpec(A1, [1, 1], Coweight([Fraction(2)]))
+    assert spec.mu == (2,) and type(spec.mu[0]) is int
 
 
 def test_zero_slots_allowed():
@@ -146,12 +162,12 @@ def by_column(datum, entries):
 
 def test_tangent_weights_duval_golden():
     # surface slices: tangent weights at p_i are alpha+(i-1)h and -(alpha+ih)
-    alpha = AWeightForm([1])
+    alpha = (1,)
     for n in range(1, 5):
         spec = a1_spec(n + 1, n - 1)
         for i, p in enumerate(duval_points(n)):
             ws = tangent_weights(spec, p)
-            assert ws == by_column(A1, {(alpha, i - 1): 1, (-alpha, -i): 1})
+            assert ws == by_column(A1, {(alpha, i - 1): 1, (vneg(alpha), -i): 1})
 
 
 def test_tangent_weights_point_slice():
@@ -161,22 +177,23 @@ def test_tangent_weights_point_slice():
 
 
 def test_tangent_weights_full_flag_golden():
-    a1f, a2f, a3f = AWeightForm([1, 0]), AWeightForm([0, 1]), AWeightForm([1, 1])
+    a1f, a2f, a3f = (1, 0), (0, 1), (1, 1)
+    m1f, m2f, m3f = (-1, 0), (0, -1), (-1, -1)
     ws = tangent_weights(TSTAR_FL3, point(E1, E2, E3))
     assert ws == by_column(
         A2,
         {
             (a1f, 0): 1, (a2f, 0): 1, (a3f, 0): 1,
-            (-a1f, -1): 1, (-a2f, -1): 1, (-a3f, -1): 1,
+            (m1f, -1): 1, (m2f, -1): 1, (m3f, -1): 1,
         },
     )
     ws2 = tangent_weights(TSTAR_FL3, point(E2, E1, E3))
     assert ws2 == by_column(
         A2,
         {
-            (a1f, -1): 1, (-a1f, 0): 1,
-            (a2f, 0): 1, (-a2f, -1): 1,
-            (a3f, 0): 1, (-a3f, -1): 1,
+            (a1f, -1): 1, (m1f, 0): 1,
+            (a2f, 0): 1, (m2f, -1): 1,
+            (a3f, 0): 1, (m3f, -1): 1,
         },
     )
 
@@ -197,7 +214,7 @@ def test_tangent_weights_sum_and_duality():
             assert sum(ws.values()) == dim
             roots, column = spec.cartan.root_list, spec.cartan._column
             for (col, n), m in ws.items():
-                assert ws.get((column[-roots[col]], -n - 1)) == m
+                assert ws.get((column[vneg(roots[col])], -n - 1)) == m
 
 
 # ---------------------------------------------------------------- integer kernel
@@ -217,7 +234,7 @@ _MAX_PRODUCT = 3000
 
 def _reference_tangent_entries(spec, p):
     """The crossing rule on the sigma path, paired root by root."""
-    sigma = [Coweight(s) for s in p.sigma()]
+    sigma = p.sigma()
     entries = {}
     for root in spec.cartan.root_list:
         heights = [pairing(s, root) for s in sigma]
@@ -252,7 +269,7 @@ def minuscule_slices(draw):
         while size > _MAX_PRODUCT:
             size //= len(orbits.pop())
         lam = lam[:len(orbits)]
-    sums = sorted({sum(combo, datum.zero_coweight()) for combo in product(*orbits)})
+    sums = sorted({vsum(datum.zero_coweight(), *combo) for combo in product(*orbits)})
     mu = draw(st.sampled_from(sums))
     return SliceSpec(datum, lam, mu), orbits
 
@@ -263,7 +280,7 @@ def test_integer_kernel_matches_brute_force_and_sigma_rule(slice_and_orbits):
     spec, orbits = slice_and_orbits
     brute = [
         point(*combo) for combo in product(*orbits)
-        if sum(combo, spec.cartan.zero_coweight()) == spec.mu
+        if vsum(spec.cartan.zero_coweight(), *combo) == spec.mu
     ]
     points = enumerate_fixed_points(spec)
     assert points == tuple(sorted(brute))
@@ -271,76 +288,37 @@ def test_integer_kernel_matches_brute_force_and_sigma_rule(slice_and_orbits):
         ws = tangent_weights(spec, p)
         assert ws == by_column(spec.cartan, _reference_tangent_entries(spec, p))
         # in document order: root coordinates, then n
-        keys = [(spec.cartan.root_list[col].coords, n) for col, n in ws]
+        keys = [(spec.cartan.root_list[col], n) for col, n in ws]
         assert keys == sorted(keys)
 
 
-def test_enumeration_and_tangent_weights_build_no_vector(monkeypatch):
-    specs = [
-        SliceSpec(A2, [1, 0, 2, 1, 2], Coweight([0, 0])),
-        SliceSpec(CartanDatum("D", 4), [1, 3, 4, 0], Coweight([0, 0, 0, 0])),
-        SliceSpec(A1, [1, 0, 1, 1], Coweight([1])),
-    ]
-    dims = [spec.dimension for spec in specs]
-    chambers = [(Chamber.dominant(spec.cartan), Chamber.antidominant(spec.cartan))
-                for spec in specs]
-    # the wall chambers belong to the datum, not to a point
-    for spec in specs:
-        for column in range(len(spec.cartan.root_list)):
-            wall_adjacent_chambers(spec.cartan, column)
-    jobs = [(job, job.build()) for job in (
-        JobSpec(command, "A", 2, [1, 0, 2, 1, 2], [0, 0]) for command in ("fixed-points", "tangent"))]
+def test_datum_spec_and_integer_chamber_build_no_fraction(monkeypatch):
+    # the datum is integral end to end: building it, a slice on it and an
+    # integer chamber, and reading the lazy parts (the gram matrix, two
+    # rho-check and the wall bases), constructs no Fraction on any slice of
+    # the benchmark catalogs
+    jobs = {job: job.build()[1].witness for workload in WORKLOADS
+            for job in catalog_jobs(workload)}
 
-    def refuse(self, coords):
-        raise AssertionError("a vector was built")
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
 
-    def refuse_hash(self):
-        raise AssertionError("a root was hashed")
-
-    def refuse_coweight_hash(self):
-        raise AssertionError("a coweight was hashed")
-
-    # a point is a tuple of int steps: no point route builds or hashes a
-    # Coweight
-    monkeypatch.setattr(Coweight, "__init__", refuse)
-    monkeypatch.setattr(Coweight, "_of", classmethod(refuse))
-    monkeypatch.setattr(Coweight, "__hash__", refuse_coweight_hash)
-    init = _Vector.__init__
-    monkeypatch.setattr(_Vector, "__init__", refuse)
-    for spec, dim, (ch1, ch2) in zip(specs, dims, chambers):
-        points = enumerate_fixed_points(spec)
-        assert points
-        assert list(point_index(spec).values()) == list(range(len(points)))
-        for p in points:
-            assert sum(tangent_weights(spec, p).values()) == dim
-        for ch in (ch1, ch2):
-            for (p, q), witness in adjacent_pairs(spec, ch).items():
-                omega_ratio(spec, p, q, witness.column)
-    # line-bundle weights are linear forms, which sharp builds
-    monkeypatch.setattr(_Vector, "__init__", init)
-    for spec in specs:
-        for p in enumerate_fixed_points(spec):
-            assert line_bundle_weight(spec, p, 0) == (0,) * (spec.cartan.rank + 1)
-            for i in range(1, spec.length + 1):
-                line_bundle_weight(spec, p, i)
-    for job, built in jobs:
-        assert encode_json(compute_payload(job, *built))
-    # tangent weights are keyed by integers: no route from them to an
-    # Euler class, a sign or a document hashes a root
-    monkeypatch.setattr(AWeightForm, "__hash__", refuse_hash)
-    for spec, (ch1, ch2) in zip(specs, chambers):
-        points = enumerate_fixed_points(spec)
-        for p in range(len(points)):
-            for ch in (ch1, ch2):
-                repelling_euler(spec, p, ch)
-                if spec.cartan.rank == 1:
-                    stab_a1._repelling_form(spec, points[p], ch, 1)
-            assert flip_sign(spec, p, ch1, ch2) in (1, -1)
-        if spec.cartan.rank == 1:
-            stab_a1._lcm_cofactors(spec)
-        payload = cli._cmd_tangent(None, spec, ch1, None)
-        for fmt in ("json", "table"):
-            assert render(payload, fmt, spec.cartan.rank)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for job, witness in jobs.items():
+        datum = CartanDatum(job.letter, job.rank)
+        spec = SliceSpec(datum, job.lambda_seq, Coweight(job.mu))
+        ch = Chamber(datum, witness)
+        assert all(type(x) is int for x in ch.witness)
+        for other in (Chamber.dominant(datum), Chamber.antidominant(datum), -ch):
+            assert len(other.sign_vector) == len(datum.root_list)
+        assert spec.dimension % 2 == 0
+        assert type(datum.inner(spec.mu, spec.mu)) is int
+        assert all(type(x) is int for x in datum.sharp(spec.mu))
+        for column in range(len(datum.root_list)):
+            wall_adjacent_chambers(datum, column)
+    monkeypatch.undo()
+    # a Fraction witness names the chamber of its integer multiples
+    assert Chamber(A2, (Fraction(1, 2), Fraction(-1, 3))) == Chamber(A2, (3, -2))
 
 
 def test_non_minuscule_step_is_an_internal_error(capsys, tmp_path, monkeypatch):
@@ -361,15 +339,15 @@ def test_non_minuscule_step_is_an_internal_error(capsys, tmp_path, monkeypatch):
 def test_euler_class_examples():
     a = gen(2, 0)
     h = gen(2, 1)
-    alpha = AWeightForm([1])
-    weights = by_column(A1, {(alpha, -1): 1, (-alpha, 0): 1})
+    alpha, minus = (1,), (-1,)
+    weights = by_column(A1, {(alpha, -1): 1, (minus, 0): 1})
 
     def euler(weights):
         return euler_polynomial(euler_factors(a1_spec(2, 0), weights))
 
     assert euler(weights) == -(a**2) + a * h
     assert euler({}) == Polynomial.one(2)
-    assert euler(by_column(A1, {(-alpha, -1): 2})) == (a + h) ** 2
+    assert euler(by_column(A1, {(minus, -1): 2})) == (a + h) ** 2
 
 
 def test_repelling_euler_on_both_chambers():
@@ -377,9 +355,8 @@ def test_repelling_euler_on_both_chambers():
     # two chambers repels one of them
     a = gen(2, 0)
     h = gen(2, 1)
-    alpha = AWeightForm([1])
     p0 = enumerate_fixed_points(DUVAL_A4)[0]
-    assert tangent_weights(DUVAL_A4, p0) == by_column(A1, {(alpha, -1): 1, (-alpha, 0): 1})
+    assert tangent_weights(DUVAL_A4, p0) == by_column(A1, {((1,), -1): 1, ((-1,), 0): 1})
     dom = Chamber.dominant(A1)
 
     def euler(ch, keep_h):
@@ -436,30 +413,30 @@ def test_flip_sign_transitive_and_witness_independent():
 def test_same_wall_component_examples():
     p = point(E1, E2, E3)
     q = point(E2, E1, E3)
-    assert same_wall_component(TSTAR_FL3, p, q) == AWeightForm([1, 0])
+    assert same_wall_component(TSTAR_FL3, p, q) == (1, 0)
     r = point(E3, E1, E2)
     assert same_wall_component(TSTAR_FL3, p, r) is None
     s1, s2 = enumerate_fixed_points(TSTAR_P1)
-    assert same_wall_component(TSTAR_P1, s1, s2) == AWeightForm([1])
+    assert same_wall_component(TSTAR_P1, s1, s2) == (1,)
     with pytest.raises(ValueError):
         same_wall_component(TSTAR_P1, s1, s1)
 
 
 def test_project_to_wall_slice():
     p = point(E1, E2, E3)
-    wall_spec, image = project_to_wall_slice(TSTAR_FL3, p, AWeightForm([1, 0]))
+    wall_spec, image = project_to_wall_slice(TSTAR_FL3, p, (1, 0))
     assert wall_spec.lambda_seq == (1, 1, 0)
     assert wall_spec.mu == Coweight([0])
     assert image == point(1, -1, 0)
     assert image in point_index(wall_spec)
     # rank-1 projection along its own root is the identity
     s1 = point(-1, 1)
-    sp, im = project_to_wall_slice(TSTAR_P1, s1, AWeightForm([1]))
+    sp, im = project_to_wall_slice(TSTAR_P1, s1, (1,))
     assert sp == TSTAR_P1 and im == s1
     # target pairing: m = <mu, root>
     spec = SliceSpec(A2, [1, 1, 2], Coweight([1, 0]))
     for q in enumerate_fixed_points(spec):
-        wsp, _ = project_to_wall_slice(spec, q, AWeightForm([1, 0]))
+        wsp, _ = project_to_wall_slice(spec, q, (1, 0))
         assert wsp.mu == Coweight([1])
 
 
@@ -477,13 +454,12 @@ def test_projected_point_is_fixed_point_of_wall_slice():
 def _reference_adjacency(spec, p, q, ch):
     """The pairwise rule: delta_q = delta_p except at two slots i < j, lowered
     by the coroot of a ch-positive root at i and raised by it at j."""
-    dp, dq = [Coweight(d) for d in p], [Coweight(d) for d in q]
-    diff = [m for m in range(spec.length) if dp[m] != dq[m]]
+    diff = [m for m in range(spec.length) if p[m] != q[m]]
     if len(diff) != 2:
         return None
     i, j = diff
-    alpha = dp[i] - dq[i]
-    if dq[j] - dp[j] != alpha:
+    alpha = vsub(p[i], q[i])
+    if vsub(q[j], p[j]) != alpha:
         return None
     column = next((col for col, c in enumerate(spec.cartan.coroots) if c == alpha), None)
     if column is None or not ch.is_positive(spec.cartan.root_list[column]):
@@ -549,7 +525,7 @@ def test_weight_multiset_json_round_trip():
     for pt, p in zip(doc["points"], points):
         for entry in pt["weights"]:
             assert set(entry) == {"root", "n", "mult"}
-        read = {(AWeightForm(e["root"]), e["n"]): e["mult"] for e in pt["weights"]}
+        read = {(tuple(e["root"]), e["n"]): e["mult"] for e in pt["weights"]}
         assert by_column(A2, read) == tangent_weights(TSTAR_FL3, p)
 
 

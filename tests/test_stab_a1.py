@@ -304,7 +304,7 @@ def test_diagonal_constant_is_point_independent():
             for p in enumerate_fixed_points(spec):
                 roots = spec.cartan.root_list
                 slope = sum(
-                    m * n * roots[col].coords[0]
+                    m * n * roots[col][0]
                     for (col, n), m in tangent_weights(spec, p).items()
                     if not ch.is_positive(roots[col])
                 )
@@ -564,7 +564,7 @@ def test_integral_of_one_tstar_p1():
         for x in enumerate_fixed_points(TSTAR_P1):
             euler = Fraction(1)
             for (col, n), mult in tangent_weights(TSTAR_P1, x).items():
-                euler *= (TSTAR_P1.cartan.root_list[col].coords[0] * a + n * h) ** mult
+                euler *= (TSTAR_P1.cartan.root_list[col][0] * a + n * h) ** mult
             total += 1 / euler
         assert total == Fraction(-2) / ((a - h) * (a + h))
 
