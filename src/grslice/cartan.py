@@ -307,13 +307,7 @@ class CartanDatum:
                                if t else base)
         return tuple(bases[self.root_list[col]] for col, _ in self._root_pairs)
 
-    # -- basis elements (1-based indices) --------------------------------
-
-    def fundamental_coweight(self, i: int) -> Tuple[int, ...]:
-        return tuple(int(j == i - 1) for j in range(self.rank))
-
-    def zero_coweight(self) -> Tuple[int, ...]:
-        return (0,) * self.rank
+    # -- coroot coordinates -----------------------------------------------
 
     def coroot_coordinates(self, c: Sequence[int]) -> Optional[List[int]]:
         """Coordinates of c in the simple-coroot basis, or None if not integral."""

@@ -25,7 +25,7 @@ from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import verify
-from .cartan import CartanDatum, Chamber, Coweight
+from .cartan import CartanDatum, Chamber, Coweight, _build_cartan_matrix
 from .chern import NonLinearFormEntry, mult_matrix, parse_bundle
 from .slices import (
     InvalidSlice,
@@ -45,7 +45,7 @@ from .stab_a1 import (
     stab_matrix,
 )
 from .stab_general import expand_entries, stab_mod_h2
-from .symalg import monomial_key, polynomial_text, term_reader
+from .symalg import monomial_key, polynomial_text
 
 CACHE_ENV = "GRSLICE_CACHE_DIR"
 # Part of every cache key: raise it whenever any document's bytes change, so
@@ -105,6 +105,11 @@ class JobSpec(NamedTuple):
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def build(self) -> Tuple[SliceSpec, Chamber, Optional[List[int]]]:
+        if len(self.mu) != self.rank:
+            # refused before the datum, whose cost grows like rank^3, is
+            # built; a bad type letter or rank is still reported first
+            _build_cartan_matrix(self.letter, self.rank)
+            raise InvalidSlice("mu must be an integral coweight of matching rank")
         datum = CartanDatum(self.letter, self.rank)
         spec = SliceSpec(datum, self.lambda_seq, Coweight(self.mu))
         if self.chamber == "dominant":
@@ -138,6 +143,11 @@ def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "grslice")
 
 
+def _entry_path(key: str) -> str:
+    """The file that holds the cache entry under `key`."""
+    return os.path.join(cache_dir(), key + ".json")
+
+
 def cache_fetch(key: str) -> Optional[Tuple[int, str]]:
     """The stored exit code and text, or None when the entry is missing or damaged.
 
@@ -145,9 +155,8 @@ def cache_fetch(key: str) -> Optional[Tuple[int, str]]:
     exit code, a newline, then the text; a truncated or altered entry fails
     the digest check.
     """
-    path = os.path.join(cache_dir(), key + ".json")
     try:
-        with open(path, "rb") as fh:
+        with open(_entry_path(key), "rb") as fh:
             entry = fh.read()
         # the digest and the text are read through a view of the one buffer
         view = memoryview(entry)
@@ -168,7 +177,8 @@ def cache_store(key: str, code: int, text: str) -> None:
     be created for want of it.  A store that fails, say because the cache
     location is a file or is not writable, is skipped, its file removed, and
     the job is unaffected."""
-    directory = cache_dir()
+    path = _entry_path(key)
+    directory = os.path.dirname(path)
     head, body = b"%d\n" % code, text.encode("utf-8")
     digest = hashlib.sha256(head)
     digest.update(body)
@@ -186,7 +196,7 @@ def cache_store(key: str, code: int, text: str) -> None:
         with open(fd, "wb") as fh:
             fh.write(digest.hexdigest().encode("ascii") + b" " + head)
             fh.write(body)
-        os.replace(tmp, os.path.join(directory, key + ".json"))
+        os.replace(tmp, path)
     except OSError:
         try:
             os.unlink(tmp)
@@ -199,7 +209,8 @@ def cache_store(key: str, code: int, text: str) -> None:
 
 class _Encoded(NamedTuple):
     """A document value that prints itself: encode_json splices in text(indent),
-    what json.dumps(..., sort_keys=True, indent=2) prints for it, and render_table reads rows()."""
+    what json.dumps(..., sort_keys=True, indent=2) prints for it, and
+    render_table reads its table rows from rows()."""
 
     text: Callable[[str], str]
     rows: Optional[Callable[[], list]] = None
@@ -409,44 +420,6 @@ def _table(rows: List[Sequence[str]], header: Sequence[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _point_rows(points) -> list:
-    """(label, weight records) per point of a computed point list or of the
-    points of a stored document; a record is (root coords, n, mult)."""
-    if type(points) is _Encoded:
-        return points.rows()
-    return [(pt["label"], [(tuple(w["root"]), w["n"], w["mult"]) for w in pt.get("weights", ())])
-            for pt in points]
-
-
-def _matrix_rows(payload: dict, rank: int) -> list:
-    """(label, label, value) for each stored entry of a computed stab-exact,
-    mult or stab-mod-h2 document, or of a stored one, in index order, with
-    a stab-mod-h2 entry's alpha before its value; each monomial of a stored
-    document is parsed and named once."""
-    labels, entries = payload["labels"], payload["entries"]
-    if type(entries) is _Encoded:
-        cells = entries.rows()
-    else:
-        read, names = term_reader(rank + 1), {}
-
-        def value(cell):
-            terms = read(cell)
-            return polynomial_text([(names.get(e) or names.setdefault(e, monomial_key(e)), terms[e])
-                                    for e in sorted(terms, reverse=True)])
-
-        command = payload["command"]
-        if command == "stab-exact":
-            cells = sorted((*map(int, key.split(",")), value(cell))
-                           for key, cell in entries.items())
-        elif command == "mult":
-            cells = [(qi, pi, value(cell))
-                     for qi, row in enumerate(entries) for pi, cell in enumerate(row) if cell]
-        else:
-            cells = [(e["p"], e["q"], ",".join(map(str, e["alpha"])), value(e["value"]))
-                     for e in entries]
-    return [(labels[i], labels[j], *rest) for i, j, *rest in cells]
-
-
 _MATRIX_HEADERS = {"stab-exact": ("p", "q", "value"), "mult": ("row", "column", "value"),
                    "stab-mod-h2": ("p", "q", "alpha", "value")}
 
@@ -454,14 +427,14 @@ _MATRIX_HEADERS = {"stab-exact": ("p", "q", "value"), "mult": ("row", "column", 
 def render_table(payload: dict, rank: int) -> str:
     command = payload["command"]
     if command == "fixed-points":
-        rows = [(i, label) for i, (label, _) in enumerate(_point_rows(payload["points"]))]
+        rows = [(i, label) for i, (label, _) in enumerate(payload["points"].rows())]
         return _table(rows, ("index", "label"))
     if command == "tangent":
         # A slice has few distinct (weight, mult) pairs, each repeated at many points.
         suffixes: Dict[tuple, str] = {}
         names = _linear_names(rank + 1)
         lines = ["point | weight | mult"]
-        for label, records in _point_rows(payload["points"]):
+        for label, records in payload["points"].rows():
             for key in records:
                 suffix = suffixes.get(key)
                 if suffix is None:
@@ -470,7 +443,11 @@ def render_table(payload: dict, rank: int) -> str:
                 lines.append(label + suffix)
         return "\n".join(lines) + "\n"
     if command in _MATRIX_HEADERS:
-        return _table(_matrix_rows(payload, rank), _MATRIX_HEADERS[command])
+        # (label, label, value) per stored entry in index order, with a
+        # stab-mod-h2 entry's alpha before its value
+        labels = payload["labels"]
+        return _table([(labels[i], labels[j], *rest) for i, j, *rest in payload["entries"].rows()],
+                      _MATRIX_HEADERS[command])
     if command == "verify":
         rows = [(c["name"], "ok" if c["ok"] else "FAIL") for c in payload["checks"]]
         return _table(rows, ("check", "status"))
@@ -599,26 +576,23 @@ def run(job: JobSpec) -> Tuple[int, str]:
     Each output format's text is its own cache entry, stored with the exit
     code, so a hit in either format is a file read.  A stored key implies
     that the job passed validation when it was stored, so a hit neither
-    validates nor builds the slice.  A table miss renders the stored JSON
-    document when there is one, and otherwise stores both formats.
+    validates nor builds the slice.  A miss computes the document; a table
+    miss also stores the JSON document when no JSON entry file exists, so a
+    JSON request after it is a hit.
     """
     key = job.cache_key()
     entry = cache_fetch(f"{key}-{job.fmt}")
     if entry is not None:
         return entry
-    stored = cache_fetch(f"{key}-json") if job.fmt == "table" else None
-    if stored is not None:
-        code, payload = stored[0], json.loads(stored[1])
-    else:
-        try:
-            payload = compute_payload(job, *job.build())
-        except _VALIDATION_ERRORS as exc:
-            return 2, f"error: {exc}\n"
-        except _INTERNAL_ERRORS as exc:
-            return 3, f"verification failure: {exc}\n"
-        code = 3 if job.command == "verify" and not payload["ok"] else 0
-        if job.fmt == "table":
-            cache_store(f"{key}-json", code, render(payload, "json", job.rank))
+    try:
+        payload = compute_payload(job, *job.build())
+    except _VALIDATION_ERRORS as exc:
+        return 2, f"error: {exc}\n"
+    except _INTERNAL_ERRORS as exc:
+        return 3, f"verification failure: {exc}\n"
+    code = 3 if job.command == "verify" and not payload["ok"] else 0
+    if job.fmt == "table" and not os.path.exists(_entry_path(f"{key}-json")):
+        cache_store(f"{key}-json", code, render(payload, "json", job.rank))
     text = render(payload, job.fmt, job.rank)
     cache_store(f"{key}-{job.fmt}", code, text)
     return code, text

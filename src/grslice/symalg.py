@@ -1,19 +1,19 @@
-"""Exact polynomials over Q: how they are named, printed and read back.
+"""Exact polynomials over Q: how they are named and printed.
 
 Variables are a_1..a_r (coordinates on the torus weight lattice, simple-root
 basis) plus a final variable h (the deformation class).  Exponent vectors
 therefore have length r+1 with the h-degree in the last slot.
-monomial_key names a monomial, polynomial_text prints every polynomial and
-term_reader reads stored JSON cells back.  Polynomial and RationalFunction
-(a numerator over a denominator, compared by cross-multiplication) are the
-tests' reference arithmetic, which no program route builds.
+monomial_key names a monomial and polynomial_text prints every polynomial.
+Polynomial and RationalFunction (a numerator over a denominator, compared
+by cross-multiplication) are the tests' reference arithmetic, which no
+program route builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Callable, Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 
 class NonDivisible(ArithmeticError):
@@ -65,33 +65,6 @@ def polynomial_text(terms: Iterable[Tuple[str, object]]) -> str:
             body = " - " + body[1:] if body[0] == "-" else " + " + body
         out.append(body)
     return "".join(out) or "0"
-
-
-def term_reader(nvars: int) -> Callable[[dict], Dict[tuple, object]]:
-    """A parser of JSON cells {monomial name: coefficient text} in nvars
-    variables into coefficient maps {exponent vector: nonzero coefficient};
-    a name's factors may come in any order, and repeated monomials add up.
-    Each distinct name and coefficient text is parsed once per reader, so
-    the cells of one document share one."""
-    exponents: Dict[str, tuple] = {}
-    scalars: Dict[str, object] = {}
-
-    def exponent(key: str) -> tuple:
-        exp = [0] * nvars
-        for factor in key.split("*") if key != "1" else ():
-            name, _, power = factor.partition("^")
-            exp[nvars - 1 if name == "h" else int(name[1:]) - 1] += int(power or 1)
-        return tuple(exp)
-
-    def read(obj: dict) -> Dict[tuple, object]:
-        terms: Dict[tuple, object] = {}
-        for key, val in obj.items():
-            exp = exponents.get(key) or exponents.setdefault(key, exponent(key))
-            c = scalars.get(val) or scalars.setdefault(val, _norm_scalar(Fraction(val)))
-            terms[exp] = terms.get(exp, 0) + c
-        return {e: c for e, c in terms.items() if c}
-
-    return read
 
 
 class Polynomial:
@@ -232,10 +205,6 @@ class Polynomial:
 
     def to_json(self) -> dict:
         return {monomial_key(e): str(Fraction(c)) for e, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json(cls, obj: dict, nvars: int) -> "Polynomial":
-        return cls(nvars, term_reader(nvars)(obj))
 
     def __str__(self):
         return polynomial_text((monomial_key(e), self.terms[e])

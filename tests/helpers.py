@@ -1,8 +1,10 @@
 """Shared test utilities: the pairing and arithmetic of coweight and root
-tuples, independent tangent-weight oracles, random
+tuples, the fundamental and zero coweights, independent tangent-weight
+oracles, random
 minuscule slice sampling, an independent sampler of wall-adjacent chambers,
 polynomial queries the program itself does not need (generators, the zero
-test, one coefficient), the reference expansions of Euler classes, forms
+test, one coefficient), the reference reader of JSON polynomial cells,
+the reference expansions of Euler classes, forms
 and matrix entries into Polynomials and the reference printer of a
 Polynomial, reference polynomial routes (substitution, truncation mod h^2,
 the localization pairing on polynomials and on coefficient tuples, the
@@ -33,7 +35,7 @@ from grslice.slices import (
     tangent_weights,
 )
 from grslice.stab_a1 import RestrictionMatrix, _form_mul, normalize_polarization
-from grslice.symalg import Polynomial, RationalFunction, monomial_key
+from grslice.symalg import Polynomial, RationalFunction, _norm_scalar, monomial_key
 
 
 def pairing(c, f):
@@ -53,6 +55,15 @@ def exact_sharp(datum, c):
     """sharp(c) as the Fractions it stands for: datum.sharp over the gram
     denominator."""
     return tuple(Fraction(x, datum.gram.den) for x in datum.sharp(c))
+
+
+def fundamental_coweight(datum, i):
+    """omega_i (1-based) as the datum's coweight tuple."""
+    return tuple(int(j == i - 1) for j in range(datum.rank))
+
+
+def zero_coweight(datum):
+    return (0,) * datum.rank
 
 
 def vsum(*vecs):
@@ -86,6 +97,38 @@ def is_zero(poly):
 def coefficient(poly, exp):
     """The coefficient of the monomial with exponent vector exp."""
     return poly.terms.get(tuple(exp), 0)
+
+
+def term_reader(nvars):
+    """A parser of JSON cells {monomial name: coefficient text} in nvars
+    variables into coefficient maps {exponent vector: nonzero coefficient};
+    a name's factors may come in any order, and repeated monomials add up.
+    Each distinct name and coefficient text is parsed once per reader, so
+    the cells of one document share one."""
+    exponents = {}
+    scalars = {}
+
+    def exponent(key):
+        exp = [0] * nvars
+        for factor in key.split("*") if key != "1" else ():
+            name, _, power = factor.partition("^")
+            exp[nvars - 1 if name == "h" else int(name[1:]) - 1] += int(power or 1)
+        return tuple(exp)
+
+    def read(obj):
+        terms = {}
+        for key, val in obj.items():
+            exp = exponents.get(key) or exponents.setdefault(key, exponent(key))
+            c = scalars.get(val) or scalars.setdefault(val, _norm_scalar(Fraction(val)))
+            terms[exp] = terms.get(exp, 0) + c
+        return {e: c for e, c in terms.items() if c}
+
+    return read
+
+
+def polynomial_from_json(obj, nvars):
+    """The Polynomial a JSON cell {monomial name: coefficient text} prints."""
+    return Polynomial(nvars, term_reader(nvars)(obj))
 
 
 def point(*steps):
@@ -381,11 +424,11 @@ def random_minuscule_specs(count, seed, max_dim=12, max_len=4):
         datum = rng.choice(_POOL)
         l = rng.randint(1, max_len)
         lam = [rng.choice(sorted(datum.minuscule_indices)) for _ in range(l)]
-        total = vsum(datum.zero_coweight(), *map(datum.fundamental_coweight, lam))
+        total = vsum(zero_coweight(datum), *[fundamental_coweight(datum, i) for i in lam])
         # sample mu among achievable weights (suffix-sum closure of the orbits)
-        sums = {datum.zero_coweight()}
+        sums = {zero_coweight(datum)}
         for i in lam:
-            orbit = datum.weyl_orbit(datum.fundamental_coweight(i))
+            orbit = datum.weyl_orbit(fundamental_coweight(datum, i))
             sums = {vsum(d, s) for d in orbit for s in sums}
         candidates = [
             mu for mu in sorted(sums)

@@ -18,8 +18,9 @@ from grslice.slices import adjacent_pairs, enumerate_fixed_points
 from grslice.stab_a1 import stab_matrix
 from grslice.stab_general import stab_mod_h2
 from grslice.symalg import Polynomial
-from helpers import (entry_polynomial, euler_polynomial, is_zero, reference_document,
-                     reference_str, vsum)
+from helpers import (entry_polynomial, euler_polynomial, fundamental_coweight, is_zero,
+                     polynomial_from_json, reference_document, reference_str, vsum,
+                     zero_coweight)
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +60,7 @@ def test_stab_exact_five_point_slice(capsys):
     for key, value in payload["entries"].items():
         i, j = key.split(",")
         assert 0 <= int(i) < 5 and 0 <= int(j) < 5
-        assert not is_zero(Polynomial.from_json(value, 2))
+        assert not is_zero(polynomial_from_json(value, 2))
 
 
 def test_verify_all_three_point_flag_slice(capsys):
@@ -88,6 +89,20 @@ def test_non_minuscule_weight_exits_two(capsys):
     argv = ["fixed-points", "--type", "B", "--rank", "2", "--lambda", "1", "--mu", "1,0"]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == "" and "error" in err
+
+
+# a mu of the wrong length is refused before the datum, whose cost grows
+# like rank^3, is built; a bad type letter or rank is still reported first
+@pytest.mark.parametrize("letter, rank, message", [
+    ("A", "300", "mu must be an integral coweight of matching rank"),
+    ("Q", "2", "unknown type letter 'Q'"),
+    ("E", "5", "rank 5 is not valid for type E"),
+], ids=["A300", "bad-letter", "bad-rank"])
+def test_mu_of_the_wrong_length_exits_two_before_the_datum_is_built(capsys, monkeypatch,
+                                                                    letter, rank, message):
+    monkeypatch.setattr(cli, "CartanDatum", _refuse)
+    argv = ["fixed-points", "--type", letter, "--rank", rank, "--lambda", "1", "--mu", "0"]
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_stab_exact_rank_two_exits_two(capsys):
@@ -381,6 +396,20 @@ def _forbid_slice_work(monkeypatch):
                     monkeypatch.setattr(module, name, _refuse)
 
 
+def _assert_table_miss_keeps_json(capsys, monkeypatch, table_argv, table):
+    """A table miss, with the JSON document stored, computes the document
+    once, prints the table and stores the table entry alone, never printing
+    the JSON again."""
+    computed, stored = [], []
+    compute, store = cli.compute_payload, cli.cache_store
+    with monkeypatch.context() as m:
+        m.setattr(cli, "compute_payload", lambda *args: computed.append(1) or compute(*args))
+        m.setattr(cli, "cache_store", lambda key, *rest: stored.append(key) or store(key, *rest))
+        m.setattr(cli, "encode_json", _refuse)
+        assert run_cli(capsys, table_argv) == (0, table, "")
+    assert len(computed) == 1 and [key.rsplit("-", 1)[1] for key in stored] == ["table"]
+
+
 @pytest.mark.parametrize("argv", HIT_PATH_JOBS, ids=lambda argv: argv[0])
 def test_hit_does_no_slice_work_and_matches_the_miss(capsys, tmp_path, monkeypatch, argv):
     table = argv + ["--format", "table"]
@@ -388,6 +417,9 @@ def test_hit_does_no_slice_work_and_matches_the_miss(capsys, tmp_path, monkeypat
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache-table"))
     table_miss = run_cli(capsys, table)
     assert json_miss[0] == table_miss[0] == 0
+    # a table miss computes its table, with the JSON document stored or not
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    _assert_table_miss_keeps_json(capsys, monkeypatch, table, table_miss[1])
     _forbid_slice_work(monkeypatch)
     for cache in ("cache", "cache-table"):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / cache))
@@ -411,11 +443,52 @@ def test_stored_failed_verify_exits_three_on_a_hit(capsys, tmp_path):
     failed["ok"] = False
     failed["checks"][0]["ok"] = False
     document = json.dumps(failed, sort_keys=True, indent=2) + "\n"
-    cache_store(_only_entry(tmp_path).stem, 3, document)
+    key = _only_entry(tmp_path).stem
+    cache_store(key, 3, document)
     assert run_cli(capsys, argv) == (3, document, "")
+    # a table miss computes its own table and leaves the stored JSON entry be
     code, table, _ = run_cli(capsys, argv + ["--format", "table"])
-    assert code == 3 and "recursion | FAIL" in table
-    assert run_cli(capsys, argv + ["--format", "table"]) == (3, table, "")
+    assert code == 0 and "recursion | ok" in table
+    assert run_cli(capsys, argv) == (3, document, "")
+    failed_table = table.replace("recursion | ok", "recursion | FAIL")
+    cache_store(key[:-len("json")] + "table", 3, failed_table)
+    assert run_cli(capsys, argv + ["--format", "table"]) == (3, failed_table, "")
+
+
+def _entries(directory):
+    return {path.name: path.read_bytes() for path in directory.glob("*.json")}
+
+
+@pytest.mark.parametrize("argv", HIT_PATH_JOBS, ids=lambda argv: argv[0])
+def test_table_miss_computes_its_table_and_leaves_the_json_entry(capsys, tmp_path,
+                                                                  monkeypatch, argv):
+    table_argv = argv + ["--format", "table"]
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "table-first"))
+    table = run_cli(capsys, table_argv)
+    document = run_cli(capsys, argv)
+    assert table[0] == document[0] == 0
+    # json first: the table miss prints the same table and leaves the JSON
+    # entry's bytes and mtime (set to an old one a rewrite would change) be
+    json_first = tmp_path / "json-first"
+    monkeypatch.setenv(CACHE_ENV, str(json_first))
+    assert run_cli(capsys, argv) == document
+    [entry] = json_first.glob("*.json")
+    stored = entry.read_bytes()
+    os.utime(entry, ns=(0, 0))
+    assert run_cli(capsys, table_argv) == table
+    assert entry.read_bytes() == stored and entry.stat().st_mtime_ns == 0
+    assert _entries(json_first) == _entries(tmp_path / "table-first")
+    # a damaged JSON entry: the table miss prints the right table and leaves
+    # it, and the next JSON request recomputes and rewrites it
+    damaged = tmp_path / "damaged"
+    monkeypatch.setenv(CACHE_ENV, str(damaged))
+    assert run_cli(capsys, argv) == document
+    [entry] = damaged.glob("*.json")
+    entry.write_bytes(_truncate(stored))
+    assert run_cli(capsys, table_argv) == table
+    assert entry.read_bytes() == _truncate(stored)
+    assert run_cli(capsys, argv) == document
+    assert _entries(damaged) == _entries(json_first)
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
@@ -446,7 +519,7 @@ def test_table_and_json_mult_agree(capsys):
     for qi, row in enumerate(payload["entries"]):
         for pi, cell in enumerate(row):
             if cell:
-                poly = reference_str(Polynomial.from_json(cell, 3))
+                poly = reference_str(polynomial_from_json(cell, 3))
                 from_json.add((labels[qi], labels[pi], poly))
     lines = as_table.strip().split("\n")
     assert lines[0] == "row | column | value"
@@ -697,15 +770,11 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
     table_argv = argv + ["--format", "table"]
 
     assert run_cli(capsys, argv) == (0, document, "")
-    # a table miss with the JSON document stored renders its parsed records
-    with monkeypatch.context() as m:
-        m.setattr(cli, "compute_payload", _refuse)
-        assert run_cli(capsys, table_argv) == (0, table, "")
+    # a table miss with the JSON document stored computes its table
+    _assert_table_miss_keeps_json(capsys, monkeypatch, table_argv, table)
     # a table-first miss renders the computed point list, and stores both formats
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "table-first"))
-    with monkeypatch.context() as m:
-        m.setattr(json, "loads", _refuse)
-        assert run_cli(capsys, table_argv) == (0, table, "")
+    assert run_cli(capsys, table_argv) == (0, table, "")
     assert cache_fetch(f"{job.cache_key()}-json") == (0, document)
 
 
@@ -767,15 +836,11 @@ def test_matrix_documents_print_what_json_dumps_prints(capsys, tmp_path, monkeyp
     table_argv = argv + ["--format", "table"]
 
     assert run_cli(capsys, argv) == (0, document, "")
-    # a table miss with the JSON document stored renders its parsed entries
-    with monkeypatch.context() as m:
-        m.setattr(cli, "compute_payload", _refuse)
-        assert run_cli(capsys, table_argv) == (0, table, "")
+    # a table miss with the JSON document stored computes its table
+    _assert_table_miss_keeps_json(capsys, monkeypatch, table_argv, table)
     # a table-first miss renders the computed entries, and stores both formats
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "table-first"))
-    with monkeypatch.context() as m:
-        m.setattr(json, "loads", _refuse)
-        assert run_cli(capsys, table_argv) == (0, table, "")
+    assert run_cli(capsys, table_argv) == (0, table, "")
     assert cache_fetch(f"{job.cache_key()}-json") == (0, document)
 
 
@@ -846,9 +911,10 @@ def cli_argvs(draw):
     length = draw(st.integers(1, 4 if rank < 3 else 2))
     indices = sorted(datum.minuscule_indices) or [1]
     lambda_seq = draw(st.lists(st.sampled_from(indices), min_size=length, max_size=length))
-    mu = datum.zero_coweight()
+    mu = zero_coweight(datum)
     for i in lambda_seq:
-        mu = vsum(mu, draw(st.sampled_from(sorted(datum.weyl_orbit(datum.fundamental_coweight(i))))))
+        orbit = datum.weyl_orbit(fundamental_coweight(datum, i))
+        mu = vsum(mu, draw(st.sampled_from(sorted(orbit))))
     chamber = draw(st.one_of(
         st.sampled_from(["dominant", "antidominant"]),
         st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(_csv)))

@@ -1,23 +1,26 @@
 """Every name a grslice module imports is used in that module, every
-private module-level function or class is named outside its own body, and
-every name in a class's __slots__ is read outside __init__.
+private module-level function or class and every public module-level
+function or public method (bar a list of exemptions) is named outside its
+own body, and every name in a class's __slots__ is read outside __init__.
 
 Read with the standard library's ast: a name counts as used where the
 module loads it, or names it inside a string annotation.  The
 ``from __future__ import annotations`` line imports nothing to use.  A
-private definition counts as named where any grslice module loads it,
-imports it or reads it as an attribute, outside the definition itself, so
-code that only its own recursion or the tests reach shows up.  A slot
-counts as read where any grslice module loads it as an attribute outside
-the body of an __init__, so a slot that is only ever set shows up.
+definition counts as named where any grslice module loads it, imports it
+or reads it as an attribute, outside the definition itself, so code that
+only its own recursion or the tests reach shows up.  A slot counts as read
+where any grslice module loads it as an attribute outside the body of an
+__init__, so a slot that is only ever set shows up.
 """
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "grslice")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "grslice")
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -42,14 +45,17 @@ def _annotations(tree):
             yield node.annotation
 
 
-def _used(tree):
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _annotation_names(tree):
+    """Each name a string annotation in the tree names, once per mention."""
     for annotation in _annotations(tree):
         for node in ast.walk(annotation) if annotation is not None else ():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
-                          if isinstance(n, ast.Name)}
-    return names
+                yield from (n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+
+
+def _used(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_annotation_names(tree))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -69,40 +75,99 @@ def test_the_check_sees_an_unused_import():
     assert [name for name, _ in _imported(tree) if name not in used] == ["List"]
 
 
-def _named(node):
-    """Every name the node loads, names in a string annotation, imports or
-    reads as an attribute."""
-    names = _used(node)
+def _occurrences(node):
+    """How often the node loads, names in a string annotation, imports or
+    reads as an attribute each name."""
+    found = Counter()
     for child in ast.walk(node):
-        if isinstance(child, ast.Attribute):
-            names.add(child.attr)
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
         elif isinstance(child, ast.alias):
-            names.add(child.name)
-    return names
+            found[child.name] += 1
+    found.update(_annotation_names(node))
+    return found
+
+
+def _named_outside(trees):
+    """A test of whether any of the modules (a map of module name to tree)
+    names a definition outside its own body."""
+    total = Counter()
+    for tree in trees.values():
+        total.update(_occurrences(tree))
+    return lambda node: total[node.name] > _occurrences(node)[node.name]
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _unreferenced(trees):
     """The private module-level functions and classes of the modules (a map
     of module name to tree) that no module names outside their own body, as
     "module.name" in module and definition order."""
-    statements = [(node, _named(node)) for tree in trees.values() for node in tree.body]
+    named = _named_outside(trees)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, _FUNCTIONS + (ast.ClassDef,)) and node.name.startswith("_")
+            and not named(node)]
+
+
+def _unreferenced_public(trees, exempt=()):
+    """The public module-level functions and the public methods of the
+    module-level classes of the modules (a map of module name to tree) that
+    no module names outside their own body, as "module.name" or
+    "module.class.name" in module and definition order, bar those in
+    exempt."""
+    named = _named_outside(trees)
     out = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not any(node.name in names for other, names in statements
-                                if other is not node)):
-                out.append(f"{module}.{node.name}")
+            if isinstance(node, _FUNCTIONS):
+                found = [(f"{module}.{node.name}", node)]
+            elif isinstance(node, ast.ClassDef):
+                found = [(f"{module}.{node.name}.{method.name}", method) for method in node.body
+                         if isinstance(method, _FUNCTIONS)]
+            else:
+                continue
+            out += [name for name, definition in found
+                    if not definition.name.startswith("_") and name not in exempt
+                    and not named(definition)]
     return out
 
 
-def test_every_private_definition_is_named_outside_its_body():
+def _traced_methods():
+    """"module.class.method" for each method the benchmark's tracer wraps,
+    read from perfbench/tracing.py's METHODS without importing it."""
+    with open(os.path.join(ROOT, "perfbench", "tracing.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), "tracing.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets):
+            return {".".join(entry[:3]) for entry in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/tracing.py defines no METHODS")
+
+
+# Public definitions no program route reaches that stay on purpose: the
+# paper's routes that the command line is to expose, the reference
+# arithmetic of Polynomial that the tests build, and an override that
+# argparse calls.  The methods the benchmark's tracer wraps are exempt too.
+PUBLIC_EXEMPT = {
+    "stab_a1.theta_action", "chern.h_operator", "chern.omega_operators",
+    "chern.mult_matrix_via_localization", "slices.project_to_wall_slice",
+    "symalg.Polynomial.linear_form", "symalg.Polynomial.to_json", "cli._Parser.error",
+}
+
+
+def _trees():
     trees = {}
     for module in MODULES:
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             trees[module[:-3]] = ast.parse(fh.read(), module)
-    unreferenced = _unreferenced(trees)
+    return trees
+
+
+def test_every_private_definition_is_named_outside_its_body():
+    unreferenced = _unreferenced(_trees())
     assert not unreferenced, f"private definitions nothing names: {', '.join(unreferenced)}"
 
 
@@ -118,6 +183,32 @@ def test_the_check_sees_an_unreferenced_private_definition():
                        "def f():\n    return _imported() + a._attribute()\n"),
     }
     assert _unreferenced(trees) == ["a._recursive", "a._orphan"]
+
+
+def test_every_public_definition_is_named_outside_its_body():
+    unreferenced = _unreferenced_public(_trees(), PUBLIC_EXEMPT | _traced_methods())
+    assert not unreferenced, f"public definitions nothing names: {', '.join(unreferenced)}"
+
+
+def test_every_exemption_is_still_needed():
+    stale = PUBLIC_EXEMPT - set(_unreferenced_public(_trees()))
+    assert not stale, f"exempt definitions that are named or gone: {', '.join(sorted(stale))}"
+
+
+def test_the_check_sees_an_unreferenced_public_definition():
+    trees = {
+        "a": ast.parse("def used():\n    return 1\n\n"
+                       "def recursive(n):\n    return recursive(n - 1)\n\n"
+                       "def exempt():\n    return 3\n\n"
+                       "class Box:\n    def grow(self):\n        return self.size()\n\n"
+                       "    def size(self):\n        return 0\n\n"
+                       "    def shrink(self):\n        return self.shrink()\n\n"
+                       "    def _hidden(self):\n        return 4\n"),
+        "b": ast.parse("from a import used, Box\n\n"
+                       "def main():\n    return used() + Box().grow()\n"),
+    }
+    assert _unreferenced_public(trees, {"a.exempt"}) == [
+        "a.recursive", "a.Box.shrink", "b.main"]
 
 
 def _slots(tree):
@@ -156,11 +247,7 @@ def _unread_slots(trees):
 
 
 def test_every_slot_is_read_outside_init():
-    trees = {}
-    for module in MODULES:
-        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-            trees[module[:-3]] = ast.parse(fh.read(), module)
-    unread = _unread_slots(trees)
+    unread = _unread_slots(_trees())
     assert not unread, f"slots nothing reads outside __init__: {', '.join(unread)}"
 
 

@@ -50,6 +50,7 @@ from helpers import (
     counter_stab_mod_h2,
     document,
     euler_polynomial,
+    fundamental_coweight,
     gen,
     pairing,
     point,
@@ -62,6 +63,7 @@ from helpers import (
     vneg,
     vsub,
     vsum,
+    zero_coweight,
 )
 
 A1 = CartanDatum("A", 1)
@@ -441,10 +443,10 @@ def small_slice_jobs(draw):
     """A small slice of A2, A3, B2, C2 or D4 with a chamber and a polarization."""
     datum = draw(st.sampled_from(SMALL_DATUMS))
     lam = draw(st.lists(st.sampled_from(sorted(datum.minuscule_indices)), min_size=2, max_size=3))
-    total = vsum(datum.zero_coweight(), *map(datum.fundamental_coweight, lam))
-    sums = {datum.zero_coweight()}
+    total = vsum(zero_coweight(datum), *[fundamental_coweight(datum, i) for i in lam])
+    sums = {zero_coweight(datum)}
     for i in lam:
-        orbit = datum.weyl_orbit(datum.fundamental_coweight(i))
+        orbit = datum.weyl_orbit(fundamental_coweight(datum, i))
         sums = {vsum(d, s) for d in orbit for s in sums}
     mu = draw(st.sampled_from(sorted(
         m for m in sums
@@ -551,6 +553,9 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a Polynomial was built")
 
+    def reprinted(*args, **kwargs):
+        raise AssertionError("a table miss printed the stored JSON document again")
+
     monkeypatch.setattr(Polynomial, "__init__", refuse)
     monkeypatch.setattr(Polynomial, "_trusted", refuse)
 
@@ -594,8 +599,8 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
     mat = mult_matrix(spec, "L1", ch)
     forms = [mat.entry(q, p) for q in mat.basis for p in mat.basis]
     assert any(map(any, forms)) and not all(map(any, forms))
-    # every command's table, computed when the table is asked for first, and
-    # rendered from the stored JSON document when the JSON was
+    # every command's table, computed whether the table or the JSON is asked
+    # for first; with the JSON entry stored, the JSON is not printed again
     a1_args = ["--type", "A", "--rank", "1", "--lambda", "1,1,1,1,1", "--mu", "1"]
     jobs = [(["fixed-points"], d4_args), (["tangent"], d4_args), (["stab-exact"], a1_args),
             (["stab-mod-h2"], d4_args), (["mult", "--bundle", "E2"], d4_args),
@@ -608,7 +613,7 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
                 capsys.readouterr()
             with monkeypatch.context() as m:
                 if route == "json-first":
-                    m.setattr(cli, "compute_payload", refuse)
+                    m.setattr(cli, "encode_json", reprinted)
                 assert cli.main(command + args + ["--format", "table"]) == 0, (command, route)
             out, err = capsys.readouterr()
             assert out.count("\n") > 1 and err == "", (command, route)

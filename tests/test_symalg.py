@@ -11,9 +11,8 @@ from grslice.symalg import (
     RationalFunction,
     monomial_key,
     polynomial_text,
-    term_reader,
 )
-from helpers import gen, reference_str, truncate_mod_h2
+from helpers import gen, polynomial_from_json, reference_str, term_reader, truncate_mod_h2
 
 # two variables: a1 and h
 A = gen(2, 0)
@@ -39,8 +38,8 @@ def test_json_round_trip():
     assert obj["1"] == "5"
     assert obj["a1^2*h"] == "1"
     assert obj["a1"] == "-7/3"
-    assert Polynomial.from_json(obj, 2) == p
-    assert Polynomial.from_json(Polynomial.zero(2).to_json(), 2) == Polynomial.zero(2)
+    assert polynomial_from_json(obj, 2) == p
+    assert polynomial_from_json(Polynomial.zero(2).to_json(), 2) == Polynomial.zero(2)
 
 
 def test_str_readable():
@@ -142,7 +141,7 @@ def test_polynomial_text_prints_what_the_reference_prints(terms):
     # a JSON cell reads back into the same coefficient map
     cell = poly.to_json()
     assert term_reader(3)(cell) == poly.terms
-    assert Polynomial.from_json(cell, 3) == poly
+    assert polynomial_from_json(cell, 3) == poly
     if not nonzero:
         assert expected == "0"
 
