@@ -63,33 +63,38 @@ def _invert_integer(rows):
     return tuple(tuple(row[n:]) for row in aug), tuple(aug[i][i] for i in range(n))
 
 
-def _build_cartan_matrix(letter: str, rank: int):
-    n = rank
-    if letter == "A":
-        ok = n >= 1
-        edges = {}
-    elif letter == "B":
-        ok = n >= 2
-        edges = {(n - 1, n): -1, (n, n - 1): -2}
-    elif letter == "C":
-        ok = n >= 2
-        edges = {(n - 1, n): -2, (n, n - 1): -1}
-    elif letter == "D":
-        ok = n >= 3
-        edges = {}
-    elif letter == "E":
-        ok = n in (6, 7, 8)
-        edges = {}
-    elif letter == "F":
-        ok = n == 4
-        edges = {(2, 3): -1, (3, 2): -2}
-    elif letter == "G":
-        ok = n == 2
-        edges = {(1, 2): -3, (2, 1): -1}
-    else:
+# the ranks each type letter admits
+_RANKS = {
+    "A": lambda n: n >= 1,
+    "B": lambda n: n >= 2,
+    "C": lambda n: n >= 2,
+    "D": lambda n: n >= 3,
+    "E": lambda n: n in (6, 7, 8),
+    "F": lambda n: n == 4,
+    "G": lambda n: n == 2,
+}
+
+
+def _check_type(letter: str, rank: int) -> None:
+    """Refuse an unknown type letter, then a rank its type does not have,
+    with a ValueError each; nothing of size rank is built."""
+    valid = _RANKS.get(letter) if isinstance(letter, str) else None
+    if valid is None:
         raise ValueError(f"unknown type letter {letter!r}")
-    if not ok:
+    if not valid(rank):
         raise ValueError(f"rank {rank} is not valid for type {letter}")
+
+
+def _build_cartan_matrix(letter: str, rank: int):
+    _check_type(letter, rank)
+    n = rank
+    # the non-simply-laced bonds
+    edges = {
+        "B": {(n - 1, n): -1, (n, n - 1): -2},
+        "C": {(n - 1, n): -2, (n, n - 1): -1},
+        "F": {(2, 3): -1, (3, 2): -2},
+        "G": {(1, 2): -3, (2, 1): -1},
+    }.get(letter, {})
 
     # 1-based adjacency of the Dynkin diagram.
     if letter in ("A", "B", "C", "F", "G"):
@@ -153,9 +158,10 @@ class CartanDatum:
     positive root of its slot, a slot being the place of a +-pair in
     _root_pairs.  slot_forms are the RootMonomial forms of those positive
     roots, by slot, and h.  The gram matrix, the wall bases and
-    two_rho_check are built when first read; wall_chambers is the one memo,
-    by slot: the closed-form chambers on either side of each wall, built
-    when a job first asks for that wall.
+    two_rho_check are built when first read.  _memo is the one memo, a dict
+    that the functions marked slices.memoized fill: the closed-form chambers
+    on either side of each wall are kept there by slot, built when a job
+    first asks for that wall.
     """
 
     def __init__(self, type_letter: str, rank: int):
@@ -261,9 +267,8 @@ class CartanDatum:
         # (a_1..a_r, 0), by slot, and then h
         self.slot_forms: Tuple[tuple, ...] = tuple(
             self.root_list[col] + (0,) for col, _ in self._root_pairs) + ((0,) * n + (1,),)
-        # filled on demand by stab_general.wall_adjacent_chambers, and the
-        # datum's one memo: the two chambers of each slot's witnesses
-        self.wall_chambers: Dict[int, Tuple["Chamber", "Chamber"]] = {}
+        # the datum's one memo, for the functions marked slices.memoized
+        self._memo: dict = {}
 
         self.minuscule_indices = _minuscule_indices(type_letter, rank)
 

@@ -30,6 +30,7 @@ from .slices import (
     _point,
     adjacent_pairs,
     enumerate_fixed_points,
+    memoized,
     point_index,
     repelling_euler,
 )
@@ -86,16 +87,17 @@ def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
     """
     if not 0 <= i <= spec.length:
         raise ValueError(f"line bundle index {i} out of range")
-    weights = spec._line_weights.get(p)
-    if weights is None:
-        cartan = spec.cartan
-        den = cartan.gram.den
-        weights = spec._line_weights[p] = tuple(
-            tuple([_over(x, den) for x in cartan.sharp(sigma)])
-            + (Fraction(cartan.inner(sigma, sigma), 2 * den),)
-            for sigma in p.sigma()
-        )
-    return weights[i]
+    return _line_weights(spec, p)[i]
+
+
+@memoized
+def _line_weights(spec: SliceSpec, p: FixedPoint) -> Tuple[tuple, ...]:
+    """The weights of L_0..L_l at p, for line_bundle_weight."""
+    cartan = spec.cartan
+    den = cartan.gram.den
+    return tuple(tuple([_over(x, den) for x in cartan.sharp(sigma)])
+                 + (Fraction(cartan.inner(sigma, sigma), 2 * den),)
+                 for sigma in p.sigma())
 
 
 def e_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
@@ -223,16 +225,14 @@ def _over(n: int, d: int):
     return n // d if n % d == 0 else Fraction(n, d)
 
 
+@memoized
 def _slot_step(spec: SliceSpec, d: Tuple[int, ...]) -> tuple:
     """For a slot step d, as ints times the gram denominator: the coordinates
     of sharp(d), <d, mu> and a map d' -> <d, d'> keyed by the coordinates of
     d', which _mult_l fills as it needs it (each as <d', sharp(d)>); once
     per spec and step."""
-    found = spec._slot_inners.get(d)
-    if found is None:
-        sharp = spec.cartan.sharp(d)
-        found = spec._slot_inners[d] = (sharp, sum(map(mul, spec.mu, sharp)), {})
-    return found
+    sharp = spec.cartan.sharp(d)
+    return sharp, sum(map(mul, spec.mu, sharp)), {}
 
 
 def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorMatrix:

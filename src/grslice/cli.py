@@ -25,7 +25,7 @@ from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import verify
-from .cartan import CartanDatum, Chamber, Coweight, _build_cartan_matrix
+from .cartan import CartanDatum, Chamber, Coweight, _check_type
 from .chern import NonLinearFormEntry, mult_matrix, parse_bundle
 from .slices import (
     InvalidSlice,
@@ -106,9 +106,9 @@ class JobSpec(NamedTuple):
 
     def build(self) -> Tuple[SliceSpec, Chamber, Optional[List[int]]]:
         if len(self.mu) != self.rank:
-            # refused before the datum, whose cost grows like rank^3, is
-            # built; a bad type letter or rank is still reported first
-            _build_cartan_matrix(self.letter, self.rank)
+            # refused before anything of size rank is built; a bad type
+            # letter or rank is still reported first
+            _check_type(self.letter, self.rank)
             raise InvalidSlice("mu must be an integral coweight of matching rank")
         datum = CartanDatum(self.letter, self.rank)
         spec = SliceSpec(datum, self.lambda_seq, Coweight(self.mu))
@@ -117,8 +117,14 @@ class JobSpec(NamedTuple):
         elif self.chamber == "antidominant":
             ch = Chamber.antidominant(datum)
         else:
+            tokens = self.chamber.split(",")
+            # Fraction reads an exponent too, and builds 10^k for it
+            bad = next((tok for tok in tokens if "e" in tok.lower()), None)
+            if bad is not None:
+                raise ValueError(f"chamber coordinate {bad!r} is not an integer, "
+                                 "a decimal or p/q")
             try:
-                coords = [Fraction(tok) for tok in self.chamber.split(",")]
+                coords = [Fraction(tok) for tok in tokens]
             except ZeroDivisionError:
                 raise ValueError(f"chamber {self.chamber!r} has a zero denominator") from None
             # a chamber is its sign vector, which scaling the witness to

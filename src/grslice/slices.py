@@ -32,6 +32,7 @@ expands them as binary forms in (a, h).
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import accumulate
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -47,29 +48,44 @@ class InvalidSlice(ValueError):
     """Slice parameters violate mu <= lambda or admit no fixed point."""
 
 
+_MISSING = object()
+
+
+def memoized(f):
+    """f(obj, *args), computed once for as long as obj lives.
+
+    The value is kept in obj's _memo dict under f and args, so a call with
+    equal args returns the identical object, and the memo goes with obj.
+    args must be hashable; callers share the value and must not mutate it.
+    Every datum derived from a slice (or a CartanDatum) is memoized this
+    way, by the function that computes it.
+    """
+    @wraps(f)
+    def memo(obj, *args):
+        key = (f, args)
+        found = obj._memo.get(key, _MISSING)
+        if found is _MISSING:
+            found = obj._memo[key] = f(obj, *args)
+        return found
+
+    return memo
+
+
 class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
     The slot orbits (sorted coordinate tuples), their pairing table and
-    the suffix sums are built with the spec.  Data derived from the slice
-    (its dimension, fixed points, their index, tangent weights keyed by
-    (root column, n), the root counts of each point, the e_A classes of the
-    repelling halves (RootMonomials), the adjacent pairs of each chamber,
-    the omega ratios of the wall routes, line-bundle weights, the inner
-    products of slot steps and, in rank one, the heights and raising moves
-    of the fixed points and the restriction matrices) is filled in lazily,
-    the dimension by its property and the rest by the functions of this
-    module, of stab_general, of chern and of stab_a1, and lives exactly as
-    long as the spec.  The h-shifted e_T classes are not held
-    here: stab_a1 expands the rank-one ones from the tangent weights.  Root
-    data that depends on the datum alone (coroots, slots, slot forms) is
-    the CartanDatum's, by root column.
+    the suffix sums are built with the spec.  Everything else derived from
+    the slice (its dimension, fixed points, tangent weights, Euler classes,
+    adjacent pairs, omega ratios, bundle weights and rank-one restriction
+    matrices) is computed on demand by a function marked memoized, and is
+    kept in the spec's one _memo dict, so it lives exactly as long as the
+    spec.  Root data that depends on the datum alone (coroots, slots, slot
+    forms) is the CartanDatum's, by root column.
     """
 
-    __slots__ = ("cartan", "lambda_seq", "mu", "_dimension", "_orbits", "_pairings",
-                 "_suffix_sums", "_points", "_index", "_tangents", "_root_counts",
-                 "_euler", "_adjacent", "_omega", "_line_weights", "_slot_inners",
-                 "_heights", "_moves", "_stab")
+    __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings", "_suffix_sums",
+                 "_memo")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Sequence[int]):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -121,35 +137,14 @@ class SliceSpec:
         self._suffix_sums = tuple(reversed(sums))
         if mu not in self._suffix_sums[0]:
             raise InvalidSlice("no fixed point: mu is not a weight of the lambda sequence")
-        self._dimension = None
-        self._points = None
-        self._index = None
-        self._tangents = {}
-        # _root_counts, by point index: the multiplicity of each column among
-        # the A-parts of the tangent weights, which the wall routes read
-        self._root_counts = None
-        # repelling_euler's e_A classes, keyed by (point index, chamber)
-        self._euler = {}
-        # adjacent_pairs, keyed by chamber
-        self._adjacent = {}
-        # stab_general.omega_ratio, keyed by the ordered index pair and the
-        # slot of the wall's root; (q, p) is derived from (p, q)
-        self._omega = {}
-        # chern.line_bundle_weight: the weights of L_0..L_l at each point
-        self._line_weights = {}
-        # chern._slot_step: sharp(d), <d, mu> and <d, d'> for the slot steps
-        self._slot_inners = {}
-        # stab_a1._point_heights and _move_partners, by point index
-        self._heights = None
-        self._moves = None
-        # stab_a1.stab_matrix, keyed by chamber and polarization signs
-        self._stab = {}
+        self._memo = {}
 
     @property
     def length(self) -> int:
         return len(self.lambda_seq)
 
     @property
+    @memoized
     def dimension(self) -> int:
         """<lambda - mu, sum of positive roots>, with mu taken to its
         dominant Weyl representative; even and nonnegative.  Computed on
@@ -159,12 +154,10 @@ class SliceSpec:
         target mu below lambda, and the tangent multiplicity total at every
         fixed point is invariant under replacing mu by a Weyl conjugate.
         """
-        if self._dimension is None:
-            mu_plus = dominant_representative(self.cartan, self.mu)
-            d = sum(map(mul, map(sub, self.lambda_total(), mu_plus), self.cartan.two_rho_check))
-            assert d >= 0 and d % 2 == 0
-            self._dimension = d
-        return self._dimension
+        mu_plus = dominant_representative(self.cartan, self.mu)
+        d = sum(map(mul, map(sub, self.lambda_total(), mu_plus), self.cartan.two_rho_check))
+        assert d >= 0 and d % 2 == 0
+        return d
 
     def lambda_total(self) -> Tuple[int, ...]:
         """The sum of the slots' fundamental coweights, zero slots adding 0."""
@@ -222,26 +215,25 @@ class FixedPoint(tuple):
 def enumerate_fixed_points(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
     """All increment sequences, in lexicographic order of coordinate vectors;
     enumerated once per spec.  A point's position here is its point index."""
-    if spec._points is None:
-        spec._points = _enumerate(spec)
-    return spec._points
+    return _fixed_points(spec)
 
 
 def _point(spec: SliceSpec, p: int) -> FixedPoint:
-    """The point of index p.  An index comes from the enumeration, so the
-    spec almost always holds its points already."""
-    return (spec._points or enumerate_fixed_points(spec))[p]
+    """The point of index p, read from the memo of _fixed_points: a point
+    lookup is not a call of enumerate_fixed_points, whose calls the
+    benchmark's layer metrics count."""
+    return _fixed_points(spec)[p]
 
 
+@memoized
 def point_index(spec: SliceSpec) -> Dict[FixedPoint, int]:
     """Position of each fixed point in enumerate_fixed_points, which the
     plain tuple of a point's steps looks up too; do not mutate."""
-    if spec._index is None:
-        spec._index = {p: i for i, p in enumerate(enumerate_fixed_points(spec))}
-    return spec._index
+    return {p: i for i, p in enumerate(enumerate_fixed_points(spec))}
 
 
-def _enumerate(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
+@memoized
+def _fixed_points(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
     """Depth-first over the slots on coordinate tuples.  Each orbit is sorted,
     so the points come out in lexicographic order."""
     result: List[FixedPoint] = []
@@ -279,6 +271,7 @@ def _steps(spec: SliceSpec, p: FixedPoint) -> List[Tuple[int, ...]]:
     return [spec._pairings[d] for d in p]
 
 
+@memoized
 def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int]:
     """Tangent weights at p by the half-integer crossing rule: each weight
     beta + n*h, beta the root of root_list column col, as (col, n) to its
@@ -297,9 +290,6 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int
     root_list is sorted by coordinates).  Computed once per spec and point;
     callers share the result and must not mutate it.
     """
-    found = spec._tangents.get(p)
-    if found is not None:
-        return found
     heights = list(zip(*_steps(spec, p)))
     by_column: list = [()] * len(heights)
     for col, opposite in spec.cartan._root_pairs:
@@ -314,9 +304,7 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int
             ns = sorted(counts)
             by_column[col] = [(n, counts[n]) for n in ns]
             by_column[opposite] = [(-n - 1, counts[n]) for n in reversed(ns)]
-    found = spec._tangents[p] = {(col, n): m for col, column in enumerate(by_column)
-                                 for n, m in column}
-    return found
+    return {(col, n): m for col, column in enumerate(by_column) for n, m in column}
 
 
 class RootMonomial(NamedTuple):
@@ -344,33 +332,28 @@ class RootMonomial(NamedTuple):
         return RootMonomial(self.forms, exponents, self.scalar * scalar)
 
 
+@memoized
 def repelling_euler(spec: SliceSpec, p: int, ch: Chamber) -> RootMonomial:
     """e_A of the ch-repelling half of the tangent space at the point of
     index p (h set to 0): the product of the roots of the weights whose root
     column has sign -1 in the chamber's sign vector.  Built once per spec,
     point and chamber."""
-    key = (p, ch)
-    found = spec._euler.get(key)
-    if found is None:
-        exponents, sign = _repelling_exponents(spec.cartan, _root_counts(spec, p),
-                                               ch.sign_vector)
-        found = spec._euler[key] = RootMonomial(spec.cartan.slot_forms, exponents, sign)
-    return found
+    exponents, sign = _repelling_exponents(spec.cartan, _root_counts(spec)[p], ch.sign_vector)
+    return RootMonomial(spec.cartan.slot_forms, exponents, sign)
 
 
-def _root_counts(spec: SliceSpec, p: int) -> Tuple[int, ...]:
+@memoized
+def _root_counts(spec: SliceSpec) -> Tuple[Tuple[int, ...], ...]:
     """The multiplicity of each root_list column among the A-parts of the
-    tangent weights at the point of index p; built for every point at once,
-    once per spec."""
-    if spec._root_counts is None:
-        table = []
-        for x in enumerate_fixed_points(spec):
-            counts = [0] * len(spec.cartan.root_list)
-            for (col, _), m in tangent_weights(spec, x).items():
-                counts[col] += m
-            table.append(tuple(counts))
-        spec._root_counts = tuple(table)
-    return spec._root_counts[p]
+    tangent weights at each point, by point index; built for every point at
+    once, once per spec."""
+    table = []
+    for x in enumerate_fixed_points(spec):
+        counts = [0] * len(spec.cartan.root_list)
+        for (col, _), m in tangent_weights(spec, x).items():
+            counts[col] += m
+        table.append(tuple(counts))
+    return tuple(table)
 
 
 def _repelling_exponents(cartan: CartanDatum, values: Iterable[int],
@@ -397,7 +380,7 @@ def flip_sign(spec: SliceSpec, p: int, ch1: Chamber, ch2: Chamber) -> int:
     ch1): each line of weights that changes side contributes one sign flip
     per weight on it.  Summed over the point's root counts on each call.
     """
-    moved = sum([m for m, s1, s2 in zip(_root_counts(spec, p), ch1.sign_vector,
+    moved = sum([m for m, s1, s2 in zip(_root_counts(spec)[p], ch1.sign_vector,
                                         ch2.sign_vector) if s1 < s2])
     return -1 if moved % 2 else 1
 
@@ -411,6 +394,7 @@ class AdjacencyWitness(NamedTuple):
     column: int
 
 
+@memoized
 def adjacent_pairs(
     spec: SliceSpec, ch: Chamber
 ) -> Dict[Tuple[int, int], AdjacencyWitness]:
@@ -425,28 +409,26 @@ def adjacent_pairs(
     per spec and chamber, in order of (p, q); callers share the table and
     must not mutate it.
     """
-    found = spec._adjacent.get(ch)
-    if found is None:
-        cartan = spec.cartan
-        index = point_index(spec)
-        roots = [(col, cartan.coroots[col]) for col, sign in enumerate(ch.sign_vector) if sign > 0]
-        found = spec._adjacent[ch] = {}
-        # the index holds the points in index order
-        for p, x in index.items():
-            steps = _steps(spec, p)
-            moves = []
-            for col, coroot in roots:
-                ups = [m for m, row in enumerate(steps) if row[col] == 1]
-                downs = [m for m, row in enumerate(steps) if row[col] == -1]
-                for i in ups:
-                    for j in (j for j in downs if j > i):
-                        moved = list(p)
-                        moved[i] = tuple(map(sub, p[i], coroot))
-                        moved[j] = tuple(map(add, p[j], coroot))
-                        moves.append((index[tuple(moved)], AdjacencyWitness(i + 1, j + 1, col)))
-            # q determines the move, so the sort compares indices only
-            for q, witness in sorted(moves):
-                found[(x, q)] = witness
+    cartan = spec.cartan
+    index = point_index(spec)
+    roots = [(col, cartan.coroots[col]) for col, sign in enumerate(ch.sign_vector) if sign > 0]
+    found = {}
+    # the index holds the points in index order
+    for p, x in index.items():
+        steps = _steps(spec, p)
+        moves = []
+        for col, coroot in roots:
+            ups = [m for m, row in enumerate(steps) if row[col] == 1]
+            downs = [m for m, row in enumerate(steps) if row[col] == -1]
+            for i in ups:
+                for j in (j for j in downs if j > i):
+                    moved = list(p)
+                    moved[i] = tuple(map(sub, p[i], coroot))
+                    moved[j] = tuple(map(add, p[j], coroot))
+                    moves.append((index[tuple(moved)], AdjacencyWitness(i + 1, j + 1, col)))
+        # q determines the move, so the sort compares indices only
+        for q, witness in sorted(moves):
+            found[(x, q)] = witness
     return found
 
 

@@ -41,9 +41,11 @@ from .slices import (
     FixedPoint,
     RootMonomial,
     SliceSpec,
+    _fixed_points,
     _steps,
     adjacent_pairs,
     enumerate_fixed_points,
+    memoized,
     point_index,
     repelling_euler,
     tangent_weights,
@@ -148,55 +150,34 @@ def _chamber_sign(ch: Chamber) -> int:
     return ch.sign_vector[ch.datum._root_pairs[0][0]]
 
 
-def minimal_point(spec: SliceSpec, ch: Chamber) -> FixedPoint:
-    """The chamber-minimal fixed point: all -omega_ch increments first."""
-    _require_a1(spec)
-    sign = _chamber_sign(ch)
-    k = sign * spec.mu[0]
-    free = [i for i in range(spec.length) if spec.lambda_seq[i] != 0]
-    n_plus, rem = divmod(len(free) + k, 2)
-    # SliceSpec construction guarantees a nonempty fixed locus
-    assert rem == 0 and 0 <= n_plus <= len(free)
-    delta = [(0,)] * spec.length
-    for pos, slot in enumerate(free):
-        delta[slot] = (sign,) if pos >= len(free) - n_plus else (-sign,)
-    return FixedPoint(delta)
-
-
+@memoized
 def _point_heights(spec: SliceSpec) -> Tuple[Tuple[int, ...], ...]:
     """Each fixed point's heights <sigma_k, a>, k = 0..l, against the
     positive root a, by point index; summed from the spec's pairing table
     once per spec."""
-    if spec._heights is None:
-        col = spec.cartan._root_pairs[0][0]
-        spec._heights = tuple(
-            tuple(accumulate((row[col] for row in _steps(spec, p)), initial=0))
-            for p in enumerate_fixed_points(spec)
-        )
-    return spec._heights
+    col = spec.cartan._root_pairs[0][0]
+    return tuple(tuple(accumulate((row[col] for row in _steps(spec, p)), initial=0))
+                 for p in enumerate_fixed_points(spec))
 
 
+@memoized
 def _move_partners(spec: SliceSpec) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """The raising moves, once per spec: (i, partner) for each pair of
     1-based slots i < j that are adjacent in the nonfrozen subword, where
-    partner[x] is the index of point x with slots i and j swapped.
-
-    A point is its sequence of steps (the height differences), so a swap is
-    looked up by the swapped sequence."""
-    if spec._moves is None:
-        steps = [tuple(map(sub, h[1:], h)) for h in _point_heights(spec)]
-        index = {s: x for x, s in enumerate(steps)}
-        free = [i for i in range(spec.length) if spec.lambda_seq[i] != 0]
-        moves = []
-        for i, j in zip(free, free[1:]):
-            partner = []
-            for s in steps:
-                t = list(s)
-                t[i], t[j] = t[j], t[i]
-                partner.append(index[tuple(t)])
-            moves.append((i + 1, tuple(partner)))
-        spec._moves = tuple(moves)
-    return spec._moves
+    partner[x] is the index of point x with slots i and j swapped, looked
+    up by the swapped steps."""
+    index = point_index(spec)
+    free = [i for i in range(spec.length) if spec.lambda_seq[i] != 0]
+    moves = []
+    for i, j in zip(free, free[1:]):
+        partner = []
+        # the index holds the points in index order
+        for p in index:
+            t = list(p)
+            t[i], t[j] = t[j], t[i]
+            partner.append(index[tuple(t)])
+        moves.append((i + 1, tuple(partner)))
+    return tuple(moves)
 
 
 def _stat_keys(spec: SliceSpec, ch: Chamber) -> List[int]:
@@ -358,11 +339,15 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     _require_a1(spec)
     if ch.datum != spec.cartan:
         raise ValueError("chamber does not belong to the slice's Cartan datum")
-    points = enumerate_fixed_points(spec)
-    signs = normalize_polarization(points, polarization_signs)
-    found = spec._stab.get((ch, signs))
-    if found is not None:
-        return found
+    signs = normalize_polarization(enumerate_fixed_points(spec), polarization_signs)
+    return _stab_matrix(spec, ch, signs)
+
+
+@memoized
+def _stab_matrix(spec: SliceSpec, ch: Chamber, signs: Tuple[int, ...]) -> RestrictionMatrix:
+    """stab_matrix for the signs by point index that normalize_polarization
+    returns."""
+    points = _fixed_points(spec)  # stab_matrix has enumerated them
     stats = _stat_keys(spec, ch)
     heights = _point_heights(spec)
     moves = _move_partners(spec)
@@ -371,13 +356,13 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     # half), the product of its weights +-a + n h: sign_p times the scalar
     # of e_A, the product of the roots +-a
     eps = [s * repelling_euler(spec, p, ch).scalar for p, s in enumerate(signs)]
-    p0 = point_index(spec)[minimal_point(spec, ch)]
+    # points come in lexicographic key order, so the index breaks stat ties;
+    # the chamber-minimal point (all -omega_ch increments first) is the one
+    # point of least stat, where the recursion starts
+    p0, *order = sorted(range(len(points)), key=lambda x: (stats[x], x))
     rows = {p0: {p0: _repelling_form(spec, points[p0], ch, signs[p0])}}
 
-    # points come in lexicographic key order, so the index breaks stat ties
-    for p in sorted(range(len(points)), key=lambda x: (stats[x], x)):
-        if p == p0:
-            continue
+    for p in order:
         candidates = []
         for i, partner in moves:
             prev = partner[p]
@@ -396,7 +381,6 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
     entries = {(p, q): val for p, row in rows.items() for q, val in row.items()}
     matrix = RestrictionMatrix(spec, ch, signs, entries, eps)
     matrix.validate()
-    spec._stab[ch, signs] = matrix
     return matrix
 
 

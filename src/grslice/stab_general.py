@@ -12,8 +12,8 @@ RootMonomial, an exponent vector over those forms built by tuple
 arithmetic, and expanded only where a document prints it.
 omega is read from the root counts of p and q (the multiplicity of each root
 among the A-parts of the tangent weights, slices._root_counts) and a
-chamber's sign vector; it belongs to the wall, so it lives in the spec's
-_omega slot, once per unordered pair and wall.
+chamber's sign vector; it belongs to the wall, so it is memoized once per
+spec, unordered pair and wall.
 Points are their indices in enumerate_fixed_points, and a polarization is
 the tuple of signs by index that normalize_polarization returns.  A root
 is its column in the datum's root_list: the wall routes take it so and
@@ -39,6 +39,7 @@ from .slices import (
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
+    memoized,
     repelling_euler,
 )
 from .stab_a1 import ExactDivisionFailure, normalize_polarization
@@ -53,14 +54,15 @@ def wall_adjacent_chambers(cartan: CartanDatum, column: int) -> Tuple[Chamber, C
     (CartanDatum); the chambers are built once per datum and wall (the
     column's slot), when a job first asks for that wall.
     """
-    slot = cartan._slots[column][0]
-    found = cartan.wall_chambers.get(slot)
-    if found is None:
-        base = cartan._wall_bases[slot]
-        coroot = cartan.coroots[cartan._root_pairs[slot][0]]
-        found = cartan.wall_chambers[slot] = tuple(
-            Chamber(cartan, tuple(map(op, base, coroot))) for op in (add, sub))
-    return found
+    return _wall_chambers(cartan, cartan._slots[column][0])
+
+
+@memoized
+def _wall_chambers(cartan: CartanDatum, slot: int) -> Tuple[Chamber, Chamber]:
+    """wall_adjacent_chambers for the wall of the roots of the given slot."""
+    base = cartan._wall_bases[slot]
+    coroot = cartan.coroots[cartan._root_pairs[slot][0]]
+    return tuple(Chamber(cartan, tuple(map(op, base, coroot))) for op in (add, sub))
 
 
 def omega_ratio(spec: SliceSpec, p: int, q: int, column: int) -> Tuple[Tuple[int, ...], int]:
@@ -74,35 +76,36 @@ def omega_ratio(spec: SliceSpec, p: int, q: int, column: int) -> Tuple[Tuple[int
     vector over the datum's slot forms (positive for a factor above,
     negative for one below, 0 for h), and the scalar +-1.  The ratio
     belongs to the wall, not to a chamber, so it is computed and checked
-    once per spec, unordered pair and wall (the ratio for (q, p) is the
-    reciprocal), and callers share it.
+    once per spec, unordered pair and wall: the ratio for p > q is the
+    reciprocal of the one for (q, p), its exponents negated.
     """
+    slot = spec.cartan._slots[column][0]
+    if p <= q:
+        return _wall_ratio(spec, p, q, slot)
+    exponents, scalar = _wall_ratio(spec, q, p, slot)
+    return tuple([-m for m in exponents]), scalar
+
+
+@memoized
+def _wall_ratio(spec: SliceSpec, p: int, q: int, slot: int) -> Tuple[Tuple[int, ...], int]:
+    """omega_ratio for the wall of the roots of the given slot."""
     cartan = spec.cartan
-    slot = cartan._slots[column][0]
-    key = (p, q, slot)
-    found = spec._omega.get(key)
-    if found is None:
-        reverse = spec._omega.get((q, p, slot))
-        if reverse is not None:
-            exponents, scalar = reverse
-            found = (tuple([-m for m in exponents]), scalar)
-        else:
-            # p and q lie in one component of the fixed locus of the wall when
-            # they differ and every sigma difference is a multiple of its
-            # coroot (of no other)
-            coroot, run = cartan.coroots[column], (0,) * cartan.rank
-            for dp, dq in zip(_point(spec, p), _point(spec, q)):
-                run = tuple(map(add, run, map(sub, dp, dq)))
-                if p == q or not _integer_multiple(run, coroot):
-                    raise ValueError("p and q do not share a wall component for this root")
-            counts = tuple(map(sub, _root_counts(spec, q), _root_counts(spec, p)))
-            near, far = (_repelling_exponents(cartan, counts, ch.sign_vector)
-                         for ch in wall_adjacent_chambers(cartan, column))
-            if near != far:
-                raise AssertionError("the two wall sides disagree on the omega ratio")
-            found = near
-        spec._omega[key] = found
-    return found
+    column = cartan._root_pairs[slot][0]
+    # p and q lie in one component of the fixed locus of the wall when they
+    # differ and every sigma difference is a multiple of its coroot (of no
+    # other)
+    coroot, run = cartan.coroots[column], (0,) * cartan.rank
+    for dp, dq in zip(_point(spec, p), _point(spec, q)):
+        run = tuple(map(add, run, map(sub, dp, dq)))
+        if p == q or not _integer_multiple(run, coroot):
+            raise ValueError("p and q do not share a wall component for this root")
+    counts = _root_counts(spec)
+    counts = tuple(map(sub, counts[q], counts[p]))
+    near, far = (_repelling_exponents(cartan, counts, ch.sign_vector)
+                 for ch in wall_adjacent_chambers(cartan, column))
+    if near != far:
+        raise AssertionError("the two wall sides disagree on the omega ratio")
+    return near
 
 
 def sigma_sign(

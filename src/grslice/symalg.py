@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 
 class NonDivisible(ArithmeticError):
@@ -111,20 +111,6 @@ class Polynomial:
     def one(cls, nvars: int) -> "Polynomial":
         return cls.constant(nvars, 1)
 
-    @classmethod
-    def linear_form(cls, a_coords: Sequence, h_coeff) -> "Polynomial":
-        """c_1 a_1 + .. + c_r a_r + (h_coeff) h."""
-        r = len(a_coords)
-        terms = {}
-        for i, c in enumerate(a_coords):
-            if c != 0:
-                exp = [0] * (r + 1)
-                exp[i] = 1
-                terms[tuple(exp)] = c
-        if h_coeff != 0:
-            terms[(0,) * r + (1,)] = h_coeff
-        return cls(r + 1, terms)
-
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other):
@@ -201,10 +187,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # -- display / serialization -------------------------------------------
-
-    def to_json(self) -> dict:
-        return {monomial_key(e): str(Fraction(c)) for e, c in sorted(self.terms.items())}
+    # -- display -----------------------------------------------------------
 
     def __str__(self):
         return polynomial_text((monomial_key(e), self.terms[e])

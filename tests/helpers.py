@@ -2,8 +2,10 @@
 tuples, the fundamental and zero coweights, independent tangent-weight
 oracles, random
 minuscule slice sampling, an independent sampler of wall-adjacent chambers,
-polynomial queries the program itself does not need (generators, the zero
-test, one coefficient), the reference reader of JSON polynomial cells,
+polynomial queries and builders the program itself does not need
+(generators, linear forms, the zero test, one coefficient), the reference
+reader and writer of JSON polynomial cells, the chamber-minimal point of a
+rank-one slice,
 the reference expansions of Euler classes, forms
 and matrix entries into Polynomials and the reference printer of a
 Polynomial, reference polynomial routes (substitution, truncation mod h^2,
@@ -34,7 +36,12 @@ from grslice.slices import (
     flip_sign,
     tangent_weights,
 )
-from grslice.stab_a1 import RestrictionMatrix, _form_mul, normalize_polarization
+from grslice.stab_a1 import (
+    RestrictionMatrix,
+    _chamber_sign,
+    _form_mul,
+    normalize_polarization,
+)
 from grslice.symalg import Polynomial, RationalFunction, _norm_scalar, monomial_key
 
 
@@ -131,6 +138,26 @@ def polynomial_from_json(obj, nvars):
     return Polynomial(nvars, term_reader(nvars)(obj))
 
 
+def polynomial_to_json(poly):
+    """The JSON cell {monomial name: coefficient text} of a Polynomial, in
+    increasing exponent order."""
+    return {monomial_key(e): str(Fraction(c)) for e, c in sorted(poly.terms.items())}
+
+
+def linear_form(a_coords, h_coeff):
+    """The Polynomial c_1 a_1 + .. + c_r a_r + (h_coeff) h."""
+    r = len(a_coords)
+    terms = {}
+    for i, c in enumerate(a_coords):
+        if c != 0:
+            exp = [0] * (r + 1)
+            exp[i] = 1
+            terms[tuple(exp)] = c
+    if h_coeff != 0:
+        terms[(0,) * r + (1,)] = h_coeff
+    return Polynomial(r + 1, terms)
+
+
 def point(*steps):
     """The fixed point with the given steps, each an int (a rank-one step)
     or a coordinate sequence."""
@@ -219,7 +246,7 @@ def expand_product(nvars, factors, scalar):
     out = Polynomial.constant(nvars, scalar)
     for f, k in factors:
         if k:
-            out = out * Polynomial.linear_form(f[:-1], f[-1]) ** k
+            out = out * linear_form(f[:-1], f[-1]) ** k
     return out
 
 
@@ -324,7 +351,7 @@ def expanded(entries, pair, zero):
 
 def form_polynomial(form):
     """The linear form with coefficient tuple (a_1..a_r, h) as a polynomial."""
-    return Polynomial.linear_form(form[:-1], form[-1])
+    return linear_form(form[:-1], form[-1])
 
 
 def binary_polynomial(f):
@@ -509,6 +536,20 @@ def weight_stat(spec, p, ch):
     return Fraction(sum(pairing(s, alpha) for s in p.sigma()), 2)
 
 
+def minimal_point(spec, ch):
+    """The chamber-minimal fixed point of a rank-one slice, all -omega_ch
+    increments first: the reference for the point of least stat, where the
+    raising recursion starts."""
+    sign = _chamber_sign(ch)
+    free = [i for i in range(spec.length) if spec.lambda_seq[i] != 0]
+    n_plus, rem = divmod(len(free) + sign * spec.mu[0], 2)
+    assert rem == 0 and 0 <= n_plus <= len(free)
+    delta = [(0,)] * spec.length
+    for pos, slot in enumerate(free):
+        delta[slot] = (sign,) if pos >= len(free) - n_plus else (-sign,)
+    return FixedPoint(delta)
+
+
 def stored_rows(matrix):
     """Each point's nonzero restrictions in a restriction matrix, keyed by
     the restricting point, as polynomials."""
@@ -522,7 +563,7 @@ def stored_rows(matrix):
 def reference_document(command, spec, ch, matrix):
     """The stab-exact, mult or stab-mod-h2 document of a matrix as a plain
     dict, each cell expanded into a Polynomial and printed by
-    Polynomial.to_json: a stab-exact or mult cell read through the matrix's
+    polynomial_to_json: a stab-exact or mult cell read through the matrix's
     entry reader, a stab-mod-h2 one (matrix the entries of stab_mod_h2)
     through euler_polynomial."""
     points = enumerate_fixed_points(spec)
@@ -531,19 +572,19 @@ def reference_document(command, spec, ch, matrix):
     deltas = [[list(c) for c in p] for p in points]
     if command == "stab-exact":
         doc["points"] = deltas
-        doc["entries"] = {f"{pi},{qi}": entry_polynomial(matrix, p, q).to_json()
+        doc["entries"] = {f"{pi},{qi}": polynomial_to_json(entry_polynomial(matrix, p, q))
                           for pi, p in enumerate(points) for qi, q in enumerate(points)
                           if not is_zero(entry_polynomial(matrix, p, q))}
     elif command == "mult":
         doc["basis"] = deltas
         doc["bundle"] = matrix.label
-        doc["entries"] = [[entry_polynomial(matrix, q, p).to_json() for p in points]
+        doc["entries"] = [[polynomial_to_json(entry_polynomial(matrix, q, p)) for p in points]
                           for q in points]
     else:
         pairs = adjacent_pairs(spec, ch)
         roots = spec.cartan.root_list
         doc["entries"] = [{"p": p, "q": q, "alpha": list(roots[pairs[p, q].column]),
-                           "value": euler_polynomial(matrix[p, q]).to_json()}
+                           "value": polynomial_to_json(euler_polynomial(matrix[p, q]))}
                           for p, q in sorted(matrix)]
     return doc
 

@@ -40,6 +40,7 @@ from helpers import (
     euler_polynomial,
     expanded,
     form_polynomial,
+    linear_form,
     operator_product,
     pairing,
     random_minuscule_specs,
@@ -188,7 +189,7 @@ def eps_prime(spec, x, ch, wall_root):
     for (col, n), m in tangent_weights(spec, x).items():
         root = spec.cartan.root_list[col]
         if not ch.is_positive(root) and root != wall_root and root != vneg(wall_root):
-            out = out * Polynomial.linear_form(root, 0) ** m
+            out = out * linear_form(root, 0) ** m
     return out
 
 
@@ -220,8 +221,8 @@ def test_criterion_07_general_route_consistency():
                 z_part = substitute(
                     euler_polynomial(z),
                     [
-                        Polynomial.linear_form(root, 0),
-                        Polynomial.linear_form([0, 0], 1),
+                        linear_form(root, 0),
+                        linear_form([0, 0], 1),
                     ]
                 )
                 sides = wall_adjacent_chambers(A2, w.column)

@@ -30,10 +30,12 @@ from helpers import (
     form_polynomial,
     gen,
     is_zero,
+    linear_form,
     localization_pair,
     operator_product,
     pairing,
     point,
+    polynomial_to_json,
     printed,
     vsub,
     vsum,
@@ -141,7 +143,7 @@ def test_h_operator_diagonal():
     mat = h_operator(spec, 2)
     for p in mat.basis:
         d = p[1]
-        expected = Polynomial.linear_form(
+        expected = linear_form(
             exact_sharp(spec.cartan, d), exact_inner(spec.cartan, d, spec.mu) / 2
         )
         assert entry_polynomial(mat, p, p) == expected
@@ -199,7 +201,7 @@ def test_two_point_slice_worked_multiplication():
     assert mat.entry(plus, minus) == (0, 0)
 
     stab = stab_matrix(TSTAR_P1, CH1_PLUS)
-    weight = Polynomial.linear_form([Fraction(1, 2)], Fraction(1, 4))
+    weight = linear_form([Fraction(1, 2)], Fraction(1, 4))
     h = h_poly(TSTAR_P1)
     for x in stab.points:
         lhs = form_polynomial(bundle_weight(TSTAR_P1, x, "E1")) * entry_polynomial(stab, plus, x)
@@ -214,7 +216,7 @@ def test_trivial_and_determinant_bundles():
         assert all(is_zero(entry_polynomial(zero_mat, q, p)) for q in basis for p in basis)
         top = mult_matrix(spec, f"L{spec.length}", ch)
         mu = spec.mu
-        scalar = Polynomial.linear_form(
+        scalar = linear_form(
             exact_sharp(spec.cartan, mu), exact_inner(spec.cartan, mu, mu) / 2
         )
         for qi, q in enumerate(top.basis):
@@ -435,7 +437,7 @@ def test_reconstruction_matches_matrix_entries():
                     if is_zero(expected):
                         assert coeff == 0
                     else:
-                        assert Polynomial.linear_form(
+                        assert linear_form(
                             [0] * spec.cartan.rank, coeff
                         ) == expected
 
@@ -575,5 +577,5 @@ def test_json_prints_every_cell_through_entry():
         for bundle in all_bundles(spec):
             mat = mult_matrix(spec, bundle, ch)
             basis = mat.basis
-            expected = [[entry_polynomial(mat, q, p).to_json() for p in basis] for q in basis]
+            expected = [[polynomial_to_json(entry_polynomial(mat, q, p)) for p in basis] for q in basis]
             assert printed(cli._mult_entries(mat)) == expected

@@ -1,5 +1,6 @@
 import copy
 import errno
+import gc
 import hashlib
 import inspect
 import json
@@ -10,16 +11,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from grslice import cli, slices, stab_general, verify
+from grslice import cartan, cli, slices, stab_general, verify
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, JobSpec, build_parser, cache_fetch, cache_store, main
 from grslice.chern import mult_matrix
 from grslice.slices import adjacent_pairs, enumerate_fixed_points
 from grslice.stab_a1 import stab_matrix
 from grslice.stab_general import stab_mod_h2
-from grslice.symalg import Polynomial
 from helpers import (entry_polynomial, euler_polynomial, fundamental_coweight, is_zero,
-                     polynomial_from_json, reference_document, reference_str, vsum,
+                     linear_form, polynomial_from_json, reference_document, reference_str, vsum,
                      zero_coweight)
 
 
@@ -92,15 +92,18 @@ def test_non_minuscule_weight_exits_two(capsys):
 
 
 # a mu of the wrong length is refused before the datum, whose cost grows
-# like rank^3, is built; a bad type letter or rank is still reported first
+# like rank^3, or even its rank-by-rank Cartan matrix is built; a bad type
+# letter or rank is still reported first
 @pytest.mark.parametrize("letter, rank, message", [
     ("A", "300", "mu must be an integral coweight of matching rank"),
+    ("A", "1000000000", "mu must be an integral coweight of matching rank"),
     ("Q", "2", "unknown type letter 'Q'"),
     ("E", "5", "rank 5 is not valid for type E"),
-], ids=["A300", "bad-letter", "bad-rank"])
+], ids=["A300", "A1e9", "bad-letter", "bad-rank"])
 def test_mu_of_the_wrong_length_exits_two_before_the_datum_is_built(capsys, monkeypatch,
                                                                     letter, rank, message):
     monkeypatch.setattr(cli, "CartanDatum", _refuse)
+    monkeypatch.setattr(cartan, "_build_cartan_matrix", _refuse)
     argv = ["fixed-points", "--type", letter, "--rank", rank, "--lambda", "1", "--mu", "0"]
     assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
@@ -160,6 +163,21 @@ def test_chamber_with_zero_denominator_exits_two(capsys):
     code, out, err = run_cli(capsys, ["fixed-points"] + BASE_A1 + ["--chamber", "1/0"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Fraction reads an exponent as well, and builds 10^k for it: 1e10000000
+# alone takes seconds, so a coordinate with an exponent is refused
+@pytest.mark.parametrize("chamber", ["1e5,1", "2,1E-3", "1e10000000,1"])
+def test_chamber_with_an_exponent_exits_two(capsys, chamber):
+    code, out, err = run_cli(capsys, ["fixed-points"] + BASE_FL3 + ["--chamber", chamber])
+    assert code == 2 and out == ""
+    assert err.startswith("error: chamber coordinate ") and err.count("\n") == 1
+
+
+def test_chamber_integers_decimals_and_fractions_still_parse(capsys):
+    for chamber in ("2,-1", "2.5,-0.5", "5/2,-1/2", " 3 ,-1"):
+        code, out, err = run_cli(capsys, ["fixed-points"] + BASE_FL3 + ["--chamber", chamber])
+        assert code == 0, (chamber, err)
 
 
 class _FailingStdout:
@@ -535,7 +553,7 @@ def test_table_and_json_tangent_agree(capsys):
     from_json = set()
     for pt in payload["points"]:
         for w in pt["weights"]:
-            poly = reference_str(Polynomial.linear_form(w["root"], w["n"]))
+            poly = reference_str(linear_form(w["root"], w["n"]))
             from_json.add((pt["label"], poly, str(w["mult"])))
     lines = as_table.strip().split("\n")
     assert lines[0] == "point | weight | mult"
@@ -746,7 +764,7 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
     spec = job.build()[0]
     points = slices.enumerate_fixed_points(spec)
     # the oracles: fresh records at every point, printed by json.dumps, and
-    # table rows built from Polynomial.linear_form
+    # table rows built from linear_form
     fresh = [{"delta": [list(d) for d in p], "label": p.label()} for p in points]
     if command == "tangent":
         rows = []
@@ -756,7 +774,7 @@ def test_point_lists_print_as_fresh_records(capsys, tmp_path, monkeypatch,
                              for (col, n), m in slices.tangent_weights(spec, p).items())
             point["weights"] = [{"root": list(root), "n": n, "mult": m}
                                 for root, n, m in entries]
-            rows += [f"{p.label()} | {reference_str(Polynomial.linear_form(root, n))} | {m}"
+            rows += [f"{p.label()} | {reference_str(linear_form(root, n))} | {m}"
                      for root, n, m in entries]
         expected = {"command": "tangent", "points": fresh}
         header = "point | weight | mult"
@@ -1057,6 +1075,22 @@ def test_wallcross_reads_each_wall_from_the_witness_root(capsys, tmp_path, monke
     assert checked
     assert not any(hasattr(module, "same_wall_component")
                    for name, module in sys.modules.items() if name.startswith("grslice"))
+
+
+def test_no_slice_or_datum_outlives_a_job(capsys):
+    # every memo lives in its spec or datum, and no module keeps either
+    # from one job to the next
+    def alive():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, (slices.SliceSpec, CartanDatum))]
+
+    before = alive()
+    jobs = [["verify", "all"] + BASE_A1, ["stab-mod-h2"] + BASE_FL3,
+            ["mult", "--bundle", "E2"] + BASE_FL3]
+    for argv in jobs:
+        assert run_cli(capsys, argv)[0] == 0
+    kept = {id(o) for o in before}
+    assert [o for o in alive() if id(o) not in kept] == []
 
 
 def test_wallcross_computes_each_chamber_and_signs_once(capsys, tmp_path, monkeypatch):

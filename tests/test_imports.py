@@ -148,13 +148,12 @@ def _traced_methods():
 
 
 # Public definitions no program route reaches that stay on purpose: the
-# paper's routes that the command line is to expose, the reference
-# arithmetic of Polynomial that the tests build, and an override that
+# paper's routes that the command line is to expose, and an override that
 # argparse calls.  The methods the benchmark's tracer wraps are exempt too.
 PUBLIC_EXEMPT = {
     "stab_a1.theta_action", "chern.h_operator", "chern.omega_operators",
     "chern.mult_matrix_via_localization", "slices.project_to_wall_slice",
-    "symalg.Polynomial.linear_form", "symalg.Polynomial.to_json", "cli._Parser.error",
+    "cli._Parser.error",
 }
 
 

@@ -17,6 +17,7 @@ from grslice.slices import (
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
+    memoized,
     point_index,
     project_to_wall_slice,
     repelling_euler,
@@ -507,6 +508,39 @@ def test_adjacent_pairs_match_the_pairwise_rule(spec_and_chamber):
     # in order of point indices, and built once per spec and chamber
     assert list(table) == sorted(table)
     assert adjacent_pairs(spec, ch) is table
+
+
+def test_memoized_keeps_one_value_per_object_function_and_arguments():
+    calls = []
+
+    @memoized
+    def derived(spec, *args):
+        calls.append(args)
+        return [spec.lambda_seq, args]
+
+    @memoized
+    def other(spec, *args):
+        return ["other", args]
+
+    one, two = a1_spec(4, 0), a1_spec(4, 0)
+    assert one == two and one is not two
+    first = derived(one, 1, "x")
+    # a repeat call returns the identical object, computed once
+    assert derived(one, 1, "x") is first
+    assert calls == [(1, "x")]
+    # an equal spec keeps entries of its own
+    assert derived(two, 1, "x") == first and derived(two, 1, "x") is not first
+    assert calls == [(1, "x")] * 2
+    # other arguments, and another function on the same ones, do not collide
+    assert derived(one, 2, "x") == [one.lambda_seq, (2, "x")]
+    assert derived(one) == [one.lambda_seq, ()]
+    assert other(one, 1, "x") == ["other", (1, "x")]
+    assert derived(one, 1, "x") is first
+    assert calls == [(1, "x"), (1, "x"), (2, "x"), ()]
+    # the name and docstring stay the function's own, which the benchmark
+    # tracer reads
+    assert derived.__name__ == "derived" and tangent_weights.__name__ == "tangent_weights"
+    assert "crossing rule" in tangent_weights.__doc__
 
 
 # ---------------------------------------------------------------- serialization

@@ -21,7 +21,6 @@ from grslice.stab_a1 import (
     NotA1,
     PathInconsistency,
     RestrictionMatrix,
-    minimal_point,
     stab_matrix,
     stab_offdiag_mod_h2,
     theta_action,
@@ -40,6 +39,7 @@ from helpers import (
     expanded,
     gen,
     localization_denominator,
+    minimal_point,
     pairing_sums_reference,
     point,
     polynomial_from_json,
@@ -82,12 +82,18 @@ def test_minimal_point_examples():
 
 
 def test_minimal_point_is_stat_minimum():
-    for spec in grid_specs(5):
+    zero_slots = [SliceSpec(A1, lam, Coweight([k])) for lam, k in
+                  [((1, 0, 1, 1), 1), ((0, 1, 1, 0, 1, 1), 0), ((1, 0, 0, 1, 1, 1, 0), -2)]]
+    for spec in [*grid_specs(5), *zero_slots]:
         for ch in (CH_PLUS, CH_MINUS):
             p0 = minimal_point(spec, ch)
             stats = {p: weight_stat(spec, p, ch) for p in enumerate_fixed_points(spec)}
             assert all(stats[p0] <= s for s in stats.values())
             assert sum(1 for s in stats.values() if s == stats[p0]) == 1
+            # the recursion starts from the first point in stat order
+            keys = stab_a1._stat_keys(spec, ch)
+            start = min(range(len(keys)), key=lambda x: (keys[x], x))
+            assert enumerate_fixed_points(spec)[start] == p0
 
 
 def test_weight_stat_examples():
