@@ -27,11 +27,9 @@ from .slices import (
     FixedPoint,
     RootMonomial,
     SliceSpec,
-    _point,
     adjacent_pairs,
     enumerate_fixed_points,
     memoized,
-    point_index,
     repelling_euler,
 )
 from .stab_a1 import (
@@ -123,8 +121,8 @@ class OperatorMatrix:
     basis is enumerate_fixed_points(spec), so a point's index is its
     point_index.  entries holds the nonzero coefficients only, keyed by the
     index pair (qi, pi), each a linear form in (a, h) as its coefficient
-    tuple (a_1, .., a_r, h); zero is the all-zero tuple, and entry reads a
-    cell by point, zero where none is stored.
+    tuple (a_1, .., a_r, h); zero is the all-zero tuple, the value of a
+    cell where none is stored.
     """
 
     __slots__ = ("spec", "chamber", "basis", "entries", "label", "zero")
@@ -142,10 +140,6 @@ class OperatorMatrix:
         self.entries = {key: e for key, e in entries.items() if any(e)}
         self.label = label
         self.zero = (0,) * (spec.cartan.rank + 1)
-
-    def entry(self, q: FixedPoint, p: FixedPoint) -> tuple:
-        index = point_index(self.spec)
-        return self.entries.get((index[q], index[p]), self.zero)
 
     def validate(self) -> None:
         """Entries are linear forms; off-diagonal ones rational multiples of h."""
@@ -226,13 +220,9 @@ def _over(n: int, d: int):
 
 
 @memoized
-def _slot_step(spec: SliceSpec, d: Tuple[int, ...]) -> tuple:
-    """For a slot step d, as ints times the gram denominator: the coordinates
-    of sharp(d), <d, mu> and a map d' -> <d, d'> keyed by the coordinates of
-    d', which _mult_l fills as it needs it (each as <d', sharp(d)>); once
-    per spec and step."""
-    sharp = spec.cartan.sharp(d)
-    return sharp, sum(map(mul, spec.mu, sharp)), {}
+def _step_sharp(spec: SliceSpec, d: Tuple[int, ...]) -> Tuple[int, ...]:
+    """sharp(d) of a slot step d, once per spec and step."""
+    return spec.cartan.sharp(d)
 
 
 def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorMatrix:
@@ -243,19 +233,14 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
     scale = spec.cartan.gram.den
     entries = {}
     for pi, p in enumerate(points):
-        # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu),
-        # less (h/2) (delta_i, delta_j) for every slot j > k, all times scale
-        a_part = a_zero
-        twice_h = 0
+        # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu), less
+        # (h/2) (delta_i, delta_j) for every slot j > k: the weight
+        # sharp(sigma_k) + (h/2) (sigma_k, sigma_k) of L_k, all times scale
+        sigma = a_part = a_zero
         for d in p[:k]:
-            sharp, with_mu, inner = _slot_step(spec, d)
-            a_part = tuple(map(add, a_part, sharp))
-            twice_h += with_mu
-            for c in p[k:]:
-                value = inner.get(c)
-                if value is None:
-                    value = inner[c] = sum(map(mul, c, sharp))
-                twice_h -= value
+            sigma = tuple(map(add, sigma, d))
+            a_part = tuple(map(add, a_part, _step_sharp(spec, d)))
+        twice_h = sum(map(mul, sigma, a_part))
         entries[pi, pi] = tuple([_over(x, scale) for x in a_part]) + (_over(twice_h, 2 * scale),)
     for pi, qi, w, sign in pair_table:
         if not w.i <= k < w.j:
@@ -358,7 +343,7 @@ def reconstruct_coefficient(
     entry = entries.get((p, q))
     if entry is None:
         return Fraction(0)
-    at_p, at_q = _point(spec, p), _point(spec, q)
+    at_p, at_q = spec._points[p], spec._points[q]
     # the A-part of the weight difference is the sharp of the coroot that
     # moves p to q, up to sign: an integer multiple of a root, with integral
     # coefficients that may be Fractions; every root is primitive, so the difference is

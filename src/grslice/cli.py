@@ -29,7 +29,6 @@ from .cartan import CartanDatum, Chamber, Coweight, _check_type
 from .chern import NonLinearFormEntry, mult_matrix, parse_bundle
 from .slices import (
     InvalidSlice,
-    NonMinusculeUnsupported,
     SliceSpec,
     _step_label,
     adjacent_pairs,
@@ -39,7 +38,6 @@ from .slices import (
 from .stab_a1 import (
     ExactDivisionFailure,
     InvariantViolation,
-    NotA1,
     PathInconsistency,
     normalize_polarization,
     stab_matrix,
@@ -52,12 +50,6 @@ CACHE_ENV = "GRSLICE_CACHE_DIR"
 # that entries written by an older version are recomputed, never served.
 CACHE_FORMAT = 3
 
-_VALIDATION_ERRORS = (
-    NonMinusculeUnsupported,
-    InvalidSlice,
-    NotA1,
-    ValueError,
-)
 _INTERNAL_ERRORS = (
     PathInconsistency,
     ExactDivisionFailure,
@@ -592,7 +584,7 @@ def run(job: JobSpec) -> Tuple[int, str]:
         return entry
     try:
         payload = compute_payload(job, *job.build())
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         return 2, f"error: {exc}\n"
     except _INTERNAL_ERRORS as exc:
         return 3, f"verification failure: {exc}\n"

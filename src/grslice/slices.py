@@ -16,10 +16,12 @@ aligned with the ambient slice.
 Slot steps are paired with roots once per spec, in integers: the spec holds
 <d, beta> for every orbit element d and every root beta.  Every slot is
 minuscule or a zero slot, so each such pairing is -1, 0 or +1 (the table
-build checks it).  Enumeration descends on the steps' coordinate tuples,
-tangent weights sum table rows into heights, and the adjacent pairs move
-steps by coroot coordinates.  mu, the orbits, the roots and the coroots
-are int tuples too, as the CartanDatum holds them.
+build checks it).  The spec enumerates its fixed points when it is built,
+depth first on the steps' coordinate tuples with an explicit stack, so the
+slot count is not bounded by the recursion limit; tangent weights sum
+table rows into heights, and the adjacent pairs move steps by coroot
+coordinates.  mu, the orbits, the roots and the coroots are int tuples
+too, as the CartanDatum holds them.
 A root is its column in root_list throughout: a tangent weight beta + n*h
 is the integer pair (column of beta, n), so a chamber's side of it is the
 column's entry in the chamber's sign vector, and an adjacency witness names
@@ -74,18 +76,18 @@ def memoized(f):
 class SliceSpec:
     """Resolved slice data: cartan datum, minuscule lambda indices, target mu.
 
-    The slot orbits (sorted coordinate tuples), their pairing table and
-    the suffix sums are built with the spec.  Everything else derived from
-    the slice (its dimension, fixed points, tangent weights, Euler classes,
-    adjacent pairs, omega ratios, bundle weights and rank-one restriction
-    matrices) is computed on demand by a function marked memoized, and is
-    kept in the spec's one _memo dict, so it lives exactly as long as the
-    spec.  Root data that depends on the datum alone (coroots, slots, slot
-    forms) is the CartanDatum's, by root column.
+    The pairing table of the slot orbits (sorted coordinate tuples) and
+    the fixed points are built with the spec; the orbits and the suffix
+    sums that prune the walk are locals of the constructor.  Everything
+    else derived from the slice (its dimension, point index, tangent
+    weights, Euler classes, adjacent pairs, omega ratios, bundle weights and
+    rank-one restriction matrices) is computed on demand by a function
+    marked memoized, and is kept in the spec's one _memo dict, so it lives
+    exactly as long as the spec.  Root data that depends on the datum alone
+    (coroots, slots, slot forms) is the CartanDatum's, by root column.
     """
 
-    __slots__ = ("cartan", "lambda_seq", "mu", "_orbits", "_pairings", "_suffix_sums",
-                 "_memo")
+    __slots__ = ("cartan", "lambda_seq", "mu", "_points", "_pairings", "_memo")
 
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Sequence[int]):
         lambda_seq = tuple(int(i) for i in lambda_seq)
@@ -120,7 +122,6 @@ class SliceSpec:
                 # omega_i, or the zero coweight for a frozen slot
                 start = tuple(int(j == i - 1) for j in range(cartan.rank))
                 orbits[i] = tuple(sorted(cartan.weyl_orbit(start)))
-        self._orbits = tuple(orbits[i] for i in lambda_seq)
         # pairings[d] = (<d, beta> for beta in root_list)
         self._pairings = {}
         for orbit in orbits.values():
@@ -129,14 +130,31 @@ class SliceSpec:
                 if any(v not in (-1, 0, 1) for v in row):
                     raise AssertionError(f"slot step {d} is not minuscule")
                 self._pairings[d] = row
-        # suffix_sums[i] = the possible values of delta_i + .. + delta_l
-        sums = [{(0,) * cartan.rank}]
-        for orbit in reversed(self._orbits):
-            prev = sums[-1]
-            sums.append({tuple(map(add, d, s)) for d in orbit for s in prev})
-        self._suffix_sums = tuple(reversed(sums))
-        if mu not in self._suffix_sums[0]:
+        slot_orbits = [orbits[i] for i in lambda_seq]
+        # reach[i] = the possible values of delta_(i+1) + .. + delta_l, the
+        # sums of the steps after slot i (0-based)
+        reach = [{(0,) * cartan.rank}]
+        for orbit in reversed(slot_orbits[1:]):
+            reach.append({tuple(map(add, d, s)) for d in orbit for s in reach[-1]})
+        reach.reverse()
+        # depth first over (steps so far, mu minus their sum); each orbit is
+        # sorted and pushed in reverse, so the points pop in lexicographic order
+        points: List[FixedPoint] = []
+        stack = [((), mu)]
+        while stack:
+            prefix, rest = stack.pop()
+            slot = len(prefix)
+            if slot == len(slot_orbits):
+                points.append(FixedPoint(prefix))
+                continue
+            reachable = reach[slot]
+            for d in reversed(slot_orbits[slot]):
+                left = tuple(map(sub, rest, d))
+                if left in reachable:
+                    stack.append((prefix + (d,), left))
+        if not points:
             raise InvalidSlice("no fixed point: mu is not a weight of the lambda sequence")
+        self._points = tuple(points)
         self._memo = {}
 
     @property
@@ -213,47 +231,18 @@ class FixedPoint(tuple):
 
 
 def enumerate_fixed_points(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
-    """All increment sequences, in lexicographic order of coordinate vectors;
-    enumerated once per spec.  A point's position here is its point index."""
-    return _fixed_points(spec)
-
-
-def _point(spec: SliceSpec, p: int) -> FixedPoint:
-    """The point of index p, read from the memo of _fixed_points: a point
-    lookup is not a call of enumerate_fixed_points, whose calls the
-    benchmark's layer metrics count."""
-    return _fixed_points(spec)[p]
+    """All increment sequences, in lexicographic order of coordinate vectors,
+    as the spec found them when it was built.  A point's position here is its
+    point index."""
+    return spec._points
 
 
 @memoized
 def point_index(spec: SliceSpec) -> Dict[FixedPoint, int]:
-    """Position of each fixed point in enumerate_fixed_points, which the
-    plain tuple of a point's steps looks up too; do not mutate."""
+    """Position of each fixed point in the spec's points, as
+    enumerate_fixed_points returns them; the plain tuple of a point's steps
+    looks it up too.  Built on first use; do not mutate."""
     return {p: i for i, p in enumerate(enumerate_fixed_points(spec))}
-
-
-@memoized
-def _fixed_points(spec: SliceSpec) -> Tuple[FixedPoint, ...]:
-    """Depth-first over the slots on coordinate tuples.  Each orbit is sorted,
-    so the points come out in lexicographic order."""
-    result: List[FixedPoint] = []
-    prefix: List[Tuple[int, ...]] = []
-
-    def descend(slot: int, rest: tuple):
-        # rest = coordinates of mu minus the steps taken so far
-        if slot == spec.length:
-            result.append(FixedPoint(prefix))
-            return
-        reachable = spec._suffix_sums[slot + 1]
-        for d in spec._orbits[slot]:
-            left = tuple(map(sub, rest, d))
-            if left in reachable:
-                prefix.append(d)
-                descend(slot + 1, left)
-                prefix.pop()
-
-    descend(0, spec.mu)
-    return tuple(result)
 
 
 def dominant_representative(cartan: CartanDatum, c: Sequence[int]) -> Tuple[int, ...]:

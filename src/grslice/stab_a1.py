@@ -41,7 +41,6 @@ from .slices import (
     FixedPoint,
     RootMonomial,
     SliceSpec,
-    _fixed_points,
     _steps,
     adjacent_pairs,
     enumerate_fixed_points,
@@ -261,8 +260,7 @@ class RestrictionMatrix:
     and q, with eps|_p = polarization_signs[p] * e_A of the repelling half,
     as a form of degree dim/2 in (a, h); zero entries are not stored, and
     the constructor refuses a form of another length.  epsilons[p] is the
-    integer c with eps|_p = c * a^(dim/2).  entry reads one restriction by
-    point, as its form, the zero form where none is stored.
+    integer c with eps|_p = c * a^(dim/2).
     """
 
     __slots__ = ("spec", "chamber", "polarization_signs", "points", "entries",
@@ -284,11 +282,6 @@ class RestrictionMatrix:
                 )
             if any(val):
                 self.entries[(p, q)] = val
-
-    def entry(self, p: FixedPoint, q: FixedPoint) -> tuple:
-        index = point_index(self.spec)
-        val = self.entries.get((index[p], index[q]))
-        return (0,) * (self.spec.dimension // 2 + 1) if val is None else val
 
     def validate(self) -> None:
         """Euler diagonals, triangularity, h-divisibility.
@@ -347,7 +340,7 @@ def stab_matrix(spec: SliceSpec, ch: Chamber,
 def _stab_matrix(spec: SliceSpec, ch: Chamber, signs: Tuple[int, ...]) -> RestrictionMatrix:
     """stab_matrix for the signs by point index that normalize_polarization
     returns."""
-    points = _fixed_points(spec)  # stab_matrix has enumerated them
+    points = spec._points  # read without a traced call of enumerate_fixed_points
     stats = _stat_keys(spec, ch)
     heights = _point_heights(spec)
     moves = _move_partners(spec)

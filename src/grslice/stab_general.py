@@ -33,7 +33,6 @@ from .slices import (
     RootMonomial,
     SliceSpec,
     _integer_multiple,
-    _point,
     _repelling_exponents,
     _root_counts,
     adjacent_pairs,
@@ -95,7 +94,7 @@ def _wall_ratio(spec: SliceSpec, p: int, q: int, slot: int) -> Tuple[Tuple[int, 
     # differ and every sigma difference is a multiple of its coroot (of no
     # other)
     coroot, run = cartan.coroots[column], (0,) * cartan.rank
-    for dp, dq in zip(_point(spec, p), _point(spec, q)):
+    for dp, dq in zip(spec._points[p], spec._points[q]):
         run = tuple(map(add, run, map(sub, dp, dq)))
         if p == q or not _integer_multiple(run, coroot):
             raise ValueError("p and q do not share a wall component for this root")

@@ -34,6 +34,7 @@ from grslice.slices import (
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
+    point_index,
     tangent_weights,
 )
 from grslice.stab_a1 import (
@@ -361,10 +362,24 @@ def binary_polynomial(f):
     return Polynomial(2, {(d - k, k): c for k, c in enumerate(f)})
 
 
+def entry_at(matrix, x, y):
+    """The stored cell of a matrix at two points, by point_index: a
+    restriction matrix's Stab[x]|_y, a binary form, or an operator matrix's
+    row x and column y, a linear form; the zero form where none is
+    stored."""
+    index = point_index(matrix.spec)
+    value = matrix.entries.get((index[x], index[y]))
+    if value is not None:
+        return value
+    if isinstance(matrix, RestrictionMatrix):
+        return (0,) * (matrix.spec.dimension // 2 + 1)
+    return matrix.zero
+
+
 def entry_polynomial(matrix, x, y):
-    """matrix.entry(x, y) as a polynomial: a restriction matrix's binary
+    """entry_at(matrix, x, y) as a polynomial: a restriction matrix's binary
     form, an operator matrix's linear form."""
-    value = matrix.entry(x, y)
+    value = entry_at(matrix, x, y)
     if isinstance(matrix, RestrictionMatrix):
         return binary_polynomial(value)
     return form_polynomial(value)

@@ -24,6 +24,7 @@ from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
 from helpers import (
     document,
+    entry_at,
     entry_polynomial,
     exact_inner,
     exact_sharp,
@@ -135,9 +136,9 @@ def test_bundle_weight_dispatch():
 def test_h_operator_diagonal():
     mat = h_operator(TSTAR_P1, 1)
     minus, plus = mat.basis
-    assert mat.entry(plus, plus) == (Fraction(1, 2), 0)
-    assert mat.entry(minus, minus) == (Fraction(-1, 2), 0)
-    assert mat.entry(minus, plus) == mat.entry(plus, minus) == mat.zero == (0, 0)
+    assert entry_at(mat, plus, plus) == (Fraction(1, 2), 0)
+    assert entry_at(mat, minus, minus) == (Fraction(-1, 2), 0)
+    assert entry_at(mat, minus, plus) == entry_at(mat, plus, minus) == mat.zero == (0, 0)
 
     spec = a1_spec(3, 1)
     mat = h_operator(spec, 2)
@@ -195,10 +196,10 @@ def test_omega_operator_combines_parts():
 def test_two_point_slice_worked_multiplication():
     mat = mult_matrix(TSTAR_P1, "E1", CH1_PLUS)
     minus, plus = mat.basis
-    assert mat.entry(plus, plus) == (Fraction(1, 2), Fraction(1, 4))
-    assert mat.entry(minus, plus) == (0, -1)
-    assert mat.entry(minus, minus) == (Fraction(-1, 2), Fraction(1, 4))
-    assert mat.entry(plus, minus) == (0, 0)
+    assert entry_at(mat, plus, plus) == (Fraction(1, 2), Fraction(1, 4))
+    assert entry_at(mat, minus, plus) == (0, -1)
+    assert entry_at(mat, minus, minus) == (Fraction(-1, 2), Fraction(1, 4))
+    assert entry_at(mat, plus, minus) == (0, 0)
 
     stab = stab_matrix(TSTAR_P1, CH1_PLUS)
     weight = linear_form([Fraction(1, 2)], Fraction(1, 4))

@@ -82,6 +82,25 @@ def test_verify_all_rank_one_runs_every_check(capsys):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize("command", [["fixed-points"], ["tangent"], ["stab-exact"],
+                                     ["verify", "all"]], ids="-".join)
+def test_a_slice_of_1200_slots_runs(capsys, command):
+    # the one point (w, .., w): the slots are walked with a stack, so their
+    # number is not bounded by the recursion limit
+    argv = command + ["--type", "A", "--rank", "1", "--lambda", ",".join(["1"] * 1200),
+                      "--mu", "1200"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    if command[0] == "verify":
+        assert payload["ok"]
+        assert [c["pairs"] for c in payload["checks"] if c["name"] == "duality"] == [1]
+    else:
+        assert len(payload["points"]) == 1
+    if command[0] == "fixed-points":
+        assert payload["points"][0]["label"] == "(" + ",".join(["w"] * 1200) + ")"
+
+
 # -- validation failures -----------------------------------------------------------
 
 
@@ -1091,6 +1110,25 @@ def test_no_slice_or_datum_outlives_a_job(capsys):
         assert run_cli(capsys, argv)[0] == 0
     kept = {id(o) for o in before}
     assert [o for o in alive() if id(o) not in kept] == []
+
+
+def test_a_higher_rank_job_frees_its_slice_without_the_cycle_collector(capsys):
+    # no reference cycle holds a higher-rank spec or its memo, so reference
+    # counting alone frees each spec when its job is done
+    gc.collect()
+    gc.disable()
+    try:
+        before = [o for o in gc.get_objects() if isinstance(o, slices.SliceSpec)]
+        jobs = [["tangent"] + BASE_FL3, ["stab-mod-h2"] + BASE_FL3,
+                ["mult", "--bundle", "L1", "--type", "B", "--rank", "2", "--lambda", "2,2",
+                 "--mu", "0,0"]]
+        for argv in jobs:
+            assert run_cli(capsys, argv)[0] == 0
+        kept = {id(o) for o in before}
+        assert [o for o in gc.get_objects()
+                if isinstance(o, slices.SliceSpec) and id(o) not in kept] == []
+    finally:
+        gc.enable()
 
 
 def test_wallcross_computes_each_chamber_and_signs_once(capsys, tmp_path, monkeypatch):

@@ -7,8 +7,10 @@ Read with the standard library's ast: a name counts as used where the
 module loads it, or names it inside a string annotation.  The
 ``from __future__ import annotations`` line imports nothing to use.  A
 definition counts as named where any grslice module loads it, imports it
-or reads it as an attribute, outside the definition itself, so code that
-only its own recursion or the tests reach shows up.  A slot counts as read
+or reads it as an attribute, outside the definition itself, and a public
+method only where one reads it as an attribute, so code that only its own
+recursion or the tests reach shows up, and a local variable does not hide
+a method of the same name.  A slot counts as read
 where any grslice module loads it as an attribute outside the body of an
 __init__, so a slot that is only ever set shows up.
 """
@@ -75,28 +77,33 @@ def test_the_check_sees_an_unused_import():
     assert [name for name, _ in _imported(tree) if name not in used] == ["List"]
 
 
-def _occurrences(node):
+def _occurrences(node, attributes_only=False):
     """How often the node loads, names in a string annotation, imports or
-    reads as an attribute each name."""
+    reads as an attribute each name; with attributes_only, how often it
+    reads each name as an attribute."""
     found = Counter()
     for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            found[child.id] += 1
-        elif isinstance(child, ast.Attribute):
+        if isinstance(child, ast.Attribute):
             found[child.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(child, ast.Name):
+            found[child.id] += 1
         elif isinstance(child, ast.alias):
             found[child.name] += 1
-    found.update(_annotation_names(node))
+    if not attributes_only:
+        found.update(_annotation_names(node))
     return found
 
 
-def _named_outside(trees):
+def _named_outside(trees, attributes_only=False):
     """A test of whether any of the modules (a map of module name to tree)
-    names a definition outside its own body."""
+    names a definition outside its own body; with attributes_only, whether
+    any reads it as an attribute there."""
     total = Counter()
     for tree in trees.values():
-        total.update(_occurrences(tree))
-    return lambda node: total[node.name] > _occurrences(node)[node.name]
+        total.update(_occurrences(tree, attributes_only))
+    return lambda node: total[node.name] > _occurrences(node, attributes_only)[node.name]
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -117,21 +124,22 @@ def _unreferenced_public(trees, exempt=()):
     module-level classes of the modules (a map of module name to tree) that
     no module names outside their own body, as "module.name" or
     "module.class.name" in module and definition order, bar those in
-    exempt."""
-    named = _named_outside(trees)
+    exempt.  A method counts as named only where it is read as an attribute,
+    x.name, so a local variable of the same name does not hide it."""
+    named, read = _named_outside(trees), _named_outside(trees, attributes_only=True)
     out = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, _FUNCTIONS):
-                found = [(f"{module}.{node.name}", node)]
+                found = [(f"{module}.{node.name}", node, named)]
             elif isinstance(node, ast.ClassDef):
-                found = [(f"{module}.{node.name}.{method.name}", method) for method in node.body
-                         if isinstance(method, _FUNCTIONS)]
+                found = [(f"{module}.{node.name}.{method.name}", method, read)
+                         for method in node.body if isinstance(method, _FUNCTIONS)]
             else:
                 continue
-            out += [name for name, definition in found
+            out += [name for name, definition, used in found
                     if not definition.name.startswith("_") and name not in exempt
-                    and not named(definition)]
+                    and not used(definition)]
     return out
 
 
@@ -202,12 +210,14 @@ def test_the_check_sees_an_unreferenced_public_definition():
                        "class Box:\n    def grow(self):\n        return self.size()\n\n"
                        "    def size(self):\n        return 0\n\n"
                        "    def shrink(self):\n        return self.shrink()\n\n"
+                       "    def shadowed(self):\n        return 5\n\n"
                        "    def _hidden(self):\n        return 4\n"),
         "b": ast.parse("from a import used, Box\n\n"
-                       "def main():\n    return used() + Box().grow()\n"),
+                       "def main():\n    shadowed = used() + Box().grow()\n"
+                       "    return shadowed\n"),
     }
     assert _unreferenced_public(trees, {"a.exempt"}) == [
-        "a.recursive", "a.Box.shrink", "b.main"]
+        "a.recursive", "a.Box.shrink", "a.Box.shadowed", "b.main"]
 
 
 def _slots(tree):

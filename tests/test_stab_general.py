@@ -49,6 +49,7 @@ from helpers import (
     catalog_slices,
     counter_stab_mod_h2,
     document,
+    entry_at,
     euler_polynomial,
     fundamental_coweight,
     gen,
@@ -596,10 +597,10 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
 
     # both entry readers return the stored tuples, and the zero tuple elsewhere
     stab = stab_matrix(a1, CH1_PLUS)
-    forms = [stab.entry(p, q) for p in stab.points for q in stab.points]
+    forms = [entry_at(stab, p, q) for p in stab.points for q in stab.points]
     assert any(map(any, forms)) and not all(map(any, forms))
     mat = mult_matrix(spec, "L1", ch)
-    forms = [mat.entry(q, p) for q in mat.basis for p in mat.basis]
+    forms = [entry_at(mat, q, p) for q in mat.basis for p in mat.basis]
     assert any(map(any, forms)) and not all(map(any, forms))
     # every command's table, computed whether the table or the JSON is asked
     # for first; with the JSON entry stored, the JSON is not printed again
