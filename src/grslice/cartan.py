@@ -158,10 +158,7 @@ class CartanDatum:
     positive root of its slot, a slot being the place of a +-pair in
     _root_pairs.  slot_forms are the RootMonomial forms of those positive
     roots, by slot, and h.  The gram matrix, the wall bases and
-    two_rho_check are built when first read.  _memo is the one memo, a dict
-    that the functions marked slices.memoized fill: the closed-form chambers
-    on either side of each wall are kept there by slot, built when a job
-    first asks for that wall.
+    two_rho_check are built when first read.
     """
 
     def __init__(self, type_letter: str, rank: int):
@@ -267,8 +264,6 @@ class CartanDatum:
         # (a_1..a_r, 0), by slot, and then h
         self.slot_forms: Tuple[tuple, ...] = tuple(
             self.root_list[col] + (0,) for col, _ in self._root_pairs) + ((0,) * n + (1,),)
-        # the datum's one memo, for the functions marked slices.memoized
-        self._memo: dict = {}
 
         self.minuscule_indices = _minuscule_indices(type_letter, rank)
 

@@ -12,7 +12,8 @@ matrices, so the two routes can be compared entry by entry.
 Every entry is a linear form in (a, h): a diagonal entry is a bundle weight,
 an off-diagonal one a rational multiple of h.  Like the bundle weights, an
 entry is kept as its coefficient tuple (a_1, .., a_r, h), keyed by the index
-pair of its points, and OperatorMatrix.entry reads one cell as that tuple.
+pair of its points, and OperatorMatrix.zero is the value of a cell where
+none is stored.
 """
 
 from __future__ import annotations
@@ -32,21 +33,9 @@ from .slices import (
     memoized,
     repelling_euler,
 )
-from .stab_a1 import (
-    ExactDivisionFailure,
-    _form_div,
-    _pairing_sums,
-    _unpack,
-    normalize_polarization,
-    stab_matrix,
-)
+from .stab_a1 import _form_div, _pairing_sums, _unpack, normalize_polarization, stab_matrix
 from .stab_general import sigma_sign
-from .symalg import NonDivisible, _norm_scalar
-
-
-class NonLinearFormEntry(RuntimeError):
-    """A localization sum failed to reduce to a linear form in (a, h)."""
-
+from .symalg import _norm_scalar
 
 BundleTag = Union[str, Tuple[str, int]]
 
@@ -312,8 +301,8 @@ def mult_matrix_via_localization(
         try:
             for s in shifts:
                 form = _form_div(form, s)
-        except NonDivisible as exc:
-            raise NonLinearFormEntry(
+        except AssertionError as exc:
+            raise AssertionError(
                 f"localization entry ({points[q]}, {points[p]}) is not polynomial"
             ) from exc
         entries[q, p] = tuple([_over(c, den) for c in form])
@@ -363,7 +352,7 @@ def reconstruct_coefficient(
     ratio[-1] -= 1
     quotient = entry.times_ratio(ratio, g * root_sign * signs[q] * eps_q.scalar)
     if quotient is None:
-        raise ExactDivisionFailure(
+        raise AssertionError(
             f"the polarization at {at_q.label()} does not divide the "
             f"reconstruction of ({at_p.label()}, {at_q.label()})"
         )

@@ -6,8 +6,9 @@ cached on disk with its exit code, under a content hash of the canonical job
 description and the cache format, so a repeated query is a file read.
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, non-minuscule
-weights, rank restrictions) and when the document cannot be written, 3 when
-a verification suite or an internal consistency check fails.
+weights, rank restrictions: the library raises ValueError) and when the
+document cannot be written, 3 when a verification suite or an internal
+consistency check fails (the library raises AssertionError).
 """
 
 from __future__ import annotations
@@ -26,22 +27,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import verify
 from .cartan import CartanDatum, Chamber, Coweight, _check_type
-from .chern import NonLinearFormEntry, mult_matrix, parse_bundle
-from .slices import (
-    InvalidSlice,
-    SliceSpec,
-    _step_label,
-    adjacent_pairs,
-    enumerate_fixed_points,
-    tangent_weights,
-)
-from .stab_a1 import (
-    ExactDivisionFailure,
-    InvariantViolation,
-    PathInconsistency,
-    normalize_polarization,
-    stab_matrix,
-)
+from .chern import mult_matrix, parse_bundle
+from .slices import SliceSpec, _step_label, adjacent_pairs, enumerate_fixed_points, tangent_weights
+from .stab_a1 import normalize_polarization, stab_matrix
 from .stab_general import expand_entries, stab_mod_h2
 from .symalg import monomial_key, polynomial_text
 
@@ -49,14 +37,6 @@ CACHE_ENV = "GRSLICE_CACHE_DIR"
 # Part of every cache key: raise it whenever any document's bytes change, so
 # that entries written by an older version are recomputed, never served.
 CACHE_FORMAT = 3
-
-_INTERNAL_ERRORS = (
-    PathInconsistency,
-    ExactDivisionFailure,
-    InvariantViolation,
-    NonLinearFormEntry,
-    AssertionError,
-)
 
 
 # -- job description -----------------------------------------------------------
@@ -101,7 +81,7 @@ class JobSpec(NamedTuple):
             # refused before anything of size rank is built; a bad type
             # letter or rank is still reported first
             _check_type(self.letter, self.rank)
-            raise InvalidSlice("mu must be an integral coweight of matching rank")
+            raise ValueError("mu must be an integral coweight of matching rank")
         datum = CartanDatum(self.letter, self.rank)
         spec = SliceSpec(datum, self.lambda_seq, Coweight(self.mu))
         if self.chamber == "dominant":
@@ -422,7 +402,7 @@ _MATRIX_HEADERS = {"stab-exact": ("p", "q", "value"), "mult": ("row", "column", 
                    "stab-mod-h2": ("p", "q", "alpha", "value")}
 
 
-def render_table(payload: dict, rank: int) -> str:
+def render_table(payload: dict) -> str:
     command = payload["command"]
     if command == "fixed-points":
         rows = [(i, label) for i, (label, _) in enumerate(payload["points"].rows())]
@@ -430,13 +410,13 @@ def render_table(payload: dict, rank: int) -> str:
     if command == "tangent":
         # A slice has few distinct (weight, mult) pairs, each repeated at many points.
         suffixes: Dict[tuple, str] = {}
-        names = _linear_names(rank + 1)
         lines = ["point | weight | mult"]
         for label, records in payload["points"].rows():
             for key in records:
                 suffix = suffixes.get(key)
                 if suffix is None:
                     root, n, m = key
+                    names = _linear_names(len(root) + 1)
                     suffix = suffixes[key] = f" | {_form_text(names, root + (n,))} | {m}"
                 lines.append(label + suffix)
         return "\n".join(lines) + "\n"
@@ -495,11 +475,11 @@ def encode_json(value) -> str:
     return _encode(value, "\n")
 
 
-def render(payload: dict, fmt: str, rank: int) -> str:
+def render(payload: dict, fmt: str) -> str:
     """The text that ``--format fmt`` prints for the document `payload`."""
     if fmt == "json":
         return encode_json(payload) + "\n"
-    return render_table(payload, rank)
+    return render_table(payload)
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -586,12 +566,12 @@ def run(job: JobSpec) -> Tuple[int, str]:
         payload = compute_payload(job, *job.build())
     except ValueError as exc:
         return 2, f"error: {exc}\n"
-    except _INTERNAL_ERRORS as exc:
+    except AssertionError as exc:
         return 3, f"verification failure: {exc}\n"
     code = 3 if job.command == "verify" and not payload["ok"] else 0
     if job.fmt == "table" and not os.path.exists(_entry_path(f"{key}-json")):
-        cache_store(f"{key}-json", code, render(payload, "json", job.rank))
-    text = render(payload, job.fmt, job.rank)
+        cache_store(f"{key}-json", code, render(payload, "json"))
+    text = render(payload, job.fmt)
     cache_store(f"{key}-{job.fmt}", code, text)
     return code, text
 

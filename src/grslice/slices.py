@@ -42,14 +42,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .cartan import CartanDatum, Chamber
 
 
-class NonMinusculeUnsupported(ValueError):
-    """lambda_seq contains a fundamental coweight outside the minuscule set."""
-
-
-class InvalidSlice(ValueError):
-    """Slice parameters violate mu <= lambda or admit no fixed point."""
-
-
 _MISSING = object()
 
 
@@ -59,8 +51,8 @@ def memoized(f):
     The value is kept in obj's _memo dict under f and args, so a call with
     equal args returns the identical object, and the memo goes with obj.
     args must be hashable; callers share the value and must not mutate it.
-    Every datum derived from a slice (or a CartanDatum) is memoized this
-    way, by the function that computes it.
+    Every datum derived from a slice is memoized this way, by the function
+    that computes it.
     """
     @wraps(f)
     def memo(obj, *args):
@@ -80,11 +72,12 @@ class SliceSpec:
     the fixed points are built with the spec; the orbits and the suffix
     sums that prune the walk are locals of the constructor.  Everything
     else derived from the slice (its dimension, point index, tangent
-    weights, Euler classes, adjacent pairs, omega ratios, bundle weights and
-    rank-one restriction matrices) is computed on demand by a function
-    marked memoized, and is kept in the spec's one _memo dict, so it lives
-    exactly as long as the spec.  Root data that depends on the datum alone
-    (coroots, slots, slot forms) is the CartanDatum's, by root column.
+    weights, Euler classes, adjacent pairs, wall chambers, omega ratios,
+    bundle weights and rank-one restriction matrices) is computed on demand
+    by a function marked memoized, and is kept in the spec's one _memo
+    dict, so it lives exactly as long as the spec.  Root data that depends
+    on the datum alone (coroots, slots, slot forms) is the CartanDatum's, by
+    root column.
     """
 
     __slots__ = ("cartan", "lambda_seq", "mu", "_points", "_pairings", "_memo")
@@ -92,19 +85,19 @@ class SliceSpec:
     def __init__(self, cartan: CartanDatum, lambda_seq: Iterable[int], mu: Sequence[int]):
         lambda_seq = tuple(int(i) for i in lambda_seq)
         if not lambda_seq:
-            raise InvalidSlice("lambda sequence must be nonempty")
+            raise ValueError("lambda sequence must be nonempty")
         for i in lambda_seq:
             if i == 0:
                 continue
             if i < 1 or i > cartan.rank:
-                raise InvalidSlice(f"fundamental coweight index {i} out of range")
+                raise ValueError(f"fundamental coweight index {i} out of range")
             if i not in cartan.minuscule_indices:
-                raise NonMinusculeUnsupported(
+                raise ValueError(
                     f"omega_{i} is not minuscule in type {cartan.type_letter}{cartan.rank}"
                 )
         # an integral Fraction counts as the integer it equals
         if len(mu) != cartan.rank or any(getattr(c, "denominator", 0) != 1 for c in mu):
-            raise InvalidSlice("mu must be an integral coweight of matching rank")
+            raise ValueError("mu must be an integral coweight of matching rank")
         self.cartan = cartan
         self.lambda_seq = lambda_seq
         self.mu = mu = tuple(map(int, mu))
@@ -114,7 +107,7 @@ class SliceSpec:
         # entries (lambda - mu is in the omega-basis)
         coeffs = cartan.coroot_coordinates(tuple(map(sub, self.lambda_total(), mu)))
         if coeffs is None or any(c < 0 for c in coeffs):
-            raise InvalidSlice("mu is not below lambda in the coroot order")
+            raise ValueError("mu is not below lambda in the coroot order")
 
         orbits = {}
         for i in lambda_seq:
@@ -153,7 +146,7 @@ class SliceSpec:
                 if left in reachable:
                     stack.append((prefix + (d,), left))
         if not points:
-            raise InvalidSlice("no fixed point: mu is not a weight of the lambda sequence")
+            raise ValueError("no fixed point: mu is not a weight of the lambda sequence")
         self._points = tuple(points)
         self._memo = {}
 

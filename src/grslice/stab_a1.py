@@ -24,8 +24,8 @@ is a convolution and a division by a linear form a synthetic division whose
 zero remainder is the divisibility test.  Points are their indices in
 enumerate_fixed_points order throughout, as in chern.OperatorMatrix: the
 matrix keys its forms by index pairs and holds its signs and epsilons in
-tuples by index.  Points appear only where a matrix is read from outside
-(entry); grslice.cli prints the stab-exact document from the forms
+tuples by index.  A point itself is read only for its tangent weights and
+its label; grslice.cli prints the stab-exact document from the forms
 themselves.
 """
 
@@ -49,23 +49,6 @@ from .slices import (
     repelling_euler,
     tangent_weights,
 )
-from .symalg import NonDivisible
-
-
-class NotA1(ValueError):
-    """Operation requires a rank-1 slice."""
-
-
-class PathInconsistency(RuntimeError):
-    """Two transposition paths produced different rows."""
-
-
-class ExactDivisionFailure(RuntimeError):
-    """A recursion step did not divide exactly; implementation bug."""
-
-
-class InvariantViolation(RuntimeError):
-    """A computed matrix breaks a restriction-matrix invariant."""
 
 
 # -- binary forms in (a, h) ------------------------------------------------------
@@ -83,14 +66,14 @@ def _form_mul(f: tuple, g: tuple) -> tuple:
 
 def _form_div(f: tuple, s) -> tuple:
     """The form f / (a + s h), of degree len(f) - 2, by synthetic division;
-    NonDivisible when the remainder is not zero."""
+    AssertionError when the remainder is not zero."""
     out = []
     r = 0
     for c in f[:-1]:
         r = c - s * r
         out.append(r)
     if f[-1] != s * r:
-        raise NonDivisible(f"form {f} is not divisible by a + {s}*h")
+        raise AssertionError(f"form {f} is not divisible by a + {s}*h")
     return tuple(out)
 
 
@@ -134,7 +117,7 @@ def _lcm_cofactors(spec: SliceSpec) -> Tuple[Counter, List[Tuple[Counter, int]]]
 
 def _require_a1(spec: SliceSpec) -> None:
     if spec.cartan.type_letter != "A" or spec.cartan.rank != 1:
-        raise NotA1(
+        raise ValueError(
             f"requires a rank-1 slice, got type "
             f"{spec.cartan.type_letter}{spec.cartan.rank}"
         )
@@ -145,7 +128,7 @@ def _chamber_sign(ch: Chamber) -> int:
     character written as the variable a: +1 where a is ch-positive.
     Chambers only choose the recursion direction and the polarization side."""
     if ch.datum.rank != 1:
-        raise NotA1("chamber does not belong to a rank-1 datum")
+        raise ValueError("chamber does not belong to a rank-1 datum")
     return ch.sign_vector[ch.datum._root_pairs[0][0]]
 
 
@@ -224,7 +207,7 @@ def _raise_row(points, p, row, ratio, i, partner, heights):
                 r = x - y - s * r
                 shift.append(step * r)
             if shift.pop():
-                raise ExactDivisionFailure(
+                raise AssertionError(
                     f"entry ({points[p].label()}, {points[q].label()}) is not polynomial")
             vals = ((q, tuple(map(add, low, shift))), (rq, tuple(map(add, high, shift))))
         for x, val in vals:
@@ -276,7 +259,7 @@ class RestrictionMatrix:
         self.entries = {}
         for (p, q), val in entries.items():
             if len(val) != degree + 1:
-                raise InvariantViolation(
+                raise AssertionError(
                     f"({self.points[p].label()}, {self.points[q].label()}) "
                     f"is not homogeneous of degree {degree}"
                 )
@@ -291,7 +274,7 @@ class RestrictionMatrix:
         spec, ch, points = self.spec, self.chamber, self.points
         for x, sign in enumerate(self.polarization_signs):
             if self.entries.get((x, x)) != _repelling_form(spec, points[x], ch, sign):
-                raise InvariantViolation(
+                raise AssertionError(
                     f"diagonal at {points[x].label()} is not the repelling Euler class"
                 )
         stats = _stat_keys(spec, ch)
@@ -300,11 +283,11 @@ class RestrictionMatrix:
             if x == y:
                 continue
             if not (stats[y] < stats[x] and downsets[x] >> y & 1):
-                raise InvariantViolation(
+                raise AssertionError(
                     f"triangularity violated at ({points[x].label()}, {points[y].label()})"
                 )
             if val[0]:
-                raise InvariantViolation(
+                raise AssertionError(
                     f"({points[x].label()}, {points[y].label()}) is not divisible by h"
                 )
 
@@ -363,12 +346,12 @@ def _stab_matrix(spec: SliceSpec, ch: Chamber, signs: Tuple[int, ...]) -> Restri
                 ratio = _epsilon_ratio(eps[p], eps[prev])
                 candidates.append(_raise_row(points, p, rows[prev], ratio, i, partner, heights))
         if not candidates:
-            raise PathInconsistency(
+            raise AssertionError(
                 f"{points[p].label()} is unreachable by raising transpositions"
             )
         first = candidates[0]
         if any(other != first for other in candidates[1:]):
-            raise PathInconsistency(f"transposition paths to {points[p].label()} disagree")
+            raise AssertionError(f"transposition paths to {points[p].label()} disagree")
         rows[p] = first
 
     entries = {(p, q): val for p, row in rows.items() for q, val in row.items()}
@@ -398,7 +381,7 @@ def stab_offdiag_mod_h2(
         e_a = repelling_euler(spec, p, ch)
         entry = e_a.times_ratio((-1, 1), signs[p] * alpha_sign)
         if entry is None:
-            raise ExactDivisionFailure(
+            raise AssertionError(
                 f"entry at {points[p].label()} did not clear its denominator")
         out[(p, q)] = entry
     return out

@@ -41,7 +41,7 @@ from .slices import (
     memoized,
     repelling_euler,
 )
-from .stab_a1 import ExactDivisionFailure, normalize_polarization
+from .stab_a1 import normalize_polarization
 
 
 def wall_adjacent_chambers(cartan: CartanDatum, column: int) -> Tuple[Chamber, Chamber]:
@@ -50,18 +50,19 @@ def wall_adjacent_chambers(cartan: CartanDatum, column: int) -> Tuple[Chamber, C
     +-pair positive on the first.
 
     Their witnesses come in closed form from the root closure of the datum
-    (CartanDatum); the chambers are built once per datum and wall (the
-    column's slot), when a job first asks for that wall.
+    (CartanDatum).
     """
-    return _wall_chambers(cartan, cartan._slots[column][0])
-
-
-@memoized
-def _wall_chambers(cartan: CartanDatum, slot: int) -> Tuple[Chamber, Chamber]:
-    """wall_adjacent_chambers for the wall of the roots of the given slot."""
+    slot = cartan._slots[column][0]
     base = cartan._wall_bases[slot]
     coroot = cartan.coroots[cartan._root_pairs[slot][0]]
     return tuple(Chamber(cartan, tuple(map(op, base, coroot))) for op in (add, sub))
+
+
+@memoized
+def _wall_chambers(spec: SliceSpec, slot: int) -> Tuple[Chamber, Chamber]:
+    """wall_adjacent_chambers for the wall of the roots of the given slot,
+    built once per spec and wall, when a job first asks for that wall."""
+    return wall_adjacent_chambers(spec.cartan, spec.cartan._root_pairs[slot][0])
 
 
 def omega_ratio(spec: SliceSpec, p: int, q: int, column: int) -> Tuple[Tuple[int, ...], int]:
@@ -101,7 +102,7 @@ def _wall_ratio(spec: SliceSpec, p: int, q: int, slot: int) -> Tuple[Tuple[int, 
     counts = _root_counts(spec)
     counts = tuple(map(sub, counts[q], counts[p]))
     near, far = (_repelling_exponents(cartan, counts, ch.sign_vector)
-                 for ch in wall_adjacent_chambers(cartan, column))
+                 for ch in _wall_chambers(spec, slot))
     if near != far:
         raise AssertionError("the two wall sides disagree on the omega ratio")
     return near
@@ -124,7 +125,7 @@ def sigma_sign(
     caller guarantees that (p, q) is an adjacent pair on a common wall
     component of the root.
     """
-    near, far = wall_adjacent_chambers(spec.cartan, column)
+    near, far = _wall_chambers(spec, spec.cartan._slots[column][0])
     sign = flip_sign(spec, p, pol_chamber, near) * flip_sign(spec, q, pol_chamber, near)
     if sign != flip_sign(spec, p, pol_chamber, far) * flip_sign(spec, q, pol_chamber, far):
         raise AssertionError("sigma sign depends on the adjacent chamber")
@@ -154,7 +155,7 @@ def stab_mod_h2(
         ratio[-1] += 1
         entry = eps.times_ratio(ratio, signs[p] * scalar * alpha_sign)
         if entry is None:
-            raise ExactDivisionFailure(
+            raise AssertionError(
                 f"entry ({points[p].label()}, {points[q].label()}) did not clear its denominator"
             )
         out[(p, q)] = entry

@@ -16,10 +16,6 @@ from operator import add
 from typing import Dict, Iterable, Tuple
 
 
-class NonDivisible(ArithmeticError):
-    """An exact polynomial quotient that does not exist was asked for."""
-
-
 def _norm_scalar(x):
     # ints stay ints, integral Fractions collapse; floats are banned to keep
     # every computation exact.  Plain ints, most scalars, return at once.

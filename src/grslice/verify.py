@@ -12,26 +12,17 @@ from typing import Dict, List
 
 from .chern import line_bundle_matrices, line_bundle_weight, reconstruct_coefficient
 from .slices import adjacent_pairs, enumerate_fixed_points, flip_sign
-from .stab_a1 import (
-    ExactDivisionFailure,
-    InvariantViolation,
-    NotA1,
-    PathInconsistency,
-    normalize_polarization,
-    stab_matrix,
-    stab_offdiag_mod_h2,
-    verify_duality,
-)
-from .stab_general import stab_mod_h2, wall_adjacent_chambers
+from .stab_a1 import normalize_polarization, stab_matrix, stab_offdiag_mod_h2, verify_duality
+from .stab_general import _wall_chambers, stab_mod_h2
 
 
 def recursion(spec, ch, signs=None) -> dict:
     """The exact rank-one envelopes of both opposite chambers build and validate."""
-    # stab_matrix validates what it builds
+    # stab_matrix validates what it builds; a failed check raises AssertionError
     try:
         stab_matrix(spec, ch, signs)
         stab_matrix(spec, -ch, signs)
-    except (PathInconsistency, InvariantViolation, ExactDivisionFailure) as exc:
+    except AssertionError as exc:
         return {"name": "recursion", "ok": False, "detail": str(exc)}
     return {"name": "recursion", "ok": True}
 
@@ -114,14 +105,13 @@ def wallcross(spec, ch, signs=None) -> dict:
         return computed[key]
 
     for root in cartan.positive_roots(ch):
-        column = cartan._column[root]
-        near, far = wall_adjacent_chambers(cartan, column)
+        # two roots lie on one wall when their columns share a slot
+        wall = cartan._slots[cartan._column[root]][0]
+        near, far = _wall_chambers(spec, wall)
         left = entries(near, base_signs)
         right = entries(far, tuple(s * flip_sign(spec, x, near, far)
                                    for x, s in enumerate(base_signs)))
         near_pairs, far_pairs = adjacent_pairs(spec, near), adjacent_pairs(spec, far)
-        # two roots lie on one wall when their columns share a slot
-        wall = cartan._slots[column][0]
         for p, q in sorted(left.keys() | right.keys()):
             witness = near_pairs.get((p, q)) or far_pairs[p, q]
             if cartan._slots[witness.column][0] == wall:
@@ -145,8 +135,8 @@ def run(spec, ch, signs=None, which: str = "all") -> dict:
     """The verify document of the suite `which`, or with "all" of every
     suite that applies to the slice, in the order of SUITES.
 
-    Raises NotA1 when a rank-one suite is named on a higher-rank slice, and
-    ValueError for a name that is neither a suite nor "all".
+    Raises ValueError when a rank-one suite is named on a higher-rank slice,
+    and for a name that is neither a suite nor "all".
     """
     rank_one = spec.cartan.rank == 1
     if which == "all":
@@ -154,7 +144,7 @@ def run(spec, ch, signs=None, which: str = "all") -> dict:
     elif which not in _SUITES:
         raise ValueError(f"unknown verify suite {which!r}")
     elif which in RANK_ONE_SUITES and not rank_one:
-        raise NotA1(f"verify {which} requires a rank-one slice")
+        raise ValueError(f"verify {which} requires a rank-one slice")
     else:
         selected = [which]
     checks = [_SUITES[name](spec, ch, signs) for name in selected]

@@ -19,7 +19,7 @@ from grslice.chern import (
     reconstruct_coefficient,
 )
 from grslice.slices import SliceSpec, adjacent_pairs, enumerate_fixed_points
-from grslice.stab_a1 import NotA1, normalize_polarization, stab_matrix
+from grslice.stab_a1 import normalize_polarization, stab_matrix
 from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
 from helpers import (
@@ -408,8 +408,22 @@ def test_localization_matrix_random_signs():
         assert direct.entries == via.entries
 
 
+def test_localization_entry_that_is_not_polynomial_raises(monkeypatch):
+    # one more h^deg in a cleared sum: no linear form times the lcm
+    real = chern._pairing_sums
+
+    def tampered(plus, minus, weight=None):
+        b, lcm, sums = real(plus, minus, weight)
+        sums[min(sums)] += 1
+        return b, lcm, sums
+
+    monkeypatch.setattr(chern, "_pairing_sums", tampered)
+    with pytest.raises(AssertionError, match=r"^localization entry \(.*\) is not polynomial$"):
+        mult_matrix_via_localization(a1_spec(4, 2), "L1", CH1_PLUS)
+
+
 def test_localization_matrix_requires_rank_one():
-    with pytest.raises(NotA1):
+    with pytest.raises(ValueError, match="^requires a rank-1 slice, got type A2$"):
         mult_matrix_via_localization(TSTAR_FL3, "L1", CH2_PLUS)
 
 

@@ -127,6 +127,21 @@ def test_mu_of_the_wrong_length_exits_two_before_the_datum_is_built(capsys, monk
     assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("error, code, stdout, stderr", [
+    (ValueError("x"), 2, "", "error: x\n"),
+    (AssertionError("y"), 3, "verification failure: y\n", ""),
+], ids=["refused-input", "failed-check"])
+def test_each_failure_builtin_has_its_exit_code_and_one_line(capsys, monkeypatch, error, code,
+                                                              stdout, stderr):
+    # refused input raises ValueError and a failed check AssertionError,
+    # wherever in the library either is raised
+    def route(job, spec, ch, signs):
+        raise error
+
+    monkeypatch.setitem(cli._BUILDERS, "fixed-points", route)
+    assert run_cli(capsys, ["fixed-points"] + BASE_A1) == (code, stdout, stderr)
+
+
 def test_stab_exact_rank_two_exits_two(capsys):
     code, out, err = run_cli(capsys, ["stab-exact"] + BASE_FL3)
     assert code == 2 and "error" in err
@@ -1034,6 +1049,21 @@ def test_oracle_reconstruction_that_does_not_divide_exits_three(capsys, monkeypa
     assert err == "" and "Traceback" not in out + err
 
 
+def test_verify_recursion_reports_a_failed_check_in_its_document(capsys, monkeypatch):
+    message = "transposition paths to (w,-w) disagree"
+
+    def failing(spec, ch, signs=None):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(verify, "stab_matrix", failing)
+    code, out, err = run_cli(capsys, ["verify", "recursion"] + BASE_A1)
+    assert code == 3 and err == ""
+    assert json.loads(out) == {
+        "command": "verify", "which": "recursion", "ok": False,
+        "checks": [{"name": "recursion", "ok": False, "detail": message}],
+    }
+
+
 def test_mod_h2_routes_need_no_division_or_rational_function(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("polynomial division or RationalFunction used")
@@ -1113,20 +1143,20 @@ def test_no_slice_or_datum_outlives_a_job(capsys):
 
 
 def test_a_higher_rank_job_frees_its_slice_without_the_cycle_collector(capsys):
-    # no reference cycle holds a higher-rank spec or its memo, so reference
-    # counting alone frees each spec when its job is done
+    # no reference cycle holds a higher-rank spec, its memo or its datum, so
+    # reference counting alone frees each when its job is done
     gc.collect()
     gc.disable()
     try:
-        before = [o for o in gc.get_objects() if isinstance(o, slices.SliceSpec)]
+        freed = (slices.SliceSpec, CartanDatum)
+        before = [o for o in gc.get_objects() if isinstance(o, freed)]
         jobs = [["tangent"] + BASE_FL3, ["stab-mod-h2"] + BASE_FL3,
                 ["mult", "--bundle", "L1", "--type", "B", "--rank", "2", "--lambda", "2,2",
                  "--mu", "0,0"]]
         for argv in jobs:
             assert run_cli(capsys, argv)[0] == 0
         kept = {id(o) for o in before}
-        assert [o for o in gc.get_objects()
-                if isinstance(o, slices.SliceSpec) and id(o) not in kept] == []
+        assert [o for o in gc.get_objects() if isinstance(o, freed) and id(o) not in kept] == []
     finally:
         gc.enable()
 

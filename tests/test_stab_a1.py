@@ -16,10 +16,6 @@ from grslice.slices import (
 from grslice import stab_a1, symalg
 from grslice.cli import CACHE_ENV, main
 from grslice.stab_a1 import (
-    ExactDivisionFailure,
-    InvariantViolation,
-    NotA1,
-    PathInconsistency,
     RestrictionMatrix,
     stab_matrix,
     stab_offdiag_mod_h2,
@@ -27,7 +23,7 @@ from grslice.stab_a1 import (
     verify_duality,
 )
 from grslice.chern import bundle_weight, mult_matrix_via_localization
-from grslice.symalg import NonDivisible, Polynomial, RationalFunction
+from grslice.symalg import Polynomial, RationalFunction
 from helpers import (
     binary_polynomial,
     catalog_slices,
@@ -169,7 +165,8 @@ def test_synthetic_division_inverts_multiplication(f, s, times_divisor):
     poly = binary_polynomial
     try:
         quotient = stab_a1._form_div(num, s)
-    except NonDivisible:
+    except AssertionError as exc:
+        assert str(exc) == f"form {num} is not divisible by a + {s}*h"
         # factor theorem: a + s h divides the form exactly when the form
         # vanishes at (a, h) = (-s, 1)
         assert not times_divisor
@@ -276,9 +273,9 @@ def test_stab_matrix_tstar_p1_golden():
 def test_stab_matrix_rejects_bad_input():
     a2 = CartanDatum("A", 2)
     spec = SliceSpec(a2, [1, 2], Coweight([1, 1]))
-    with pytest.raises(NotA1):
+    with pytest.raises(ValueError, match="^requires a rank-1 slice, got type A2$"):
         stab_matrix(spec, Chamber.dominant(a2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^chamber does not belong to the slice's Cartan datum$"):
         stab_matrix(TSTAR_P1, Chamber.dominant(a2))
 
 
@@ -387,13 +384,13 @@ def _disagreeing_step(monkeypatch):
 
 def test_step_that_does_not_divide_raises(monkeypatch):
     _non_dividing_step(monkeypatch)
-    with pytest.raises(ExactDivisionFailure, match=r"entry \(\(w,-w,w,-w\), .* is not polynomial"):
+    with pytest.raises(AssertionError, match=r"entry \(\(w,-w,w,-w\), .* is not polynomial"):
         stab_matrix(L4, CH_PLUS)
 
 
 def test_disagreeing_paths_raise(monkeypatch):
     _disagreeing_step(monkeypatch)
-    with pytest.raises(PathInconsistency, match=r"transposition paths to \(w,-w,w,-w\) disagree"):
+    with pytest.raises(AssertionError, match=r"transposition paths to \(w,-w,w,-w\) disagree"):
         stab_matrix(L4, CH_PLUS)
 
 
@@ -513,7 +510,7 @@ def test_validate_refuses_an_entry_outside_the_downset():
                                      {**m.entries, (index[row], index[col]): h_cubed},
                                      m.epsilons)
         message = rf"triangularity violated at \({re.escape(row.label())}, {re.escape(col.label())}\)"
-        with pytest.raises(InvariantViolation, match=message):
+        with pytest.raises(AssertionError, match=message):
             tampered.validate()
 
 
@@ -522,7 +519,7 @@ def test_validate_refuses_a_diagonal_that_is_not_the_euler_class():
     p = m.points[2]
     m.entries[2, 2] = tuple(2 * c for c in m.entries[2, 2])
     message = rf"diagonal at {re.escape(p.label())} is not the repelling Euler class"
-    with pytest.raises(InvariantViolation, match=message):
+    with pytest.raises(AssertionError, match=message):
         m.validate()
 
 
@@ -533,7 +530,7 @@ def test_validate_refuses_an_entry_not_divisible_by_h():
     m.entries[pq] = (1,) + m.entries[pq][1:]
     p, q = (m.points[x] for x in pq)
     message = rf"\({re.escape(p.label())}, {re.escape(q.label())}\) is not divisible by h"
-    with pytest.raises(InvariantViolation, match=message):
+    with pytest.raises(AssertionError, match=message):
         m.validate()
 
 
@@ -548,7 +545,7 @@ def test_constructor_takes_homogeneous_polynomials_only():
     p, q = (m.points[x] for x in pq)
     message = rf"\({re.escape(p.label())}, {re.escape(q.label())}\) is not homogeneous of degree 3"
     for bad in ((0, 1), (1, 0, 0, 1, 0), ()):
-        with pytest.raises(InvariantViolation, match=message):
+        with pytest.raises(AssertionError, match=message):
             RestrictionMatrix(spec, CH_PLUS, m.polarization_signs,
                               {**m.entries, pq: bad}, m.epsilons)
 
