@@ -168,11 +168,9 @@ class CartanDatum:
         a = self.cartan_matrix
         n = rank
 
-        for i in range(n):
-            assert a[i][i] == 2
-            for j in range(n):
-                if i != j:
-                    assert a[i][j] in (0, -1, -2, -3)
+        if any(a[i][j] != 2 if i == j else a[i][j] not in (0, -1, -2, -3)
+               for i in range(n) for j in range(n)):
+            raise AssertionError(f"the {type_letter}{rank} matrix is not a Cartan matrix")
 
         # symmetrizers: d_i * A[i][j] = d_j * A[j][i], normalized min(2 d_i)=2.
         # Along each bond d_j = d_i * A[i][j] / A[j][i]; every d found so far
@@ -188,11 +186,10 @@ class CartanDatum:
                     d[j] = d[i] // a[j][i] * a[i][j]
                     todo.append(j)
         scale = min(d)
-        assert all(x % scale == 0 for x in d)
+        if any(x % scale for x in d) or any(d[i] * a[i][j] != d[j] * a[j][i]
+                                            for i in range(n) for j in range(n)):
+            raise AssertionError(f"the {type_letter}{rank} symmetrizers do not symmetrize")
         self.symmetrizers = d = tuple(x // scale for x in d)
-        for i in range(n):
-            for j in range(n):
-                assert d[i] * a[i][j] == d[j] * a[j][i]
 
         self._inverse_rows, self._inverse_dens = _invert_integer(a)
 

@@ -111,20 +111,15 @@ class OperatorMatrix:
     point_index.  entries holds the nonzero coefficients only, keyed by the
     index pair (qi, pi), each a linear form in (a, h) as its coefficient
     tuple (a_1, .., a_r, h); zero is the all-zero tuple, the value of a
-    cell where none is stored.
+    cell where none is stored.  The matrix keeps its spec and label, not the
+    chamber it was built for.
     """
 
-    __slots__ = ("spec", "chamber", "basis", "entries", "label", "zero")
+    __slots__ = ("spec", "basis", "entries", "label", "zero")
 
-    def __init__(
-        self,
-        spec: SliceSpec,
-        chamber: Optional[Chamber],
-        entries: Dict[Tuple[int, int], tuple],
-        label: Optional[str] = None,
-    ):
+    def __init__(self, spec: SliceSpec, entries: Dict[Tuple[int, int], tuple],
+                 label: Optional[str] = None):
         self.spec = spec
-        self.chamber = chamber
         self.basis = enumerate_fixed_points(spec)
         self.entries = {key: e for key, e in entries.items() if any(e)}
         self.label = label
@@ -137,11 +132,12 @@ class OperatorMatrix:
             e = self.entries[qi, pi]
             if len(e) != width:
                 raise AssertionError(
-                    f"entry ({self.basis[qi]}, {self.basis[pi]}) is not a linear form"
+                    f"entry ({self.basis[qi].label()}, {self.basis[pi].label()}) "
+                    "is not a linear form"
                 )
             if qi != pi and any(e[:-1]):
                 raise AssertionError(
-                    f"off-diagonal entry ({self.basis[qi]}, {self.basis[pi]}) "
+                    f"off-diagonal entry ({self.basis[qi].label()}, {self.basis[pi].label()}) "
                     "is not a rational multiple of h"
                 )
 
@@ -152,8 +148,7 @@ class OperatorMatrix:
         for key, b in other.entries.items():
             a = entries.get(key)
             entries[key] = tuple(map(neg, b)) if a is None else tuple(map(sub, a, b))
-        chamber = self.chamber if self.chamber == other.chamber else None
-        return OperatorMatrix(self.spec, chamber, entries)
+        return OperatorMatrix(self.spec, entries)
 
 
 def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
@@ -167,7 +162,7 @@ def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
         d = p[i - 1]
         entries[pi, pi] = (tuple([_over(x, den) for x in cartan.sharp(d)])
                            + (Fraction(cartan.inner(d, spec.mu), 2 * den),))
-    return OperatorMatrix(spec, None, entries, label=f"H{i}")
+    return OperatorMatrix(spec, entries, label=f"H{i}")
 
 
 def omega_operators(
@@ -192,7 +187,7 @@ def omega_operators(
         if (w.i, w.j) != (i, j):
             continue
         entries[qi, pi] = a_zero + (sign * spec.cartan.half_lengths[w.column],)
-    return OperatorMatrix(spec, ch, entries)
+    return OperatorMatrix(spec, entries)
 
 
 def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
@@ -214,7 +209,7 @@ def _step_sharp(spec: SliceSpec, d: Tuple[int, ...]) -> Tuple[int, ...]:
     return spec.cartan.sharp(d)
 
 
-def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorMatrix:
+def _mult_l(spec: SliceSpec, k: int, pair_table: list) -> OperatorMatrix:
     """Matrix of multiplication by c_1(L_k): sum of the slot operators up to k
     minus h times the chamber operators across the cut at k."""
     points = enumerate_fixed_points(spec)
@@ -235,7 +230,7 @@ def _mult_l(spec: SliceSpec, k: int, ch: Chamber, pair_table: list) -> OperatorM
         if not w.i <= k < w.j:
             continue
         entries[qi, pi] = a_zero + (-sign * spec.cartan.half_lengths[w.column],)
-    return OperatorMatrix(spec, ch, entries, label=f"L{k}")
+    return OperatorMatrix(spec, entries, label=f"L{k}")
 
 
 def mult_matrix(
@@ -248,9 +243,9 @@ def mult_matrix(
     kind, idx = parse_bundle(spec, bundle)
     table = _pair_table(spec, ch, polarization_signs)
     if kind == "L":
-        mat = _mult_l(spec, idx, ch, table)
+        mat = _mult_l(spec, idx, table)
     else:
-        mat = _mult_l(spec, idx, ch, table) - _mult_l(spec, idx - 1, ch, table)
+        mat = _mult_l(spec, idx, table) - _mult_l(spec, idx - 1, table)
         mat.label = f"E{idx}"
     mat.validate()
     return mat
@@ -261,7 +256,7 @@ def line_bundle_matrices(
 ) -> List[OperatorMatrix]:
     """The matrices of c_1(L_0), ..., c_1(L_l), built on one table of lowering moves."""
     table = _pair_table(spec, ch, polarization_signs)
-    matrices = [_mult_l(spec, k, ch, table) for k in range(spec.length + 1)]
+    matrices = [_mult_l(spec, k, table) for k in range(spec.length + 1)]
     for mat in matrices:
         mat.validate()
     return matrices
@@ -290,7 +285,7 @@ def mult_matrix_via_localization(
     for d in {c.denominator for w in weight for c in w}:
         den *= d
     weight = [tuple(c.numerator * (den // c.denominator) for c in w) for w in weight]
-    b, lcm, sums = _pairing_sums(plus, minus, weight)
+    b, lcm, sums = _pairing_sums(spec, plus, minus, weight)
     # the lcm is the product of the forms a + s h, s counted in lcm
     shifts = list(lcm.elements())
     entries = {}
@@ -303,10 +298,10 @@ def mult_matrix_via_localization(
                 form = _form_div(form, s)
         except AssertionError as exc:
             raise AssertionError(
-                f"localization entry ({points[q]}, {points[p]}) is not polynomial"
+                f"localization entry ({points[q].label()}, {points[p].label()}) is not polynomial"
             ) from exc
         entries[q, p] = tuple([_over(c, den) for c in form])
-    return OperatorMatrix(spec, ch, entries, label=f"{kind}{idx}")
+    return OperatorMatrix(spec, entries, label=f"{kind}{idx}")
 
 
 def reconstruct_coefficient(

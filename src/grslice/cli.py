@@ -283,10 +283,9 @@ def _form_texts(names: List[str], forms, indent: str) -> List[str]:
             for f in forms]
 
 
-def _stab_entries(matrix) -> _Encoded:
-    """The "entries" of a stab-exact document: each stored form under its
-    key "p,q"; rows (p, q, value) in index order."""
-    degree = matrix.spec.dimension // 2
+def _stab_entries(matrix, degree: int) -> _Encoded:
+    """The "entries" of a stab-exact document: each stored form, of the
+    given degree, under its key "p,q"; rows (p, q, value) in index order."""
     names = [monomial_key((degree - k, k)) for k in range(degree + 1)]
     keys, forms = zip(*sorted((f'"{p},{q}": ', val) for (p, q), val in matrix.entries.items()))
 
@@ -352,7 +351,7 @@ def _cmd_tangent(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
 def _cmd_stab_exact(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
     matrix = stab_matrix(spec, ch, signs)
     return {"command": "stab-exact", "points": _delta_list(matrix.points),
-            "chamber": list(ch.sign_vector), "entries": _stab_entries(matrix),
+            "chamber": list(ch.sign_vector), "entries": _stab_entries(matrix, spec.dimension // 2),
             "labels": [p.label() for p in matrix.points]}
 
 

@@ -167,7 +167,8 @@ class SliceSpec:
         """
         mu_plus = dominant_representative(self.cartan, self.mu)
         d = sum(map(mul, map(sub, self.lambda_total(), mu_plus), self.cartan.two_rho_check))
-        assert d >= 0 and d % 2 == 0
+        if d < 0 or d % 2:
+            raise AssertionError(f"{self!r} has dimension {d}, not even and nonnegative")
         return d
 
     def lambda_total(self) -> Tuple[int, ...]:
@@ -389,9 +390,11 @@ def adjacent_pairs(
     raised exactly when <d, beta> = -1, so the pairs are read off the
     spec's pairing table: a +1 at slot i and a -1 at slot j > i.  Built once
     per spec and chamber, in order of (p, q); callers share the table and
-    must not mutate it.
+    must not mutate it.  A chamber of another datum raises ValueError.
     """
     cartan = spec.cartan
+    if ch.datum != cartan:
+        raise ValueError("chamber does not belong to the slice's Cartan datum")
     index = point_index(spec)
     roots = [(col, cartan.coroots[col]) for col, sign in enumerate(ch.sign_vector) if sign > 0]
     found = {}

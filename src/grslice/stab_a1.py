@@ -23,10 +23,10 @@ coefficients (c_0, .., c_D), c_k the coefficient of a^(D-k) h^k: a product
 is a convolution and a division by a linear form a synthetic division whose
 zero remainder is the divisibility test.  Points are their indices in
 enumerate_fixed_points order throughout, as in chern.OperatorMatrix: the
-matrix keys its forms by index pairs and holds its signs and epsilons in
-tuples by index.  A point itself is read only for its tangent weights and
-its label; grslice.cli prints the stab-exact document from the forms
-themselves.
+matrix keys its forms by index pairs, holds its signs and epsilons in
+tuples by index, and keeps its chamber and points but not its slice.  A
+point itself is read only for its tangent weights and its label;
+grslice.cli prints the stab-exact document from the forms themselves.
 """
 
 from __future__ import annotations
@@ -218,7 +218,8 @@ def _raise_row(points, p, row, ratio, i, partner, heights):
 
 def _epsilon_ratio(c1: int, c2: int) -> int:
     """eps_1 / eps_2 from their a^D coefficients; always +-1 in rank one."""
-    assert c1 in (c2, -c2)
+    if c1 not in (c2, -c2):
+        raise AssertionError(f"epsilon coefficients {c1} and {c2} differ by more than a sign")
     return 1 if c1 == c2 else -1
 
 
@@ -243,14 +244,13 @@ class RestrictionMatrix:
     and q, with eps|_p = polarization_signs[p] * e_A of the repelling half,
     as a form of degree dim/2 in (a, h); zero entries are not stored, and
     the constructor refuses a form of another length.  epsilons[p] is the
-    integer c with eps|_p = c * a^(dim/2).
+    integer c with eps|_p = c * a^(dim/2).  The spec memoizes the matrix,
+    which therefore keeps no reference to it: validate is given the spec.
     """
 
-    __slots__ = ("spec", "chamber", "polarization_signs", "points", "entries",
-                 "epsilons")
+    __slots__ = ("chamber", "polarization_signs", "points", "entries", "epsilons")
 
     def __init__(self, spec, chamber, polarization_signs, entries, epsilons):
-        self.spec = spec
         self.chamber = chamber
         self.polarization_signs = tuple(polarization_signs)
         self.points = enumerate_fixed_points(spec)
@@ -266,12 +266,13 @@ class RestrictionMatrix:
             if any(val):
                 self.entries[(p, q)] = val
 
-    def validate(self) -> None:
-        """Euler diagonals, triangularity, h-divisibility.
+    def validate(self, spec: SliceSpec) -> None:
+        """Euler diagonals, triangularity, h-divisibility, on the slice spec
+        the matrix was built for.
 
         For a form of degree D, divisibility by h and the a-degree bound
         deg_a < D both say that the a^D coefficient vanishes."""
-        spec, ch, points = self.spec, self.chamber, self.points
+        ch, points = self.chamber, self.points
         for x, sign in enumerate(self.polarization_signs):
             if self.entries.get((x, x)) != _repelling_form(spec, points[x], ch, sign):
                 raise AssertionError(
@@ -356,7 +357,7 @@ def _stab_matrix(spec: SliceSpec, ch: Chamber, signs: Tuple[int, ...]) -> Restri
 
     entries = {(p, q): val for p, row in rows.items() for q, val in row.items()}
     matrix = RestrictionMatrix(spec, ch, signs, entries, eps)
-    matrix.validate()
+    matrix.validate(spec)
     return matrix
 
 
@@ -470,9 +471,10 @@ def _shifts_value(shifts: Counter, b: int, sign: int = 1) -> int:
     return v
 
 
-def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None):
+def _pairing_sums(spec: SliceSpec, plus: RestrictionMatrix, minus: RestrictionMatrix,
+                  weight=None):
     """The localization pairing of the rows of two opposite-chamber matrices
-    on one slice, with the denominator cleared, by Kronecker substitution.
+    on the slice spec, with the denominator cleared, by Kronecker substitution.
 
     Returns (b, lcm, sums): lcm is the shift Counter of _lcm_cofactors'
     least common multiple, and sums[(p, q)], for point indices p and q, is
@@ -491,9 +493,9 @@ def _pairing_sums(plus: RestrictionMatrix, minus: RestrictionMatrix, weight=None
     its lowest power a^k.  So S_pq = lcm, or 0, exactly when the packed
     values agree, and _unpack reads S_pq back.
     """
-    lcm, cofactor = _lcm_cofactors(plus.spec)
+    lcm, cofactor = _lcm_cofactors(spec)
     weight = weight or [(1,)] * len(cofactor)
-    bound = len(cofactor) * (plus.spec.dimension // 2 + 1) * max(sum(map(abs, w)) for w in weight)
+    bound = len(cofactor) * (spec.dimension // 2 + 1) * max(sum(map(abs, w)) for w in weight)
     for forms in (plus.entries.values(), minus.entries.values()):
         bound *= max(max(map(max, forms), default=0), -min(map(min, forms), default=0))
     bound += 1  # S_pq - lcm has the lcm once more
@@ -525,7 +527,7 @@ def verify_duality(spec: SliceSpec, ch: Chamber,
     plus = stab_matrix(spec, ch, polarization_signs)
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
-    b, lcm, sums = _pairing_sums(plus, minus)
+    b, lcm, sums = _pairing_sums(spec, plus, minus)
     one = _shifts_value(lcm, b)
     failures = [
         {"p": p.label(), "q": q.label()}

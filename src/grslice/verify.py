@@ -90,11 +90,14 @@ def wallcross(spec, ch, signs=None) -> dict:
     p and q differ by the coroot at two slots, so every sigma difference is a
     multiple of it, and no other root's coroot divides them all.
     """
+    cartan = spec.cartan
+    # the suite reads ch for its positive roots only, never its adjacent pairs
+    if ch.datum != cartan:
+        raise ValueError("chamber does not belong to the slice's Cartan datum")
     failures: List[dict] = []
     compared = 0
     points = enumerate_fixed_points(spec)
     base_signs = normalize_polarization(points, signs)
-    cartan = spec.cartan
     # two walls can share a chamber with the same signs
     computed: Dict[tuple, dict] = {}
 

@@ -362,24 +362,24 @@ def binary_polynomial(f):
     return Polynomial(2, {(d - k, k): c for k, c in enumerate(f)})
 
 
-def entry_at(matrix, x, y):
-    """The stored cell of a matrix at two points, by point_index: a
-    restriction matrix's Stab[x]|_y, a binary form, or an operator matrix's
-    row x and column y, a linear form; the zero form where none is
-    stored."""
-    index = point_index(matrix.spec)
+def entry_at(spec, matrix, x, y):
+    """The stored cell of a matrix on the slice spec at two points, by
+    point_index: a restriction matrix's Stab[x]|_y, a binary form, or an
+    operator matrix's row x and column y, a linear form; the zero form
+    where none is stored."""
+    index = point_index(spec)
     value = matrix.entries.get((index[x], index[y]))
     if value is not None:
         return value
     if isinstance(matrix, RestrictionMatrix):
-        return (0,) * (matrix.spec.dimension // 2 + 1)
+        return (0,) * (spec.dimension // 2 + 1)
     return matrix.zero
 
 
-def entry_polynomial(matrix, x, y):
-    """entry_at(matrix, x, y) as a polynomial: a restriction matrix's binary
-    form, an operator matrix's linear form."""
-    value = entry_at(matrix, x, y)
+def entry_polynomial(spec, matrix, x, y):
+    """entry_at(spec, matrix, x, y) as a polynomial: a restriction matrix's
+    binary form, an operator matrix's linear form."""
+    value = entry_at(spec, matrix, x, y)
     if isinstance(matrix, RestrictionMatrix):
         return binary_polynomial(value)
     return form_polynomial(value)
@@ -524,13 +524,14 @@ def sampled_sigma_signs(spec, p, q, column, pol_chamber, signs, count):
     }
 
 
-def pairing_sums_reference(plus, minus, weight=None):
+def pairing_sums_reference(spec, plus, minus, weight=None):
     """The localization pairing sums of two opposite-chamber restriction
-    matrices as coefficient tuples, by convolution: {(p, q): form} of
+    matrices on the slice spec as coefficient tuples, by convolution:
+    {(p, q): form} of
     sum_x Stab_+[p]|_x * Stab_-[q]|_x * w(x) * cofactor(x) for every pair
     with a point x where both are stored, w(x) the form weight[x] (int or
     Fraction coefficients) or 1."""
-    lcm, cofactor = localization_denominator(plus.spec)
+    lcm, cofactor = localization_denominator(spec)
     factor = [euler_form(c) for c in cofactor]
     if weight is not None:
         factor = [_form_mul(f, w) for f, w in zip(factor, weight)]
@@ -587,14 +588,14 @@ def reference_document(command, spec, ch, matrix):
     deltas = [[list(c) for c in p] for p in points]
     if command == "stab-exact":
         doc["points"] = deltas
-        doc["entries"] = {f"{pi},{qi}": polynomial_to_json(entry_polynomial(matrix, p, q))
+        doc["entries"] = {f"{pi},{qi}": polynomial_to_json(entry_polynomial(spec, matrix, p, q))
                           for pi, p in enumerate(points) for qi, q in enumerate(points)
-                          if not is_zero(entry_polynomial(matrix, p, q))}
+                          if not is_zero(entry_polynomial(spec, matrix, p, q))}
     elif command == "mult":
         doc["basis"] = deltas
         doc["bundle"] = matrix.label
-        doc["entries"] = [[polynomial_to_json(entry_polynomial(matrix, q, p)) for p in points]
-                          for q in points]
+        doc["entries"] = [[polynomial_to_json(entry_polynomial(spec, matrix, q, p))
+                           for p in points] for q in points]
     else:
         pairs = adjacent_pairs(spec, ch)
         roots = spec.cartan.root_list

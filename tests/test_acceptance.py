@@ -146,7 +146,7 @@ def test_criterion_04_rank_one_exact_envelope_suite():
             matrix = exact(spec, ch)
             # triangularity, repelling Euler diagonal, h-divisible
             # off-diagonals, and the A-degree bound
-            matrix.validate()
+            matrix.validate(spec)
             for i in range(1, l):
                 # raises on any left/right mismatch
                 theta_action(spec, i, matrix)
@@ -175,9 +175,9 @@ def test_criterion_06_mod_h2_closed_form_and_diagonal_constant():
                 for qi, q in enumerate(matrix.points):
                     if p == q:
                         continue
-                    truncated = truncate_mod_h2(entry_polynomial(matrix, p, q))
+                    truncated = truncate_mod_h2(entry_polynomial(spec, matrix, p, q))
                     assert truncated == expanded(closed, (pi, qi), ZERO2)
-                diag = truncate_mod_h2(entry_polynomial(matrix, p, p))
+                diag = truncate_mod_h2(entry_polynomial(spec, matrix, p, p))
                 lead = coefficient(diag, (half, 0))
                 slope = Fraction(coefficient(diag, (half - 1, 1))) / lead
                 constants.add(s * slope - weight_stat(spec, p, ch))
@@ -261,12 +261,13 @@ def test_criterion_08_sigma_sign_well_defined():
 
 def test_criterion_09_multiplication_oracle():
     start = time.monotonic()
-    worked = mult_matrix(a1_spec(2, 0), "E1", CH_PLUS)
+    two_points = a1_spec(2, 0)
+    worked = mult_matrix(two_points, "E1", CH_PLUS)
     low, high = worked.basis
-    assert entry_at(worked, high, high) == (Fraction(1, 2), Fraction(1, 4))
-    assert entry_at(worked, low, high) == (0, -1)
-    assert entry_at(worked, low, low) == (Fraction(-1, 2), Fraction(1, 4))
-    assert entry_at(worked, high, low) == (0, 0)
+    assert entry_at(two_points, worked, high, high) == (Fraction(1, 2), Fraction(1, 4))
+    assert entry_at(two_points, worked, low, high) == (0, -1)
+    assert entry_at(two_points, worked, low, low) == (Fraction(-1, 2), Fraction(1, 4))
+    assert entry_at(two_points, worked, high, low) == (0, 0)
 
     for l, k in a1_grid(7):
         spec = a1_spec(l, k)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grslice import cartan
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.stab_general import wall_adjacent_chambers
 
@@ -119,6 +120,19 @@ def test_hardcoded_rank2_matrices():
     assert CartanDatum("G", 2).cartan_matrix == ((2, -3), (-1, 2))
     f4 = CartanDatum("F", 4).cartan_matrix
     assert f4[1][2] == -1 and f4[2][1] == -2
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (((2, -1), (-1, 3)), "the A2 matrix is not a Cartan matrix"),
+    (((2, -4), (-1, 2)), "the A2 matrix is not a Cartan matrix"),
+    # a cycle whose bonds no symmetrizer balances
+    (((2, -1, -1), (-1, 2, -1), (-2, -1, 2)), "the A3 symmetrizers do not symmetrize"),
+])
+def test_the_datum_checks_its_matrix_and_symmetrizers(monkeypatch, matrix, message):
+    # the checks raise AssertionError themselves, so python -O keeps them
+    monkeypatch.setattr(cartan, "_build_cartan_matrix", lambda letter, rank: matrix)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        CartanDatum("A", len(matrix))
 
 
 def test_symmetrizers():

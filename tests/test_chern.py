@@ -136,9 +136,10 @@ def test_bundle_weight_dispatch():
 def test_h_operator_diagonal():
     mat = h_operator(TSTAR_P1, 1)
     minus, plus = mat.basis
-    assert entry_at(mat, plus, plus) == (Fraction(1, 2), 0)
-    assert entry_at(mat, minus, minus) == (Fraction(-1, 2), 0)
-    assert entry_at(mat, minus, plus) == entry_at(mat, plus, minus) == mat.zero == (0, 0)
+    assert entry_at(TSTAR_P1, mat, plus, plus) == (Fraction(1, 2), 0)
+    assert entry_at(TSTAR_P1, mat, minus, minus) == (Fraction(-1, 2), 0)
+    assert entry_at(TSTAR_P1, mat, minus, plus) == mat.zero == (0, 0)
+    assert entry_at(TSTAR_P1, mat, plus, minus) == mat.zero
 
     spec = a1_spec(3, 1)
     mat = h_operator(spec, 2)
@@ -147,7 +148,7 @@ def test_h_operator_diagonal():
         expected = linear_form(
             exact_sharp(spec.cartan, d), exact_inner(spec.cartan, d, spec.mu) / 2
         )
-        assert entry_polynomial(mat, p, p) == expected
+        assert entry_polynomial(spec, mat, p, p) == expected
 
 
 def test_h_operator_range():
@@ -196,17 +197,18 @@ def test_omega_operator_combines_parts():
 def test_two_point_slice_worked_multiplication():
     mat = mult_matrix(TSTAR_P1, "E1", CH1_PLUS)
     minus, plus = mat.basis
-    assert entry_at(mat, plus, plus) == (Fraction(1, 2), Fraction(1, 4))
-    assert entry_at(mat, minus, plus) == (0, -1)
-    assert entry_at(mat, minus, minus) == (Fraction(-1, 2), Fraction(1, 4))
-    assert entry_at(mat, plus, minus) == (0, 0)
+    assert entry_at(TSTAR_P1, mat, plus, plus) == (Fraction(1, 2), Fraction(1, 4))
+    assert entry_at(TSTAR_P1, mat, minus, plus) == (0, -1)
+    assert entry_at(TSTAR_P1, mat, minus, minus) == (Fraction(-1, 2), Fraction(1, 4))
+    assert entry_at(TSTAR_P1, mat, plus, minus) == (0, 0)
 
     stab = stab_matrix(TSTAR_P1, CH1_PLUS)
     weight = linear_form([Fraction(1, 2)], Fraction(1, 4))
     h = h_poly(TSTAR_P1)
     for x in stab.points:
-        lhs = form_polynomial(bundle_weight(TSTAR_P1, x, "E1")) * entry_polynomial(stab, plus, x)
-        rhs = weight * entry_polynomial(stab, plus, x) - h * entry_polynomial(stab, minus, x)
+        upper, lower = (entry_polynomial(TSTAR_P1, stab, y, x) for y in (plus, minus))
+        lhs = form_polynomial(bundle_weight(TSTAR_P1, x, "E1")) * upper
+        rhs = weight * upper - h * lower
         assert lhs == rhs
 
 
@@ -214,7 +216,7 @@ def test_trivial_and_determinant_bundles():
     for spec, ch in ((TSTAR_FL3, CH2_PLUS), (a1_spec(3, 1), CH1_PLUS)):
         zero_mat = mult_matrix(spec, "L0", ch)
         basis = zero_mat.basis
-        assert all(is_zero(entry_polynomial(zero_mat, q, p)) for q in basis for p in basis)
+        assert all(is_zero(entry_polynomial(spec, zero_mat, q, p)) for q in basis for p in basis)
         top = mult_matrix(spec, f"L{spec.length}", ch)
         mu = spec.mu
         scalar = linear_form(
@@ -223,7 +225,7 @@ def test_trivial_and_determinant_bundles():
         for qi, q in enumerate(top.basis):
             for pi, p in enumerate(top.basis):
                 expected = scalar if qi == pi else Polynomial.zero(spec.cartan.rank + 1)
-                assert entry_polynomial(top, q, p) == expected
+                assert entry_polynomial(spec, top, q, p) == expected
 
 
 def test_diagonal_matches_bundle_weight():
@@ -238,7 +240,8 @@ def test_diagonal_matches_bundle_weight():
         for bundle in all_bundles(spec):
             mat = mult_matrix(spec, bundle, ch)
             for p in mat.basis:
-                assert entry_polynomial(mat, p, p) == form_polynomial(bundle_weight(spec, p, bundle))
+                assert (entry_polynomial(spec, mat, p, p)
+                        == form_polynomial(bundle_weight(spec, p, bundle)))
 
 
 def test_entries_are_coefficient_tuples():
@@ -272,7 +275,7 @@ def test_offdiagonal_supported_on_adjacent_pairs():
                 for pi, p in enumerate(mat.basis):
                     if q == p:
                         continue
-                    if not is_zero(entry_polynomial(mat, q, p)):
+                    if not is_zero(entry_polynomial(spec, mat, q, p)):
                         assert adjacent_pairs(spec, ch).get((pi, qi)) is not None
 
 
@@ -284,7 +287,7 @@ def test_e_matrix_matches_slot_formula():
             lhs = mult_matrix(spec, f"E{i}", ch) - h_operator(spec, i)
             for j in range(1, i):
                 lhs = lhs - omega_operators(spec, j, i, ch)
-            rhs = OperatorMatrix(spec, ch, {})
+            rhs = OperatorMatrix(spec, {})
             for j in range(i + 1, spec.length + 1):
                 rhs = rhs - omega_operators(spec, i, j, ch)
             assert lhs.entries == rhs.entries
@@ -313,10 +316,10 @@ def test_matrix_conjugates_fixed_point_action():
                 for p in stab.points:
                     rhs = Polynomial.zero(2)
                     for q in stab.points:
-                        m = entry_polynomial(mat, q, p)
+                        m = entry_polynomial(spec, mat, q, p)
                         if not is_zero(m):
-                            rhs = rhs + entry_polynomial(stab, q, x) * m
-                    assert w * entry_polynomial(stab, p, x) == rhs, (spec, ch, bundle)
+                            rhs = rhs + entry_polynomial(spec, stab, q, x) * m
+                    assert w * entry_polynomial(spec, stab, p, x) == rhs, (spec, ch, bundle)
 
 
 def test_line_bundle_matrices_commute():
@@ -366,8 +369,8 @@ def test_localization_pair_reproduces_duality():
         minus = stab_matrix(spec, CH1_MINUS)
         for p in plus.points:
             for q in plus.points:
-                v1 = {x: entry_polynomial(minus, q, x) for x in plus.points}
-                v2 = {x: entry_polynomial(plus, p, x) for x in plus.points}
+                v1 = {x: entry_polynomial(spec, minus, q, x) for x in plus.points}
+                v2 = {x: entry_polynomial(spec, plus, p, x) for x in plus.points}
                 value = localization_pair(spec, v1, v2)
                 assert isinstance(value, RationalFunction)
                 assert value == (1 if p == q else 0)
@@ -412,13 +415,15 @@ def test_localization_entry_that_is_not_polynomial_raises(monkeypatch):
     # one more h^deg in a cleared sum: no linear form times the lcm
     real = chern._pairing_sums
 
-    def tampered(plus, minus, weight=None):
-        b, lcm, sums = real(plus, minus, weight)
+    def tampered(spec, plus, minus, weight=None):
+        b, lcm, sums = real(spec, plus, minus, weight)
         sums[min(sums)] += 1
         return b, lcm, sums
 
     monkeypatch.setattr(chern, "_pairing_sums", tampered)
-    with pytest.raises(AssertionError, match=r"^localization entry \(.*\) is not polynomial$"):
+    # the points print by label, as in every other check message
+    with pytest.raises(AssertionError,
+                       match=r"^localization entry \(\([-w0,]+\), \([-w0,]+\)\) is not polynomial$"):
         mult_matrix_via_localization(a1_spec(4, 2), "L1", CH1_PLUS)
 
 
@@ -447,7 +452,7 @@ def test_reconstruction_matches_matrix_entries():
                 for qi, q in enumerate(points):
                     if p == q:
                         continue
-                    expected = entry_polynomial(mat, q, p)
+                    expected = entry_polynomial(spec, mat, q, p)
                     coeff = reconstruct_coefficient(spec, ch, entries, pi, qi, bundle, signs)
                     if is_zero(expected):
                         assert coeff == 0
@@ -473,14 +478,15 @@ def test_validate_rejects_bad_diagonal():
     mat = mult_matrix(TSTAR_P1, "L1", CH1_PLUS)
     # a form in three variables on a rank-one slice
     mat.entries[0, 0] = (1, 0, 1)
-    with pytest.raises(AssertionError, match="not a linear form"):
+    with pytest.raises(AssertionError, match=r"^entry \(\(-w,w\), \(-w,w\)\) is not a linear form$"):
         mat.validate()
 
 
 def test_validate_rejects_bad_offdiagonal():
     mat = mult_matrix(TSTAR_P1, "L1", CH1_PLUS)
     mat.entries[0, 1] = (1, 1)
-    with pytest.raises(AssertionError, match="not a rational multiple of h"):
+    with pytest.raises(AssertionError, match=r"^off-diagonal entry \(\(-w,w\), \(w,-w\)\) "
+                                              r"is not a rational multiple of h$"):
         mat.validate()
 
 
@@ -505,8 +511,7 @@ def test_bundle_weights_are_computed_once_per_point(monkeypatch):
 
 def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
     spec = SliceSpec(A2, [1, 1, 2], Coweight([1, 0]))
-    ch = CH2_PLUS
-    before = [chern._mult_l(spec, k, ch, []) for k in range(spec.length + 1)]
+    before = [chern._mult_l(spec, k, []) for k in range(spec.length + 1)]
     calls = []
     for name in ("inner", "sharp"):
         original = getattr(cartan.CartanDatum, name)
@@ -516,13 +521,14 @@ def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
             return original(self, *args)
 
         monkeypatch.setattr(cartan.CartanDatum, name, counted)
-    again = [chern._mult_l(spec, k, ch, []) for k in range(spec.length + 1)]
+    again = [chern._mult_l(spec, k, []) for k in range(spec.length + 1)]
     assert calls == []
     assert [m.entries for m in again] == [m.entries for m in before]
     # the slot route and line_bundle_weight agree on every diagonal
     for k, mat in enumerate(again):
         for p in mat.basis:
-            assert entry_polynomial(mat, p, p) == form_polynomial(line_bundle_weight(spec, p, k))
+            assert (entry_polynomial(spec, mat, p, p)
+                    == form_polynomial(line_bundle_weight(spec, p, k)))
 
 
 # -- sparse storage ----------------------------------------------------------------
@@ -531,14 +537,15 @@ def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
 def _dense_product(left, right):
     """Rows of left times right, summed over every middle point as dense
     matrices are."""
-    basis = left.basis
+    spec, basis = left.spec, left.basis
     rows = []
     for q in basis:
         row = []
         for p in basis:
-            total = Polynomial.zero(left.spec.cartan.rank + 1)
+            total = Polynomial.zero(spec.cartan.rank + 1)
             for r in basis:
-                total = total + entry_polynomial(left, q, r) * entry_polynomial(right, r, p)
+                total = total + (entry_polynomial(spec, left, q, r)
+                                 * entry_polynomial(spec, right, r, p))
             row.append(total)
         rows.append(row)
     return rows
@@ -592,5 +599,6 @@ def test_json_prints_every_cell_through_entry():
         for bundle in all_bundles(spec):
             mat = mult_matrix(spec, bundle, ch)
             basis = mat.basis
-            expected = [[polynomial_to_json(entry_polynomial(mat, q, p)) for p in basis] for q in basis]
+            expected = [[polynomial_to_json(entry_polynomial(spec, mat, q, p)) for p in basis]
+                        for q in basis]
             assert printed(cli._mult_entries(mat)) == expected

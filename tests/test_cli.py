@@ -16,7 +16,7 @@ from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, JobSpec, build_parser, cache_fetch, cache_store, main
 from grslice.chern import mult_matrix
 from grslice.slices import adjacent_pairs, enumerate_fixed_points
-from grslice.stab_a1 import stab_matrix
+from grslice.stab_a1 import RestrictionMatrix, stab_matrix
 from grslice.stab_general import stab_mod_h2
 from helpers import (entry_polynomial, euler_polynomial, fundamental_coweight, is_zero,
                      linear_form, polynomial_from_json, reference_document, reference_str, vsum,
@@ -864,11 +864,11 @@ def test_matrix_documents_print_what_json_dumps_prints(capsys, tmp_path, monkeyp
     # reference printer from the same cells
     if command == "stab-exact":
         matrix = stab_matrix(spec, ch, signs)
-        cells = [(p, q, entry_polynomial(matrix, p, q)) for p in points for q in points]
+        cells = [(p, q, entry_polynomial(spec, matrix, p, q)) for p in points for q in points]
         header = "p | q | value"
     elif command == "mult":
         matrix = mult_matrix(spec, bundle, ch, signs)
-        cells = [(q, p, entry_polynomial(matrix, q, p)) for q in points for p in points]
+        cells = [(q, p, entry_polynomial(spec, matrix, q, p)) for q in points for p in points]
         header = "row | column | value"
     else:
         matrix = stab_mod_h2(spec, ch, signs)
@@ -1142,17 +1142,20 @@ def test_no_slice_or_datum_outlives_a_job(capsys):
     assert [o for o in alive() if id(o) not in kept] == []
 
 
-def test_a_higher_rank_job_frees_its_slice_without_the_cycle_collector(capsys):
-    # no reference cycle holds a higher-rank spec, its memo or its datum, so
-    # reference counting alone frees each when its job is done
+def test_a_job_frees_its_slice_without_the_cycle_collector(capsys):
+    # no reference cycle holds a spec, its memo, its datum or a rank-one
+    # restriction matrix memoized on the spec, so reference counting alone
+    # frees each when its job is done, in rank one as in higher rank
     gc.collect()
     gc.disable()
     try:
-        freed = (slices.SliceSpec, CartanDatum)
+        freed = (slices.SliceSpec, CartanDatum, RestrictionMatrix)
         before = [o for o in gc.get_objects() if isinstance(o, freed)]
+        a1 = ["--type", "A", "--rank", "1", "--lambda", "1,1,1,1", "--mu", "0"]
         jobs = [["tangent"] + BASE_FL3, ["stab-mod-h2"] + BASE_FL3,
                 ["mult", "--bundle", "L1", "--type", "B", "--rank", "2", "--lambda", "2,2",
-                 "--mu", "0,0"]]
+                 "--mu", "0,0"],
+                ["stab-exact"] + a1, ["verify", "all"] + a1]
         for argv in jobs:
             assert run_cli(capsys, argv)[0] == 0
         kept = {id(o) for o in before}

@@ -7,8 +7,10 @@ The perfbench files are imported read-only; each job runs through cli.main
 with an empty cache directory of its own, as make_goldens records them.
 """
 
+import hashlib
 import json
 import os
+import subprocess
 import sys
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -50,3 +52,19 @@ def test_rank_one_documents_match_their_goldens():
 
 def test_wall_route_and_point_documents_match_their_goldens():
     _check_documents({"stab-mod-h2", ("verify", "wallcross"), "tangent", "fixed-points"})
+
+
+def test_a_job_prints_its_golden_under_python_o(tmp_path):
+    # python -O drops assert statements; every check raises AssertionError
+    # itself, so the rank-one stab-exact job of most slots and least |mu|,
+    # which runs the recursion's and validate's checks, prints the same document
+    job = max((job for job in catalog.catalog("a1-exact") if job.argv[0] == "stab-exact"),
+              key=lambda job: (len(job.argv[6]), -abs(int(job.argv[8])), job.key))
+    with open(make_goldens.GOLDENS, encoding="utf-8") as fh:
+        golden = json.load(fh)[job.key]
+    src = os.path.join(os.path.dirname(PERFBENCH), "src")
+    env = dict(os.environ, PYTHONPATH=src, GRSLICE_CACHE_DIR=str(tmp_path / "cache"))
+    done = subprocess.run([sys.executable, "-O", "-m", "grslice.cli", *job.argv], env=env,
+                          capture_output=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == golden

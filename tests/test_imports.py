@@ -1,7 +1,8 @@
-"""Every name a grslice module imports is used in that module, every
-private module-level function or class and every public module-level
-function or public method (bar a list of exemptions) is named outside its
-own body, and every name in a class's __slots__ is read outside __init__.
+"""No grslice module holds an assert statement (python -O drops it), every
+name a grslice module imports is used in that module, every private
+module-level function or class and every public module-level function or
+public method (bar a list of exemptions) is named outside its own body,
+and every name in a class's __slots__ is read outside __init__.
 
 Read with the standard library's ast: a name counts as used where the
 module loads it, or names it inside a string annotation.  The
@@ -75,6 +76,25 @@ def test_the_check_sees_an_unused_import():
                      "def f(x: 'Optional[int]') -> None:\n    return os.sep\n")
     used = _used(tree)
     assert [name for name, _ in _imported(tree) if name not in used] == ["List"]
+
+
+def _asserts(tree):
+    """The line of every assert statement in the module, at any depth."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_assert_statement(module):
+    # python -O drops an assert statement; a check raises AssertionError itself
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        lines = _asserts(ast.parse(fh.read(), module))
+    assert not lines, f"{module} has assert statements on lines {lines}"
+
+
+def test_the_check_sees_an_assert_statement():
+    tree = ast.parse("def f(x):\n    if x < 0:\n        raise AssertionError('negative')\n"
+                     "    assert x, 'zero'\n    return 'assert x'\n")
+    assert _asserts(tree) == [4]
 
 
 def _occurrences(node, attributes_only=False):

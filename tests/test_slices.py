@@ -6,7 +6,7 @@ from math import comb, gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grslice import cartan, stab_a1
+from grslice import cartan, slices, stab_a1
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, JobSpec, compute_payload, main, render
 from grslice.slices import (
@@ -136,6 +136,17 @@ def test_dimension():
     assert TSTAR_FL3.dimension == 6
     assert SliceSpec(A2, [2], fundamental_coweight(A2, 2)).dimension == 0
     assert TSTAR_P1.dimension == 2
+
+
+@pytest.mark.parametrize("target, dimension", [((3,), -1), ((1,), 1)])
+def test_dimension_check_names_the_slice(monkeypatch, target, dimension):
+    # a wrong dominant representative gives a negative or an odd dimension:
+    # a failed check, which raises AssertionError itself
+    monkeypatch.setattr(slices, "dominant_representative", lambda cartan, mu: target)
+    message = (rf"^SliceSpec\(A1, lambda=\[1, 1\], mu=\[0\]\) has dimension {dimension}, "
+               "not even and nonnegative$")
+    with pytest.raises(AssertionError, match=message):
+        a1_spec(2, 0).dimension
 
 
 def test_dimension_nondominant_target():

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -257,16 +260,16 @@ def test_rank_one_euler_classes_match_the_counter_reference():
 
 def test_stab_matrix_tstar_p1_golden():
     m = stab_matrix(TSTAR_P1, CH_PLUS)
-    assert entry_polynomial(m, P1, P1) == -A
-    assert entry_polynomial(m, P2, P1) == -H
-    assert entry_polynomial(m, P2, P2) == -(A + H)
+    assert entry_polynomial(TSTAR_P1, m, P1, P1) == -A
+    assert entry_polynomial(TSTAR_P1, m, P2, P1) == -H
+    assert entry_polynomial(TSTAR_P1, m, P2, P2) == -(A + H)
     index = point_index(TSTAR_P1)
     assert (index[P1], index[P2]) not in m.entries
 
     w = stab_matrix(TSTAR_P1, CH_MINUS)
-    assert entry_polynomial(w, P2, P2) == A
-    assert entry_polynomial(w, P1, P1) == A - H
-    assert entry_polynomial(w, P1, P2) == -H
+    assert entry_polynomial(TSTAR_P1, w, P2, P2) == A
+    assert entry_polynomial(TSTAR_P1, w, P1, P1) == A - H
+    assert entry_polynomial(TSTAR_P1, w, P1, P2) == -H
     assert (index[P2], index[P1]) not in w.entries
 
 
@@ -319,9 +322,9 @@ def test_diagonal_constant_is_point_independent():
 def test_custom_polarization_rescales_rows():
     base = stab_matrix(TSTAR_P1, CH_PLUS)
     flipped = stab_matrix(TSTAR_P1, CH_PLUS, [1, -1])
-    assert entry_polynomial(flipped, P1, P1) == entry_polynomial(base, P1, P1)
-    assert entry_polynomial(flipped, P2, P1) == -entry_polynomial(base, P2, P1)
-    assert entry_polynomial(flipped, P2, P2) == -entry_polynomial(base, P2, P2)
+    assert entry_polynomial(TSTAR_P1, flipped, P1, P1) == entry_polynomial(TSTAR_P1, base, P1, P1)
+    assert entry_polynomial(TSTAR_P1, flipped, P2, P1) == -entry_polynomial(TSTAR_P1, base, P2, P1)
+    assert entry_polynomial(TSTAR_P1, flipped, P2, P2) == -entry_polynomial(TSTAR_P1, base, P2, P2)
 
 
 def test_zero_slot_matrix_matches_compressed():
@@ -335,7 +338,8 @@ def test_zero_slot_matrix_matches_compressed():
     assert {squeeze(p) for p in m.points} == set(compressed.points)
     for p, q in m.entries:
         p, q = m.points[p], m.points[q]
-        assert entry_polynomial(m, p, q) == entry_polynomial(compressed, squeeze(p), squeeze(q))
+        assert (entry_polynomial(frozen, m, p, q)
+                == entry_polynomial(TSTAR_P1, compressed, squeeze(p), squeeze(q)))
     assert verify_duality(frozen, CH_PLUS)["ok"]
 
 
@@ -432,7 +436,7 @@ def test_mod_h2_matches_exact_truncation():
                 for qi, q in enumerate(m.points):
                     if p == q:
                         continue
-                    got = truncate_mod_h2(entry_polynomial(m, p, q))
+                    got = truncate_mod_h2(entry_polynomial(spec, m, p, q))
                     assert got == expanded(closed, (pi, qi), Polynomial.zero(2))
 
 
@@ -446,7 +450,7 @@ def test_theta_action_tstar_p1():
     # Theta Stab[p] = -Stab[p] + Stab[r p] with both epsilon ratios +1 here
     for p, rp in ((P1, P2), (P2, P1)):
         for q in (P1, P2):
-            want = -entry_polynomial(m, p, q) + entry_polynomial(m, rp, q)
+            want = -entry_polynomial(TSTAR_P1, m, p, q) + entry_polynomial(TSTAR_P1, m, rp, q)
             got = out.get((index[p], index[q]))
             assert (Polynomial.zero(2) if got is None else binary_polynomial(got)) == want
 
@@ -511,27 +515,29 @@ def test_validate_refuses_an_entry_outside_the_downset():
                                      m.epsilons)
         message = rf"triangularity violated at \({re.escape(row.label())}, {re.escape(col.label())}\)"
         with pytest.raises(AssertionError, match=message):
-            tampered.validate()
+            tampered.validate(spec)
 
 
 def test_validate_refuses_a_diagonal_that_is_not_the_euler_class():
-    m = stab_matrix(a1_spec(4, 0), CH_PLUS)
+    spec = a1_spec(4, 0)
+    m = stab_matrix(spec, CH_PLUS)
     p = m.points[2]
     m.entries[2, 2] = tuple(2 * c for c in m.entries[2, 2])
     message = rf"diagonal at {re.escape(p.label())} is not the repelling Euler class"
     with pytest.raises(AssertionError, match=message):
-        m.validate()
+        m.validate(spec)
 
 
 def test_validate_refuses_an_entry_not_divisible_by_h():
     # for a form of degree D, h | f and deg_a f < D both say c_0 = 0
-    m = stab_matrix(a1_spec(4, 0), CH_MINUS)
+    spec = a1_spec(4, 0)
+    m = stab_matrix(spec, CH_MINUS)
     pq = next(pq for pq in m.entries if pq[0] != pq[1])
     m.entries[pq] = (1,) + m.entries[pq][1:]
     p, q = (m.points[x] for x in pq)
     message = rf"\({re.escape(p.label())}, {re.escape(q.label())}\) is not divisible by h"
     with pytest.raises(AssertionError, match=message):
-        m.validate()
+        m.validate(spec)
 
 
 def test_constructor_takes_homogeneous_polynomials_only():
@@ -540,7 +546,7 @@ def test_constructor_takes_homogeneous_polynomials_only():
     again = RestrictionMatrix(spec, CH_PLUS, m.polarization_signs, dict(m.entries),
                               m.epsilons)
     assert again.entries == m.entries
-    again.validate()
+    again.validate(spec)
     pq = next(pq for pq in m.entries if pq[0] != pq[1])
     p, q = (m.points[x] for x in pq)
     message = rf"\({re.escape(p.label())}, {re.escape(q.label())}\) is not homogeneous of degree 3"
@@ -548,6 +554,23 @@ def test_constructor_takes_homogeneous_polynomials_only():
         with pytest.raises(AssertionError, match=message):
             RestrictionMatrix(spec, CH_PLUS, m.polarization_signs,
                               {**m.entries, pq: bad}, m.epsilons)
+
+
+def test_a_check_holds_under_python_o():
+    # python -O drops an assert statement, but not an AssertionError raised
+    # by the check itself
+    code = ("from grslice.stab_a1 import _epsilon_ratio\n"
+            "try:\n    _epsilon_ratio(2, 3)\n"
+            "except AssertionError as exc:\n    print(exc)\n    raise SystemExit(3)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=False)
+    assert (done.returncode, done.stdout) == (
+        3, "epsilon coefficients 2 and 3 differ by more than a sign\n")
+    assert (stab_a1._epsilon_ratio(3, 3), stab_a1._epsilon_ratio(2, -2)) == (1, -1)
+    with pytest.raises(AssertionError,
+                       match="^epsilon coefficients 2 and 4 differ by more than a sign$"):
+        stab_a1._epsilon_ratio(2, 4)
 
 
 def test_theta_action_bad_index():
@@ -610,8 +633,8 @@ def test_verify_duality_custom_polarization():
 PAIRING_SPECS = [a1_spec(3, 1), a1_spec(4, 0), a1_spec(4, 2), a1_spec(5, 1)]
 
 
-def _with_entries(matrix, entries):
-    return RestrictionMatrix(matrix.spec, matrix.chamber, matrix.polarization_signs, entries,
+def _with_entries(spec, matrix, entries):
+    return RestrictionMatrix(spec, matrix.chamber, matrix.polarization_signs, entries,
                              matrix.epsilons)
 
 
@@ -620,15 +643,15 @@ def _sum_degree(spec, weighted):
     return sum(localization_denominator(spec)[0].factors.values()) + weighted
 
 
-def _check_packed_sums(plus, minus, weight=None):
+def _check_packed_sums(spec, plus, minus, weight=None):
     """The packed sums decode to the convolution's, every coefficient of
     those sums lies below the digit width, and a packed sum equals the
     packed lcm, or 0, exactly when the convolution's sum equals the lcm."""
-    b, lcm, sums = stab_a1._pairing_sums(plus, minus, weight)
-    reference = pairing_sums_reference(plus, minus, weight)
+    b, lcm, sums = stab_a1._pairing_sums(spec, plus, minus, weight)
+    reference = pairing_sums_reference(spec, plus, minus, weight)
     assert sums.keys() == reference.keys()
-    degree = _sum_degree(plus.spec, weight is not None)
-    lcm_form = euler_form(localization_denominator(plus.spec)[0])
+    degree = _sum_degree(spec, weight is not None)
+    lcm_form = euler_form(localization_denominator(spec)[0])
     assert shifts_form(lcm) == lcm_form
     for pq, total in sums.items():
         assert stab_a1._unpack(total, b, degree) == reference[pq]
@@ -652,7 +675,7 @@ def test_packed_pairing_matches_the_convolution(data, spec, magnitude, weighted)
 
     def drawn(matrix):
         width = spec.dimension // 2 + 1
-        return _with_entries(matrix, {pq: tuple(data.draw(st.lists(
+        return _with_entries(spec, matrix, {pq: tuple(data.draw(st.lists(
             coefficient, min_size=width, max_size=width))) for pq in matrix.entries})
 
     plus, minus = drawn(stab_matrix(spec, CH_PLUS)), drawn(stab_matrix(spec, CH_MINUS))
@@ -660,7 +683,7 @@ def test_packed_pairing_matches_the_convolution(data, spec, magnitude, weighted)
     if weighted:
         weight = [tuple(data.draw(st.lists(coefficient, min_size=2, max_size=2)))
                   for _ in enumerate_fixed_points(spec)]
-    _check_packed_sums(plus, minus, weight)
+    _check_packed_sums(spec, plus, minus, weight)
 
 
 @settings(max_examples=200, deadline=None)
@@ -680,8 +703,8 @@ def test_packed_duality_sees_a_tamper_that_vanishes_at_a_power_of_two(k):
     plus, minus = stab_matrix(spec, CH_PLUS), stab_matrix(spec, CH_MINUS)
     pq, val = next((pq, val) for pq, val in plus.entries.items() if pq[0] != pq[1])
     tamper = (1, -(1 << k)) + (0,) * (len(val) - 2)
-    tampered = _with_entries(plus, {**plus.entries, pq: tuple(map(sum, zip(val, tamper)))})
-    sums, reference = _check_packed_sums(tampered, minus)
+    tampered = _with_entries(spec, plus, {**plus.entries, pq: tuple(map(sum, zip(val, tamper)))})
+    sums, reference = _check_packed_sums(spec, tampered, minus)
     lcm_form = euler_form(localization_denominator(spec)[0])
     assert any(reference[p, q] != (lcm_form if p == q else (0,) * len(lcm_form))
                for p, q in reference)
@@ -702,7 +725,7 @@ def test_localization_route_divides_the_convolution_with_fraction_weights():
                 weight = [bundle_weight(spec, x, bundle) for x in points]
                 if any(c.denominator > 1 for w in weight for c in w):
                     fractional.add(bundle)
-                reference = pairing_sums_reference(plus, minus, weight)
+                reference = pairing_sums_reference(spec, plus, minus, weight)
                 via = mult_matrix_via_localization(spec, bundle, ch)
                 assert {(p, q) for q, p in via.entries} <= reference.keys()
                 for (p, q), total in reference.items():

@@ -286,6 +286,22 @@ def test_stab_mod_h2_specializes_to_rank1_closed_form():
                 assert stab_mod_h2(spec, ch) == stab_offdiag_mod_h2(spec, ch)
 
 
+@pytest.mark.parametrize("spec, ch", [
+    (TSTAR_FL3, Chamber.dominant(B2)),
+    (TSTAR_FL3, Chamber.dominant(CartanDatum("G", 2))),
+    # the same rank and number of roots: nothing fails on its own
+    (SliceSpec(B2, [2, 2], Coweight([0, 0])), Chamber.dominant(CartanDatum("C", 2))),
+])
+def test_a_chamber_of_another_datum_is_refused_on_every_route(spec, ch):
+    routes = [lambda: adjacent_pairs(spec, ch), lambda: stab_mod_h2(spec, ch),
+              lambda: mult_matrix(spec, "E1", ch), lambda: line_bundle_matrices(spec, ch)]
+    routes += [lambda which=which: verify.run(spec, ch, None, which)
+               for which in ("all", "oracle", "wallcross")]
+    for route in routes:
+        with pytest.raises(ValueError, match="^chamber does not belong to the slice's Cartan datum$"):
+            route()
+
+
 def test_stab_mod_h2_fl3_support_and_degrees():
     entries = stab_mod_h2(TSTAR_FL3, CH2_PLUS)
     n = len(enumerate_fixed_points(TSTAR_FL3))
@@ -596,10 +612,10 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
 
     # both entry readers return the stored tuples, and the zero tuple elsewhere
     stab = stab_matrix(a1, CH1_PLUS)
-    forms = [entry_at(stab, p, q) for p in stab.points for q in stab.points]
+    forms = [entry_at(a1, stab, p, q) for p in stab.points for q in stab.points]
     assert any(map(any, forms)) and not all(map(any, forms))
     mat = mult_matrix(spec, "L1", ch)
-    forms = [entry_at(mat, q, p) for q in mat.basis for p in mat.basis]
+    forms = [entry_at(spec, mat, q, p) for q in mat.basis for p in mat.basis]
     assert any(map(any, forms)) and not all(map(any, forms))
     # every command's table, computed whether the table or the JSON is asked
     # for first; with the JSON entry stored, the JSON is not printed again
