@@ -215,7 +215,9 @@ def _point_list(points, weights=None, roots=None) -> _Encoded:
     """The "points" of a fixed-points or tangent document (with the tangent
     weights at each point and the datum's root_list); rows are (label, weight
     records) per point, a record (root coords, n, mult).  Each distinct slot
-    step, label piece and weight record is printed once, in document order."""
+    step, label piece, weight record and weight set is printed once, in
+    document order; points with equal weights share one dict, so a weight
+    set is known by its id."""
     pieces: Dict[tuple, str] = {}
     labels = ["(" + ",".join([pieces.get(c) or pieces.setdefault(c, _step_label(c))
                               for c in p]) + ")" for p in points]
@@ -223,8 +225,12 @@ def _point_list(points, weights=None, roots=None) -> _Encoded:
     def rows():
         if weights is None:
             return [(label, ()) for label in labels]
-        return [(label, [(roots[col], n, m) for (col, n), m in ws.items()])
-                for label, ws in zip(labels, weights)]
+        # points with equal weights share one dict, and one record list
+        records: Dict[int, list] = {}
+        for ws in weights:
+            if id(ws) not in records:
+                records[id(ws)] = [(roots[col], n, m) for (col, n), m in ws.items()]
+        return [(label, records[id(ws)]) for label, ws in zip(labels, weights)]
 
     def text(indent):
         # each point's text is one f-string: its steps, its label and its
@@ -237,14 +243,16 @@ def _point_list(points, weights=None, roots=None) -> _Encoded:
         if weights is None:
             return _wrap([f"{head}{delta}{mid}{_encode_str(label)}{end}"
                           for delta, label in zip(deltas, labels)], indent)
-        sep, records, out = "," + inner, {}, []
+        sep, records, lists, out = "," + inner, {}, {}, []
         for delta, label, ws in zip(deltas, labels, weights):
-            found = [records.get((col, n, m)) or records.setdefault((col, n, m), _encode(
-                {"root": list(roots[col]), "n": n, "mult": m}, inner))
-                for (col, n), m in ws.items()]
-            opening, closing = ("[" + inner, key + "]") if found else ("[", "]")
-            out.append(f'{head}{delta}{mid}{_encode_str(label)},{key}"weights": '
-                       f'{opening}{sep.join(found)}{closing}{end}')
+            # points with equal weights share one dict, printed once
+            listed = lists.get(id(ws))
+            if listed is None:
+                found = [records.get((col, n, m)) or records.setdefault((col, n, m), _encode(
+                    {"root": list(roots[col]), "n": n, "mult": m}, inner))
+                    for (col, n), m in ws.items()]
+                listed = lists[id(ws)] = f"[{inner}{sep.join(found)}{key}]" if found else "[]"
+            out.append(f'{head}{delta}{mid}{_encode_str(label)},{key}"weights": {listed}{end}')
         return _wrap(out, indent)
 
     return _Encoded(text, rows)
@@ -407,17 +415,24 @@ def render_table(payload: dict) -> str:
         rows = [(i, label) for i, (label, _) in enumerate(payload["points"].rows())]
         return _table(rows, ("index", "label"))
     if command == "tangent":
-        # A slice has few distinct (weight, mult) pairs, each repeated at many points.
+        # A slice has few distinct (weight, mult) pairs, each repeated at
+        # many points, and points with equal weights share one record list:
+        # each pair's suffix and each list's block of suffixes is built once.
         suffixes: Dict[tuple, str] = {}
+        blocks: Dict[int, List[str]] = {}
         lines = ["point | weight | mult"]
         for label, records in payload["points"].rows():
-            for key in records:
-                suffix = suffixes.get(key)
-                if suffix is None:
-                    root, n, m = key
-                    names = _linear_names(len(root) + 1)
-                    suffix = suffixes[key] = f" | {_form_text(names, root + (n,))} | {m}"
-                lines.append(label + suffix)
+            block = blocks.get(id(records))
+            if block is None:
+                block = blocks[id(records)] = []
+                for key in records:
+                    suffix = suffixes.get(key)
+                    if suffix is None:
+                        root, n, m = key
+                        names = _linear_names(len(root) + 1)
+                        suffix = suffixes[key] = f" | {_form_text(names, root + (n,))} | {m}"
+                    block.append(suffix)
+            lines.extend([label + suffix for suffix in block])
         return "\n".join(lines) + "\n"
     if command in _MATRIX_HEADERS:
         # (label, label, value) per stored entry in index order, with a

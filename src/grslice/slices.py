@@ -17,9 +17,10 @@ Slot steps are paired with roots once per spec, in integers: the spec holds
 <d, beta> for every orbit element d and every root beta.  Every slot is
 minuscule or a zero slot, so each such pairing is -1, 0 or +1 (the table
 build checks it).  The spec enumerates its fixed points when it is built,
-depth first on the steps' coordinate tuples with an explicit stack, so the
-slot count is not bounded by the recursion limit; tangent weights sum
-table rows into heights, and the adjacent pairs move steps by coroot
+one level of prefixes per slot on the steps' coordinate tuples, so the
+slot count is not bounded by the recursion limit; the tangent weights come
+from one walk over the points that sums table rows into heights and weighs
+each distinct edge once, and the adjacent pairs move steps by coroot
 coordinates.  mu, the orbits, the roots and the coroots are int tuples
 too, as the CartanDatum holds them.
 A root is its column in root_list throughout: a tangent weight beta + n*h
@@ -34,9 +35,10 @@ expands them as binary forms in (a, h).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import wraps
-from itertools import accumulate
-from operator import add, mul, sub
+from itertools import accumulate, chain, compress, count
+from operator import add, mul, ne, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum, Chamber
@@ -70,7 +72,7 @@ class SliceSpec:
 
     The pairing table of the slot orbits (sorted coordinate tuples) and
     the fixed points are built with the spec; the orbits and the suffix
-    sums that prune the walk are locals of the constructor.  Everything
+    sums that prune the levels are locals of the constructor.  Everything
     else derived from the slice (its dimension, point index, tangent
     weights, Euler classes, adjacent pairs, wall chambers, omega ratios,
     bundle weights and rank-one restriction matrices) is computed on demand
@@ -130,24 +132,21 @@ class SliceSpec:
         for orbit in reversed(slot_orbits[1:]):
             reach.append({tuple(map(add, d, s)) for d in orbit for s in reach[-1]})
         reach.reverse()
-        # depth first over (steps so far, mu minus their sum); each orbit is
-        # sorted and pushed in reverse, so the points pop in lexicographic order
-        points: List[FixedPoint] = []
-        stack = [((), mu)]
-        while stack:
-            prefix, rest = stack.pop()
-            slot = len(prefix)
-            if slot == len(slot_orbits):
-                points.append(FixedPoint(prefix))
-                continue
-            reachable = reach[slot]
-            for d in reversed(slot_orbits[slot]):
-                left = tuple(map(sub, rest, d))
-                if left in reachable:
-                    stack.append((prefix + (d,), left))
-        if not points:
+        # one level of (steps so far, mu minus their sum) per slot; the moves
+        # out of each distinct rest are found once, and each prefix's children
+        # follow it in (sorted) orbit order, so the points come out in
+        # lexicographic order
+        level = [((), mu)]
+        for orbit, reachable in zip(slot_orbits, reach):
+            moves = {}
+            for _, rest in level:
+                if rest not in moves:
+                    moves[rest] = [(d, left) for d in orbit
+                                   for left in (tuple(map(sub, rest, d)),) if left in reachable]
+            level = [(prefix + (d,), left) for prefix, rest in level for d, left in moves[rest]]
+        if not level:
             raise ValueError("no fixed point: mu is not a weight of the lambda sequence")
-        self._points = tuple(points)
+        self._points = tuple([FixedPoint(prefix) for prefix, _ in level])
         self._memo = {}
 
     @property
@@ -254,7 +253,6 @@ def _steps(spec: SliceSpec, p: FixedPoint) -> List[Tuple[int, ...]]:
     return [spec._pairings[d] for d in p]
 
 
-@memoized
 def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int]:
     """Tangent weights at p by the half-integer crossing rule: each weight
     beta + n*h, beta the root of root_list column col, as (col, n) to its
@@ -267,27 +265,54 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int
     or +1, so a segment crosses the one level min(a, b) + 1/2, and it counts
     iff it leaves a nonzero height toward 0.  The heights of -beta are those
     of beta negated, so a segment that counts toward beta + n*h counts toward
-    -beta + (-n-1)*h: only one root of each pair is walked.
+    -beta + (-n-1)*h.
 
     The entries are inserted in document order (root coordinates, then n;
-    root_list is sorted by coordinates).  Computed once per spec and point;
-    callers share the result and must not mutate it.
+    root_list is sorted by coordinates).  Read from the spec's table of every
+    point's weights, built on first use by one walk; points with equal
+    weights share one dict, so callers must not mutate it.  A point that is
+    not a fixed point of the slice raises ValueError.
     """
-    heights = list(zip(*_steps(spec, p)))
-    by_column: list = [()] * len(heights)
-    for col, opposite in spec.cartan._root_pairs:
-        counts: Dict[int, int] = {}
-        h = 0
-        for s in heights[col]:
-            if h * s < 0:
-                n = h if s > 0 else h - 1
-                counts[n] = counts.get(n, 0) + 1
-            h += s
-        if counts:
-            ns = sorted(counts)
-            by_column[col] = [(n, counts[n]) for n in ns]
-            by_column[opposite] = [(-n - 1, counts[n]) for n in reversed(ns)]
-    return {(col, n): m for col, column in enumerate(by_column) for n, m in column}
+    found = _tangent_table(spec).get(p)
+    if found is None:
+        raise ValueError("point is not a fixed point of this slice")
+    return found
+
+
+@memoized
+def _tangent_table(spec: SliceSpec) -> Dict[FixedPoint, Dict[Tuple[int, int], int]]:
+    """The tangent weights of every fixed point, by one walk over the points
+    in order: each point reuses the edges it shares with the point before
+    it, and each distinct edge, (the heights of sigma by root column, the
+    step), is weighed once by the crossing rule.  Every column is weighed,
+    so each crossing's key comes with its mirror on the opposite column.
+    Points with equal weights share one dict, found by the sorted keys."""
+    pairings = spec._pairings
+    edges: Dict[tuple, tuple] = {}  # (heights, step) -> (next heights, keys)
+    shared: Dict[tuple, dict] = {}  # sorted keys -> weights
+    table = {}
+    heights, path, last = [(0,) * len(spec.cartan.root_list)], [], ()
+    for p in spec._points:
+        i = next(compress(count(), map(ne, p, last)), len(last))
+        del heights[i + 1:], path[i:]
+        for d in p[i:]:
+            h = heights[-1]
+            edge = edges.get((h, d))
+            if edge is None:
+                row = pairings[d]
+                edge = edges[h, d] = (
+                    tuple(map(add, h, row)),
+                    tuple([(col, a if s > 0 else a - 1)
+                           for col, (a, s) in enumerate(zip(h, row)) if a * s < 0]))
+            heights.append(edge[0])
+            path.append(edge[1])
+        keys = tuple(sorted(chain.from_iterable(path)))
+        ws = shared.get(keys)
+        if ws is None:
+            ws = shared[keys] = dict(Counter(keys))
+        table[p] = ws
+        last = p
+    return table
 
 
 class RootMonomial(NamedTuple):

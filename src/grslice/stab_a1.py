@@ -397,11 +397,12 @@ def theta_action(
     Computed two independent ways: on rows, -Stab[p] + (eps_p/eps_{r_i p})
     Stab[r_i p]; on columns, the prefactor (a + <alpha, sigma_q^i> h) /
     (a + <alpha, sigma_q^{i-1}> h) applied to -entry(p, q) + entry(p, r_i q).
-    A mismatch raises AssertionError.
+    A mismatch raises AssertionError; an index outside 1 <= i < l, or a
+    transposition across a frozen slot, raises ValueError.
     """
     _require_a1(spec)
     if not 1 <= i < spec.length:
-        raise IndexError(f"correspondence index {i} out of range")
+        raise ValueError(f"correspondence index {i} out of range")
     if spec.lambda_seq[i - 1] != spec.lambda_seq[i]:
         raise ValueError("transposition crosses a frozen slot")
     if spec.lambda_seq[i - 1] == 0:

@@ -182,6 +182,28 @@ def same_wall_component(spec, p, q):
     return None
 
 
+def reference_tangent_weights(spec, p):
+    """The tangent weights at p by the crossing rule, weighed point by point
+    from the spec's pairing table: each root of a pair walks its height path
+    alone, and the opposite root gets its levels mirrored.  Keyed and
+    ordered as tangent_weights keys and orders them."""
+    heights = list(zip(*[spec._pairings[d] for d in p]))
+    by_column = [()] * len(heights)
+    for col, opposite in spec.cartan._root_pairs:
+        counts = {}
+        h = 0
+        for s in heights[col]:
+            if h * s < 0:
+                n = h if s > 0 else h - 1
+                counts[n] = counts.get(n, 0) + 1
+            h += s
+        if counts:
+            ns = sorted(counts)
+            by_column[col] = [(n, counts[n]) for n in ns]
+            by_column[opposite] = [(-n - 1, counts[n]) for n in reversed(ns)]
+    return {(col, n): m for col, column in enumerate(by_column) for n, m in column}
+
+
 def oracle_up_crossings(spec, p):
     """Independent multiplicity counter: up-crossings with a -1 correction
     on levels strictly between 0 and the final height."""

@@ -1143,18 +1143,21 @@ def test_no_slice_or_datum_outlives_a_job(capsys):
 
 
 def test_a_job_frees_its_slice_without_the_cycle_collector(capsys):
-    # no reference cycle holds a spec, its memo, its datum or a rank-one
-    # restriction matrix memoized on the spec, so reference counting alone
-    # frees each when its job is done, in rank one as in higher rank
+    # no reference cycle holds a spec, its memo (the tangent table
+    # included), its datum or a rank-one restriction matrix memoized on the
+    # spec, so reference counting alone frees each when its job is done, in
+    # rank one as in higher rank
     gc.collect()
     gc.disable()
     try:
         freed = (slices.SliceSpec, CartanDatum, RestrictionMatrix)
         before = [o for o in gc.get_objects() if isinstance(o, freed)]
         a1 = ["--type", "A", "--rank", "1", "--lambda", "1,1,1,1", "--mu", "0"]
-        jobs = [["tangent"] + BASE_FL3, ["stab-mod-h2"] + BASE_FL3,
+        jobs = [["tangent"] + BASE_FL3, ["tangent", "--format", "table"] + BASE_FL3,
+                ["stab-mod-h2"] + BASE_FL3,
                 ["mult", "--bundle", "L1", "--type", "B", "--rank", "2", "--lambda", "2,2",
                  "--mu", "0,0"],
+                ["tangent"] + a1, ["tangent", "--format", "table"] + a1,
                 ["stab-exact"] + a1, ["verify", "all"] + a1]
         for argv in jobs:
             assert run_cli(capsys, argv)[0] == 0

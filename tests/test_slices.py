@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, prod
@@ -38,6 +39,7 @@ from helpers import (
     pairing,
     point,
     random_minuscule_specs,
+    reference_tangent_weights,
     repelling_tangent_euler,
     same_wall_component,
     tangent_euler,
@@ -303,6 +305,77 @@ def test_integer_kernel_matches_brute_force_and_sigma_rule(slice_and_orbits):
         # in document order: root coordinates, then n
         keys = [(spec.cartan.root_list[col], n) for col, n in ws]
         assert keys == sorted(keys)
+
+
+# slices too long for the brute force: (datum, most slots, the chance that a
+# slot steps off the top of its orbit on the path that picks mu)
+_LONG_POOL = [
+    (CartanDatum("A", 1), 14, 0.5),
+    (CartanDatum("A", 3), 8, 0.4),
+    (CartanDatum("B", 3), 8, 0.4),
+    (CartanDatum("D", 4), 8, 0.4),
+    (CartanDatum("E", 6), 8, 0.3),
+]
+
+
+def _long_slices(per_datum, seed, max_dim=24):
+    """Random slices of up to the pool's slot count, zero slots included,
+    each with mu the end of a random path that mostly keeps to the top of
+    each orbit, redrawn while the dimension exceeds max_dim."""
+    rng = random.Random(seed)
+    out = []
+    for datum, most, off in _LONG_POOL:
+        choices = sorted(datum.minuscule_indices)
+        while sum(spec.cartan is datum for spec in out) < per_datum:
+            lam = [0 if rng.random() < 0.15 else rng.choice(choices)
+                   for _ in range(rng.randint(most - 3, most))]
+            steps = [rng.choice(_slot_orbit(datum, i)) if rng.random() < off
+                     else (fundamental_coweight(datum, i) if i else zero_coweight(datum))
+                     for i in lam]
+            spec = SliceSpec(datum, lam, vsum(zero_coweight(datum), *steps))
+            if spec.dimension <= max_dim:
+                out.append(spec)
+    return out
+
+
+def test_one_walk_weighs_long_slices_as_each_point_alone():
+    sizes = []
+    for spec in _long_slices(3, seed=20261020):
+        points = enumerate_fixed_points(spec)
+        sizes.append(len(points))
+        assert list(points) == sorted(set(points))
+        orbits = [set(_slot_orbit(spec.cartan, i)) for i in spec.lambda_seq]
+        for p in points:
+            assert all(d in orbit for d, orbit in zip(p, orbits)) and len(p) == spec.length
+            assert vsum(zero_coweight(spec.cartan), *p) == spec.mu
+            # equal as dicts and in key order
+            assert list(tangent_weights(spec, p).items()) == \
+                list(reference_tangent_weights(spec, p).items())
+        if spec.cartan.rank == 1:
+            slots = spec.length - spec.lambda_seq.count(0)
+            assert len(points) == comb(slots, (slots + spec.mu[0]) // 2)
+    # the sample holds a slice with more points than the brute force may
+    # walk paths
+    assert max(sizes) > _MAX_PRODUCT
+
+
+def test_points_with_equal_weights_share_one_dict():
+    spec = a1_spec(12, 0)
+    weights = [tangent_weights(spec, p) for p in enumerate_fixed_points(spec)]
+    assert len(weights) == 924 and len({id(ws) for ws in weights}) == 144
+    for ws in weights[::7]:
+        for other in weights:
+            assert (other is ws) == (other == ws)
+    assert tangent_weights(spec, enumerate_fixed_points(spec)[5]) is weights[5]
+
+
+def test_a_point_of_another_slice_is_refused():
+    spec, other = a1_spec(4, 0), a1_spec(4, 2)
+    for p in enumerate_fixed_points(other):
+        with pytest.raises(ValueError, match="point is not a fixed point of this slice"):
+            tangent_weights(spec, p)
+    with pytest.raises(ValueError, match="point is not a fixed point of this slice"):
+        tangent_weights(TSTAR_FL3, point(E1, E2))
 
 
 def test_datum_spec_and_integer_chamber_build_no_fraction(monkeypatch):

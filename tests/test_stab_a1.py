@@ -575,9 +575,9 @@ def test_a_check_holds_under_python_o():
 
 def test_theta_action_bad_index():
     m = stab_matrix(TSTAR_P1, CH_PLUS)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="correspondence index 2 out of range"):
         theta_action(TSTAR_P1, 2, m)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="correspondence index 0 out of range"):
         theta_action(TSTAR_P1, 0, m)
 
 
