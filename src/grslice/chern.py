@@ -1,13 +1,15 @@
 """Divisor-class multiplication operators in the stable basis.
 
 The slice carries tautological line bundles L_0, ..., L_l (L_0 trivial) and
-successive quotients E_i = L_i / L_{i-1}.  Multiplying the stable basis by
-the first Chern class of any of these acts through an upper-triangular
-matrix: a diagonal family of linear equivariant weights plus strictly
-triangular corrections supported on adjacent fixed-point pairs.  The module
-builds these matrices from the combinatorial formula and, in rank one,
-recomputes them by equivariant localization against the exact restriction
-matrices, so the two routes can be compared entry by entry.
+successive quotients E_i = L_i / L_{i-1}, so every bundle is a quotient
+L_hi / L_lo, (lo, hi): L_k is (0, k) and E_i is (i - 1, i).  Multiplying
+the stable basis by its first Chern class acts through an upper-triangular
+matrix: a diagonal family of linear equivariant weights, L_hi's less
+L_lo's, plus strictly triangular corrections supported on adjacent
+fixed-point pairs.  The module builds these matrices by one kernel from
+the combinatorial formula and, in rank one, recomputes them by equivariant
+localization against the exact restriction matrices, so the two routes
+can be compared entry by entry.
 
 Every entry is a linear form in (a, h): a diagonal entry is a bundle weight,
 an off-diagonal one a rational multiple of h.  Like the bundle weights, an
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .cartan import Chamber
@@ -31,6 +33,7 @@ from .slices import (
     adjacent_pairs,
     enumerate_fixed_points,
     memoized,
+    point_index,
     repelling_euler,
 )
 from .stab_a1 import _form_div, _pairing_sums, _unpack, normalize_polarization, stab_matrix
@@ -47,11 +50,12 @@ def parse_bundle(spec: SliceSpec, bundle: BundleTag) -> Tuple[str, int]:
     if isinstance(bundle, str):
         kind, digits = bundle[:1], bundle[1:]
         # str.isdigit admits digits that int() rejects or reads as others
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"malformed bundle tag {bundle!r}")
-        idx = int(digits)
+        idx = int(digits) if digits.isascii() and digits.isdigit() else None
     else:
-        kind, idx = bundle
+        kind, idx = bundle if isinstance(bundle, tuple) and len(bundle) == 2 else (None, None)
+    # a bool is an int to isinstance, and no index here
+    if not isinstance(kind, str) or type(idx) is not int:
+        raise ValueError(f"malformed bundle tag {bundle!r}")
     kind = kind.upper()
     if kind not in ("L", "E"):
         raise ValueError(f"unknown bundle kind {kind!r}")
@@ -63,6 +67,11 @@ def parse_bundle(spec: SliceSpec, bundle: BundleTag) -> Tuple[str, int]:
     raise ValueError(f"bundle {kind}{idx} out of range for a length-{l} slice")
 
 
+def _quotient(kind: str, idx: int) -> Tuple[int, int]:
+    """(lo, hi) of a parsed bundle L_hi / L_lo: L_k is (0, k), E_i is (i - 1, i)."""
+    return (0, idx) if kind == "L" else (idx - 1, idx)
+
+
 def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
     """Torus weight of L_i at the fixed point p, for 0 <= i <= l, as the
     coefficient tuple (a_1..a_r, h) of the linear form sharp(sigma_i) +
@@ -70,16 +79,19 @@ def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
     and the h coefficient is a Fraction.
 
     The weights of L_0..L_l are computed once per spec and point; callers
-    share them.
+    share them.  A point that is not a fixed point of the slice raises
+    ValueError.
     """
-    if not 0 <= i <= spec.length:
-        raise ValueError(f"line bundle index {i} out of range")
+    if type(i) is not int or not 0 <= i <= spec.length:
+        raise ValueError(f"line bundle index {i!r} out of range")
     return _line_weights(spec, p)[i]
 
 
 @memoized
 def _line_weights(spec: SliceSpec, p: FixedPoint) -> Tuple[tuple, ...]:
     """The weights of L_0..L_l at p, for line_bundle_weight."""
+    if p not in point_index(spec):
+        raise ValueError("point is not a fixed point of this slice")
     cartan = spec.cartan
     den = cartan.gram.den
     return tuple(tuple([_over(x, den) for x in cartan.sharp(sigma)])
@@ -87,19 +99,12 @@ def _line_weights(spec: SliceSpec, p: FixedPoint) -> Tuple[tuple, ...]:
                  for sigma in p.sigma())
 
 
-def e_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
-    """Torus weight of E_i = L_i / L_{i-1} at p, for 1 <= i <= l, as a
-    coefficient tuple like line_bundle_weight's."""
-    if not 1 <= i <= spec.length:
-        raise ValueError(f"quotient bundle index {i} out of range")
-    return tuple(map(sub, line_bundle_weight(spec, p, i), line_bundle_weight(spec, p, i - 1)))
-
-
 def bundle_weight(spec: SliceSpec, p: FixedPoint, bundle: BundleTag) -> tuple:
-    kind, idx = parse_bundle(spec, bundle)
-    if kind == "L":
-        return line_bundle_weight(spec, p, idx)
-    return e_bundle_weight(spec, p, idx)
+    """Torus weight of the bundle L_hi / L_lo at p, that of L_hi less that
+    of L_lo, as a coefficient tuple like line_bundle_weight's."""
+    lo, hi = _quotient(*parse_bundle(spec, bundle))
+    weights = _line_weights(spec, p)
+    return tuple(map(sub, weights[hi], weights[lo]))
 
 
 class OperatorMatrix:
@@ -111,15 +116,14 @@ class OperatorMatrix:
     point_index.  entries holds the nonzero coefficients only, keyed by the
     index pair (qi, pi), each a linear form in (a, h) as its coefficient
     tuple (a_1, .., a_r, h); zero is the all-zero tuple, the value of a
-    cell where none is stored.  The matrix keeps its spec and label, not the
-    chamber it was built for.
+    cell where none is stored.  The matrix keeps its basis and label, not
+    its slice or the chamber it was built for.
     """
 
-    __slots__ = ("spec", "basis", "entries", "label", "zero")
+    __slots__ = ("basis", "entries", "label", "zero")
 
     def __init__(self, spec: SliceSpec, entries: Dict[Tuple[int, int], tuple],
                  label: Optional[str] = None):
-        self.spec = spec
         self.basis = enumerate_fixed_points(spec)
         self.entries = {key: e for key, e in entries.items() if any(e)}
         self.label = label
@@ -141,20 +145,11 @@ class OperatorMatrix:
                     "is not a rational multiple of h"
                 )
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.spec != other.spec:
-            raise ValueError("operator matrices live on different slices")
-        entries = dict(self.entries)
-        for key, b in other.entries.items():
-            a = entries.get(key)
-            entries[key] = tuple(map(neg, b)) if a is None else tuple(map(sub, a, b))
-        return OperatorMatrix(self.spec, entries)
-
 
 def h_operator(spec: SliceSpec, i: int) -> OperatorMatrix:
     """Diagonal operator with eigenvalue sharp(delta_i) + (h/2) (delta_i, mu) at p."""
-    if not 1 <= i <= spec.length:
-        raise ValueError(f"slot index {i} out of range")
+    if type(i) is not int or not 1 <= i <= spec.length:
+        raise ValueError(f"slot index {i!r} out of range")
     cartan = spec.cartan
     den = cartan.gram.den
     entries = {}
@@ -209,28 +204,33 @@ def _step_sharp(spec: SliceSpec, d: Tuple[int, ...]) -> Tuple[int, ...]:
     return spec.cartan.sharp(d)
 
 
-def _mult_l(spec: SliceSpec, k: int, pair_table: list) -> OperatorMatrix:
-    """Matrix of multiplication by c_1(L_k): sum of the slot operators up to k
-    minus h times the chamber operators across the cut at k."""
-    points = enumerate_fixed_points(spec)
+def _mult(spec: SliceSpec, lo: int, hi: int, pair_table: list, label: str) -> OperatorMatrix:
+    """Matrix of multiplication by c_1(L_hi / L_lo): the sum of the slot
+    operators lo < i <= hi, less h times the chamber operators across the
+    cut at hi, plus h times those across the cut at lo."""
     a_zero = (0,) * spec.cartan.rank
     scale = spec.cartan.gram.den
     entries = {}
-    for pi, p in enumerate(points):
-        # sum over slots i <= k of sharp(delta_i) + (h/2) (delta_i, mu), less
-        # (h/2) (delta_i, delta_j) for every slot j > k: the weight
-        # sharp(sigma_k) + (h/2) (sigma_k, sigma_k) of L_k, all times scale
-        sigma = a_part = a_zero
-        for d in p[:k]:
-            sigma = tuple(map(add, sigma, d))
+    for pi, p in enumerate(enumerate_fixed_points(spec)):
+        # the weight of L_hi less L_lo, times scale: sharp(sigma_hi - sigma_lo),
+        # the sum of the steps' sharps, plus (h/2) of the difference of the
+        # squares, (sigma_hi + sigma_lo, sigma_hi - sigma_lo)
+        low = a_part = a_zero
+        for d in p[:lo]:
+            low = tuple(map(add, low, d))
+        high = low
+        for d in p[lo:hi]:
+            high = tuple(map(add, high, d))
             a_part = tuple(map(add, a_part, _step_sharp(spec, d)))
-        twice_h = sum(map(mul, sigma, a_part))
+        twice_h = sum(map(mul, map(add, high, low), a_part))
         entries[pi, pi] = tuple([_over(x, scale) for x in a_part]) + (_over(twice_h, 2 * scale),)
     for pi, qi, w, sign in pair_table:
-        if not w.i <= k < w.j:
-            continue
-        entries[qi, pi] = a_zero + (-sign * spec.cartan.half_lengths[w.column],)
-    return OperatorMatrix(spec, entries, label=f"L{k}")
+        # the pair's correction in L_hi less that in L_lo: for E_i, h Omega_ji
+        # where w.i = i and -h Omega_ij where w.j = i
+        c = (w.i <= hi < w.j) - (w.i <= lo < w.j)
+        if c:
+            entries[qi, pi] = a_zero + (-c * sign * spec.cartan.half_lengths[w.column],)
+    return OperatorMatrix(spec, entries, label=label)
 
 
 def mult_matrix(
@@ -239,14 +239,11 @@ def mult_matrix(
     ch: Chamber,
     polarization_signs=None,
 ) -> OperatorMatrix:
-    """Matrix of multiplication by c_1 of the bundle in the stable basis for ch."""
+    """Matrix of multiplication by c_1 of the bundle in the stable basis for
+    ch, built by one kernel as the quotient L_hi / L_lo it names."""
     kind, idx = parse_bundle(spec, bundle)
-    table = _pair_table(spec, ch, polarization_signs)
-    if kind == "L":
-        mat = _mult_l(spec, idx, table)
-    else:
-        mat = _mult_l(spec, idx, table) - _mult_l(spec, idx - 1, table)
-        mat.label = f"E{idx}"
+    lo, hi = _quotient(kind, idx)
+    mat = _mult(spec, lo, hi, _pair_table(spec, ch, polarization_signs), f"{kind}{idx}")
     mat.validate()
     return mat
 
@@ -254,9 +251,10 @@ def mult_matrix(
 def line_bundle_matrices(
     spec: SliceSpec, ch: Chamber, polarization_signs=None
 ) -> List[OperatorMatrix]:
-    """The matrices of c_1(L_0), ..., c_1(L_l), built on one table of lowering moves."""
+    """The matrices of c_1(L_0), ..., c_1(L_l), each the quotient L_k / L_0,
+    built by mult_matrix's kernel on one table of lowering moves."""
     table = _pair_table(spec, ch, polarization_signs)
-    matrices = [_mult_l(spec, k, table) for k in range(spec.length + 1)]
+    matrices = [_mult(spec, 0, k, table, f"L{k}") for k in range(spec.length + 1)]
     for mat in matrices:
         mat.validate()
     return matrices

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from grslice import cli
 from grslice.cartan import CartanDatum, Chamber
+from grslice.chern import OperatorMatrix
 from grslice.slices import (
     FixedPoint,
     SliceSpec,
@@ -407,11 +408,23 @@ def entry_polynomial(spec, matrix, x, y):
     return form_polynomial(value)
 
 
+def operator_difference(spec, left, right):
+    """left - right for two operator matrices on the slice spec: the stored
+    tuples subtracted, and any that cancel dropped.  The reference the
+    one-kernel E_i = L_i / L_(i-1) matrices are checked against."""
+    if not left.basis == right.basis == enumerate_fixed_points(spec):
+        raise ValueError("operator matrices live on different slices")
+    entries = dict(left.entries)
+    for key, b in right.entries.items():
+        entries[key] = vsub(entries.get(key, left.zero), b)
+    return OperatorMatrix(spec, entries)
+
+
 def operator_product(left, right):
     """The sparse product of two operator matrices on one slice, as a dict
     {(qi, pi): Polynomial} of its nonzero entries: the entries of a product
     of linear forms are quadratic, so they are no OperatorMatrix."""
-    if left.spec != right.spec:
+    if left.basis != right.basis:
         raise ValueError("operator matrices live on different slices")
     rows = {}
     for (ri, pi), b in right.entries.items():

@@ -9,8 +9,8 @@ from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.chern import (
     OperatorMatrix,
     bundle_weight,
-    e_bundle_weight,
     h_operator,
+    line_bundle_matrices,
     line_bundle_weight,
     mult_matrix,
     mult_matrix_via_localization,
@@ -23,6 +23,7 @@ from grslice.stab_a1 import normalize_polarization, stab_matrix
 from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
 from helpers import (
+    catalog_slices,
     document,
     entry_at,
     entry_polynomial,
@@ -33,6 +34,7 @@ from helpers import (
     is_zero,
     linear_form,
     localization_pair,
+    operator_difference,
     operator_product,
     pairing,
     point,
@@ -85,6 +87,19 @@ def test_parse_bundle_accepts_and_rejects():
     for bad in ("X1", ("x", 1), "x2"):
         with pytest.raises(ValueError, match="unknown bundle kind 'X'"):
             parse_bundle(TSTAR_FL3, bad)
+    # a tag is a str kind and an int index, and a bool is no index
+    for bad in (("L", "2"), ("E", None), (1, 2), ("L", 2.0), ("L", True), ("E", False),
+                ("L",), ("L", 2, 0), ["L", 2], 2):
+        with pytest.raises(ValueError, match=r"^malformed bundle tag "):
+            parse_bundle(TSTAR_FL3, bad)
+        with pytest.raises(ValueError, match=r"^malformed bundle tag "):
+            mult_matrix(TSTAR_FL3, bad, CH2_PLUS)
+    p = enumerate_fixed_points(TSTAR_FL3)[0]
+    for bad in (True, False, 1.0, "2", None):
+        with pytest.raises(ValueError, match=r"^line bundle index .* out of range$"):
+            line_bundle_weight(TSTAR_FL3, p, bad)
+        with pytest.raises(ValueError, match=r"^slot index .* out of range$"):
+            h_operator(TSTAR_FL3, bad)
 
 
 def test_first_line_bundle_is_trivial():
@@ -120,14 +135,15 @@ def test_e_weights_telescope():
         for p in enumerate_fixed_points(spec):
             total = line_bundle_weight(spec, p, 0)
             for i in range(1, spec.length + 1):
-                total = tuple(map(add, total, e_bundle_weight(spec, p, i)))
+                total = tuple(map(add, total, bundle_weight(spec, p, ("E", i))))
             assert total == line_bundle_weight(spec, p, spec.length)
 
 
 def test_bundle_weight_dispatch():
     p = enumerate_fixed_points(TSTAR_FL3)[0]
     assert bundle_weight(TSTAR_FL3, p, "L2") == line_bundle_weight(TSTAR_FL3, p, 2)
-    assert bundle_weight(TSTAR_FL3, p, "E2") == e_bundle_weight(TSTAR_FL3, p, 2)
+    assert bundle_weight(TSTAR_FL3, p, "E2") == vsub(line_bundle_weight(TSTAR_FL3, p, 2),
+                                                     line_bundle_weight(TSTAR_FL3, p, 1))
 
 
 # -- slot operators ------------------------------------------------------------
@@ -284,13 +300,30 @@ def test_e_matrix_matches_slot_formula():
     for spec, ch in cases:
         for i in range(1, spec.length + 1):
             # E_i - H_i - h sum_{j<i} Omega_ji = -h sum_{j>i} Omega_ij
-            lhs = mult_matrix(spec, f"E{i}", ch) - h_operator(spec, i)
+            lhs = operator_difference(spec, mult_matrix(spec, f"E{i}", ch), h_operator(spec, i))
             for j in range(1, i):
-                lhs = lhs - omega_operators(spec, j, i, ch)
+                lhs = operator_difference(spec, lhs, omega_operators(spec, j, i, ch))
             rhs = OperatorMatrix(spec, {})
             for j in range(i + 1, spec.length + 1):
-                rhs = rhs - omega_operators(spec, i, j, ch)
+                rhs = operator_difference(spec, rhs, omega_operators(spec, i, j, ch))
             assert lhs.entries == rhs.entries
+
+
+def test_e_matrices_are_differences_of_line_matrices():
+    # one kernel builds L_k as L_k / L_0 and E_i as L_i / L_(i-1); the
+    # subtraction of the two line matrices is the reference
+    for workload in ("a1-exact", "higher-rank"):
+        for spec, ch, signs in catalog_slices(workload):
+            lines = line_bundle_matrices(spec, ch, signs)
+            assert lines[0].entries == {}
+            for i in range(1, spec.length + 1):
+                mat = mult_matrix(spec, f"E{i}", ch, signs)
+                expected = operator_difference(spec, lines[i], lines[i - 1])
+                assert mat.entries == expected.entries, (spec, ch, i)
+                assert mat.label == f"E{i}" and mat.basis == lines[i].basis
+                for p in mat.basis:
+                    assert bundle_weight(spec, p, f"E{i}") == vsub(
+                        line_bundle_weight(spec, p, i), line_bundle_weight(spec, p, i - 1))
 
 
 def test_matrix_conjugates_fixed_point_action():
@@ -511,7 +544,10 @@ def test_bundle_weights_are_computed_once_per_point(monkeypatch):
 
 def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
     spec = SliceSpec(A2, [1, 1, 2], Coweight([1, 0]))
-    before = [chern._mult_l(spec, k, []) for k in range(spec.length + 1)]
+    # the kernel's quotients L_k = (0, k) and E_i = (i - 1, i)
+    pairs = [(0, k) for k in range(spec.length + 1)]
+    pairs += [(i - 1, i) for i in range(1, spec.length + 1)]
+    before = [chern._mult(spec, lo, hi, [], "") for lo, hi in pairs]
     calls = []
     for name in ("inner", "sharp"):
         original = getattr(cartan.CartanDatum, name)
@@ -521,23 +557,24 @@ def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
             return original(self, *args)
 
         monkeypatch.setattr(cartan.CartanDatum, name, counted)
-    again = [chern._mult_l(spec, k, []) for k in range(spec.length + 1)]
+    again = [chern._mult(spec, lo, hi, [], "") for lo, hi in pairs]
     assert calls == []
     assert [m.entries for m in again] == [m.entries for m in before]
     # the slot route and line_bundle_weight agree on every diagonal
-    for k, mat in enumerate(again):
+    for (lo, hi), mat in zip(pairs, again):
         for p in mat.basis:
             assert (entry_polynomial(spec, mat, p, p)
-                    == form_polynomial(line_bundle_weight(spec, p, k)))
+                    == form_polynomial(vsub(line_bundle_weight(spec, p, hi),
+                                            line_bundle_weight(spec, p, lo))))
 
 
 # -- sparse storage ----------------------------------------------------------------
 
 
-def _dense_product(left, right):
-    """Rows of left times right, summed over every middle point as dense
-    matrices are."""
-    spec, basis = left.spec, left.basis
+def _dense_product(spec, left, right):
+    """Rows of left times right, two matrices on the slice spec, summed over
+    every middle point as dense matrices are."""
+    basis = left.basis
     rows = []
     for q in basis:
         row = []
@@ -566,7 +603,7 @@ def test_sparse_product_matches_a_dense_reference():
                 n = range(len(left.basis))
                 zero = Polynomial.zero(spec.cartan.rank + 1)
                 rows = [[product.get((qi, pi), zero) for pi in n] for qi in n]
-                assert rows == _dense_product(left, right), (spec, left.label, right.label)
+                assert rows == _dense_product(spec, left, right), (spec, left.label, right.label)
                 assert not any(is_zero(e) for e in product.values())
 
 
