@@ -79,31 +79,37 @@ def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
     and the h coefficient is a Fraction.
 
     The weights of L_0..L_l are computed once per spec and point; callers
-    share them.  A point that is not a fixed point of the slice raises
-    ValueError.
+    share them.  p is a FixedPoint or the plain tuple of its steps; a point
+    that is not a fixed point of the slice raises ValueError.
     """
     if type(i) is not int or not 0 <= i <= spec.length:
         raise ValueError(f"line bundle index {i!r} out of range")
-    return _line_weights(spec, p)[i]
+    return _line_weights(spec, _index(spec, p))[i]
+
+
+def _index(spec: SliceSpec, p: FixedPoint) -> int:
+    """The point index of p, which is refused unless a fixed point of the slice."""
+    x = point_index(spec).get(p)
+    if x is None:
+        raise ValueError("point is not a fixed point of this slice")
+    return x
 
 
 @memoized
-def _line_weights(spec: SliceSpec, p: FixedPoint) -> Tuple[tuple, ...]:
-    """The weights of L_0..L_l at p, for line_bundle_weight."""
-    if p not in point_index(spec):
-        raise ValueError("point is not a fixed point of this slice")
+def _line_weights(spec: SliceSpec, x: int) -> Tuple[tuple, ...]:
+    """The weights of L_0..L_l at the point of index x, for line_bundle_weight."""
     cartan = spec.cartan
     den = cartan.gram.den
-    return tuple(tuple([_over(x, den) for x in cartan.sharp(sigma)])
+    return tuple(tuple([_over(c, den) for c in cartan.sharp(sigma)])
                  + (Fraction(cartan.inner(sigma, sigma), 2 * den),)
-                 for sigma in p.sigma())
+                 for sigma in spec._points[x].sigma())
 
 
 def bundle_weight(spec: SliceSpec, p: FixedPoint, bundle: BundleTag) -> tuple:
     """Torus weight of the bundle L_hi / L_lo at p, that of L_hi less that
     of L_lo, as a coefficient tuple like line_bundle_weight's."""
     lo, hi = _quotient(*parse_bundle(spec, bundle))
-    weights = _line_weights(spec, p)
+    weights = _line_weights(spec, _index(spec, p))
     return tuple(map(sub, weights[hi], weights[lo]))
 
 

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Parses a slice description from flags, dispatches to the library, and emits
-the result as JSON or a plain table.  The text each output format prints is
-cached on disk with its exit code, under a content hash of the canonical job
-description and the cache format, so a repeated query is a file read.
+Parses a slice description from flags and runs the one builder of its
+command, which calls the library and returns the document: its JSON
+payload and the function that prints its table.  The text each output
+format prints is cached on disk with its exit code, under a content hash
+of the canonical job description and the cache format, so a repeated
+query is a file read.
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, non-minuscule
 weights, rank restrictions: the library raises ValueError) and when the
@@ -89,25 +91,26 @@ class JobSpec(NamedTuple):
         elif self.chamber == "antidominant":
             ch = Chamber.antidominant(datum)
         else:
-            tokens = self.chamber.split(",")
-            # Fraction reads an exponent too, and builds 10^k for it
-            bad = next((tok for tok in tokens if "e" in tok.lower()), None)
-            if bad is not None:
-                raise ValueError(f"chamber coordinate {bad!r} is not an integer, "
-                                 "a decimal or p/q")
-            try:
-                coords = [Fraction(tok) for tok in tokens]
-            except ZeroDivisionError:
-                raise ValueError(f"chamber {self.chamber!r} has a zero denominator") from None
+            coords = []
+            for tok in self.chamber.split(","):
+                try:
+                    # Fraction reads an exponent too, and builds 10^k for it
+                    if "e" in tok.lower():
+                        raise ValueError
+                    coords.append(Fraction(tok))
+                except ValueError:
+                    raise ValueError(f"chamber coordinate {tok!r} is not an integer, "
+                                     "a decimal or p/q") from None
+                except ZeroDivisionError:
+                    raise ValueError(f"chamber {self.chamber!r} has a zero denominator") from None
             # a chamber is its sign vector, which scaling the witness to
             # integers keeps
             den = lcm(*[c.denominator for c in coords])
             ch = Chamber(datum, Coweight(c.numerator * (den // c.denominator) for c in coords))
-        if self.polarization == "repelling":
-            signs: Optional[List[int]] = None
-        else:
-            signs = [int(tok) for tok in self.polarization.split(",")]
-        normalize_polarization(enumerate_fixed_points(spec), signs)
+        signs: Optional[List[int]] = None
+        if self.polarization != "repelling":
+            tokens = self.polarization.split(",")
+            signs = list(normalize_polarization(enumerate_fixed_points(spec), tokens))
         return spec, ch, signs
 
 
@@ -185,15 +188,6 @@ def cache_store(key: str, code: int, text: str) -> None:
 # -- document assembly ----------------------------------------------------------
 
 
-class _Encoded(NamedTuple):
-    """A document value that prints itself: encode_json splices in text(indent),
-    what json.dumps(..., sort_keys=True, indent=2) prints for it, and
-    render_table reads its table rows from rows()."""
-
-    text: Callable[[str], str]
-    rows: Optional[Callable[[], list]] = None
-
-
 def _wrap(items: List[str], indent: str, brackets: str = "[]") -> str:
     """A nonempty list, or dict, of printed items, at `indent`; one f-string
     wraps the joined items, so a large document is copied once per level."""
@@ -211,27 +205,26 @@ def _step_texts(points, indent: str) -> List[str]:
             for p in points]
 
 
-def _point_list(points, weights=None, roots=None) -> _Encoded:
-    """The "points" of a fixed-points or tangent document (with the tangent
-    weights at each point and the datum's root_list); rows are (label, weight
-    records) per point, a record (root coords, n, mult).  Each distinct slot
-    step, label piece, weight record and weight set is printed once, in
-    document order; points with equal weights share one dict, so a weight
-    set is known by its id."""
+def _table(rows, header: Sequence[str]) -> str:
+    out = [" | ".join(header)]
+    out.extend(" | ".join(map(str, row)) for row in rows)
+    return "\n".join(out) + "\n"
+
+
+def _labels(points) -> List[str]:
+    """Each point's label, as FixedPoint.label prints it; each distinct slot
+    step's piece is printed once."""
     pieces: Dict[tuple, str] = {}
-    labels = ["(" + ",".join([pieces.get(c) or pieces.setdefault(c, _step_label(c))
-                              for c in p]) + ")" for p in points]
+    return ["(" + ",".join([pieces.get(c) or pieces.setdefault(c, _step_label(c)) for c in p])
+            + ")" for p in points]
 
-    def rows():
-        if weights is None:
-            return [(label, ()) for label in labels]
-        # points with equal weights share one dict, and one record list
-        records: Dict[int, list] = {}
-        for ws in weights:
-            if id(ws) not in records:
-                records[id(ws)] = [(roots[col], n, m) for (col, n), m in ws.items()]
-        return [(label, records[id(ws)]) for label, ws in zip(labels, weights)]
 
+def _point_list(points, labels: List[str], weights=None, roots=None) -> Callable[[str], str]:
+    """The "points" of a fixed-points or tangent document (with the tangent
+    weights at each point and the datum's root_list).  Each distinct slot
+    step, weight record and weight set is printed once, in document order;
+    points with equal weights share one dict, so a weight set is known by
+    its id."""
     def text(indent):
         # each point's text is one f-string: its steps, its label and its
         # weights, so each is copied once
@@ -255,10 +248,34 @@ def _point_list(points, weights=None, roots=None) -> _Encoded:
             out.append(f'{head}{delta}{mid}{_encode_str(label)},{key}"weights": {listed}{end}')
         return _wrap(out, indent)
 
-    return _Encoded(text, rows)
+    return text
 
 
-def _delta_list(points) -> _Encoded:
+def _tangent_table(labels: List[str], weights, roots) -> str:
+    """The table of a tangent document: a line (point, weight, mult) per
+    weight of each point."""
+    # A slice has few distinct (weight, mult) pairs, each repeated at many
+    # points, and points with equal weights share one dict: each pair's
+    # suffix and each dict's block of suffixes is built once.
+    names = _linear_names(len(roots[0]) + 1)
+    suffixes: Dict[tuple, str] = {}
+    blocks: Dict[int, List[str]] = {}
+    lines = ["point | weight | mult"]
+    for label, ws in zip(labels, weights):
+        block = blocks.get(id(ws))
+        if block is None:
+            block = blocks[id(ws)] = []
+            for (col, n), m in ws.items():
+                suffix = suffixes.get((col, n, m))
+                if suffix is None:
+                    form = _form_text(names, roots[col] + (n,))
+                    suffix = suffixes[col, n, m] = f" | {form} | {m}"
+                block.append(suffix)
+        lines.extend([label + suffix for suffix in block])
+    return "\n".join(lines) + "\n"
+
+
+def _delta_list(points) -> Callable[[str], str]:
     """The "points" of a stab-exact document, the "basis" of a mult one."""
     def text(indent):
         inner = indent + "  "
@@ -266,7 +283,7 @@ def _delta_list(points) -> _Encoded:
         return _wrap([f"{opening}{delta}{closing}" for delta in _step_texts(points, inner)],
                      indent)
 
-    return _Encoded(text)
+    return text
 
 
 def _linear_names(width: int) -> List[str]:
@@ -291,9 +308,10 @@ def _form_texts(names: List[str], forms, indent: str) -> List[str]:
             for f in forms]
 
 
-def _stab_entries(matrix, degree: int) -> _Encoded:
-    """The "entries" of a stab-exact document: each stored form, of the
-    given degree, under its key "p,q"; rows (p, q, value) in index order."""
+def _stab_entries(matrix, degree: int, labels: List[str]):
+    """The "entries" of a stab-exact document, each stored form, of the
+    given degree, under its key "p,q", and the document's table, a line
+    (p, q, value) per entry in index order."""
     names = [monomial_key((degree - k, k)) for k in range(degree + 1)]
     keys, forms = zip(*sorted((f'"{p},{q}": ', val) for (p, q), val in matrix.entries.items()))
 
@@ -301,13 +319,15 @@ def _stab_entries(matrix, degree: int) -> _Encoded:
         cells = _form_texts(names, forms, indent + "  ")
         return _wrap([key + cell for key, cell in zip(keys, cells)], indent, "{}")
 
-    return _Encoded(text, lambda: [(p, q, _form_text(names, val))
-                                   for (p, q), val in sorted(matrix.entries.items())])
+    return text, lambda: _table([(labels[p], labels[q], _form_text(names, val))
+                                 for (p, q), val in sorted(matrix.entries.items())],
+                                ("p", "q", "value"))
 
 
-def _mult_entries(matrix) -> _Encoded:
-    """The "entries" of a mult document: the dense rows of the operator
-    matrix, {} where no entry is stored; rows (q, p, value) in index order."""
+def _mult_entries(matrix, labels: List[str]):
+    """The "entries" of a mult document, the dense rows of the operator
+    matrix with {} where no entry is stored, and the document's table, a
+    line (row, column, value) per stored entry in index order."""
     names, n = _linear_names(len(matrix.zero)), len(matrix.basis)
 
     def text(indent):
@@ -317,15 +337,17 @@ def _mult_entries(matrix) -> _Encoded:
             grid[qi][pi] = t
         return _wrap([_wrap(r, row) for r in grid], indent)
 
-    return _Encoded(text, lambda: [(qi, pi, _form_text(names, e))
-                                   for (qi, pi), e in sorted(matrix.entries.items())])
+    return text, lambda: _table([(labels[qi], labels[pi], _form_text(names, e))
+                                 for (qi, pi), e in sorted(matrix.entries.items())],
+                                ("row", "column", "value"))
 
 
-def _mod_h2_entries(spec: SliceSpec, ch: Chamber, entries) -> _Encoded:
-    """The "entries" of a stab-mod-h2 document: a record {"alpha", "p", "q",
-    "value"} per entry in (p, q) order, value the expanded entry; rows (p,
-    q, alpha, value).  Both print one expansion of each entry, held as the
-    names and coefficients of its terms, each name built once."""
+def _mod_h2_entries(spec: SliceSpec, ch: Chamber, entries, labels: List[str]):
+    """The "entries" of a stab-mod-h2 document, a record {"alpha", "p", "q",
+    "value"} per entry in (p, q) order, value the expanded entry, and the
+    document's table, a line (p, q, alpha, value) per entry.  Both print one
+    expansion of each entry, held as the names and coefficients of its
+    terms, each name built once."""
     pairs, keys, names = adjacent_pairs(spec, ch), sorted(entries), {}
     roots = spec.cartan.root_list
     values = [(tuple([names.get(e) or names.setdefault(e, monomial_key(e)) for e in terms]),
@@ -333,48 +355,72 @@ def _mod_h2_entries(spec: SliceSpec, ch: Chamber, entries) -> _Encoded:
               for terms in expand_entries([entries[key] for key in keys])]
 
     def cell(terms, coeffs):  # sorted as it prints, one entry at a time
-        return _Encoded(lambda indent: _wrap(
-            [f'"{name}": "{c}"' for name, c in sorted(zip(terms, coeffs))], indent, "{}"))
+        return lambda indent: _wrap(
+            [f'"{name}": "{c}"' for name, c in sorted(zip(terms, coeffs))], indent, "{}")
 
     def text(indent):
         return _encode([{"alpha": list(roots[pairs[p, q].column]), "p": p, "q": q,
                          "value": cell(*value)} for (p, q), value in zip(keys, values)], indent)
 
-    return _Encoded(text, lambda: [(p, q, ",".join(map(str, roots[pairs[p, q].column])),
-                                    polynomial_text(zip(reversed(terms), reversed(coeffs))))
-                                   for (p, q), (terms, coeffs) in zip(keys, values)])
+    return text, lambda: _table(
+        [(labels[p], labels[q], ",".join(map(str, roots[pairs[p, q].column])),
+          polynomial_text(zip(reversed(terms), reversed(coeffs))))
+         for (p, q), (terms, coeffs) in zip(keys, values)], ("p", "q", "alpha", "value"))
 
 
-def _cmd_fixed_points(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
+class _Document(NamedTuple):
+    """A command's document: the payload encode_json prints, and its table's printer."""
+
+    payload: dict
+    table: Callable[[], str]
+
+
+def _cmd_fixed_points(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
     points = enumerate_fixed_points(spec)
-    return {"command": "fixed-points", "count": len(points), "points": _point_list(points)}
+    labels = _labels(points)
+    return _Document({"command": "fixed-points", "count": len(points),
+                      "points": _point_list(points, labels)},
+                     lambda: _table(enumerate(labels), ("index", "label")))
 
 
-def _cmd_tangent(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
-    points = enumerate_fixed_points(spec)
+def _cmd_tangent(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
+    points, roots = enumerate_fixed_points(spec), spec.cartan.root_list
+    labels = _labels(points)
     weights = [tangent_weights(spec, p) for p in points]
-    return {"command": "tangent", "points": _point_list(points, weights, spec.cartan.root_list)}
+    return _Document({"command": "tangent", "points": _point_list(points, labels, weights, roots)},
+                     lambda: _tangent_table(labels, weights, roots))
 
 
-def _cmd_stab_exact(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
+def _cmd_stab_exact(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
     matrix = stab_matrix(spec, ch, signs)
-    return {"command": "stab-exact", "points": _delta_list(matrix.points),
-            "chamber": list(ch.sign_vector), "entries": _stab_entries(matrix, spec.dimension // 2),
-            "labels": [p.label() for p in matrix.points]}
+    labels = _labels(matrix.points)
+    entries, table = _stab_entries(matrix, spec.dimension // 2, labels)
+    return _Document({"command": "stab-exact", "points": _delta_list(matrix.points),
+                      "chamber": list(ch.sign_vector), "entries": entries, "labels": labels},
+                     table)
 
 
-def _cmd_stab_mod_h2(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
-    return {"command": "stab-mod-h2", "chamber": list(ch.sign_vector),
-            "entries": _mod_h2_entries(spec, ch, stab_mod_h2(spec, ch, signs)),
-            "labels": [p.label() for p in enumerate_fixed_points(spec)]}
+def _cmd_stab_mod_h2(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
+    labels = _labels(enumerate_fixed_points(spec))
+    entries, table = _mod_h2_entries(spec, ch, stab_mod_h2(spec, ch, signs), labels)
+    return _Document({"command": "stab-mod-h2", "chamber": list(ch.sign_vector),
+                      "entries": entries, "labels": labels}, table)
 
 
-def _cmd_mult(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
+def _cmd_mult(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
     kind, idx = parse_bundle(spec, job.bundle)
     matrix = mult_matrix(spec, (kind, idx), ch, signs)
-    return {"command": "mult", "basis": _delta_list(matrix.basis), "bundle": matrix.label,
-            "chamber": list(ch.sign_vector), "entries": _mult_entries(matrix),
-            "labels": [p.label() for p in matrix.basis]}
+    labels = _labels(matrix.basis)
+    entries, table = _mult_entries(matrix, labels)
+    return _Document({"command": "mult", "basis": _delta_list(matrix.basis),
+                      "bundle": matrix.label, "chamber": list(ch.sign_vector),
+                      "entries": entries, "labels": labels}, table)
+
+
+def _cmd_verify(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
+    payload = verify.run(spec, ch, signs, job.which)
+    rows = [(c["name"], "ok" if c["ok"] else "FAIL") for c in payload["checks"]]
+    return _Document(payload, lambda: _table(rows, ("check", "status")))
 
 
 # each command's builder, called with the job and the slice, chamber and
@@ -385,11 +431,11 @@ _BUILDERS = {
     "stab-exact": _cmd_stab_exact,
     "stab-mod-h2": _cmd_stab_mod_h2,
     "mult": _cmd_mult,
-    "verify": lambda job, spec, ch, signs: verify.run(spec, ch, signs, job.which),
+    "verify": _cmd_verify,
 }
 
 
-def compute_payload(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
+def compute_payload(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
     build = _BUILDERS.get(job.command)
     if build is None:
         raise ValueError(f"unknown command {job.command!r}")
@@ -397,53 +443,6 @@ def compute_payload(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> dict:
 
 
 # -- rendering -------------------------------------------------------------------
-
-
-def _table(rows: List[Sequence[str]], header: Sequence[str]) -> str:
-    out = [" | ".join(header)]
-    out.extend(" | ".join(map(str, row)) for row in rows)
-    return "\n".join(out) + "\n"
-
-
-_MATRIX_HEADERS = {"stab-exact": ("p", "q", "value"), "mult": ("row", "column", "value"),
-                   "stab-mod-h2": ("p", "q", "alpha", "value")}
-
-
-def render_table(payload: dict) -> str:
-    command = payload["command"]
-    if command == "fixed-points":
-        rows = [(i, label) for i, (label, _) in enumerate(payload["points"].rows())]
-        return _table(rows, ("index", "label"))
-    if command == "tangent":
-        # A slice has few distinct (weight, mult) pairs, each repeated at
-        # many points, and points with equal weights share one record list:
-        # each pair's suffix and each list's block of suffixes is built once.
-        suffixes: Dict[tuple, str] = {}
-        blocks: Dict[int, List[str]] = {}
-        lines = ["point | weight | mult"]
-        for label, records in payload["points"].rows():
-            block = blocks.get(id(records))
-            if block is None:
-                block = blocks[id(records)] = []
-                for key in records:
-                    suffix = suffixes.get(key)
-                    if suffix is None:
-                        root, n, m = key
-                        names = _linear_names(len(root) + 1)
-                        suffix = suffixes[key] = f" | {_form_text(names, root + (n,))} | {m}"
-                    block.append(suffix)
-            lines.extend([label + suffix for suffix in block])
-        return "\n".join(lines) + "\n"
-    if command in _MATRIX_HEADERS:
-        # (label, label, value) per stored entry in index order, with a
-        # stab-mod-h2 entry's alpha before its value
-        labels = payload["labels"]
-        return _table([(labels[i], labels[j], *rest) for i, j, *rest in payload["entries"].rows()],
-                      _MATRIX_HEADERS[command])
-    if command == "verify":
-        rows = [(c["name"], "ok" if c["ok"] else "FAIL") for c in payload["checks"]]
-        return _table(rows, ("check", "status"))
-    raise ValueError(f"no table renderer for {command!r}")
 
 
 def _encode(value, indent: str) -> str:
@@ -466,8 +465,8 @@ def _encode(value, indent: str) -> str:
                 raise TypeError(f"cannot encode a {type(k).__name__} key")
         items = [f"{_encode_str(k)}: {_encode(value[k], inner)}" for k in sorted(value)]
         return f"{{{inner}{sep.join(items)}{indent}}}"
-    if kind is _Encoded:
-        return value.text(indent)
+    if callable(value):
+        return value(indent)
     if value is None:
         return "null"
     if value is True:
@@ -481,19 +480,19 @@ def encode_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, for documents only.
 
     Documents hold str, int, bool, None, lists and dicts with str keys, and
-    pre-encoded values (_Encoded: the point lists and the matrix entries),
-    which print themselves as the lists and dicts they stand for; any other
-    value raises TypeError.  Each container joins the encodings of its own
+    functions of the indent (the point lists and the matrix entries), which
+    print themselves as the lists and dicts they stand for; any other value
+    raises TypeError.  Each container joins the encodings of its own
     items, so no list of every piece of the document is ever held.
     """
     return _encode(value, "\n")
 
 
-def render(payload: dict, fmt: str) -> str:
-    """The text that ``--format fmt`` prints for the document `payload`."""
+def render(document: _Document, fmt: str) -> str:
+    """The text that ``--format fmt`` prints for the document."""
     if fmt == "json":
-        return encode_json(payload) + "\n"
-    return render_table(payload)
+        return encode_json(document.payload) + "\n"
+    return document.table()
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -577,15 +576,15 @@ def run(job: JobSpec) -> Tuple[int, str]:
     if entry is not None:
         return entry
     try:
-        payload = compute_payload(job, *job.build())
+        document = compute_payload(job, *job.build())
     except ValueError as exc:
         return 2, f"error: {exc}\n"
     except AssertionError as exc:
         return 3, f"verification failure: {exc}\n"
-    code = 3 if job.command == "verify" and not payload["ok"] else 0
+    code = 3 if job.command == "verify" and not document.payload["ok"] else 0
     if job.fmt == "table" and not os.path.exists(_entry_path(f"{key}-json")):
-        cache_store(f"{key}-json", code, render(payload, "json"))
-    text = render(payload, job.fmt)
+        cache_store(f"{key}-json", code, render(document, "json"))
+    text = render(document, job.fmt)
     cache_store(f"{key}-{job.fmt}", code, text)
     return code, text
 

@@ -676,7 +676,7 @@ def document(command, spec, ch, signs=None, bundle=None):
     cli's builder run on the given spec, printed by encode_json."""
     job = cli.JobSpec(command, spec.cartan.type_letter, spec.cartan.rank, spec.lambda_seq,
                       spec.mu, bundle=bundle)
-    return printed(cli.compute_payload(job, spec, ch, signs))
+    return printed(cli.compute_payload(job, spec, ch, signs).payload)
 
 
 # -- the Counter reference of the mod-h^2 entries ----------------------------------

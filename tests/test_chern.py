@@ -146,6 +146,24 @@ def test_bundle_weight_dispatch():
                                                      line_bundle_weight(TSTAR_FL3, p, 1))
 
 
+def test_bundle_weights_take_a_point_or_the_tuple_of_its_steps():
+    # as tangent_weights does; the third point of A1 1^4 mu 0 raised
+    # AttributeError for its plain tuple
+    spec = a1_spec(4, 0)
+    for p in enumerate_fixed_points(spec):
+        steps = tuple(p)
+        assert type(steps) is tuple
+        for i in range(spec.length + 1):
+            assert line_bundle_weight(spec, steps, i) == line_bundle_weight(spec, p, i)
+        for bundle in all_bundles(spec):
+            assert bundle_weight(spec, steps, bundle) == bundle_weight(spec, p, bundle)
+    for foreign in (((1,), (1,), (1,), (1,)), ((1,), (-1,))):
+        for weigh in (lambda: line_bundle_weight(spec, foreign, 1),
+                      lambda: bundle_weight(spec, foreign, "E1")):
+            with pytest.raises(ValueError, match="point is not a fixed point of this slice"):
+                weigh()
+
+
 # -- slot operators ------------------------------------------------------------
 
 
@@ -638,4 +656,5 @@ def test_json_prints_every_cell_through_entry():
             basis = mat.basis
             expected = [[polynomial_to_json(entry_polynomial(spec, mat, q, p)) for p in basis]
                         for q in basis]
-            assert printed(cli._mult_entries(mat)) == expected
+            entries, _ = cli._mult_entries(mat, [p.label() for p in basis])
+            assert printed(entries) == expected

@@ -188,7 +188,15 @@ def test_bundle_tag_with_a_non_ascii_digit_exits_two(capsys, tag):
     (JobSpec("mult", "A", 1, (1, 1), (0,), bundle="X1"), "unknown bundle kind 'X'"),
     (JobSpec("verify", "A", 1, (1, 1), (0,), which="nonsense"),
      "unknown verify suite 'nonsense'"),
-], ids=["no-bundle", "unknown-bundle-kind", "unknown-suite"])
+    # a chamber or polarization token that cannot be read is named
+    (JobSpec("fixed-points", "A", 1, (1, 1), (0,), polarization="+1,x"),
+     "polarization sign 'x' is not an integer"),
+    (JobSpec("fixed-points", "A", 2, (1, 1, 1), (0, 0), chamber="nan,1"),
+     "chamber coordinate 'nan' is not an integer, a decimal or p/q"),
+    (JobSpec("fixed-points", "A", 2, (1, 1, 1), (0, 0), chamber="1,-inf"),
+     "chamber coordinate '-inf' is not an integer, a decimal or p/q"),
+], ids=["no-bundle", "unknown-bundle-kind", "unknown-suite", "polarization-sign",
+        "chamber-nan", "chamber-inf"])
 def test_job_built_in_code_with_a_bad_tag_exits_two(job, message):
     assert cli.run(job) == (2, f"error: {message}\n")
 
@@ -479,7 +487,7 @@ def test_hit_does_no_slice_work_and_matches_the_miss(capsys, tmp_path, monkeypat
         assert run_cli(capsys, table) == table_miss
     # Every format now has its own entry, so a repeat neither parses nor renders.
     monkeypatch.setattr(json, "loads", _refuse)
-    monkeypatch.setattr(cli, "render_table", _refuse)
+    monkeypatch.setattr(cli, "render", _refuse)
     monkeypatch.setattr(cli, "compute_payload", _refuse)
     for cache in ("cache", "cache-table"):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / cache))
@@ -561,38 +569,62 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         cli._parser.cache_clear()
 
 
-def test_table_and_json_mult_agree(capsys):
-    argv = ["mult"] + BASE_FL3 + ["--bundle", "L1"]
-    _, as_json, _ = run_cli(capsys, argv)
-    _, as_table, _ = run_cli(capsys, argv[:-2] + ["--bundle", "L1", "--format", "table"])
-    payload = json.loads(as_json)
+BASE_A1_FOUR = ["--type", "A", "--rank", "1", "--lambda", "1,1,1,1", "--mu", "0"]
+
+
+def _table_from_json(payload):
+    """The header and rows that a document's table prints, read off its JSON
+    document: each cell printed by reference_str."""
+    command = payload["command"]
+    if command == "fixed-points":
+        return ["index", "label"], [(str(i), pt["label"]) for i, pt in enumerate(payload["points"])]
+    if command == "tangent":
+        return ["point", "weight", "mult"], [
+            (pt["label"], reference_str(linear_form(w["root"], w["n"])), str(w["mult"]))
+            for pt in payload["points"] for w in pt["weights"]]
+    if command == "verify":
+        return ["check", "status"], [(c["name"], "ok" if c["ok"] else "FAIL")
+                                     for c in payload["checks"]]
     labels = payload["labels"]
-    from_json = set()
-    for qi, row in enumerate(payload["entries"]):
-        for pi, cell in enumerate(row):
-            if cell:
-                poly = reference_str(polynomial_from_json(cell, 3))
-                from_json.add((labels[qi], labels[pi], poly))
-    lines = as_table.strip().split("\n")
-    assert lines[0] == "row | column | value"
-    from_table = {tuple(line.split(" | ")) for line in lines[1:]}
-    assert from_table == from_json
+    if command == "stab-exact":
+        cells = sorted((tuple(map(int, key.split(","))), cell)
+                       for key, cell in payload["entries"].items())
+        return ["p", "q", "value"], [(labels[p], labels[q],
+                                      reference_str(polynomial_from_json(cell, 2)))
+                                     for (p, q), cell in cells]
+    if command == "stab-mod-h2":
+        return ["p", "q", "alpha", "value"], [
+            (labels[e["p"]], labels[e["q"]], ",".join(map(str, e["alpha"])),
+             reference_str(polynomial_from_json(e["value"], len(e["alpha"]) + 1)))
+            for e in payload["entries"]]
+    assert command == "mult"
+    nvars = len(payload["basis"][0][0]) + 1  # a step's coordinates, and h
+    return ["row", "column", "value"], [
+        (labels[qi], labels[pi], reference_str(polynomial_from_json(cell, nvars)))
+        for qi, row in enumerate(payload["entries"]) for pi, cell in enumerate(row) if cell]
 
 
-def test_table_and_json_tangent_agree(capsys):
-    argv = ["tangent"] + BASE_A1
-    _, as_json, _ = run_cli(capsys, argv)
-    _, as_table, _ = run_cli(capsys, argv + ["--format", "table"])
-    payload = json.loads(as_json)
-    from_json = set()
-    for pt in payload["points"]:
-        for w in pt["weights"]:
-            poly = reference_str(linear_form(w["root"], w["n"]))
-            from_json.add((pt["label"], poly, str(w["mult"])))
-    lines = as_table.strip().split("\n")
-    assert lines[0] == "point | weight | mult"
-    from_table = {tuple(line.split(" | ")) for line in lines[1:]}
-    assert from_table == from_json
+AGREEMENT_JOBS = [
+    ["fixed-points"] + BASE_FL3,
+    ["tangent"] + BASE_FL3,
+    ["stab-exact"] + BASE_A1_FOUR,
+    ["stab-mod-h2"] + BASE_FL3 + ["--chamber", "2,-1/2"],
+    ["mult"] + BASE_FL3 + ["--bundle", "L1"],
+    ["verify", "all"] + BASE_A1_FOUR,
+]
+
+
+@pytest.mark.parametrize("argv", AGREEMENT_JOBS, ids=[argv[0] for argv in AGREEMENT_JOBS])
+def test_table_and_json_agree(capsys, argv):
+    # each command's table prints, line by line, what its JSON document holds
+    code, as_json, _ = run_cli(capsys, argv)
+    assert code == 0
+    header, rows = _table_from_json(json.loads(as_json))
+    assert rows
+    lines = run_cli(capsys, argv + ["--format", "table"])[1].split("\n")
+    assert lines[-1] == ""
+    assert lines[0].split(" | ") == header
+    assert [tuple(line.split(" | ")) for line in lines[1:-1]] == rows
 
 
 def test_out_flag_writes_document(capsys, tmp_path):

@@ -608,7 +608,9 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
         stab_matrix(a1, a1_ch)
         assert verify_duality(a1, a1_ch)["ok"]
         assert stab_offdiag_mod_h2(a1, a1_ch)
-        assert printed(cli._mult_entries(mult_matrix_via_localization(a1, "L2", a1_ch)))
+        via = mult_matrix_via_localization(a1, "L2", a1_ch)
+        entries, _ = cli._mult_entries(via, [p.label() for p in via.basis])
+        assert printed(entries)
 
     # both entry readers return the stored tuples, and the zero tuple elsewhere
     stab = stab_matrix(a1, CH1_PLUS)
