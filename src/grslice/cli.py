@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import verify
 from .cartan import CartanDatum, Chamber, Coweight, _check_type
 from .chern import mult_matrix, parse_bundle
-from .slices import SliceSpec, _step_label, adjacent_pairs, enumerate_fixed_points, tangent_weights
+from .slices import SliceSpec, _step_label, _weight_sets, adjacent_pairs, enumerate_fixed_points
 from .stab_a1 import normalize_polarization, stab_matrix
 from .stab_general import expand_entries, stab_mod_h2
 from .symalg import monomial_key, polynomial_text
@@ -220,11 +220,10 @@ def _labels(points) -> List[str]:
 
 
 def _point_list(points, labels: List[str], weights=None, roots=None) -> Callable[[str], str]:
-    """The "points" of a fixed-points or tangent document (with the tangent
-    weights at each point and the datum's root_list).  Each distinct slot
-    step, weight record and weight set is printed once, in document order;
-    points with equal weights share one dict, so a weight set is known by
-    its id."""
+    """The "points" of a fixed-points or tangent document (with weights, the
+    slice's weight sets and each point's position in them, and the datum's
+    root_list).  Each distinct slot step, weight record and weight set is
+    printed once, in document order."""
     def text(indent):
         # each point's text is one f-string: its steps, its label and its
         # weights, so each is copied once
@@ -236,42 +235,34 @@ def _point_list(points, labels: List[str], weights=None, roots=None) -> Callable
         if weights is None:
             return _wrap([f"{head}{delta}{mid}{_encode_str(label)}{end}"
                           for delta, label in zip(deltas, labels)], indent)
-        sep, records, lists, out = "," + inner, {}, {}, []
-        for delta, label, ws in zip(deltas, labels, weights):
-            # points with equal weights share one dict, printed once
-            listed = lists.get(id(ws))
-            if listed is None:
-                found = [records.get((col, n, m)) or records.setdefault((col, n, m), _encode(
-                    {"root": list(roots[col]), "n": n, "mult": m}, inner))
-                    for (col, n), m in ws.items()]
-                listed = lists[id(ws)] = f"[{inner}{sep.join(found)}{key}]" if found else "[]"
-            out.append(f'{head}{delta}{mid}{_encode_str(label)},{key}"weights": {listed}{end}')
-        return _wrap(out, indent)
+        sets, of = weights
+        sep, records, lists = "," + inner, {}, []
+        for ws in sets:
+            found = [records.get((col, n, m)) or records.setdefault((col, n, m), _encode(
+                {"root": list(roots[col]), "n": n, "mult": m}, inner))
+                for (col, n), m in ws.items()]
+            lists.append(f"[{inner}{sep.join(found)}{key}]" if found else "[]")
+        return _wrap([f'{head}{delta}{mid}{_encode_str(label)},{key}"weights": {lists[k]}{end}'
+                      for delta, label, k in zip(deltas, labels, of)], indent)
 
     return text
 
 
 def _tangent_table(labels: List[str], weights, roots) -> str:
     """The table of a tangent document: a line (point, weight, mult) per
-    weight of each point."""
+    weight of each point, weights the slice's weight sets and each point's
+    position in them."""
     # A slice has few distinct (weight, mult) pairs, each repeated at many
-    # points, and points with equal weights share one dict: each pair's
-    # suffix and each dict's block of suffixes is built once.
+    # points: each pair's suffix and each set's block of suffixes is built once.
     names = _linear_names(len(roots[0]) + 1)
     suffixes: Dict[tuple, str] = {}
-    blocks: Dict[int, List[str]] = {}
+    sets, of = weights
+    blocks = [[suffixes.get((col, n, m)) or suffixes.setdefault(
+        (col, n, m), f" | {_form_text(names, roots[col] + (n,))} | {m}")
+        for (col, n), m in ws.items()] for ws in sets]
     lines = ["point | weight | mult"]
-    for label, ws in zip(labels, weights):
-        block = blocks.get(id(ws))
-        if block is None:
-            block = blocks[id(ws)] = []
-            for (col, n), m in ws.items():
-                suffix = suffixes.get((col, n, m))
-                if suffix is None:
-                    form = _form_text(names, roots[col] + (n,))
-                    suffix = suffixes[col, n, m] = f" | {form} | {m}"
-                block.append(suffix)
-        lines.extend([label + suffix for suffix in block])
+    for label, k in zip(labels, of):
+        lines.extend([label + suffix for suffix in blocks[k]])
     return "\n".join(lines) + "\n"
 
 
@@ -385,8 +376,7 @@ def _cmd_fixed_points(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Doc
 
 def _cmd_tangent(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
     points, roots = enumerate_fixed_points(spec), spec.cartan.root_list
-    labels = _labels(points)
-    weights = [tangent_weights(spec, p) for p in points]
+    labels, weights = _labels(points), _weight_sets(spec)
     return _Document({"command": "tangent", "points": _point_list(points, labels, weights, roots)},
                      lambda: _tangent_table(labels, weights, roots))
 
@@ -499,7 +489,11 @@ def render(document: _Document, fmt: str) -> str:
 
 
 def _int_list(text: str) -> Tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -14,15 +14,16 @@ these arise when a slice is projected onto a wall and keep slot positions
 aligned with the ambient slice.
 
 Slot steps are paired with roots once per spec, in integers: the spec holds
-<d, beta> for every orbit element d and every root beta.  Every slot is
-minuscule or a zero slot, so each such pairing is -1, 0 or +1 (the table
-build checks it).  The spec enumerates its fixed points when it is built,
-one level of prefixes per slot on the steps' coordinate tuples, so the
-slot count is not bounded by the recursion limit; the tangent weights come
-from one walk over the points that sums table rows into heights and weighs
-each distinct edge once, and the adjacent pairs move steps by coroot
-coordinates.  mu, the orbits, the roots and the coroots are int tuples
-too, as the CartanDatum holds them.
+<d, beta> for every orbit element d and every root beta, each row summed
+from the root columns of d's nonzero coordinates.  Every slot is minuscule
+or a zero slot, so each such pairing is -1, 0 or +1 (the table build checks
+it).  The spec enumerates its fixed points when it is built, one level of
+prefixes per slot on the steps' coordinate tuples, so the slot count is not
+bounded by the recursion limit; one walk over the points sums table rows
+into heights, weighs each distinct edge once and yields the slice's
+distinct tangent weight sets, with each point's position among them; the
+adjacent pairs move steps by coroot coordinates.  mu, the orbits, the
+roots and the coroots are int tuples too, as the CartanDatum holds them.
 A root is its column in root_list throughout: a tangent weight beta + n*h
 is the integer pair (column of beta, n), so a chamber's side of it is the
 column's entry in the chamber's sign vector, and an adjacency witness names
@@ -117,11 +118,16 @@ class SliceSpec:
                 # omega_i, or the zero coweight for a frozen slot
                 start = tuple(int(j == i - 1) for j in range(cartan.rank))
                 orbits[i] = tuple(sorted(cartan.weyl_orbit(start)))
-        # pairings[d] = (<d, beta> for beta in root_list)
+        # pairings[d] = (<d, beta> for beta in root_list), summed over the
+        # nonzero coordinates c_j of d as c_j times root column j
+        columns = list(zip(*cartan.root_list))
         self._pairings = {}
         for orbit in orbits.values():
             for d in orbit:
-                row = tuple(sum(map(mul, d, f)) for f in cartan.root_list)
+                row = (0,) * len(cartan.root_list)
+                for c, col in zip(d, columns):
+                    if c:
+                        row = tuple([x + c * v for x, v in zip(row, col)])
                 if any(v not in (-1, 0, 1) for v in row):
                     raise AssertionError(f"slot step {d} is not minuscule")
                 self._pairings[d] = row
@@ -235,7 +241,7 @@ def point_index(spec: SliceSpec) -> Dict[FixedPoint, int]:
     """Position of each fixed point in the spec's points, as
     enumerate_fixed_points returns them; the plain tuple of a point's steps
     looks it up too.  Built on first use; do not mutate."""
-    return {p: i for i, p in enumerate(enumerate_fixed_points(spec))}
+    return {p: i for i, p in enumerate(spec._points)}
 
 
 def dominant_representative(cartan: CartanDatum, c: Sequence[int]) -> Tuple[int, ...]:
@@ -268,29 +274,30 @@ def tangent_weights(spec: SliceSpec, p: FixedPoint) -> Dict[Tuple[int, int], int
     -beta + (-n-1)*h.
 
     The entries are inserted in document order (root coordinates, then n;
-    root_list is sorted by coordinates).  Read from the spec's table of every
-    point's weights, built on first use by one walk; points with equal
-    weights share one dict, so callers must not mutate it.  A point that is
-    not a fixed point of the slice raises ValueError.
+    root_list is sorted by coordinates).  The dict is p's set of _weight_sets,
+    shared with every point of equal weights, so callers must not mutate it.
+    A point that is not a fixed point of the slice raises ValueError.
     """
-    found = _tangent_table(spec).get(p)
-    if found is None:
+    x = point_index(spec).get(p)
+    if x is None:
         raise ValueError("point is not a fixed point of this slice")
-    return found
+    sets, of = _weight_sets(spec)
+    return sets[of[x]]
 
 
 @memoized
-def _tangent_table(spec: SliceSpec) -> Dict[FixedPoint, Dict[Tuple[int, int], int]]:
-    """The tangent weights of every fixed point, by one walk over the points
-    in order: each point reuses the edges it shares with the point before
-    it, and each distinct edge, (the heights of sigma by root column, the
-    step), is weighed once by the crossing rule.  Every column is weighed,
-    so each crossing's key comes with its mirror on the opposite column.
-    Points with equal weights share one dict, found by the sorted keys."""
+def _weight_sets(spec: SliceSpec) -> Tuple[Tuple[dict, ...], Tuple[int, ...]]:
+    """The slice's distinct tangent weight dicts, in the order the points
+    first meet them, and each point's position among them, by point index.
+    One walk over the points finds them: each point reuses the edges it
+    shares with the point before it, and each distinct edge, (the heights of
+    sigma by root column, the step), is weighed once by the crossing rule.
+    Every column is weighed, so each crossing's key comes with its mirror on
+    the opposite column.  A point's set is found by its sorted keys."""
     pairings = spec._pairings
     edges: Dict[tuple, tuple] = {}  # (heights, step) -> (next heights, keys)
-    shared: Dict[tuple, dict] = {}  # sorted keys -> weights
-    table = {}
+    found: Dict[tuple, int] = {}  # sorted keys -> position in sets
+    sets, of = [], []
     heights, path, last = [(0,) * len(spec.cartan.root_list)], [], ()
     for p in spec._points:
         i = next(compress(count(), map(ne, p, last)), len(last))
@@ -307,12 +314,12 @@ def _tangent_table(spec: SliceSpec) -> Dict[FixedPoint, Dict[Tuple[int, int], in
             heights.append(edge[0])
             path.append(edge[1])
         keys = tuple(sorted(chain.from_iterable(path)))
-        ws = shared.get(keys)
-        if ws is None:
-            ws = shared[keys] = dict(Counter(keys))
-        table[p] = ws
+        k = found.setdefault(keys, len(sets))
+        if k == len(sets):
+            sets.append(dict(Counter(keys)))
+        of.append(k)
         last = p
-    return table
+    return tuple(sets), tuple(of)
 
 
 class RootMonomial(NamedTuple):
@@ -353,15 +360,16 @@ def repelling_euler(spec: SliceSpec, p: int, ch: Chamber) -> RootMonomial:
 @memoized
 def _root_counts(spec: SliceSpec) -> Tuple[Tuple[int, ...], ...]:
     """The multiplicity of each root_list column among the A-parts of the
-    tangent weights at each point, by point index; built for every point at
-    once, once per spec."""
-    table = []
-    for x in enumerate_fixed_points(spec):
-        counts = [0] * len(spec.cartan.root_list)
-        for (col, _), m in tangent_weights(spec, x).items():
-            counts[col] += m
-        table.append(tuple(counts))
-    return tuple(table)
+    tangent weights at each point, by point index; counted once per weight
+    set, once per spec."""
+    sets, of = _weight_sets(spec)
+    counts = []
+    for ws in sets:
+        c = [0] * len(spec.cartan.root_list)
+        for (col, _), m in ws.items():
+            c[col] += m
+        counts.append(tuple(c))
+    return tuple([counts[k] for k in of])
 
 
 def _repelling_exponents(cartan: CartanDatum, values: Iterable[int],

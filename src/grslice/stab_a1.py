@@ -42,6 +42,7 @@ from .slices import (
     RootMonomial,
     SliceSpec,
     _steps,
+    _weight_sets,
     adjacent_pairs,
     enumerate_fixed_points,
     memoized,
@@ -99,12 +100,13 @@ def _lcm_cofactors(spec: SliceSpec) -> Tuple[Counter, List[Tuple[Counter, int]]]
     a sign times a product of forms a + s h, held as a Counter of the shifts
     s.  The lcm is such a Counter with sign 1, and a cofactor a Counter with
     the sign of its point's class, so that sum_x f(x) / e_T(T_x) equals
-    (sum_x f(x) * sign_x * cofactor_x) / lcm for every f."""
+    (sum_x f(x) * sign_x * cofactor_x) / lcm for every f.  Built once per weight set."""
     roots = spec.cartan.root_list
+    sets, of = _weight_sets(spec)
     classes = []
-    for x in enumerate_fixed_points(spec):
+    for ws in sets:
         shifts, sign = Counter(), 1
-        for (col, n), m in tangent_weights(spec, x).items():
+        for (col, n), m in ws.items():
             u = roots[col][0]
             shifts[u * n] += m
             sign *= u**m
@@ -112,7 +114,8 @@ def _lcm_cofactors(spec: SliceSpec) -> Tuple[Counter, List[Tuple[Counter, int]]]
     lcm: Counter = Counter()
     for shifts, _ in classes:
         lcm |= shifts
-    return lcm, [(lcm - shifts, sign) for shifts, sign in classes]
+    cofactors = [(lcm - shifts, sign) for shifts, sign in classes]
+    return lcm, [cofactors[k] for k in of]
 
 
 def _require_a1(spec: SliceSpec) -> None:

@@ -110,6 +110,18 @@ def test_non_minuscule_weight_exits_two(capsys):
     assert code == 2 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("flags, flag, value", [
+    (["--lambda", "1,,1", "--mu", "0"], "--lambda", "'1,,1'"),
+    (["--lambda=", "--mu", "0"], "--lambda", "''"),
+    (["--lambda", "1", "--mu", "x"], "--mu", "'x'"),
+], ids=["empty-entry", "empty-list", "not-a-number"])
+def test_malformed_integer_list_names_the_expected_form(capsys, flags, flag, value):
+    code, out, err = run_cli(capsys, ["fixed-points", "--type", "A", "--rank", "1"] + flags)
+    assert (code, out) == (2, "")
+    assert err == (f"grslice fixed-points: error: argument {flag}: "
+                   f"expected comma-separated integers, got {value}\n")
+
+
 # a mu of the wrong length is refused before the datum, whose cost grows
 # like rank^3, or even its rank-by-rank Cartan matrix is built; a bad type
 # letter or rank is still reported first

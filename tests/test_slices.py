@@ -1,7 +1,8 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, gcd, prod
 
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     binary_polynomial,
     canonical,
     catalog_jobs,
+    catalog_slices,
     euler_factors,
     euler_polynomial,
     fundamental_coweight,
@@ -362,12 +364,51 @@ def test_one_walk_weighs_long_slices_as_each_point_alone():
 
 def test_points_with_equal_weights_share_one_dict():
     spec = a1_spec(12, 0)
-    weights = [tangent_weights(spec, p) for p in enumerate_fixed_points(spec)]
+    points = enumerate_fixed_points(spec)
+    weights = [tangent_weights(spec, p) for p in points]
     assert len(weights) == 924 and len({id(ws) for ws in weights}) == 144
     for ws in weights[::7]:
         for other in weights:
             assert (other is ws) == (other == ws)
-    assert tangent_weights(spec, enumerate_fixed_points(spec)[5]) is weights[5]
+    assert tangent_weights(spec, points[5]) is weights[5]
+    # the spec's distinct sets, pairwise unequal and in the order the points
+    # first meet them, and each point's position among them
+    sets, of = slices._weight_sets(spec)
+    assert len(sets) == 144 and len(of) == 924
+    assert all(a != b for a, b in combinations(sets, 2))
+    assert list(dict.fromkeys(of)) == list(range(144))
+    assert all(tangent_weights(spec, p) is sets[of[x]] for x, p in enumerate(points))
+
+
+def test_per_set_tables_equal_their_per_point_computation():
+    # _root_counts and the rank-one _lcm_cofactors work once per weight set
+    # and hand each point its set's value: the same as weighing each point
+    specs = {spec: None for workload in ("a1-exact", "higher-rank")
+             for spec, _, _ in catalog_slices(workload)}
+    assert {spec.cartan.rank for spec in specs} > {1}
+    for spec in specs:
+        roots, points = spec.cartan.root_list, enumerate_fixed_points(spec)
+        per_point = [reference_tangent_weights(spec, p) for p in points]
+        counts = []
+        for ws in per_point:
+            c = [0] * len(roots)
+            for (col, _), m in ws.items():
+                c[col] += m
+            counts.append(tuple(c))
+        assert slices._root_counts(spec) == tuple(counts)
+        if spec.cartan.rank == 1:
+            classes = []
+            for ws in per_point:
+                shifts, sign = Counter(), 1
+                for (col, n), m in ws.items():
+                    shifts[roots[col][0] * n] += m
+                    sign *= roots[col][0] ** m
+                classes.append((shifts, sign))
+            lcm = Counter()
+            for shifts, _ in classes:
+                lcm |= shifts
+            assert stab_a1._lcm_cofactors(spec) == (lcm, [(lcm - shifts, sign)
+                                                          for shifts, sign in classes])
 
 
 def test_a_point_of_another_slice_is_refused():
@@ -427,6 +468,19 @@ def test_non_minuscule_step_is_an_internal_error(capsys, tmp_path, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 3 and err == ""
     assert out.startswith("verification failure: ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("letter, rank, lam", [
+    ("A", 5, [1, 2, 3, 4, 5, 0]), ("D", 5, [1, 4, 5]), ("E", 6, [1, 6]), ("E", 7, [7, 7]),
+])
+def test_pairing_table_equals_the_dense_product(letter, rank, lam):
+    # the table sums root columns over each step's nonzero coordinates; the
+    # dense product pairs the step with every root
+    datum = CartanDatum(letter, rank)
+    spec = SliceSpec(datum, lam, Coweight([lam.count(i) for i in range(1, rank + 1)]))
+    steps = {d for i in lam for d in _slot_orbit(datum, i)}
+    assert spec._pairings == {d: tuple(sum(c * v for c, v in zip(d, f)) for f in datum.root_list)
+                              for d in steps}
 
 
 # ---------------------------------------------------------------- euler classes
