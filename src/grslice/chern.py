@@ -6,11 +6,13 @@ L_hi / L_lo, (lo, hi): L_k is (0, k) and E_i is (i - 1, i).  Multiplying
 the stable basis by its first Chern class acts through an upper-triangular
 matrix: a diagonal family of linear equivariant weights, L_hi's less
 L_lo's, plus strictly triangular corrections supported on adjacent
-fixed-point pairs.  The module builds these matrices by one kernel from
-the combinatorial formula and, in rank one, recomputes them by equivariant
-localization against the exact restriction matrices, so the two routes
-can be compared entry by entry.
+fixed-point pairs.  mult_matrix builds each bundle's matrix from the
+combinatorial formula, and mult_matrix_via_localization recomputes it in
+rank one by equivariant localization against the exact restriction
+matrices, so the two routes can be compared entry by entry.
 
+A point is its index in enumerate_fixed_points, as in the wall routes of
+stab_general: bundle_weight, the one route to a bundle's weight, takes it.
 Every entry is a linear form in (a, h): a diagonal entry is a bundle weight,
 an off-diagonal one a rational multiple of h.  Like the bundle weights, an
 entry is kept as its coefficient tuple (a_1, .., a_r, h), keyed by the index
@@ -23,20 +25,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import add, mul, sub
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .cartan import Chamber
 from .slices import (
-    FixedPoint,
     RootMonomial,
     SliceSpec,
+    _check_index,
     adjacent_pairs,
     enumerate_fixed_points,
     memoized,
-    point_index,
+    normalize_polarization,
     repelling_euler,
 )
-from .stab_a1 import _form_div, _pairing_sums, _unpack, normalize_polarization, stab_matrix
+from .stab_a1 import _form_div, _pairing_sums, _unpack, stab_matrix
 from .stab_general import sigma_sign
 from .symalg import _norm_scalar
 
@@ -72,32 +74,11 @@ def _quotient(kind: str, idx: int) -> Tuple[int, int]:
     return (0, idx) if kind == "L" else (idx - 1, idx)
 
 
-def line_bundle_weight(spec: SliceSpec, p: FixedPoint, i: int) -> tuple:
-    """Torus weight of L_i at the fixed point p, for 0 <= i <= l, as the
-    coefficient tuple (a_1..a_r, h) of the linear form sharp(sigma_i) +
-    (h/2) (sigma_i, sigma_i); an A coefficient is an int where it is one,
-    and the h coefficient is a Fraction.
-
-    The weights of L_0..L_l are computed once per spec and point; callers
-    share them.  p is a FixedPoint or the plain tuple of its steps; a point
-    that is not a fixed point of the slice raises ValueError.
-    """
-    if type(i) is not int or not 0 <= i <= spec.length:
-        raise ValueError(f"line bundle index {i!r} out of range")
-    return _line_weights(spec, _index(spec, p))[i]
-
-
-def _index(spec: SliceSpec, p: FixedPoint) -> int:
-    """The point index of p, which is refused unless a fixed point of the slice."""
-    x = point_index(spec).get(p)
-    if x is None:
-        raise ValueError("point is not a fixed point of this slice")
-    return x
-
-
 @memoized
 def _line_weights(spec: SliceSpec, x: int) -> Tuple[tuple, ...]:
-    """The weights of L_0..L_l at the point of index x, for line_bundle_weight."""
+    """The weights of L_0..L_l at the point of index x, as bundle_weight
+    gives them, computed once per spec and point."""
+    _check_index(x, len(spec._points), "point index")
     cartan = spec.cartan
     den = cartan.gram.den
     return tuple(tuple([_over(c, den) for c in cartan.sharp(sigma)])
@@ -105,11 +86,17 @@ def _line_weights(spec: SliceSpec, x: int) -> Tuple[tuple, ...]:
                  for sigma in spec._points[x].sigma())
 
 
-def bundle_weight(spec: SliceSpec, p: FixedPoint, bundle: BundleTag) -> tuple:
-    """Torus weight of the bundle L_hi / L_lo at p, that of L_hi less that
-    of L_lo, as a coefficient tuple like line_bundle_weight's."""
+def bundle_weight(spec: SliceSpec, x: int, bundle: BundleTag) -> tuple:
+    """Torus weight of the bundle L_hi / L_lo at the point of index x, that
+    of L_hi less that of L_lo, as the coefficient tuple (a_1..a_r, h) of a
+    linear form; an A coefficient is an int where it is one, and the h
+    coefficient is a Fraction.  L_i has the weight sharp(sigma_i) + (h/2)
+    (sigma_i, sigma_i), so L_0 has weight 0.
+
+    A point index out of range raises ValueError.
+    """
     lo, hi = _quotient(*parse_bundle(spec, bundle))
-    weights = _line_weights(spec, _index(spec, p))
+    weights = _line_weights(spec, x)
     return tuple(map(sub, weights[hi], weights[lo]))
 
 
@@ -179,24 +166,27 @@ def omega_operators(
     as h Omega_ij, the form in which it enters the slot formula for E_i."""
     if not 1 <= i < j <= spec.length:
         raise ValueError("slots must satisfy 1 <= i < j <= l")
+    signs = normalize_polarization(enumerate_fixed_points(spec), polarization_signs)
     a_zero = (0,) * spec.cartan.rank
     den = spec.cartan.gram.den
     entries = {}
     for pi, p in enumerate(enumerate_fixed_points(spec)):
         entries[pi, pi] = a_zero + (Fraction(spec.cartan.inner(p[i - 1], p[j - 1]), 2 * den),)
-    for pi, qi, w, sign in _pair_table(spec, ch, polarization_signs):
+    for pi, qi, w, sign in _pair_table(spec, ch, signs):
         if (w.i, w.j) != (i, j):
             continue
         entries[qi, pi] = a_zero + (sign * spec.cartan.half_lengths[w.column],)
     return OperatorMatrix(spec, entries)
 
 
-def _pair_table(spec: SliceSpec, ch: Chamber, polarization_signs=None) -> list:
+@memoized
+def _pair_table(spec: SliceSpec, ch: Chamber, signs: Tuple[int, ...]) -> tuple:
     """All lowering moves: tuples (p, q, witness, sigma) of point indices,
-    one per adjacent pair."""
-    signs = normalize_polarization(enumerate_fixed_points(spec), polarization_signs)
-    return [(p, q, w, sigma_sign(spec, p, q, w.column, ch, signs))
-            for (p, q), w in adjacent_pairs(spec, ch).items()]
+    one per adjacent pair, for signs resolved by normalize_polarization;
+    built once per spec, chamber and signs, so the matrices of every bundle
+    share one table."""
+    return tuple([(p, q, w, sigma_sign(spec, p, q, w.column, ch, signs))
+                  for (p, q), w in adjacent_pairs(spec, ch).items()])
 
 
 def _over(n: int, d: int):
@@ -210,14 +200,24 @@ def _step_sharp(spec: SliceSpec, d: Tuple[int, ...]) -> Tuple[int, ...]:
     return spec.cartan.sharp(d)
 
 
-def _mult(spec: SliceSpec, lo: int, hi: int, pair_table: list, label: str) -> OperatorMatrix:
-    """Matrix of multiplication by c_1(L_hi / L_lo): the sum of the slot
-    operators lo < i <= hi, less h times the chamber operators across the
-    cut at hi, plus h times those across the cut at lo."""
+def mult_matrix(
+    spec: SliceSpec,
+    bundle: BundleTag,
+    ch: Chamber,
+    polarization_signs=None,
+) -> OperatorMatrix:
+    """Matrix of multiplication by c_1 of the bundle in the stable basis for
+    ch, as the quotient L_hi / L_lo it names: the sum of the slot operators
+    lo < i <= hi, less h times the chamber operators across the cut at hi,
+    plus h times those across the cut at lo."""
+    kind, idx = parse_bundle(spec, bundle)
+    lo, hi = _quotient(kind, idx)
+    points = enumerate_fixed_points(spec)
+    signs = normalize_polarization(points, polarization_signs)
     a_zero = (0,) * spec.cartan.rank
     scale = spec.cartan.gram.den
     entries = {}
-    for pi, p in enumerate(enumerate_fixed_points(spec)):
+    for pi, p in enumerate(points):
         # the weight of L_hi less L_lo, times scale: sharp(sigma_hi - sigma_lo),
         # the sum of the steps' sharps, plus (h/2) of the difference of the
         # squares, (sigma_hi + sigma_lo, sigma_hi - sigma_lo)
@@ -230,40 +230,15 @@ def _mult(spec: SliceSpec, lo: int, hi: int, pair_table: list, label: str) -> Op
             a_part = tuple(map(add, a_part, _step_sharp(spec, d)))
         twice_h = sum(map(mul, map(add, high, low), a_part))
         entries[pi, pi] = tuple([_over(x, scale) for x in a_part]) + (_over(twice_h, 2 * scale),)
-    for pi, qi, w, sign in pair_table:
+    for pi, qi, w, sign in _pair_table(spec, ch, signs):
         # the pair's correction in L_hi less that in L_lo: for E_i, h Omega_ji
         # where w.i = i and -h Omega_ij where w.j = i
         c = (w.i <= hi < w.j) - (w.i <= lo < w.j)
         if c:
             entries[qi, pi] = a_zero + (-c * sign * spec.cartan.half_lengths[w.column],)
-    return OperatorMatrix(spec, entries, label=label)
-
-
-def mult_matrix(
-    spec: SliceSpec,
-    bundle: BundleTag,
-    ch: Chamber,
-    polarization_signs=None,
-) -> OperatorMatrix:
-    """Matrix of multiplication by c_1 of the bundle in the stable basis for
-    ch, built by one kernel as the quotient L_hi / L_lo it names."""
-    kind, idx = parse_bundle(spec, bundle)
-    lo, hi = _quotient(kind, idx)
-    mat = _mult(spec, lo, hi, _pair_table(spec, ch, polarization_signs), f"{kind}{idx}")
+    mat = OperatorMatrix(spec, entries, label=f"{kind}{idx}")
     mat.validate()
     return mat
-
-
-def line_bundle_matrices(
-    spec: SliceSpec, ch: Chamber, polarization_signs=None
-) -> List[OperatorMatrix]:
-    """The matrices of c_1(L_0), ..., c_1(L_l), each the quotient L_k / L_0,
-    built by mult_matrix's kernel on one table of lowering moves."""
-    table = _pair_table(spec, ch, polarization_signs)
-    matrices = [_mult(spec, 0, k, table, f"L{k}") for k in range(spec.length + 1)]
-    for mat in matrices:
-        mat.validate()
-    return matrices
 
 
 def mult_matrix_via_localization(
@@ -284,7 +259,7 @@ def mult_matrix_via_localization(
     minus = stab_matrix(spec, -ch, polarization_signs)
     points = plus.points
     # in rank one a bundle weight (a, h) is already a form of degree one
-    weight = [bundle_weight(spec, x, (kind, idx)) for x in points]
+    weight = [bundle_weight(spec, x, (kind, idx)) for x in range(len(points))]
     den = 1  # a common denominator of the weights
     for d in {c.denominator for w in weight for c in w}:
         den *= d
@@ -328,17 +303,18 @@ def reconstruct_coefficient(
     exponent vectors, and its being a constant pins the coefficient of h in
     the matrix entry.
     """
+    for x in (p, q):
+        _check_index(x, len(spec._points), "point index")
     entry = entries.get((p, q))
     if entry is None:
         return Fraction(0)
-    at_p, at_q = spec._points[p], spec._points[q]
     # the A-part of the weight difference is the sharp of the coroot that
     # moves p to q, up to sign: an integer multiple of a root, with integral
     # coefficients that may be Fractions; every root is primitive, so the difference is
     # the gcd of its coefficients times a root, and that root is +-1 times
     # its slot's form
-    diff = [_norm_scalar(c) for c in map(sub, bundle_weight(spec, at_q, bundle)[:-1],
-                                        bundle_weight(spec, at_p, bundle)[:-1])]
+    diff = [_norm_scalar(c) for c in map(sub, bundle_weight(spec, q, bundle)[:-1],
+                                        bundle_weight(spec, p, bundle)[:-1])]
     if not any(diff):
         return Fraction(0)
     g = gcd(*diff)
@@ -351,10 +327,9 @@ def reconstruct_coefficient(
     ratio[-1] -= 1
     quotient = entry.times_ratio(ratio, g * root_sign * signs[q] * eps_q.scalar)
     if quotient is None:
+        at_p, at_q = spec._points[p].label(), spec._points[q].label()
         raise AssertionError(
-            f"the polarization at {at_q.label()} does not divide the "
-            f"reconstruction of ({at_p.label()}, {at_q.label()})"
-        )
+            f"the polarization at {at_q} does not divide the reconstruction of ({at_p}, {at_q})")
     if any(quotient.exponents):
         raise AssertionError("reconstructed coefficient is not a constant")
     return Fraction(quotient.scalar)

@@ -29,9 +29,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import verify
 from .cartan import CartanDatum, Chamber, Coweight, _check_type
-from .chern import mult_matrix, parse_bundle
-from .slices import SliceSpec, _step_label, _weight_sets, adjacent_pairs, enumerate_fixed_points
-from .stab_a1 import normalize_polarization, stab_matrix
+from .chern import mult_matrix
+from .slices import (SliceSpec, _step_label, _weight_sets, adjacent_pairs, enumerate_fixed_points,
+                     normalize_polarization)
+from .stab_a1 import stab_matrix
 from .stab_general import expand_entries, stab_mod_h2
 from .symalg import monomial_key, polynomial_text
 
@@ -398,8 +399,7 @@ def _cmd_stab_mod_h2(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Docu
 
 
 def _cmd_mult(job: JobSpec, spec: SliceSpec, ch: Chamber, signs) -> _Document:
-    kind, idx = parse_bundle(spec, job.bundle)
-    matrix = mult_matrix(spec, (kind, idx), ch, signs)
+    matrix = mult_matrix(spec, job.bundle, ch, signs)
     labels = _labels(matrix.basis)
     entries, table = _mult_entries(matrix, labels)
     return _Document({"command": "mult", "basis": _delta_list(matrix.basis),

@@ -28,10 +28,14 @@ A root is its column in root_list throughout: a tangent weight beta + n*h
 is the integer pair (column of beta, n), so a chamber's side of it is the
 column's entry in the chamber's sign vector, and an adjacency witness names
 its root by column.  A linear form is the tuple of its coefficients
-(a_1..a_r, h).  The one Euler class held here is the e_A of a repelling
-half, a RootMonomial: an exponent vector over the positive roots and h.
-The h-shifted e_T classes are needed in rank one only, where stab_a1
-expands them as binary forms in (a, h).
+(a_1..a_r, h).  A point is its index in the spec's points wherever a route
+takes one, and a polarization, one sign per fixed point, is the tuple of
+signs by index that normalize_polarization returns; a point index or root
+column out of range is refused with ValueError, never wrapped.  The one
+Euler class held here is the e_A of a repelling half, a RootMonomial: an
+exponent vector over the positive roots and h.  The h-shifted e_T classes
+are needed in rank one only, where stab_a1 expands them as binary forms
+in (a, h).
 """
 
 from __future__ import annotations
@@ -119,15 +123,16 @@ class SliceSpec:
                 start = tuple(int(j == i - 1) for j in range(cartan.rank))
                 orbits[i] = tuple(sorted(cartan.weyl_orbit(start)))
         # pairings[d] = (<d, beta> for beta in root_list), summed over the
-        # nonzero coordinates c_j of d as c_j times root column j
-        columns = list(zip(*cartan.root_list))
+        # nonzero coordinates c_j of d as c_j times root column j, read from
+        # each root in turn, so that no transposed copy of the roots is held
+        roots = cartan.root_list
         self._pairings = {}
         for orbit in orbits.values():
             for d in orbit:
-                row = (0,) * len(cartan.root_list)
-                for c, col in zip(d, columns):
+                row = (0,) * len(roots)
+                for j, c in enumerate(d):
                     if c:
-                        row = tuple([x + c * v for x, v in zip(row, col)])
+                        row = tuple([x + c * r[j] for x, r in zip(row, roots)])
                 if any(v not in (-1, 0, 1) for v in row):
                     raise AssertionError(f"slot step {d} is not minuscule")
                 self._pairings[d] = row
@@ -244,6 +249,33 @@ def point_index(spec: SliceSpec) -> Dict[FixedPoint, int]:
     return {p: i for i, p in enumerate(spec._points)}
 
 
+def _check_index(i: int, n: int, what: str) -> None:
+    """Refuse i with ValueError unless it is an int in range(n): a point
+    index below the slice's point count, or a root column below the
+    datum's root count, which a negative index would otherwise wrap."""
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"{what} {i!r} out of range")
+
+
+def normalize_polarization(points, polarization_signs) -> Tuple[int, ...]:
+    """Resolve None (all +1) or a sequence of signs aligned with points to
+    the tuple of signs by point index, one sign per fixed point; a sign
+    that int() cannot read is named in the ValueError."""
+    if polarization_signs is None:
+        return (1,) * len(points)
+    signs = []
+    for s in polarization_signs:
+        try:
+            signs.append(int(s))
+        except ValueError:
+            raise ValueError(f"polarization sign {s!r} is not an integer") from None
+    if len(signs) != len(points):
+        raise ValueError("one polarization sign per fixed point required")
+    if any(s not in (-1, 1) for s in signs):
+        raise ValueError("polarization signs must be +1 or -1")
+    return tuple(signs)
+
+
 def dominant_representative(cartan: CartanDatum, c: Sequence[int]) -> Tuple[int, ...]:
     """The dominant coweight in the Weyl orbit of c."""
     v = tuple(c)
@@ -353,6 +385,7 @@ def repelling_euler(spec: SliceSpec, p: int, ch: Chamber) -> RootMonomial:
     index p (h set to 0): the product of the roots of the weights whose root
     column has sign -1 in the chamber's sign vector.  Built once per spec,
     point and chamber."""
+    _check_index(p, len(spec._points), "point index")
     exponents, sign = _repelling_exponents(spec.cartan, _root_counts(spec)[p], ch.sign_vector)
     return RootMonomial(spec.cartan.slot_forms, exponents, sign)
 
@@ -396,6 +429,7 @@ def flip_sign(spec: SliceSpec, p: int, ch1: Chamber, ch2: Chamber) -> int:
     ch1): each line of weights that changes side contributes one sign flip
     per weight on it.  Summed over the point's root counts on each call.
     """
+    _check_index(p, len(spec._points), "point index")
     moved = sum([m for m, s1, s2 in zip(_root_counts(spec)[p], ch1.sign_vector,
                                         ch2.sign_vector) if s1 < s2])
     return -1 if moved % 2 else 1

@@ -46,6 +46,7 @@ from .slices import (
     adjacent_pairs,
     enumerate_fixed_points,
     memoized,
+    normalize_polarization,
     point_index,
     repelling_euler,
     tangent_weights,
@@ -224,25 +225,6 @@ def _epsilon_ratio(c1: int, c2: int) -> int:
     if c1 not in (c2, -c2):
         raise AssertionError(f"epsilon coefficients {c1} and {c2} differ by more than a sign")
     return 1 if c1 == c2 else -1
-
-
-def normalize_polarization(points, polarization_signs) -> Tuple[int, ...]:
-    """Resolve None (all +1) or a sequence of signs aligned with points to
-    the tuple of signs by point index; a sign that int() cannot read is
-    named in the ValueError."""
-    if polarization_signs is None:
-        return (1,) * len(points)
-    signs = []
-    for s in polarization_signs:
-        try:
-            signs.append(int(s))
-        except ValueError:
-            raise ValueError(f"polarization sign {s!r} is not an integer") from None
-    if len(signs) != len(points):
-        raise ValueError("one polarization sign per fixed point required")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("polarization signs must be +1 or -1")
-    return tuple(signs)
 
 
 class RestrictionMatrix:

@@ -32,6 +32,7 @@ from .cartan import CartanDatum, Chamber
 from .slices import (
     RootMonomial,
     SliceSpec,
+    _check_index,
     _integer_multiple,
     _repelling_exponents,
     _root_counts,
@@ -39,9 +40,9 @@ from .slices import (
     enumerate_fixed_points,
     flip_sign,
     memoized,
+    normalize_polarization,
     repelling_euler,
 )
-from .stab_a1 import normalize_polarization
 
 
 def wall_adjacent_chambers(cartan: CartanDatum, column: int) -> Tuple[Chamber, Chamber]:
@@ -52,6 +53,7 @@ def wall_adjacent_chambers(cartan: CartanDatum, column: int) -> Tuple[Chamber, C
     Their witnesses come in closed form from the root closure of the datum
     (CartanDatum).
     """
+    _check_index(column, len(cartan.root_list), "root column")
     slot = cartan._slots[column][0]
     base = cartan._wall_bases[slot]
     coroot = cartan.coroots[cartan._root_pairs[slot][0]]
@@ -79,6 +81,7 @@ def omega_ratio(spec: SliceSpec, p: int, q: int, column: int) -> Tuple[Tuple[int
     once per spec, unordered pair and wall: the ratio for p > q is the
     reciprocal of the one for (q, p), its exponents negated.
     """
+    _check_index(column, len(spec.cartan.root_list), "root column")
     slot = spec.cartan._slots[column][0]
     if p <= q:
         return _wall_ratio(spec, p, q, slot)
@@ -89,6 +92,8 @@ def omega_ratio(spec: SliceSpec, p: int, q: int, column: int) -> Tuple[Tuple[int
 @memoized
 def _wall_ratio(spec: SliceSpec, p: int, q: int, slot: int) -> Tuple[Tuple[int, ...], int]:
     """omega_ratio for the wall of the roots of the given slot."""
+    for x in (p, q):
+        _check_index(x, len(spec._points), "point index")
     cartan = spec.cartan
     column = cartan._root_pairs[slot][0]
     # p and q lie in one component of the fixed locus of the wall when they
@@ -123,8 +128,9 @@ def sigma_sign(
     normalize_polarization; both chambers C of wall_adjacent_chambers of
     the root of the given root_list column must give the same value.  The
     caller guarantees that (p, q) is an adjacent pair on a common wall
-    component of the root.
+    component of the root; flip_sign refuses a point index out of range.
     """
+    _check_index(column, len(spec.cartan.root_list), "root column")
     near, far = _wall_chambers(spec, spec.cartan._slots[column][0])
     sign = flip_sign(spec, p, pol_chamber, near) * flip_sign(spec, q, pol_chamber, near)
     if sign != flip_sign(spec, p, pol_chamber, far) * flip_sign(spec, q, pol_chamber, far):

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .chern import line_bundle_matrices, line_bundle_weight, reconstruct_coefficient
-from .slices import adjacent_pairs, enumerate_fixed_points, flip_sign
-from .stab_a1 import normalize_polarization, stab_matrix, stab_offdiag_mod_h2, verify_duality
+from .chern import _line_weights, mult_matrix, reconstruct_coefficient
+from .slices import adjacent_pairs, enumerate_fixed_points, flip_sign, normalize_polarization
+from .stab_a1 import stab_matrix, stab_offdiag_mod_h2, verify_duality
 from .stab_general import _wall_chambers, stab_mod_h2
 
 
@@ -41,7 +41,9 @@ def duality(spec, ch, signs=None) -> dict:
 def oracle(spec, ch, signs=None) -> dict:
     """Cross-module consistency of the mod-h^2 data with the operator matrices.
 
-    Off the diagonal both sides can be nonzero only on an adjacent pair: a
+    Each line bundle L_0..L_l has its matrix from mult_matrix, whose
+    diagonal must hold the bundle's weights, read by point index.  Off the
+    diagonal both sides can be nonzero only on an adjacent pair: a
     reconstruction is 0 off the table of adjacent_pairs, so there each matrix
     entry's h coefficient (its only one, validated) is compared with its
     reconstruction, made once per pair and distinct A-part of the bundle
@@ -56,9 +58,10 @@ def oracle(spec, ch, signs=None) -> dict:
     if spec.cartan.rank == 1 and entries != stab_offdiag_mod_h2(spec, ch, signs):
         failures.append({"check": "rank-one closed form"})
     coefficients: Dict[tuple, object] = {}
-    for k, matrix in enumerate(line_bundle_matrices(spec, ch, signs)):
+    for k in range(spec.length + 1):
+        matrix = mult_matrix(spec, ("L", k), ch, signs)
         stored, zero = matrix.entries, matrix.zero
-        weights = [line_bundle_weight(spec, p, k) for p in points]
+        weights = [_line_weights(spec, x)[k] for x in range(len(points))]
         for pi, p in enumerate(points):
             if stored.get((pi, pi), zero) != weights[pi]:
                 failures.append({"check": "diagonal", "bundle": f"L{k}", "p": p.label()})

@@ -35,15 +35,11 @@ from grslice.slices import (
     adjacent_pairs,
     enumerate_fixed_points,
     flip_sign,
+    normalize_polarization,
     point_index,
     tangent_weights,
 )
-from grslice.stab_a1 import (
-    RestrictionMatrix,
-    _chamber_sign,
-    _form_mul,
-    normalize_polarization,
-)
+from grslice.stab_a1 import RestrictionMatrix, _chamber_sign, _form_mul
 from grslice.symalg import Polynomial, RationalFunction, _norm_scalar, monomial_key
 
 

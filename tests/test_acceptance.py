@@ -17,12 +17,12 @@ from grslice.slices import (
     dominant_representative,
     enumerate_fixed_points,
     flip_sign,
+    normalize_polarization,
     point_index,
     project_to_wall_slice,
     tangent_weights,
 )
 from grslice.stab_a1 import (
-    normalize_polarization,
     stab_matrix,
     stab_offdiag_mod_h2,
     theta_action,
@@ -284,8 +284,8 @@ def test_criterion_09_multiplication_oracle():
                 columns = [[] for _ in points]
                 for (qi, pi), coeff in mat.entries.items():
                     columns[pi].append((rows[points[qi]], form_polynomial(coeff)))
-                for x in points:
-                    weight = form_polynomial(bundle_weight(spec, x, bundle))
+                for xi, x in enumerate(points):
+                    weight = form_polynomial(bundle_weight(spec, xi, bundle))
                     for pi, p in enumerate(points):
                         rhs = ZERO2
                         for row, coeff in columns[pi]:
@@ -303,9 +303,9 @@ def test_criterion_10_spectrum_and_commutativity():
     for spec in tested:
         points = enumerate_fixed_points(spec)
         spectra = set()
-        for p in points:
+        for x in range(len(points)):
             spectra.add(
-                tuple(bundle_weight(spec, p, ("L", i)) for i in range(1, spec.length))
+                tuple(bundle_weight(spec, x, ("L", i)) for i in range(1, spec.length))
             )
         assert len(spectra) == len(points), spec
 

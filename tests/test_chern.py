@@ -10,16 +10,14 @@ from grslice.chern import (
     OperatorMatrix,
     bundle_weight,
     h_operator,
-    line_bundle_matrices,
-    line_bundle_weight,
     mult_matrix,
     mult_matrix_via_localization,
     omega_operators,
     parse_bundle,
     reconstruct_coefficient,
 )
-from grslice.slices import SliceSpec, adjacent_pairs, enumerate_fixed_points
-from grslice.stab_a1 import normalize_polarization, stab_matrix
+from grslice.slices import SliceSpec, adjacent_pairs, enumerate_fixed_points, normalize_polarization
+from grslice.stab_a1 import stab_matrix
 from grslice.stab_general import sigma_sign, stab_mod_h2
 from grslice.symalg import Polynomial, RationalFunction
 from helpers import (
@@ -94,10 +92,9 @@ def test_parse_bundle_accepts_and_rejects():
             parse_bundle(TSTAR_FL3, bad)
         with pytest.raises(ValueError, match=r"^malformed bundle tag "):
             mult_matrix(TSTAR_FL3, bad, CH2_PLUS)
-    p = enumerate_fixed_points(TSTAR_FL3)[0]
     for bad in (True, False, 1.0, "2", None):
-        with pytest.raises(ValueError, match=r"^line bundle index .* out of range$"):
-            line_bundle_weight(TSTAR_FL3, p, bad)
+        with pytest.raises(ValueError, match=r"^point index .* out of range$"):
+            bundle_weight(TSTAR_FL3, bad, "L1")
         with pytest.raises(ValueError, match=r"^slot index .* out of range$"):
             h_operator(TSTAR_FL3, bad)
 
@@ -105,8 +102,8 @@ def test_parse_bundle_accepts_and_rejects():
 def test_first_line_bundle_is_trivial():
     for spec in (TSTAR_P1, TSTAR_FL3, B2_SPEC, a1_spec(4, 2)):
         zero = (0,) * (spec.cartan.rank + 1)
-        for p in enumerate_fixed_points(spec):
-            assert line_bundle_weight(spec, p, 0) == zero
+        for x in range(len(enumerate_fixed_points(spec))):
+            assert bundle_weight(spec, x, "L0") == zero
 
 
 def test_last_line_bundle_is_constant_in_p():
@@ -114,54 +111,56 @@ def test_last_line_bundle_is_constant_in_p():
         mu = spec.mu
         expected = (exact_sharp(spec.cartan, mu)
                     + (exact_inner(spec.cartan, mu, mu) / 2,))
-        for p in enumerate_fixed_points(spec):
-            assert line_bundle_weight(spec, p, spec.length) == expected
+        for x in range(len(enumerate_fixed_points(spec))):
+            assert bundle_weight(spec, x, ("L", spec.length)) == expected
 
 
 def test_line_bundle_weight_two_point_slice():
     minus, plus = enumerate_fixed_points(TSTAR_P1)
     assert minus.label() == "(-w,w)"
-    assert line_bundle_weight(TSTAR_P1, plus, 1) == (Fraction(1, 2), Fraction(1, 4))
-    assert line_bundle_weight(TSTAR_P1, minus, 1) == (Fraction(-1, 2), Fraction(1, 4))
+    assert bundle_weight(TSTAR_P1, 1, "L1") == (Fraction(1, 2), Fraction(1, 4))
+    assert bundle_weight(TSTAR_P1, 0, "L1") == (Fraction(-1, 2), Fraction(1, 4))
     # the h coefficient is a Fraction even where it is integral
     for spec in (TSTAR_P1, TSTAR_FL3, B2_SPEC):
-        for p in enumerate_fixed_points(spec):
+        for x in range(len(enumerate_fixed_points(spec))):
             for bundle in all_bundles(spec):
-                assert type(bundle_weight(spec, p, bundle)[-1]) is Fraction
+                assert type(bundle_weight(spec, x, bundle)[-1]) is Fraction
 
 
 def test_e_weights_telescope():
     for spec in (TSTAR_FL3, A2_MIXED, B2_SPEC, a1_spec(4, 0)):
-        for p in enumerate_fixed_points(spec):
-            total = line_bundle_weight(spec, p, 0)
+        for x in range(len(enumerate_fixed_points(spec))):
+            total = bundle_weight(spec, x, "L0")
             for i in range(1, spec.length + 1):
-                total = tuple(map(add, total, bundle_weight(spec, p, ("E", i))))
-            assert total == line_bundle_weight(spec, p, spec.length)
+                total = tuple(map(add, total, bundle_weight(spec, x, ("E", i))))
+            assert total == bundle_weight(spec, x, ("L", spec.length))
 
 
 def test_bundle_weight_dispatch():
-    p = enumerate_fixed_points(TSTAR_FL3)[0]
-    assert bundle_weight(TSTAR_FL3, p, "L2") == line_bundle_weight(TSTAR_FL3, p, 2)
-    assert bundle_weight(TSTAR_FL3, p, "E2") == vsub(line_bundle_weight(TSTAR_FL3, p, 2),
-                                                     line_bundle_weight(TSTAR_FL3, p, 1))
+    assert bundle_weight(TSTAR_FL3, 0, "L2") == bundle_weight(TSTAR_FL3, 0, ("l", 2))
+    assert bundle_weight(TSTAR_FL3, 0, "E2") == vsub(bundle_weight(TSTAR_FL3, 0, "L2"),
+                                                     bundle_weight(TSTAR_FL3, 0, "L1"))
 
 
-def test_bundle_weights_take_a_point_or_the_tuple_of_its_steps():
-    # as tangent_weights does; the third point of A1 1^4 mu 0 raised
-    # AttributeError for its plain tuple
+def test_bundle_weight_takes_a_point_index():
+    # a point is its index, as in the wall routes; the point itself, the
+    # plain tuple of its steps and a tuple of no point are refused alike
     spec = a1_spec(4, 0)
-    for p in enumerate_fixed_points(spec):
-        steps = tuple(p)
-        assert type(steps) is tuple
-        for i in range(spec.length + 1):
-            assert line_bundle_weight(spec, steps, i) == line_bundle_weight(spec, p, i)
-        for bundle in all_bundles(spec):
-            assert bundle_weight(spec, steps, bundle) == bundle_weight(spec, p, bundle)
-    for foreign in (((1,), (1,), (1,), (1,)), ((1,), (-1,))):
-        for weigh in (lambda: line_bundle_weight(spec, foreign, 1),
-                      lambda: bundle_weight(spec, foreign, "E1")):
-            with pytest.raises(ValueError, match="point is not a fixed point of this slice"):
-                weigh()
+    for p in enumerate_fixed_points(spec) + (((1,), (1,), (1,), (1,)), ((1,), (-1,))):
+        with pytest.raises(ValueError, match=r"^point index .* out of range$"):
+            bundle_weight(spec, p, "E1")
+
+
+def test_bundle_weight_matches_the_exact_reference_on_every_catalog_slice():
+    # L_k has the weight sharp(sigma_k) + (h/2) (sigma_k, sigma_k)
+    for workload in ("a1-exact", "higher-rank"):
+        for spec, _, _ in catalog_slices(workload):
+            datum = spec.cartan
+            for x, p in enumerate(enumerate_fixed_points(spec)):
+                for k, sigma in enumerate(p.sigma()):
+                    expected = (exact_sharp(datum, sigma)
+                                + (exact_inner(datum, sigma, sigma) / 2,))
+                    assert bundle_weight(spec, x, ("L", k)) == expected, (spec, p, k)
 
 
 # -- slot operators ------------------------------------------------------------
@@ -239,9 +238,9 @@ def test_two_point_slice_worked_multiplication():
     stab = stab_matrix(TSTAR_P1, CH1_PLUS)
     weight = linear_form([Fraction(1, 2)], Fraction(1, 4))
     h = h_poly(TSTAR_P1)
-    for x in stab.points:
+    for xi, x in enumerate(stab.points):
         upper, lower = (entry_polynomial(TSTAR_P1, stab, y, x) for y in (plus, minus))
-        lhs = form_polynomial(bundle_weight(TSTAR_P1, x, "E1")) * upper
+        lhs = form_polynomial(bundle_weight(TSTAR_P1, xi, "E1")) * upper
         rhs = weight * upper - h * lower
         assert lhs == rhs
 
@@ -273,9 +272,9 @@ def test_diagonal_matches_bundle_weight():
     for spec, ch in cases:
         for bundle in all_bundles(spec):
             mat = mult_matrix(spec, bundle, ch)
-            for p in mat.basis:
+            for x, p in enumerate(mat.basis):
                 assert (entry_polynomial(spec, mat, p, p)
-                        == form_polynomial(bundle_weight(spec, p, bundle)))
+                        == form_polynomial(bundle_weight(spec, x, bundle)))
 
 
 def test_entries_are_coefficient_tuples():
@@ -296,8 +295,8 @@ def test_entries_are_coefficient_tuples():
                 if qi != pi:
                     assert not any(e[:-1])
         for bundle, mat in zip(all_bundles(spec), mats):
-            for pi, p in enumerate(mat.basis):
-                assert mat.entries.get((pi, pi), mat.zero) == bundle_weight(spec, p, bundle)
+            for pi in range(len(mat.basis)):
+                assert mat.entries.get((pi, pi), mat.zero) == bundle_weight(spec, pi, bundle)
 
 
 def test_offdiagonal_supported_on_adjacent_pairs():
@@ -332,16 +331,16 @@ def test_e_matrices_are_differences_of_line_matrices():
     # subtraction of the two line matrices is the reference
     for workload in ("a1-exact", "higher-rank"):
         for spec, ch, signs in catalog_slices(workload):
-            lines = line_bundle_matrices(spec, ch, signs)
+            lines = [mult_matrix(spec, f"L{k}", ch, signs) for k in range(spec.length + 1)]
             assert lines[0].entries == {}
             for i in range(1, spec.length + 1):
                 mat = mult_matrix(spec, f"E{i}", ch, signs)
                 expected = operator_difference(spec, lines[i], lines[i - 1])
                 assert mat.entries == expected.entries, (spec, ch, i)
                 assert mat.label == f"E{i}" and mat.basis == lines[i].basis
-                for p in mat.basis:
-                    assert bundle_weight(spec, p, f"E{i}") == vsub(
-                        line_bundle_weight(spec, p, i), line_bundle_weight(spec, p, i - 1))
+                for x in range(len(mat.basis)):
+                    assert bundle_weight(spec, x, f"E{i}") == vsub(
+                        bundle_weight(spec, x, f"L{i}"), bundle_weight(spec, x, f"L{i - 1}"))
 
 
 def test_matrix_conjugates_fixed_point_action():
@@ -362,8 +361,8 @@ def test_matrix_conjugates_fixed_point_action():
         stab = stab_matrix(spec, ch, signs)
         for bundle in all_bundles(spec):
             mat = mult_matrix(spec, bundle, ch, signs)
-            for x in stab.points:
-                w = form_polynomial(bundle_weight(spec, x, bundle))
+            for xi, x in enumerate(stab.points):
+                w = form_polynomial(bundle_weight(spec, xi, bundle))
                 for p in stab.points:
                     rhs = Polynomial.zero(2)
                     for q in stab.points:
@@ -396,8 +395,8 @@ def test_joint_spectrum_separates_points():
     for spec in cases:
         points = enumerate_fixed_points(spec)
         spectra = {}
-        for p in points:
-            key = tuple(line_bundle_weight(spec, p, i) for i in range(1, spec.length))
+        for x, p in enumerate(points):
+            key = tuple(bundle_weight(spec, x, ("L", i)) for i in range(1, spec.length))
             assert key not in spectra, (spec, p)
             spectra[key] = p
         sample = [Fraction(rng.randint(10**4, 10**6), rng.randint(1, 97)) for _ in range(spec.cartan.rank)]
@@ -554,18 +553,16 @@ def test_bundle_weights_are_computed_once_per_point(monkeypatch):
     points = enumerate_fixed_points(spec)
     bundles = [("L", k) for k in range(spec.length + 1)]
     bundles += [("E", i) for i in range(1, spec.length + 1)]
-    first = [[bundle_weight(spec, p, b) for b in bundles] for p in points]
+    first = [[bundle_weight(spec, x, b) for b in bundles] for x in range(len(points))]
     assert len(calls) == len(points) * (spec.length + 1)
-    assert [[bundle_weight(spec, p, b) for b in bundles] for p in points] == first
+    assert [[bundle_weight(spec, x, b) for b in bundles] for x in range(len(points))] == first
     assert len(calls) == len(points) * (spec.length + 1)
 
 
 def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
     spec = SliceSpec(A2, [1, 1, 2], Coweight([1, 0]))
-    # the kernel's quotients L_k = (0, k) and E_i = (i - 1, i)
-    pairs = [(0, k) for k in range(spec.length + 1)]
-    pairs += [(i - 1, i) for i in range(1, spec.length + 1)]
-    before = [chern._mult(spec, lo, hi, [], "") for lo, hi in pairs]
+    bundles = all_bundles(spec)
+    before = [mult_matrix(spec, bundle, CH2_PLUS) for bundle in bundles]
     calls = []
     for name in ("inner", "sharp"):
         original = getattr(cartan.CartanDatum, name)
@@ -575,15 +572,14 @@ def test_mult_l_diagonals_reuse_the_slot_step_memo(monkeypatch):
             return original(self, *args)
 
         monkeypatch.setattr(cartan.CartanDatum, name, counted)
-    again = [chern._mult(spec, lo, hi, [], "") for lo, hi in pairs]
+    again = [mult_matrix(spec, bundle, CH2_PLUS) for bundle in bundles]
     assert calls == []
     assert [m.entries for m in again] == [m.entries for m in before]
-    # the slot route and line_bundle_weight agree on every diagonal
-    for (lo, hi), mat in zip(pairs, again):
-        for p in mat.basis:
+    # the slot route and bundle_weight agree on every diagonal
+    for bundle, mat in zip(bundles, again):
+        for x, p in enumerate(mat.basis):
             assert (entry_polynomial(spec, mat, p, p)
-                    == form_polynomial(vsub(line_bundle_weight(spec, p, hi),
-                                            line_bundle_weight(spec, p, lo))))
+                    == form_polynomial(bundle_weight(spec, x, bundle)))
 
 
 # -- sparse storage ----------------------------------------------------------------

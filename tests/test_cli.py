@@ -1229,20 +1229,21 @@ def test_wallcross_computes_each_chamber_and_signs_once(capsys, tmp_path, monkey
 
 
 def test_oracle_fails_on_an_entry_off_the_adjacency_table(capsys, monkeypatch):
-    real = verify.line_bundle_matrices
+    real = verify.mult_matrix
     moved = {}
 
-    def tampered(spec, ch, signs=None):
-        matrices = real(spec, ch, signs)
-        points = slices.enumerate_fixed_points(spec)
-        pairs = slices.adjacent_pairs(spec, ch)
-        n = range(len(points))
-        p, q = next((p, q) for p in n for q in n if p != q and (p, q) not in pairs)
-        matrices[1].entries[q, p] = (0,) * spec.cartan.rank + (1,)
-        moved.update(p=points[p].label(), q=points[q].label())
-        return matrices
+    def tampered(spec, bundle, ch, signs=None):
+        matrix = real(spec, bundle, ch, signs)
+        if bundle == ("L", 1):
+            points = slices.enumerate_fixed_points(spec)
+            pairs = slices.adjacent_pairs(spec, ch)
+            n = range(len(points))
+            p, q = next((p, q) for p in n for q in n if p != q and (p, q) not in pairs)
+            matrix.entries[q, p] = (0,) * spec.cartan.rank + (1,)
+            moved.update(p=points[p].label(), q=points[q].label())
+        return matrix
 
-    monkeypatch.setattr(verify, "line_bundle_matrices", tampered)
+    monkeypatch.setattr(verify, "mult_matrix", tampered)
     code, out, err = run_cli(capsys, ["verify", "oracle"] + BASE_FL3)
     assert code == 3, (out, err)
     (check,) = json.loads(out)["checks"]

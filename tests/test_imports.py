@@ -1,4 +1,5 @@
-"""No grslice module holds an assert statement (python -O drops it), every
+"""No grslice module holds an assert statement (python -O drops it), each
+grslice module imports only the grslice modules below it, every
 name a grslice module imports is used in that module, every private
 module-level function or class and every public module-level function or
 public method (bar a list of exemptions) is named outside its own body,
@@ -76,6 +77,59 @@ def test_the_check_sees_an_unused_import():
                      "def f(x: 'Optional[int]') -> None:\n    return os.sep\n")
     used = _used(tree)
     assert [name for name, _ in _imported(tree) if name not in used] == ["List"]
+
+
+# the grslice modules each module may import: the two envelope modules
+# stand on the slice data alone, and chern, verify and cli sit above them
+MAY_IMPORT = {
+    "__init__": set(),
+    "symalg": set(),
+    "cartan": set(),
+    "slices": {"cartan"},
+    "stab_a1": {"cartan", "slices"},
+    "stab_general": {"cartan", "slices"},
+    "chern": {"symalg", "cartan", "slices", "stab_a1", "stab_general"},
+    "verify": {"symalg", "cartan", "slices", "stab_a1", "stab_general", "chern"},
+    "cli": {"symalg", "cartan", "slices", "stab_a1", "stab_general", "chern", "verify"},
+}
+
+
+def _grslice_imports(tree):
+    """The short names of the grslice modules the module imports, at any
+    depth, relatively or by the package's name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if not node.level:
+                if parts[:1] != ["grslice"]:
+                    continue
+                parts = parts[1:]
+            # from . import verify, or from grslice import chern, names modules
+            found.update(parts[:1] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("grslice."))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_the_modules_below_it(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        imported = _grslice_imports(ast.parse(fh.read(), module))
+    name = module[:-3]
+    assert name in MAY_IMPORT, f"{module} has no place in MAY_IMPORT"
+    above = sorted(imported - MAY_IMPORT[name])
+    assert not above, f"{module} imports modules it may not: {', '.join(above)}"
+
+
+def test_the_check_sees_every_form_of_a_grslice_import():
+    tree = ast.parse("import os\nimport grslice.cartan\nfrom . import verify\n"
+                     "from .slices import SliceSpec\nfrom grslice import chern\n"
+                     "from grslice.stab_a1 import stab_matrix\nfrom json import dumps\n"
+                     "def f():\n    from .symalg import Polynomial\n    return Polynomial\n")
+    assert _grslice_imports(tree) == {"cartan", "verify", "slices", "chern", "stab_a1",
+                                      "symalg"}
 
 
 def _asserts(tree):

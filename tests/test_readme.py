@@ -99,7 +99,7 @@ def test_readme_names_only_what_exists():
 def test_the_check_sees_a_stale_name():
     modules = _modules()
     known = _known_names(modules)
-    text = ("`chern.line_bundle_weight`, `grslice.stab_a1`, `c_1(E_i)`, `(a_1, h)`, "
+    text = ("`chern.bundle_weight`, `grslice.stab_a1`, `c_1(E_i)`, `(a_1, h)`, "
             "`stab.polarization_signs`, `mult_matrix(spec, bundle, ch)`, `GRSLICE_CACHE_DIR`, "
             "`tests/test_readme.py`, `json.dumps`; `chern.e_bundle_weight`, `e_bundle_weight`, "
             "`mat.no_such_slot`, `grslice.no_such_module`, `slices.point_index.no_such_part`")

@@ -722,7 +722,7 @@ def test_localization_route_divides_the_convolution_with_fraction_weights():
         for ch in (CH_PLUS, CH_MINUS):
             plus, minus = stab_matrix(spec, ch), stab_matrix(spec, -ch)
             for bundle in bundles:
-                weight = [bundle_weight(spec, x, bundle) for x in points]
+                weight = [bundle_weight(spec, x, bundle) for x in range(len(points))]
                 if any(c.denominator > 1 for w in weight for c in w):
                     fractional.add(bundle)
                 reference = pairing_sums_reference(spec, plus, minus, weight)

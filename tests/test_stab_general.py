@@ -13,20 +13,20 @@ from grslice.slices import (
     dominant_representative,
     enumerate_fixed_points,
     flip_sign,
+    normalize_polarization,
     point_index,
     project_to_wall_slice,
     repelling_euler,
     tangent_weights,
 )
 from grslice.chern import (
-    line_bundle_matrices,
+    bundle_weight,
     mult_matrix,
     mult_matrix_via_localization,
     reconstruct_coefficient,
 )
 from grslice.stab_a1 import (
     _repelling_form,
-    normalize_polarization,
     stab_matrix,
     stab_offdiag_mod_h2,
     verify_duality,
@@ -294,12 +294,55 @@ def test_stab_mod_h2_specializes_to_rank1_closed_form():
 ])
 def test_a_chamber_of_another_datum_is_refused_on_every_route(spec, ch):
     routes = [lambda: adjacent_pairs(spec, ch), lambda: stab_mod_h2(spec, ch),
-              lambda: mult_matrix(spec, "E1", ch), lambda: line_bundle_matrices(spec, ch)]
+              lambda: mult_matrix(spec, "E1", ch)]
     routes += [lambda which=which: verify.run(spec, ch, None, which)
                for which in ("all", "oracle", "wallcross")]
     for route in routes:
         with pytest.raises(ValueError, match="^chamber does not belong to the slice's Cartan datum$"):
             route()
+
+
+# each route that takes a point index or a root column, with the argument
+# given out of range, and what the index is
+INDEX_ROUTES = [
+    ("repelling_euler", "point index"), ("flip_sign", "point index"),
+    ("omega_ratio p", "point index"), ("omega_ratio q", "point index"),
+    ("omega_ratio column", "root column"), ("sigma_sign p", "point index"),
+    ("sigma_sign q", "point index"), ("sigma_sign column", "root column"),
+    ("reconstruct_coefficient p", "point index"), ("reconstruct_coefficient q", "point index"),
+    ("wall_adjacent_chambers", "root column"), ("bundle_weight", "point index"),
+]
+
+
+@pytest.mark.parametrize("end", ["-1", "n"])
+@pytest.mark.parametrize("route, what", INDEX_ROUTES, ids=[name for name, _ in INDEX_ROUTES])
+def test_an_index_out_of_range_is_refused(route, what, end):
+    # on A2 1,1,1 mu 0 an index of -1 wrapped to the last point or column,
+    # and a point index of n raised IndexError
+    spec, ch = SliceSpec(A2, [1, 1, 1], Coweight([0, 0])), CH2_PLUS
+    signs = normalize_polarization(enumerate_fixed_points(spec), None)
+    entries = stab_mod_h2(spec, ch, signs)
+    (p, q), w = next(iter(adjacent_pairs(spec, ch).items()))
+    calls = {
+        "repelling_euler": lambda x: repelling_euler(spec, x, ch),
+        "flip_sign": lambda x: flip_sign(spec, x, ch, -ch),
+        "omega_ratio p": lambda x: omega_ratio(spec, x, q, w.column),
+        "omega_ratio q": lambda x: omega_ratio(spec, p, x, w.column),
+        "omega_ratio column": lambda c: omega_ratio(spec, p, q, c),
+        "sigma_sign p": lambda x: sigma_sign(spec, x, q, w.column, ch, signs),
+        "sigma_sign q": lambda x: sigma_sign(spec, p, x, w.column, ch, signs),
+        "sigma_sign column": lambda c: sigma_sign(spec, p, q, c, ch, signs),
+        "reconstruct_coefficient p": lambda x: reconstruct_coefficient(
+            spec, ch, entries, x, q, "L1", signs),
+        "reconstruct_coefficient q": lambda x: reconstruct_coefficient(
+            spec, ch, entries, p, x, "L1", signs),
+        "wall_adjacent_chambers": lambda c: wall_adjacent_chambers(spec.cartan, c),
+        "bundle_weight": lambda x: bundle_weight(spec, x, "L1"),
+    }
+    n = len(spec.cartan.root_list if what == "root column" else enumerate_fixed_points(spec))
+    bad = -1 if end == "-1" else n
+    with pytest.raises(ValueError, match=f"^{what} {bad} out of range$"):
+        calls[route](bad)
 
 
 def test_stab_mod_h2_fl3_support_and_degrees():
@@ -593,7 +636,6 @@ def test_factored_routes_build_no_polynomial(monkeypatch, tmp_path, capsys):
     bundles += [f"E{i}" for i in range(1, spec.length + 1)]
     for bundle in bundles:
         assert document("mult", spec, ch, bundle=bundle)["bundle"] == bundle
-    assert len(line_bundle_matrices(spec, ch)) == spec.length + 1
     assert verify.oracle(spec, ch)["ok"]
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
     d4_args = ["--type", "D", "--rank", "4", "--lambda", "1,1", "--mu", "0,1,0,0"]

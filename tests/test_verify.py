@@ -2,10 +2,10 @@
 
 import pytest
 
-from grslice import cli, verify
+from grslice import chern, cli, verify
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.cli import CACHE_ENV, main
-from grslice.slices import SliceSpec
+from grslice.slices import SliceSpec, adjacent_pairs
 from grslice.stab_a1 import RestrictionMatrix
 
 # (type, rank, lambda, mu)
@@ -33,6 +33,25 @@ def test_runner_document_is_what_the_command_line_prints(capsys, tmp_path, monke
         assert capsys.readouterr().out == cli.encode_json(document) + "\n"
         if which != "all":
             assert document["checks"] == [getattr(verify, which)(spec, ch, None)]
+
+
+@pytest.mark.parametrize("letter, rank, lam, mu", SLICES,
+                         ids=[f"{letter}{rank}-{_csv(lam)}" for letter, rank, lam, _ in SLICES])
+def test_oracle_signs_each_adjacent_pair_once(monkeypatch, letter, rank, lam, mu):
+    # the matrices of L_0..L_l share one table of lowering moves
+    signed = []
+    real = chern.sigma_sign
+
+    def counted(spec, p, q, *args):
+        signed.append((p, q))
+        return real(spec, p, q, *args)
+
+    monkeypatch.setattr(chern, "sigma_sign", counted)
+    datum = CartanDatum(letter, rank)
+    spec = SliceSpec(datum, lam, Coweight(mu))
+    ch = Chamber.dominant(datum)
+    assert verify.oracle(spec, ch)["ok"]
+    assert signed == list(adjacent_pairs(spec, ch))
 
 
 def test_rank_one_suite_on_a_higher_rank_slice_raises():
