@@ -124,27 +124,13 @@ _ROOT_COUNT = {
 }
 
 
-def _minuscule_indices(letter: str, rank: int) -> frozenset:
-    if letter == "A":
-        return frozenset(range(1, rank + 1))
-    if letter == "B":
-        return frozenset({rank})
-    if letter == "C":
-        return frozenset({1})
-    if letter == "D":
-        return frozenset({1, rank - 1, rank})
-    if letter == "E" and rank == 6:
-        return frozenset({1, 6})
-    if letter == "E" and rank == 7:
-        return frozenset({7})
-    return frozenset()
-
-
 class CartanDatum:
     """Immutable root-system database for one simple type.
 
     Public indices (simple roots, fundamental coweights, minuscule set) are
-    1-based, matching the usual numbering of Dynkin diagrams.
+    1-based, matching the usual numbering of Dynkin diagrams.  The
+    minuscule set is read off the positive roots: omega_i is minuscule
+    when no positive root has coordinate i above 1.
 
     The datum is integral: roots, coroots and coweights are int tuples, the
     inverse Cartan matrix comes from fraction-free elimination as integer
@@ -157,8 +143,8 @@ class CartanDatum:
     each coroot) and _slots, (slot, sign) with the root sign times the
     positive root of its slot, a slot being the place of a +-pair in
     _root_pairs.  slot_forms are the RootMonomial forms of those positive
-    roots, by slot, and h.  The gram matrix, the wall bases and
-    two_rho_check are built when first read.
+    roots, by slot, and h.  The gram matrix and the wall bases are built
+    when first read.
     """
 
     def __init__(self, type_letter: str, rank: int):
@@ -261,8 +247,8 @@ class CartanDatum:
         # (a_1..a_r, 0), by slot, and then h
         self.slot_forms: Tuple[tuple, ...] = tuple(
             self.root_list[col] + (0,) for col, _ in self._root_pairs) + ((0,) * n + (1,),)
-
-        self.minuscule_indices = _minuscule_indices(type_letter, rank)
+        self.minuscule_indices = frozenset(
+            i + 1 for i, top in enumerate(map(max, zip(*positive))) if top == 1)
 
     @cached_property
     def gram(self) -> Gram:
@@ -273,11 +259,6 @@ class CartanDatum:
                 in zip(self.symmetrizers, self._inverse_rows, self._inverse_dens)]
         g = gcd(den, *(x for row in rows for x in row))
         return Gram(tuple(tuple(x // g for x in row) for row in rows), den // g)
-
-    @cached_property
-    def two_rho_check(self) -> Tuple[int, ...]:
-        """The sum of the positive roots."""
-        return tuple(map(sum, zip(*[self.root_list[col] for col, _ in self._root_pairs])))
 
     @cached_property
     def _wall_bases(self) -> Tuple[Tuple[int, ...], ...]:
@@ -392,7 +373,8 @@ class Chamber:
     def __init__(self, datum: CartanDatum, witness: Sequence[int]):
         w = tuple(witness)
         if len(w) != datum.rank:
-            raise ValueError("rank mismatch")
+            raise ValueError(f"chamber witness has {len(w)} coordinates, but type "
+                             f"{datum.type_letter}{datum.rank} needs {datum.rank}")
         signs = []
         for f in datum.root_list:
             v = sum(map(mul, w, f))

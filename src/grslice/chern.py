@@ -38,7 +38,7 @@ from .slices import (
     normalize_polarization,
     repelling_euler,
 )
-from .stab_a1 import _form_div, _pairing_sums, _unpack, stab_matrix
+from .stab_a1 import _form_mul, _pairing_sums, _unpack, stab_matrix
 from .stab_general import sigma_sign
 from .symalg import _norm_scalar
 
@@ -265,21 +265,23 @@ def mult_matrix_via_localization(
         den *= d
     weight = [tuple(c.numerator * (den // c.denominator) for c in w) for w in weight]
     b, lcm, sums = _pairing_sums(spec, plus, minus, weight)
-    # the lcm is the product of the forms a + s h, s counted in lcm
-    shifts = list(lcm.elements())
+    # the lcm is the product of the forms a + s h, s counted in lcm; each sum
+    # must be it times a linear form c_0 a + c_1 h, whose coefficients are
+    # already the tuple (a, h).  The sum's two leading coefficients are c_0
+    # and c_1 + c_0 * (sum of the s); the sum is compared with the expanded
+    # product, never packed, since for a wrong sum lcm * (c_0, c_1) can
+    # exceed the packing width
+    lcm_form, shift_sum = (1,), sum(lcm.elements())
+    for s in lcm.elements():
+        lcm_form = _form_mul(lcm_form, (1, s))
     entries = {}
-    # each sum has degree deg(lcm) + 1, so its quotient is a linear form,
-    # whose coefficients (c_0, c_1) are already the tuple (a, h)
     for (p, q), total in sums.items():
-        form = _unpack(total, b, len(shifts) + 1)
-        try:
-            for s in shifts:
-                form = _form_div(form, s)
-        except AssertionError as exc:
+        form = _unpack(total, b, len(lcm_form))
+        quotient = (form[0], form[1] - form[0] * shift_sum)
+        if form != _form_mul(lcm_form, quotient):
             raise AssertionError(
-                f"localization entry ({points[q].label()}, {points[p].label()}) is not polynomial"
-            ) from exc
-        entries[q, p] = tuple([_over(c, den) for c in form])
+                f"localization entry ({points[q].label()}, {points[p].label()}) is not polynomial")
+        entries[q, p] = tuple([_over(c, den) for c in quotient])
     return OperatorMatrix(spec, entries, label=f"{kind}{idx}")
 
 

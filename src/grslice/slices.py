@@ -7,7 +7,8 @@ point is the increment sequence delta (each delta_i in the Weyl orbit of
 lambda_i, summing to mu); sigma denotes the partial-sum path.  A point is a
 FixedPoint, the tuple of its steps, and a step is the int tuple of its
 coordinates in the fundamental-coweight basis, so points compare, hash and
-sort as tuples.
+sort as tuples.  The dimension is a sum over the positive roots, which no
+Weyl reflection of mu enters.
 
 Index 0 is allowed in lambda_seq and denotes a frozen zero slot (orbit {0});
 these arise when a slice is projected onto a wall and keep slot positions
@@ -167,16 +168,18 @@ class SliceSpec:
     @property
     @memoized
     def dimension(self) -> int:
-        """<lambda - mu, sum of positive roots>, with mu taken to its
-        dominant Weyl representative; even and nonnegative.  Computed on
-        first read.
+        """<lambda - mu_+, 2 rho-check>, mu_+ the dominant Weyl conjugate of
+        mu, summed over the positive roots beta as <lambda, beta> - |<mu,
+        beta>|, since the Weyl group permutes the roots up to sign; even and
+        nonnegative.  Computed on first read.
 
-        The dominant representative matters: the path model accepts any
-        target mu below lambda, and the tangent multiplicity total at every
-        fixed point is invariant under replacing mu by a Weyl conjugate.
+        mu_+ matters: the path model accepts any target mu below lambda, and
+        the tangent multiplicity total at every fixed point is invariant
+        under replacing mu by a Weyl conjugate.
         """
-        mu_plus = dominant_representative(self.cartan, self.mu)
-        d = sum(map(mul, map(sub, self.lambda_total(), mu_plus), self.cartan.two_rho_check))
+        lam, roots = self.lambda_total(), self.cartan.root_list
+        d = sum(sum(map(mul, lam, roots[col])) - abs(sum(map(mul, self.mu, roots[col])))
+                for col, _ in self.cartan._root_pairs)
         if d < 0 or d % 2:
             raise AssertionError(f"{self!r} has dimension {d}, not even and nonnegative")
         return d
@@ -274,16 +277,6 @@ def normalize_polarization(points, polarization_signs) -> Tuple[int, ...]:
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("polarization signs must be +1 or -1")
     return tuple(signs)
-
-
-def dominant_representative(cartan: CartanDatum, c: Sequence[int]) -> Tuple[int, ...]:
-    """The dominant coweight in the Weyl orbit of c."""
-    v = tuple(c)
-    while True:
-        j = next((i for i, x in enumerate(v) if x < 0), None)
-        if j is None:
-            return v
-        v = cartan.reflect_coweight(j + 1, v)
 
 
 def _steps(spec: SliceSpec, p: FixedPoint) -> List[Tuple[int, ...]]:

@@ -66,19 +66,6 @@ def _form_mul(f: tuple, g: tuple) -> tuple:
     return tuple(out)
 
 
-def _form_div(f: tuple, s) -> tuple:
-    """The form f / (a + s h), of degree len(f) - 2, by synthetic division;
-    AssertionError when the remainder is not zero."""
-    out = []
-    r = 0
-    for c in f[:-1]:
-        r = c - s * r
-        out.append(r)
-    if f[-1] != s * r:
-        raise AssertionError(f"form {f} is not divisible by a + {s}*h")
-    return tuple(out)
-
-
 def _repelling_form(spec: SliceSpec, p: FixedPoint, ch: Chamber, sign: int) -> tuple:
     """sign times e_T of the ch-repelling half of the tangent space at p:
     the product of the weights u a + n h (u = +-1, the root's coordinate)

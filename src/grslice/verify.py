@@ -94,7 +94,7 @@ def wallcross(spec, ch, signs=None) -> dict:
     multiple of it, and no other root's coroot divides them all.
     """
     cartan = spec.cartan
-    # the suite reads ch for its positive roots only, never its adjacent pairs
+    # the suite reads ch for its sign vector only, never its adjacent pairs
     if ch.datum != cartan:
         raise ValueError("chamber does not belong to the slice's Cartan datum")
     failures: List[dict] = []
@@ -110,9 +110,10 @@ def wallcross(spec, ch, signs=None) -> dict:
             computed[key] = stab_mod_h2(spec, chamber, chamber_signs)
         return computed[key]
 
-    for root in cartan.positive_roots(ch):
-        # two roots lie on one wall when their columns share a slot
-        wall = cartan._slots[cartan._column[root]][0]
+    # the positive roots of ch by column; two roots lie on one wall when
+    # their columns share a slot
+    for col in [c for c, side in enumerate(ch.sign_vector) if side > 0]:
+        wall = cartan._slots[col][0]
         near, far = _wall_chambers(spec, wall)
         left = entries(near, base_signs)
         right = entries(far, tuple(s * flip_sign(spec, x, near, far)
@@ -124,9 +125,8 @@ def wallcross(spec, ch, signs=None) -> dict:
                 continue
             compared += 1
             if left.get((p, q)) != right.get((p, q)):
-                failures.append(
-                    {"root": list(root), "p": points[p].label(), "q": points[q].label()}
-                )
+                failures.append({"root": list(cartan.root_list[col]),
+                                 "p": points[p].label(), "q": points[q].label()})
     return {"name": "wallcross", "ok": not failures, "compared": compared}
 
 

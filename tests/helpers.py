@@ -1,7 +1,8 @@
 """Shared test utilities: the pairing and arithmetic of coweight and root
 tuples, the fundamental and zero coweights, independent tangent-weight
 oracles, random
-minuscule slice sampling, an independent sampler of wall-adjacent chambers,
+minuscule slice sampling, the classical dimension formula, an independent
+sampler of wall-adjacent chambers,
 polynomial queries and builders the program itself does not need
 (generators, linear forms, the zero test, one coefficient), the reference
 reader and writer of JSON polynomial cells, the chamber-minimal point of a
@@ -86,6 +87,29 @@ def vneg(v):
 
 def vscale(v, k):
     return tuple(x * k for x in v)
+
+
+def two_rho_check(datum):
+    """The sum of the datum's positive roots."""
+    return vsum(zero_coweight(datum), *[f for f in datum.root_list if min(f) >= 0])
+
+
+def dominant_representative(datum, c):
+    """The dominant coweight in the Weyl orbit of c: reflect in the first
+    negative coordinate j, c - c_j * alpha_j-check, until none is left."""
+    v = tuple(c)
+    while True:
+        j = next((i for i, x in enumerate(v) if x < 0), None)
+        if j is None:
+            return v
+        v = tuple(x - v[j] * row[j] for x, row in zip(v, datum.cartan_matrix))
+
+
+def reference_dimension(spec):
+    """The classical dimension formula <lambda - mu_+, 2 rho-check>, mu_+
+    the dominant representative of mu."""
+    mu_plus = dominant_representative(spec.cartan, spec.mu)
+    return pairing(vsub(spec.lambda_total(), mu_plus), two_rho_check(spec.cartan))
 
 
 def gen(nvars, index):
@@ -505,7 +529,7 @@ def random_minuscule_specs(count, seed, max_dim=12, max_len=4):
             sums = {vsum(d, s) for d in orbit for s in sums}
         candidates = [
             mu for mu in sorted(sums)
-            if pairing(vsub(total, mu), datum.two_rho_check) <= max_dim
+            if pairing(vsub(total, mu), two_rho_check(datum)) <= max_dim
         ]
         if not candidates:
             continue

@@ -14,7 +14,6 @@ from grslice.chern import bundle_weight, mult_matrix
 from grslice.slices import (
     SliceSpec,
     adjacent_pairs,
-    dominant_representative,
     enumerate_fixed_points,
     flip_sign,
     normalize_polarization,
@@ -36,6 +35,7 @@ from grslice.stab_general import (
 from grslice.symalg import Polynomial
 from helpers import (
     coefficient,
+    dominant_representative,
     entry_at,
     entry_polynomial,
     euler_polynomial,
@@ -43,15 +43,14 @@ from helpers import (
     form_polynomial,
     linear_form,
     operator_product,
-    pairing,
     random_minuscule_specs,
+    reference_dimension,
     same_wall_component,
     sampled_sigma_signs,
     stored_rows,
     substitute,
     truncate_mod_h2,
     vneg,
-    vsub,
     weight_stat,
 )
 
@@ -118,9 +117,9 @@ def test_criterion_02_multiplicity_sum_and_h_duality():
             for (col, n), m in ws.items():
                 assert ws.get((column[vneg(roots[col])], -(n + 1))) == m
         # the degree formula reads off the dominant representative
-        mu = dominant_representative(spec.cartan, spec.mu)
-        dom = SliceSpec(spec.cartan, spec.lambda_seq, mu)
-        expected = pairing(vsub(dom.lambda_total(), mu), spec.cartan.two_rho_check)
+        dom = SliceSpec(spec.cartan, spec.lambda_seq,
+                        dominant_representative(spec.cartan, spec.mu))
+        expected = reference_dimension(dom)
         for p in enumerate_fixed_points(dom):
             assert sum(tangent_weights(dom, p).values()) == expected
     assert len(letters) >= 5

@@ -8,8 +8,8 @@ from grslice import cartan
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.stab_general import wall_adjacent_chambers
 
-from helpers import (exact_inner as inner, fundamental_coweight, pairing, vneg, vscale, vsum,
-                     zero_coweight)
+from helpers import (exact_inner as inner, fundamental_coweight, pairing, two_rho_check, vneg,
+                     vscale, vsum, zero_coweight)
 
 
 A1 = CartanDatum("A", 1)
@@ -198,22 +198,40 @@ def test_coroot_of_root():
 
 
 def test_two_rho_check_rank1():
-    assert A1.two_rho_check == (1,)
-    assert A2.two_rho_check == (2, 2)
+    # the reference sum of the positive roots that the dimension tests use
+    assert two_rho_check(A1) == (1,)
+    assert two_rho_check(A2) == (2, 2)
+    assert two_rho_check(B2) == (4, 3)
 
 
-# ---------------------------------------------------------------- minuscule table
+# ---------------------------------------------------------------- minuscule set
+
+# the minuscule fundamental coweights of each type, as tabulated (Bourbaki
+# numbering): every omega_i in type A, the spin node in B, omega_1 in C, the
+# vector and both half-spin nodes in D, omega_1 and omega_6 in E6, omega_7 in
+# E7, and none in E8, F4 and G2
+MINUSCULE = {
+    ("A", 1): {1}, ("A", 2): {1, 2}, ("A", 3): {1, 2, 3}, ("A", 4): {1, 2, 3, 4},
+    ("A", 5): {1, 2, 3, 4, 5}, ("A", 6): {1, 2, 3, 4, 5, 6},
+    ("A", 7): {1, 2, 3, 4, 5, 6, 7}, ("A", 8): {1, 2, 3, 4, 5, 6, 7, 8},
+    ("A", 9): {1, 2, 3, 4, 5, 6, 7, 8, 9},
+    ("B", 2): {2}, ("B", 3): {3}, ("B", 4): {4}, ("B", 5): {5}, ("B", 6): {6}, ("B", 7): {7},
+    ("B", 8): {8}, ("B", 9): {9},
+    ("C", 2): {1}, ("C", 3): {1}, ("C", 4): {1}, ("C", 5): {1}, ("C", 6): {1}, ("C", 7): {1},
+    ("C", 8): {1}, ("C", 9): {1},
+    ("D", 3): {1, 2, 3}, ("D", 4): {1, 3, 4}, ("D", 5): {1, 4, 5}, ("D", 6): {1, 5, 6},
+    ("D", 7): {1, 6, 7}, ("D", 8): {1, 7, 8}, ("D", 9): {1, 8, 9},
+    ("E", 6): {1, 6}, ("E", 7): {7}, ("E", 8): set(), ("F", 4): set(), ("G", 2): set(),
+}
+
 
 def test_minuscule_indices():
-    assert CartanDatum("A", 4).minuscule_indices == {1, 2, 3, 4}
-    assert CartanDatum("B", 3).minuscule_indices == {3}
-    assert CartanDatum("C", 3).minuscule_indices == {1}
-    assert CartanDatum("D", 5).minuscule_indices == {1, 4, 5}
-    assert CartanDatum("E", 6).minuscule_indices == {1, 6}
-    assert CartanDatum("E", 7).minuscule_indices == {7}
-    assert CartanDatum("E", 8).minuscule_indices == frozenset()
-    assert CartanDatum("F", 4).minuscule_indices == frozenset()
-    assert CartanDatum("G", 2).minuscule_indices == frozenset()
+    # the set the datum derives from its positive roots is the table's
+    assert len(MINUSCULE) == 37
+    for (letter, rank), expected in MINUSCULE.items():
+        datum = CartanDatum(letter, rank)
+        assert type(datum.minuscule_indices) is frozenset
+        assert datum.minuscule_indices == expected, (letter, rank)
 
 
 def test_minuscule_orbit_pairings():
@@ -366,7 +384,7 @@ def test_integer_datum_matches_the_fraction_closure(letter, rank):
     assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == gram
     assert gcd(den, *(x for row in rows for x in row)) == 1
     assert datum.symmetrizers == symmetrizers
-    assert datum.two_rho_check == two_rho
+    assert two_rho_check(datum) == two_rho
     # the root tables by column: half squared lengths, and the slot and
     # sign of each root against the positive root of its slot
     for col, c in enumerate(datum.coroots):

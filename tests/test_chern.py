@@ -462,19 +462,21 @@ def test_localization_matrix_random_signs():
 
 
 def test_localization_entry_that_is_not_polynomial_raises(monkeypatch):
-    # one more h^deg in a cleared sum: no linear form times the lcm
+    # a cleared sum off by one in a coefficient is no linear form times the
+    # lcm: one more or one less h^deg (its lowest coefficient), and one more
+    # a^deg, which moves the leading coefficient c_0 that the check reads
     real = chern._pairing_sums
+    for delta, top in ((1, False), (-1, False), (1, True)):
+        def tampered(spec, plus, minus, weight=None):
+            b, lcm, sums = real(spec, plus, minus, weight)
+            sums[min(sums)] += delta << (b * (sum(lcm.values()) + 1) if top else 0)
+            return b, lcm, sums
 
-    def tampered(spec, plus, minus, weight=None):
-        b, lcm, sums = real(spec, plus, minus, weight)
-        sums[min(sums)] += 1
-        return b, lcm, sums
-
-    monkeypatch.setattr(chern, "_pairing_sums", tampered)
-    # the points print by label, as in every other check message
-    with pytest.raises(AssertionError,
-                       match=r"^localization entry \(\([-w0,]+\), \([-w0,]+\)\) is not polynomial$"):
-        mult_matrix_via_localization(a1_spec(4, 2), "L1", CH1_PLUS)
+        monkeypatch.setattr(chern, "_pairing_sums", tampered)
+        # the points print by label, as in every other check message
+        with pytest.raises(AssertionError, match=r"^localization entry "
+                           r"\(\([-w0,]+\), \([-w0,]+\)\) is not polynomial$"):
+            mult_matrix_via_localization(a1_spec(4, 2), "L1", CH1_PLUS)
 
 
 def test_localization_matrix_requires_rank_one():

@@ -170,6 +170,12 @@ def test_chamber_on_wall_exits_two(capsys):
     assert code == 2 and "hyperplane" in err
 
 
+def test_chamber_of_the_wrong_length_names_both_counts(capsys):
+    code, out, err = run_cli(capsys, ["fixed-points"] + BASE_A1 + ["--chamber", "1,2"])
+    assert (code, out, err) == (
+        2, "", "error: chamber witness has 2 coordinates, but type A1 needs 1\n")
+
+
 def test_bad_polarization_length_exits_two(capsys):
     argv = ["fixed-points"] + BASE_A1 + ["--polarization", "1,1,1"]
     code, _, err = run_cli(capsys, argv)

@@ -3,7 +3,8 @@ grslice module imports only the grslice modules below it, every
 name a grslice module imports is used in that module, every private
 module-level function or class and every public module-level function or
 public method (bar a list of exemptions) is named outside its own body,
-and every name in a class's __slots__ is read outside __init__.
+and every name in a class's __slots__ is read outside __init__.  The
+methods that only the benchmark's tracer keeps are listed by name.
 
 Read with the standard library's ast: a name counts as used where the
 module loads it, or names it inside a string annotation.  The
@@ -274,6 +275,17 @@ def test_every_public_definition_is_named_outside_its_body():
 def test_every_exemption_is_still_needed():
     stale = PUBLIC_EXEMPT - set(_unreferenced_public(_trees()))
     assert not stale, f"exempt definitions that are named or gone: {', '.join(sorted(stale))}"
+
+
+def test_the_traced_methods_no_module_reads():
+    # the benchmark's tracer alone keeps these: no grslice module reads them
+    # as an attribute, so the tracer repair may delete them with their
+    # METHODS entries.  A dunder method is run by syntax, not read, and is
+    # left out of this check
+    unread = set(_unreferenced_public(_trees())) & _traced_methods()
+    assert sorted(unread) == [
+        "cartan.CartanDatum.positive_roots", "cartan.CartanDatum.reflect_coweight",
+        "cartan.CartanDatum.reflect_form", "cartan.Chamber.is_positive"]
 
 
 def test_the_check_sees_an_unreferenced_public_definition():

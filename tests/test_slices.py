@@ -8,7 +8,7 @@ from math import comb, gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grslice import cartan, slices, stab_a1
+from grslice import cli, slices, stab_a1
 from grslice.cartan import CartanDatum, Chamber, Coweight
 from grslice.chern import bundle_weight
 from grslice.cli import CACHE_ENV, JobSpec, compute_payload, main, render
@@ -42,6 +42,7 @@ from helpers import (
     pairing,
     point,
     random_minuscule_specs,
+    reference_dimension,
     reference_tangent_weights,
     repelling_tangent_euler,
     same_wall_component,
@@ -143,15 +144,27 @@ def test_dimension():
     assert TSTAR_P1.dimension == 2
 
 
-@pytest.mark.parametrize("target, dimension", [((3,), -1), ((1,), 1)])
+def test_dimension_matches_the_classical_formula():
+    # the sum over positive roots is <lambda - mu_+, 2 rho-check>, and the
+    # tangent multiplicities at every fixed point add up to it
+    specs = random_minuscule_specs(300, 7, max_dim=20, max_len=5)
+    specs += [spec for workload in WORKLOADS for spec, _, _ in catalog_slices(workload)]
+    for spec in specs:
+        assert spec.dimension == reference_dimension(spec), spec
+        for p in enumerate_fixed_points(spec):
+            assert sum(tangent_weights(spec, p).values()) == spec.dimension
+
+
+@pytest.mark.parametrize("target, dimension", [((-1,), -1), ((1,), 1)])
 def test_dimension_check_names_the_slice(monkeypatch, target, dimension):
-    # a wrong dominant representative gives a negative or an odd dimension:
-    # a failed check, which raises AssertionError itself
-    monkeypatch.setattr(slices, "dominant_representative", lambda cartan, mu: target)
+    # a wrong lambda total gives a negative or an odd dimension: a failed
+    # check, which raises AssertionError itself
+    spec = a1_spec(2, 0)
+    monkeypatch.setattr(SliceSpec, "lambda_total", lambda self: target)
     message = (rf"^SliceSpec\(A1, lambda=\[1, 1\], mu=\[0\]\) has dimension {dimension}, "
                "not even and nonnegative$")
     with pytest.raises(AssertionError, match=message):
-        a1_spec(2, 0).dimension
+        spec.dimension
 
 
 def test_dimension_nondominant_target():
@@ -460,9 +473,11 @@ def test_datum_spec_and_integer_chamber_build_no_fraction(monkeypatch):
 def test_non_minuscule_step_is_an_internal_error(capsys, tmp_path, monkeypatch):
     # omega_1 of B2 pairs to 2 with a root; claiming it minuscule must stop
     # the pairing table, never reach a document
-    monkeypatch.setattr(cartan, "_minuscule_indices", lambda letter, rank: frozenset({1, 2}))
+    b2 = CartanDatum("B", 2)
+    monkeypatch.setattr(b2, "minuscule_indices", frozenset({1, 2}))
     with pytest.raises(AssertionError, match="is not minuscule"):
-        SliceSpec(CartanDatum("B", 2), [1], Coweight([1, 0]))
+        SliceSpec(b2, [1], Coweight([1, 0]))
+    monkeypatch.setattr(cli, "CartanDatum", lambda letter, rank: b2)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
     code = main(["tangent", "--type", "B", "--rank", "2", "--lambda", "1", "--mu", "1,0"])
     out, err = capsys.readouterr()

@@ -161,24 +161,6 @@ def test_form_product_matches_polynomial_product(f, g):
     assert poly(stab_a1._form_mul(f, g)) == poly(f) * poly(g)
 
 
-@settings(max_examples=250, deadline=None)
-@given(forms(), COEFFICIENTS, st.booleans())
-def test_synthetic_division_inverts_multiplication(f, s, times_divisor):
-    num = stab_a1._form_mul(f, (1, s)) if times_divisor else f
-    poly = binary_polynomial
-    try:
-        quotient = stab_a1._form_div(num, s)
-    except AssertionError as exc:
-        assert str(exc) == f"form {num} is not divisible by a + {s}*h"
-        # factor theorem: a + s h divides the form exactly when the form
-        # vanishes at (a, h) = (-s, 1)
-        assert not times_divisor
-        assert sum(c * (-s) ** e[0] for e, c in poly(num).terms.items()) != 0
-    else:
-        assert len(quotient) == len(num) - 1
-        assert poly(quotient) * poly((1, s)) == poly(num)
-
-
 def test_exact_routes_multiply_and_divide_no_polynomial(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Polynomial product used")

@@ -10,7 +10,6 @@ from grslice.slices import (
     RootMonomial,
     SliceSpec,
     adjacent_pairs,
-    dominant_representative,
     enumerate_fixed_points,
     flip_sign,
     normalize_polarization,
@@ -48,6 +47,7 @@ from helpers import (
     catalog_slices,
     counter_stab_mod_h2,
     document,
+    dominant_representative,
     entry_at,
     euler_polynomial,
     fundamental_coweight,
@@ -62,6 +62,7 @@ from helpers import (
     same_wall_component,
     sampled_sigma_signs,
     substitute,
+    two_rho_check,
     vneg,
     vsub,
     vsum,
@@ -511,7 +512,7 @@ def small_slice_jobs(draw):
         sums = {vsum(d, s) for d in orbit for s in sums}
     mu = draw(st.sampled_from(sorted(
         m for m in sums
-        if 0 < pairing(vsub(total, dominant_representative(datum, m)), datum.two_rho_check) <= 8
+        if 0 < pairing(vsub(total, dominant_representative(datum, m)), two_rho_check(datum)) <= 8
     )))
     spec = SliceSpec(datum, lam, mu)
     # root coefficients are at most 2 in size, so no root vanishes on
